@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +15,10 @@
 namespace csd::congest {
 
 using detail::NodeState;
+
+namespace {
+constexpr std::uint64_t kNoWake = std::numeric_limits<std::uint64_t>::max();
+}  // namespace
 
 Network::Network(Graph topology, NetworkConfig config)
     : topology_(std::move(topology)), config_(config) {
@@ -290,6 +295,14 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
     }
   }
 
+  // Activity-driven rounds (DESIGN.md §15): wake[v] is the next round node
+  // v runs — its NodeApi::sleep_until hint, folded with its scheduled crash
+  // round so a sleeper still crashes on time, and pulled in to the next
+  // round when a frame lands in its inbox. Every live node runs in the
+  // run's first round (0, or the resume round, whose restored inbox would
+  // otherwise need its own wake-up).
+  std::vector<std::uint64_t> wake(n, start_round);
+
   std::uint64_t round = start_round;
   std::uint64_t last_progress = start_round;
   for (; round < config_.max_rounds; ++round) {
@@ -332,18 +345,32 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
     }
     bool all_stopped = true;
     bool progressed = false;
+    bool any_ran = false;
+    // Earliest round after this one at which a live node is due; stays at
+    // kNoWake when none remains live, and the next round ends the run.
+    std::uint64_t next_wake = kNoWake;
+    // Some live node sleeps past the next round. Only then can a landing
+    // frame move a wake round, so otherwise delivery skips the store.
+    bool sleepers = false;
     const auto compute_start = timing ? Clock::now() : Clock::time_point{};
     for (Vertex v = 0; v < n; ++v) {
       if (nodes[v]->halted() || crashed[v]) continue;
+      std::optional<std::uint64_t> crash_at;
       if (faulty) {
-        if (const auto when = injector->crash_round(v);
-            when.has_value() && round >= *when) {
+        crash_at = injector->crash_round(v);
+        if (crash_at.has_value() && round >= *crash_at) {
           crash(v, round);
           progressed = true;
           continue;
         }
       }
       all_stopped = false;
+      if (wake[v] > round) {
+        next_wake = std::min(next_wake, wake[v]);
+        sleepers = sleepers || wake[v] > round + 1;
+        continue;
+      }
+      any_ran = true;
       nodes[v]->begin_round(round);
       if (faulty) {
         // Graceful degradation: a program that throws (typically a wire
@@ -363,10 +390,22 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
       } else {
         programs[v]->on_round(*nodes[v]);
       }
-      if (nodes[v]->halted()) progressed = true;
+      if (crashed[v]) continue;
+      if (nodes[v]->halted()) {
+        progressed = true;
+        continue;
+      }
+      wake[v] = std::max(round + 1, nodes[v]->wake_hint());
+      if (crash_at.has_value()) wake[v] = std::min(wake[v], *crash_at);
+      next_wake = std::min(next_wake, wake[v]);
+      sleepers = sleepers || wake[v] > round + 1;
     }
     if (timing) outcome.metrics.timers.compute_ns += elapsed_ns(compute_start);
     if (all_stopped) break;
+    // Every live node slept through this round (say it only crashed a node
+    // or took the checkpoint): it keeps the previous round's phase, like a
+    // skipped round.
+    if (!any_ran) outcome.trace.carry_phase(round - 1, round + 1);
 
     // Deliver: outboxes of this round become inboxes of the next. A present
     // outbox slot's payload buffer is *swapped* into the reverse-edge inbox
@@ -423,6 +462,7 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
           log_row(nbrs[p], round + 1)[rev_port_[base + p]] = payload;
         std::swap(inbox_arena.payload(rev_edge_[base + p]), payload);
         inbox_arena.present(rev_edge_[base + p]) = 1;
+        if (sleepers) wake[nbrs[p]] = round + 1;
         ++arena_frames;
       }
     }
@@ -437,6 +477,28 @@ RunOutcome Network::run_impl(const ProgramFactory& factory,
       m_round_bits.observe(round_bits);
     }
     if (progressed) last_progress = round + 1;
+
+    // Nothing landed, so no node runs before next_wake: skip the idle
+    // stretch in one step, stopping where the checkpoint, the stall
+    // watchdog or the round cap acts so they fire in the same round as in
+    // a round-by-round run. The skipped rounds keep their trace rows (with
+    // the inherited phase) and their telemetry, written now so a snapshot
+    // at the end of the stretch records the same trace_bytes.
+    if (arena_frames == 0 && next_wake != kNoWake) {
+      std::uint64_t next = std::min(next_wake, config_.max_rounds);
+      if (checkpoint_at > round) next = std::min(next, checkpoint_at);
+      if (config_.stall_window != 0)
+        next = std::min(next, last_progress + config_.stall_window);
+      if (next > round + 1) {
+        outcome.trace.carry_phase(round, next);
+        if (telemetry != nullptr) {
+          m_rounds.add(next - round - 1);
+          for (std::uint64_t r = round + 1; r < next; ++r)
+            m_round_bits.observe(0);
+        }
+        round = next - 1;  // the loop's ++round lands on `next`
+      }
+    }
   }
 
   outcome.metrics.rounds = round;

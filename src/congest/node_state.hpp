@@ -33,8 +33,8 @@ class NodeState final : public NodeApi {
             std::uint64_t namespace_size, std::uint64_t bandwidth,
             bool broadcast_only, std::vector<ProtocolViolation>* violations)
       : index_(index),
-        id_(node_id),
         degree_(topology.degree(index)),
+        id_(node_id),
         network_size_(network_size),
         namespace_size_(namespace_size),
         bandwidth_(bandwidth),
@@ -133,6 +133,10 @@ class NodeState final : public NodeApi {
       phase_slot_->emplace(name);
   }
 
+  void sleep_until(std::uint64_t round) override {
+    if (round > round_ + 1) wake_hint_ = round;
+  }
+
   void reject() override { verdict_ = Verdict::Reject; }
   void halt() override { halted_ = true; }
 
@@ -166,6 +170,7 @@ class NodeState final : public NodeApi {
   void set_neighbor_ids(const NodeId* shared) { neighbor_ids_ = shared; }
   void begin_round(std::uint64_t r) {
     round_ = r;
+    wake_hint_ = 0;
     round_payload_.reset();
     // Presence bytes only: the delivery pass already consumed this node's
     // outbox presence, but a crash/resume path may leave stragglers.
@@ -187,6 +192,10 @@ class NodeState final : public NodeApi {
     if (degree_ > 0) std::memset(outbox_present_, 0, degree_);
   }
   bool halted() const { return halted_; }
+  /// The round this node asked to sleep until during its latest on_round
+  /// call (NodeApi::sleep_until), or 0 for no hint. Only the classic engine
+  /// reads it; the sharded and async engines ignore the hint.
+  std::uint64_t wake_hint() const { return wake_hint_; }
   Verdict verdict() const { return verdict_; }
   Vertex index() const { return index_; }
 
@@ -197,8 +206,8 @@ class NodeState final : public NodeApi {
   }
 
   Vertex index_;
+  std::uint32_t degree_;  // next to index_: no padding before id_
   NodeId id_;
-  std::uint32_t degree_;
   std::uint64_t network_size_;
   std::uint64_t namespace_size_;
   std::uint64_t bandwidth_;
@@ -209,6 +218,7 @@ class NodeState final : public NodeApi {
   Rng rng_;
   std::optional<BitVec> round_payload_;
   std::uint64_t round_ = 0;
+  std::uint64_t wake_hint_ = 0;
   std::vector<NodeId> owned_neighbor_ids_;
   const NodeId* neighbor_ids_ = nullptr;
   // Arena rows, engine-owned (attach_frames): payload buffers and presence

@@ -79,6 +79,19 @@ class NodeApi {
   /// first declaration.
   virtual void phase(std::string_view name) { (void)name; }
 
+  /// Advisory activity hint (DESIGN.md §15). Called during round t, it
+  /// promises that without a message this node's on_round calls in rounds
+  /// t+1 .. r-1 would do nothing: no send, no RNG draw, no state change, no
+  /// halt, no reject. An engine that honors the hint runs the node next at
+  /// round r, or in the first earlier round whose inbox holds a frame; an
+  /// engine that ignores it keeps calling on_round every round, which the
+  /// promise makes indistinguishable. Every on_round call ends the hint
+  /// (like re-voting to halt); a later call in the same round replaces an
+  /// earlier one, and r <= t+1 is a no-op. A program must not sleep past a
+  /// round where its phase() name changes: a round in which no node runs
+  /// inherits the previous round's phase in the trace.
+  virtual void sleep_until(std::uint64_t round) { (void)round; }
+
   /// Set this node's verdict to Reject ("I detected a copy of H"). Sticky.
   virtual void reject() = 0;
   /// Stop participating after this round. The run ends when all halt.

@@ -28,6 +28,11 @@
 //     inbox slots and log rows are per-(node, port) cells, and accounting
 //     is sums/maxes folded at the barrier.
 //
+// The engine ignores the NodeApi::sleep_until activity hint (DESIGN.md
+// §15) and runs every unhalted node in every round, which makes it the
+// hint-ignoring reference the classic engine's idle-round skipping is
+// checked against.
+//
 // Caveats a caller inherits by turning sharding on: node programs of one
 // run execute concurrently, so a custom ProgramFactory must not share
 // mutable state between its program instances (the library's never do),

@@ -34,6 +34,15 @@ class EvenCycleProgram final : public congest::NodeProgram {
       : cfg_(cfg), probe_(probe) {}
 
   void on_round(congest::NodeApi& api) override {
+    run_round(api);
+    // Activity hint (DESIGN.md §15): an idle node sleeps until the next
+    // schedule boundary; tokens arriving earlier wake it through its mail.
+    const std::uint64_t r = api.round();
+    if (!busy(r)) api.sleep_until(next_boundary(r));
+  }
+
+ private:
+  void run_round(congest::NodeApi& api) {
     if (api.round() == 0) setup(api);
 
     const std::uint64_t r = api.round();
@@ -76,7 +85,28 @@ class EvenCycleProgram final : public congest::NodeProgram {
     }
   }
 
- private:
+  // -- activity ---------------------------------------------------------
+  /// True iff, even without a message, this node acts in round r + 1: a
+  /// phase-I token to forward, or a prefix token to forward in its send
+  /// window. Everything else the program does is driven by its inbox or
+  /// happens at a schedule boundary.
+  bool busy(std::uint64_t r) const {
+    if (r < sched_.phase1_rounds) return !phase1_queue_.empty();
+    return !queue_.empty() &&
+           in_send_window(r + 1, role_of_color(color2_, cfg_.k).position);
+  }
+
+  /// First schedule boundary after round r: the phase-I deadline R1, the
+  /// first peel wave, a propagation window start, or the final round. Every
+  /// node runs at each of them, so no sleep spans a phase change.
+  std::uint64_t next_boundary(std::uint64_t r) const {
+    if (r < sched_.phase1_rounds) return sched_.phase1_rounds;
+    if (r == sched_.phase1_rounds) return r + 1;
+    for (std::uint32_t w = 1; w <= cfg_.k; ++w)
+      if (sched_.window_start[w] > r) return sched_.window_start[w];
+    return sched_.final_round;
+  }
+
   // -- setup ------------------------------------------------------------
   void setup(congest::NodeApi& api) {
     sched_ = make_even_cycle_schedule(api.network_size(), cfg_);

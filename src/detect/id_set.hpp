@@ -6,6 +6,11 @@
 // set on both speed and memory, and its intersection is word-parallel; for
 // very large namespaces the helper falls back to std::unordered_set so the
 // programs stay correct at any scale.
+//
+// The dense bitset is allocated on the first insert, not by init: most of a
+// detector's per-node sets never receive an id (four sets per node of a
+// C_2k run over an 8192-id namespace would otherwise allocate 32 MiB per
+// repetition), and an unallocated set reads as empty everywhere.
 #pragma once
 
 #include <cstdint>
@@ -24,16 +29,18 @@ class IdSet {
   IdSet() = default;
 
   /// Fix the id universe [0, universe). Must be called before any insert.
+  /// Allocates nothing (and drops a previous universe's bitset).
   void init(std::uint64_t universe) {
     universe_ = universe;
     dense_mode_ = universe > 0 && universe <= kDenseLimit;
-    if (dense_mode_) dense_ = BitVec(static_cast<std::size_t>(universe));
+    dense_ = BitVec();
   }
 
   /// Insert `id`; returns true iff it was not already present.
   bool insert(std::uint64_t id) {
     if (dense_mode_) {
       CSD_DCHECK(id < universe_);
+      if (dense_.empty()) dense_ = BitVec(static_cast<std::size_t>(universe_));
       const auto i = static_cast<std::size_t>(id);
       if (dense_.get(i)) return false;
       dense_.set(i);
@@ -43,14 +50,16 @@ class IdSet {
   }
 
   bool contains(std::uint64_t id) const {
+    // An unallocated bitset has size 0, so this also reads it as empty.
     if (dense_mode_)
-      return id < universe_ && dense_.get(static_cast<std::size_t>(id));
+      return id < dense_.size() && dense_.get(static_cast<std::size_t>(id));
     return sparse_.count(id) != 0;
   }
 
+  /// Remove every id; the dense bitset (if allocated) is zeroed in place.
   void clear() {
     if (dense_mode_)
-      dense_ = BitVec(static_cast<std::size_t>(universe_));
+      dense_.reset();
     else
       sparse_.clear();
   }
@@ -58,8 +67,12 @@ class IdSet {
   /// True iff the two sets share an element. Word-parallel when both sides
   /// are dense over the same universe.
   friend bool intersects(const IdSet& a, const IdSet& b) {
-    if (a.dense_mode_ && b.dense_mode_ && a.universe_ == b.universe_)
+    if (a.dense_mode_ && b.dense_mode_ && a.universe_ == b.universe_) {
+      // An unallocated side is empty, and BitVec intersections require
+      // operands of equal size.
+      if (a.dense_.empty() || b.dense_.empty()) return false;
       return intersect_count(a.dense_, b.dense_) > 0;
+    }
     const IdSet& probe = a.size_hint() <= b.size_hint() ? a : b;
     const IdSet& other = (&probe == &a) ? b : a;
     if (probe.dense_mode_) {

@@ -92,6 +92,16 @@ void RunTrace::finish_run(std::uint64_t rounds) {
   if (rounds > rounds_.size()) ensure_round(rounds - 1);
 }
 
+void RunTrace::carry_phase(std::uint64_t from, std::uint64_t until) {
+  if (!enabled_ || from >= rounds_.size()) return;
+  const std::int32_t phase = rounds_[from].phase;
+  if (phase < 0) return;
+  for (std::uint64_t r = from + 1; r < until; ++r) {
+    ensure_round(r);
+    if (rounds_[r].phase < 0) rounds_[r].phase = phase;
+  }
+}
+
 void RunTrace::ensure_round(std::uint64_t round) {
   if (round < rounds_.size()) return;
   const std::uint64_t old_size = rounds_.size();
@@ -123,7 +133,8 @@ void RunTrace::append(const RunTrace& other) {
     segment_starts_.push_back(0);
   const std::uint64_t base = rounds_.size();
   segment_starts_.push_back(base);
-  rounds_.reserve(base + other.rounds_.size());
+  // No exact reserve here: it would defeat push_back's geometric growth
+  // and make appending R repetitions quadratic in R.
   for (const RoundRecord& rec : other.rounds_) {
     rounds_.push_back(rec);
     rounds_.back().round = base + rec.round;

@@ -120,6 +120,12 @@ class RunTrace {
   /// quantity the rounds-vs-n exponent fit consumes.
   void finish_run(std::uint64_t rounds);
 
+  /// Rounds from+1 .. until-1 ran no node (the classic engine skipped them,
+  /// DESIGN.md §15): give each one round `from`'s phase, materializing the
+  /// rows one at a time exactly as if every node had declared that phase
+  /// again. A no-op when round `from` has no phase.
+  void carry_phase(std::uint64_t from, std::uint64_t until);
+
   /// Append `other` as the next repetition. Contract, by receiver state:
   ///   * enabled: `other`'s rounds are re-based after this trace's last
   ///     round, histograms / edge totals / counters / totals are summed,

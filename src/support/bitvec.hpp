@@ -125,6 +125,11 @@ class BitVec {
     words_.clear();
   }
 
+  /// Zero every bit in place, keeping size() and the storage.
+  void reset() noexcept {
+    for (auto& w : words_) w = 0;
+  }
+
   /// Keep only the first `n` bits. No-op when `n >= size()`. Used by the
   /// engines to clamp over-bandwidth payloads instead of aborting the run.
   void truncate(std::size_t n) noexcept {

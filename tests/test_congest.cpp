@@ -1,13 +1,18 @@
 // Tests for the CONGEST simulator: round semantics, bandwidth enforcement,
-// metrics accounting, transcripts, identifiers, and the congested-clique
-// helpers.
+// metrics accounting, transcripts, identifiers, the NodeApi::sleep_until
+// activity hint, and the congested-clique helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "congest/clique.hpp"
 #include "congest/network.hpp"
 #include "graph/builders.hpp"
+#include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
 #include "support/wire.hpp"
 
@@ -434,6 +439,250 @@ TEST(Network, BroadcastOnlyAllowsUniformMessages) {
   auto outcome = run_congest(
       g, cfg, [](std::uint32_t) { return std::make_unique<GossipOnce>(2); });
   EXPECT_TRUE(outcome.completed);
+}
+
+// ------------------------------------------------------- activity hint --
+// The classic engine honors NodeApi::sleep_until and skips idle rounds; the
+// sharded engine ignores the hint and runs every node every round. Each test
+// runs both (W = 1 as the reference) and requires bit-identical outcomes,
+// and checks from the program's own log that the classic engine really
+// skipped — otherwise a silent fallback to round-by-round execution would
+// pass every equivalence check.
+
+constexpr std::uint64_t kNever = 1'000'000'000;
+
+/// Logs every round it runs in, then sleeps: node 0 until `ping_at`, where
+/// it sends one bit to each neighbor (mail wakes them early; a woken node
+/// rejects), everyone else until `halt_at`, where all halt. With
+/// `pinger_naps` off node 0 never sleeps.
+class Napper final : public NodeProgram {
+ public:
+  Napper(std::vector<std::uint64_t>* runs, std::uint64_t ping_at,
+         std::uint64_t halt_at, bool pinger_naps)
+      : runs_(runs),
+        ping_at_(ping_at),
+        halt_at_(halt_at),
+        pinger_naps_(pinger_naps) {}
+  void on_round(NodeApi& api) override {
+    runs_->push_back(api.round());
+    api.phase(api.round() < halt_at_ ? "nap" : "halt");
+    for (std::uint32_t p = 0; p < api.degree(); ++p)
+      if (api.inbox(p) != nullptr) api.reject();
+    if (api.round() >= halt_at_) {
+      api.halt();
+      return;
+    }
+    if (api.id() == 0 && api.round() == ping_at_) {
+      BitVec ping;
+      ping.push_back(true);
+      api.broadcast(ping);
+    }
+    if (api.id() == 0 && !pinger_naps_) return;
+    const bool pinger = api.id() == 0 && api.round() < ping_at_;
+    api.sleep_until(pinger ? std::min(ping_at_, halt_at_) : halt_at_);
+  }
+
+ private:
+  std::vector<std::uint64_t>* runs_;
+  std::uint64_t ping_at_;
+  std::uint64_t halt_at_;
+  bool pinger_naps_;
+};
+
+/// One engine's run of Napper: the outcome and the rounds each node ran.
+struct NapRun {
+  RunOutcome outcome;
+  std::vector<std::vector<std::uint64_t>> runs;
+};
+
+NapRun run_napper(const Graph& g, NetworkConfig cfg, std::uint32_t workers,
+                  std::uint64_t ping_at, std::uint64_t halt_at,
+                  const Snapshot* resume_from = nullptr,
+                  bool pinger_naps = true) {
+  NapRun nap;
+  nap.runs.resize(g.num_vertices());
+  auto* runs = &nap.runs;
+  cfg.shard.workers = workers;
+  const Network net(g, cfg);
+  const ProgramFactory factory = [=](std::uint32_t v) {
+    return std::make_unique<Napper>(&(*runs)[v], ping_at, halt_at,
+                                    pinger_naps);
+  };
+  nap.outcome = resume_from != nullptr ? net.resume(factory, *resume_from)
+                                       : net.run(factory);
+  return nap;
+}
+
+std::string trace_jsonl(const RunOutcome& outcome) {
+  std::ostringstream os;
+  outcome.trace.write_jsonl(os);
+  return os.str();
+}
+
+/// Every model-exact output of the classic run against the reference.
+void expect_same_outcome(const RunOutcome& classic,
+                         const RunOutcome& reference) {
+  EXPECT_EQ(classic.completed, reference.completed);
+  EXPECT_EQ(classic.detected, reference.detected);
+  EXPECT_EQ(classic.verdicts, reference.verdicts);
+  EXPECT_EQ(classic.metrics.rounds, reference.metrics.rounds);
+  EXPECT_EQ(classic.metrics.messages, reference.metrics.messages);
+  EXPECT_EQ(classic.metrics.total_bits, reference.metrics.total_bits);
+  EXPECT_EQ(classic.metrics.bits_sent_by_node,
+            reference.metrics.bits_sent_by_node);
+  EXPECT_EQ(classic.metrics.trace_bytes, reference.metrics.trace_bytes);
+  EXPECT_TRUE(classic.faults == reference.faults);
+  EXPECT_EQ(trace_jsonl(classic), trace_jsonl(reference));
+}
+
+NetworkConfig traced_config() {
+  NetworkConfig cfg;
+  cfg.bandwidth = 8;
+  cfg.trace.enabled = true;
+  cfg.trace.per_node = true;
+  return cfg;
+}
+
+using Runs = std::vector<std::uint64_t>;
+
+TEST(ActivityHint, MailWakesASleeperBeforeItsTargetRound) {
+  const Graph g = build::path(5);
+  const NapRun classic = run_napper(g, traced_config(), 0, 5, 40);
+  const NapRun reference = run_napper(g, traced_config(), 1, 5, 40);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  EXPECT_EQ(classic.outcome.metrics.rounds, 41u);
+  EXPECT_EQ(classic.outcome.verdicts[1], Verdict::Reject);
+  EXPECT_EQ(classic.runs[0], (Runs{0, 5, 40}));
+  EXPECT_EQ(classic.runs[1], (Runs{0, 6, 40}));  // the ping lands in round 6
+  EXPECT_EQ(reference.runs[1].size(), 41u);       // the reference never sleeps
+}
+
+TEST(ActivityHint, MailFromAnAwakeSenderWakesASleeper) {
+  // Node 0 never sleeps, so in the ping round the only sleepers are the
+  // receivers, which did not run that round.
+  const Graph g = build::path(5);
+  const NapRun classic =
+      run_napper(g, traced_config(), 0, 5, 40, nullptr, false);
+  const NapRun reference =
+      run_napper(g, traced_config(), 1, 5, 40, nullptr, false);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  EXPECT_EQ(classic.outcome.verdicts[1], Verdict::Reject);
+  EXPECT_EQ(classic.runs[0].size(), 41u);
+  EXPECT_EQ(classic.runs[1], (Runs{0, 6, 40}));
+}
+
+TEST(ActivityHint, ASleeperWakesAtItsTargetRound) {
+  const Graph g = build::cycle(6);
+  const NapRun classic = run_napper(g, traced_config(), 0, kNever, 30);
+  const NapRun reference = run_napper(g, traced_config(), 1, kNever, 30);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  EXPECT_TRUE(classic.outcome.completed);
+  EXPECT_EQ(classic.outcome.metrics.rounds, 31u);
+  for (const Runs& runs : classic.runs) EXPECT_EQ(runs, (Runs{0, 30}));
+}
+
+TEST(ActivityHint, AllAsleepStretchRunsIntoTheRoundCap) {
+  const Graph g = build::path(4);
+  NetworkConfig cfg = traced_config();
+  cfg.max_rounds = 100;
+  const NapRun classic = run_napper(g, cfg, 0, kNever, kNever);
+  const NapRun reference = run_napper(g, cfg, 1, kNever, kNever);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  EXPECT_EQ(classic.outcome.metrics.rounds, 100u);
+  EXPECT_EQ(classic.outcome.faults.stalled_nodes,
+            (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  for (const Runs& runs : classic.runs) EXPECT_EQ(runs, (Runs{0}));
+}
+
+TEST(ActivityHint, StallWatchdogFiresInTheSameRound) {
+  const Graph g = build::path(4);
+  NetworkConfig cfg = traced_config();
+  cfg.stall_window = 7;
+  const NapRun classic = run_napper(g, cfg, 0, 3, kNever);
+  const NapRun reference = run_napper(g, cfg, 1, 3, kNever);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  // The ping lands in round 4, the last progress; the window ends at 11.
+  EXPECT_EQ(classic.outcome.faults.watchdog_stalls, 1u);
+  EXPECT_EQ(classic.outcome.metrics.rounds, 11u);
+  EXPECT_EQ(classic.runs[1], (Runs{0, 4}));
+}
+
+TEST(ActivityHint, CheckpointInsideASkippedStretchAndResume) {
+  const Graph g = build::path(5);
+  const NapRun uninterrupted = run_napper(g, traced_config(), 0, 5, 40);
+  for (const std::uint64_t at : {6u, 20u}) {
+    NetworkConfig cfg = traced_config();
+    cfg.checkpoint_at_round = at;
+    const NapRun classic = run_napper(g, cfg, 0, 5, 40);
+    const NapRun reference = run_napper(g, cfg, 1, 5, 40);
+    expect_same_outcome(classic.outcome, reference.outcome);
+    ASSERT_NE(classic.outcome.checkpoint, nullptr);
+    ASSERT_NE(reference.outcome.checkpoint, nullptr);
+    EXPECT_EQ(to_json(*classic.outcome.checkpoint).dump(),
+              to_json(*reference.outcome.checkpoint).dump())
+        << "checkpoint at " << at;
+    if (at == 20) {
+      // Round 20 lies in the stretch every node sleeps through.
+      EXPECT_EQ(classic.runs[2], (Runs{0, 40}));
+    }
+
+    // Resume both engines. From round 6 the restored inbox holds the ping,
+    // which must reach node 1 although it sleeps until round 40.
+    const NapRun resumed = run_napper(g, traced_config(), 0, 5, 40,
+                                      classic.outcome.checkpoint.get());
+    const NapRun resumed_ref = run_napper(g, traced_config(), 1, 5, 40,
+                                          classic.outcome.checkpoint.get());
+    expect_same_outcome(resumed.outcome, resumed_ref.outcome);
+    EXPECT_EQ(resumed.outcome.verdicts, uninterrupted.outcome.verdicts);
+    EXPECT_EQ(resumed.outcome.metrics.rounds,
+              uninterrupted.outcome.metrics.rounds);
+    EXPECT_EQ(resumed.outcome.verdicts[1], Verdict::Reject);
+    EXPECT_EQ(resumed.runs[2].back(), 40u);
+    EXPECT_LT(resumed.runs[2].size(), resumed_ref.runs[2].size());
+  }
+}
+
+TEST(ActivityHint, ASleeperCrashesInItsCrashRound) {
+  // Node 2 sleeps from round 0 to 40 but is scheduled to crash in round
+  // 17. The crash is the last progress, so the stall watchdog (window 15)
+  // cuts the run at 33; a crash missed or delayed would move that round.
+  const Graph g = build::path(5);
+  NetworkConfig cfg = traced_config();
+  cfg.faults.crashes = {{2, 17}};
+  cfg.stall_window = 15;
+  const NapRun classic = run_napper(g, cfg, 0, 5, 40);
+  const NapRun reference = run_napper(g, cfg, 1, 5, 40);
+  expect_same_outcome(classic.outcome, reference.outcome);
+  EXPECT_EQ(classic.outcome.faults.crashed_nodes,
+            (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(classic.outcome.faults.watchdog_stalls, 1u);
+  EXPECT_EQ(classic.outcome.metrics.rounds, 33u);
+  EXPECT_EQ(classic.runs[2], (Runs{0}));
+}
+
+TEST(ActivityHint, TelemetryCountsSkippedRounds) {
+  const Graph g = build::path(5);
+  obs::Telemetry telemetry;
+  NetworkConfig cfg = traced_config();
+  cfg.telemetry = &telemetry;
+  const NapRun classic = run_napper(g, cfg, 0, 5, 40);
+  const RunOutcome& out = classic.outcome;
+  EXPECT_EQ(telemetry.counter("sync_rounds").value(), out.metrics.rounds);
+  EXPECT_EQ(telemetry.counter("sync_messages").value(), out.metrics.messages);
+  // sync_round_bits observes every round once, a quiet one in bucket 0.
+  const obs::Json metrics = telemetry.metrics_json();
+  std::uint64_t observed = 0;
+  std::uint64_t quiet = 0;
+  for (const obs::Json& cell :
+       metrics.at("histograms").at("sync_round_bits").items()) {
+    observed += cell.items()[1].as_uint();
+    if (cell.items()[0].as_uint() == 0) quiet = cell.items()[1].as_uint();
+  }
+  std::uint64_t quiet_rows = 0;
+  for (const auto& row : out.trace.rounds()) quiet_rows += row.bits == 0;
+  EXPECT_EQ(observed, out.metrics.rounds);
+  EXPECT_EQ(quiet, quiet_rows);
+  EXPECT_EQ(quiet, out.metrics.rounds - 1);  // only round 5 sends
 }
 
 // ------------------------------------------------------ congested clique --

@@ -2,13 +2,16 @@
 // baseline and the §6 sublinear C_2k detector (Theorem 1.1). Both are
 // validated against the exhaustive oracle; rejection must always certify a
 // real cycle (one-sided error) and detection must succeed with enough
-// repetitions.
+// repetitions. Also covers IdSet, the detectors' id-set helper.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "detect/even_cycle.hpp"
+#include "detect/id_set.hpp"
 #include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
 #include "graph/oracle.hpp"
@@ -350,6 +353,74 @@ TEST(EvenCycle, MeasuredRoundsEqualTheSchedule) {
   }
 }
 
+TEST(EvenCycle, SkippedIdleRoundsAreBitIdenticalToTheShardedEngine) {
+  // The program sleeps through idle rounds (NodeApi::sleep_until) and the
+  // classic engine skips them; the sharded engine at W = 1 ignores the hint
+  // and runs every node every round. Fixtures cover the whole schedule:
+  // phase-I tokens and their deadline (polarity graph, k = 3), nodes left
+  // unassigned by the peeling (dense G(n,p), c = 1), prefix tokens through
+  // several windows (K_{5,5}, k = 3), and a planted C_4 in a tree.
+  struct Fixture {
+    Graph g;
+    std::uint32_t k;
+    std::uint64_t c_num;
+  };
+  Rng rng(97);
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({build::polarity_graph(7), 3, 4});
+  fixtures.push_back({build::gnp(30, 0.95, rng), 2, 1});
+  fixtures.push_back({build::complete_bipartite(5, 5), 3, 4});
+  Graph planted = build::random_tree(60, rng);
+  build::plant_subgraph(planted, build::cycle(4), rng);
+  fixtures.push_back({std::move(planted), 2, 4});
+  const auto jsonl = [](const congest::RunOutcome& outcome) {
+    std::ostringstream os;
+    outcome.trace.write_jsonl(os);
+    return os.str();
+  };
+  bool any_detected = false;
+  for (const Fixture& f : fixtures) {
+    EvenCycleConfig cfg = ec_config(f.k, 1);
+    cfg.c_num = f.c_num;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      congest::NetworkConfig net_cfg;
+      net_cfg.bandwidth = kBandwidth;
+      net_cfg.seed = seed;
+      net_cfg.max_rounds =
+          make_even_cycle_schedule(f.g.num_vertices(), cfg).total_rounds() +
+          1;
+      net_cfg.trace.enabled = true;
+      net_cfg.trace.per_node = true;
+      EvenCycleProbe probe;
+      const auto classic =
+          congest::run_congest(f.g, net_cfg, even_cycle_program(cfg, &probe));
+      net_cfg.shard.workers = 1;
+      EvenCycleProbe ref_probe;
+      const auto reference = congest::run_congest(
+          f.g, net_cfg, even_cycle_program(cfg, &ref_probe));
+      const std::string label = "k=" + std::to_string(f.k) +
+                                " n=" + std::to_string(f.g.num_vertices()) +
+                                " seed=" + std::to_string(seed);
+      EXPECT_EQ(classic.verdicts, reference.verdicts) << label;
+      EXPECT_EQ(classic.metrics.rounds, reference.metrics.rounds) << label;
+      EXPECT_EQ(classic.metrics.bits_sent_by_node,
+                reference.metrics.bits_sent_by_node)
+          << label;
+      EXPECT_EQ(classic.metrics.trace_bytes, reference.metrics.trace_bytes)
+          << label;
+      EXPECT_EQ(jsonl(classic), jsonl(reference)) << label;
+      EXPECT_EQ(probe.max_phase1_queue, ref_probe.max_phase1_queue) << label;
+      EXPECT_EQ(probe.phase1_drained_round, ref_probe.phase1_drained_round)
+          << label;
+      EXPECT_EQ(probe.phase1_deadline_reject,
+                ref_probe.phase1_deadline_reject)
+          << label;
+      any_detected = any_detected || classic.detected;
+    }
+  }
+  EXPECT_TRUE(any_detected) << "fixtures should exercise the reject paths";
+}
+
 TEST(EvenCycle, MinBandwidthSufficient) {
   const Graph g = build::cycle(4);
   EvenCycleConfig cfg = ec_config(2, 500);
@@ -367,6 +438,59 @@ TEST(EvenCycle, SublinearRoundsAtScale) {
   const std::uint64_t n = 1u << 16;
   EXPECT_LT(make_even_cycle_schedule(n, cfg).total_rounds(),
             pipelined_cycle_round_budget(n, 4) / 10);
+}
+
+// -------------------------------------------------------------- id sets --
+TEST(IdSet, NeverInsertedSetReadsEmpty) {
+  IdSet a, b, sparse;
+  a.init(100);
+  b.init(100);
+  sparse.init(IdSet::kDenseLimit + 1);  // hash-set representation
+  EXPECT_FALSE(a.contains(0));
+  EXPECT_FALSE(a.contains(99));
+  EXPECT_FALSE(a.contains(1000));
+  EXPECT_FALSE(intersects(a, b));  // both unallocated
+  EXPECT_FALSE(intersects(a, sparse));
+  // Dense x dense with one side unallocated: the bitsets differ in size,
+  // which BitVec's intersection would reject.
+  EXPECT_TRUE(b.insert(7));
+  EXPECT_FALSE(intersects(a, b));
+  EXPECT_FALSE(intersects(b, a));
+  // Dense x sparse.
+  EXPECT_TRUE(sparse.insert(7));
+  EXPECT_FALSE(intersects(a, sparse));
+  EXPECT_FALSE(intersects(sparse, a));
+  EXPECT_TRUE(intersects(b, sparse));
+  EXPECT_TRUE(intersects(sparse, b));
+}
+
+TEST(IdSet, ClearOnAnUnallocatedSet) {
+  IdSet s;
+  s.init(64);
+  s.clear();
+  EXPECT_FALSE(s.contains(3));
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_TRUE(s.contains(3));
+}
+
+TEST(IdSet, ClearThenReinsert) {
+  IdSet s, other;
+  s.init(200);
+  other.init(200);
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_TRUE(s.insert(150));
+  EXPECT_FALSE(s.insert(3));
+  EXPECT_TRUE(other.insert(150));
+  EXPECT_TRUE(intersects(s, other));
+  s.clear();
+  EXPECT_FALSE(s.contains(3));
+  EXPECT_FALSE(s.contains(150));
+  EXPECT_FALSE(intersects(s, other));  // allocated, all zero
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_FALSE(s.insert(3));
+  EXPECT_FALSE(intersects(s, other));
+  EXPECT_TRUE(s.insert(150));
+  EXPECT_TRUE(intersects(s, other));
 }
 
 // The paper's cycle algorithms are broadcast algorithms and must be
