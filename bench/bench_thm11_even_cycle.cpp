@@ -41,8 +41,8 @@ unsigned parse_jobs(int argc, char** argv) {
   return 1;
 }
 
-/// `--workers W` runs each live repetition on the sharded superstep engine
-/// (congest/shard.hpp; 0 = classic loop). Every reported number is
+/// `--workers W` runs each live repetition on W round-kernel workers
+/// (congest/shard.hpp; 0 and 1 run inline). Every reported number is
 /// bit-identical for every W — the flag only changes wall-clock — so the
 /// model-level baseline comparison stays exact.
 unsigned parse_workers(int argc, char** argv) {

@@ -49,8 +49,8 @@ void account(CutAccum& accum, const std::vector<Owner>& owner,
 // The batch path shares one instrumented NetworkConfig across every seed,
 // so the observer cannot capture a per-run accumulator; it dereferences
 // this thread-local instead. Safe under RunBatch (each worker sets it
-// before its run) and under the sharded engine (shard.cpp replays
-// on_message on the coordinating thread — the one that called run()).
+// before its run) and at any --workers (the round kernel calls on_message
+// on the coordinating thread — the one that called run()).
 thread_local CutAccum* tl_accum = nullptr;
 
 }  // namespace

@@ -89,12 +89,12 @@ struct NetworkConfig {
   /// the run (FaultReport::watchdog_stalls = 1, stragglers recorded as
   /// stalled) instead of spinning to max_rounds. 0 = disabled.
   std::uint64_t stall_window = 0;
-  /// Sharded superstep execution (congest/shard.hpp): workers == 0 keeps
-  /// the classic single-loop engine, workers >= 1 partitions the nodes
-  /// across that many worker threads. Every outcome field is bit-identical
-  /// at every worker count; sharding is an execution strategy, not part of
-  /// the model, and is therefore excluded from config_digest() (snapshots
-  /// resume across worker counts).
+  /// Worker count and partition of the round kernel (congest/shard.hpp):
+  /// workers 0 and 1 run inline on the calling thread, workers >= 2 spread
+  /// the nodes across that many worker threads. Every outcome field is
+  /// bit-identical at every worker count; sharding is an execution
+  /// strategy, not part of the model, and is therefore excluded from
+  /// config_digest() (snapshots resume across worker counts).
   ShardSpec shard;
   /// Optional csd-metrics-v2 telemetry plane (obs/metrics_v2.hpp). Non-
   /// owning; must outlive the run. The engine only ever writes to it
@@ -225,9 +225,9 @@ class Network {
   const std::vector<NodeId>& ids() const noexcept { return ids_; }
   const NetworkConfig& config() const noexcept { return config_; }
 
-  // Engine plumbing shared with the sharded superstep engine
-  // (congest/shard.cpp): the materialized CSR view and the flat tables
-  // over its dense directed-edge index e = csr().offsets[v] + port.
+  // Plumbing for the round kernel (congest/shard.cpp): the materialized
+  // CSR view and the flat tables over its dense directed-edge index
+  // e = csr().offsets[v] + port.
   const GraphCsr& csr() const noexcept { return *csr_; }
   const std::vector<std::uint32_t>& rev_port() const noexcept {
     return rev_port_;

@@ -145,8 +145,8 @@ class NodeState final : public NodeApi {
   /// The engine owns the trace; it must outlive this NodeState.
   void set_trace(obs::RunTrace* trace) { trace_ = trace; }
 
-  /// Sharded-engine alternative to set_trace: RunTrace::set_phase is not
-  /// thread-safe, so worker-owned nodes park their round's first phase
+  /// Alternative to set_trace at W >= 2 workers: RunTrace::set_phase is
+  /// not thread-safe, so worker-owned nodes park their round's first phase
   /// declaration in this per-worker slot instead; the coordinator forwards
   /// it into the trace at the barrier. Ignored while a trace is attached.
   void set_phase_slot(std::optional<std::string>* slot) { phase_slot_ = slot; }
@@ -193,8 +193,8 @@ class NodeState final : public NodeApi {
   }
   bool halted() const { return halted_; }
   /// The round this node asked to sleep until during its latest on_round
-  /// call (NodeApi::sleep_until), or 0 for no hint. Only the classic engine
-  /// reads it; the sharded and async engines ignore the hint.
+  /// call (NodeApi::sleep_until), or 0 for no hint. The synchronous round
+  /// kernel reads it at every worker count; the async engine ignores it.
   std::uint64_t wake_hint() const { return wake_hint_; }
   Verdict verdict() const { return verdict_; }
   Vertex index() const { return index_; }

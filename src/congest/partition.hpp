@@ -1,11 +1,12 @@
-// Deterministic node-to-worker partitioning for the sharded superstep
-// engine (congest/shard.cpp).
+// Deterministic node-to-worker partitioning for the synchronous round
+// kernel (congest/shard.cpp).
 //
 // A Partition is a pure function of (topology, workers, policy): no seeds,
 // no wall clock, no platform dependence. That purity is what lets the
-// sharded engine promise bit-identical outcomes at every worker count — the
+// round kernel promise bit-identical outcomes at every worker count — the
 // partition only decides *which thread* executes a node and *which channel*
 // carries a frame, never what the node computes or what the frame says.
+// At W = 1 every node is owned by the single inline worker.
 //
 // Two policies, mirroring the standard Pregel choices:
 //   * Hash  — owner(v) = mix64(v) mod W. Stateless, balanced in
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -38,7 +38,7 @@ bool parse_partition_policy(std::string_view text, PartitionPolicy& out);
 /// barrier. Structure-of-arrays over the first `used` entries: `edges[i]`
 /// is the dense directed-edge index of the send (CSR offsets[src] + port)
 /// and `payloads[i]` the post-fault payload exactly as the receiver will
-/// see it. The engine fills channels in ascending edge order and drains
+/// see it. The kernel fills channels in ascending edge order and drains
 /// them in (src_worker, edge) order — the merge-order rule that makes the
 /// exchange deterministic. `payloads` is high-water sized so BitVec heap
 /// buffers recycle across rounds instead of reallocating.
@@ -63,41 +63,17 @@ struct ShardChannel {
   void reset() noexcept { used = 0; }
 };
 
-/// One worker's channel traffic in one superstep, sampled for the
-/// aggregator hook (ShardSpec::on_superstep).
-struct ShardSuperstepStats {
-  std::uint64_t round = 0;
-  std::uint32_t worker = 0;
-  /// Frames / payload bits this worker pushed onto cross-worker channels.
-  std::uint64_t channel_frames = 0;
-  std::uint64_t channel_bits = 0;
-  /// Frames it delivered worker-locally (both endpoints owned).
-  std::uint64_t local_frames = 0;
-  /// Vote-to-halt: every owned node was halted or crashed this superstep.
-  bool voted_halt = false;
-};
-
-/// Sharded-execution knobs, carried by NetworkConfig. Sharding is an
-/// execution strategy, not part of the model: it is deliberately excluded
-/// from Network::config_digest(), so csd-ckpt-v1 snapshots resume across
-/// worker counts and every outcome field is bit-identical at any W.
+/// Execution knobs of the synchronous round kernel (congest/shard.hpp),
+/// carried by NetworkConfig. Sharding is an execution strategy, not part of
+/// the model: it is deliberately excluded from Network::config_digest(), so
+/// csd-ckpt-v1 snapshots resume across worker counts and every outcome
+/// field is bit-identical at any W.
 struct ShardSpec {
-  /// 0 = classic single-loop sync engine; W >= 1 = sharded superstep
-  /// engine with W workers (W = 1 still runs the full superstep machinery
-  /// on the calling thread — that is the equivalence anchor the tests pin).
+  /// Worker count W of the round kernel. 0 and 1 both run one worker
+  /// inline on the calling thread; W >= 2 partitions the nodes across W
+  /// workers (W - 1 extra threads) that exchange frames at a barrier.
   std::uint32_t workers = 0;
   PartitionPolicy policy = PartitionPolicy::Range;
-  /// Optional combiner: invoked once per non-empty outgoing channel after
-  /// the outbox scan, before the barrier. May rewrite payloads in place
-  /// (e.g. transport-level compression) but must preserve the frame
-  /// semantics — the engine re-sorts the channel by edge index afterwards,
-  /// so reordering is allowed, dropping or inventing frames is not.
-  std::function<void(std::uint32_t src_worker, std::uint32_t dst_worker,
-                     ShardChannel& channel)>
-      combiner;
-  /// Optional aggregator: observes per-worker superstep stats at the
-  /// barrier, invoked on the coordinating thread in (round, worker) order.
-  std::function<void(const ShardSuperstepStats&)> on_superstep;
   /// Surface per-worker channel traffic as engine counters
   /// (shard_channel_frames_w*/shard_channel_bytes_w*) in
   /// RunMetrics::counters and hence the trace summary. Off by default:
@@ -118,9 +94,9 @@ class Partition {
   PartitionPolicy policy() const noexcept { return policy_; }
   std::uint32_t owner(Vertex v) const noexcept { return owner_[v]; }
   const std::vector<std::uint32_t>& owners() const noexcept { return owner_; }
-  /// Vertices owned by `w`, ascending. The engine iterates these in order —
-  /// together with the channel merge-order rule this reproduces the classic
-  /// engine's global ascending-vertex order exactly.
+  /// Vertices owned by `w`, ascending. The kernel iterates these in order —
+  /// together with the channel merge-order rule this reproduces the global
+  /// ascending-vertex order of a single worker exactly.
   const std::vector<Vertex>& owned(std::uint32_t w) const noexcept {
     return owned_[w];
   }

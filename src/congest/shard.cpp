@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,10 +23,19 @@
 namespace csd::congest::detail {
 namespace {
 
-// One message as the observers saw it at the sender, recorded during the
-// outbox scan and replayed on the coordinator in ascending dense-edge
-// order. Only populated when an observer (trace / transcript / on_message)
-// is attached; the payload copy only when a transcript is recording.
+using Clock = std::chrono::steady_clock;
+
+constexpr std::uint64_t kNoWake = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t elapsed_ns(Clock::time_point since, Clock::time_point until) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(until - since)
+          .count());
+}
+
+// One message as the observers saw it at the sender, buffered by a W >= 2
+// outbox scan when an observer is attached (the payload only for a
+// transcript) and replayed at the barrier in ascending dense-edge order.
 struct SentRecord {
   std::uint64_t edge = 0;
   Vertex src = 0;
@@ -37,54 +44,79 @@ struct SentRecord {
   BitVec payload;
 };
 
+// A dropped or corrupted frame, kept for the flight recorder (telemetry
+// attached only) and recorded at the barrier in dense-edge order.
+struct FrameEvent {
+  std::uint64_t edge = 0;
+  Vertex src = 0;
+  obs::EventKind kind = obs::EventKind::FrameDropped;
+};
+
 // Per-worker execution context. Round-scoped members are reset by the
-// coordinator between supersteps; run-scoped accumulators are folded into
-// the outcome at checkpoints and at the end. Workers only ever touch their
-// own context (plus the channels addressed to them in phase B), so no
-// member needs a lock.
+// coordinator before each superstep and folded at its barrier. A worker
+// only ever touches its own context (plus the channels addressed to it in
+// phase B), so no member needs a lock.
 struct WorkerCtx {
-  std::uint32_t id = 0;
   std::uint32_t live = 0;  // owned nodes neither halted nor crashed
 
-  // Run-scoped accounting (on top of any resume base).
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t max_message_bits = 0;
+  // Run-scoped: channel traffic and the last round this worker made
+  // progress (halt, crash, or frame shipped), surfaced per worker by
+  // ShardSpec::channel_counters and in supervisor StallReports.
   std::uint64_t channel_frames_total = 0;
   std::uint64_t channel_bits_total = 0;
-  // Last round this worker made progress (halt, crash, or frame shipped) —
-  // surfaced per worker in channel_counters and in supervisor StallReports.
   std::uint64_t last_progress_round = 0;
 
   // Round-scoped scratch.
-  bool all_stopped = true;
+  bool all_stopped = true;  // no owned node was live this round
   bool progressed = false;
-  std::uint64_t round_dropped = 0;
-  std::uint64_t round_corrupted = 0;
-  std::uint64_t round_channel_frames = 0;
-  std::uint64_t round_channel_bits = 0;
-  std::uint64_t round_local_frames = 0;
+  bool any_ran = false;  // some owned node's on_round ran
+  // Some live owned node sleeps past the next round; only then can a
+  // landing frame move a wake round, so otherwise delivery skips the store.
+  bool sleepers = false;
+  std::uint64_t next_wake = kNoWake;  // earliest owned wake after the round
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+  std::uint64_t max_message_bits = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t local_frames = 0;
+  std::uint64_t channel_frames = 0;
+  std::uint64_t channel_bits = 0;
   std::vector<ProtocolViolation> violations;  // ascending node index
   std::vector<Vertex> crashes;                // ascending node index
+  std::vector<FrameEvent> frame_events;       // ascending edge index
   std::vector<SentRecord> sent;               // ascending edge index
-  std::optional<std::string> phase;           // first NodeApi::phase this round
+  std::optional<std::string> phase;  // first NodeApi::phase this round
+  Clock::time_point scan_start;      // timers: end of the compute loop
 
-  std::vector<ShardChannel> out;  // one per destination worker
+  std::vector<ShardChannel> out;  // one per destination worker (W >= 2)
 
   // First exception this worker hit, with the vertex it was processing
-  // (the coordinator rethrows the globally smallest vertex's exception to
-  // match the classic engine's fail-fast order).
+  // (the coordinator rethrows the globally smallest vertex's exception:
+  // the fail-fast order of a sequential loop).
   std::exception_ptr error;
   Vertex error_vertex = std::numeric_limits<Vertex>::max();
+
+  void begin_round() {
+    all_stopped = true;
+    progressed = false;
+    any_ran = false;
+    sleepers = false;
+    next_wake = kNoWake;
+    messages = bits = max_message_bits = 0;
+    dropped = corrupted = 0;
+    local_frames = channel_frames = channel_bits = 0;
+    phase.reset();
+  }
 };
 
 // Persistent superstep crew: worker 0 runs on the coordinating thread,
-// workers 1..W-1 on dedicated threads woken per phase. Jobs must not throw
-// (run_sharded wraps them); the pool only synchronizes.
+// workers 1..W-1 on dedicated threads woken per phase. At W = 1 there are
+// no threads and run() is a direct call. Jobs must not throw (the kernel
+// wraps them); the pool only synchronizes.
 class SuperstepPool {
  public:
   explicit SuperstepPool(std::uint32_t workers) : workers_(workers) {
-    threads_.reserve(workers_ > 0 ? workers_ - 1 : 0);
     for (std::uint32_t w = 1; w < workers_; ++w)
       threads_.emplace_back([this, w] { worker_loop(w); });
   }
@@ -152,28 +184,9 @@ class SuperstepPool {
   bool quit_ = false;
 };
 
-// Restore a combiner-rewritten channel to ascending edge order (the merge-
-// order invariant phase B relies on). Skipped when no combiner ran: the
-// scan fills channels in ascending order already.
-void sort_channel(ShardChannel& channel) {
-  std::vector<std::uint32_t> perm(channel.used);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return channel.edges[a] < channel.edges[b];
-  });
-  std::vector<std::uint64_t> edges(channel.used);
-  std::vector<BitVec> payloads(channel.used);
-  for (std::uint32_t i = 0; i < channel.used; ++i) {
-    edges[i] = channel.edges[perm[i]];
-    payloads[i] = std::move(channel.payloads[perm[i]]);
-  }
-  std::copy(edges.begin(), edges.end(), channel.edges.begin());
-  std::move(payloads.begin(), payloads.end(), channel.payloads.begin());
-}
-
-// K-way merge of per-worker, per-round event lists into the classic
-// engine's global order (ascending key; ties impossible — keys are node or
-// edge indices owned by exactly one worker). W is small: repeated min-scan.
+// K-way merge of per-worker, per-round event lists into the global order
+// (ascending key; ties impossible — keys are node or edge indices owned by
+// exactly one worker). W is small: repeated min-scan.
 template <typename T, typename Key, typename Consume>
 void merge_rounds(std::vector<WorkerCtx>& workers,
                   std::vector<T> WorkerCtx::* member, Key key,
@@ -198,583 +211,739 @@ void merge_rounds(std::vector<WorkerCtx>& workers,
   for (std::uint32_t w = 0; w < w_count; ++w) (workers[w].*member).clear();
 }
 
-}  // namespace
+class RoundKernel {
+ public:
+  RoundKernel(const Network& net, const ProgramFactory& factory,
+              std::uint64_t seed);
+  RoundKernel(const RoundKernel&) = delete;
+  RoundKernel& operator=(const RoundKernel&) = delete;
 
-RunOutcome run_sharded(const Network& net, const ProgramFactory& factory,
-                       std::uint64_t seed, const SyncSnapshot* resume_from) {
+  /// Rebuild program state from a snapshot's inbox log (before run()).
+  void replay(const SyncSnapshot& snap);
+  RunOutcome run();
+
+ private:
+  void phase_a(std::uint32_t w);
+  void phase_b(std::uint32_t w);
+  void scan(WorkerCtx& ctx, std::uint32_t w);
+  void land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload);
+  void crash(WorkerCtx& ctx, Vertex v);
+  /// Fold the workers' round state into the outcome; true when no node was
+  /// live this round (the run ends).
+  bool barrier();
+  void publish_round_telemetry();
+  void take_checkpoint();
+  std::vector<std::optional<BitVec>>& log_row(Vertex v, std::uint64_t r);
+  RunOutcome finish();
+
+  const Network& net_;
+  const NetworkConfig& config_;
+  const GraphCsr& csr_;
+  const std::vector<std::uint32_t>& rev_port_;
+  const std::vector<std::uint64_t>& rev_edge_;
+  const Vertex n_;
+  const std::uint64_t seed_;
+  const Partition part_;
+  const bool single_;  // W = 1: inline, no channels, direct observers
+
+  RunOutcome outcome_;
+  std::vector<WorkerCtx> workers_;
+  FrameArena inbox_arena_;
+  FrameArena outbox_arena_;
+  std::vector<std::unique_ptr<NodeState>> nodes_;
+  std::vector<std::unique_ptr<NodeProgram>> programs_;
+  const bool faulty_;
+  std::optional<FaultInjector> injector_;
+  // Byte flags, not vector<bool>: workers set disjoint entries in parallel.
+  std::vector<std::uint8_t> crashed_;
+
+  // Inbox logging feeds checkpoint capture: every payload delivered (post-
+  // corruption, exactly what the program will see) is copied into a per-
+  // node round-indexed log, the raw material of program-state replay.
+  const std::uint64_t checkpoint_at_;
+  const bool logging_;
+  bool log_round_ = false;  // this round's deliveries go into the log
+  std::vector<InboxLog> inbox_log_;
+
+  std::vector<std::uint64_t> wake_;  // next round v runs (DESIGN.md §15)
+
+  const bool observing_;  // trace, transcript or on_message attached
+  const bool timing_;
+  std::uint64_t start_round_ = 0;
+  std::uint64_t round_ = 0;
+  std::uint64_t last_progress_ = 0;
+  bool checkpoint_taken_ = false;
+
+  // Round state folded at the barrier.
+  bool any_ran_ = false;
+  bool progressed_ = false;
+  std::uint64_t next_wake_ = kNoWake;
+  std::uint64_t landed_ = 0;  // frames that land in an inbox this round
+  std::uint64_t round_messages_ = 0;
+  std::uint64_t round_bits_ = 0;
+
+  // csd-metrics-v2 handles, updated only by the coordinator at the barrier
+  // (the ring records events in merge order). Write-only.
+  obs::Telemetry* const telemetry_;
+  obs::Counter m_rounds_, m_messages_, m_bits_, m_drops_, m_corrupts_,
+      m_crashes_;
+  obs::Gauge m_arena_, m_arena_capacity_;
+  obs::Histogram m_round_bits_;
+  // W >= 2 only: the channel exchange.
+  obs::Counter m_channel_frames_, m_channel_bits_, m_local_frames_;
+  obs::Histogram m_exchange_hist_;
+  std::vector<obs::Counter> m_worker_frames_;
+};
+
+RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
+                         std::uint64_t seed)
+    : net_(net),
+      config_(net.config()),
+      csr_(net.csr()),
+      rev_port_(net.rev_port()),
+      rev_edge_(net.rev_edge()),
+      n_(net.topology().num_vertices()),
+      seed_(seed),
+      part_(Partition::build(csr_, std::max(1u, config_.shard.workers),
+                             config_.shard.policy)),
+      single_(part_.workers() == 1),
+      workers_(part_.workers()),
+      inbox_arena_(csr_),
+      outbox_arena_(csr_),
+      faulty_(!config_.faults.empty()),
+      crashed_(n_, 0),
+      checkpoint_at_(config_.checkpoint_at_round),
+      logging_(checkpoint_at_ > 0),
+      inbox_log_(logging_ ? n_ : 0),
+      observing_(config_.trace.enabled || config_.record_transcript ||
+                 static_cast<bool>(config_.on_message)),
+      timing_(config_.trace.timers),
+      telemetry_(config_.telemetry) {
   const Graph& topology = net.topology();
-  const NetworkConfig& config = net.config();
-  const GraphCsr& csr = net.csr();
-  const std::vector<std::uint32_t>& rev_port = net.rev_port();
-  const std::vector<std::uint64_t>& rev_edge = net.rev_edge();
-  const std::vector<NodeId>& ids = net.ids();
-  const Vertex n = topology.num_vertices();
-  const std::uint32_t w_count = config.shard.workers;
-  CSD_CHECK(w_count >= 1);
-
-  std::uint64_t namespace_size = config.namespace_size;
-  if (namespace_size == 0) namespace_size = n;
-  for (const NodeId id : ids)
+  std::uint64_t namespace_size = config_.namespace_size;
+  if (namespace_size == 0) namespace_size = n_;
+  for (const NodeId id : net.ids())
     CSD_CHECK_MSG(id < namespace_size,
                   "identifier " << id << " outside namespace ["
                                 << namespace_size << ")");
+  outcome_.metrics.bits_sent_by_node.assign(n_, 0);
+  outcome_.trace = obs::RunTrace(n_, config_.trace);
+  outcome_.metrics.timers.enabled = timing_;
 
-  RunOutcome outcome;
-  outcome.metrics.bits_sent_by_node.assign(n, 0);
-  outcome.trace = obs::RunTrace(n, config.trace);
-
-  const Partition part = Partition::build(csr, w_count, config.shard.policy);
-  std::vector<WorkerCtx> workers(w_count);
-  for (std::uint32_t w = 0; w < w_count; ++w) {
-    workers[w].id = w;
-    workers[w].out.resize(w_count);
-    workers[w].live = static_cast<std::uint32_t>(part.owned(w).size());
+  if (!single_)
+    for (WorkerCtx& ctx : workers_) ctx.out.resize(part_.workers());
+  nodes_.reserve(n_);
+  programs_.reserve(n_);
+  for (Vertex v = 0; v < n_; ++v) {
+    // Nodes route violations into their owner's per-round buffer; the
+    // barrier merges the buffers into the FaultReport in node order.
+    nodes_.push_back(std::make_unique<NodeState>(
+        topology, v, net.ids()[v], seed, n_, namespace_size,
+        config_.bandwidth, config_.broadcast_only,
+        &workers_[part_.owner(v)].violations));
+    nodes_.back()->set_neighbor_ids(net.neighbor_ids_flat().data() +
+                                    csr_.offsets[v]);
+    nodes_.back()->attach_frames(
+        inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
+        outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
+    programs_.push_back(factory(v));
+    CSD_CHECK_MSG(programs_.back() != nullptr,
+                  "factory returned null program");
   }
+  if (faulty_) injector_.emplace(config_.faults, seed, topology);
 
-  detail::FrameArena inbox_arena(csr);
-  detail::FrameArena outbox_arena(csr);
-
-  // Nodes route violations straight into their owner's per-round buffer;
-  // the coordinator merges buffers into the FaultReport at every barrier,
-  // so the report lists events in the classic engine's order.
-  std::vector<std::unique_ptr<NodeState>> nodes;
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  nodes.reserve(n);
-  programs.reserve(n);
-  for (Vertex v = 0; v < n; ++v) {
-    nodes.push_back(std::make_unique<NodeState>(
-        topology, v, ids[v], seed, n, namespace_size, config.bandwidth,
-        config.broadcast_only, &workers[part.owner(v)].violations));
-    nodes.back()->set_neighbor_ids(net.neighbor_ids_flat().data() +
-                                   csr.offsets[v]);
-    nodes.back()->attach_frames(
-        inbox_arena.payload_row(v), inbox_arena.present_row(v),
-        outbox_arena.payload_row(v), outbox_arena.present_row(v));
-    programs.push_back(factory(v));
-    CSD_CHECK_MSG(programs.back() != nullptr, "factory returned null program");
+  if (telemetry_ != nullptr) {
+    m_rounds_ = telemetry_->counter("sync_rounds");
+    m_messages_ = telemetry_->counter("sync_messages");
+    m_bits_ = telemetry_->counter("sync_bits");
+    m_drops_ = telemetry_->counter("sync_frames_dropped");
+    m_corrupts_ = telemetry_->counter("sync_frames_corrupted");
+    m_crashes_ = telemetry_->counter("sync_node_crashes");
+    m_arena_ = telemetry_->gauge("sync_arena_frames");
+    m_arena_capacity_ = telemetry_->gauge("sync_arena_capacity");
+    m_arena_capacity_.set(inbox_arena_.size());
+    m_round_bits_ = telemetry_->histogram("sync_round_bits");
+    if (!single_) {
+      m_channel_frames_ = telemetry_->counter("shard_channel_frames");
+      m_channel_bits_ = telemetry_->counter("shard_channel_bits");
+      m_local_frames_ = telemetry_->counter("shard_local_frames");
+      m_exchange_hist_ = telemetry_->histogram("shard_exchange_frames");
+      for (std::uint32_t w = 0; w < part_.workers(); ++w)
+        m_worker_frames_.push_back(telemetry_->counter(
+            obs::worker_counter_name("shard_channel_frames", w)));
+    }
   }
+}
 
-  const bool faulty = !config.faults.empty();
-  std::optional<FaultInjector> injector;
-  if (faulty) injector.emplace(config.faults, seed, topology);
-  // Byte flags, not vector<bool>: workers set disjoint entries in parallel.
-  std::vector<std::uint8_t> crashed(n, 0);
+std::vector<std::optional<BitVec>>& RoundKernel::log_row(Vertex v,
+                                                        std::uint64_t r) {
+  auto& entries = inbox_log_[v].entries;
+  while (entries.size() <= r) entries.emplace_back(csr_.row(v).size());
+  return entries[r];
+}
 
-  const std::uint64_t checkpoint_at = config.checkpoint_at_round;
-  const bool logging = checkpoint_at > 0;
-  if (logging || resume_from != nullptr)
-    CSD_CHECK_MSG(!config.record_transcript && !config.on_message,
-                  "checkpoint/resume is incompatible with record_transcript "
-                  "and on_message observers");
-  std::vector<InboxLog> inbox_log(logging ? n : 0);
-  const auto log_row = [&](Vertex v, std::uint64_t r)
-      -> std::vector<std::optional<BitVec>>& {
-    auto& entries = inbox_log[v].entries;
-    while (entries.size() <= r)
-      entries.emplace_back(topology.degree(v));
-    return entries[r];
+void RoundKernel::replay(const SyncSnapshot& snap) {
+  CSD_CHECK_MSG(
+      snap.identity.topology == topology_digest(net_.topology(), net_.ids()),
+      "snapshot belongs to a different topology/identifier assignment");
+  CSD_CHECK_MSG(snap.identity.config == net_.config_digest(),
+                "snapshot belongs to a different engine configuration");
+  CSD_CHECK_MSG(snap.inbox.size() == n_ && snap.crashed.size() == n_ &&
+                    snap.halted.size() == n_ &&
+                    snap.bits_sent_by_node.size() == n_,
+                "snapshot node count mismatch");
+  start_round_ = snap.round;
+
+  // Restore accounting and the fault-plan cursor.
+  outcome_.metrics.messages = snap.messages;
+  outcome_.metrics.total_bits = snap.total_bits;
+  outcome_.metrics.max_message_bits = snap.max_message_bits;
+  outcome_.metrics.bits_sent_by_node = snap.bits_sent_by_node;
+  outcome_.faults = snap.faults;
+  if (faulty_) injector_->restore_streams(snap.fault_streams);
+
+  // Rebuild program state by replaying the logged inboxes through the
+  // fresh programs, sequentially: same guards as the live loop, but zero
+  // accounting, no trace (run() attaches it later), and violations routed
+  // to a scratch sink (the restored FaultReport already carries everything
+  // from rounds < start_round).
+  std::vector<ProtocolViolation> replay_violations;
+  for (Vertex v = 0; v < n_; ++v)
+    nodes_[v]->set_violation_sink(&replay_violations);
+  const auto deliver_row = [&](Vertex v, std::uint64_t r) {
+    nodes_[v]->clear_inbox();
+    const auto& entries = snap.inbox[v].entries;
+    if (r < entries.size())
+      for (std::uint32_t p = 0; p < entries[r].size(); ++p)
+        if (entries[r][p].has_value())
+          nodes_[v]->deliver(p, BitVec(*entries[r][p]));
   };
-
-  // Sharded timer split: phase A wall time (compute + outbox scan) counts
-  // as compute_ns, the barrier work + channel drain as delivery_ns. The
-  // buckets approximate the classic engine's split; like there, timings
-  // stay out of the trace and out of every determinism contract.
-  using Clock = std::chrono::steady_clock;
-  const bool timing = config.trace.timers;
-  outcome.metrics.timers.enabled = timing;
-  const auto elapsed_ns = [](Clock::time_point since) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             since)
-            .count());
-  };
-
-  // Accounting base restored from a snapshot; workers accumulate deltas on
-  // top and the two are folded at checkpoints and at the end.
-  std::uint64_t base_messages = 0;
-  std::uint64_t base_total_bits = 0;
-  std::uint64_t base_max_message_bits = 0;
-
-  std::uint64_t start_round = 0;
-  if (resume_from != nullptr) {
-    const SyncSnapshot& snap = *resume_from;
-    CSD_CHECK_MSG(snap.identity.topology == topology_digest(topology, ids),
-                  "snapshot belongs to a different topology/identifier "
-                  "assignment");
-    CSD_CHECK_MSG(snap.identity.config == net.config_digest(),
-                  "snapshot belongs to a different engine configuration");
-    CSD_CHECK_MSG(snap.inbox.size() == n && snap.crashed.size() == n &&
-                      snap.halted.size() == n &&
-                      snap.bits_sent_by_node.size() == n,
-                  "snapshot node count mismatch");
-    start_round = snap.round;
-
-    base_messages = snap.messages;
-    base_total_bits = snap.total_bits;
-    base_max_message_bits = snap.max_message_bits;
-    outcome.metrics.bits_sent_by_node = snap.bits_sent_by_node;
-    outcome.faults = snap.faults;
-    if (faulty) injector->restore_streams(snap.fault_streams);
-
-    // Sequential replay, identical to the classic engine's: the log already
-    // contains every delivered payload, so replay needs no worker fan-out.
-    std::vector<ProtocolViolation> replay_violations;
-    for (Vertex v = 0; v < n; ++v)
-      nodes[v]->set_violation_sink(&replay_violations);
-    for (std::uint64_t r = 0; r < start_round; ++r) {
-      for (Vertex v = 0; v < n; ++v) {
-        if (nodes[v]->halted() || crashed[v]) continue;
-        if (faulty) {
-          if (const auto when = injector->crash_round(v);
-              when.has_value() && r >= *when) {
-            crashed[v] = 1;
-            nodes[v]->discard_outbox();
-            continue;
-          }
-        }
-        nodes[v]->clear_inbox();
-        const auto& entries = snap.inbox[v].entries;
-        if (r < entries.size())
-          for (std::uint32_t p = 0; p < entries[r].size(); ++p)
-            if (entries[r][p].has_value())
-              nodes[v]->deliver(p, BitVec(*entries[r][p]));
-        nodes[v]->begin_round(r);
-        if (faulty) {
-          try {
-            programs[v]->on_round(*nodes[v]);
-          } catch (const CheckFailure&) {
-            crashed[v] = 1;
-            nodes[v]->discard_outbox();
-          }
-        } else {
-          programs[v]->on_round(*nodes[v]);
-        }
-      }
-    }
-    for (Vertex v = 0; v < n; ++v) {
-      CSD_CHECK_MSG(crashed[v] == snap.crashed[v],
-                    "resume replay diverged: node " << v << " crash state");
-      CSD_CHECK_MSG(nodes[v]->halted() == (snap.halted[v] != 0),
-                    "resume replay diverged: node " << v << " halt state");
-      nodes[v]->discard_outbox();
-      nodes[v]->set_violation_sink(&workers[part.owner(v)].violations);
-      nodes[v]->clear_inbox();
-      const auto& entries = snap.inbox[v].entries;
-      if (start_round < entries.size())
-        for (std::uint32_t p = 0; p < entries[start_round].size(); ++p)
-          if (entries[start_round][p].has_value())
-            nodes[v]->deliver(p, BitVec(*entries[start_round][p]));
-      if (logging) inbox_log[v].entries = snap.inbox[v].entries;
-    }
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      std::uint32_t live = 0;
-      for (const Vertex v : part.owned(w))
-        if (!nodes[v]->halted() && !crashed[v]) ++live;
-      workers[w].live = live;
-    }
-  }
-
-  // NodeApi::phase declarations land in the owner's per-round slot; the
-  // coordinator forwards the lowest set slot into the trace. All library
-  // programs derive the phase from the round number (the documented
-  // contract — every node agrees), so worker order never shows.
-  if (outcome.trace)
-    for (Vertex v = 0; v < n; ++v)
-      nodes[v]->set_phase_slot(&workers[part.owner(v)].phase);
-
-  const bool observing = static_cast<bool>(outcome.trace) ||
-                         config.record_transcript ||
-                         static_cast<bool>(config.on_message);
-  const bool transcripting = config.record_transcript;
-  bool checkpoint_taken = false;
-
-  const auto fold_accounting = [&](std::uint64_t& messages,
-                                   std::uint64_t& total_bits,
-                                   std::uint64_t& max_bits) {
-    messages = base_messages;
-    total_bits = base_total_bits;
-    max_bits = base_max_message_bits;
-    for (const WorkerCtx& w : workers) {
-      messages += w.messages;
-      total_bits += w.total_bits;
-      max_bits = std::max(max_bits, w.max_message_bits);
-    }
-  };
-
-  std::uint64_t round = start_round;
-  std::uint64_t last_progress = start_round;
-  for (WorkerCtx& ctx : workers) ctx.last_progress_round = start_round;
-
-  // csd-metrics-v2 instrumentation, coordinator-side only: workers tally
-  // into their round-scoped scratch as before and the barrier publishes the
-  // tallies, so the hot phase-A path is untouched and the ring records
-  // events in the deterministic merge order. Write-only; nullptr = inert.
-  obs::Telemetry* const telemetry = config.telemetry;
-  obs::Counter m_supersteps, m_channel_frames, m_channel_bits, m_local_frames,
-      m_drops, m_corrupts, m_crashes;
-  obs::Histogram m_exchange_hist;
-  std::vector<obs::Counter> m_worker_frames;
-  if (telemetry != nullptr) {
-    m_supersteps = telemetry->counter("shard_supersteps");
-    m_channel_frames = telemetry->counter("shard_channel_frames");
-    m_channel_bits = telemetry->counter("shard_channel_bits");
-    m_local_frames = telemetry->counter("shard_local_frames");
-    m_drops = telemetry->counter("shard_frames_dropped");
-    m_corrupts = telemetry->counter("shard_frames_corrupted");
-    m_crashes = telemetry->counter("shard_node_crashes");
-    m_exchange_hist = telemetry->histogram("shard_exchange_frames");
-    m_worker_frames.reserve(w_count);
-    for (std::uint32_t w = 0; w < w_count; ++w)
-      m_worker_frames.push_back(telemetry->counter(
-          obs::worker_counter_name("shard_channel_frames", w)));
-  }
-
-  // Phase A: compute owned nodes, then scan the owned outbox slice —
-  // account, apply fault fates, deliver locally, batch remote frames.
-  const auto phase_a = [&](std::uint32_t w) {
-    WorkerCtx& ctx = workers[w];
-    if (ctx.live == 0) return;  // vote-to-halt: nothing to run or ship
-    const auto& owned = part.owned(w);
-    for (const Vertex v : owned) {
-      if (nodes[v]->halted() || crashed[v]) continue;
-      if (faulty) {
-        if (const auto when = injector->crash_round(v);
-            when.has_value() && round >= *when) {
-          crashed[v] = 1;
-          nodes[v]->discard_outbox();
-          ctx.crashes.push_back(v);
-          --ctx.live;
-          ctx.progressed = true;
+  for (std::uint64_t r = 0; r < start_round_; ++r) {
+    for (Vertex v = 0; v < n_; ++v) {
+      if (nodes_[v]->halted() || crashed_[v]) continue;
+      if (faulty_) {
+        if (const auto when = injector_->crash_round(v);
+            when.has_value() && r >= *when) {
+          crashed_[v] = 1;
+          nodes_[v]->discard_outbox();
           continue;
         }
       }
-      ctx.all_stopped = false;
-      nodes[v]->begin_round(round);
-      if (faulty) {
+      deliver_row(v, r);
+      nodes_[v]->begin_round(r);
+      if (faulty_) {
         try {
-          programs[v]->on_round(*nodes[v]);
-        } catch (const CheckFailure& failure) {
-          ctx.violations.push_back(
-              {ViolationKind::ProgramFault, v, round, failure.what()});
-          crashed[v] = 1;
-          nodes[v]->discard_outbox();
-          ctx.crashes.push_back(v);
-          --ctx.live;
-          ctx.progressed = true;
-          continue;
+          programs_[v]->on_round(*nodes_[v]);
+        } catch (const CheckFailure&) {
+          crashed_[v] = 1;
+          nodes_[v]->discard_outbox();
         }
       } else {
-        ctx.error_vertex = v;  // fail-fast bookkeeping, see catch below
-        programs[v]->on_round(*nodes[v]);
-      }
-      if (nodes[v]->halted()) {
-        --ctx.live;
-        ctx.progressed = true;
+        programs_[v]->on_round(*nodes_[v]);
       }
     }
-    // Fresh inboxes for round + 1 before any delivery lands in them. Only
-    // this worker writes its nodes' inbox rows (locally here, remotely in
-    // its own phase B), so the reset never races.
-    for (const Vertex v : owned) nodes[v]->clear_inbox();
-    for (const Vertex v : owned) {
-      if (crashed[v]) continue;
-      const auto nbrs = csr.row(v);
-      const std::uint64_t base = csr.offsets[v];
-      for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-        const std::uint64_t e = base + p;
-        std::uint8_t& out_present = outbox_arena.present(e);
-        if (out_present == 0) continue;
-        out_present = 0;
-        BitVec& payload = outbox_arena.payload(e);
-        ++ctx.messages;
-        ctx.total_bits += payload.size();
-        outcome.metrics.bits_sent_by_node[v] += payload.size();
-        ctx.max_message_bits =
-            std::max<std::uint64_t>(ctx.max_message_bits, payload.size());
-        if (observing) {
-          SentRecord rec{e, v, nbrs[p], payload.size(), {}};
-          if (transcripting) rec.payload = payload;
-          ctx.sent.push_back(std::move(rec));
-        }
-        if (faulty) {
-          const auto fate = injector->next_fate(v, p, payload.size());
-          if (fate.dropped) {
-            ++ctx.round_dropped;
-            continue;
-          }
-          if (fate.corrupted) {
-            ++ctx.round_corrupted;
-            payload.flip(fate.corrupt_bit);
-          }
-        }
-        ctx.progressed = true;
-        const Vertex dst = nbrs[p];
-        const std::uint32_t dw = part.owner(dst);
-        if (dw == w) {
-          ++ctx.round_local_frames;
-          if (logging && !checkpoint_taken && round + 1 <= checkpoint_at)
-            log_row(dst, round + 1)[rev_port[e]] = payload;
-          std::swap(inbox_arena.payload(rev_edge[e]), payload);
-          inbox_arena.present(rev_edge[e]) = 1;
-        } else {
-          ++ctx.round_channel_frames;
-          ctx.round_channel_bits += payload.size();
-          ctx.out[dw].push(e, payload);
-        }
-      }
-    }
-    if (config.shard.combiner) {
-      for (std::uint32_t dw = 0; dw < w_count; ++dw) {
-        if (dw == w || ctx.out[dw].used == 0) continue;
-        config.shard.combiner(w, dw, ctx.out[dw]);
-        sort_channel(ctx.out[dw]);
-      }
-    }
-  };
+  }
+  for (Vertex v = 0; v < n_; ++v) {
+    CSD_CHECK_MSG(crashed_[v] == snap.crashed[v],
+                  "resume replay diverged: node " << v << " crash state");
+    CSD_CHECK_MSG(nodes_[v]->halted() == (snap.halted[v] != 0),
+                  "resume replay diverged: node " << v << " halt state");
+    // Replayed sends were already delivered before the snapshot (their
+    // payloads are in the log rows); drop them so the live scan does not
+    // ship the final replayed round's outbox twice. begin_round alone
+    // cannot clean this up — a node that halted during replay never begins
+    // another round.
+    nodes_[v]->discard_outbox();
+    nodes_[v]->set_violation_sink(&workers_[part_.owner(v)].violations);
+    // The live inbox for round start_round is the last logged row.
+    deliver_row(v, start_round_);
+    if (logging_) inbox_log_[v].entries = snap.inbox[v].entries;
+  }
+}
 
-  // Phase B: drain every channel addressed to this worker in (src_worker,
-  // edge) order — the deterministic merge order.
-  const auto phase_b = [&](std::uint32_t w) {
-    for (std::uint32_t src = 0; src < w_count; ++src) {
-      ShardChannel& channel = workers[src].out[w];
-      for (std::size_t i = 0; i < channel.used; ++i) {
-        const std::uint64_t e = channel.edges[i];
-        BitVec& payload = channel.payloads[i];
-        if (logging && !checkpoint_taken && round + 1 <= checkpoint_at) {
-          const Vertex dst = csr.neighbors[e];
-          log_row(dst, round + 1)[rev_port[e]] = payload;
-        }
-        std::swap(inbox_arena.payload(rev_edge[e]), payload);
-        inbox_arena.present(rev_edge[e]) = 1;
+void RoundKernel::crash(WorkerCtx& ctx, Vertex v) {
+  crashed_[v] = 1;
+  nodes_[v]->discard_outbox();
+  ctx.crashes.push_back(v);
+  --ctx.live;
+  ctx.progressed = true;
+}
+
+// Phase A: run the due owned nodes, then scan the owned outbox slice.
+void RoundKernel::phase_a(std::uint32_t w) {
+  WorkerCtx& ctx = workers_[w];
+  if (ctx.live == 0) return;  // vote to halt: nothing to run or ship
+  const std::uint64_t round = round_;
+  for (const Vertex v : part_.owned(w)) {
+    NodeState& node = *nodes_[v];
+    if (node.halted() || crashed_[v]) continue;
+    std::optional<std::uint64_t> crash_at;
+    if (faulty_) {
+      crash_at = injector_->crash_round(v);
+      if (crash_at.has_value() && round >= *crash_at) {
+        crash(ctx, v);
+        continue;
       }
-      channel.reset();
     }
-  };
+    ctx.all_stopped = false;
+    std::uint64_t& wake = wake_[v];
+    if (wake > round) {
+      ctx.next_wake = std::min(ctx.next_wake, wake);
+      ctx.sleepers = ctx.sleepers || wake > round + 1;
+      continue;
+    }
+    ctx.any_ran = true;
+    node.begin_round(round);
+    if (faulty_) {
+      // Graceful degradation: a program that throws (typically a wire
+      // decode of a corrupted payload) becomes a crashed node, not a
+      // crashed process. Without faults, programming errors still
+      // propagate — fail fast.
+      try {
+        programs_[v]->on_round(node);
+      } catch (const CheckFailure& failure) {
+        ctx.violations.push_back(
+            {ViolationKind::ProgramFault, v, round, failure.what()});
+        crash(ctx, v);
+        continue;
+      }
+    } else {
+      ctx.error_vertex = v;  // fail-fast bookkeeping, see run()
+      programs_[v]->on_round(node);
+    }
+    if (node.halted()) {
+      --ctx.live;
+      ctx.progressed = true;
+      continue;
+    }
+    wake = std::max(round + 1, node.wake_hint());
+    if (crash_at.has_value()) wake = std::min(wake, *crash_at);
+    ctx.next_wake = std::min(ctx.next_wake, wake);
+    ctx.sleepers = ctx.sleepers || wake > round + 1;
+  }
+  if (timing_) ctx.scan_start = Clock::now();
+  // Fresh inboxes for round + 1 before any delivery lands in them. Only
+  // this worker writes its nodes' inbox rows (locally here, remotely in
+  // its own phase B), so the reset never races.
+  if (single_) {
+    inbox_arena_.reset_presence();
+  } else {
+    for (const Vertex v : part_.owned(w)) nodes_[v]->clear_inbox();
+  }
+  scan(ctx, w);
+}
+
+// The outbox scan: account, observe, apply the fault fate, then deliver
+// locally or batch for the destination worker's phase B. A present outbox
+// slot's payload buffer is *swapped* onward — no copy; the receiver's
+// retired buffer lands in the sender's outbox slot and keeps circulating.
+void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
+  const std::uint64_t round = round_;
+  obs::RunTrace& trace = outcome_.trace;
+  const bool transcripting = config_.record_transcript;
+  std::vector<std::uint64_t>& bits_sent = outcome_.metrics.bits_sent_by_node;
+  for (const Vertex v : part_.owned(w)) {
+    if (crashed_[v]) continue;
+    const auto nbrs = csr_.row(v);
+    const std::uint64_t base = csr_.offsets[v];
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const std::uint64_t e = base + p;
+      std::uint8_t& out_present = outbox_arena_.present(e);
+      if (out_present == 0) continue;
+      out_present = 0;
+      BitVec& payload = outbox_arena_.payload(e);
+      const std::uint64_t bits = payload.size();
+      const Vertex dst = nbrs[p];
+      ++ctx.messages;
+      ctx.bits += bits;
+      bits_sent[v] += bits;
+      ctx.max_message_bits = std::max(ctx.max_message_bits, bits);
+      if (single_) {
+        if (trace) trace.record(round, v, dst, bits);
+        if (transcripting)
+          outcome_.transcript.push_back({round, v, dst, payload});
+        if (config_.on_message) config_.on_message(round, v, dst, bits);
+      } else if (observing_) {
+        SentRecord rec{e, v, dst, bits, {}};
+        if (transcripting) rec.payload = payload;
+        ctx.sent.push_back(std::move(rec));
+      }
+      if (faulty_) {
+        const auto fate = injector_->next_fate(v, p, bits);
+        if (fate.dropped) {
+          ++ctx.dropped;
+          if (telemetry_ != nullptr)
+            ctx.frame_events.push_back({e, v, obs::EventKind::FrameDropped});
+          continue;
+        }
+        if (fate.corrupted) {
+          ++ctx.corrupted;
+          payload.flip(fate.corrupt_bit);
+          if (telemetry_ != nullptr)
+            ctx.frame_events.push_back(
+                {e, v, obs::EventKind::FrameCorrupted});
+        }
+      }
+      ctx.progressed = true;
+      const std::uint32_t dw = single_ ? w : part_.owner(dst);
+      if (dw == w) {
+        ++ctx.local_frames;
+        land(ctx, e, payload);
+      } else {
+        ++ctx.channel_frames;
+        ctx.channel_bits += bits;
+        ctx.out[dw].push(e, payload);
+      }
+    }
+  }
+}
+
+// One frame on dense edge e lands in its receiver's inbox; `ctx` is the
+// receiver's owner (the only writer of its inbox row and wake round).
+void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload) {
+  const Vertex dst = csr_.neighbors[e];
+  if (log_round_) log_row(dst, round_ + 1)[rev_port_[e]] = payload;
+  std::swap(inbox_arena_.payload(rev_edge_[e]), payload);
+  inbox_arena_.present(rev_edge_[e]) = 1;
+  if (ctx.sleepers) wake_[dst] = round_ + 1;
+}
+
+// Phase B: drain every channel addressed to this worker in (src_worker,
+// edge) order — the deterministic merge order.
+void RoundKernel::phase_b(std::uint32_t w) {
+  WorkerCtx& ctx = workers_[w];
+  for (WorkerCtx& src : workers_) {
+    ShardChannel& channel = src.out[w];
+    for (std::size_t i = 0; i < channel.used; ++i)
+      land(ctx, channel.edges[i], channel.payloads[i]);
+    channel.reset();
+  }
+}
+
+bool RoundKernel::barrier() {
+  bool all_stopped = true;
+  any_ran_ = false;
+  progressed_ = false;
+  next_wake_ = kNoWake;
+  landed_ = 0;
+  round_messages_ = 0;
+  round_bits_ = 0;
+  RunMetrics& metrics = outcome_.metrics;
+  for (const WorkerCtx& ctx : workers_) {
+    all_stopped = all_stopped && ctx.all_stopped;
+    any_ran_ = any_ran_ || ctx.any_ran;
+    progressed_ = progressed_ || ctx.progressed;
+    next_wake_ = std::min(next_wake_, ctx.next_wake);
+    landed_ += ctx.local_frames + ctx.channel_frames;
+    round_messages_ += ctx.messages;
+    round_bits_ += ctx.bits;
+    metrics.max_message_bits =
+        std::max(metrics.max_message_bits, ctx.max_message_bits);
+    outcome_.faults.frames_dropped += ctx.dropped;
+    outcome_.faults.frames_corrupted += ctx.corrupted;
+  }
+  metrics.messages += round_messages_;
+  metrics.total_bits += round_bits_;
+
+  // Order-sensitive lists in the global merge order. The flight recorder
+  // gets, per round: crashes by node, violations by node, fault fates by
+  // dense edge (listed only with telemetry attached). At W = 1 nothing is
+  // in `sent`: the scan called the observers directly.
+  const std::uint64_t round = round_;
+  merge_rounds(
+      workers_, &WorkerCtx::crashes,
+      [](const Vertex v) { return static_cast<std::uint64_t>(v); },
+      [&](Vertex v) {
+        outcome_.faults.crashed_nodes.push_back(v);
+        if (telemetry_ != nullptr) {
+          m_crashes_.add();
+          telemetry_->record(obs::EventKind::NodeCrash, v, round);
+        }
+      });
+  merge_rounds(
+      workers_, &WorkerCtx::violations,
+      [](const ProtocolViolation& pv) {
+        return static_cast<std::uint64_t>(pv.node);
+      },
+      [&](ProtocolViolation&& pv) {
+        if (telemetry_ != nullptr)
+          telemetry_->record(obs::EventKind::Violation, pv.node, round);
+        outcome_.faults.violations.push_back(std::move(pv));
+      });
+  merge_rounds(
+      workers_, &WorkerCtx::frame_events,
+      [](const FrameEvent& ev) { return ev.edge; },
+      [&](FrameEvent&& ev) {
+        (ev.kind == obs::EventKind::FrameDropped ? m_drops_ : m_corrupts_)
+            .add();
+        telemetry_->record(ev.kind, ev.src, round);
+      });
+  merge_rounds(
+      workers_, &WorkerCtx::sent,
+      [](const SentRecord& rec) { return rec.edge; },
+      [&](SentRecord&& rec) {
+        if (outcome_.trace)
+          outcome_.trace.record(round, rec.src, rec.dst, rec.bits);
+        if (config_.record_transcript)
+          outcome_.transcript.push_back(
+              {round, rec.src, rec.dst, std::move(rec.payload)});
+        if (config_.on_message)
+          config_.on_message(round, rec.src, rec.dst, rec.bits);
+      });
+  // At W >= 2: programs derive the phase from the round number (the
+  // documented contract — every node agrees), so which worker's slot is
+  // forwarded never shows.
+  for (const WorkerCtx& ctx : workers_)
+    if (ctx.phase.has_value()) {
+      outcome_.trace.set_phase(round, *ctx.phase);
+      break;
+    }
+  return all_stopped;
+}
+
+void RoundKernel::publish_round_telemetry() {
+  m_rounds_.add();
+  m_messages_.add(round_messages_);
+  m_bits_.add(round_bits_);
+  m_arena_.set(landed_);
+  m_round_bits_.observe(round_bits_);
+  if (single_) return;
+  std::uint64_t exchanged = 0;
+  for (std::uint32_t w = 0; w < workers_.size(); ++w) {
+    const WorkerCtx& ctx = workers_[w];
+    exchanged += ctx.channel_frames;
+    m_channel_frames_.add(ctx.channel_frames);
+    m_channel_bits_.add(ctx.channel_bits);
+    m_local_frames_.add(ctx.local_frames);
+    m_worker_frames_[w].add(ctx.channel_frames);
+    if (ctx.channel_frames != 0)
+      telemetry_->record(obs::EventKind::ChannelExchange, w, round_,
+                         ctx.channel_frames);
+  }
+  m_exchange_hist_.observe(exchanged);
+  telemetry_->record(obs::EventKind::SuperstepBarrier, 0, round_, exchanged);
+}
+
+void RoundKernel::take_checkpoint() {
+  auto snap = std::make_shared<Snapshot>();
+  snap->kind = Snapshot::Kind::Sync;
+  SyncSnapshot& s = snap->sync;
+  s.identity = {topology_digest(net_.topology(), net_.ids()),
+                net_.config_digest(), seed_};
+  s.round = round_;
+  s.inbox.resize(n_);
+  for (Vertex v = 0; v < n_; ++v) {
+    log_row(v, round_);  // pad every log to round + 1 rows
+    s.inbox[v].entries = inbox_log_[v].entries;
+  }
+  s.crashed.resize(n_);
+  s.halted.resize(n_);
+  for (Vertex v = 0; v < n_; ++v) {
+    s.crashed[v] = crashed_[v];
+    s.halted[v] = nodes_[v]->halted() ? 1 : 0;
+  }
+  s.messages = outcome_.metrics.messages;
+  s.total_bits = outcome_.metrics.total_bits;
+  s.max_message_bits = outcome_.metrics.max_message_bits;
+  s.bits_sent_by_node = outcome_.metrics.bits_sent_by_node;
+  s.trace_bytes = outcome_.trace.approx_bytes();
+  s.faults = outcome_.faults;
+  if (faulty_) s.fault_streams = injector_->save_streams();
+  outcome_.checkpoint = std::move(snap);
+  checkpoint_taken_ = true;
+  if (telemetry_ != nullptr)
+    telemetry_->record(obs::EventKind::CheckpointSave, 0, round_);
+}
+
+RunOutcome RoundKernel::run() {
+  // Message observers attach only now, so a resume replay never sees them.
+  if (outcome_.trace)
+    for (Vertex v = 0; v < n_; ++v) {
+      if (single_)
+        nodes_[v]->set_trace(&outcome_.trace);
+      else
+        nodes_[v]->set_phase_slot(&workers_[part_.owner(v)].phase);
+    }
 
   // Jobs never throw across the pool: exceptions park in the context and
   // the coordinator rethrows the one from the globally smallest vertex
   // (each worker stops at its first thrower, so its unrun vertices cannot
-  // beat it — the classic fail-fast order).
-  const auto guarded = [&workers](auto job) {
-    return [&workers, job](std::uint32_t w) {
+  // beat it).
+  const auto guarded = [this](void (RoundKernel::*job)(std::uint32_t)) {
+    return std::function<void(std::uint32_t)>([this, job](std::uint32_t w) {
       try {
-        job(w);
+        (this->*job)(w);
       } catch (...) {
-        workers[w].error = std::current_exception();
+        workers_[w].error = std::current_exception();
       }
-    };
+    });
   };
-  const auto rethrow_any = [&] {
-    std::uint32_t best = w_count;
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      if (!workers[w].error) continue;
-      if (best == w_count ||
-          workers[w].error_vertex < workers[best].error_vertex)
-        best = w;
-    }
-    if (best != w_count) std::rethrow_exception(workers[best].error);
+  const auto rethrow_any = [this] {
+    const WorkerCtx* best = nullptr;
+    for (const WorkerCtx& ctx : workers_)
+      if (ctx.error &&
+          (best == nullptr || ctx.error_vertex < best->error_vertex))
+        best = &ctx;
+    if (best != nullptr) std::rethrow_exception(best->error);
   };
+  SuperstepPool pool(part_.workers());
+  const std::function<void(std::uint32_t)> phase_a_job =
+      guarded(&RoundKernel::phase_a);
+  const std::function<void(std::uint32_t)> phase_b_job =
+      guarded(&RoundKernel::phase_b);
 
-  SuperstepPool pool(w_count);
-  const std::function<void(std::uint32_t)> phase_a_job = guarded(phase_a);
-  const std::function<void(std::uint32_t)> phase_b_job = guarded(phase_b);
-
-  for (; round < config.max_rounds; ++round) {
-    if (config.stall_window != 0 &&
-        round >= last_progress + config.stall_window) {
-      outcome.faults.watchdog_stalls = 1;
-      if (telemetry != nullptr)
-        telemetry->record(obs::EventKind::WatchdogStall, 0, round,
-                          round - last_progress);
+  // Timer split: at W = 1 the compute loop counts as compute_ns, the outbox
+  // scan and delivery as delivery_ns (exact; the barrier is in neither). At
+  // W >= 2 phase A's wall time counts as compute, the barrier and phase B
+  // as delivery (approximate). Timings stay out of the trace and out of
+  // every determinism contract.
+  obs::EngineTimers& timers = outcome_.metrics.timers;
+  round_ = start_round_;
+  last_progress_ = start_round_;
+  // Every live node runs in the run's first round (0, or the resume round,
+  // whose restored inbox would otherwise need its own wake-up).
+  wake_.assign(n_, start_round_);
+  for (std::uint32_t w = 0; w < part_.workers(); ++w) {
+    workers_[w].last_progress_round = start_round_;
+    for (const Vertex v : part_.owned(w))
+      if (!nodes_[v]->halted() && !crashed_[v]) ++workers_[w].live;
+  }
+  for (; round_ < config_.max_rounds; ++round_) {
+    if (config_.stall_window != 0 &&
+        round_ >= last_progress_ + config_.stall_window) {
+      outcome_.faults.watchdog_stalls = 1;
+      if (telemetry_ != nullptr)
+        telemetry_->record(obs::EventKind::WatchdogStall, 0, round_,
+                           round_ - last_progress_);
       break;
     }
-    if (checkpoint_at != 0 && round == checkpoint_at && !checkpoint_taken) {
-      auto snap = std::make_shared<Snapshot>();
-      snap->kind = Snapshot::Kind::Sync;
-      SyncSnapshot& s = snap->sync;
-      s.identity = {topology_digest(topology, ids), net.config_digest(),
-                    seed};
-      s.round = round;
-      s.inbox.resize(n);
-      for (Vertex v = 0; v < n; ++v) {
-        log_row(v, round);  // pad every log to round + 1 rows
-        s.inbox[v].entries = inbox_log[v].entries;
-      }
-      s.crashed.resize(n);
-      s.halted.resize(n);
-      for (Vertex v = 0; v < n; ++v) {
-        s.crashed[v] = crashed[v];
-        s.halted[v] = nodes[v]->halted() ? 1 : 0;
-      }
-      fold_accounting(s.messages, s.total_bits, s.max_message_bits);
-      s.bits_sent_by_node = outcome.metrics.bits_sent_by_node;
-      s.trace_bytes = outcome.trace.approx_bytes();
-      s.faults = outcome.faults;
-      if (faulty) s.fault_streams = injector->save_streams();
-      outcome.checkpoint = std::move(snap);
-      checkpoint_taken = true;
-      if (telemetry != nullptr)
-        telemetry->record(obs::EventKind::CheckpointSave, 0, round);
-    }
+    if (logging_ && round_ == checkpoint_at_ && !checkpoint_taken_)
+      take_checkpoint();
+    log_round_ = logging_ && !checkpoint_taken_ && round_ + 1 <= checkpoint_at_;
 
-    for (WorkerCtx& ctx : workers) {
-      ctx.all_stopped = true;
-      ctx.progressed = false;
-      ctx.round_dropped = 0;
-      ctx.round_corrupted = 0;
-      ctx.round_channel_frames = 0;
-      ctx.round_channel_bits = 0;
-      ctx.round_local_frames = 0;
-      ctx.phase.reset();
-    }
-
-    const auto compute_start = timing ? Clock::now() : Clock::time_point{};
+    for (WorkerCtx& ctx : workers_) ctx.begin_round();
+    const auto compute_start = timing_ ? Clock::now() : Clock::time_point{};
     pool.run(phase_a_job);
     rethrow_any();
-    if (timing) outcome.metrics.timers.compute_ns += elapsed_ns(compute_start);
+    Clock::time_point split{};
+    if (timing_) {
+      const auto phase_a_end = Clock::now();
+      // A worker that voted to halt never stamps its scan start.
+      split = single_ ? std::max(workers_[0].scan_start, compute_start)
+                      : phase_a_end;
+      timers.compute_ns += elapsed_ns(compute_start, split);
+      if (single_) timers.delivery_ns += elapsed_ns(split, phase_a_end);
+    }
 
-    const auto barrier_start = timing ? Clock::now() : Clock::time_point{};
-    bool all_stopped = true;
-    bool progressed = false;
-    for (const WorkerCtx& ctx : workers) {
-      all_stopped = all_stopped && ctx.all_stopped;
-      progressed = progressed || ctx.progressed;
-      outcome.faults.frames_dropped += ctx.round_dropped;
-      outcome.faults.frames_corrupted += ctx.round_corrupted;
-      if (telemetry != nullptr) {
-        m_drops.add(ctx.round_dropped);
-        m_corrupts.add(ctx.round_corrupted);
+    const bool all_stopped = barrier();
+    if (!all_stopped) {
+      // Every live node slept through this round (say it only crashed a
+      // node or took the checkpoint): it keeps the previous round's phase,
+      // like a skipped round.
+      if (!any_ran_) outcome_.trace.carry_phase(round_ - 1, round_ + 1);
+      if (!single_) {
+        pool.run(phase_b_job);
+        rethrow_any();
       }
     }
-    merge_rounds(
-        workers, &WorkerCtx::crashes,
-        [](const Vertex v) { return static_cast<std::uint64_t>(v); },
-        [&](Vertex v) {
-          outcome.faults.crashed_nodes.push_back(v);
-          if (telemetry != nullptr) {
-            m_crashes.add();
-            telemetry->record(obs::EventKind::NodeCrash, v, round);
-          }
-        });
-    merge_rounds(
-        workers, &WorkerCtx::violations,
-        [](const ProtocolViolation& pv) {
-          return static_cast<std::uint64_t>(pv.node);
-        },
-        [&](ProtocolViolation&& pv) {
-          if (telemetry != nullptr)
-            telemetry->record(obs::EventKind::Violation, pv.node, round);
-          outcome.faults.violations.push_back(std::move(pv));
-        });
-    if (observing) {
-      merge_rounds(
-          workers, &WorkerCtx::sent,
-          [](const SentRecord& rec) { return rec.edge; },
-          [&](SentRecord&& rec) {
-            if (outcome.trace)
-              outcome.trace.record(round, rec.src, rec.dst, rec.bits);
-            if (transcripting)
-              outcome.transcript.push_back(
-                  {round, rec.src, rec.dst, std::move(rec.payload)});
-            if (config.on_message)
-              config.on_message(round, rec.src, rec.dst, rec.bits);
-          });
+    if (timing_ && !single_)
+      timers.delivery_ns += elapsed_ns(split, Clock::now());
+    if (all_stopped) break;
+
+    if (telemetry_ != nullptr) publish_round_telemetry();
+    for (WorkerCtx& ctx : workers_) {
+      ctx.channel_frames_total += ctx.channel_frames;
+      ctx.channel_bits_total += ctx.channel_bits;
+      if (ctx.progressed) ctx.last_progress_round = round_ + 1;
     }
-    if (outcome.trace) {
-      for (WorkerCtx& ctx : workers)
-        if (ctx.phase.has_value()) {
-          outcome.trace.set_phase(round, *ctx.phase);
-          break;
+    if (progressed_) last_progress_ = round_ + 1;
+
+    // Nothing landed, so no node runs before next_wake: skip the idle
+    // stretch in one step, stopping where the checkpoint, the stall
+    // watchdog or the round cap acts so they fire in the same round as in
+    // a round-by-round run. The skipped rounds keep their trace rows (with
+    // the inherited phase) and their telemetry, written now so a snapshot
+    // at the end of the stretch records the same trace_bytes.
+    if (landed_ == 0 && next_wake_ != kNoWake) {
+      std::uint64_t next = std::min(next_wake_, config_.max_rounds);
+      if (checkpoint_at_ > round_) next = std::min(next, checkpoint_at_);
+      if (config_.stall_window != 0)
+        next = std::min(next, last_progress_ + config_.stall_window);
+      if (next > round_ + 1) {
+        outcome_.trace.carry_phase(round_, next);
+        if (telemetry_ != nullptr) {
+          m_rounds_.add(next - round_ - 1);
+          for (std::uint64_t r = round_ + 1; r < next; ++r)
+            m_round_bits_.observe(0);
         }
-    }
-    if (all_stopped) {
-      if (timing)
-        outcome.metrics.timers.delivery_ns += elapsed_ns(barrier_start);
-      break;
-    }
-
-    pool.run(phase_b_job);
-    rethrow_any();
-    if (timing)
-      outcome.metrics.timers.delivery_ns += elapsed_ns(barrier_start);
-
-    for (WorkerCtx& ctx : workers) {
-      ctx.channel_frames_total += ctx.round_channel_frames;
-      ctx.channel_bits_total += ctx.round_channel_bits;
-    }
-    if (telemetry != nullptr) {
-      m_supersteps.add();
-      std::uint64_t exchanged = 0;
-      for (const WorkerCtx& ctx : workers) {
-        exchanged += ctx.round_channel_frames;
-        m_channel_frames.add(ctx.round_channel_frames);
-        m_channel_bits.add(ctx.round_channel_bits);
-        m_local_frames.add(ctx.round_local_frames);
-        m_worker_frames[ctx.id].add(ctx.round_channel_frames);
-        if (ctx.round_channel_frames != 0)
-          telemetry->record(obs::EventKind::ChannelExchange, ctx.id, round,
-                            ctx.round_channel_frames);
+        round_ = next - 1;  // the loop's ++round_ lands on `next`
       }
-      m_exchange_hist.observe(exchanged);
-      telemetry->record(obs::EventKind::SuperstepBarrier, 0, round, exchanged);
-    }
-    if (config.shard.on_superstep) {
-      for (const WorkerCtx& ctx : workers)
-        config.shard.on_superstep({round, ctx.id, ctx.round_channel_frames,
-                                   ctx.round_channel_bits,
-                                   ctx.round_local_frames, ctx.live == 0});
-    }
-    if (progressed) {
-      last_progress = round + 1;
-      for (WorkerCtx& ctx : workers)
-        if (ctx.progressed) ctx.last_progress_round = round + 1;
     }
   }
+  return finish();
+}
 
-  outcome.metrics.rounds = round;
-  fold_accounting(outcome.metrics.messages, outcome.metrics.total_bits,
-                  outcome.metrics.max_message_bits);
+RunOutcome RoundKernel::finish() {
+  RunOutcome& outcome = outcome_;
+  outcome.metrics.rounds = round_;
   outcome.completed =
-      std::all_of(nodes.begin(), nodes.end(),
+      std::all_of(nodes_.begin(), nodes_.end(),
                   [](const auto& node) { return node->halted(); });
-  outcome.verdicts.reserve(n);
-  for (Vertex v = 0; v < n; ++v) {
-    outcome.verdicts.push_back(nodes[v]->verdict());
-    if (nodes[v]->verdict() == Verdict::Reject) outcome.detected = true;
-    if (!crashed[v] && nodes[v]->verdict() == Verdict::Reject)
+  outcome.verdicts.reserve(n_);
+  for (Vertex v = 0; v < n_; ++v) {
+    outcome.verdicts.push_back(nodes_[v]->verdict());
+    if (nodes_[v]->verdict() == Verdict::Reject) outcome.detected = true;
+    if (!crashed_[v] && nodes_[v]->verdict() == Verdict::Reject)
       outcome.faults.detected_by_survivors = true;
-    if (!crashed[v] && !nodes[v]->halted())
+    if (!crashed_[v] && !nodes_[v]->halted())
       outcome.faults.stalled_nodes.push_back(v);
   }
   outcome.metrics.counters = fault_counters(outcome.faults);
   if (outcome.checkpoint != nullptr)
     outcome.metrics.counters.add("checkpoints_taken", 1);
-  if (config.shard.channel_counters) {
+  if (config_.shard.channel_counters) {
     // Opt-in only: these depend on W (and on the partition), so the
     // determinism matrix runs without them and the nightly sweep with.
-    outcome.metrics.counters.add("shard_workers", w_count);
-    outcome.metrics.counters.add("shard_cut_edges", part.cut_directed_edges());
-    for (const WorkerCtx& ctx : workers) {
-      outcome.metrics.counters.add(
-          obs::worker_counter_name("shard_channel_frames", ctx.id),
-          ctx.channel_frames_total);
-      outcome.metrics.counters.add(
-          obs::worker_counter_name("shard_channel_bytes", ctx.id),
-          (ctx.channel_bits_total + 7) / 8);
+    auto& counters = outcome.metrics.counters;
+    counters.add("shard_workers", part_.workers());
+    counters.add("shard_cut_edges", part_.cut_directed_edges());
+    for (std::uint32_t w = 0; w < workers_.size(); ++w) {
+      const WorkerCtx& ctx = workers_[w];
+      counters.add(obs::worker_counter_name("shard_channel_frames", w),
+                   ctx.channel_frames_total);
+      counters.add(obs::worker_counter_name("shard_channel_bytes", w),
+                   (ctx.channel_bits_total + 7) / 8);
       // Per-worker stall provenance: the last round this worker halted a
       // node, crashed one, or shipped a frame. Supervisor StallReports
       // carry these through to the post-mortem.
-      outcome.metrics.counters.add(
-          obs::worker_counter_name("shard_last_progress", ctx.id),
-          ctx.last_progress_round);
+      counters.add(obs::worker_counter_name("shard_last_progress", w),
+                   ctx.last_progress_round);
     }
   }
   if (outcome.trace) {
-    outcome.trace.finish_run(round);
+    // Materialize quiet trailing rounds so trace rounds == metrics.rounds
+    // (the exponent fit divides by segments to recover per-repetition
+    // rounds), and surface the engine counters in the summary.
+    outcome.trace.finish_run(round_);
     outcome.trace.set_counters(outcome.metrics.counters);
   }
   outcome.metrics.trace_bytes = outcome.trace.approx_bytes();
-  return outcome;
+  return std::move(outcome_);
+}
+
+}  // namespace
+
+RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
+                      std::uint64_t seed, const SyncSnapshot* resume_from) {
+  // Serialized observers are impossible, so checkpointing excludes them.
+  if (net.config().checkpoint_at_round > 0 || resume_from != nullptr)
+    CSD_CHECK_MSG(
+        !net.config().record_transcript && !net.config().on_message,
+        "checkpoint/resume is incompatible with record_transcript and "
+        "on_message observers");
+  RoundKernel kernel(net, factory, seed);
+  if (resume_from != nullptr) kernel.replay(*resume_from);
+  return kernel.run();
 }
 
 }  // namespace csd::congest::detail

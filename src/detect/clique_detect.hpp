@@ -32,8 +32,8 @@ std::uint64_t clique_detect_round_budget(std::uint64_t n,
                                          std::uint64_t bandwidth);
 
 /// End-to-end run. `trace` opts into the per-round recorder (obs/);
-/// `shard` selects the sharded superstep engine (workers == 0 = classic;
-/// the outcome is bit-identical either way); `telemetry` attaches the
+/// `shard` sets the round kernel's workers (0 and 1 run inline; the
+/// outcome is bit-identical at every count); `telemetry` attaches the
 /// optional csd-metrics-v2 plane (non-owning, write-only).
 congest::RunOutcome detect_clique(const Graph& g, std::uint32_t s,
                                   std::uint64_t bandwidth, std::uint64_t seed,

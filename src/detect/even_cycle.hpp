@@ -53,8 +53,8 @@ struct EvenCycleConfig {
   /// Per-round observability; the amplified outcome carries the traces of
   /// all executed repetitions appended in repetition order.
   obs::TraceOptions trace;
-  /// Sharded superstep execution of each repetition (congest/shard.hpp);
-  /// workers == 0 keeps the classic engine. Bit-identical either way.
+  /// Round-kernel workers for each repetition (congest/shard.hpp); 0 and 1
+  /// run inline. Bit-identical at every worker count.
   congest::ShardSpec shard;
   /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
   /// (non-owning, write-only; nullptr = zero cost).

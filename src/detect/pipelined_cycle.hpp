@@ -31,8 +31,8 @@ struct PipelinedCycleConfig {
   congest::AmplifyOptions amplify;
   /// Per-round observability for every repetition's run.
   obs::TraceOptions trace;
-  /// Sharded superstep execution of each repetition (congest/shard.hpp);
-  /// workers == 0 keeps the classic engine. Bit-identical either way.
+  /// Round-kernel workers for each repetition (congest/shard.hpp); 0 and 1
+  /// run inline. Bit-identical at every worker count.
   congest::ShardSpec shard;
   /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
   /// (non-owning, write-only; nullptr = zero cost).

@@ -469,7 +469,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     }
   }
 
-  // -- sharded engine: bit-identical to the classic loop at every W ---------
+  // -- worker count: bit-identical to the inline kernel at every W ----------
   {
     const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL);
     const congest::RunOutcome& reference = sync_reps[0];
@@ -489,24 +489,24 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       if (!(digest(sharded) == digest(reference)) ||
           trace_bytes(sharded.trace) != trace_bytes(reference.trace)) {
         std::ostringstream os;
-        os << "sharded engine at W=" << cell.workers << " ("
-           << to_string(cell.policy) << ") differs from the classic loop "
+        os << "kernel at W=" << cell.workers << " ("
+           << to_string(cell.policy) << ") differs from the inline run "
            << "(detected " << sharded.detected << "/" << reference.detected
            << ", bits " << sharded.metrics.total_bits << "/"
            << reference.metrics.total_bits << ")";
         return diverge("shard-equivalence", os);
       }
       if (cell.workers == 2 && reference.metrics.rounds >= 2) {
-        // Checkpoint/kill/resume entirely through the sharded loop...
+        // Checkpoint/kill/resume entirely through W = 2...
         congest::NetworkConfig ckpt_cfg = cfg;
         ckpt_cfg.seed = rep_seed;
         if (auto d = check_sync_resume(host, ckpt_cfg, factory, reference,
                                        derive_seed(c.seed, 0x54a4dULL),
                                        "sharded"))
           return d;
-        // ...and across engines: a snapshot the sharded loop captured
-        // resumes on the classic one (config_digest excludes the shard
-        // spec, so the identity check passes by design).
+        // ...and across worker counts: a snapshot W = 2 captured resumes
+        // inline (config_digest excludes the shard spec, so the identity
+        // check passes by design).
         ckpt_cfg.checkpoint_at_round =
             1 + c.seed % (reference.metrics.rounds - 1);
         const congest::Network sharded_ckpt_net(host, ckpt_cfg);
@@ -516,13 +516,42 @@ std::optional<Divergence> check_case(const FuzzCase& c,
               net.resume(factory, *observed.checkpoint);
           if (!(digest(resumed) == digest(reference))) {
             std::ostringstream os;
-            os << "classic engine resuming a sharded-loop snapshot from "
+            os << "inline kernel resuming a W=2 snapshot from "
                << "round " << ckpt_cfg.checkpoint_at_round << " diverged "
                << "(bits " << resumed.metrics.total_bits << "/"
                << reference.metrics.total_bits << ")";
             return diverge("shard-cross-resume", os);
           }
         }
+      }
+    }
+  }
+
+  // -- activity hint: honoring it is unobservable ---------------------------
+  // The kernel skips the rounds a node sleeps through (NodeApi::sleep_until);
+  // the decorated factory drops every hint, so the same programs run round
+  // by round. Outcomes and traces must agree inline (W = 1) and across
+  // threads, channels and barrier-folded wake rounds (W = 3), under the
+  // case's faults when it has any.
+  {
+    const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL);
+    const congest::ProgramFactory hintless = ignore_activity_hints(factory);
+    congest::NetworkConfig cfg = sync_cfg;
+    if (c.has_faults()) cfg.faults = fault_plan(c);
+    for (const std::uint32_t workers : {1u, 3u}) {
+      cfg.shard.workers = workers;
+      const congest::Network hint_net(host, cfg);
+      const congest::RunOutcome plain = hint_net.run(factory, rep_seed);
+      const congest::RunOutcome ignored = hint_net.run(hintless, rep_seed);
+      if (!(digest(plain) == digest(ignored)) ||
+          trace_bytes(plain.trace) != trace_bytes(ignored.trace)) {
+        std::ostringstream os;
+        os << "honoring the activity hint at W=" << workers
+           << " changes the run (detected " << plain.detected << "/"
+           << ignored.detected << ", rounds " << plain.metrics.rounds << "/"
+           << ignored.metrics.rounds << ", bits " << plain.metrics.total_bits
+           << "/" << ignored.metrics.total_bits << ")";
+        return diverge("hint-equivalence", os);
       }
     }
   }
@@ -605,7 +634,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
        << s1.detected << "/" << s2.detected << ")";
     return diverge("faulty-sync-determinism", os);
   }
-  // The sharded loop must reproduce the faulty run too: fault fates are
+  // W = 3 must reproduce the faulty run too: fault fates are
   // per-link RNG streams, so the worker count cannot change a single fate.
   {
     congest::NetworkConfig faulty_shard_cfg = faulty_sync;
@@ -616,7 +645,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     if (!(digest(s3) == digest(s1)) ||
         trace_bytes(s3.trace) != trace_bytes(s1.trace)) {
       std::ostringstream os;
-      os << "sharded engine under faults differs from the classic loop "
+      os << "kernel at W=3 under faults differs from the inline run "
          << "(detected " << s3.detected << "/" << s1.detected << ", dropped "
          << s3.faults.frames_dropped << "/" << s1.faults.frames_dropped
          << ")";

@@ -36,6 +36,12 @@
 //     through its amplified checkpoints reassembles the uninterrupted
 //     aggregate at --jobs 1 and 4, fault-free and with the retry ledger
 //     engaged;
+//   * worker count: the round kernel at W = 1, 2 and 5 (either partition
+//     policy) reproduces the inline run bit for bit, under faults too, and
+//     its snapshots resume across worker counts;
+//   * activity hint: the plain programs and the same programs with every
+//     NodeApi::sleep_until dropped (ignore_activity_hints) give identical
+//     outcomes and traces at W = 1 and W = 3;
 //   * node recovery: with scheduled crashes, reliable transport, and
 //     RecoveryPolicy on, the run is deterministic, every crashed node
 //     rejoins (none left dead with retry budget to spare), and when no

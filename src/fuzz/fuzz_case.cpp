@@ -1,6 +1,9 @@
 #include "fuzz/fuzz_case.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <string_view>
+#include <utility>
 
 #include "detect/clique_detect.hpp"
 #include "detect/even_cycle.hpp"
@@ -91,6 +94,65 @@ congest::ProgramFactory make_program(const FuzzCase& c) {
       return detect::tree_detect_program(tree_catalog(c.param));
   }
   return {};
+}
+
+namespace {
+
+// Forwards every NodeApi call to the engine's node except sleep_until,
+// which stays the base class's no-op.
+class HintlessApi final : public congest::NodeApi {
+ public:
+  explicit HintlessApi(congest::NodeApi& api) : api_(api) {}
+  congest::NodeId id() const override { return api_.id(); }
+  std::uint32_t degree() const override { return api_.degree(); }
+  congest::NodeId neighbor_id(std::uint32_t port) const override {
+    return api_.neighbor_id(port);
+  }
+  std::uint64_t round() const override { return api_.round(); }
+  std::uint64_t network_size() const override { return api_.network_size(); }
+  std::uint64_t namespace_size() const override {
+    return api_.namespace_size();
+  }
+  std::uint64_t bandwidth() const override { return api_.bandwidth(); }
+  const BitVec* inbox(std::uint32_t port) const override {
+    return api_.inbox(port);
+  }
+  void send(std::uint32_t port, BitVec payload) override {
+    api_.send(port, std::move(payload));
+  }
+  void broadcast(const BitVec& payload) override { api_.broadcast(payload); }
+  Rng& rng() override { return api_.rng(); }
+  BitVec scratch() override { return api_.scratch(); }
+  void phase(std::string_view name) override { api_.phase(name); }
+  void reject() override { api_.reject(); }
+  void halt() override { api_.halt(); }
+
+ private:
+  congest::NodeApi& api_;
+};
+
+class HintlessProgram final : public congest::NodeProgram {
+ public:
+  explicit HintlessProgram(std::unique_ptr<congest::NodeProgram> inner)
+      : inner_(std::move(inner)) {}
+  void on_round(congest::NodeApi& api) override {
+    HintlessApi hintless(api);
+    inner_->on_round(hintless);
+  }
+
+ private:
+  std::unique_ptr<congest::NodeProgram> inner_;
+};
+
+}  // namespace
+
+congest::ProgramFactory ignore_activity_hints(congest::ProgramFactory factory) {
+  return [factory = std::move(factory)](
+             std::uint32_t v) -> std::unique_ptr<congest::NodeProgram> {
+    std::unique_ptr<congest::NodeProgram> inner = factory(v);
+    if (inner == nullptr) return nullptr;
+    return std::make_unique<HintlessProgram>(std::move(inner));
+  };
 }
 
 std::uint64_t effective_bandwidth(const FuzzCase& c, const Graph& host) {

@@ -86,6 +86,12 @@ Graph pattern_graph(const FuzzCase& c);
 /// Program factory for one repetition of the case's algorithm.
 congest::ProgramFactory make_program(const FuzzCase& c);
 
+/// `factory`'s programs behind a NodeApi forwarder that drops every
+/// NodeApi::sleep_until call (the base no-op): the kernel sees no activity
+/// hint and calls on_round in every round. The hint-ignoring reference the
+/// hint-equivalence oracle and the ActivityHint tests compare against.
+congest::ProgramFactory ignore_activity_hints(congest::ProgramFactory factory);
+
 /// max(c.bandwidth, the program's minimum on this host size).
 std::uint64_t effective_bandwidth(const FuzzCase& c, const Graph& host);
 

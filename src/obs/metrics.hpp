@@ -52,7 +52,7 @@ class MetricsRegistry {
 };
 
 /// Canonical name of a per-worker engine counter ("<base>_w<worker>",
-/// e.g. "shard_channel_bytes_w3"). One formatter so the sharded engine,
+/// e.g. "shard_channel_bytes_w3"). One formatter so the round kernel,
 /// the tests, and the trace tooling never drift on the spelling.
 std::string worker_counter_name(std::string_view base, std::uint32_t worker);
 

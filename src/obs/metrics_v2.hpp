@@ -47,8 +47,8 @@ namespace csd::obs {
 /// What happened. The names are the wire strings of csd-blackbox-v1
 /// (to_string below); tools/postmortem_report.py mirrors the list.
 enum class EventKind : std::uint8_t {
-  SuperstepBarrier,   ///< sharded engine: one superstep merged at the barrier
-  ChannelExchange,    ///< sharded engine: one worker's remote frames, 1 round
+  SuperstepBarrier,   ///< sync kernel, W >= 2: one superstep's barrier
+  ChannelExchange,    ///< sync kernel, W >= 2: one worker's remote frames
   Retransmit,         ///< ARQ timer fired, packet resent
   ChecksumReject,     ///< CRC mismatch, packet discarded
   FrameDropped,       ///< fault injection: transmission dropped

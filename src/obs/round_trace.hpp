@@ -120,7 +120,7 @@ class RunTrace {
   /// quantity the rounds-vs-n exponent fit consumes.
   void finish_run(std::uint64_t rounds);
 
-  /// Rounds from+1 .. until-1 ran no node (the classic engine skipped them,
+  /// Rounds from+1 .. until-1 ran no node (the sync kernel skipped them,
   /// DESIGN.md §15): give each one round `from`'s phase, materializing the
   /// rows one at a time exactly as if every node had declared that phase
   /// again. A no-op when round `from` has no phase.

@@ -11,6 +11,7 @@
 
 #include "congest/clique.hpp"
 #include "congest/network.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "graph/builders.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
@@ -442,14 +443,17 @@ TEST(Network, BroadcastOnlyAllowsUniformMessages) {
 }
 
 // ------------------------------------------------------- activity hint --
-// The classic engine honors NodeApi::sleep_until and skips idle rounds; the
-// sharded engine ignores the hint and runs every node every round. Each test
-// runs both (W = 1 as the reference) and requires bit-identical outcomes,
-// and checks from the program's own log that the classic engine really
-// skipped — otherwise a silent fallback to round-by-round execution would
-// pass every equivalence check.
+// The round kernel honors NodeApi::sleep_until and skips idle rounds at
+// every worker count. The reference is the same program behind
+// fuzz::ignore_activity_hints, which drops every hint so the kernel runs
+// each node in every round. Each test runs the kernel at W = 1 (inline) and
+// W = 2 (threads, channels) against that reference and requires bit-
+// identical outcomes, and checks from the program's own log that the kernel
+// really skipped — otherwise a silent fallback to round-by-round execution
+// would pass every equivalence check.
 
 constexpr std::uint64_t kNever = 1'000'000'000;
+constexpr std::uint32_t kWidths[] = {1, 2};
 
 /// Logs every round it runs in, then sleeps: node 0 until `ping_at`, where
 /// it sends one bit to each neighbor (mail wakes them early; a woken node
@@ -489,28 +493,42 @@ class Napper final : public NodeProgram {
   bool pinger_naps_;
 };
 
-/// One engine's run of Napper: the outcome and the rounds each node ran.
+/// What one Napper run may vary besides the config.
+struct NapSpec {
+  std::uint64_t ping_at = kNever;
+  std::uint64_t halt_at = kNever;
+  bool pinger_naps = true;
+  const Snapshot* resume_from = nullptr;
+};
+
+/// One run of Napper: the outcome and the rounds each node ran.
 struct NapRun {
   RunOutcome outcome;
   std::vector<std::vector<std::uint64_t>> runs;
 };
 
+/// Napper at `workers`; `honor_hints` off runs the hint-ignoring reference.
 NapRun run_napper(const Graph& g, NetworkConfig cfg, std::uint32_t workers,
-                  std::uint64_t ping_at, std::uint64_t halt_at,
-                  const Snapshot* resume_from = nullptr,
-                  bool pinger_naps = true) {
+                  const NapSpec& spec, bool honor_hints = true) {
   NapRun nap;
   nap.runs.resize(g.num_vertices());
   auto* runs = &nap.runs;
   cfg.shard.workers = workers;
   const Network net(g, cfg);
-  const ProgramFactory factory = [=](std::uint32_t v) {
-    return std::make_unique<Napper>(&(*runs)[v], ping_at, halt_at,
-                                    pinger_naps);
+  ProgramFactory factory = [=](std::uint32_t v) {
+    return std::make_unique<Napper>(&(*runs)[v], spec.ping_at, spec.halt_at,
+                                    spec.pinger_naps);
   };
-  nap.outcome = resume_from != nullptr ? net.resume(factory, *resume_from)
-                                       : net.run(factory);
+  if (!honor_hints) factory = fuzz::ignore_activity_hints(std::move(factory));
+  nap.outcome = spec.resume_from != nullptr
+                    ? net.resume(factory, *spec.resume_from)
+                    : net.run(factory);
   return nap;
+}
+
+NapRun run_reference(const Graph& g, const NetworkConfig& cfg,
+                     const NapSpec& spec) {
+  return run_napper(g, cfg, 1, spec, /*honor_hints=*/false);
 }
 
 std::string trace_jsonl(const RunOutcome& outcome) {
@@ -519,20 +537,20 @@ std::string trace_jsonl(const RunOutcome& outcome) {
   return os.str();
 }
 
-/// Every model-exact output of the classic run against the reference.
-void expect_same_outcome(const RunOutcome& classic,
+/// Every model-exact output of the kernel's run against the reference.
+void expect_same_outcome(const RunOutcome& kernel,
                          const RunOutcome& reference) {
-  EXPECT_EQ(classic.completed, reference.completed);
-  EXPECT_EQ(classic.detected, reference.detected);
-  EXPECT_EQ(classic.verdicts, reference.verdicts);
-  EXPECT_EQ(classic.metrics.rounds, reference.metrics.rounds);
-  EXPECT_EQ(classic.metrics.messages, reference.metrics.messages);
-  EXPECT_EQ(classic.metrics.total_bits, reference.metrics.total_bits);
-  EXPECT_EQ(classic.metrics.bits_sent_by_node,
+  EXPECT_EQ(kernel.completed, reference.completed);
+  EXPECT_EQ(kernel.detected, reference.detected);
+  EXPECT_EQ(kernel.verdicts, reference.verdicts);
+  EXPECT_EQ(kernel.metrics.rounds, reference.metrics.rounds);
+  EXPECT_EQ(kernel.metrics.messages, reference.metrics.messages);
+  EXPECT_EQ(kernel.metrics.total_bits, reference.metrics.total_bits);
+  EXPECT_EQ(kernel.metrics.bits_sent_by_node,
             reference.metrics.bits_sent_by_node);
-  EXPECT_EQ(classic.metrics.trace_bytes, reference.metrics.trace_bytes);
-  EXPECT_TRUE(classic.faults == reference.faults);
-  EXPECT_EQ(trace_jsonl(classic), trace_jsonl(reference));
+  EXPECT_EQ(kernel.metrics.trace_bytes, reference.metrics.trace_bytes);
+  EXPECT_TRUE(kernel.faults == reference.faults);
+  EXPECT_EQ(trace_jsonl(kernel), trace_jsonl(reference));
 }
 
 NetworkConfig traced_config() {
@@ -543,102 +561,134 @@ NetworkConfig traced_config() {
   return cfg;
 }
 
+std::string width_label(std::uint32_t workers) {
+  return "W=" + std::to_string(workers);
+}
+
 using Runs = std::vector<std::uint64_t>;
 
 TEST(ActivityHint, MailWakesASleeperBeforeItsTargetRound) {
-  const Graph g = build::path(5);
-  const NapRun classic = run_napper(g, traced_config(), 0, 5, 40);
-  const NapRun reference = run_napper(g, traced_config(), 1, 5, 40);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  EXPECT_EQ(classic.outcome.metrics.rounds, 41u);
-  EXPECT_EQ(classic.outcome.verdicts[1], Verdict::Reject);
-  EXPECT_EQ(classic.runs[0], (Runs{0, 5, 40}));
-  EXPECT_EQ(classic.runs[1], (Runs{0, 6, 40}));  // the ping lands in round 6
-  EXPECT_EQ(reference.runs[1].size(), 41u);       // the reference never sleeps
+  // On C_6 at W = 2 (Range), nodes 0-2 and 3-5 share a worker: the ping
+  // reaches node 1 by local delivery and node 5 through a channel.
+  const Graph g = build::cycle(6);
+  const NapSpec spec{5, 40};
+  const NapRun reference = run_reference(g, traced_config(), spec);
+  EXPECT_EQ(reference.runs[1].size(), 41u);  // the reference never sleeps
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, traced_config(), w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    EXPECT_EQ(nap.outcome.metrics.rounds, 41u);
+    EXPECT_EQ(nap.outcome.verdicts[1], Verdict::Reject);
+    EXPECT_EQ(nap.outcome.verdicts[5], Verdict::Reject);
+    EXPECT_EQ(nap.runs[0], (Runs{0, 5, 40}));
+    EXPECT_EQ(nap.runs[1], (Runs{0, 6, 40}));  // the ping lands in round 6
+    EXPECT_EQ(nap.runs[5], (Runs{0, 6, 40}));
+    EXPECT_EQ(nap.runs[3], (Runs{0, 40}));
+  }
 }
 
 TEST(ActivityHint, MailFromAnAwakeSenderWakesASleeper) {
   // Node 0 never sleeps, so in the ping round the only sleepers are the
   // receivers, which did not run that round.
   const Graph g = build::path(5);
-  const NapRun classic =
-      run_napper(g, traced_config(), 0, 5, 40, nullptr, false);
-  const NapRun reference =
-      run_napper(g, traced_config(), 1, 5, 40, nullptr, false);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  EXPECT_EQ(classic.outcome.verdicts[1], Verdict::Reject);
-  EXPECT_EQ(classic.runs[0].size(), 41u);
-  EXPECT_EQ(classic.runs[1], (Runs{0, 6, 40}));
+  const NapSpec spec{5, 40, /*pinger_naps=*/false};
+  const NapRun reference = run_reference(g, traced_config(), spec);
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, traced_config(), w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    EXPECT_EQ(nap.outcome.verdicts[1], Verdict::Reject);
+    EXPECT_EQ(nap.runs[0].size(), 41u);
+    EXPECT_EQ(nap.runs[1], (Runs{0, 6, 40}));
+  }
 }
 
 TEST(ActivityHint, ASleeperWakesAtItsTargetRound) {
   const Graph g = build::cycle(6);
-  const NapRun classic = run_napper(g, traced_config(), 0, kNever, 30);
-  const NapRun reference = run_napper(g, traced_config(), 1, kNever, 30);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  EXPECT_TRUE(classic.outcome.completed);
-  EXPECT_EQ(classic.outcome.metrics.rounds, 31u);
-  for (const Runs& runs : classic.runs) EXPECT_EQ(runs, (Runs{0, 30}));
+  const NapSpec spec{kNever, 30};
+  const NapRun reference = run_reference(g, traced_config(), spec);
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, traced_config(), w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    EXPECT_TRUE(nap.outcome.completed);
+    EXPECT_EQ(nap.outcome.metrics.rounds, 31u);
+    for (const Runs& runs : nap.runs) EXPECT_EQ(runs, (Runs{0, 30}));
+  }
 }
 
 TEST(ActivityHint, AllAsleepStretchRunsIntoTheRoundCap) {
   const Graph g = build::path(4);
   NetworkConfig cfg = traced_config();
   cfg.max_rounds = 100;
-  const NapRun classic = run_napper(g, cfg, 0, kNever, kNever);
-  const NapRun reference = run_napper(g, cfg, 1, kNever, kNever);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  EXPECT_EQ(classic.outcome.metrics.rounds, 100u);
-  EXPECT_EQ(classic.outcome.faults.stalled_nodes,
-            (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  for (const Runs& runs : classic.runs) EXPECT_EQ(runs, (Runs{0}));
+  const NapSpec spec;
+  const NapRun reference = run_reference(g, cfg, spec);
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, cfg, w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    EXPECT_EQ(nap.outcome.metrics.rounds, 100u);
+    EXPECT_EQ(nap.outcome.faults.stalled_nodes,
+              (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    for (const Runs& runs : nap.runs) EXPECT_EQ(runs, (Runs{0}));
+  }
 }
 
 TEST(ActivityHint, StallWatchdogFiresInTheSameRound) {
   const Graph g = build::path(4);
   NetworkConfig cfg = traced_config();
   cfg.stall_window = 7;
-  const NapRun classic = run_napper(g, cfg, 0, 3, kNever);
-  const NapRun reference = run_napper(g, cfg, 1, 3, kNever);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  // The ping lands in round 4, the last progress; the window ends at 11.
-  EXPECT_EQ(classic.outcome.faults.watchdog_stalls, 1u);
-  EXPECT_EQ(classic.outcome.metrics.rounds, 11u);
-  EXPECT_EQ(classic.runs[1], (Runs{0, 4}));
+  const NapSpec spec{3, kNever};
+  const NapRun reference = run_reference(g, cfg, spec);
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, cfg, w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    // The ping lands in round 4, the last progress; the window ends at 11.
+    EXPECT_EQ(nap.outcome.faults.watchdog_stalls, 1u);
+    EXPECT_EQ(nap.outcome.metrics.rounds, 11u);
+    EXPECT_EQ(nap.runs[1], (Runs{0, 4}));
+  }
 }
 
 TEST(ActivityHint, CheckpointInsideASkippedStretchAndResume) {
   const Graph g = build::path(5);
-  const NapRun uninterrupted = run_napper(g, traced_config(), 0, 5, 40);
+  const NapSpec spec{5, 40};
+  const NapRun uninterrupted = run_napper(g, traced_config(), 1, spec);
   for (const std::uint64_t at : {6u, 20u}) {
+    SCOPED_TRACE("checkpoint at " + std::to_string(at));
     NetworkConfig cfg = traced_config();
     cfg.checkpoint_at_round = at;
-    const NapRun classic = run_napper(g, cfg, 0, 5, 40);
-    const NapRun reference = run_napper(g, cfg, 1, 5, 40);
-    expect_same_outcome(classic.outcome, reference.outcome);
-    ASSERT_NE(classic.outcome.checkpoint, nullptr);
+    const NapRun reference = run_reference(g, cfg, spec);
     ASSERT_NE(reference.outcome.checkpoint, nullptr);
-    EXPECT_EQ(to_json(*classic.outcome.checkpoint).dump(),
-              to_json(*reference.outcome.checkpoint).dump())
-        << "checkpoint at " << at;
-    if (at == 20) {
-      // Round 20 lies in the stretch every node sleeps through.
-      EXPECT_EQ(classic.runs[2], (Runs{0, 40}));
-    }
+    const std::string reference_snapshot =
+        to_json(*reference.outcome.checkpoint).dump();
+    for (const std::uint32_t w : kWidths) {
+      SCOPED_TRACE(width_label(w));
+      const NapRun nap = run_napper(g, cfg, w, spec);
+      expect_same_outcome(nap.outcome, reference.outcome);
+      ASSERT_NE(nap.outcome.checkpoint, nullptr);
+      EXPECT_EQ(to_json(*nap.outcome.checkpoint).dump(), reference_snapshot);
+      if (at == 20) {
+        // Round 20 lies in the stretch every node sleeps through.
+        EXPECT_EQ(nap.runs[2], (Runs{0, 40}));
+      }
 
-    // Resume both engines. From round 6 the restored inbox holds the ping,
-    // which must reach node 1 although it sleeps until round 40.
-    const NapRun resumed = run_napper(g, traced_config(), 0, 5, 40,
-                                      classic.outcome.checkpoint.get());
-    const NapRun resumed_ref = run_napper(g, traced_config(), 1, 5, 40,
-                                          classic.outcome.checkpoint.get());
-    expect_same_outcome(resumed.outcome, resumed_ref.outcome);
-    EXPECT_EQ(resumed.outcome.verdicts, uninterrupted.outcome.verdicts);
-    EXPECT_EQ(resumed.outcome.metrics.rounds,
-              uninterrupted.outcome.metrics.rounds);
-    EXPECT_EQ(resumed.outcome.verdicts[1], Verdict::Reject);
-    EXPECT_EQ(resumed.runs[2].back(), 40u);
-    EXPECT_LT(resumed.runs[2].size(), resumed_ref.runs[2].size());
+      // Resume both. From round 6 the restored inbox holds the ping, which
+      // must reach node 1 although it sleeps until round 40.
+      NapSpec resume = spec;
+      resume.resume_from = nap.outcome.checkpoint.get();
+      const NapRun resumed = run_napper(g, traced_config(), w, resume);
+      const NapRun resumed_ref = run_reference(g, traced_config(), resume);
+      expect_same_outcome(resumed.outcome, resumed_ref.outcome);
+      EXPECT_EQ(resumed.outcome.verdicts, uninterrupted.outcome.verdicts);
+      EXPECT_EQ(resumed.outcome.metrics.rounds,
+                uninterrupted.outcome.metrics.rounds);
+      EXPECT_EQ(resumed.outcome.verdicts[1], Verdict::Reject);
+      EXPECT_EQ(resumed.runs[2].back(), 40u);
+      EXPECT_LT(resumed.runs[2].size(), resumed_ref.runs[2].size());
+    }
   }
 }
 
@@ -650,39 +700,48 @@ TEST(ActivityHint, ASleeperCrashesInItsCrashRound) {
   NetworkConfig cfg = traced_config();
   cfg.faults.crashes = {{2, 17}};
   cfg.stall_window = 15;
-  const NapRun classic = run_napper(g, cfg, 0, 5, 40);
-  const NapRun reference = run_napper(g, cfg, 1, 5, 40);
-  expect_same_outcome(classic.outcome, reference.outcome);
-  EXPECT_EQ(classic.outcome.faults.crashed_nodes,
-            (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(classic.outcome.faults.watchdog_stalls, 1u);
-  EXPECT_EQ(classic.outcome.metrics.rounds, 33u);
-  EXPECT_EQ(classic.runs[2], (Runs{0}));
+  const NapSpec spec{5, 40};
+  const NapRun reference = run_reference(g, cfg, spec);
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    const NapRun nap = run_napper(g, cfg, w, spec);
+    expect_same_outcome(nap.outcome, reference.outcome);
+    EXPECT_EQ(nap.outcome.faults.crashed_nodes,
+              (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(nap.outcome.faults.watchdog_stalls, 1u);
+    EXPECT_EQ(nap.outcome.metrics.rounds, 33u);
+    EXPECT_EQ(nap.runs[2], (Runs{0}));
+  }
 }
 
 TEST(ActivityHint, TelemetryCountsSkippedRounds) {
   const Graph g = build::path(5);
-  obs::Telemetry telemetry;
-  NetworkConfig cfg = traced_config();
-  cfg.telemetry = &telemetry;
-  const NapRun classic = run_napper(g, cfg, 0, 5, 40);
-  const RunOutcome& out = classic.outcome;
-  EXPECT_EQ(telemetry.counter("sync_rounds").value(), out.metrics.rounds);
-  EXPECT_EQ(telemetry.counter("sync_messages").value(), out.metrics.messages);
-  // sync_round_bits observes every round once, a quiet one in bucket 0.
-  const obs::Json metrics = telemetry.metrics_json();
-  std::uint64_t observed = 0;
-  std::uint64_t quiet = 0;
-  for (const obs::Json& cell :
-       metrics.at("histograms").at("sync_round_bits").items()) {
-    observed += cell.items()[1].as_uint();
-    if (cell.items()[0].as_uint() == 0) quiet = cell.items()[1].as_uint();
+  for (const std::uint32_t w : kWidths) {
+    SCOPED_TRACE(width_label(w));
+    obs::Telemetry telemetry;
+    NetworkConfig cfg = traced_config();
+    cfg.telemetry = &telemetry;
+    const NapRun nap = run_napper(g, cfg, w, NapSpec{5, 40});
+    const RunOutcome& out = nap.outcome;
+    EXPECT_EQ(nap.runs[1], (Runs{0, 6, 40}));
+    EXPECT_EQ(telemetry.counter("sync_rounds").value(), out.metrics.rounds);
+    EXPECT_EQ(telemetry.counter("sync_messages").value(),
+              out.metrics.messages);
+    // sync_round_bits observes every round once, a quiet one in bucket 0.
+    const obs::Json metrics = telemetry.metrics_json();
+    std::uint64_t observed = 0;
+    std::uint64_t quiet = 0;
+    for (const obs::Json& cell :
+         metrics.at("histograms").at("sync_round_bits").items()) {
+      observed += cell.items()[1].as_uint();
+      if (cell.items()[0].as_uint() == 0) quiet = cell.items()[1].as_uint();
+    }
+    std::uint64_t quiet_rows = 0;
+    for (const auto& row : out.trace.rounds()) quiet_rows += row.bits == 0;
+    EXPECT_EQ(observed, out.metrics.rounds);
+    EXPECT_EQ(quiet, quiet_rows);
+    EXPECT_EQ(quiet, out.metrics.rounds - 1);  // only round 5 sends
   }
-  std::uint64_t quiet_rows = 0;
-  for (const auto& row : out.trace.rounds()) quiet_rows += row.bits == 0;
-  EXPECT_EQ(observed, out.metrics.rounds);
-  EXPECT_EQ(quiet, quiet_rows);
-  EXPECT_EQ(quiet, out.metrics.rounds - 1);  // only round 5 sends
 }
 
 // ------------------------------------------------------ congested clique --

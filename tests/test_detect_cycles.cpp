@@ -13,6 +13,7 @@
 #include "detect/even_cycle.hpp"
 #include "detect/id_set.hpp"
 #include "detect/pipelined_cycle.hpp"
+#include "fuzz/fuzz_case.hpp"
 #include "graph/builders.hpp"
 #include "graph/oracle.hpp"
 #include "support/mathutil.hpp"
@@ -355,8 +356,11 @@ TEST(EvenCycle, MeasuredRoundsEqualTheSchedule) {
 
 TEST(EvenCycle, SkippedIdleRoundsAreBitIdenticalToTheShardedEngine) {
   // The program sleeps through idle rounds (NodeApi::sleep_until) and the
-  // classic engine skips them; the sharded engine at W = 1 ignores the hint
-  // and runs every node every round. Fixtures cover the whole schedule:
+  // round kernel skips them; the reference runs the same program behind
+  // fuzz::ignore_activity_hints, so the kernel calls every node in every
+  // round. (The probe is shared by all nodes, so both run inline at
+  // W = 1; the hint-equivalence fuzz oracle covers W = 3.) Fixtures cover
+  // the whole schedule:
   // phase-I tokens and their deadline (polarity graph, k = 3), nodes left
   // unassigned by the peeling (dense G(n,p), c = 1), prefix tokens through
   // several windows (K_{5,5}, k = 3), and a planted C_4 in a tree.
@@ -392,30 +396,30 @@ TEST(EvenCycle, SkippedIdleRoundsAreBitIdenticalToTheShardedEngine) {
       net_cfg.trace.enabled = true;
       net_cfg.trace.per_node = true;
       EvenCycleProbe probe;
-      const auto classic =
+      const auto kernel =
           congest::run_congest(f.g, net_cfg, even_cycle_program(cfg, &probe));
-      net_cfg.shard.workers = 1;
       EvenCycleProbe ref_probe;
       const auto reference = congest::run_congest(
-          f.g, net_cfg, even_cycle_program(cfg, &ref_probe));
+          f.g, net_cfg,
+          fuzz::ignore_activity_hints(even_cycle_program(cfg, &ref_probe)));
       const std::string label = "k=" + std::to_string(f.k) +
                                 " n=" + std::to_string(f.g.num_vertices()) +
                                 " seed=" + std::to_string(seed);
-      EXPECT_EQ(classic.verdicts, reference.verdicts) << label;
-      EXPECT_EQ(classic.metrics.rounds, reference.metrics.rounds) << label;
-      EXPECT_EQ(classic.metrics.bits_sent_by_node,
+      EXPECT_EQ(kernel.verdicts, reference.verdicts) << label;
+      EXPECT_EQ(kernel.metrics.rounds, reference.metrics.rounds) << label;
+      EXPECT_EQ(kernel.metrics.bits_sent_by_node,
                 reference.metrics.bits_sent_by_node)
           << label;
-      EXPECT_EQ(classic.metrics.trace_bytes, reference.metrics.trace_bytes)
+      EXPECT_EQ(kernel.metrics.trace_bytes, reference.metrics.trace_bytes)
           << label;
-      EXPECT_EQ(jsonl(classic), jsonl(reference)) << label;
+      EXPECT_EQ(jsonl(kernel), jsonl(reference)) << label;
       EXPECT_EQ(probe.max_phase1_queue, ref_probe.max_phase1_queue) << label;
       EXPECT_EQ(probe.phase1_drained_round, ref_probe.phase1_drained_round)
           << label;
       EXPECT_EQ(probe.phase1_deadline_reject,
                 ref_probe.phase1_deadline_reject)
           << label;
-      any_detected = any_detected || classic.detected;
+      any_detected = any_detected || kernel.detected;
     }
   }
   EXPECT_TRUE(any_detected) << "fixtures should exercise the reject paths";

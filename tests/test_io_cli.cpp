@@ -189,6 +189,47 @@ TEST(Cli, ErrorsProduceExitCodeTwo) {
   EXPECT_EQ(run_cli({"generate", "gnp", "x", "y", "z"}, &text), 2);
 }
 
+/// K_6 written to a temp file for the 32-bit overflow tests below.
+std::string write_k6(const char* name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::string text;
+  EXPECT_EQ(run_cli({"generate", "complete", "6", "--out", path}, &text), 0);
+  return path;
+}
+
+// 32-bit CLI integers are range-checked: a value above 4294967295 exits 2
+// instead of running as its value modulo 2^32.
+TEST(Cli, PatternSizeAbove32BitsIsRejected) {
+  const std::string path = write_k6("csd_cli_u32_cycle.txt");
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "cycle", "4294967300", path}, &text), 2);
+  EXPECT_NE(text.find("exceeds 4294967295"), std::string::npos) << text;
+  EXPECT_EQ(text.find("accept"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, CrashNodeAbove32BitsIsRejected) {
+  const std::string path = write_k6("csd_cli_u32_crash.txt");
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--crash", "4294967296:0"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("crash node"), std::string::npos) << text;
+  EXPECT_EQ(text.find("accept"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, WorkerCountAbove32BitsIsRejected) {
+  const std::string path = write_k6("csd_cli_u32_workers.txt");
+  std::string text;
+  EXPECT_EQ(
+      run_cli({"detect", "triangle", path, "--workers", "4294967296"}, &text),
+      2);
+  EXPECT_NE(text.find("workers"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, DetectWithFaultFlagsRunsAsyncEngine) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "csd_cli_faults.txt").string();

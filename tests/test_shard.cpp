@@ -1,8 +1,9 @@
-// Tests for the sharded superstep engine (congest/shard.hpp) and its
-// Partitioner: partition invariants and balance bounds, and the hard
-// bit-identity contract — every outcome field the classic sync engine
-// promises to be deterministic must be byte-for-byte identical at every
-// worker count, either partition policy, and any --jobs fan-out.
+// Tests for the synchronous round kernel's worker dimension
+// (congest/shard.hpp) and its Partitioner: partition invariants and balance
+// bounds, and the hard bit-identity contract — every outcome field the
+// inline run (workers 0) promises to be deterministic must be byte-for-byte
+// identical at every worker count, either partition policy, and any --jobs
+// fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,7 +81,7 @@ class Chatter final : public NodeProgram {
 };
 
 /// Violates the model on purpose (duplicate send, bandwidth overrun) so the
-/// merged violation list's order is pinned against the classic engine.
+/// merged violation list's order is pinned against the inline run.
 class Naughty final : public NodeProgram {
  public:
   void on_round(NodeApi& api) override {
@@ -200,10 +201,14 @@ TEST(Partition, DigestPinsAssignment) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: sharded vs classic
+// Bit-identity: W workers vs the inline run
 // ---------------------------------------------------------------------------
 
 TEST(Shard, W1BitIdenticalToClassicOnFuzzSmokeCorpus) {
+  // W = 1 runs the kernel inline, with activity-driven skipping. The
+  // reference runs the same programs with every NodeApi::sleep_until hint
+  // dropped (fuzz::ignore_activity_hints), so each node runs in every
+  // round.
   for (std::uint64_t case_seed = 1; case_seed <= 25; ++case_seed) {
     const fuzz::FuzzCase c = fuzz::generate_case(case_seed);
     const Graph host = fuzz::build_graph(c);
@@ -216,11 +221,10 @@ TEST(Shard, W1BitIdenticalToClassicOnFuzzSmokeCorpus) {
     if (c.has_faults()) cfg.faults = fuzz::fault_plan(c);
     const ProgramFactory factory = fuzz::make_program(c);
 
-    const Network classic(host, cfg);
-    NetworkConfig sharded_cfg = cfg;
-    sharded_cfg.shard.workers = 1;
-    const Network sharded(host, sharded_cfg);
-    expect_outcomes_identical(classic.run(factory), sharded.run(factory),
+    cfg.shard.workers = 1;
+    const Network net(host, cfg);
+    expect_outcomes_identical(net.run(fuzz::ignore_activity_hints(factory)),
+                              net.run(factory),
                               "case seed " + std::to_string(case_seed));
   }
 }
@@ -402,8 +406,8 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
     // csd-ckpt-v1 snapshots are bit-identical at every worker count.
     EXPECT_EQ(to_json(*observed.checkpoint).dump(), classic_snap_json)
         << "snapshot differs at W=" << w_count;
-    // A snapshot taken at W resumes at any other worker count (and on the
-    // classic engine) to the uninterrupted outcome.
+    // A snapshot taken at W resumes at any other worker count (and inline)
+    // to the uninterrupted outcome.
     NetworkConfig resume_cfg = cfg;
     resume_cfg.shard.workers = w_count == 8 ? 2 : 8;
     const Network resume_net(g, resume_cfg);
@@ -421,55 +425,8 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Hooks and counters
+// Counters and the watchdog
 // ---------------------------------------------------------------------------
-
-TEST(Shard, SuperstepStatsAccountEveryDeliveredFrame) {
-  const Graph g = build::cycle(32);
-  NetworkConfig cfg;
-  cfg.bandwidth = 8;
-  cfg.max_rounds = 32;
-  cfg.shard.workers = 4;  // Range on a cycle: 4 contiguous arcs, 8 cut edges
-  std::uint64_t hook_frames = 0;
-  bool saw_halt_vote = false;
-  std::uint64_t last_round = 0;
-  cfg.shard.on_superstep = [&](const ShardSuperstepStats& s) {
-    hook_frames += s.channel_frames + s.local_frames;
-    saw_halt_vote = saw_halt_vote || s.voted_halt;
-    last_round = s.round;
-  };
-  const Network net(g, cfg);
-  const RunOutcome outcome = net.run(chatter(8));
-  // Fault-free: every accounted message was delivered either locally or
-  // through a channel, and the hook saw each exactly once.
-  EXPECT_EQ(hook_frames, outcome.metrics.messages);
-  // Staggered halts (id % 5): some worker goes all-halted while others run.
-  EXPECT_TRUE(saw_halt_vote);
-  EXPECT_GT(last_round, 0u);
-}
-
-TEST(Shard, CombinerRunsOnChannelsWithoutChangingTheOutcome) {
-  const Graph g = build::cycle(24);
-  NetworkConfig cfg;
-  cfg.bandwidth = 8;
-  cfg.max_rounds = 24;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(6));
-  NetworkConfig shard_cfg = cfg;
-  shard_cfg.shard.workers = 4;
-  std::uint64_t invocations = 0;
-  shard_cfg.shard.combiner = [&](std::uint32_t, std::uint32_t,
-                                 ShardChannel& channel) {
-    ++invocations;  // worker-threaded in general; single-channel here per pair
-    // Reverse the batch: the engine must re-sort to the edge merge order.
-    const auto used = static_cast<std::ptrdiff_t>(channel.used);
-    std::reverse(channel.edges.begin(), channel.edges.begin() + used);
-    std::reverse(channel.payloads.begin(), channel.payloads.begin() + used);
-  };
-  const Network net(g, shard_cfg);
-  expect_outcomes_identical(reference, net.run(chatter(6)), "combiner");
-  EXPECT_GT(invocations, 0u);
-}
 
 TEST(Shard, ChannelCountersSurfaceInMetricsAndTraceSummary) {
   const Graph g = build::cycle(32);
@@ -503,8 +460,8 @@ TEST(Shard, ChannelCountersSurfaceInMetricsAndTraceSummary) {
 }
 
 TEST(Shard, StallWindowFiresIdentically) {
-  /// Never halts, never sends: the watchdog must cut both engines at the
-  /// same round with the same report.
+  /// Never halts, never sends: the watchdog must cut every worker count at
+  /// the same round with the same report.
   class Mute final : public NodeProgram {
    public:
     void on_round(NodeApi&) override {}

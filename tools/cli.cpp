@@ -5,6 +5,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -195,12 +196,20 @@ std::uint64_t to_u64(const std::string& s, const char* what) {
   return value;
 }
 
+/// to_u64 for 32-bit quantities (counts, node indices, pattern sizes):
+/// values above 4294967295 are an error, never silently truncated.
+std::uint32_t to_u32(const std::string& s, const char* what) {
+  const std::uint64_t value = to_u64(s, what);
+  CSD_CHECK_MSG(value <= std::numeric_limits<std::uint32_t>::max(),
+                "bad " << what << ": '" << s << "' exceeds 4294967295");
+  return static_cast<std::uint32_t>(value);
+}
+
 /// --workers / --shard-policy / --shard-counters -> ShardSpec for the
-/// synchronous engine (workers == 0 keeps the classic single loop).
+/// synchronous engine (workers 0 and 1 both run one inline worker).
 congest::ShardSpec parse_shard(const Invocation& inv) {
   congest::ShardSpec shard;
-  shard.workers = static_cast<std::uint32_t>(
-      to_u64(inv.flag("workers").value_or("0"), "workers"));
+  shard.workers = to_u32(inv.flag("workers").value_or("0"), "workers");
   if (const auto policy = inv.flag("shard-policy")) {
     CSD_CHECK_MSG(congest::parse_partition_policy(*policy, shard.policy),
                   "bad --shard-policy '" << *policy << "' (range|hash)");
@@ -298,43 +307,41 @@ std::unique_ptr<TelemetrySession> make_telemetry(const Invocation& inv) {
 Graph generate(const Invocation& inv) {
   CSD_CHECK_MSG(inv.positional.size() >= 2, "generate needs a family");
   const std::string& family = inv.positional[1];
-  const auto arg = [&](std::size_t i, const char* what) {
+  const auto text = [&](std::size_t i, const char* what) -> const std::string& {
     CSD_CHECK_MSG(inv.positional.size() > i + 1,
                   "family " << family << " needs " << what);
-    return to_u64(inv.positional[i + 1], what);
+    return inv.positional[i + 1];
   };
-  if (family == "path") return build::path(static_cast<Vertex>(arg(1, "N")));
-  if (family == "cycle") return build::cycle(static_cast<Vertex>(arg(1, "N")));
-  if (family == "complete")
-    return build::complete(static_cast<Vertex>(arg(1, "N")));
+  const auto arg = [&](std::size_t i, const char* what) {
+    return to_u64(text(i, what), what);
+  };
+  const auto arg32 = [&](std::size_t i, const char* what) {
+    return to_u32(text(i, what), what);
+  };
+  if (family == "path") return build::path(arg32(1, "N"));
+  if (family == "cycle") return build::cycle(arg32(1, "N"));
+  if (family == "complete") return build::complete(arg32(1, "N"));
   if (family == "bipartite")
-    return build::complete_bipartite(static_cast<Vertex>(arg(1, "A")),
-                                     static_cast<Vertex>(arg(2, "B")));
-  if (family == "grid")
-    return build::grid(static_cast<Vertex>(arg(1, "R")),
-                       static_cast<Vertex>(arg(2, "C")));
+    return build::complete_bipartite(arg32(1, "A"), arg32(2, "B"));
+  if (family == "grid") return build::grid(arg32(1, "R"), arg32(2, "C"));
   if (family == "petersen") return build::petersen();
   if (family == "gnp") {
     Rng rng(arg(3, "SEED"));
-    return build::gnp(static_cast<Vertex>(arg(1, "N")),
+    return build::gnp(arg32(1, "N"),
                       static_cast<double>(arg(2, "P100")) / 100.0, rng);
   }
   if (family == "gnm") {
     Rng rng(arg(3, "SEED"));
-    return build::gnm(static_cast<Vertex>(arg(1, "N")), arg(2, "M"), rng);
+    return build::gnm(arg32(1, "N"), arg(2, "M"), rng);
   }
   if (family == "tree") {
     Rng rng(arg(2, "SEED"));
-    return build::random_tree(static_cast<Vertex>(arg(1, "N")), rng);
+    return build::random_tree(arg32(1, "N"), rng);
   }
-  if (family == "polarity")
-    return build::polarity_graph(static_cast<std::uint32_t>(arg(1, "Q")));
-  if (family == "hk")
-    return lb::build_hk(static_cast<std::uint32_t>(arg(1, "K"))).graph;
+  if (family == "polarity") return build::polarity_graph(arg32(1, "Q"));
+  if (family == "hk") return lb::build_hk(arg32(1, "K")).graph;
   if (family == "gkn")
-    return lb::build_gkn_frame(static_cast<std::uint32_t>(arg(1, "K")),
-                               static_cast<std::uint32_t>(arg(2, "N")))
-        .graph;
+    return lb::build_gkn_frame(arg32(1, "K"), arg32(2, "N")).graph;
   CSD_CHECK_MSG(false, "unknown family '" << family << "'");
   return Graph{};
 }
@@ -392,7 +399,7 @@ congest::CrashEvent to_crash(const std::string& s) {
   CSD_CHECK_MSG(colon != std::string::npos && colon > 0 &&
                     colon + 1 < s.size(),
                 "--crash wants NODE:ROUND, got '" << s << "'");
-  return {static_cast<std::uint32_t>(to_u64(s.substr(0, colon), "crash node")),
+  return {to_u32(s.substr(0, colon), "crash node"),
           to_u64(s.substr(colon + 1), "crash round")};
 }
 
@@ -417,7 +424,7 @@ PatternProgram select_program(const Invocation& inv, const Graph& g,
     std::uint32_t s = 3;
     if (pattern == "clique") {
       CSD_CHECK_MSG(inv.positional.size() == 4, "detect clique S FILE");
-      s = static_cast<std::uint32_t>(to_u64(inv.positional[2], "S"));
+      s = to_u32(inv.positional[2], "S");
     }
     p.factory = detect::clique_detect_program(s);
     p.budget =
@@ -426,7 +433,7 @@ PatternProgram select_program(const Invocation& inv, const Graph& g,
     p.algorithm = "deterministic K_" + std::to_string(s) + " detector";
   } else if (pattern == "cycle") {
     CSD_CHECK_MSG(inv.positional.size() == 4, "detect cycle L FILE");
-    const auto len = static_cast<std::uint32_t>(to_u64(inv.positional[2], "L"));
+    const auto len = to_u32(inv.positional[2], "L");
     if (len >= 4 && len % 2 == 0) {
       // even_cycle_program is one repetition; amplification is external
       // (run_amplified on the sync path), so mirror it with `runs`.
@@ -446,7 +453,7 @@ PatternProgram select_program(const Invocation& inv, const Graph& g,
     p.truth = oracle::has_cycle_of_length(g, len);
   } else if (pattern == "star") {
     CSD_CHECK_MSG(inv.positional.size() == 4, "detect star D FILE");
-    const auto d = static_cast<Vertex>(to_u64(inv.positional[2], "D"));
+    const auto d = to_u32(inv.positional[2], "D");
     const Graph tree = build::star(d);
     p.factory = detect::tree_detect_program(tree);
     p.budget = detect::tree_detect_round_budget(tree) + 1;
@@ -509,8 +516,7 @@ int cmd_detect_faulty(const Invocation& inv, std::ostream& out, const Graph& g,
   if (const auto d = inv.flag("rejoin-delay"))
     cfg.recovery.rejoin_delay = to_u64(*d, "rejoin-delay");
   if (const auto k = inv.flag("max-recoveries"))
-    cfg.recovery.max_recoveries =
-        static_cast<std::uint32_t>(to_u64(*k, "max-recoveries"));
+    cfg.recovery.max_recoveries = to_u32(*k, "max-recoveries");
 
   PatternProgram p = select_program(inv, g, pattern, bandwidth, reps);
   out << "algorithm:  " << p.algorithm << '\n';
@@ -713,10 +719,9 @@ int cmd_detect_supervised(const Invocation& inv, std::ostream& out,
       to_u64(inv.flag("round-budget").value_or("0"), "round-budget");
   sup.stall_window =
       to_u64(inv.flag("stall-window").value_or("0"), "stall-window");
-  sup.max_retries = static_cast<std::uint32_t>(
-      to_u64(inv.flag("retries").value_or("0"), "retries"));
-  sup.max_reps_per_call = static_cast<std::uint32_t>(to_u64(
-      inv.flag("max-reps-per-call").value_or("0"), "max-reps-per-call"));
+  sup.max_retries = to_u32(inv.flag("retries").value_or("0"), "retries");
+  sup.max_reps_per_call = to_u32(
+      inv.flag("max-reps-per-call").value_or("0"), "max-reps-per-call");
 
   const congest::Supervisor supervisor(g, cfg, sup);
   const auto resume_path = inv.flag("resume");
@@ -844,10 +849,8 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
   const std::uint64_t bandwidth =
       to_u64(inv.flag("bandwidth").value_or("64"), "bandwidth");
   const std::uint64_t seed = to_u64(inv.flag("seed").value_or("1"), "seed");
-  const auto reps = static_cast<std::uint32_t>(
-      to_u64(inv.flag("reps").value_or("400"), "reps"));
-  const auto jobs = static_cast<unsigned>(
-      to_u64(inv.flag("jobs").value_or("1"), "jobs"));
+  const auto reps = to_u32(inv.flag("reps").value_or("400"), "reps");
+  const auto jobs = to_u32(inv.flag("jobs").value_or("1"), "jobs");
   const auto json_path = inv.flag("json");
   const auto trace_path = inv.flag("trace");
   obs::TraceOptions trace_opts;
@@ -892,7 +895,7 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
     std::uint32_t s = 3;
     if (pattern == "clique") {
       CSD_CHECK_MSG(inv.positional.size() == 4, "detect clique S FILE");
-      s = static_cast<std::uint32_t>(to_u64(inv.positional[2], "S"));
+      s = to_u32(inv.positional[2], "S");
     }
     program = "clique_detect";
     outcome = detect::detect_clique(g, s, bandwidth, seed, trace_opts, shard,
@@ -902,7 +905,7 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
     truth = oracle::has_clique(g, s);
   } else if (pattern == "cycle") {
     CSD_CHECK_MSG(inv.positional.size() == 4, "detect cycle L FILE");
-    const auto len = static_cast<std::uint32_t>(to_u64(inv.positional[2], "L"));
+    const auto len = to_u32(inv.positional[2], "L");
     if (len >= 4 && len % 2 == 0) {
       detect::EvenCycleConfig cfg;
       cfg.k = len / 2;
@@ -933,7 +936,7 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
     truth = oracle::has_cycle_of_length(g, len);
   } else if (pattern == "star") {
     CSD_CHECK_MSG(inv.positional.size() == 4, "detect star D FILE");
-    const auto d = static_cast<Vertex>(to_u64(inv.positional[2], "D"));
+    const auto d = to_u32(inv.positional[2], "D");
     detect::TreeDetectConfig cfg;
     cfg.tree = build::star(d);
     cfg.repetitions = reps;
@@ -1028,7 +1031,7 @@ std::vector<std::uint64_t> parse_sizes(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ','))
-    if (!item.empty()) sizes.push_back(to_u64(item, "sizes"));
+    if (!item.empty()) sizes.push_back(to_u32(item, "sizes"));
   CSD_CHECK_MSG(!sizes.empty(), "--sizes wants N1,N2,...");
   return sizes;
 }
@@ -1069,15 +1072,13 @@ congest::RunOutcome sweep_run_cycle(const Graph& g, std::uint32_t len,
 int cmd_sweep(const Invocation& inv, std::ostream& out) {
   CSD_CHECK_MSG(inv.positional.size() == 3 && inv.positional[1] == "cycle",
                 "sweep cycle L [--sizes N1,N2,...]");
-  const auto len = static_cast<std::uint32_t>(to_u64(inv.positional[2], "L"));
+  const auto len = to_u32(inv.positional[2], "L");
   CSD_CHECK_MSG(len >= 3, "cycle length must be >= 3");
   const auto sizes =
       parse_sizes(inv.flag("sizes").value_or("32,64,128"));
-  const auto reps = static_cast<std::uint32_t>(
-      to_u64(inv.flag("reps").value_or("64"), "reps"));
+  const auto reps = to_u32(inv.flag("reps").value_or("64"), "reps");
   CSD_CHECK_MSG(reps >= 1, "--reps must be at least 1");
-  const auto jobs = static_cast<unsigned>(
-      to_u64(inv.flag("jobs").value_or("1"), "jobs"));
+  const auto jobs = to_u32(inv.flag("jobs").value_or("1"), "jobs");
   const std::uint64_t seed = to_u64(inv.flag("seed").value_or("1"), "seed");
   const std::uint64_t bandwidth =
       to_u64(inv.flag("bandwidth").value_or("64"), "bandwidth");
@@ -1376,7 +1377,7 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
   const auto expect = inv.flag("expect-exponent");
   const double tol = to_double(inv.flag("tol").value_or("0.15"), "tol");
   const auto bootstrap =
-      to_u64(inv.flag("bootstrap").value_or("0"), "bootstrap");
+      to_u32(inv.flag("bootstrap").value_or("0"), "bootstrap");
   const auto boot_seed = to_u64(inv.flag("seed").value_or("1"), "seed");
   bool fit_failed = false, expectation_checked = false;
   const auto groups = obs::rounds_vs_n_points(instances);
@@ -1392,9 +1393,7 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
         << fit->points << " point(s)\n";
     std::optional<obs::BootstrapFit> ci;
     if (bootstrap > 0) {
-      ci = obs::bootstrap_power_law(points,
-                                    static_cast<std::uint32_t>(bootstrap),
-                                    boot_seed);
+      ci = obs::bootstrap_power_law(points, bootstrap, boot_seed);
       if (ci.has_value()) {
         out << "  bootstrap: exponent 95% CI [" << ci->exponent_lo << ", "
             << ci->exponent_hi << "] over " << bootstrap << " resample(s)";
@@ -1432,7 +1431,7 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
 
 int cmd_list_cliques(const Invocation& inv, std::ostream& out) {
   CSD_CHECK_MSG(inv.positional.size() == 3, "list-cliques needs s and a file");
-  const auto s = static_cast<std::uint32_t>(to_u64(inv.positional[1], "s"));
+  const auto s = to_u32(inv.positional[1], "s");
   const Graph g = io::load(inv.positional[2]);
   detect::CliqueListingResult result;
   const auto outcome = detect::list_cliques_congested_clique(g, s, 64, &result);
@@ -1446,7 +1445,7 @@ int cmd_fool(const Invocation& inv, std::ostream& out) {
   CSD_CHECK_MSG(inv.positional.size() == 3, "fool needs N and c");
   lb::FoolingConfig cfg;
   cfg.namespace_size = to_u64(inv.positional[1], "N");
-  const auto c = static_cast<std::uint32_t>(to_u64(inv.positional[2], "c"));
+  const auto c = to_u32(inv.positional[2], "c");
   cfg.algorithm = detect::id_exchange_triangle_program(c);
   cfg.bandwidth = 64;
   cfg.max_rounds = 8;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Determinism-matrix gate for the sharded superstep engine.
+"""Determinism-matrix gate for the sync round kernel's worker count.
 
 Usage:
     tools/shard_determinism.py --csd build/tools/csd [--workdir DIR]
@@ -9,7 +9,7 @@ Runs every (workers, jobs) cell of the matrix on two smoke instances —
 the THM11 even-cycle detector (C_4 on a random forest) and the triangle
 detector (on a sparse G(n,p) host) — through the `csd detect` CLI, each
 cell writing a csd-bench-v1 JSON report and a csd-trace-v2 JSONL trace.
-The classic engine (workers = 0, jobs = 1) is the reference cell; every
+The inline run (workers = 0, jobs = 1) is the reference cell; every
 other cell must reproduce it bit-for-bit:
 
   * the JSON report is canonicalized by dropping the `env` object
@@ -24,7 +24,7 @@ policy-dependent merge bug cannot hide behind a lucky partition.
 
 --telemetry attaches the csd-metrics-v2 plane (--metrics-out sampler +
 --blackbox flight recorder, DESIGN.md §14) to every matrix cell while
-the classic reference stays uninstrumented — matching digests then also
+the inline reference stays uninstrumented — matching digests then also
 prove the telemetry plane leaves verdicts, reports and traces untouched.
 
 Exit status: 0 = every cell bit-identical, 1 = divergence (the offending
@@ -90,7 +90,7 @@ def main() -> int:
                         help="where instances and reports go "
                              "(default: a temp dir)")
     parser.add_argument("--workers", default="1,2,8",
-                        help="comma list of worker counts (0 = classic "
+                        help="comma list of worker counts (0 = inline "
                              "reference, always added)")
     parser.add_argument("--jobs", default="1,4",
                         help="comma list of --jobs fan-outs")
@@ -127,7 +127,7 @@ def main() -> int:
     for instance in instances:
         ref = detect_cell(args.csd, instance, workdir, 0, 1, "range",
                           f"{instance['name']}-ref")
-        print(f"{instance['name']}: reference (classic engine) "
+        print(f"{instance['name']}: reference (inline run) "
               f"json={ref[0][:12]} trace={ref[1][:12]}")
         for w in workers:
             for j in jobs:
@@ -149,14 +149,14 @@ def main() -> int:
                                   file=sys.stderr)
 
     if failures:
-        print(f"FAIL: {failures} matrix cell(s) diverged from the classic "
-              f"engine — the sharded engine broke bit-identity",
+        print(f"FAIL: {failures} matrix cell(s) diverged from the inline "
+              f"run — the round kernel broke bit-identity across workers",
               file=sys.stderr)
         return 1
     cells = len(instances) * len(workers) * len(jobs) * 2
     suffix = " (telemetry attached)" if args.telemetry else ""
-    print(f"OK: {cells} matrix cell(s) bit-identical to the classic "
-          f"engine{suffix}")
+    print(f"OK: {cells} matrix cell(s) bit-identical to the inline "
+          f"run{suffix}")
     return 0
 
 
