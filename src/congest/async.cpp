@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <queue>
-#include <unordered_map>
 
 #include "congest/node_state.hpp"
 #include "obs/metrics_v2.hpp"
@@ -85,27 +84,8 @@ class AsyncEngine {
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
     if (log_enabled_) inbox_log_.resize(n);
 
-    // Reverse-port table in O(sum deg) expected time via per-vertex port
-    // maps (mirrors Network::build_topology_tables; the old per-neighbor
-    // std::find scan was O(sum deg^2)). Stored flat over the CSR's dense
-    // directed-edge index e = offsets[v] + port.
     csr_ = &topology_.csr();
-    std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
-    for (Vertex v = 0; v < n; ++v) {
-      const auto nbrs = csr_->row(v);
-      port_of[v].reserve(nbrs.size());
-      for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
-    }
-    rev_port_.resize(static_cast<std::size_t>(csr_->num_directed_edges()));
-    for (Vertex v = 0; v < n; ++v) {
-      const auto nbrs = csr_->row(v);
-      const std::uint64_t base = csr_->offsets[v];
-      for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-        const auto it = port_of[nbrs[p]].find(v);
-        CSD_CHECK(it != port_of[nbrs[p]].end());
-        rev_port_[base + p] = it->second;
-      }
-    }
+    tables_ = detail::build_edge_tables(*csr_, ids_);
     inbox_arena_ = detail::FrameArena(*csr_);
     outbox_arena_ = detail::FrameArena(*csr_);
 
@@ -117,10 +97,8 @@ class AsyncEngine {
           topology_, v, ids_[v], config_.seed, n, namespace_size,
           config_.bandwidth, config_.broadcast_only,
           &outcome_.faults.violations));
-      std::vector<NodeId> neighbor_ids;
-      for (const Vertex w : topology_.neighbors(v))
-        neighbor_ids.push_back(ids_[w]);
-      nodes_.back()->set_neighbor_ids(std::move(neighbor_ids));
+      nodes_.back()->set_neighbor_ids(tables_.neighbor_ids.data() +
+                                      csr_->offsets[v]);
       nodes_.back()->attach_frames(
           inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
           outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
@@ -393,7 +371,7 @@ class AsyncEngine {
     event.src = src;
     event.src_port = port;
     event.dst = csr_->row(src)[port];
-    event.dst_port = rev_port_[csr_->offsets[src] + port];
+    event.dst_port = tables_.rev_port[csr_->offsets[src] + port];
     event.link_seq = packet.seq;
     event.packet = std::move(packet);
     push_event(std::move(event));
@@ -742,10 +720,7 @@ class AsyncEngine {
     auto node = std::make_unique<detail::NodeState>(
         topology_, v, ids_[v], config_.seed, topology_.num_vertices(),
         namespace_size_, config_.bandwidth, config_.broadcast_only, &scratch);
-    std::vector<NodeId> neighbor_ids;
-    for (const Vertex w : topology_.neighbors(v))
-      neighbor_ids.push_back(ids_[w]);
-    node->set_neighbor_ids(std::move(neighbor_ids));
+    node->set_neighbor_ids(tables_.neighbor_ids.data() + csr_->offsets[v]);
     auto program = (*factory_)(v);
     CSD_CHECK(program != nullptr);
     // The replica takes over the dead node's arena rows; replay clears them
@@ -983,10 +958,10 @@ class AsyncEngine {
   std::vector<InboxLog> inbox_log_;
   Vertex pending_recoveries_ = 0;
   std::uint64_t last_progress_vt_ = 0;
-  /// Materialized CSR view of topology_ (owned by it).
+  /// Materialized CSR view of topology_ (owned by it), and the flat tables
+  /// over its dense directed-edge index e = offsets[v] + port.
   const GraphCsr* csr_ = nullptr;
-  /// rev_port_[e] = receiver-side port of directed edge e = offsets[v] + p.
-  std::vector<std::uint32_t> rev_port_;
+  detail::EdgeTables tables_;
   /// Per-run frame plane; nodes (and recovery replicas) hold row pointers.
   detail::FrameArena inbox_arena_;
   detail::FrameArena outbox_arena_;

@@ -1,5 +1,6 @@
 #include "congest/faults.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -18,6 +19,28 @@ const char* to_string(ViolationKind kind) noexcept {
       return "program-fault";
   }
   return "?";
+}
+
+void FaultReport::merge(FaultReport other) {
+  frames_dropped += other.frames_dropped;
+  frames_corrupted += other.frames_corrupted;
+  retransmissions += other.retransmissions;
+  checksum_rejects += other.checksum_rejects;
+  duplicate_packets += other.duplicate_packets;
+  duplicate_acks += other.duplicate_acks;
+  transport_failures += other.transport_failures;
+  replayed_pulses += other.replayed_pulses;
+  watchdog_stalls += other.watchdog_stalls;
+  crashed_nodes.insert(crashed_nodes.end(), other.crashed_nodes.begin(),
+                       other.crashed_nodes.end());
+  recovered_nodes.insert(recovered_nodes.end(), other.recovered_nodes.begin(),
+                         other.recovered_nodes.end());
+  stalled_nodes.insert(stalled_nodes.end(), other.stalled_nodes.begin(),
+                       other.stalled_nodes.end());
+  violations.insert(violations.end(),
+                    std::make_move_iterator(other.violations.begin()),
+                    std::make_move_iterator(other.violations.end()));
+  detected_by_survivors = detected_by_survivors || other.detected_by_survivors;
 }
 
 std::string summarize(const FaultReport& report) {

@@ -130,6 +130,11 @@ struct FaultReport {
   /// surviving network actually reports.
   bool detected_by_survivors = false;
 
+  /// Fold in a later run's report (amplified batches, async repetitions):
+  /// counters summed, node and violation lists concatenated in order,
+  /// detected_by_survivors ORed.
+  void merge(FaultReport other);
+
   bool clean() const noexcept {
     return frames_dropped == 0 && frames_corrupted == 0 &&
            retransmissions == 0 && checksum_rejects == 0 &&

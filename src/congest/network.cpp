@@ -10,11 +10,47 @@
 
 namespace csd::congest {
 
+// Port mapping: port p of node v leads to neighbors(v)[p]; for delivery we
+// need the reverse port on the receiving side. Per-vertex port maps make
+// the build O(sum deg) expected time (a std::find scan per neighbor would
+// be O(sum deg^2)). The tables are flat arrays over the CSR's dense
+// directed-edge index, so the delivery loop walks them linearly with no
+// pointer chasing.
+detail::EdgeTables detail::build_edge_tables(const GraphCsr& csr,
+                                             const std::vector<NodeId>& ids) {
+  const auto n = static_cast<Vertex>(ids.size());
+  std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
+  for (Vertex v = 0; v < n; ++v) {
+    const auto nbrs = csr.row(v);
+    port_of[v].reserve(nbrs.size());
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
+  }
+  const auto m2 = static_cast<std::size_t>(csr.num_directed_edges());
+  EdgeTables tables;
+  tables.rev_port.resize(m2);
+  tables.rev_edge.resize(m2);
+  tables.neighbor_ids.resize(m2);
+  for (Vertex v = 0; v < n; ++v) {
+    const auto nbrs = csr.row(v);
+    const std::uint64_t base = csr.offsets[v];
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const Vertex w = nbrs[p];
+      const auto it = port_of[w].find(v);
+      CSD_CHECK(it != port_of[w].end());
+      tables.rev_port[base + p] = it->second;
+      tables.rev_edge[base + p] = csr.offsets[w] + it->second;
+      tables.neighbor_ids[base + p] = ids[w];
+    }
+  }
+  return tables;
+}
+
 Network::Network(Graph topology, NetworkConfig config)
     : topology_(std::move(topology)), config_(config) {
   ids_.resize(topology_.num_vertices());
   for (Vertex v = 0; v < topology_.num_vertices(); ++v) ids_[v] = v;
-  build_topology_tables();
+  csr_ = &topology_.csr();
+  tables_ = detail::build_edge_tables(*csr_, ids_);
 }
 
 Network::Network(Graph topology, NetworkConfig config,
@@ -22,41 +58,8 @@ Network::Network(Graph topology, NetworkConfig config,
     : topology_(std::move(topology)), config_(config), ids_(std::move(ids)) {
   CSD_CHECK_MSG(ids_.size() == topology_.num_vertices(),
                 "identifier assignment size mismatch");
-  build_topology_tables();
-}
-
-// Port mapping: port p of node v leads to topology_.neighbors(v)[p]; for
-// delivery we need the reverse port on the receiving side. Built once per
-// topology in O(sum deg) expected time via per-vertex port maps (the old
-// per-run std::find scan was O(sum deg^2) and re-paid on every repetition).
-// The tables are flat arrays over the CSR's dense directed-edge index, so
-// the delivery loop walks them linearly with no pointer chasing.
-void Network::build_topology_tables() {
-  const Vertex n = topology_.num_vertices();
-  csr_ = &topology_.csr();  // materialize once; shared const reads after
-  const auto& offsets = csr_->offsets;
-  std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = csr_->row(v);
-    port_of[v].reserve(nbrs.size());
-    for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
-  }
-  const auto m2 = static_cast<std::size_t>(csr_->num_directed_edges());
-  rev_port_.resize(m2);
-  rev_edge_.resize(m2);
-  neighbor_ids_flat_.resize(m2);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = csr_->row(v);
-    const std::uint64_t base = offsets[v];
-    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-      const Vertex w = nbrs[p];
-      const auto it = port_of[w].find(v);
-      CSD_CHECK(it != port_of[w].end());
-      rev_port_[base + p] = it->second;
-      rev_edge_[base + p] = offsets[w] + it->second;
-      neighbor_ids_flat_[base + p] = ids_[w];
-    }
-  }
+  csr_ = &topology_.csr();
+  tables_ = detail::build_edge_tables(*csr_, ids_);
 }
 
 // NetworkConfig::shard is deliberately NOT digested: the round kernel is
@@ -139,29 +142,7 @@ void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
   combined.metrics.counters.merge(rep.metrics.counters);
   combined.metrics.timers.merge(rep.metrics.timers);
   if (combined.checkpoint == nullptr) combined.checkpoint = rep.checkpoint;
-  FaultReport& f = combined.faults;
-  FaultReport& rf = rep.faults;
-  f.frames_dropped += rf.frames_dropped;
-  f.frames_corrupted += rf.frames_corrupted;
-  f.retransmissions += rf.retransmissions;
-  f.checksum_rejects += rf.checksum_rejects;
-  f.duplicate_packets += rf.duplicate_packets;
-  f.duplicate_acks += rf.duplicate_acks;
-  f.transport_failures += rf.transport_failures;
-  f.replayed_pulses += rf.replayed_pulses;
-  f.watchdog_stalls += rf.watchdog_stalls;
-  f.crashed_nodes.insert(f.crashed_nodes.end(), rf.crashed_nodes.begin(),
-                         rf.crashed_nodes.end());
-  f.recovered_nodes.insert(f.recovered_nodes.end(),
-                           rf.recovered_nodes.begin(),
-                           rf.recovered_nodes.end());
-  f.stalled_nodes.insert(f.stalled_nodes.end(), rf.stalled_nodes.begin(),
-                         rf.stalled_nodes.end());
-  f.violations.insert(f.violations.end(),
-                      std::make_move_iterator(rf.violations.begin()),
-                      std::make_move_iterator(rf.violations.end()));
-  f.detected_by_survivors =
-      f.detected_by_survivors || rf.detected_by_survivors;
+  combined.faults.merge(std::move(rep.faults));
 }
 
 RunOutcome run_amplified(const Graph& topology, const NetworkConfig& config,

@@ -181,6 +181,26 @@ struct RunOutcome {
   std::shared_ptr<const Snapshot> checkpoint;
 };
 
+namespace detail {
+
+/// Flat tables over a CSR's dense directed-edge index e = offsets[v] + p,
+/// built once per topology and identifier assignment — by Network for the
+/// round kernel, by the async engine per run — in O(sum deg) expected time.
+struct EdgeTables {
+  /// rev_port[e] = the port of neighbors(v)[p] that leads back to v.
+  std::vector<std::uint32_t> rev_port;
+  /// rev_edge[e] = the dense index of the reverse directed edge.
+  std::vector<std::uint64_t> rev_edge;
+  /// neighbor_ids[e] = ids[neighbors(v)[p]]; NodeStates read their rows in
+  /// place.
+  std::vector<NodeId> neighbor_ids;
+};
+
+EdgeTables build_edge_tables(const GraphCsr& csr,
+                             const std::vector<NodeId>& ids);
+
+}  // namespace detail
+
 /// Synchronous simulator over a fixed topology and identifier assignment.
 /// The topology is copied: a Network never dangles on a temporary graph.
 ///
@@ -229,34 +249,19 @@ class Network {
   // CSR view and the flat tables over its dense directed-edge index
   // e = csr().offsets[v] + port.
   const GraphCsr& csr() const noexcept { return *csr_; }
-  const std::vector<std::uint32_t>& rev_port() const noexcept {
-    return rev_port_;
-  }
-  const std::vector<std::uint64_t>& rev_edge() const noexcept {
-    return rev_edge_;
-  }
-  const std::vector<NodeId>& neighbor_ids_flat() const noexcept {
-    return neighbor_ids_flat_;
-  }
+  const detail::EdgeTables& edge_tables() const noexcept { return tables_; }
 
  private:
-  void build_topology_tables();
   RunOutcome run_impl(const ProgramFactory& factory, std::uint64_t seed,
                       const SyncSnapshot* resume_from) const;
 
   Graph topology_;
   NetworkConfig config_;
   std::vector<NodeId> ids_;
-  /// Materialized CSR view of topology_ (owned by it); flat tables below
-  /// are indexed by the dense directed-edge index e = csr_->offsets[v] + p.
+  /// Materialized CSR view of topology_ (owned by it), and the flat tables
+  /// over its dense directed-edge index.
   const GraphCsr* csr_ = nullptr;
-  /// rev_port_[e] = the port of neighbors(v)[p] that leads back to v.
-  std::vector<std::uint32_t> rev_port_;
-  /// rev_edge_[e] = the dense index of the reverse directed edge.
-  std::vector<std::uint64_t> rev_edge_;
-  /// neighbor_ids_flat_[e] = ids_[neighbors(v)[p]]; rows shared with
-  /// NodeStates.
-  std::vector<NodeId> neighbor_ids_flat_;
+  detail::EdgeTables tables_;
 };
 
 /// Convenience: run `factory` over `topology` and return the outcome.

@@ -160,13 +160,9 @@ class NodeState final : public NodeApi {
     violations_ = violations;
   }
 
-  void set_neighbor_ids(std::vector<NodeId> ids) {
-    owned_neighbor_ids_ = std::move(ids);
-    neighbor_ids_ = owned_neighbor_ids_.data();
-  }
-  /// Share a row of a flat table owned by the engine (computed once per
-  /// topology, reused across runs/repetitions); must outlive this NodeState
-  /// and hold degree() entries.
+  /// Share a row of a flat table owned by the engine (detail::EdgeTables,
+  /// built once per topology); must outlive this NodeState and hold
+  /// degree() entries.
   void set_neighbor_ids(const NodeId* shared) { neighbor_ids_ = shared; }
   void begin_round(std::uint64_t r) {
     round_ = r;
@@ -219,7 +215,6 @@ class NodeState final : public NodeApi {
   std::optional<BitVec> round_payload_;
   std::uint64_t round_ = 0;
   std::uint64_t wake_hint_ = 0;
-  std::vector<NodeId> owned_neighbor_ids_;
   const NodeId* neighbor_ids_ = nullptr;
   // Arena rows, engine-owned (attach_frames): payload buffers and presence
   // bytes are parallel arrays indexed by port.

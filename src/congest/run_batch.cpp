@@ -1,28 +1,16 @@
 #include "congest/run_batch.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
-#include <limits>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace csd::congest {
-
-namespace {
-
-constexpr std::uint32_t kNoCut = std::numeric_limits<std::uint32_t>::max();
-
-/// Atomically lower `target` to `value` (monotone min).
-void atomic_min(std::atomic<std::uint32_t>& target, std::uint32_t value) {
-  std::uint32_t current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_acq_rel)) {
-  }
-}
-
-}  // namespace
 
 unsigned resolve_jobs(unsigned jobs) noexcept {
   if (jobs != 0) return jobs;
@@ -34,71 +22,116 @@ RunBatch::RunBatch(unsigned jobs) : jobs_(resolve_jobs(jobs)) {}
 
 RunBatch::Result RunBatch::execute(const std::vector<Task>& tasks,
                                    bool stop_after_detection) const {
-  Result result;
-  result.outcomes.resize(tasks.size());
-  if (tasks.empty()) return result;
   for (const Task& task : tasks)
     CSD_CHECK_MSG(task.network != nullptr && task.factory != nullptr,
                   "RunBatch task missing network or factory");
-
-  const std::size_t workers =
-      std::min<std::size_t>(jobs_, tasks.size());
-  if (workers <= 1) {
-    // Inline sequential path: the reference semantics the parallel path
-    // must reproduce bit-for-bit.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      result.outcomes[i] =
-          tasks[i].network->run(*tasks[i].factory, tasks[i].seed);
-      if (stop_after_detection && result.outcomes[i]->detected) break;
-    }
-  } else {
-    std::vector<std::exception_ptr> errors(tasks.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint32_t> first_detected{kNoCut};
-    const auto work = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) return;
-        // Skip only tasks strictly beyond a known detection index m >= r*;
-        // since first_detected is a monotone min converging on r*, every
-        // task with index <= r* is claimed and executed.
-        if (stop_after_detection &&
-            i > first_detected.load(std::memory_order_acquire))
-          continue;
-        try {
-          RunOutcome outcome =
-              tasks[i].network->run(*tasks[i].factory, tasks[i].seed);
-          if (stop_after_detection && outcome.detected)
-            atomic_min(first_detected, static_cast<std::uint32_t>(i));
-          result.outcomes[i] = std::move(outcome);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(work);
-    for (auto& thread : pool) thread.join();
-
-    const std::uint32_t cut =
-        stop_after_detection ? first_detected.load() : kNoCut;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (i > cut) {
-        // Beyond the deterministic prefix: discard whatever a fast worker
-        // may have computed so the result is thread-count independent.
-        result.outcomes[i].reset();
-        continue;
-      }
-      if (errors[i]) std::rethrow_exception(errors[i]);
-    }
-  }
-
-  for (const auto& slot : result.outcomes)
-    if (slot.has_value()) ++result.executed;
+  Result result;
+  result.outcomes.resize(tasks.size());
+  result.executed = stream(
+      static_cast<std::uint32_t>(tasks.size()),
+      [&](std::uint32_t i) { return tasks[i]; },
+      [&](std::uint32_t i, RunOutcome&& outcome) {
+        const bool stop = stop_after_detection && outcome.detected;
+        result.outcomes[i] = std::move(outcome);
+        return !stop;
+      });
   result.skipped =
       static_cast<std::uint32_t>(tasks.size()) - result.executed;
   return result;
+}
+
+std::uint32_t RunBatch::stream(
+    std::uint32_t count, const std::function<Task(std::uint32_t)>& task_at,
+    const std::function<bool(std::uint32_t, RunOutcome&&)>& consume) const {
+  const auto run = [&](std::uint32_t i) {
+    const Task task = task_at(i);
+    return task.network->run(*task.factory, task.seed);
+  };
+  const std::uint32_t workers = std::min(jobs_, count);
+  std::uint32_t consumed = 0;
+  if (workers <= 1) {
+    // Inline sequential path: the reference semantics the parallel path
+    // must reproduce bit-for-bit.
+    while (consumed < count) {
+      const bool more = consume(consumed, run(consumed));
+      ++consumed;
+      if (!more) break;
+    }
+    return consumed;
+  }
+
+  // Task i's outcome (or exception) waits in slot i % window until the
+  // consumer takes it; a worker claims task i only once task i - window
+  // has been taken, which bounds the outcomes held at `window`.
+  struct Slot {
+    std::optional<RunOutcome> outcome;
+    std::exception_ptr error;
+    bool ready = false;
+  };
+  const std::uint32_t window = 2 * workers;
+  std::vector<Slot> slots(window);
+  std::mutex mutex;
+  std::condition_variable slot_ready, slot_free;
+  std::uint32_t next = 0, taken = 0;
+  bool stop = false;
+  const auto work = [&] {
+    for (;;) {
+      std::uint32_t i = 0;
+      {
+        std::unique_lock lock(mutex);
+        slot_free.wait(lock, [&] {
+          return stop || next == count || next < taken + window;
+        });
+        if (stop || next == count) return;
+        i = next++;
+      }
+      Slot done;
+      try {
+        done.outcome = run(i);
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      done.ready = true;
+      {
+        const std::lock_guard lock(mutex);
+        slots[i % window] = std::move(done);
+      }
+      slot_ready.notify_one();
+    }
+  };
+  std::vector<std::thread> pool;
+  const auto stop_and_join = [&] {
+    {
+      const std::lock_guard lock(mutex);
+      stop = true;
+    }
+    slot_free.notify_all();
+    for (auto& thread : pool) thread.join();
+  };
+  try {
+    pool.reserve(workers);
+    for (std::uint32_t t = 0; t < workers; ++t) pool.emplace_back(work);
+    while (consumed < count) {
+      Slot slot;
+      {
+        std::unique_lock lock(mutex);
+        Slot& waiting = slots[consumed % window];
+        slot_ready.wait(lock, [&] { return waiting.ready; });
+        slot = std::exchange(waiting, Slot{});
+        ++taken;
+      }
+      slot_free.notify_one();
+      if (slot.error) std::rethrow_exception(slot.error);
+      const bool more = consume(consumed, std::move(*slot.outcome));
+      ++consumed;
+      if (!more) break;
+    }
+  } catch (...) {
+    stop_and_join();
+    throw;
+  }
+  stop_and_join();
+  return consumed;
 }
 
 void RunBatch::for_each_index(

@@ -9,12 +9,15 @@
 // guarantees BIT-IDENTICAL results regardless of the thread count, because
 // parallelism only changes *when* a run executes, never what it computes.
 //
-// Early exit (one-sided detection) is also deterministic: the batch is cut
-// at r* = the lowest-indexed task that detects. Workers claim tasks in
-// index order, so every task with index <= r* is guaranteed to have run;
-// tasks beyond r* that a parallel worker happened to finish are discarded.
-// The reported result is therefore a pure function of the task list — the
-// same at --jobs 1, 4, or hardware_concurrency.
+// Both entry points hand outcomes over in task order. stream() passes each
+// one to a consumer on the calling thread as soon as every lower-indexed
+// one has been passed, and workers run at most 2 * jobs tasks ahead of it,
+// so a batch of any length holds a bounded number of outcomes; execute()
+// is stream() collecting them into a vector. Early exit (one-sided
+// detection) is therefore deterministic: the consumer stops at r* = the
+// lowest-indexed task that detects, and whatever a parallel worker
+// finished beyond r* is discarded. The result is a pure function of the
+// task list — the same at --jobs 1, 4, or hardware_concurrency.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +63,15 @@ class RunBatch {
   /// what a sequential loop would have surfaced.
   Result execute(const std::vector<Task>& tasks,
                  bool stop_after_detection = false) const;
+
+  /// Run task_at(i) for i = 0, 1, ... < count on the worker group and hand
+  /// each outcome to consume(i, outcome) on the calling thread, in index
+  /// order, until consume returns false. task_at is called from the
+  /// workers. Returns the number of outcomes consumed. A task's exception
+  /// is rethrown when the consumer reaches its index.
+  std::uint32_t stream(
+      std::uint32_t count, const std::function<Task(std::uint32_t)>& task_at,
+      const std::function<bool(std::uint32_t, RunOutcome&&)>& consume) const;
 
   /// Generic deterministic fan-out: invoke `fn(i)` for i in [0, count),
   /// distributed over the worker group. `fn` must only touch per-index

@@ -300,8 +300,8 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
     : net_(net),
       config_(net.config()),
       csr_(net.csr()),
-      rev_port_(net.rev_port()),
-      rev_edge_(net.rev_edge()),
+      rev_port_(net.edge_tables().rev_port),
+      rev_edge_(net.edge_tables().rev_edge),
       n_(net.topology().num_vertices()),
       seed_(seed),
       part_(Partition::build(csr_, std::max(1u, config_.shard.workers),
@@ -341,7 +341,7 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
         topology, v, net.ids()[v], seed, n_, namespace_size,
         config_.bandwidth, config_.broadcast_only,
         &workers_[part_.owner(v)].violations));
-    nodes_.back()->set_neighbor_ids(net.neighbor_ids_flat().data() +
+    nodes_.back()->set_neighbor_ids(net.edge_tables().neighbor_ids.data() +
                                     csr_.offsets[v]);
     nodes_.back()->attach_frames(
         inbox_arena_.payload_row(v), inbox_arena_.present_row(v),

@@ -124,77 +124,65 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
     return static_cast<std::uint64_t>(elapsed.count()) >= sup_.deadline_ms;
   };
 
-  const RunBatch batch(sup_.jobs);
-  const std::uint32_t wave_size = std::max(1u, resolve_jobs(sup_.jobs));
-  bool detected = combined.detected;
+  // One stream over every repetition this call may merge: the workers run
+  // ahead of the merge by a bounded window, and the merge — retries,
+  // stall reports, early exit and the deadline — happens here, in
+  // repetition order, so the answer is the same at every jobs count.
+  std::uint32_t call_reps = repetitions - start_rep;
+  if (sup_.max_reps_per_call != 0)
+    call_reps = std::min(call_reps, sup_.max_reps_per_call);
+  const auto rep_seed = [&](std::uint32_t rep) {
+    return derive_seed(net_.config().seed, 0x5eedULL + rep);
+  };
   std::uint32_t rep = start_rep;
-
-  std::uint32_t merged_this_call = 0;
-  while (rep < repetitions && !(sup_.early_exit && detected)) {
-    if (deadline_expired()) {
-      result.deadline_hit = true;
-      break;
-    }
-    std::uint32_t wave = std::min<std::uint32_t>(wave_size, repetitions - rep);
-    if (sup_.max_reps_per_call != 0) {
-      if (merged_this_call >= sup_.max_reps_per_call) {
-        result.paused = true;
-        break;
-      }
-      wave = std::min(wave, sup_.max_reps_per_call - merged_this_call);
-    }
-    std::vector<std::uint64_t> seeds(wave);
-    std::vector<RunBatch::Task> tasks(wave);
-    for (std::uint32_t i = 0; i < wave; ++i) {
-      seeds[i] = derive_seed(net_.config().seed, 0x5eedULL + (rep + i));
-      tasks[i] = {&net_, &factory, seeds[i]};
-    }
-    RunBatch::Result wave_result = batch.execute(tasks, sup_.early_exit);
-
-    std::uint32_t processed = 0;
-    for (std::uint32_t i = 0; i < wave; ++i) {
-      auto& slot = wave_result.outcomes[i];
-      if (!slot.has_value()) break;  // beyond the wave's early-exit cut
-      RunOutcome rep_outcome = std::move(*slot);
-      std::uint64_t merged_seed = seeds[i];
-      // Retry-with-reseed: deterministic seed chain off the repetition
-      // seed, so a resumed supervisor re-derives the same decisions.
-      std::uint32_t attempt = 0;
-      while (fault_killed(rep_outcome) && attempt < sup_.max_retries) {
-        merged_seed = derive_seed(seeds[i], 0x9e7ULL + attempt);
-        rep_outcome = net_.run(factory, merged_seed);
-        ++attempt;
-        ++result.retries_used;
-      }
-      const bool over_budget = sup_.round_budget != 0 &&
-                               rep_outcome.metrics.rounds >= sup_.round_budget;
-      if (fault_killed(rep_outcome) || over_budget) {
-        StallReport report;
-        report.repetition = rep + i;
-        report.seed = merged_seed;
-        report.rounds = rep_outcome.metrics.rounds;
-        report.stalled_nodes = static_cast<std::uint32_t>(
-            rep_outcome.faults.stalled_nodes.size());
-        report.watchdog = rep_outcome.faults.watchdog_stalls != 0;
-        report.over_budget = over_budget;
-        report.incomplete = !rep_outcome.completed;
-        report.counters = rep_outcome.metrics.counters;
-        if (obs::Telemetry* telemetry = net_.config().telemetry)
-          telemetry->record(obs::EventKind::StallReport, report.repetition,
-                            report.rounds, report.stalled_nodes);
-        result.stalls.push_back(std::move(report));
-      }
-      merge_amplified(combined, std::move(rep_outcome));
-      ++processed;
-      detected = combined.detected;
-      if (sup_.early_exit && detected) break;
-    }
-    rep += processed;
-    merged_this_call += processed;
+  if (!(sup_.early_exit && combined.detected))
+    RunBatch(sup_.jobs).stream(
+        call_reps,
+        [&](std::uint32_t i) {
+          return RunBatch::Task{&net_, &factory, rep_seed(start_rep + i)};
+        },
+        [&](std::uint32_t, RunOutcome&& rep_outcome) {
+          std::uint64_t merged_seed = rep_seed(rep);
+          // Retry-with-reseed: deterministic seed chain off the repetition
+          // seed, so a resumed supervisor re-derives the same decisions.
+          for (std::uint32_t attempt = 0;
+               fault_killed(rep_outcome) && attempt < sup_.max_retries;
+               ++attempt) {
+            merged_seed = derive_seed(rep_seed(rep), 0x9e7ULL + attempt);
+            rep_outcome = net_.run(factory, merged_seed);
+            ++result.retries_used;
+          }
+          const bool over_budget =
+              sup_.round_budget != 0 &&
+              rep_outcome.metrics.rounds >= sup_.round_budget;
+          if (fault_killed(rep_outcome) || over_budget) {
+            StallReport report;
+            report.repetition = rep;
+            report.seed = merged_seed;
+            report.rounds = rep_outcome.metrics.rounds;
+            report.stalled_nodes = static_cast<std::uint32_t>(
+                rep_outcome.faults.stalled_nodes.size());
+            report.watchdog = rep_outcome.faults.watchdog_stalls != 0;
+            report.over_budget = over_budget;
+            report.incomplete = !rep_outcome.completed;
+            report.counters = rep_outcome.metrics.counters;
+            if (obs::Telemetry* telemetry = net_.config().telemetry)
+              telemetry->record(obs::EventKind::StallReport, report.repetition,
+                                report.rounds, report.stalled_nodes);
+            result.stalls.push_back(std::move(report));
+          }
+          merge_amplified(combined, std::move(rep_outcome));
+          ++rep;
+          if (sup_.early_exit && combined.detected) return false;
+          result.deadline_hit = rep < repetitions && deadline_expired();
+          return !result.deadline_hit;
+        });
+  result.paused = sup_.max_reps_per_call != 0 && rep < repetitions &&
+                  !result.deadline_hit &&
+                  !(sup_.early_exit && combined.detected);
+  if (rep > start_rep)
     result.checkpoint = std::make_shared<Snapshot>(make_amplified_snapshot(
         identity, combined, rep, repetitions, result.retries_used));
-    if (processed < wave) break;  // early exit cut inside this wave
-  }
 
   combined.metrics.repetitions_skipped =
       repetitions - combined.metrics.repetitions_executed;

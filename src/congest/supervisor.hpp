@@ -2,15 +2,17 @@
 //
 // run_amplified answers "what does the algorithm say" for a batch of
 // repetitions; the Supervisor answers "keep a long batch alive and
-// restartable on real hardware". It drives repetitions through RunBatch in
-// waves and adds three robustness layers on top of the same aggregation
-// rules (merge_amplified, so the answer is bit-identical to run_amplified
-// when nothing goes wrong):
+// restartable on real hardware". It streams repetitions through one
+// RunBatch::stream call (workers run a bounded window ahead; the merge
+// happens in repetition order on the calling thread) and adds three
+// robustness layers on top of the same aggregation rules (merge_amplified,
+// so the answer is bit-identical to run_amplified when nothing goes wrong):
 //
 //   * deadlines — a per-repetition round budget (deterministic, checked on
 //     the merged outcomes in repetition order) and a wall-clock deadline
-//     (checked between waves; inherently nondeterministic, which is why it
-//     only ever cuts *scheduling*, never changes a merged repetition);
+//     (checked between repetitions; inherently nondeterministic, which is
+//     why it only ever cuts *scheduling*, never changes a merged
+//     repetition);
 //   * a stall watchdog — NetworkConfig::stall_window is applied to every
 //     repetition, and each repetition that ends stalled (watchdog cut,
 //     crashed-out, or over its round budget) is surfaced as a structured
@@ -21,8 +23,8 @@
 //     number, up to a budget. Retries never touch healthy repetitions, so
 //     the fault-free path stays byte-identical to run_amplified.
 //
-// Progress is checkpointed at repetition granularity: after every wave the
-// Supervisor snapshots the aggregate (csd-ckpt-v1, kind "amplified"), and
+// Progress is checkpointed at repetition granularity: at the end of a call
+// the Supervisor snapshots the aggregate (csd-ckpt-v1, kind "amplified"), and
 // Supervisor::resume continues from any such snapshot — same verdicts,
 // same FaultReport, same retry decisions — at any --jobs count.
 #pragma once
@@ -38,13 +40,15 @@
 namespace csd::congest {
 
 struct SupervisorConfig {
-  /// Worker threads per wave (RunBatch semantics: outcomes are
+  /// Worker threads (RunBatch semantics: outcomes are
   /// bit-identical at every value). 0 = one per hardware thread.
   unsigned jobs = 1;
-  /// Stop scheduling after the first detecting repetition (one-sided
-  /// detection; mirrors AmplifyOptions::early_exit).
+  /// Stop scheduling after the first repetition whose merged outcome —
+  /// after its retries — detects (one-sided detection; mirrors
+  /// AmplifyOptions::early_exit).
   bool early_exit = true;
-  /// Wall-clock deadline in milliseconds, checked between waves (0 = none).
+  /// Wall-clock deadline in milliseconds, checked between repetitions
+  /// (0 = none).
   /// On expiry the remaining repetitions are recorded as skipped, the
   /// aggregate-so-far is returned, and the checkpoint allows resuming.
   std::uint64_t deadline_ms = 0;
@@ -62,8 +66,8 @@ struct SupervisorConfig {
   /// Cap on repetitions merged by one run/resume call (0 = no cap): a
   /// deterministic pause point for driving a long batch in slices — run
   /// this many, checkpoint, come back later. Unlike the wall-clock
-  /// deadline this cut is reproducible at every --jobs count (waves are
-  /// shrunk to land exactly on it). Retries do not count against it.
+  /// deadline this cut is reproducible at every --jobs count (no
+  /// repetition past it is merged). Retries do not count against it.
   std::uint32_t max_reps_per_call = 0;
 };
 
@@ -98,8 +102,8 @@ struct SupervisedResult {
   /// `checkpoint` to continue the slice sequence.
   bool paused = false;
   std::vector<StallReport> stalls; ///< unhealthy repetitions, in order
-  /// Aggregate frozen after the last completed wave (kind "amplified");
-  /// null only when no wave completed. Feed to Supervisor::resume.
+  /// Aggregate frozen after the last merged repetition (kind "amplified");
+  /// null only when the call merged none. Feed to Supervisor::resume.
   std::shared_ptr<const Snapshot> checkpoint;
 };
 

@@ -1,6 +1,5 @@
 #include "obs/metrics_series.hpp"
 
-#include <algorithm>
 #include <istream>
 
 #include "obs/json.hpp"
@@ -14,67 +13,9 @@ std::uint64_t MetricsSample::counter(const std::string& name) const {
   return 0;
 }
 
-std::optional<std::pair<std::uint64_t, std::uint64_t>> MetricsSample::gauge(
-    const std::string& name) const {
-  for (const auto& [key, value] : gauges)
-    if (key == name) return value;
-  return std::nullopt;
-}
-
 std::uint64_t MetricsSeries::span_ms() const {
   if (samples.size() < 2) return 0;
   return samples.back().epoch_ms - samples.front().epoch_ms;
-}
-
-std::optional<double> MetricsSeries::rate_per_sec(
-    const std::string& name) const {
-  const std::uint64_t ms = span_ms();
-  if (ms == 0) return std::nullopt;
-  const std::uint64_t d = delta(name);
-  return static_cast<double>(d) * 1000.0 / static_cast<double>(ms);
-}
-
-std::uint64_t MetricsSeries::delta(const std::string& name) const {
-  if (samples.empty()) return 0;
-  const std::uint64_t last = samples.back().counter(name);
-  const std::uint64_t first = samples.front().counter(name);
-  return last >= first ? last - first : 0;
-}
-
-std::vector<const MetricsSample*> MetricsSeries::tail(double seconds) const {
-  std::vector<const MetricsSample*> out;
-  if (samples.empty()) return out;
-  const std::uint64_t end = samples.back().epoch_ms;
-  const auto window_ms = static_cast<std::uint64_t>(seconds * 1000.0);
-  const std::uint64_t cutoff = end > window_ms ? end - window_ms : 0;
-  for (const MetricsSample& sample : samples)
-    if (sample.epoch_ms >= cutoff) out.push_back(&sample);
-  if (out.empty()) out.push_back(&samples.back());
-  return out;
-}
-
-std::optional<std::uint64_t> histogram_percentile(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& buckets,
-    double p) {
-  std::uint64_t total = 0;
-  for (const auto& [bucket, count] : buckets) total += count;
-  if (total == 0) return std::nullopt;
-  const double target = std::clamp(p, 0.0, 100.0) / 100.0 *
-                        static_cast<double>(total);
-  std::uint64_t running = 0;
-  for (const auto& [bucket, count] : buckets) {
-    running += count;
-    if (static_cast<double>(running) >= target) {
-      if (bucket == 0) return 0;
-      // Exclusive upper bound of bucket i is 2^i; saturate at bucket 64.
-      return bucket >= 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << bucket);
-    }
-  }
-  const std::uint64_t last = buckets.back().first;
-  return last == 0 ? 0
-         : last >= 64 ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << last);
 }
 
 MetricsSeries parse_metrics_series(std::istream& is) {

@@ -1,13 +1,12 @@
 // Reader side of the csd-metrics-v2 JSONL series (obs/metrics_v2.hpp):
-// a strict parser plus the rate/percentile queries the post-mortem tooling
-// needs. Consumed by `csd postmortem` (tools/cli.cpp); the Python twin is
+// a strict parser. Consumed by `csd postmortem` (tools/cli.cpp), which
+// reads the samples and their span; the Python twin is
 // tools/postmortem_report.py — the two must render agreeing numbers, which
 // CI checks on induced-failure runs.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,8 +30,6 @@ struct MetricsSample {
       histograms;
 
   std::uint64_t counter(const std::string& name) const;
-  std::optional<std::pair<std::uint64_t, std::uint64_t>> gauge(
-      const std::string& name) const;
 };
 
 /// A parsed series, in file order (sample indices ascending).
@@ -45,26 +42,7 @@ struct MetricsSeries {
 
   /// Wall-clock span covered by the series, in milliseconds.
   std::uint64_t span_ms() const;
-
-  /// Average growth rate of `name` between the first and last sample, per
-  /// second. nullopt when fewer than two samples or zero elapsed time.
-  std::optional<double> rate_per_sec(const std::string& name) const;
-
-  /// Counter delta between the first and last sample (counters are
-  /// monotone, so this is total growth over the series).
-  std::uint64_t delta(const std::string& name) const;
-
-  /// Samples taken within the trailing `seconds` of the series (by
-  /// epoch_ms relative to the last sample). Always keeps the last sample.
-  std::vector<const MetricsSample*> tail(double seconds) const;
 };
-
-/// Upper edge of the bucket holding the p-th percentile (p in [0, 100]) of
-/// a pow2-bucket histogram; nullopt for an empty histogram. Bucket i >= 1
-/// reports 2^i (its exclusive upper bound), bucket 0 reports 0.
-std::optional<std::uint64_t> histogram_percentile(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& buckets,
-    double p);
 
 /// Strict parse of a csd-metrics-v2 JSONL stream. Throws CheckFailure on
 /// malformed lines or a wrong schema tag; an empty stream parses to an

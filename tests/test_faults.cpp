@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "congest/async.hpp"
 #include "congest/faults.hpp"
@@ -419,6 +420,57 @@ TEST(FaultReport, CleanAndSummary) {
   const std::string text = summarize(report);
   EXPECT_NE(text.find("dropped"), std::string::npos);
   EXPECT_NE(text.find("bandwidth"), std::string::npos);
+}
+
+TEST(FaultReport, MergeSumsCountersConcatenatesListsAndOrsSurvivors) {
+  FaultReport total;
+  total.frames_dropped = 1;
+  total.retransmissions = 2;
+  total.crashed_nodes = {4};
+  total.stalled_nodes = {1};
+  total.violations.push_back({ViolationKind::Bandwidth, 1, 3, "first"});
+  total.detected_by_survivors = true;
+
+  FaultReport later;
+  later.frames_dropped = 10;
+  later.frames_corrupted = 3;
+  later.checksum_rejects = 4;
+  later.duplicate_packets = 5;
+  later.duplicate_acks = 6;
+  later.transport_failures = 7;
+  later.replayed_pulses = 8;
+  later.watchdog_stalls = 1;
+  later.crashed_nodes = {0, 2};
+  later.recovered_nodes = {2};
+  later.stalled_nodes = {3};
+  later.violations.push_back({ViolationKind::ProgramFault, 0, 1, "second"});
+
+  total.merge(later);
+  EXPECT_EQ(total.frames_dropped, 11u);
+  EXPECT_EQ(total.frames_corrupted, 3u);
+  EXPECT_EQ(total.retransmissions, 2u);
+  EXPECT_EQ(total.checksum_rejects, 4u);
+  EXPECT_EQ(total.duplicate_packets, 5u);
+  EXPECT_EQ(total.duplicate_acks, 6u);
+  EXPECT_EQ(total.transport_failures, 7u);
+  EXPECT_EQ(total.replayed_pulses, 8u);
+  EXPECT_EQ(total.watchdog_stalls, 1u);
+  EXPECT_EQ(total.crashed_nodes, (std::vector<std::uint32_t>{4, 0, 2}));
+  EXPECT_EQ(total.recovered_nodes, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(total.stalled_nodes, (std::vector<std::uint32_t>{1, 3}));
+  ASSERT_EQ(total.violations.size(), 2u);
+  EXPECT_EQ(total.violations[0].detail, "first");
+  EXPECT_EQ(total.violations[1].detail, "second");
+  EXPECT_TRUE(total.detected_by_survivors);
+
+  // detected_by_survivors is an OR: a later surviving reject sets it.
+  FaultReport quiet;
+  FaultReport rejecting;
+  rejecting.detected_by_survivors = true;
+  quiet.merge(rejecting);
+  EXPECT_TRUE(quiet.detected_by_survivors);
+  quiet.merge(FaultReport{});
+  EXPECT_TRUE(quiet.detected_by_survivors);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "graph/builders.hpp"
 #include "graph/io.hpp"
+#include "obs/json.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tools/cli.hpp"
@@ -409,6 +410,172 @@ TEST(Cli, DetectSupervisedSliceResumeAndStallReports) {
   EXPECT_NE(text.find("[over-budget]"), std::string::npos);
   std::remove(path.c_str());
   std::remove(ckpt.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+// Every command reads a declared set of flags; any other flag exits 2 and
+// names the flag instead of running as if it were absent.
+TEST(Cli, SweepRejectsFaultAndTimerFlags) {
+  std::string text;
+  EXPECT_EQ(run_cli({"sweep", "cycle", "4", "--sizes", "16", "--reps", "2",
+                     "--drop", "0.5", "--timers"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("sweep does not read --drop"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("planted"), std::string::npos) << text;
+}
+
+TEST(Cli, DetectRejectsAMisspeltFlag) {
+  const std::string path = write_k6("csd_cli_misspelt.txt");
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--wokers", "4"}, &text), 2);
+  EXPECT_NE(text.find("does not read --wokers"), std::string::npos) << text;
+  EXPECT_EQ(text.find("verdict"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, SyncEngineRejectsTransportAndRecoveryFlags) {
+  const std::string path = write_k6("csd_cli_sync_transport.txt");
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--supervised", "--transport",
+                     "reliable", "--recover"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("sync engine does not read --transport"),
+            std::string::npos)
+      << text;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, SyncEngineRejectsCheckpointAt) {
+  const std::string path = write_k6("csd_cli_sync_ckpt.txt");
+  const std::string ckpt =
+      (std::filesystem::temp_directory_path() / "csd_cli_sync_ckpt.json")
+          .string();
+  std::remove(ckpt.c_str());
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--supervised",
+                     "--checkpoint", ckpt, "--checkpoint-at", "2"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("sync engine does not read --checkpoint-at"),
+            std::string::npos)
+      << text;
+  EXPECT_FALSE(std::filesystem::exists(ckpt));
+  std::remove(path.c_str());
+}
+
+TEST(Cli, GenerateRejectsSeedFlag) {
+  std::string text;
+  EXPECT_EQ(run_cli({"generate", "gnp", "16", "30", "7", "--seed", "99"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("generate does not read --seed"), std::string::npos)
+      << text;
+}
+
+TEST(Cli, SupervisedTimersArePrinted) {
+  const std::string path = write_k6("csd_cli_sup_timers.txt");
+  std::string text;
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "2",
+                     "--supervised", "--timers"},
+                    &text),
+            0);
+  EXPECT_NE(text.find("timers:     compute "), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+// The trace header's `program` is the detector, so `csd analyze` fits a C_4
+// and a C_5 run in different groups whichever engine wrote them.
+TEST(Cli, TraceProgramIsTheDetectorName) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = write_k6("csd_cli_program.txt");
+  const std::string trace = (dir / "csd_cli_program.jsonl").string();
+  const auto program = [&](std::vector<std::string> args) {
+    args.insert(args.end(), {"--trace", trace});
+    std::string text;
+    EXPECT_EQ(run_cli(args, &text), 0) << text;
+    std::istringstream lines(read_file(trace));
+    std::string header;
+    std::getline(lines, header);
+    return obs::Json::parse(header).at("meta").at("program").as_string();
+  };
+  EXPECT_EQ(program({"detect", "cycle", "4", path, "--reps", "2"}),
+            "even_cycle");
+  EXPECT_EQ(program({"detect", "cycle", "4", path, "--reps", "2",
+                     "--supervised"}),
+            "even_cycle");
+  EXPECT_EQ(program({"detect", "cycle", "4", path, "--reps", "2",
+                     "--transport", "reliable"}),
+            "even_cycle");
+  EXPECT_EQ(program({"detect", "cycle", "5", path, "--reps", "2",
+                     "--supervised"}),
+            "pipelined_cycle");
+  EXPECT_EQ(program({"detect", "cycle", "5", path, "--reps", "2",
+                     "--transport", "raw"}),
+            "pipelined_cycle");
+  std::remove(path.c_str());
+  std::remove(trace.c_str());
+}
+
+// A watchdog stall on the sync engine is also a stall report; the report
+// is the more specific reason, so it names the dump.
+TEST(Cli, SupervisedWatchdogStallDumpsStallReport) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_path3.txt").string();
+  const std::string blackbox = (dir / "csd_cli_stall_bb.json").string();
+  std::ofstream(path) << "3 2\n0 1\n1 2\n";
+  std::string text;
+  ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "1",
+                     "--supervised", "--stall-window", "4", "--crash", "1:0",
+                     "--blackbox", blackbox},
+                    &text),
+            0);
+  EXPECT_NE(text.find("[watchdog]"), std::string::npos) << text;
+  EXPECT_EQ(obs::Json::parse(read_file(blackbox)).at("reason").as_string(),
+            "stall-report");
+  std::remove(path.c_str());
+  std::remove(blackbox.c_str());
+}
+
+// `--supervised` alone selects the engine `detect` already runs, with
+// every supervisor setting at its default: the --json report (minus the
+// wall-clock env block) and the trace are byte-identical without it.
+TEST(Cli, SupervisedFlagAloneChangesNothing) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_forest.txt").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "tree", "256", "5", "--out", path}, &text),
+            0);
+  const auto outputs = [&](bool supervised) {
+    const std::string json = (dir / "csd_cli_sup_alone.json").string();
+    const std::string trace = (dir / "csd_cli_sup_alone.jsonl").string();
+    std::vector<std::string> args = {"detect", "cycle", "4", path,
+                                     "--reps", "8",     "--seed", "11",
+                                     "--jobs", "2",     "--json", json,
+                                     "--trace", trace};
+    if (supervised) args.push_back("--supervised");
+    EXPECT_EQ(run_cli(args, &text), 0) << text;
+    const obs::Json report = obs::Json::parse(read_file(json));
+    std::string digest;
+    for (const auto& [key, value] : report.members())
+      if (key != "env") digest += key + "=" + value.dump() + "\n";
+    return std::make_pair(digest, read_file(trace));
+  };
+  const auto plain = outputs(false);
+  const auto supervised = outputs(true);
+  EXPECT_EQ(supervised.first, plain.first);
+  EXPECT_EQ(supervised.second, plain.second);
+  EXPECT_NE(plain.second.find("\"program\":\"even_cycle\""),
+            std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the deterministic parallel run driver: bit-identical outcomes
-// across jobs counts, the early-exit cut, exception determinism, and the
-// repetition-aggregation rules of run_amplified.
+// across jobs counts, the early-exit cut, in-order streaming within a
+// bounded window, exception determinism, and the repetition-aggregation
+// rules of run_amplified.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,6 +123,43 @@ TEST(RunBatch, EarlyExitCutsAtLowestDetectingIndex) {
     EXPECT_TRUE(result.outcomes[first]->detected);
     for (std::size_t i = 0; i < first; ++i)
       EXPECT_FALSE(result.outcomes[i]->detected);
+  }
+}
+
+TEST(RunBatch, StreamHandsOutcomesOverInOrderWithinABoundedWindow) {
+  NetworkConfig cfg;
+  cfg.seed = 9;
+  const Network net(build::path(2), cfg);
+  const auto factory = coin_factory();
+  std::vector<RunBatch::Task> tasks;
+  for (std::uint32_t i = 0; i < 24; ++i)
+    tasks.push_back({&net, &factory, derive_seed(9, i)});
+  const auto reference = RunBatch(1).execute(tasks);
+
+  for (const unsigned jobs : {1u, 4u}) {
+    // The consumer stops after 20 outcomes; no worker may start a task
+    // more than 2 * jobs past the last one consumed (+1: the one the
+    // consumer holds), which is what bounds the outcomes held.
+    std::atomic<std::uint32_t> consumed{0};
+    std::atomic<bool> ran_ahead{false};
+    std::vector<RunOutcome> got;
+    const std::uint32_t n = RunBatch(jobs).stream(
+        24,
+        [&](std::uint32_t i) {
+          if (i > consumed.load() + 2 * jobs) ran_ahead = true;
+          return tasks[i];
+        },
+        [&](std::uint32_t i, RunOutcome&& outcome) {
+          EXPECT_EQ(i, got.size());
+          got.push_back(std::move(outcome));
+          consumed = i + 1;
+          return i + 1 < 20;
+        });
+    EXPECT_EQ(n, 20u);
+    EXPECT_FALSE(ran_ahead) << "jobs " << jobs;
+    ASSERT_EQ(got.size(), 20u);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      expect_same_outcome(got[i], *reference.outcomes[i]);
   }
 }
 

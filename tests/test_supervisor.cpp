@@ -1,6 +1,7 @@
 // Supervisor tests: parity with run_amplified on the healthy path,
-// jobs-invariance, retry-with-reseed, stall reports, round budgets, and
-// slice-wise pause/resume through amplified checkpoints.
+// jobs-invariance, early exit on the retried outcome, retry-with-reseed,
+// stall reports, round budgets, and slice-wise pause/resume through
+// amplified checkpoints.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,6 +121,41 @@ TEST(Supervisor, OutcomesAreJobsInvariant) {
     EXPECT_EQ(a.stalls[i].repetition, b.stalls[i].repetition);
     EXPECT_EQ(a.stalls[i].seed, b.stalls[i].seed);
     EXPECT_EQ(a.stalls[i].rounds, b.stalls[i].rounds);
+  }
+}
+
+TEST(Supervisor, EarlyExitFollowsTheRetriedOutcome) {
+  // Node 0 crashes at round 0, so every repetition is fault-killed and
+  // merged as its last retry. A repetition whose first attempt detects
+  // while its retry does not must not end the batch: early exit reads the
+  // merged outcome, at every jobs count and in one-repetition slices.
+  Rng rng(1);
+  const Graph g = build::gnp(20, 0.2, rng);
+  const auto factory = detect::pipelined_cycle_program(4);
+  NetworkConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_rounds = detect::pipelined_cycle_round_budget(20, 4) + 1;
+  cfg.seed = 3;
+  cfg.faults.crashes = {{0, 0}};
+  SupervisorConfig sup;
+  sup.max_retries = 2;
+  SupervisorConfig sliced = sup;
+  sliced.max_reps_per_call = 1;
+  const Supervisor slicer(g, cfg, sliced);
+  SupervisedResult reference = slicer.run(factory, 8);
+  while (reference.paused)
+    reference = slicer.resume(factory, 8, *reference.checkpoint);
+  ASSERT_TRUE(reference.outcome.detected);
+  // The case this test is about: an earlier first attempt detects.
+  const Network net(g, cfg);
+  ASSERT_TRUE(net.run(factory, derive_seed(cfg.seed, 0x5eedULL)).detected);
+  ASSERT_GT(reference.outcome.metrics.repetitions_executed, 1u);
+
+  for (const unsigned jobs : {1u, 4u}) {
+    sup.jobs = jobs;
+    const SupervisedResult result = Supervisor(g, cfg, sup).run(factory, 8);
+    expect_outcomes_equal(result.outcome, reference.outcome);
+    EXPECT_EQ(result.retries_used, reference.retries_used) << "jobs " << jobs;
   }
 }
 
@@ -262,6 +298,28 @@ TEST(Supervisor, SliceWiseResumeMatchesTheUninterruptedRun) {
   EXPECT_EQ(slices, 3);
 }
 
+TEST(Supervisor, ResumingAFinishedBatchMergesNothing) {
+  const Graph g = build::cycle(6);
+  const auto factory = detect::pipelined_cycle_program(3);
+  NetworkConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_rounds = 60;
+  cfg.seed = 23;
+  SupervisorConfig sup;
+  sup.early_exit = false;
+  const Supervisor supervisor(g, cfg, sup);
+  const SupervisedResult done = supervisor.run(factory, 3);
+  ASSERT_NE(done.checkpoint, nullptr);
+  EXPECT_EQ(done.checkpoint->amplified.next_repetition, 3u);
+  // Nothing is left to run, so there is no new checkpoint to write.
+  const SupervisedResult again =
+      supervisor.resume(factory, 3, *done.checkpoint);
+  EXPECT_EQ(again.checkpoint, nullptr);
+  EXPECT_FALSE(again.paused);
+  EXPECT_EQ(again.outcome.metrics.repetitions_executed, 3u);
+  EXPECT_EQ(again.outcome.verdicts, done.outcome.verdicts);
+}
+
 TEST(Supervisor, ResumeRejectsForeignOrMismatchedSnapshots) {
   const Graph g = build::cycle(6);
   const auto factory = detect::pipelined_cycle_program(3);
@@ -304,7 +362,7 @@ TEST(Supervisor, DeadlineCutsSchedulingButNeverTheAnswer) {
   SupervisedResult result = Supervisor(g, cfg, rushed).run(factory, 24);
   // Whether or not the wall clock expired (inherently nondeterministic),
   // the final aggregate after resuming must match the uninterrupted run:
-  // the deadline only ever cuts scheduling at a wave boundary.
+  // the deadline only ever cuts scheduling between repetitions.
   if (result.deadline_hit) {
     ASSERT_NE(result.checkpoint, nullptr);
     result = Supervisor(g, cfg, plain).resume(factory, 24, *result.checkpoint);

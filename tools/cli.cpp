@@ -1,5 +1,6 @@
 #include "tools/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <csignal>
@@ -9,7 +10,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "congest/async.hpp"
 #include "congest/run_batch.hpp"
@@ -56,60 +59,60 @@ commands:
        --out is given; --dimacs selects DIMACS output)
   stats <file>
       n, m, max degree, diameter, girth, degeneracy, bipartiteness
-  detect <pattern> <file> [--bandwidth B] [--seed S] [--reps R] [--jobs N]
+  detect <pattern> <file> [--bandwidth B] [--seed S] [--reps R]
          [--json FILE] [--trace FILE] [--per-edge] [--timers]
-         [--drop P] [--corrupt P] [--crash NODE:ROUND] [--transport T]
-         [--recover] [--rejoin-delay T] [--max-recoveries K]
-         [--stall-window W] [--checkpoint FILE] [--checkpoint-at P]
-         [--resume FILE] [--supervised] [--deadline MS] [--round-budget R]
-         [--retries K] [--max-reps-per-call M]
-         [--workers W] [--shard-policy range|hash] [--shard-counters]
+         [--drop P] [--corrupt P] [--crash NODE:ROUND] [--stall-window W]
+         [--checkpoint FILE] [--resume FILE]
          [--metrics-out FILE] [--metrics-period MS] [--blackbox FILE]
+         sync only:  [--jobs N] [--workers W] [--shard-policy range|hash]
+           [--shard-counters] [--supervised] [--deadline MS]
+           [--round-budget R] [--retries K] [--max-reps-per-call M]
+         async only: [--transport raw|reliable] [--recover]
+           [--rejoin-delay T] [--max-recoveries K] [--checkpoint-at P]
       pattern: cycle L | triangle | clique S | star D
-      runs the matching CONGEST algorithm and the exhaustive oracle.
-      --jobs N fans amplification repetitions over N worker threads
-      (0 = all hardware threads); verdicts and metrics are bit-identical
-      for every N. --json writes a csd-bench-v1 report; --trace writes the
-      per-round JSONL trace (both bit-identical for every --jobs count),
-      stamped with the instance parameters for `csd analyze`. --per-edge
-      adds per-edge congestion records to the trace; --timers reports
-      engine-internal wall-clock time (compute vs delivery vs transport).
-      fault flags (drop/corrupt probabilities in [0,1], --crash repeatable,
-      --transport raw|reliable) run the async engine under the given
-      FaultPlan and print a structured fault report. --recover lets
-      scheduled-crash nodes rejoin after --rejoin-delay virtual-time ticks
-      (inbox-log replay; --max-recoveries per node); --stall-window arms
-      the stall watchdog. --checkpoint FILE with --checkpoint-at P saves a
-      csd-ckpt-v1 snapshot at pulse P and --resume FILE continues a
-      snapshotted run bit-identically (single engine run: pass --reps 1
-      for amplified patterns). supervisor flags (--supervised, --deadline,
-      --round-budget, --retries, --max-reps-per-call) drive the amplified
-      batch through the run supervisor on the synchronous engine instead:
-      wall-clock and per-repetition round deadlines, structured stall
-      reports, retry-with-reseed for fault-killed repetitions, and
-      repetition-granular checkpoint/resume via --checkpoint/--resume.
-      --workers W shards each synchronous run across W superstep worker
-      threads (Pregel-style; --shard-policy picks the partitioner, default
-      range); verdicts, metrics, traces and snapshots are bit-identical
-      for every W and compose with --jobs and --supervised.
-      --shard-counters surfaces per-worker channel frame/byte counters in
-      the metrics and the trace summary (off by default: the counters are
-      worker-count-dependent by nature).
-      telemetry flags (csd-metrics-v2): --metrics-out FILE samples every
-      live counter/gauge/histogram into append-only JSONL every
-      --metrics-period ms (default 250); --blackbox FILE arms the flight
-      recorder — the recent engine-event ring is dumped as csd-blackbox-v1
-      JSON on any violation, watchdog stall, incomplete run, failed
-      resume, stall report, or fatal signal (and with reason clean-exit
-      otherwise). Always-on and write-only: verdicts, traces and
-      snapshots are bit-identical with or without the flags.
+      runs the matching CONGEST detector and the exhaustive oracle. Any
+      supervisor flag (--supervised, --deadline, --round-budget, --retries,
+      --max-reps-per-call) selects the sync engine; otherwise any of
+      --drop, --corrupt, --crash, --transport, --recover, --stall-window,
+      --checkpoint, --checkpoint-at, --resume selects the async one;
+      otherwise the run is sync. A flag the selected engine does not read
+      exits 2. --json writes a csd-bench-v1 report; --trace writes the
+      per-round JSONL trace stamped with the detector and the instance for
+      `csd analyze` (--per-edge adds per-edge congestion); --timers
+      reports engine wall time (compute vs delivery vs transport).
+      sync: repetitions run through the run supervisor over --jobs N
+      threads (0 = all hardware threads), each run sharded across
+      --workers W superstep threads (--shard-policy, default range;
+      --shard-counters adds the W-dependent per-worker channel counters);
+      everything is bit-identical for every N and W. The supervisor flags
+      add a wall-clock deadline, a per-repetition round budget, stall
+      reports (--stall-window arms the watchdog), retry-with-reseed and
+      pause points; --checkpoint/--resume save and continue
+      repetition-granular csd-ckpt-v1 snapshots.
+      async: repetitions run one after another under the FaultPlan
+      (--drop/--corrupt probabilities in [0,1], --crash repeatable) and
+      --transport (default raw); --recover lets crashed nodes rejoin after
+      --rejoin-delay ticks (inbox-log replay, --max-recoveries per node);
+      --stall-window arms the watchdog; --checkpoint FILE --checkpoint-at
+      P saves a snapshot at pulse P and --resume FILE continues it
+      bit-identically (one engine run: pass --reps 1 for amplified
+      patterns).
+      telemetry (csd-metrics-v2): --metrics-out FILE samples every live
+      metric into append-only JSONL every --metrics-period ms (default
+      250); --blackbox FILE dumps the flight recorder's recent events as
+      csd-blackbox-v1 JSON with the first reason that applies of
+      fault-violation, stall-report, watchdog-stall, incomplete-run,
+      clean-exit (a failed resume dumps resume-reject, a fatal signal
+      fatal-signal). Write-only: verdicts, traces and snapshots are
+      bit-identical with or without them.
   sweep cycle <L> [--sizes N1,N2,...] [--reps R] [--jobs N] [--seed S]
         [--bandwidth B] [--json FILE] [--trace FILE] [--per-edge]
         [--workers W] [--shard-policy range|hash] [--shard-counters]
         [--metrics-out FILE] [--metrics-period MS] [--blackbox FILE]
       planted-vs-control detection sweep over host sizes (random forest
-      hosts, planted C_L vs cycle-free control), repetitions fanned over
-      the parallel run driver; reports executed/skipped repetitions.
+      hosts, planted C_L vs cycle-free control) on the sync engine,
+      repetitions fanned over --jobs threads; reports executed/skipped
+      repetitions.
       --json writes one csd-bench-v1 report with a measurement per row;
       --trace concatenates every instance's JSONL trace into FILE, each
       header stamped with (program, n, len, instance, seed) for demuxing
@@ -153,12 +156,10 @@ commands:
 struct Invocation {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
-  bool has_flag(const std::string& name) const {
-    for (const auto& [k, v] : flags)
-      if (k == name) return true;
-    return false;
+  bool has_flag(std::string_view name) const {
+    return flag(name).has_value();
   }
-  std::optional<std::string> flag(const std::string& name) const {
+  std::optional<std::string> flag(std::string_view name) const {
     for (const auto& [k, v] : flags)
       if (k == name) return v;
     return std::nullopt;
@@ -185,6 +186,15 @@ Invocation parse(const std::vector<std::string>& args) {
     }
   }
   return inv;
+}
+
+/// Exit 2 naming the first flag `command` does not read, so a misspelt
+/// or misplaced flag never runs silently as its default.
+void check_flags(const Invocation& inv, std::string_view command,
+                 const std::vector<std::string_view>& reads) {
+  for (const auto& [name, value] : inv.flags)
+    CSD_CHECK_MSG(std::find(reads.begin(), reads.end(), name) != reads.end(),
+                  command << " does not read --" << name);
 }
 
 std::uint64_t to_u64(const std::string& s, const char* what) {
@@ -347,6 +357,7 @@ Graph generate(const Invocation& inv) {
 }
 
 int cmd_generate(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "generate", {"out", "dimacs"});
   const Graph g = generate(inv);
   const bool dimacs = inv.has_flag("dimacs");
   if (const auto path = inv.flag("out")) {
@@ -362,6 +373,7 @@ int cmd_generate(const Invocation& inv, std::ostream& out) {
 }
 
 int cmd_stats(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "stats", {});
   CSD_CHECK_MSG(inv.positional.size() == 2, "stats needs a file");
   const Graph g = io::load(inv.positional[1]);
   out << "vertices:    " << g.num_vertices() << '\n'
@@ -381,7 +393,9 @@ int cmd_stats(const Invocation& inv, std::ostream& out) {
   return 0;
 }
 
-double to_prob(const std::string& s, const char* what) {
+/// `want`, when given, ends the error message (e.g. the accepted range).
+double to_double(const std::string& s, const char* what,
+                 const char* want = "") {
   double value = 0.0;
   std::size_t pos = 0;
   try {
@@ -389,8 +403,15 @@ double to_prob(const std::string& s, const char* what) {
   } catch (const std::exception&) {
     pos = std::string::npos;
   }
-  CSD_CHECK_MSG(pos == s.size() && value >= 0.0 && value <= 1.0,
-                "bad " << what << ": '" << s << "' (want a number in [0,1])");
+  CSD_CHECK_MSG(pos == s.size(), "bad " << what << ": '" << s << "'" << want);
+  return value;
+}
+
+double to_prob(const std::string& s, const char* what) {
+  const char* const want = " (want a number in [0,1])";
+  const double value = to_double(s, what, want);
+  CSD_CHECK_MSG(value >= 0.0 && value <= 1.0,
+                "bad " << what << ": '" << s << "'" << want);
   return value;
 }
 
@@ -403,62 +424,69 @@ congest::CrashEvent to_crash(const std::string& s) {
           to_u64(s.substr(colon + 1), "crash round")};
 }
 
-/// Per-pattern plumbing shared by the faulty (async) and supervised (sync)
-/// detect paths: the program factory, the round/pulse budget, how many
-/// amplification repetitions the pattern wants, the exhaustive-oracle
-/// ground truth, and the human-readable algorithm label.
+/// The detector a pattern names, for `detect` and `sweep` alike: factory,
+/// round/pulse budget, amplification repetitions, exhaustive-oracle ground
+/// truth, the detector name stamped as the trace's `program` (`csd analyze`
+/// groups fits by it) and the human-readable algorithm label.
 struct PatternProgram {
   congest::ProgramFactory factory;
   std::uint64_t budget = 0;
   std::uint32_t runs = 1;  // deterministic detectors run once
   bool truth = false;
+  std::string program;
   std::string algorithm;
 };
 
-PatternProgram select_program(const Invocation& inv, const Graph& g,
-                              const std::string& pattern,
+/// `words` is the pattern as typed: triangle | clique S | cycle L | star D.
+PatternProgram select_program(const Graph& g,
+                              const std::vector<std::string>& words,
                               std::uint64_t bandwidth, std::uint32_t reps) {
   PatternProgram p;
+  const std::string& pattern = words.front();
+  const auto size = [&](const char* what) {
+    CSD_CHECK_MSG(words.size() == 2,
+                  "pattern " << pattern << " needs " << what);
+    return to_u32(words[1], what);
+  };
   const std::uint64_t n = g.num_vertices();
   if (pattern == "triangle" || pattern == "clique") {
-    std::uint32_t s = 3;
-    if (pattern == "clique") {
-      CSD_CHECK_MSG(inv.positional.size() == 4, "detect clique S FILE");
-      s = to_u32(inv.positional[2], "S");
-    }
+    const std::uint32_t s = pattern == "clique" ? size("S") : 3;
     p.factory = detect::clique_detect_program(s);
     p.budget =
         detect::clique_detect_round_budget(n, g.max_degree(), bandwidth) + 2;
     p.truth = oracle::has_clique(g, s);
+    p.program = "clique_detect";
     p.algorithm = "deterministic K_" + std::to_string(s) + " detector";
   } else if (pattern == "cycle") {
-    CSD_CHECK_MSG(inv.positional.size() == 4, "detect cycle L FILE");
-    const auto len = to_u32(inv.positional[2], "L");
+    const auto len = size("L");
     if (len >= 4 && len % 2 == 0) {
-      // even_cycle_program is one repetition; amplification is external
-      // (run_amplified on the sync path), so mirror it with `runs`.
       detect::EvenCycleConfig ec;
       ec.k = len / 2;
       p.factory = detect::even_cycle_program(ec);
-      p.budget = detect::make_even_cycle_schedule(n, ec).total_rounds() + 1;
+      // A one-vertex host budgets like n = 2, as detect_even_cycle does.
+      const std::uint64_t schedule_n = std::max<std::uint64_t>(2, n);
+      p.budget =
+          detect::make_even_cycle_schedule(schedule_n, ec).total_rounds() + 1;
+      p.program = "even_cycle";
       p.algorithm =
           "Theorem 1.1 sublinear C_" + std::to_string(len) + " detector";
     } else {
       p.factory = detect::pipelined_cycle_program(len);
       p.budget = detect::pipelined_cycle_round_budget(n, len) + 1;
+      p.program = "pipelined_cycle";
       p.algorithm =
           "pipelined color-coded C_" + std::to_string(len) + " detector";
     }
     p.runs = reps;
     p.truth = oracle::has_cycle_of_length(g, len);
   } else if (pattern == "star") {
-    CSD_CHECK_MSG(inv.positional.size() == 4, "detect star D FILE");
-    const auto d = to_u32(inv.positional[2], "D");
+    const auto d = size("D");
     const Graph tree = build::star(d);
     p.factory = detect::tree_detect_program(tree);
     p.budget = detect::tree_detect_round_budget(tree) + 1;
     p.runs = reps;
     p.truth = oracle::has_tree(g, tree);
+    p.program = "tree_detect";
     p.algorithm = "color-coded star-" + std::to_string(d) + " detector";
   } else {
     CSD_CHECK_MSG(false, "unknown pattern '" << pattern << "'");
@@ -466,7 +494,7 @@ PatternProgram select_program(const Invocation& inv, const Graph& g,
   return p;
 }
 
-/// FaultPlan construction + validation shared by the detect paths. `budget`
+/// FaultPlan construction + validation shared by both engines. `budget`
 /// is the round/pulse cap: a crash scheduled at or past it would never
 /// fire, which is almost certainly a typo — reject it loudly instead of
 /// silently running fault-free.
@@ -491,42 +519,145 @@ congest::FaultPlan parse_fault_plan(const Invocation& inv, const Graph& g,
   return plan;
 }
 
-/// Fault flags route `detect` through the asynchronous engine under the
-/// requested FaultPlan and wire discipline; the per-pattern detector and
-/// round budget stay the same as the fault-free path.
-int cmd_detect_faulty(const Invocation& inv, std::ostream& out, const Graph& g,
-                      const std::string& pattern, std::uint64_t bandwidth,
-                      std::uint64_t seed, std::uint32_t reps) {
-  const obs::WallTimer timer;
-  const auto json_path = inv.flag("json");
-  const auto trace_path = inv.flag("trace");
-  congest::AsyncConfig cfg;
-  cfg.bandwidth = bandwidth;
-  cfg.trace.enabled = trace_path.has_value();
-  cfg.trace.per_edge = inv.has_flag("per-edge");
-  cfg.trace.timers = inv.has_flag("timers");
+/// Run one engine call. A failed resume (digest mismatch, truncated
+/// snapshot) is a prime post-mortem moment: record it and dump before the
+/// error propagates.
+template <class EngineCall>
+auto dump_on_failed_resume(const Invocation& inv, TelemetrySession* session,
+                           std::ostream& out, const EngineCall& call) {
+  try {
+    return call();
+  } catch (const CheckFailure&) {
+    if (session != nullptr && inv.has_flag("resume")) {
+      session->get()->record(obs::EventKind::ResumeReject, 0, 0, 0);
+      session->dump("resume-reject", out);
+      session->finish(out);
+    }
+    throw;
+  }
+}
+
+/// The sync engine, for `detect` and `sweep` alike: the amplified batch
+/// through congest::Supervisor. Without supervisor flags every setting is
+/// at its default, which is the plain amplified run (early exit, no
+/// retries); aggregation follows run_amplified's rules either way.
+congest::SupervisedResult run_sync_engine(const Invocation& inv,
+                                          const Graph& g,
+                                          const PatternProgram& p,
+                                          const congest::NetworkConfig& cfg,
+                                          unsigned jobs,
+                                          TelemetrySession* session,
+                                          std::ostream& out) {
+  congest::SupervisorConfig sup;
+  sup.jobs = jobs;
+  sup.deadline_ms = to_u64(inv.flag("deadline").value_or("0"), "deadline");
+  sup.round_budget =
+      to_u64(inv.flag("round-budget").value_or("0"), "round-budget");
+  sup.max_retries = to_u32(inv.flag("retries").value_or("0"), "retries");
+  sup.max_reps_per_call = to_u32(
+      inv.flag("max-reps-per-call").value_or("0"), "max-reps-per-call");
+  const congest::Supervisor supervisor(g, cfg, sup);
+  const auto resume_path = inv.flag("resume");
+  return dump_on_failed_resume(inv, session, out, [&] {
+    return resume_path
+               ? supervisor.resume(p.factory, p.runs,
+                                   congest::load_snapshot(*resume_path))
+               : supervisor.run(p.factory, p.runs);
+  });
+}
+
+/// What the `detect` report prints, filled by one function per engine: the
+/// outcome both engines share and the pieces only one of them writes.
+struct DetectReport {
+  bool detected = false;
+  bool completed = true;
+  congest::FaultReport faults{};
+  std::vector<congest::StallReport> stalls{};
+  obs::EngineTimers timers{};
+  obs::RunTrace trace{};
+  std::shared_ptr<const congest::Snapshot> checkpoint{};
+  std::string engine{};      // the engine line
+  std::string accounting{};  // the lines after the oracle line
+  bool always_report_faults = false;
+  std::string miss_note{};        // when the run misses a present pattern
+  std::string checkpoint_note{};  // the checkpoint line's parenthetical
+  // Trace header keys written after `seed`; --json params and values.
+  std::vector<std::pair<std::string, std::string>> trace_meta{};
+  std::vector<std::pair<std::string, obs::Json>> params{}, values{};
+};
+
+/// The sync engine's side of the report.
+DetectReport sync_report(congest::SupervisedResult result, unsigned jobs,
+                         const congest::ShardSpec& shard) {
+  congest::RunOutcome& outcome = result.outcome;
+  const congest::RunMetrics& metrics = outcome.metrics;
+  DetectReport r{.detected = outcome.detected,
+                 .completed = outcome.completed,
+                 .faults = std::move(outcome.faults),
+                 .stalls = std::move(result.stalls),
+                 .timers = metrics.timers,
+                 .trace = std::move(outcome.trace),
+                 .checkpoint = result.checkpoint};
+  std::ostringstream os;
+  os << "sync, " << congest::resolve_jobs(jobs) << " worker thread(s)";
+  if (shard.workers != 0)
+    os << ", sharded (" << shard.workers << " worker(s), "
+       << congest::to_string(shard.policy) << " partition)";
+  r.engine = os.str();
+  os.str("");
+  os << "rounds:     " << metrics.rounds << '\n'
+     << "reps:       " << metrics.repetitions_executed << " executed, "
+     << metrics.repetitions_skipped << " skipped (of " << result.planned
+     << " planned)\n"
+     << "retries:    " << result.retries_used << '\n';
+  if (result.deadline_hit) os << "deadline:   HIT (wall clock expired)\n";
+  if (result.paused)
+    os << "paused:     yes — max-reps-per-call cut scheduling; resume "
+          "from the checkpoint\n";
+  r.accounting = os.str();
+  r.miss_note = "randomized detectors are one-sided; raise --reps";
+  r.checkpoint_note =
+      r.checkpoint == nullptr
+          ? "no repetition ran"
+          : "after repetition " +
+                std::to_string(r.checkpoint->amplified.next_repetition) +
+                " of " + std::to_string(result.planned);
+  r.trace_meta = {{"reps", std::to_string(metrics.repetitions_executed)}};
+  r.params = {{"engine", "sync"}};
+  r.values = {{"rounds", metrics.rounds},
+              {"messages", metrics.messages},
+              {"total_bits", metrics.total_bits},
+              {"max_message_bits", metrics.max_message_bits},
+              {"repetitions_executed", metrics.repetitions_executed},
+              {"repetitions_skipped", metrics.repetitions_skipped},
+              {"retries_used", result.retries_used},
+              {"stalled_repetitions",
+               static_cast<std::uint64_t>(r.stalls.size())},
+              {"deadline_hit", result.deadline_hit},
+              {"paused", result.paused}};
+  return r;
+}
+
+/// The async engine and its side of the report: the repetitions run one
+/// after another through run_async (or resume_async). With more than one,
+/// repetition r is seeded derive_seed(seed, 0x5eed + r) as on the sync
+/// engine, so a clean async run reproduces the sync verdict bit for bit; a
+/// single run uses `seed`. Pulses are the longest repetition's; bits,
+/// faults, timers and traces add up in repetition order.
+DetectReport run_async_engine(const Invocation& inv, const Graph& g,
+                              const PatternProgram& p,
+                              congest::AsyncConfig cfg, std::uint64_t seed,
+                              TelemetrySession* session, std::ostream& out) {
   const std::string transport = inv.flag("transport").value_or("raw");
   CSD_CHECK_MSG(transport == "raw" || transport == "reliable",
                 "--transport wants raw|reliable, got '" << transport << "'");
   cfg.transport = transport == "reliable" ? congest::TransportMode::Reliable
                                           : congest::TransportMode::Raw;
-  if (const auto w = inv.flag("stall-window"))
-    cfg.stall_window = to_u64(*w, "stall-window");
   cfg.recovery.enabled = inv.has_flag("recover");
   if (const auto d = inv.flag("rejoin-delay"))
     cfg.recovery.rejoin_delay = to_u64(*d, "rejoin-delay");
   if (const auto k = inv.flag("max-recoveries"))
     cfg.recovery.max_recoveries = to_u32(*k, "max-recoveries");
-
-  PatternProgram p = select_program(inv, g, pattern, bandwidth, reps);
-  out << "algorithm:  " << p.algorithm << '\n';
-  cfg.max_pulses = p.budget;
-  cfg.faults = parse_fault_plan(inv, g, p.budget);
-  const auto session = make_telemetry(inv);
-  cfg.telemetry = session ? session->get() : nullptr;
-  const congest::ProgramFactory& factory = p.factory;
-  const std::uint32_t runs = p.runs;
-  const bool truth = p.truth;
 
   // Checkpoint/resume freeze or continue ONE engine run; amplified
   // patterns must pin the repetition with --reps 1.
@@ -541,233 +672,175 @@ int cmd_detect_faulty(const Invocation& inv, std::ostream& out, const Graph& g,
                 "--checkpoint needs --checkpoint-at PULSE");
   CSD_CHECK_MSG(cfg.checkpoint_at_pulse == 0 || ckpt_path.has_value(),
                 "--checkpoint-at needs --checkpoint FILE");
-  CSD_CHECK_MSG((!ckpt_path && !resume_path) || runs == 1,
+  CSD_CHECK_MSG((!ckpt_path && !resume_path) || p.runs == 1,
                 "checkpoint/resume work on a single engine run; pass --reps 1"
                 " (or use --supervised for repetition-granular checkpoints)");
 
-  bool detected = false, survivors = false, all_completed = true;
-  std::uint64_t pulses = 0, payload = 0, transport_bits = 0;
-  congest::FaultReport total;
-  obs::RunTrace merged_trace;
-  obs::EngineTimers total_timers;
-  for (std::uint32_t r = 0; r < runs; ++r) {
-    // Same per-repetition seed schedule as run_amplified, so a clean async
-    // run reproduces the sync CLI verdict bit-for-bit.
-    cfg.seed = runs == 1 ? seed : derive_seed(seed, 0x5eedULL + r);
-    const auto outcome = [&] {
-      try {
-        return resume_path
-                   ? congest::resume_async(
-                         g, cfg, factory,
-                         congest::load_snapshot(*resume_path))
-                   : congest::run_async(g, cfg, factory);
-      } catch (const CheckFailure&) {
-        // A failed resume (digest mismatch, truncated snapshot) is a prime
-        // post-mortem moment: record it and dump before propagating.
-        if (session && resume_path) {
-          session->get()->record(obs::EventKind::ResumeReject, 0, 0, 0);
-          session->dump("resume-reject", out);
-          session->finish(out);
-        }
-        throw;
-      }
-    }();
-    if (ckpt_path) {
-      if (outcome.checkpoint != nullptr) {
-        congest::save_snapshot(*ckpt_path, *outcome.checkpoint);
-        out << "checkpoint: " << *ckpt_path << " (pulse "
-            << cfg.checkpoint_at_pulse << ")\n";
-      } else {
-        out << "checkpoint: not captured (run ended before pulse "
-            << cfg.checkpoint_at_pulse << ")\n";
-      }
-    }
-    merged_trace.append(outcome.trace);
-    detected |= outcome.detected;
-    survivors |= outcome.faults.detected_by_survivors;
-    all_completed &= outcome.completed;
+  DetectReport r;
+  std::uint64_t pulses = 0, payload_bits = 0, transport_bits = 0;
+  for (std::uint32_t rep = 0; rep < p.runs; ++rep) {
+    cfg.seed = p.runs == 1 ? seed : derive_seed(seed, 0x5eedULL + rep);
+    congest::AsyncRunOutcome outcome =
+        dump_on_failed_resume(inv, session, out, [&] {
+          return resume_path
+                     ? congest::resume_async(
+                           g, cfg, p.factory,
+                           congest::load_snapshot(*resume_path))
+                     : congest::run_async(g, cfg, p.factory);
+        });
+    r.detected |= outcome.detected;
+    r.completed &= outcome.completed;
     pulses = std::max(pulses, outcome.pulses);
-    payload += outcome.payload_bits;
+    payload_bits += outcome.payload_bits;
     transport_bits += outcome.transport_bits;
-    total_timers.merge(outcome.timers);
-    const auto& f = outcome.faults;
-    total.frames_dropped += f.frames_dropped;
-    total.frames_corrupted += f.frames_corrupted;
-    total.retransmissions += f.retransmissions;
-    total.checksum_rejects += f.checksum_rejects;
-    total.duplicate_packets += f.duplicate_packets;
-    total.duplicate_acks += f.duplicate_acks;
-    total.transport_failures += f.transport_failures;
-    total.replayed_pulses += f.replayed_pulses;
-    total.watchdog_stalls += f.watchdog_stalls;
-    total.crashed_nodes.insert(total.crashed_nodes.end(),
-                               f.crashed_nodes.begin(), f.crashed_nodes.end());
-    total.recovered_nodes.insert(total.recovered_nodes.end(),
-                                 f.recovered_nodes.begin(),
-                                 f.recovered_nodes.end());
-    total.stalled_nodes.insert(total.stalled_nodes.end(),
-                               f.stalled_nodes.begin(), f.stalled_nodes.end());
-    total.violations.insert(total.violations.end(), f.violations.begin(),
-                            f.violations.end());
+    r.timers.merge(outcome.timers);
+    r.trace.append(outcome.trace);
+    r.faults.merge(std::move(outcome.faults));
+    r.checkpoint = outcome.checkpoint;
   }
-  total.detected_by_survivors = survivors;
-
-  out << "engine:     async, " << transport << " transport, " << runs
-      << (runs == 1 ? " run" : " runs")
-      << (cfg.recovery.enabled ? ", crash recovery on" : "") << '\n';
-  if (resume_path) out << "resumed:    " << *resume_path << '\n';
-  out << "verdict:    " << (detected ? "REJECT (pattern found)" : "accept")
-      << '\n'
-      << "oracle:     " << (truth ? "pattern present" : "pattern absent")
-      << '\n'
-      << "completed:  " << (all_completed ? "yes" : "no (stalls or crashes)")
-      << '\n'
-      << "pulses:     " << pulses << '\n'
-      << "payload bits:   " << payload << '\n'
-      << "transport bits: " << transport_bits << '\n'
-      << "--- fault report (all runs) ---\n"
-      << congest::summarize(total);
-  if (detected && !truth) out << "WARNING: false positive (model bug?)\n";
-  if (!detected && truth)
-    out << "note: faults can mask the pattern; try --transport reliable\n";
-  if (total_timers.enabled)
-    out << "timers:     compute " << total_timers.compute_ns / 1000000.0
-        << " ms, delivery " << total_timers.delivery_ns / 1000000.0
-        << " ms, transport " << total_timers.transport_ns / 1000000.0
-        << " ms\n";
-
-  if (trace_path) {
-    merged_trace.set_meta("program", pattern);
-    merged_trace.set_meta("n", std::to_string(g.num_vertices()));
-    merged_trace.set_meta("engine", "async");
-    merged_trace.set_meta("transport", transport);
-    merged_trace.set_meta("seed", std::to_string(seed));
-    std::ofstream os(*trace_path);
-    CSD_CHECK_MSG(os.good(), "cannot write trace file '" << *trace_path
-                                                         << "'");
-    merged_trace.write_jsonl(os);
-    out << "trace:      " << *trace_path << '\n';
-  }
-  if (session) {
-    if (!total.violations.empty())
-      session->dump("fault-violation", out);
-    else if (total.watchdog_stalls != 0)
-      session->dump("watchdog-stall", out);
-    else if (!all_completed)
-      session->dump("incomplete-run", out);
-    session->finish(out);
-  }
-  if (json_path) {
-    obs::BenchReport report("csd_detect");
-    report.param("pattern", pattern)
-        .param("bandwidth", bandwidth)
-        .param("reps", runs)
-        .param("n", g.num_vertices())
-        .param("m", g.num_edges())
-        .param("transport", transport)
-        .param("engine", "async");
-    report.seed(seed);
-    report.measurement("detect")
-        .value("verdict", detected ? "reject" : "accept")
-        .value("oracle", truth)
-        .value("completed", all_completed)
-        .value("pulses", pulses)
-        .value("payload_bits", payload)
-        .value("transport_bits", transport_bits)
-        .value("frames_dropped", total.frames_dropped)
-        .value("frames_corrupted", total.frames_corrupted)
-        .value("retransmissions", total.retransmissions);
-    report.set_wall_clock_ms(timer.elapsed_ms());
-    report.write(*json_path);
-    out << "json:       " << *json_path << '\n';
-  }
-  return 0;
+  r.engine = "async, " + transport + " transport, " +
+             std::to_string(p.runs) + (p.runs == 1 ? " run" : " runs") +
+             (cfg.recovery.enabled ? ", crash recovery on" : "");
+  r.accounting = std::string("completed:  ") +
+                 (r.completed ? "yes" : "no (stalls or crashes)") +
+                 "\npulses:     " + std::to_string(pulses) +
+                 "\npayload bits:   " + std::to_string(payload_bits) +
+                 "\ntransport bits: " + std::to_string(transport_bits) + '\n';
+  r.always_report_faults = true;
+  r.miss_note = "faults can mask the pattern; try --transport reliable";
+  r.checkpoint_note =
+      (r.checkpoint == nullptr ? "run ended before pulse " : "pulse ") +
+      std::to_string(cfg.checkpoint_at_pulse);
+  r.params = {{"engine", "async"}, {"transport", transport}};
+  r.trace_meta = {{"reps", std::to_string(p.runs)},
+                  {"engine", "async"},
+                  {"transport", transport}};
+  r.values = {{"completed", r.completed},
+              {"pulses", pulses},
+              {"payload_bits", payload_bits},
+              {"transport_bits", transport_bits},
+              {"frames_dropped", r.faults.frames_dropped},
+              {"frames_corrupted", r.faults.frames_corrupted},
+              {"retransmissions", r.faults.retransmissions}};
+  return r;
 }
 
-/// Supervisor flags route `detect` through congest::Supervisor on the
-/// synchronous engine: the amplified batch gains wall-clock and per-
-/// repetition round deadlines, structured stall reports, retry-with-reseed
-/// for fault-killed repetitions, and repetition-granular checkpoint/resume.
-/// Aggregation follows run_amplified's exact rules, so a healthy supervised
-/// run answers bit-identically to the plain amplified path.
-int cmd_detect_supervised(const Invocation& inv, std::ostream& out,
-                          const Graph& g, const std::string& pattern,
-                          std::uint64_t bandwidth, std::uint64_t seed,
-                          std::uint32_t reps, unsigned jobs) {
+// `detect`'s flags, each listed once by the engines that read it. The
+// engine rule: any supervisor flag selects sync; otherwise any fault flag
+// or async-selecting flag selects async; otherwise the run is sync.
+using FlagSet = std::span<const std::string_view>;
+constexpr std::string_view kReportFlags[] = {  // both engines
+    "bandwidth", "seed", "reps", "json", "trace", "per-edge", "timers",
+    "metrics-out", "metrics-period", "blackbox"};
+constexpr std::string_view kFaultFlags[] = {  // both engines
+    "drop", "corrupt", "crash", "stall-window", "checkpoint", "resume"};
+constexpr std::string_view kSupervisorFlags[] = {  // sync only
+    "supervised", "deadline", "round-budget", "retries", "max-reps-per-call"};
+constexpr std::string_view kShardFlags[] = {  // sync only
+    "jobs", "workers", "shard-policy", "shard-counters"};
+constexpr std::string_view kAsyncSelectingFlags[] = {  // async only
+    "transport", "recover", "checkpoint-at"};
+constexpr std::string_view kRecoveryFlags[] = {  // async only
+    "rejoin-delay", "max-recoveries"};
+
+bool any_flag(const Invocation& inv, FlagSet names) {
+  return std::any_of(names.begin(), names.end(),
+                     [&](std::string_view name) { return inv.has_flag(name); });
+}
+
+bool selects_async(const Invocation& inv) {
+  return !any_flag(inv, kSupervisorFlags) &&
+         (any_flag(inv, kFaultFlags) || any_flag(inv, kAsyncSelectingFlags));
+}
+
+/// The flags `detect` reads on the engine selects_async picked.
+std::vector<std::string_view> detect_flags(bool async) {
+  std::vector<std::string_view> reads;
+  for (const FlagSet set :
+       {FlagSet(kReportFlags), FlagSet(kFaultFlags),
+        async ? FlagSet(kAsyncSelectingFlags) : FlagSet(kSupervisorFlags),
+        async ? FlagSet(kRecoveryFlags) : FlagSet(kShardFlags)})
+    reads.insert(reads.end(), set.begin(), set.end());
+  return reads;
+}
+
+int cmd_detect(const Invocation& inv, std::ostream& out) {
+  CSD_CHECK_MSG(inv.positional.size() >= 3,
+                "detect needs a pattern and a file");
+  const bool async = selects_async(inv);
+  check_flags(inv, async ? "detect on the async engine"
+                         : "detect on the sync engine",
+              detect_flags(async));
+
   const obs::WallTimer timer;
-  const PatternProgram p = select_program(inv, g, pattern, bandwidth, reps);
-  const std::uint32_t repetitions = p.runs == 1 ? 1 : reps;
-
-  congest::NetworkConfig cfg;
-  cfg.bandwidth = bandwidth;
-  cfg.max_rounds = p.budget;
-  cfg.seed = seed;
-  cfg.faults = parse_fault_plan(inv, g, p.budget);
-  const auto trace_path = inv.flag("trace");
-  cfg.trace.enabled = trace_path.has_value();
-  cfg.trace.per_edge = inv.has_flag("per-edge");
-  cfg.trace.timers = inv.has_flag("timers");
-
-  cfg.shard = parse_shard(inv);
-  const auto session = make_telemetry(inv);
-  cfg.telemetry = session ? session->get() : nullptr;
-
-  congest::SupervisorConfig sup;
-  sup.jobs = jobs;
-  sup.deadline_ms = to_u64(inv.flag("deadline").value_or("0"), "deadline");
-  sup.round_budget =
-      to_u64(inv.flag("round-budget").value_or("0"), "round-budget");
-  sup.stall_window =
+  const std::uint64_t bandwidth =
+      to_u64(inv.flag("bandwidth").value_or("64"), "bandwidth");
+  const std::uint64_t seed = to_u64(inv.flag("seed").value_or("1"), "seed");
+  const auto reps = to_u32(inv.flag("reps").value_or("400"), "reps");
+  const auto jobs = to_u32(inv.flag("jobs").value_or("1"), "jobs");
+  const congest::ShardSpec shard = parse_shard(inv);
+  const std::uint64_t stall_window =
       to_u64(inv.flag("stall-window").value_or("0"), "stall-window");
-  sup.max_retries = to_u32(inv.flag("retries").value_or("0"), "retries");
-  sup.max_reps_per_call = to_u32(
-      inv.flag("max-reps-per-call").value_or("0"), "max-reps-per-call");
+  const auto trace_path = inv.flag("trace");
+  obs::TraceOptions trace_opts;
+  trace_opts.enabled = trace_path.has_value();
+  trace_opts.per_edge = inv.has_flag("per-edge");
+  trace_opts.timers = inv.has_flag("timers");
 
-  const congest::Supervisor supervisor(g, cfg, sup);
-  const auto resume_path = inv.flag("resume");
-  const congest::SupervisedResult result = [&] {
-    try {
-      return resume_path
-                 ? supervisor.resume(p.factory, repetitions,
-                                     congest::load_snapshot(*resume_path))
-                 : supervisor.run(p.factory, repetitions);
-    } catch (const CheckFailure&) {
-      if (session && resume_path) {
-        session->get()->record(obs::EventKind::ResumeReject, 0, 0, 0);
-        session->dump("resume-reject", out);
-        session->finish(out);
-      }
-      throw;
-    }
-  }();
-  const congest::RunOutcome& outcome = result.outcome;
+  // The file is the last positional; the pattern words sit in between.
+  const Graph g = io::load(inv.positional.back());
+  CSD_CHECK_MSG(g.num_vertices() > 0,
+                "graph '" << inv.positional.back()
+                          << "' has no vertices — nothing to run on");
+  CSD_CHECK_MSG(reps >= 1, "--reps must be at least 1");
+  const PatternProgram p = select_program(
+      g, {inv.positional.begin() + 1, inv.positional.end() - 1}, bandwidth,
+      reps);
+  const congest::FaultPlan faults = parse_fault_plan(inv, g, p.budget);
+  const auto session = make_telemetry(inv);
+  obs::Telemetry* const telemetry = session ? session->get() : nullptr;
+
+  DetectReport r;
+  if (async) {
+    congest::AsyncConfig cfg;
+    cfg.bandwidth = bandwidth;
+    cfg.max_pulses = p.budget;
+    cfg.faults = faults;
+    cfg.trace = trace_opts;
+    cfg.stall_window = stall_window;
+    cfg.telemetry = telemetry;
+    r = run_async_engine(inv, g, p, cfg, seed, session.get(), out);
+  } else {
+    congest::NetworkConfig cfg;
+    cfg.bandwidth = bandwidth;
+    cfg.max_rounds = p.budget;
+    cfg.seed = seed;
+    cfg.faults = faults;
+    cfg.trace = trace_opts;
+    cfg.stall_window = stall_window;
+    cfg.shard = shard;
+    cfg.telemetry = telemetry;
+    r = sync_report(run_sync_engine(inv, g, p, cfg, jobs, session.get(), out),
+                    jobs, shard);
+  }
 
   out << "algorithm:  " << p.algorithm << '\n'
-      << "engine:     sync, supervised (" << congest::resolve_jobs(jobs)
-      << " worker thread(s))\n";
-  if (resume_path) out << "resumed:    " << *resume_path << '\n';
+      << "engine:     " << r.engine << '\n';
+  if (const auto resume_path = inv.flag("resume"))
+    out << "resumed:    " << *resume_path << '\n';
   out << "verdict:    "
-      << (outcome.detected ? "REJECT (pattern found)" : "accept") << '\n'
+      << (r.detected ? "REJECT (pattern found)" : "accept") << '\n'
       << "oracle:     " << (p.truth ? "pattern present" : "pattern absent")
       << '\n'
-      << "rounds:     " << outcome.metrics.rounds << '\n'
-      << "reps:       " << outcome.metrics.repetitions_executed
-      << " executed, " << outcome.metrics.repetitions_skipped
-      << " skipped (of " << result.planned << " planned)\n"
-      << "retries:    " << result.retries_used << '\n';
-  if (result.deadline_hit) out << "deadline:   HIT (wall clock expired)\n";
-  if (result.paused)
-    out << "paused:     yes — max-reps-per-call cut scheduling; resume "
-           "from the checkpoint\n";
-  if (!result.stalls.empty()) {
-    out << "stalls:     " << result.stalls.size() << '\n';
-    for (const auto& s : result.stalls) {
+      << r.accounting;
+  if (!r.stalls.empty()) {
+    out << "stalls:     " << r.stalls.size() << '\n';
+    for (const auto& s : r.stalls) {
       out << "  rep " << s.repetition << " (seed " << s.seed << "): rounds "
-          << s.rounds << ", " << s.stalled_nodes << " stalled node(s)";
-      if (s.watchdog) out << " [watchdog]";
-      if (s.over_budget) out << " [over-budget]";
-      if (s.incomplete) out << " [incomplete]";
-      out << '\n';
+          << s.rounds << ", " << s.stalled_nodes << " stalled node(s)"
+          << (s.watchdog ? " [watchdog]" : "")
+          << (s.over_budget ? " [over-budget]" : "")
+          << (s.incomplete ? " [incomplete]" : "") << '\n';
       // The repetition's counter scope travels with the report; the
       // shard_last_progress_w<N> entries (present with --workers W
       // --shard-counters) point at the worker that stopped advancing.
@@ -777,246 +850,62 @@ int cmd_detect_supervised(const Invocation& inv, std::ostream& out,
           out << "      " << name << " = " << value << '\n';
     }
   }
-  if (!outcome.faults.clean())
-    out << "--- fault report ---\n" << congest::summarize(outcome.faults);
-  if (outcome.detected && !p.truth)
-    out << "WARNING: false positive (model bug?)\n";
-
+  if (r.always_report_faults || !r.faults.clean())
+    out << "--- fault report ---\n" << congest::summarize(r.faults);
+  if (r.detected && !p.truth) out << "WARNING: false positive (model bug?)\n";
+  if (!r.detected && p.truth) out << "note: " << r.miss_note << '\n';
+  const auto ms = [](std::uint64_t ns) {
+    return static_cast<double>(ns) / 1000000.0;
+  };
+  if (r.timers.enabled)
+    out << "timers:     compute " << ms(r.timers.compute_ns)
+        << " ms, delivery " << ms(r.timers.delivery_ns) << " ms, transport "
+        << ms(r.timers.transport_ns) << " ms\n";
   if (const auto ckpt_path = inv.flag("checkpoint")) {
-    if (result.checkpoint != nullptr) {
-      congest::save_snapshot(*ckpt_path, *result.checkpoint);
-      out << "checkpoint: " << *ckpt_path << " (after repetition "
-          << result.checkpoint->amplified.next_repetition << " of "
-          << result.planned << ")\n";
-    } else {
-      out << "checkpoint: not captured (no wave completed)\n";
-    }
+    if (r.checkpoint) congest::save_snapshot(*ckpt_path, *r.checkpoint);
+    out << "checkpoint: " << (r.checkpoint ? *ckpt_path : "not captured")
+        << " (" << r.checkpoint_note << ")\n";
   }
   if (trace_path) {
-    obs::RunTrace trace = outcome.trace;
-    trace.set_meta("program", pattern);
-    trace.set_meta("n", std::to_string(g.num_vertices()));
-    trace.set_meta("engine", "sync-supervised");
-    trace.set_meta("seed", std::to_string(seed));
+    // Stamp the instance parameters into the header so `csd analyze` and
+    // tools/trace_report.py can demux and fit without a side channel.
+    r.trace.set_meta("program", p.program);
+    r.trace.set_meta("n", std::to_string(g.num_vertices()));
+    r.trace.set_meta("m", std::to_string(g.num_edges()));
+    r.trace.set_meta("bandwidth", std::to_string(bandwidth));
+    r.trace.set_meta("seed", std::to_string(seed));
+    for (const auto& [key, value] : r.trace_meta) r.trace.set_meta(key, value);
     std::ofstream os(*trace_path);
-    CSD_CHECK_MSG(os.good(),
-                  "cannot write trace file '" << *trace_path << "'");
-    trace.write_jsonl(os);
-    out << "trace:      " << *trace_path << '\n';
+    CSD_CHECK_MSG(os.good(), "cannot write trace file '" << *trace_path
+                                                         << "'");
+    r.trace.write_jsonl(os);
+    out << "trace:      " << *trace_path << " (" << r.trace.segments()
+        << " segment(s))\n";
   }
   if (session) {
-    if (!outcome.faults.violations.empty())
+    if (!r.faults.violations.empty())
       session->dump("fault-violation", out);
-    else if (!result.stalls.empty())
+    else if (!r.stalls.empty())
       session->dump("stall-report", out);
-    else if (outcome.faults.watchdog_stalls != 0)
+    else if (r.faults.watchdog_stalls != 0)
       session->dump("watchdog-stall", out);
+    else if (!r.completed)
+      session->dump("incomplete-run", out);
     session->finish(out);
   }
   if (const auto json_path = inv.flag("json")) {
     obs::BenchReport report("csd_detect");
-    report.param("pattern", pattern)
-        .param("bandwidth", bandwidth)
-        .param("reps", repetitions)
-        .param("n", g.num_vertices())
-        .param("m", g.num_edges())
-        .param("engine", "sync-supervised");
-    report.seed(seed);
-    report.measurement("detect")
-        .value("verdict", outcome.detected ? "reject" : "accept")
-        .value("oracle", p.truth)
-        .value("rounds", outcome.metrics.rounds)
-        .value("repetitions_executed", outcome.metrics.repetitions_executed)
-        .value("repetitions_skipped", outcome.metrics.repetitions_skipped)
-        .value("retries_used", result.retries_used)
-        .value("stalled_repetitions",
-               static_cast<std::uint64_t>(result.stalls.size()))
-        .value("deadline_hit", result.deadline_hit)
-        .value("paused", result.paused);
-    report.env("jobs", congest::resolve_jobs(jobs));
-    report.set_wall_clock_ms(timer.elapsed_ms());
-    report.write(*json_path);
-    out << "json:       " << *json_path << '\n';
-  }
-  return 0;
-}
-
-int cmd_detect(const Invocation& inv, std::ostream& out) {
-  CSD_CHECK_MSG(inv.positional.size() >= 3,
-                "detect needs a pattern and a file");
-  const obs::WallTimer timer;
-  const std::string& pattern = inv.positional[1];
-  const std::uint64_t bandwidth =
-      to_u64(inv.flag("bandwidth").value_or("64"), "bandwidth");
-  const std::uint64_t seed = to_u64(inv.flag("seed").value_or("1"), "seed");
-  const auto reps = to_u32(inv.flag("reps").value_or("400"), "reps");
-  const auto jobs = to_u32(inv.flag("jobs").value_or("1"), "jobs");
-  const auto json_path = inv.flag("json");
-  const auto trace_path = inv.flag("trace");
-  obs::TraceOptions trace_opts;
-  trace_opts.enabled = trace_path.has_value();
-  trace_opts.per_edge = inv.has_flag("per-edge");
-  trace_opts.timers = inv.has_flag("timers");
-
-  // The file is the last positional; `cycle L` / `clique S` / `star D`
-  // carry one parameter in between.
-  const Graph g = io::load(inv.positional.back());
-  CSD_CHECK_MSG(g.num_vertices() > 0,
-                "graph '" << inv.positional.back()
-                          << "' has no vertices — nothing to run on");
-  CSD_CHECK_MSG(reps >= 1, "--reps must be at least 1");
-
-  if (inv.has_flag("supervised") || inv.has_flag("deadline") ||
-      inv.has_flag("round-budget") || inv.has_flag("retries") ||
-      inv.has_flag("max-reps-per-call"))
-    return cmd_detect_supervised(inv, out, g, pattern, bandwidth, seed, reps,
-                                 jobs);
-  if (inv.has_flag("drop") || inv.has_flag("corrupt") ||
-      inv.has_flag("crash") || inv.has_flag("transport") ||
-      inv.has_flag("recover") || inv.has_flag("stall-window") ||
-      inv.has_flag("checkpoint") || inv.has_flag("checkpoint-at") ||
-      inv.has_flag("resume")) {
-    CSD_CHECK_MSG(!inv.has_flag("workers"),
-                  "--workers drives the synchronous engine; the fault flags "
-                  "select the async one (use --supervised to combine "
-                  "sharding with faults)");
-    return cmd_detect_faulty(inv, out, g, pattern, bandwidth, seed, reps);
-  }
-  const congest::ShardSpec shard = parse_shard(inv);
-  const auto session = make_telemetry(inv);
-  obs::Telemetry* const telemetry = session ? session->get() : nullptr;
-
-  bool detected = false, truth = false;
-  std::uint64_t rounds = 0;
-  std::uint32_t executed = 1, skipped = 0;
-  std::string program = pattern;
-  congest::RunOutcome outcome;
-  if (pattern == "triangle" || pattern == "clique") {
-    std::uint32_t s = 3;
-    if (pattern == "clique") {
-      CSD_CHECK_MSG(inv.positional.size() == 4, "detect clique S FILE");
-      s = to_u32(inv.positional[2], "S");
-    }
-    program = "clique_detect";
-    outcome = detect::detect_clique(g, s, bandwidth, seed, trace_opts, shard,
-                                    telemetry);
-    detected = outcome.detected;
-    rounds = outcome.metrics.rounds;
-    truth = oracle::has_clique(g, s);
-  } else if (pattern == "cycle") {
-    CSD_CHECK_MSG(inv.positional.size() == 4, "detect cycle L FILE");
-    const auto len = to_u32(inv.positional[2], "L");
-    if (len >= 4 && len % 2 == 0) {
-      detect::EvenCycleConfig cfg;
-      cfg.k = len / 2;
-      cfg.repetitions = reps;
-      cfg.amplify.jobs = jobs;
-      cfg.trace = trace_opts;
-      cfg.shard = shard;
-      cfg.telemetry = telemetry;
-      program = "even_cycle";
-      outcome = detect::detect_even_cycle(g, cfg, bandwidth, seed);
-      out << "algorithm:  Theorem 1.1 sublinear C_" << len << " detector\n";
-    } else {
-      detect::PipelinedCycleConfig cfg;
-      cfg.length = len;
-      cfg.repetitions = reps;
-      cfg.amplify.jobs = jobs;
-      cfg.trace = trace_opts;
-      cfg.shard = shard;
-      cfg.telemetry = telemetry;
-      program = "pipelined_cycle";
-      outcome = detect::detect_cycle_pipelined(g, cfg, bandwidth, seed);
-      out << "algorithm:  pipelined color-coded C_" << len << " detector\n";
-    }
-    detected = outcome.detected;
-    rounds = outcome.metrics.rounds;
-    executed = outcome.metrics.repetitions_executed;
-    skipped = outcome.metrics.repetitions_skipped;
-    truth = oracle::has_cycle_of_length(g, len);
-  } else if (pattern == "star") {
-    CSD_CHECK_MSG(inv.positional.size() == 4, "detect star D FILE");
-    const auto d = to_u32(inv.positional[2], "D");
-    detect::TreeDetectConfig cfg;
-    cfg.tree = build::star(d);
-    cfg.repetitions = reps;
-    cfg.amplify.jobs = jobs;
-    cfg.trace = trace_opts;
-    cfg.shard = shard;
-    cfg.telemetry = telemetry;
-    program = "tree_detect";
-    outcome = detect::detect_tree(g, cfg, bandwidth, seed);
-    detected = outcome.detected;
-    rounds = outcome.metrics.rounds;
-    executed = outcome.metrics.repetitions_executed;
-    skipped = outcome.metrics.repetitions_skipped;
-    truth = oracle::has_tree(g, cfg.tree);
-  } else {
-    CSD_CHECK_MSG(false, "unknown pattern '" << pattern << "'");
-  }
-
-  if (shard.workers != 0)
-    out << "engine:     sync, sharded (" << shard.workers << " worker(s), "
-        << congest::to_string(shard.policy) << " partition)\n";
-  out << "verdict:    " << (detected ? "REJECT (pattern found)" : "accept")
-      << '\n'
-      << "oracle:     " << (truth ? "pattern present" : "pattern absent")
-      << '\n'
-      << "rounds:     " << rounds << '\n';
-  if (executed != 1 || skipped != 0)
-    out << "reps:       " << executed << " executed, " << skipped
-        << " skipped (early exit)\n";
-  if (detected && !truth) out << "WARNING: false positive (model bug?)\n";
-  if (!detected && truth)
-    out << "note: randomized detectors are one-sided; raise --reps\n";
-  if (outcome.metrics.timers.enabled) {
-    const auto& timers = outcome.metrics.timers;
-    out << "timers:     compute " << timers.compute_ns / 1000000.0
-        << " ms, delivery " << timers.delivery_ns / 1000000.0
-        << " ms, transport " << timers.transport_ns / 1000000.0 << " ms\n";
-  }
-  if (session) {
-    if (!outcome.faults.violations.empty())
-      session->dump("fault-violation", out);
-    else if (outcome.faults.watchdog_stalls != 0)
-      session->dump("watchdog-stall", out);
-    session->finish(out);
-  }
-
-  if (trace_path) {
-    // Stamp the instance parameters into the header so `csd analyze` and
-    // tools/trace_report.py can demux and fit without a side channel.
-    outcome.trace.set_meta("program", program);
-    outcome.trace.set_meta("n", std::to_string(g.num_vertices()));
-    outcome.trace.set_meta("m", std::to_string(g.num_edges()));
-    outcome.trace.set_meta("bandwidth", std::to_string(bandwidth));
-    outcome.trace.set_meta("seed", std::to_string(seed));
-    outcome.trace.set_meta("reps", std::to_string(executed));
-    std::ofstream os(*trace_path);
-    CSD_CHECK_MSG(os.good(), "cannot write trace file '" << *trace_path
-                                                         << "'");
-    outcome.trace.write_jsonl(os);
-    out << "trace:      " << *trace_path << " ("
-        << outcome.trace.segments() << " segment(s))\n";
-  }
-  if (json_path) {
-    obs::BenchReport report("csd_detect");
-    report.param("pattern", pattern)
+    report.param("pattern", inv.positional[1])
         .param("bandwidth", bandwidth)
         .param("reps", reps)
         .param("n", g.num_vertices())
-        .param("m", g.num_edges())
-        .param("engine", "sync");
+        .param("m", g.num_edges());
+    for (auto& [key, value] : r.params) report.param(key, std::move(value));
     report.seed(seed);
-    report.measurement("detect")
-        .value("verdict", detected ? "reject" : "accept")
-        .value("oracle", truth)
-        .value("rounds", rounds)
-        .value("messages", outcome.metrics.messages)
-        .value("total_bits", outcome.metrics.total_bits)
-        .value("max_message_bits", outcome.metrics.max_message_bits)
-        .value("repetitions_executed", executed)
-        .value("repetitions_skipped", skipped);
+    auto& m = report.measurement("detect");
+    m.value("verdict", r.detected ? "reject" : "accept")
+        .value("oracle", p.truth);
+    for (auto& [key, value] : r.values) m.value(key, std::move(value));
     report.env("jobs", congest::resolve_jobs(jobs));
     report.env("workers", shard.workers);
     report.set_wall_clock_ms(timer.elapsed_ms());
@@ -1036,40 +925,17 @@ std::vector<std::uint64_t> parse_sizes(const std::string& csv) {
   return sizes;
 }
 
-congest::RunOutcome sweep_run_cycle(const Graph& g, std::uint32_t len,
-                                    std::uint32_t reps, unsigned jobs,
-                                    std::uint64_t bandwidth,
-                                    std::uint64_t seed,
-                                    const obs::TraceOptions& trace,
-                                    const congest::ShardSpec& shard,
-                                    obs::Telemetry* telemetry) {
-  if (len >= 4 && len % 2 == 0) {
-    detect::EvenCycleConfig cfg;
-    cfg.k = len / 2;
-    cfg.repetitions = reps;
-    cfg.amplify.jobs = jobs;
-    cfg.trace = trace;
-    cfg.shard = shard;
-    cfg.telemetry = telemetry;
-    return detect::detect_even_cycle(g, cfg, bandwidth, seed);
-  }
-  detect::PipelinedCycleConfig cfg;
-  cfg.length = len;
-  cfg.repetitions = reps;
-  cfg.amplify.jobs = jobs;
-  cfg.trace = trace;
-  cfg.shard = shard;
-  cfg.telemetry = telemetry;
-  return detect::detect_cycle_pipelined(g, cfg, bandwidth, seed);
-}
-
 /// Planted-vs-control C_L sweep over host sizes. For each n, a random
 /// labelled tree is the cycle-free control instance and the same tree with a
-/// planted C_L is the positive instance; both run through the amplified
-/// detector with repetitions fanned across `--jobs` worker threads. The
+/// planted C_L is the positive instance; both run through the sync engine
+/// with repetitions fanned across `--jobs` worker threads. The
 /// executed/skipped columns make the one-sided early exit visible: positive
 /// instances stop at the first rejecting repetition, controls run them all.
 int cmd_sweep(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "sweep",
+              {"sizes", "reps", "jobs", "seed", "bandwidth", "json", "trace",
+               "per-edge", "workers", "shard-policy", "shard-counters",
+               "metrics-out", "metrics-period", "blackbox"});
   CSD_CHECK_MSG(inv.positional.size() == 3 && inv.positional[1] == "cycle",
                 "sweep cycle L [--sizes N1,N2,...]");
   const auto len = to_u32(inv.positional[2], "L");
@@ -1085,9 +951,11 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
   const auto json_path = inv.flag("json");
   const auto trace_path = inv.flag("trace");
   const obs::WallTimer timer;
-  obs::TraceOptions trace_opts;
-  trace_opts.enabled = trace_path.has_value();
-  trace_opts.per_edge = inv.has_flag("per-edge");
+  congest::NetworkConfig cfg;
+  cfg.bandwidth = bandwidth;
+  cfg.seed = seed;
+  cfg.trace.enabled = trace_path.has_value();
+  cfg.trace.per_edge = inv.has_flag("per-edge");
   std::ofstream trace_os;
   if (trace_path) {
     trace_os.open(*trace_path);
@@ -1099,18 +967,18 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
       .param("reps", reps)
       .param("bandwidth", bandwidth)
       .param("sizes", inv.flag("sizes").value_or("32,64,128"));
-  const congest::ShardSpec shard = parse_shard(inv);
+  cfg.shard = parse_shard(inv);
   const auto session = make_telemetry(inv);
-  obs::Telemetry* const telemetry = session ? session->get() : nullptr;
+  cfg.telemetry = session ? session->get() : nullptr;
   report.seed(seed);
   report.env("jobs", congest::resolve_jobs(jobs));
-  report.env("workers", shard.workers);
+  report.env("workers", cfg.shard.workers);
 
   out << "C_" << len << " sweep: " << reps << " repetitions per instance, "
       << congest::resolve_jobs(jobs) << " worker thread(s)";
-  if (shard.workers != 0)
-    out << ", sharded engine (" << shard.workers << " worker(s), "
-        << congest::to_string(shard.policy) << " partition)";
+  if (cfg.shard.workers != 0)
+    out << ", sharded engine (" << cfg.shard.workers << " worker(s), "
+        << congest::to_string(cfg.shard.policy) << " partition)";
   out << '\n';
   Table table({"n", "instance", "verdict", "oracle", "executed", "skipped",
                "rounds", "max msg bits"});
@@ -1123,25 +991,27 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
                           host_rng);
     for (const bool positive : {true, false}) {
       const Graph& g = positive ? planted : control;
-      auto outcome = sweep_run_cycle(g, len, reps, jobs, bandwidth, seed,
-                                     trace_opts, shard, telemetry);
+      const PatternProgram p = select_program(
+          g, {inv.positional.begin() + 1, inv.positional.end()}, bandwidth,
+          reps);
+      cfg.max_rounds = p.budget;
+      congest::RunOutcome outcome =
+          run_sync_engine(inv, g, p, cfg, jobs, session.get(), out).outcome;
       table.row()
           .cell(n)
           .cell(positive ? "planted" : "control")
           .cell(outcome.detected ? "REJECT" : "accept")
-          .cell(oracle::has_cycle_of_length(g, len))
+          .cell(p.truth)
           .cell(outcome.metrics.repetitions_executed)
           .cell(outcome.metrics.repetitions_skipped)
           .cell(outcome.metrics.rounds)
           .cell(outcome.metrics.max_message_bits);
-      if (outcome.detected && !oracle::has_cycle_of_length(g, len))
+      if (outcome.detected && !p.truth)
         out << "WARNING: false positive at n=" << n << " (model bug?)\n";
       if (trace_path) {
         // One header per instance, stamped so downstream analysis can demux
         // the concatenated stream and fit rounds-vs-n per group.
-        outcome.trace.set_meta(
-            "program", len >= 4 && len % 2 == 0 ? "even_cycle"
-                                                : "pipelined_cycle");
+        outcome.trace.set_meta("program", p.program);
         outcome.trace.set_meta("len", std::to_string(len));
         outcome.trace.set_meta("n", std::to_string(n));
         outcome.trace.set_meta("instance", positive ? "planted" : "control");
@@ -1152,7 +1022,7 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
           .measurement("n" + std::to_string(n) + "/" +
                        (positive ? "planted" : "control"))
           .value("verdict", outcome.detected ? "reject" : "accept")
-          .value("oracle", oracle::has_cycle_of_length(g, len))
+          .value("oracle", p.truth)
           .value("repetitions_executed", outcome.metrics.repetitions_executed)
           .value("repetitions_skipped", outcome.metrics.repetitions_skipped)
           .value("rounds", outcome.metrics.rounds)
@@ -1171,18 +1041,6 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
   return 0;
 }
 
-double to_double(const std::string& s, const char* what) {
-  double value = 0.0;
-  std::size_t pos = 0;
-  try {
-    value = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  CSD_CHECK_MSG(pos == s.size(), "bad " << what << ": '" << s << "'");
-  return value;
-}
-
 std::string meta_label(const obs::TraceInstance& instance, std::size_t index) {
   if (instance.meta.empty()) return "instance " + std::to_string(index);
   std::string label;
@@ -1198,6 +1056,7 @@ std::string meta_label(const obs::TraceInstance& instance, std::size_t index) {
 /// csd-postmortem-v1 summary that tools/postmortem_report.py mirrors
 /// field-for-field (the CI fuzz-smoke gate asserts the two agree).
 int cmd_postmortem(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "postmortem", {"series", "last", "json"});
   CSD_CHECK_MSG(inv.positional.size() == 2,
                 "postmortem needs a blackbox file");
   std::ifstream is(inv.positional[1]);
@@ -1300,6 +1159,9 @@ int cmd_postmortem(const Invocation& inv, std::ostream& out) {
 /// `csd analyze`: the congestion/phase/fit report over a JSONL trace.
 /// Exit 1 iff --expect-exponent is given and some fitted group exceeds it.
 int cmd_analyze(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "analyze",
+              {"top", "cut", "chrome", "expect-exponent", "tol", "group",
+               "bootstrap", "seed"});
   CSD_CHECK_MSG(inv.positional.size() == 2, "analyze needs a trace file");
   std::ifstream is(inv.positional[1]);
   CSD_CHECK_MSG(is.good(),
@@ -1430,6 +1292,7 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
 }
 
 int cmd_list_cliques(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "list-cliques", {});
   CSD_CHECK_MSG(inv.positional.size() == 3, "list-cliques needs s and a file");
   const auto s = to_u32(inv.positional[1], "s");
   const Graph g = io::load(inv.positional[2]);
@@ -1442,6 +1305,7 @@ int cmd_list_cliques(const Invocation& inv, std::ostream& out) {
 }
 
 int cmd_fool(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "fool", {});
   CSD_CHECK_MSG(inv.positional.size() == 3, "fool needs N and c");
   lb::FoolingConfig cfg;
   cfg.namespace_size = to_u64(inv.positional[1], "N");
@@ -1467,6 +1331,7 @@ int cmd_fool(const Invocation& inv, std::ostream& out) {
 }
 
 int cmd_fuzz(const Invocation& inv, std::ostream& out) {
+  check_flags(inv, "fuzz", {"seconds", "seed", "cases", "corpus"});
   fuzz::FuzzOptions options;
   if (const auto s = inv.flag("seconds"))
     options.seconds = static_cast<double>(to_u64(*s, "seconds"));

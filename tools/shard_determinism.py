@@ -22,6 +22,10 @@ Both policies are exercised: range on the even-cycle instance, hash on
 the triangle instance (and vice versa on a second pass of each), so a
 policy-dependent merge bug cannot hide behind a lucky partition.
 
+The reference cell also runs with `--supervised` alone: `csd detect`
+runs every sync run through the run supervisor, so naming it changes
+nothing and its digests must equal the reference's too.
+
 --telemetry attaches the csd-metrics-v2 plane (--metrics-out sampler +
 --blackbox flight recorder, DESIGN.md §14) to every matrix cell while
 the inline reference stays uninstrumented — matching digests then also
@@ -64,7 +68,8 @@ def raw_digest(path: Path) -> str:
 
 def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
                 jobs: int, policy: str, tag: str,
-                telemetry: bool = False) -> tuple[str, str]:
+                telemetry: bool = False,
+                supervised: bool = False) -> tuple[str, str]:
     """Run one matrix cell; return (json digest, trace digest)."""
     json_path = workdir / f"{tag}.json"
     trace_path = workdir / f"{tag}.jsonl"
@@ -74,6 +79,8 @@ def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
            "--json", str(json_path), "--trace", str(trace_path)]
     if workers != 0:
         cmd += ["--workers", str(workers), "--shard-policy", policy]
+    if supervised:
+        cmd.append("--supervised")
     if telemetry:
         cmd += ["--metrics-out", str(workdir / f"{tag}.metrics.jsonl"),
                 "--metrics-period", "50",
@@ -129,6 +136,15 @@ def main() -> int:
                           f"{instance['name']}-ref")
         print(f"{instance['name']}: reference (inline run) "
               f"json={ref[0][:12]} trace={ref[1][:12]}")
+        sup = detect_cell(args.csd, instance, workdir, 0, 1, "range",
+                          f"{instance['name']}-ref-supervised",
+                          supervised=True)
+        status = "ok" if sup == ref else "MISMATCH"
+        print(f"  reference with --supervised: {status}")
+        if sup != ref:
+            failures += 1
+            print(f"    json:  {ref[0]} -> {sup[0]}\n"
+                  f"    trace: {ref[1]} -> {sup[1]}", file=sys.stderr)
         for w in workers:
             for j in jobs:
                 for policy in ("range", "hash"):
@@ -149,14 +165,14 @@ def main() -> int:
                                   file=sys.stderr)
 
     if failures:
-        print(f"FAIL: {failures} matrix cell(s) diverged from the inline "
-              f"run — the round kernel broke bit-identity across workers",
+        print(f"FAIL: {failures} cell(s) diverged from the inline run — "
+              f"the round kernel or the sync engine broke bit-identity",
               file=sys.stderr)
         return 1
     cells = len(instances) * len(workers) * len(jobs) * 2
     suffix = " (telemetry attached)" if args.telemetry else ""
-    print(f"OK: {cells} matrix cell(s) bit-identical to the inline "
-          f"run{suffix}")
+    print(f"OK: {cells} matrix cell(s) and the --supervised reference "
+          f"bit-identical to the inline run{suffix}")
     return 0
 
 
