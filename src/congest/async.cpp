@@ -13,26 +13,8 @@ namespace csd::congest {
 
 namespace {
 
-/// One wire-level occurrence: a data packet or ack arriving, a
-/// retransmission timer firing at the sender, or a crashed node rejoining.
-struct Event {
-  enum class Kind : std::uint8_t { Data, Ack, Timer, Recover };
-
-  std::uint64_t time = 0;
-  std::uint64_t seq = 0;  // FIFO/determinism tiebreak
-  Kind kind = Kind::Data;
-  // Directed link the event belongs to, sender side: (src, src_port).
-  std::uint32_t src = 0;
-  std::uint32_t src_port = 0;
-  // Receiver side (valid for Data; for Ack it is the original data sender).
-  std::uint32_t dst = 0;
-  std::uint32_t dst_port = 0;
-  std::uint64_t link_seq = 0;  // transport sequence number (Ack/Timer/Data)
-  DataPacket packet;           // Data only (raw mode leaves seq/crc zero)
-};
-
 struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
+  bool operator()(const EventRecord& a, const EventRecord& b) const {
     return a.time != b.time ? a.time > b.time : a.seq > b.seq;
   }
 };
@@ -182,7 +164,7 @@ class AsyncEngine {
       if (config_.checkpoint_at_pulse != 0 && outcome_.checkpoint == nullptr &&
           outcome_.pulses >= config_.checkpoint_at_pulse)
         capture_checkpoint();
-      const Event event = events_.top();
+      const EventRecord event = events_.top();
       if (config_.stall_window != 0 &&
           event.time > last_progress_vt_ + config_.stall_window * base_rto_) {
         // No delivery or recovery for stall_window RTOs of virtual time:
@@ -200,7 +182,7 @@ class AsyncEngine {
       const auto started = timing_ ? Clock::now() : Clock::time_point{};
       const std::uint64_t compute_before = outcome_.timers.compute_ns;
       switch (event.kind) {
-        case Event::Kind::Data:
+        case EventRecord::Kind::Data:
           outcome_.virtual_time = std::max(outcome_.virtual_time, event.time);
           last_progress_vt_ = std::max(last_progress_vt_, event.time);
           deliver_data(event);
@@ -208,7 +190,7 @@ class AsyncEngine {
           while (try_execute(event.dst)) {
           }
           break;
-        case Event::Kind::Ack:
+        case EventRecord::Kind::Ack:
           outcome_.virtual_time = std::max(outcome_.virtual_time, event.time);
           // A permanently crashed host's transport dies with it, but a
           // host with a pending recovery keeps its ARQ card: acks that
@@ -218,10 +200,10 @@ class AsyncEngine {
               !senders_[event.src][event.src_port].on_ack(event.link_seq))
             ++outcome_.faults.duplicate_acks;
           break;
-        case Event::Kind::Timer:
+        case EventRecord::Kind::Timer:
           handle_timer(event);
           break;
-        case Event::Kind::Recover:
+        case EventRecord::Kind::Recover:
           last_progress_vt_ = std::max(last_progress_vt_, event.time);
           handle_recover(event);
           // A node that died at pulse 0 replayed an empty history; pulse 0
@@ -236,8 +218,8 @@ class AsyncEngine {
       }
       if (timing_)
         add_delivery_time(started, compute_before,
-                          event.kind == Event::Kind::Ack ||
-                              event.kind == Event::Kind::Timer);
+                          event.kind == EventRecord::Kind::Ack ||
+                              event.kind == EventRecord::Kind::Timer);
       if (stopped_count_ == topology_.num_vertices() &&
           pending_recoveries_ == 0)
         break;
@@ -309,7 +291,7 @@ class AsyncEngine {
     return 1 + delay_rng_.below(config_.max_delay);
   }
 
-  void push_event(Event event) {
+  void push_event(EventRecord event) {
     event.seq = next_event_seq_++;
     events_.push(std::move(event));
   }
@@ -365,9 +347,9 @@ class AsyncEngine {
     std::uint64_t when = now + fresh_delay();
     when = std::max(when, link_watermark_[src][port] + 1);
     link_watermark_[src][port] = when;
-    Event event;
+    EventRecord event;
     event.time = when;
-    event.kind = Event::Kind::Data;
+    event.kind = EventRecord::Kind::Data;
     event.src = src;
     event.src_port = port;
     event.dst = csr_->row(src)[port];
@@ -379,9 +361,9 @@ class AsyncEngine {
 
   void arm_timer(std::uint32_t src, std::uint32_t port, std::uint64_t seq,
                  std::uint64_t now) {
-    Event event;
+    EventRecord event;
     event.time = now + senders_[src][port].timeout_for(seq, base_rto_);
-    event.kind = Event::Kind::Timer;
+    event.kind = EventRecord::Kind::Timer;
     event.src = src;
     event.src_port = port;
     event.link_seq = seq;
@@ -411,16 +393,16 @@ class AsyncEngine {
     std::uint64_t when = now + fresh_delay();
     when = std::max(when, link_watermark_[dst][dst_port] + 1);
     link_watermark_[dst][dst_port] = when;
-    Event event;
+    EventRecord event;
     event.time = when;
-    event.kind = Event::Kind::Ack;
+    event.kind = EventRecord::Kind::Ack;
     event.src = data_src;  // the node whose sender awaits this ack
     event.src_port = data_src_port;
     event.link_seq = seq;
     push_event(std::move(event));
   }
 
-  void deliver_data(const Event& event) {
+  void deliver_data(const EventRecord& event) {
     // A permanently dead host neither acks nor buffers: its packets fall
     // into the void and the senders' retry budgets eventually give up —
     // mirroring handle_timer, where a permanent crash kills the transport
@@ -463,7 +445,7 @@ class AsyncEngine {
     sync.local_time = std::max(sync.local_time, time);
   }
 
-  void handle_timer(const Event& event) {
+  void handle_timer(const EventRecord& event) {
     if (sync_[event.src].crashed) {
       if (sync_[event.src].recovery_pending) {
         // Timer parking: the host is down but scheduled to rejoin. Re-arm
@@ -471,7 +453,7 @@ class AsyncEngine {
         // attempt counter must not advance while the host is dead), so the
         // retransmission conversation resumes after the rejoin instead of
         // being abandoned.
-        Event parked = event;
+        EventRecord parked = event;
         parked.time = event.time + base_rto_;
         push_event(std::move(parked));
         return;
@@ -543,9 +525,9 @@ class AsyncEngine {
       ++sync.recoveries_used;
       sync.recovery_pending = true;
       ++pending_recoveries_;
-      Event event;
+      EventRecord event;
       event.time = sync.local_time + rejoin_delay_;
-      event.kind = Event::Kind::Recover;
+      event.kind = EventRecord::Kind::Recover;
       event.src = v;
       push_event(std::move(event));
     }
@@ -680,7 +662,7 @@ class AsyncEngine {
   }
 
   std::vector<std::optional<BitVec>>& log_row(Vertex v, std::uint64_t r) {
-    auto& entries = inbox_log_[v].entries;
+    auto& entries = inbox_log_[v];
     while (entries.size() <= r) entries.emplace_back(topology_.degree(v));
     return entries[r];
   }
@@ -695,17 +677,16 @@ class AsyncEngine {
                              const InboxLog& log, std::uint64_t pulses) {
     for (std::uint64_t r = 0; r < pulses; ++r) {
       node.clear_inbox();
-      if (r < log.entries.size())
-        for (std::uint32_t p = 0; p < log.entries[r].size(); ++p)
-          if (log.entries[r][p].has_value())
-            node.deliver(p, BitVec(*log.entries[r][p]));
+      if (r < log.size())
+        for (std::uint32_t p = 0; p < log[r].size(); ++p)
+          if (log[r][p].has_value()) node.deliver(p, BitVec(*log[r][p]));
       node.begin_round(r);
       program.on_round(node);
     }
     node.discard_outbox();
   }
 
-  void handle_recover(const Event& event) {
+  void handle_recover(const EventRecord& event) {
     const Vertex v = event.src;
     auto& sync = sync_[v];
     CSD_CHECK(sync.crashed && sync.recovery_pending);
@@ -769,39 +750,6 @@ class AsyncEngine {
     return h;
   }
 
-  static EventRecord to_record(const Event& event) {
-    EventRecord record;
-    record.time = event.time;
-    record.seq = event.seq;
-    record.kind = static_cast<std::uint8_t>(event.kind);
-    record.src = event.src;
-    record.src_port = event.src_port;
-    record.dst = event.dst;
-    record.dst_port = event.dst_port;
-    record.link_seq = event.link_seq;
-    record.packet_seq = event.packet.seq;
-    record.packet_crc = event.packet.crc;
-    record.frame = event.packet.frame;
-    return record;
-  }
-
-  static Event from_record(const EventRecord& record) {
-    CSD_CHECK_MSG(record.kind <= 3, "unknown event kind in snapshot");
-    Event event;
-    event.time = record.time;
-    event.seq = record.seq;
-    event.kind = static_cast<Event::Kind>(record.kind);
-    event.src = record.src;
-    event.src_port = record.src_port;
-    event.dst = record.dst;
-    event.dst_port = record.dst_port;
-    event.link_seq = record.link_seq;
-    event.packet.seq = record.packet_seq;
-    event.packet.crc = record.packet_crc;
-    event.packet.frame = record.frame;
-    return event;
-  }
-
   /// Freeze the complete engine between two scheduler events. Pure copies —
   /// no RNG consumed, no state mutated — so capture never perturbs the run.
   void capture_checkpoint(bool terminal = false) {
@@ -838,7 +786,7 @@ class AsyncEngine {
     }
     auto queue = events_;
     while (!queue.empty()) {
-      s.events.push_back(to_record(queue.top()));
+      s.events.push_back(queue.top());
       queue.pop();
     }
     s.next_event_seq = next_event_seq_;
@@ -917,8 +865,7 @@ class AsyncEngine {
         if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
       }
     }
-    for (const EventRecord& record : s.events)
-      events_.push(from_record(record));
+    for (const EventRecord& event : s.events) events_.push(event);
     next_event_seq_ = s.next_event_seq;
     delay_rng_.set_state(s.delay_rng);
     if (injector_.has_value()) injector_->restore_streams(s.fault_streams);
@@ -926,9 +873,9 @@ class AsyncEngine {
     stopped_count_ = s.stopped_count;
     pending_recoveries_ = s.pending_recoveries;
     Vertex pending = 0;
-    for (const EventRecord& record : s.events)
-      if (record.kind == 3) {  // Recover
-        sync_[record.src].recovery_pending = true;
+    for (const EventRecord& event : s.events)
+      if (event.kind == EventRecord::Kind::Recover) {
+        sync_[event.src].recovery_pending = true;
         ++pending;
       }
     CSD_CHECK_MSG(pending == pending_recoveries_,
@@ -971,7 +918,8 @@ class AsyncEngine {
   std::vector<SyncState> sync_;
   std::vector<std::vector<LinkSender>> senders_;      // reliable mode only
   std::vector<std::vector<LinkReceiver>> receivers_;  // reliable mode only
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  std::priority_queue<EventRecord, std::vector<EventRecord>, EventLater>
+      events_;
   std::uint64_t next_event_seq_ = 0;
   Vertex halted_count_ = 0;   // gracefully halted
   Vertex stopped_count_ = 0;  // halted or crashed

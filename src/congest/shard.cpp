@@ -377,7 +377,7 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
 
 std::vector<std::optional<BitVec>>& RoundKernel::log_row(Vertex v,
                                                         std::uint64_t r) {
-  auto& entries = inbox_log_[v].entries;
+  auto& entries = inbox_log_[v];
   while (entries.size() <= r) entries.emplace_back(csr_.row(v).size());
   return entries[r];
 }
@@ -412,7 +412,7 @@ void RoundKernel::replay(const SyncSnapshot& snap) {
     nodes_[v]->set_violation_sink(&replay_violations);
   const auto deliver_row = [&](Vertex v, std::uint64_t r) {
     nodes_[v]->clear_inbox();
-    const auto& entries = snap.inbox[v].entries;
+    const auto& entries = snap.inbox[v];
     if (r < entries.size())
       for (std::uint32_t p = 0; p < entries[r].size(); ++p)
         if (entries[r][p].has_value())
@@ -457,7 +457,7 @@ void RoundKernel::replay(const SyncSnapshot& snap) {
     nodes_[v]->set_violation_sink(&workers_[part_.owner(v)].violations);
     // The live inbox for round start_round is the last logged row.
     deliver_row(v, start_round_);
-    if (logging_) inbox_log_[v].entries = snap.inbox[v].entries;
+    if (logging_) inbox_log_[v] = snap.inbox[v];
   }
 }
 
@@ -734,7 +734,7 @@ void RoundKernel::take_checkpoint() {
   s.inbox.resize(n_);
   for (Vertex v = 0; v < n_; ++v) {
     log_row(v, round_);  // pad every log to round + 1 rows
-    s.inbox[v].entries = inbox_log_[v].entries;
+    s.inbox[v] = inbox_log_[v];
   }
   s.crashed.resize(n_);
   s.halted.resize(n_);

@@ -4,523 +4,179 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/codec.hpp"
 #include "support/check.hpp"
 
 namespace csd::congest {
 
 namespace {
 
-// ------------------------------------------------------- JSON helpers --
+// One field list per csd-ckpt-v1 record (obs/codec.hpp): the same list
+// writes a record and reads it back strictly.
 
-obs::Json bitvec_to_json(const BitVec& bits) {
-  obs::Json j = obs::Json::object();
-  j.set("n", static_cast<std::uint64_t>(bits.size()));
-  obs::Json words = obs::Json::array();
-  for (const std::uint64_t w : bits.words()) words.push(w);
-  j.set("w", std::move(words));
-  return j;
-}
+constexpr auto identity_fields = [](auto& io, auto& r) {
+  io("topology", r.topology);
+  io("config", r.config);
+  io("seed", r.seed);
+};
 
-BitVec bitvec_from_json(const obs::Json& j) {
-  const std::uint64_t n = j.at("n").as_uint();
-  BitVec bits;
-  std::uint64_t remaining = n;
-  for (const obs::Json& word : j.at("w").items()) {
-    const unsigned width =
-        remaining >= 64 ? 64u : static_cast<unsigned>(remaining);
-    CSD_CHECK_MSG(width > 0, "bit vector has more words than bits");
-    bits.append_bits(word.as_uint(), width);
-    remaining -= width;
+constexpr auto violation_fields = [](auto& io, auto& r) {
+  io("kind", r.kind, ViolationKind::ProgramFault);
+  io("node", r.node);
+  io("round", r.round);
+  io("detail", r.detail);
+};
+
+constexpr auto report_fields = [](auto& io, auto& r) {
+  io("frames_dropped", r.frames_dropped);
+  io("frames_corrupted", r.frames_corrupted);
+  io("retransmissions", r.retransmissions);
+  io("checksum_rejects", r.checksum_rejects);
+  io("duplicate_packets", r.duplicate_packets);
+  io("duplicate_acks", r.duplicate_acks);
+  io("transport_failures", r.transport_failures);
+  io("crashed_nodes", r.crashed_nodes);
+  io("recovered_nodes", r.recovered_nodes);
+  io("replayed_pulses", r.replayed_pulses);
+  io("watchdog_stalls", r.watchdog_stalls);
+  io("stalled_nodes", r.stalled_nodes);
+  io("violations", r.violations, violation_fields);
+  io("detected_by_survivors", r.detected_by_survivors);
+};
+
+constexpr auto frame_fields = [](auto& io, auto& r) {
+  io("p", r.pulse);
+  io("h", r.sender_halted);
+  io("pl", r.payload);
+};
+
+constexpr auto pending_fields = [](auto& io, auto& r) {
+  io("seq", r.seq);
+  io("frame", r.frame, frame_fields);
+  io("crc", r.crc);
+  io("attempts", r.attempts);
+};
+
+constexpr auto sender_fields = [](auto& io, auto& r) {
+  io("next_seq", r.next_seq);
+  io("pending", r.pending, pending_fields);
+};
+
+constexpr auto reorder_fields = [](auto& io, auto& r) {
+  io("seq", r.seq);
+  io("frame", r.frame, frame_fields);
+};
+
+constexpr auto receiver_fields = [](auto& io, auto& r) {
+  io("next_expected", r.next_expected);
+  io("reorder", r.reorder, reorder_fields);
+};
+
+constexpr auto sync_fields = [](auto& io, auto& r) {
+  io("identity", r.identity, identity_fields);
+  io("round", r.round);
+  io("inbox", r.inbox);
+  io("crashed", r.crashed);
+  io("halted", r.halted);
+  io("messages", r.messages);
+  io("total_bits", r.total_bits);
+  io("max_message_bits", r.max_message_bits);
+  io("bits_sent_by_node", r.bits_sent_by_node);
+  io("trace_bytes", r.trace_bytes);
+  io("faults", r.faults, report_fields);
+  io("fault_streams", r.fault_streams);
+};
+
+constexpr auto event_fields = [](auto& io, auto& r) {
+  io("t", r.time);
+  io("q", r.seq);
+  io("k", r.kind, EventRecord::Kind::Recover);
+  io("s", r.src);
+  io("sp", r.src_port);
+  io("d", r.dst);
+  io("dp", r.dst_port);
+  io("ls", r.link_seq);
+  if (r.kind == EventRecord::Kind::Data) {
+    io("ps", r.packet.seq);
+    io("pc", r.packet.crc);
+    io("f", r.packet.frame, frame_fields);
   }
-  CSD_CHECK_MSG(remaining == 0, "bit vector has fewer words than bits");
-  return bits;
-}
+};
 
-obs::Json payload_to_json(const std::optional<BitVec>& payload) {
-  if (!payload.has_value()) return obs::Json();
-  return bitvec_to_json(*payload);
-}
+constexpr auto async_node_fields = [](auto& io, auto& r) {
+  io("pulse", r.pulse);
+  io("local_time", r.local_time);
+  io("arrived", r.arrived, frame_fields);
+  io("port_dead", r.port_dead);
+  io("running", r.running);
+  io("crashed", r.crashed);
+  io("halted", r.halted);
+  io("crash_done", r.crash_done);
+  io("recoveries_used", r.recoveries_used);
+  io("inbox", r.inbox);
+  io("senders", r.senders, sender_fields);
+  io("receivers", r.receivers, receiver_fields);
+  io("link_watermark", r.link_watermark);
+};
 
-std::optional<BitVec> payload_from_json(const obs::Json& j) {
-  if (j.is_null()) return std::nullopt;
-  return bitvec_from_json(j);
-}
+constexpr auto async_fields = [](auto& io, auto& r) {
+  io("identity", r.identity, identity_fields);
+  io("nodes", r.nodes, async_node_fields);
+  io("events", r.events, event_fields);
+  io("next_event_seq", r.next_event_seq);
+  io("delay_rng", r.delay_rng);
+  io("fault_streams", r.fault_streams);
+  io("halted_count", r.halted_count);
+  io("stopped_count", r.stopped_count);
+  io("pending_recoveries", r.pending_recoveries);
+  io("pulses", r.pulses);
+  io("virtual_time", r.virtual_time);
+  io("payload_bits", r.payload_bits);
+  io("overhead_bits", r.overhead_bits);
+  io("frames", r.frames);
+  io("transport_bits", r.transport_bits);
+  io("acks", r.acks);
+  io("terminal", r.terminal);
+  io("faults", r.faults, report_fields);
+};
 
-obs::Json rng_to_json(const RngState& state) {
-  obs::Json j = obs::Json::array();
-  for (const std::uint64_t word : state) j.push(word);
-  return j;
-}
+constexpr auto amplified_fields = [](auto& io, auto& r) {
+  io("identity", r.identity, identity_fields);
+  io("next_repetition", r.next_repetition);
+  io("repetitions", r.repetitions);
+  io("completed", r.completed);
+  io("detected", r.detected);
+  io("verdict_reject", r.verdict_reject);
+  io("rounds", r.rounds);
+  io("messages", r.messages);
+  io("total_bits", r.total_bits);
+  io("max_message_bits", r.max_message_bits);
+  io("bits_sent_by_node", r.bits_sent_by_node);
+  io("repetitions_executed", r.repetitions_executed);
+  io("repetitions_skipped", r.repetitions_skipped);
+  io("trace_bytes", r.trace_bytes);
+  io("retries_used", r.retries_used);
+  io("faults", r.faults, report_fields);
+};
 
-RngState rng_from_json(const obs::Json& j) {
-  CSD_CHECK_MSG(j.items().size() == 4, "RNG state must have 4 words");
-  RngState state{};
-  for (std::size_t i = 0; i < 4; ++i) state[i] = j.items()[i].as_uint();
-  return state;
-}
+constexpr std::array<const char*, 3> kKindNames = {"sync", "async",
+                                                   "amplified"};
 
-obs::Json streams_to_json(
-    const std::vector<std::vector<RngState>>& streams) {
-  obs::Json j = obs::Json::array();
-  for (const auto& per_port : streams) {
-    obs::Json row = obs::Json::array();
-    for (const auto& state : per_port) row.push(rng_to_json(state));
-    j.push(std::move(row));
+constexpr auto snapshot_fields = [](auto& io, auto& r) {
+  io.tag("schema", kSnapshotSchema);
+  io("kind", r.kind, kKindNames);
+  switch (r.kind) {
+    case Snapshot::Kind::Sync:
+      io("state", r.sync, sync_fields);
+      break;
+    case Snapshot::Kind::Async:
+      io("state", r.async_state, async_fields);
+      break;
+    case Snapshot::Kind::Amplified:
+      io("state", r.amplified, amplified_fields);
+      break;
   }
-  return j;
-}
-
-std::vector<std::vector<RngState>> streams_from_json(const obs::Json& j) {
-  std::vector<std::vector<RngState>> streams;
-  streams.reserve(j.items().size());
-  for (const obs::Json& row : j.items()) {
-    auto& per_port = streams.emplace_back();
-    per_port.reserve(row.items().size());
-    for (const obs::Json& state : row.items())
-      per_port.push_back(rng_from_json(state));
-  }
-  return streams;
-}
-
-obs::Json u64s_to_json(const std::vector<std::uint64_t>& values) {
-  obs::Json j = obs::Json::array();
-  for (const std::uint64_t v : values) j.push(v);
-  return j;
-}
-
-std::vector<std::uint64_t> u64s_from_json(const obs::Json& j) {
-  std::vector<std::uint64_t> values;
-  values.reserve(j.items().size());
-  for (const obs::Json& v : j.items()) values.push_back(v.as_uint());
-  return values;
-}
-
-obs::Json u32s_to_json(const std::vector<std::uint32_t>& values) {
-  obs::Json j = obs::Json::array();
-  for (const std::uint32_t v : values) j.push(v);
-  return j;
-}
-
-std::vector<std::uint32_t> u32s_from_json(const obs::Json& j) {
-  std::vector<std::uint32_t> values;
-  values.reserve(j.items().size());
-  for (const obs::Json& v : j.items())
-    values.push_back(static_cast<std::uint32_t>(v.as_uint()));
-  return values;
-}
-
-obs::Json u8s_to_json(const std::vector<std::uint8_t>& values) {
-  obs::Json j = obs::Json::array();
-  for (const std::uint8_t v : values) j.push(static_cast<std::uint64_t>(v));
-  return j;
-}
-
-std::vector<std::uint8_t> u8s_from_json(const obs::Json& j) {
-  std::vector<std::uint8_t> values;
-  values.reserve(j.items().size());
-  for (const obs::Json& v : j.items())
-    values.push_back(static_cast<std::uint8_t>(v.as_uint()));
-  return values;
-}
-
-obs::Json frame_to_json(const Frame& frame) {
-  obs::Json j = obs::Json::object();
-  j.set("p", frame.pulse);
-  j.set("h", frame.sender_halted);
-  j.set("pl", payload_to_json(frame.payload));
-  return j;
-}
-
-Frame frame_from_json(const obs::Json& j) {
-  Frame frame;
-  frame.pulse = j.at("p").as_uint();
-  frame.sender_halted = j.at("h").as_bool();
-  frame.payload = payload_from_json(j.at("pl"));
-  return frame;
-}
-
-obs::Json inbox_log_to_json(const InboxLog& log) {
-  obs::Json rounds = obs::Json::array();
-  for (const auto& row : log.entries) {
-    obs::Json ports = obs::Json::array();
-    for (const auto& payload : row) ports.push(payload_to_json(payload));
-    rounds.push(std::move(ports));
-  }
-  return rounds;
-}
-
-InboxLog inbox_log_from_json(const obs::Json& j) {
-  InboxLog log;
-  log.entries.reserve(j.items().size());
-  for (const obs::Json& row : j.items()) {
-    auto& ports = log.entries.emplace_back();
-    ports.reserve(row.items().size());
-    for (const obs::Json& payload : row.items())
-      ports.push_back(payload_from_json(payload));
-  }
-  return log;
-}
-
-obs::Json identity_to_json(const SnapshotIdentity& identity) {
-  obs::Json j = obs::Json::object();
-  j.set("topology", identity.topology);
-  j.set("config", identity.config);
-  j.set("seed", identity.seed);
-  return j;
-}
-
-SnapshotIdentity identity_from_json(const obs::Json& j) {
-  SnapshotIdentity identity;
-  identity.topology = j.at("topology").as_uint();
-  identity.config = j.at("config").as_uint();
-  identity.seed = j.at("seed").as_uint();
-  return identity;
-}
-
-obs::Json report_to_json(const FaultReport& report) {
-  obs::Json j = obs::Json::object();
-  j.set("frames_dropped", report.frames_dropped);
-  j.set("frames_corrupted", report.frames_corrupted);
-  j.set("retransmissions", report.retransmissions);
-  j.set("checksum_rejects", report.checksum_rejects);
-  j.set("duplicate_packets", report.duplicate_packets);
-  j.set("duplicate_acks", report.duplicate_acks);
-  j.set("transport_failures", report.transport_failures);
-  j.set("crashed_nodes", u32s_to_json(report.crashed_nodes));
-  j.set("recovered_nodes", u32s_to_json(report.recovered_nodes));
-  j.set("replayed_pulses", report.replayed_pulses);
-  j.set("watchdog_stalls", report.watchdog_stalls);
-  j.set("stalled_nodes", u32s_to_json(report.stalled_nodes));
-  obs::Json violations = obs::Json::array();
-  for (const auto& violation : report.violations) {
-    obs::Json v = obs::Json::object();
-    v.set("kind", static_cast<std::uint64_t>(violation.kind));
-    v.set("node", violation.node);
-    v.set("round", violation.round);
-    v.set("detail", violation.detail);
-    violations.push(std::move(v));
-  }
-  j.set("violations", std::move(violations));
-  j.set("detected_by_survivors", report.detected_by_survivors);
-  return j;
-}
-
-FaultReport report_from_json(const obs::Json& j) {
-  FaultReport report;
-  report.frames_dropped = j.at("frames_dropped").as_uint();
-  report.frames_corrupted = j.at("frames_corrupted").as_uint();
-  report.retransmissions = j.at("retransmissions").as_uint();
-  report.checksum_rejects = j.at("checksum_rejects").as_uint();
-  report.duplicate_packets = j.at("duplicate_packets").as_uint();
-  report.duplicate_acks = j.at("duplicate_acks").as_uint();
-  report.transport_failures = j.at("transport_failures").as_uint();
-  report.crashed_nodes = u32s_from_json(j.at("crashed_nodes"));
-  report.recovered_nodes = u32s_from_json(j.at("recovered_nodes"));
-  report.replayed_pulses = j.at("replayed_pulses").as_uint();
-  report.watchdog_stalls = j.at("watchdog_stalls").as_uint();
-  report.stalled_nodes = u32s_from_json(j.at("stalled_nodes"));
-  for (const obs::Json& v : j.at("violations").items()) {
-    ProtocolViolation violation;
-    const std::uint64_t kind = v.at("kind").as_uint();
-    CSD_CHECK_MSG(kind <= static_cast<std::uint64_t>(
-                              ViolationKind::ProgramFault),
-                  "unknown violation kind " << kind);
-    violation.kind = static_cast<ViolationKind>(kind);
-    violation.node = static_cast<std::uint32_t>(v.at("node").as_uint());
-    violation.round = v.at("round").as_uint();
-    violation.detail = v.at("detail").as_string();
-    report.violations.push_back(std::move(violation));
-  }
-  report.detected_by_survivors = j.at("detected_by_survivors").as_bool();
-  return report;
-}
-
-obs::Json sender_state_to_json(const LinkSenderState& state) {
-  obs::Json j = obs::Json::object();
-  j.set("next_seq", state.next_seq);
-  obs::Json pending = obs::Json::array();
-  for (const auto& entry : state.pending) {
-    obs::Json e = obs::Json::object();
-    e.set("seq", entry.seq);
-    e.set("frame", frame_to_json(entry.frame));
-    e.set("crc", entry.crc);
-    e.set("attempts", entry.attempts);
-    pending.push(std::move(e));
-  }
-  j.set("pending", std::move(pending));
-  return j;
-}
-
-LinkSenderState sender_state_from_json(const obs::Json& j) {
-  LinkSenderState state;
-  state.next_seq = j.at("next_seq").as_uint();
-  for (const obs::Json& e : j.at("pending").items()) {
-    LinkSenderState::PendingEntry entry;
-    entry.seq = e.at("seq").as_uint();
-    entry.frame = frame_from_json(e.at("frame"));
-    entry.crc = static_cast<std::uint32_t>(e.at("crc").as_uint());
-    entry.attempts = static_cast<std::uint32_t>(e.at("attempts").as_uint());
-    state.pending.push_back(std::move(entry));
-  }
-  return state;
-}
-
-obs::Json receiver_state_to_json(const LinkReceiverState& state) {
-  obs::Json j = obs::Json::object();
-  j.set("next_expected", state.next_expected);
-  obs::Json reorder = obs::Json::array();
-  for (const auto& entry : state.reorder) {
-    obs::Json e = obs::Json::object();
-    e.set("seq", entry.seq);
-    e.set("frame", frame_to_json(entry.frame));
-    reorder.push(std::move(e));
-  }
-  j.set("reorder", std::move(reorder));
-  return j;
-}
-
-LinkReceiverState receiver_state_from_json(const obs::Json& j) {
-  LinkReceiverState state;
-  state.next_expected = j.at("next_expected").as_uint();
-  for (const obs::Json& e : j.at("reorder").items()) {
-    LinkReceiverState::ReorderEntry entry;
-    entry.seq = e.at("seq").as_uint();
-    entry.frame = frame_from_json(e.at("frame"));
-    state.reorder.push_back(std::move(entry));
-  }
-  return state;
-}
-
-obs::Json sync_to_json(const SyncSnapshot& snap) {
-  obs::Json j = obs::Json::object();
-  j.set("identity", identity_to_json(snap.identity));
-  j.set("round", snap.round);
-  obs::Json inbox = obs::Json::array();
-  for (const auto& log : snap.inbox) inbox.push(inbox_log_to_json(log));
-  j.set("inbox", std::move(inbox));
-  j.set("crashed", u8s_to_json(snap.crashed));
-  j.set("halted", u8s_to_json(snap.halted));
-  j.set("messages", snap.messages);
-  j.set("total_bits", snap.total_bits);
-  j.set("max_message_bits", snap.max_message_bits);
-  j.set("bits_sent_by_node", u64s_to_json(snap.bits_sent_by_node));
-  j.set("trace_bytes", snap.trace_bytes);
-  j.set("faults", report_to_json(snap.faults));
-  j.set("fault_streams", streams_to_json(snap.fault_streams));
-  return j;
-}
-
-SyncSnapshot sync_from_json(const obs::Json& j) {
-  SyncSnapshot snap;
-  snap.identity = identity_from_json(j.at("identity"));
-  snap.round = j.at("round").as_uint();
-  for (const obs::Json& log : j.at("inbox").items())
-    snap.inbox.push_back(inbox_log_from_json(log));
-  snap.crashed = u8s_from_json(j.at("crashed"));
-  snap.halted = u8s_from_json(j.at("halted"));
-  snap.messages = j.at("messages").as_uint();
-  snap.total_bits = j.at("total_bits").as_uint();
-  snap.max_message_bits = j.at("max_message_bits").as_uint();
-  snap.bits_sent_by_node = u64s_from_json(j.at("bits_sent_by_node"));
-  snap.trace_bytes = j.at("trace_bytes").as_uint();
-  snap.faults = report_from_json(j.at("faults"));
-  snap.fault_streams = streams_from_json(j.at("fault_streams"));
-  return snap;
-}
-
-obs::Json event_to_json(const EventRecord& event) {
-  obs::Json j = obs::Json::object();
-  j.set("t", event.time);
-  j.set("q", event.seq);
-  j.set("k", static_cast<std::uint64_t>(event.kind));
-  j.set("s", event.src);
-  j.set("sp", event.src_port);
-  j.set("d", event.dst);
-  j.set("dp", event.dst_port);
-  j.set("ls", event.link_seq);
-  if (event.kind == 0) {
-    j.set("ps", event.packet_seq);
-    j.set("pc", event.packet_crc);
-    j.set("f", frame_to_json(event.frame));
-  }
-  return j;
-}
-
-EventRecord event_from_json(const obs::Json& j) {
-  EventRecord event;
-  event.time = j.at("t").as_uint();
-  event.seq = j.at("q").as_uint();
-  event.kind = static_cast<std::uint8_t>(j.at("k").as_uint());
-  CSD_CHECK_MSG(event.kind <= 3, "unknown event kind");
-  event.src = static_cast<std::uint32_t>(j.at("s").as_uint());
-  event.src_port = static_cast<std::uint32_t>(j.at("sp").as_uint());
-  event.dst = static_cast<std::uint32_t>(j.at("d").as_uint());
-  event.dst_port = static_cast<std::uint32_t>(j.at("dp").as_uint());
-  event.link_seq = j.at("ls").as_uint();
-  if (event.kind == 0) {
-    event.packet_seq = j.at("ps").as_uint();
-    event.packet_crc = static_cast<std::uint32_t>(j.at("pc").as_uint());
-    event.frame = frame_from_json(j.at("f"));
-  }
-  return event;
-}
-
-obs::Json async_node_to_json(const AsyncNodeSnapshot& node) {
-  obs::Json j = obs::Json::object();
-  j.set("pulse", node.pulse);
-  j.set("local_time", node.local_time);
-  obs::Json arrived = obs::Json::array();
-  for (const auto& queue : node.arrived) {
-    obs::Json frames = obs::Json::array();
-    for (const Frame& frame : queue) frames.push(frame_to_json(frame));
-    arrived.push(std::move(frames));
-  }
-  j.set("arrived", std::move(arrived));
-  j.set("port_dead", u8s_to_json(node.port_dead));
-  j.set("running", static_cast<std::uint64_t>(node.running));
-  j.set("crashed", static_cast<std::uint64_t>(node.crashed));
-  j.set("halted", static_cast<std::uint64_t>(node.halted));
-  j.set("crash_done", static_cast<std::uint64_t>(node.crash_done));
-  j.set("recoveries_used", node.recoveries_used);
-  j.set("inbox", inbox_log_to_json(node.inbox));
-  obs::Json senders = obs::Json::array();
-  for (const auto& state : node.senders)
-    senders.push(sender_state_to_json(state));
-  j.set("senders", std::move(senders));
-  obs::Json receivers = obs::Json::array();
-  for (const auto& state : node.receivers)
-    receivers.push(receiver_state_to_json(state));
-  j.set("receivers", std::move(receivers));
-  j.set("link_watermark", u64s_to_json(node.link_watermark));
-  return j;
-}
-
-AsyncNodeSnapshot async_node_from_json(const obs::Json& j) {
-  AsyncNodeSnapshot node;
-  node.pulse = j.at("pulse").as_uint();
-  node.local_time = j.at("local_time").as_uint();
-  for (const obs::Json& queue : j.at("arrived").items()) {
-    auto& frames = node.arrived.emplace_back();
-    for (const obs::Json& frame : queue.items())
-      frames.push_back(frame_from_json(frame));
-  }
-  node.port_dead = u8s_from_json(j.at("port_dead"));
-  node.running = static_cast<std::uint8_t>(j.at("running").as_uint());
-  node.crashed = static_cast<std::uint8_t>(j.at("crashed").as_uint());
-  node.halted = static_cast<std::uint8_t>(j.at("halted").as_uint());
-  node.crash_done = static_cast<std::uint8_t>(j.at("crash_done").as_uint());
-  node.recoveries_used =
-      static_cast<std::uint32_t>(j.at("recoveries_used").as_uint());
-  node.inbox = inbox_log_from_json(j.at("inbox"));
-  for (const obs::Json& state : j.at("senders").items())
-    node.senders.push_back(sender_state_from_json(state));
-  for (const obs::Json& state : j.at("receivers").items())
-    node.receivers.push_back(receiver_state_from_json(state));
-  node.link_watermark = u64s_from_json(j.at("link_watermark"));
-  return node;
-}
-
-obs::Json async_to_json(const AsyncSnapshot& snap) {
-  obs::Json j = obs::Json::object();
-  j.set("identity", identity_to_json(snap.identity));
-  obs::Json nodes = obs::Json::array();
-  for (const auto& node : snap.nodes) nodes.push(async_node_to_json(node));
-  j.set("nodes", std::move(nodes));
-  obs::Json events = obs::Json::array();
-  for (const auto& event : snap.events) events.push(event_to_json(event));
-  j.set("events", std::move(events));
-  j.set("next_event_seq", snap.next_event_seq);
-  j.set("delay_rng", rng_to_json(snap.delay_rng));
-  j.set("fault_streams", streams_to_json(snap.fault_streams));
-  j.set("halted_count", snap.halted_count);
-  j.set("stopped_count", snap.stopped_count);
-  j.set("pending_recoveries", snap.pending_recoveries);
-  j.set("pulses", snap.pulses);
-  j.set("virtual_time", snap.virtual_time);
-  j.set("payload_bits", snap.payload_bits);
-  j.set("overhead_bits", snap.overhead_bits);
-  j.set("frames", snap.frames);
-  j.set("transport_bits", snap.transport_bits);
-  j.set("acks", snap.acks);
-  j.set("terminal", static_cast<std::uint64_t>(snap.terminal));
-  j.set("faults", report_to_json(snap.faults));
-  return j;
-}
-
-AsyncSnapshot async_from_json(const obs::Json& j) {
-  AsyncSnapshot snap;
-  snap.identity = identity_from_json(j.at("identity"));
-  for (const obs::Json& node : j.at("nodes").items())
-    snap.nodes.push_back(async_node_from_json(node));
-  for (const obs::Json& event : j.at("events").items())
-    snap.events.push_back(event_from_json(event));
-  snap.next_event_seq = j.at("next_event_seq").as_uint();
-  snap.delay_rng = rng_from_json(j.at("delay_rng"));
-  snap.fault_streams = streams_from_json(j.at("fault_streams"));
-  snap.halted_count =
-      static_cast<std::uint32_t>(j.at("halted_count").as_uint());
-  snap.stopped_count =
-      static_cast<std::uint32_t>(j.at("stopped_count").as_uint());
-  snap.pending_recoveries =
-      static_cast<std::uint32_t>(j.at("pending_recoveries").as_uint());
-  snap.pulses = j.at("pulses").as_uint();
-  snap.virtual_time = j.at("virtual_time").as_uint();
-  snap.payload_bits = j.at("payload_bits").as_uint();
-  snap.overhead_bits = j.at("overhead_bits").as_uint();
-  snap.frames = j.at("frames").as_uint();
-  snap.transport_bits = j.at("transport_bits").as_uint();
-  snap.acks = j.at("acks").as_uint();
-  snap.terminal = j.at("terminal").as_uint() != 0 ? 1 : 0;
-  snap.faults = report_from_json(j.at("faults"));
-  return snap;
-}
-
-obs::Json amplified_to_json(const AmplifiedSnapshot& snap) {
-  obs::Json j = obs::Json::object();
-  j.set("identity", identity_to_json(snap.identity));
-  j.set("next_repetition", snap.next_repetition);
-  j.set("repetitions", snap.repetitions);
-  j.set("completed", static_cast<std::uint64_t>(snap.completed));
-  j.set("detected", static_cast<std::uint64_t>(snap.detected));
-  j.set("verdict_reject", u8s_to_json(snap.verdict_reject));
-  j.set("rounds", snap.rounds);
-  j.set("messages", snap.messages);
-  j.set("total_bits", snap.total_bits);
-  j.set("max_message_bits", snap.max_message_bits);
-  j.set("bits_sent_by_node", u64s_to_json(snap.bits_sent_by_node));
-  j.set("repetitions_executed", snap.repetitions_executed);
-  j.set("repetitions_skipped", snap.repetitions_skipped);
-  j.set("trace_bytes", snap.trace_bytes);
-  j.set("retries_used", snap.retries_used);
-  j.set("faults", report_to_json(snap.faults));
-  return j;
-}
-
-AmplifiedSnapshot amplified_from_json(const obs::Json& j) {
-  AmplifiedSnapshot snap;
-  snap.identity = identity_from_json(j.at("identity"));
-  snap.next_repetition =
-      static_cast<std::uint32_t>(j.at("next_repetition").as_uint());
-  snap.repetitions =
-      static_cast<std::uint32_t>(j.at("repetitions").as_uint());
-  snap.completed = static_cast<std::uint8_t>(j.at("completed").as_uint());
-  snap.detected = static_cast<std::uint8_t>(j.at("detected").as_uint());
-  snap.verdict_reject = u8s_from_json(j.at("verdict_reject"));
-  snap.rounds = j.at("rounds").as_uint();
-  snap.messages = j.at("messages").as_uint();
-  snap.total_bits = j.at("total_bits").as_uint();
-  snap.max_message_bits = j.at("max_message_bits").as_uint();
-  snap.bits_sent_by_node = u64s_from_json(j.at("bits_sent_by_node"));
-  snap.repetitions_executed =
-      static_cast<std::uint32_t>(j.at("repetitions_executed").as_uint());
-  snap.repetitions_skipped =
-      static_cast<std::uint32_t>(j.at("repetitions_skipped").as_uint());
-  snap.trace_bytes = j.at("trace_bytes").as_uint();
-  snap.retries_used =
-      static_cast<std::uint32_t>(j.at("retries_used").as_uint());
-  snap.faults = report_from_json(j.at("faults"));
-  return snap;
-}
+};
 
 }  // namespace
 
@@ -548,54 +204,15 @@ std::uint64_t fault_plan_digest(const FaultPlan& plan) {
 }
 
 const char* to_string(Snapshot::Kind kind) noexcept {
-  switch (kind) {
-    case Snapshot::Kind::Sync:
-      return "sync";
-    case Snapshot::Kind::Async:
-      return "async";
-    case Snapshot::Kind::Amplified:
-      return "amplified";
-  }
-  return "?";
+  return kKindNames[static_cast<std::size_t>(kind)];
 }
 
 obs::Json to_json(const Snapshot& snapshot) {
-  obs::Json doc = obs::Json::object();
-  doc.set("schema", kSnapshotSchema);
-  doc.set("kind", to_string(snapshot.kind));
-  switch (snapshot.kind) {
-    case Snapshot::Kind::Sync:
-      doc.set("state", sync_to_json(snapshot.sync));
-      break;
-    case Snapshot::Kind::Async:
-      doc.set("state", async_to_json(snapshot.async_state));
-      break;
-    case Snapshot::Kind::Amplified:
-      doc.set("state", amplified_to_json(snapshot.amplified));
-      break;
-  }
-  return doc;
+  return obs::encode(snapshot, snapshot_fields);
 }
 
 Snapshot snapshot_from_json(const obs::Json& doc) {
-  CSD_CHECK_MSG(doc.at("schema").as_string() == kSnapshotSchema,
-                "unknown snapshot schema '" << doc.at("schema").as_string()
-                                            << "'");
-  Snapshot snapshot;
-  const std::string& kind = doc.at("kind").as_string();
-  if (kind == "sync") {
-    snapshot.kind = Snapshot::Kind::Sync;
-    snapshot.sync = sync_from_json(doc.at("state"));
-  } else if (kind == "async") {
-    snapshot.kind = Snapshot::Kind::Async;
-    snapshot.async_state = async_from_json(doc.at("state"));
-  } else if (kind == "amplified") {
-    snapshot.kind = Snapshot::Kind::Amplified;
-    snapshot.amplified = amplified_from_json(doc.at("state"));
-  } else {
-    CSD_CHECK_MSG(false, "unknown snapshot kind '" << kind << "'");
-  }
-  return snapshot;
+  return obs::decode<Snapshot>(doc, snapshot_fields);
 }
 
 void save_snapshot(const std::string& path, const Snapshot& snapshot) {

@@ -48,14 +48,12 @@ inline constexpr const char* kSnapshotSchema = "csd-ckpt-v1";
 /// Raw xoshiro256** position (Rng::state / Rng::set_state).
 using RngState = std::array<std::uint64_t, 4>;
 
-/// Delivered-inbox history of one node. entries[r][p] holds the payload
-/// that reached port p's inbox for consumption at round/pulse r (post-
-/// corruption — exactly what the program saw), nullopt when the port was
-/// silent. entries[0] is always all-nullopt: round 0 has an empty inbox by
+/// Delivered-inbox history of one node. log[r][p] holds the payload that
+/// reached port p's inbox for consumption at round/pulse r (post-corruption
+/// — exactly what the program saw), nullopt when the port was silent.
+/// log[0] is always all-nullopt: round 0 has an empty inbox by
 /// construction. This is the raw material of program-state reconstruction.
-struct InboxLog {
-  std::vector<std::vector<std::optional<BitVec>>> entries;
-};
+using InboxLog = std::vector<std::vector<std::optional<BitVec>>>;
 
 /// Fingerprint of the run a snapshot belongs to. Resume CHECK-fails on a
 /// mismatch instead of silently replaying a log against the wrong topology
@@ -111,19 +109,23 @@ struct SyncSnapshot {
 
 // --------------------------------------------------------------- async --
 
-/// One scheduler event (mirror of the engine-internal Event struct).
+/// One scheduler event, as the async engine queues it: a data packet or ack
+/// arriving, a retransmission timer firing at the sender, or a crashed node
+/// rejoining.
 struct EventRecord {
+  enum class Kind : std::uint8_t { Data, Ack, Timer, Recover };
+
   std::uint64_t time = 0;
-  std::uint64_t seq = 0;
-  std::uint8_t kind = 0;  // 0 Data, 1 Ack, 2 Timer, 3 Recover
+  std::uint64_t seq = 0;  // FIFO/determinism tiebreak
+  Kind kind = Kind::Data;
+  // Directed link the event belongs to, sender side: (src, src_port).
   std::uint32_t src = 0;
   std::uint32_t src_port = 0;
+  // Receiver side (valid for Data; for Ack it is the original data sender).
   std::uint32_t dst = 0;
   std::uint32_t dst_port = 0;
-  std::uint64_t link_seq = 0;
-  std::uint64_t packet_seq = 0;  // Data only
-  std::uint32_t packet_crc = 0;  // Data only
-  Frame frame;                   // Data only
+  std::uint64_t link_seq = 0;  // transport sequence number (Ack/Timer/Data)
+  DataPacket packet;           // Data only (raw mode leaves seq/crc zero)
 };
 
 /// Per-node async state: synchronizer bookkeeping, buffered frames, ARQ
@@ -211,7 +213,8 @@ const char* to_string(Snapshot::Kind kind) noexcept;
 /// ordered objects, integer-exact numbers).
 obs::Json to_json(const Snapshot& snapshot);
 
-/// Strict parse; CheckFailure on schema violations.
+/// Strict parse (obs/codec.hpp): CheckFailure naming the key on a missing,
+/// unknown or out-of-order key, or on a value the writer cannot produce.
 Snapshot snapshot_from_json(const obs::Json& doc);
 
 /// File round-trip (pretty-printed JSON). CheckFailure on I/O errors.

@@ -53,27 +53,10 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "fuzz/fuzz_case.hpp"
 
 namespace csd::fuzz {
-
-struct Divergence {
-  /// Stable short identifier of the violated invariant (used in corpus
-  /// file names and for shrinking "same bug" decisions).
-  std::string check;
-  /// Human-readable specifics: which engine, which field, which values.
-  std::string detail;
-};
-
-/// Ground truth + the recorded verdict a corpus entry pins down.
-struct CaseExpectation {
-  /// VF2: does the host contain the pattern at all?
-  bool truth = false;
-  /// Fault-free amplified sync verdict (early exit off — the full cost).
-  bool detected = false;
-};
 
 /// Run every engine over `c` and cross-check. Returns the first divergence,
 /// or nullopt when all invariants hold. When `expect` is non-null it is

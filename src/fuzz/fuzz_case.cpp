@@ -1,6 +1,7 @@
 #include "fuzz/fuzz_case.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -10,32 +11,21 @@
 #include "detect/pipelined_cycle.hpp"
 #include "detect/tree_detect.hpp"
 #include "graph/builders.hpp"
+#include "obs/codec.hpp"
 #include "support/check.hpp"
 
 namespace csd::fuzz {
 
-const char* to_string(ProgramKind kind) noexcept {
-  switch (kind) {
-    case ProgramKind::Clique: return "clique";
-    case ProgramKind::EvenCycle: return "even-cycle";
-    case ProgramKind::PipelinedCycle: return "pipelined-cycle";
-    case ProgramKind::Tree: return "tree";
-  }
-  return "unknown";
-}
-
 namespace {
 
-ProgramKind program_from_name(const std::string& name) {
-  if (name == "clique") return ProgramKind::Clique;
-  if (name == "even-cycle") return ProgramKind::EvenCycle;
-  if (name == "pipelined-cycle") return ProgramKind::PipelinedCycle;
-  if (name == "tree") return ProgramKind::Tree;
-  CSD_CHECK_MSG(false, "unknown fuzz program '" << name << "'");
-  return ProgramKind::Clique;
-}
+constexpr std::array<const char*, 4> kProgramNames = {
+    "clique", "even-cycle", "pipelined-cycle", "tree"};
 
 }  // namespace
+
+const char* to_string(ProgramKind kind) noexcept {
+  return kProgramNames[static_cast<std::size_t>(kind)];
+}
 
 std::size_t tree_catalog_size() noexcept { return 4; }
 
@@ -208,67 +198,82 @@ congest::FaultPlan fault_plan(const FuzzCase& c) {
   return plan;
 }
 
-obs::Json to_json(const FuzzCase& c) {
-  obs::Json j = obs::Json::object();
-  j.set("n", c.num_vertices);
-  obs::Json edges = obs::Json::array();
-  for (const auto& [u, v] : c.edges) {
-    obs::Json e = obs::Json::array();
-    e.push(u);
-    e.push(v);
-    edges.push(std::move(e));
-  }
-  j.set("edges", std::move(edges));
-  j.set("program", to_string(c.program));
-  j.set("param", c.param);
-  j.set("repetitions", c.repetitions);
-  j.set("bandwidth", c.bandwidth);
-  j.set("seed", c.seed);
-  j.set("max_delay", c.max_delay);
-  j.set("drop", c.drop);
-  j.set("corrupt", c.corrupt);
-  j.set("corrupt_headers", c.corrupt_headers);
-  obs::Json crashes = obs::Json::array();
-  for (const auto& ev : c.crashes) {
-    obs::Json e = obs::Json::object();
-    e.set("node", ev.node);
-    e.set("round", ev.round);
-    crashes.push(std::move(e));
-  }
-  j.set("crashes", std::move(crashes));
-  return j;
-}
+namespace {
 
-FuzzCase case_from_json(const obs::Json& j) {
-  FuzzCase c;
-  c.num_vertices = static_cast<std::uint32_t>(j.at("n").as_uint());
-  c.edges.clear();
-  for (const obs::Json& e : j.at("edges").items()) {
-    CSD_CHECK_MSG(e.items().size() == 2, "fuzz case edge wants [u, v]");
-    const auto u = static_cast<Vertex>(e.items()[0].as_uint());
-    const auto v = static_cast<Vertex>(e.items()[1].as_uint());
+// One field list per csd-fuzz-case-v1 record (obs/codec.hpp): the same list
+// writes a record and reads it back strictly.
+
+void check_canonical_edges(const FuzzCase& c) {
+  for (const auto& [u, v] : c.edges)
     CSD_CHECK_MSG(u < v && v < c.num_vertices,
                   "fuzz case edge {" << u << "," << v << "} not canonical");
-    c.edges.emplace_back(u, v);
-  }
   CSD_CHECK_MSG(std::is_sorted(c.edges.begin(), c.edges.end()),
                 "fuzz case edges not sorted");
-  c.program = program_from_name(j.at("program").as_string());
-  c.param = static_cast<std::uint32_t>(j.at("param").as_uint());
-  c.repetitions = static_cast<std::uint32_t>(j.at("repetitions").as_uint());
-  c.bandwidth = j.at("bandwidth").as_uint();
-  c.seed = j.at("seed").as_uint();
-  c.max_delay = static_cast<std::uint32_t>(j.at("max_delay").as_uint());
-  c.drop = j.at("drop").as_double();
-  c.corrupt = j.at("corrupt").as_double();
-  c.corrupt_headers = j.at("corrupt_headers").as_bool();
-  for (const obs::Json& e : j.at("crashes").items()) {
-    congest::CrashEvent ev;
-    ev.node = static_cast<std::uint32_t>(e.at("node").as_uint());
-    ev.round = e.at("round").as_uint();
-    c.crashes.push_back(ev);
-  }
-  return c;
+}
+
+constexpr auto crash_fields = [](auto& io, auto& r) {
+  io("node", r.node);
+  io("round", r.round);
+};
+
+constexpr auto case_fields = [](auto& io, auto& r) {
+  io("n", r.num_vertices);
+  io("edges", r.edges);
+  if (io.reading) check_canonical_edges(r);
+  io("program", r.program, kProgramNames);
+  io("param", r.param);
+  io("repetitions", r.repetitions);
+  io("bandwidth", r.bandwidth);
+  io("seed", r.seed);
+  io("max_delay", r.max_delay);
+  io("drop", r.drop);
+  io("corrupt", r.corrupt);
+  io("corrupt_headers", r.corrupt_headers);
+  io("crashes", r.crashes, crash_fields);
+};
+
+struct CorpusEntry {
+  Divergence found;
+  FuzzCase c;
+  CaseExpectation expect;
+};
+
+constexpr auto divergence_fields = [](auto& io, auto& r) {
+  io("check", r.check);
+  io("detail", r.detail);
+};
+
+constexpr auto expectation_fields = [](auto& io, auto& r) {
+  io("truth", r.truth);
+  io("detected", r.detected);
+};
+
+constexpr auto corpus_fields = [](auto& io, auto& r) {
+  io.tag("schema", "csd-fuzz-case-v1");
+  io("found", r.found, divergence_fields);
+  io("case", r.c, case_fields);
+  io("expect", r.expect, expectation_fields);
+};
+
+}  // namespace
+
+obs::Json to_json(const FuzzCase& c) { return obs::encode(c, case_fields); }
+
+FuzzCase case_from_json(const obs::Json& j) {
+  return obs::decode<FuzzCase>(j, case_fields);
+}
+
+obs::Json corpus_json(const FuzzCase& c, const Divergence& found,
+                      const CaseExpectation& expect) {
+  return obs::encode(CorpusEntry{found, c, expect}, corpus_fields);
+}
+
+FuzzCase corpus_case(const obs::Json& doc, CaseExpectation* expect,
+                     Divergence* found) {
+  CorpusEntry entry = obs::decode<CorpusEntry>(doc, corpus_fields);
+  if (expect != nullptr) *expect = entry.expect;
+  if (found != nullptr) *found = std::move(entry.found);
+  return std::move(entry.c);
 }
 
 }  // namespace csd::fuzz

@@ -8,9 +8,11 @@
 //   * the fault plan (drop/corrupt probabilities, header corruption,
 //     scheduled crashes — applied to the async engines),
 //   * the schedule (run seed and the async engine's delay bound).
-// Cases serialize to the insertion-ordered obs::Json model, so a corpus
-// file is byte-stable and diffs cleanly; parsing is strict (unknown
-// program names or malformed edges throw CheckFailure, never misload).
+// Cases serialize to the insertion-ordered obs::Json model through one
+// field list (obs/codec.hpp), so a corpus file is byte-stable and diffs
+// cleanly, and loading is strict: a missing, unknown or out-of-order key, a
+// value the field cannot hold (n above 2^32 - 1, an unknown program name)
+// or a non-canonical edge list throws CheckFailure instead of misloading.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +105,36 @@ std::uint64_t round_budget(const FuzzCase& c, const Graph& host,
 /// The case's FaultPlan (drop/corrupt/corrupt_headers/crashes).
 congest::FaultPlan fault_plan(const FuzzCase& c);
 
+/// The invariant a case violated (check_case, differential.hpp).
+struct Divergence {
+  /// Stable short identifier of the violated invariant (used in corpus
+  /// file names and for shrinking "same bug" decisions).
+  std::string check;
+  /// Human-readable specifics: which engine, which field, which values.
+  std::string detail;
+};
+
+/// Ground truth + the recorded verdict a corpus entry pins down.
+struct CaseExpectation {
+  /// VF2: does the host contain the pattern at all?
+  bool truth = false;
+  /// Fault-free amplified sync verdict (early exit off — the full cost).
+  bool detected = false;
+};
+
+/// One case as a csd-fuzz-case-v1 JSON object, and its strict inverse.
 obs::Json to_json(const FuzzCase& c);
 FuzzCase case_from_json(const obs::Json& j);
+
+/// A csd-fuzz-case-v1 corpus file: the case with the divergence that found
+/// it and the expectation recorded for it (layout: the field lists in
+/// fuzz_case.cpp).
+obs::Json corpus_json(const FuzzCase& c, const Divergence& found,
+                      const CaseExpectation& expect);
+
+/// Parse a corpus file as strictly as case_from_json; `expect`/`found`
+/// receive the recorded expectation and original finding when non-null.
+FuzzCase corpus_case(const obs::Json& doc, CaseExpectation* expect = nullptr,
+                     Divergence* found = nullptr);
 
 }  // namespace csd::fuzz

@@ -45,35 +45,7 @@ std::string hex64(std::uint64_t value) {
 }  // namespace
 
 obs::Json corpus_entry(const FuzzCase& c, const Divergence& divergence) {
-  const CaseExpectation expect = expectation(c);
-  obs::Json doc = obs::Json::object();
-  doc.set("schema", "csd-fuzz-case-v1");
-  obs::Json found = obs::Json::object();
-  found.set("check", divergence.check);
-  found.set("detail", divergence.detail);
-  doc.set("found", std::move(found));
-  doc.set("case", to_json(c));
-  obs::Json exp = obs::Json::object();
-  exp.set("truth", expect.truth);
-  exp.set("detected", expect.detected);
-  doc.set("expect", std::move(exp));
-  return doc;
-}
-
-FuzzCase corpus_case(const obs::Json& doc, CaseExpectation* expect,
-                     Divergence* divergence) {
-  CSD_CHECK_MSG(doc.at("schema").as_string() == "csd-fuzz-case-v1",
-                "unknown corpus schema '" << doc.at("schema").as_string()
-                                          << "'");
-  if (expect) {
-    expect->truth = doc.at("expect").at("truth").as_bool();
-    expect->detected = doc.at("expect").at("detected").as_bool();
-  }
-  if (divergence) {
-    divergence->check = doc.at("found").at("check").as_string();
-    divergence->detail = doc.at("found").at("detail").as_string();
-  }
-  return case_from_json(doc.at("case"));
+  return corpus_json(c, divergence, expectation(c));
 }
 
 FuzzReport run_fuzzer(const FuzzOptions& options, std::ostream& log) {

@@ -4,20 +4,12 @@
 // derive_seed(master_seed, i)), runs each through the differential oracle,
 // and on a divergence minimizes the case with the delta-debugging shrinker
 // (pinned to the same check id, so shrinking never wanders to a different
-// bug) and serializes the shrunk case to a replayable corpus JSON file:
-//
-//   {
-//     "schema": "csd-fuzz-case-v1",
-//     "found":  { "check": ..., "detail": ... },
-//     "case":   { ... everything needed to re-run ... },
-//     "expect": { "truth": ..., "detected": ... }
-//   }
-//
-// `expect` records the VF2 ground truth and the fault-free amplified sync
-// verdict of the *shrunk* case, so the corpus replay test can assert the
-// fixed engines reproduce them. File names are deterministic
-// (<check>-<case-seed-hex>.json): re-running a campaign overwrites its own
-// artifacts instead of accumulating duplicates.
+// bug) and serializes the shrunk case to a replayable csd-fuzz-case-v1
+// corpus file (fuzz_case.hpp). Its `expect` block records the VF2 ground
+// truth and the fault-free amplified sync verdict of the *shrunk* case, so
+// the corpus replay test can assert the fixed engines reproduce them.
+// File names are deterministic (<check>-<case-seed-hex>.json): re-running a
+// campaign overwrites its own artifacts instead of accumulating duplicates.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +51,9 @@ struct FuzzReport {
   bool ok() const noexcept { return failures.empty(); }
 };
 
-/// Serialize one failing (typically shrunk) case in the corpus schema.
+/// Serialize one failing (typically shrunk) case as a corpus file, with the
+/// expectation computed for it.
 obs::Json corpus_entry(const FuzzCase& c, const Divergence& divergence);
-
-/// Parse a corpus document; `expect`/`divergence` receive the recorded
-/// expectation and original finding when non-null.
-FuzzCase corpus_case(const obs::Json& doc, CaseExpectation* expect = nullptr,
-                     Divergence* divergence = nullptr);
 
 /// Run a campaign. Progress and findings go to `log` (one line per event).
 FuzzReport run_fuzzer(const FuzzOptions& options, std::ostream& log);

@@ -330,6 +330,7 @@ class Parser {
     while (true) {
       skip_ws();
       std::string key = parse_string();
+      if (obj.find(key) != nullptr) fail("duplicate key '" + key + "'");
       skip_ws();
       expect(':');
       obj.set(std::move(key), parse_value());

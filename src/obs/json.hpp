@@ -98,8 +98,9 @@ class Json {
   void write(std::ostream& os, int indent = 2) const;
   std::string dump(int indent = 2) const;
 
-  /// Strict parse of a full document (trailing garbage is an error).
-  /// Throws CheckFailure with position information on malformed input.
+  /// Strict parse of a full document (trailing garbage and duplicate object
+  /// keys are errors). Throws CheckFailure with position information on
+  /// malformed input.
   static Json parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b);

@@ -59,6 +59,20 @@ TEST_P(CorpusReplay, ReplaysCleanAndReproducesRecordedVerdict) {
   EXPECT_EQ(now.detected, recorded.detected);
 }
 
+// The committed files are exactly what the writer produces for what the
+// reader loads from them, byte for byte.
+TEST_P(CorpusReplay, ReserializesByteForByte) {
+  std::ifstream is(GetParam());
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(obs::Json::parse(bytes).dump() + "\n", bytes);
+  CaseExpectation expect;
+  Divergence found;
+  const FuzzCase c = corpus_case(obs::Json::parse(bytes), &expect, &found);
+  EXPECT_EQ(corpus_json(c, found, expect).dump() + "\n", bytes);
+}
+
 std::string test_name(const testing::TestParamInfo<std::string>& info) {
   std::string name = std::filesystem::path(info.param).stem().string();
   for (char& ch : name)

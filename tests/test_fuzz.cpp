@@ -44,9 +44,13 @@ TEST(FuzzCase, JsonRoundTripIsExact) {
 }
 
 TEST(FuzzCase, MalformedJsonIsRejected) {
-  FuzzCase c = k4_case();
-  obs::Json j = to_json(c);
+  const obs::Json good = to_json(k4_case());
+  obs::Json j = good;
   j.set("program", "no-such-program");
+  EXPECT_THROW(case_from_json(j), CheckFailure);
+  // 2^32 + 6 vertices must not wrap around to 6.
+  j = good;
+  j.set("n", std::uint64_t{4294967302});
   EXPECT_THROW(case_from_json(j), CheckFailure);
 }
 

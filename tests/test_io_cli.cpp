@@ -419,6 +419,57 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+// A damaged checkpoint exits 2 naming the key instead of resuming into a
+// plausible wrong answer: here, the Reject the first slice found.
+TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_damaged.graph").string();
+  const std::string ckpt = (dir / "csd_cli_damaged.json").string();
+  const std::string copy = (dir / "csd_cli_damaged_copy.json").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "gnm", "200", "230", "1", "--out", path},
+                    &text),
+            0);
+  const std::vector<std::string> base = {
+      "detect", "cycle", "4", path, "--reps", "3", "--supervised",
+      "--max-reps-per-call", "1", "--seed", "7"};
+  auto first = base;
+  first.insert(first.end(), {"--checkpoint", ckpt});
+  ASSERT_EQ(run_cli(first, &text), 0);
+  auto resume = base;
+  resume.insert(resume.end(), {"--resume", copy});
+
+  const std::string intact = read_file(ckpt);
+  std::ofstream(copy) << intact;
+  ASSERT_EQ(run_cli(resume, &text), 0);
+  EXPECT_NE(text.find("verdict:    REJECT"), std::string::npos);
+  EXPECT_NE(text.find("1 executed, 2 skipped (of 3 planned)"),
+            std::string::npos);
+
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string bytes = intact;
+    const auto at = bytes.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? bytes : bytes.replace(at, from.size(), to);
+  };
+  const std::pair<std::string, std::string> damaged[] = {
+      {edit("\"detected\": 1,", "\"detected\": 256,"), "'detected'"},
+      {edit("\"detected\": 1,", "\"detected\": 1,\n  \"detected\": 0,"),
+       "'detected'"},
+      {edit("\"repetitions\": 3,", "\"repetitions\": 4294967299,"),
+       "'repetitions'"},
+      {edit("\"rounds\":", "\"bogus\": 0,\n  \"rounds\":"), "'bogus'"},
+  };
+  for (const auto& [bytes, key] : damaged) {
+    std::ofstream(copy) << bytes;
+    EXPECT_EQ(run_cli(resume, &text), 2) << bytes;
+    EXPECT_NE(text.find(key), std::string::npos) << text;
+  }
+  std::remove(path.c_str());
+  std::remove(ckpt.c_str());
+  std::remove(copy.c_str());
+}
+
 // Every command reads a declared set of flags; any other flag exits 2 and
 // names the flag instead of running as if it were absent.
 TEST(Cli, SweepRejectsFaultAndTimerFlags) {

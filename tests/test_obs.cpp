@@ -1,15 +1,19 @@
-// Tests for the observability layer: the JSON model, the bench report
-// schema, and the per-round trace — including the two contracts the rest of
-// the repo leans on: traces are bit-identical at every --jobs count, and a
-// disabled trace costs exactly nothing (trace_bytes == 0, metrics
-// unchanged).
+// Tests for the observability layer: the JSON model and its field-list
+// codec, the bench report schema, and the per-round trace — including the
+// two contracts the rest of the repo leans on: traces are bit-identical at
+// every --jobs count, and a disabled trace costs exactly nothing
+// (trace_bytes == 0, metrics unchanged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -17,12 +21,14 @@
 #include "graph/builders.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/codec.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_series.hpp"
 #include "obs/metrics_v2.hpp"
 #include "obs/round_trace.hpp"
 #include "obs/trace_analysis.hpp"
+#include "support/bitvec.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -76,6 +82,104 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(obs::Json::parse("01"), CheckFailure);
   EXPECT_THROW(obs::Json::parse("\"unterminated"), CheckFailure);
   EXPECT_THROW(obs::Json::parse("true false"), CheckFailure);
+  // Json::set keeps one member per key, so no writer emits a duplicate: a
+  // document that has one was damaged, and the last value must not win.
+  EXPECT_THROW(obs::Json::parse(R"({"a": 1, "b": 2, "a": 3})"), CheckFailure);
+}
+
+// --------------------------------------------------------------- codec ----
+
+struct CodecSample {
+  enum class Color : std::uint8_t { Red, Green, Blue };
+  bool on = false;
+  std::uint8_t flag = 0;
+  std::uint32_t small = 0;
+  std::uint64_t big = 0;
+  double ratio = 0.0;
+  std::string name;
+  BitVec bits;
+  std::optional<BitVec> missing;
+  std::array<std::uint64_t, 2> words{};
+  std::pair<std::uint32_t, std::uint32_t> edge{};
+  Color color = Color::Red;
+  Color shade = Color::Red;
+};
+
+constexpr std::array<const char*, 3> kColorNames = {"red", "green", "blue"};
+
+constexpr auto sample_fields = [](auto& io, auto& r) {
+  io.tag("schema", "sample-v1");
+  io("on", r.on);
+  io("flag", r.flag);
+  io("small", r.small);
+  io("big", r.big);
+  io("ratio", r.ratio);
+  io("name", r.name);
+  io("bits", r.bits);
+  io("missing", r.missing);
+  io("words", r.words);
+  io("edge", r.edge);
+  io("color", r.color, CodecSample::Color::Blue);
+  io("shade", r.shade, kColorNames);
+};
+
+const char* const kSampleJson =
+    R"({"schema":"sample-v1","on":true,"flag":1,"small":7,)"
+    R"("big":18446744073709551615,"ratio":0.5,"name":"x",)"
+    R"("bits":{"n":3,"w":[5]},"missing":null,"words":[1,2],"edge":[3,4],)"
+    R"("color":2,"shade":"green"})";
+
+TEST(Codec, OneFieldListWritesAndReadsEveryMemberKind) {
+  CodecSample sample;
+  sample.on = true;
+  sample.flag = 1;
+  sample.small = 7;
+  sample.big = ~0ULL;
+  sample.ratio = 0.5;
+  sample.name = "x";
+  sample.bits.append_bits(5, 3);
+  sample.words = {1, 2};
+  sample.edge = {3, 4};
+  sample.color = CodecSample::Color::Blue;
+  sample.shade = CodecSample::Color::Green;
+  EXPECT_EQ(obs::encode(sample, sample_fields).dump(-1), kSampleJson);
+  const CodecSample back =
+      obs::decode<CodecSample>(obs::Json::parse(kSampleJson), sample_fields);
+  EXPECT_EQ(obs::encode(back, sample_fields).dump(-1), kSampleJson);
+}
+
+TEST(Codec, ReaderRejectsWhatTheWriterCannotProduceNamingTheKey) {
+  const auto rejects = [](const std::string& from, const std::string& to,
+                          const std::string& key) {
+    std::string text = kSampleJson;
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    try {
+      obs::decode<CodecSample>(obs::Json::parse(text), sample_fields);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const CheckFailure& failure) {
+      EXPECT_NE(std::string(failure.what()).find("'" + key + "'"),
+                std::string::npos)
+          << failure.what();
+    }
+  };
+  rejects(R"("sample-v1")", R"("sample-v2")", "schema");
+  rejects(R"("on":true)", R"("on":1)", "on");
+  rejects(R"("flag":1)", R"("flag":2)", "flag");
+  rejects(R"("small":7)", R"("small":4294967296)", "small");
+  rejects(R"("small":7)", R"("small":-7)", "small");
+  rejects(R"("ratio":0.5)", R"("ratio":1)", "ratio");
+  rejects(R"("w":[5])", R"("w":[13])", "bits");   // bit 3 of a 3-bit vector
+  rejects(R"("w":[5])", R"("w":[5,0])", "bits");  // one word too many
+  rejects(R"("w":[5])", R"("w":[])", "bits");     // one word too few
+  rejects(R"("words":[1,2])", R"("words":[1,2,3])", "words");
+  rejects(R"("edge":[3,4])", R"("edge":[3])", "edge");
+  rejects(R"("color":2)", R"("color":3)", "color");
+  rejects(R"("green")", R"("mauve")", "shade");
+  rejects(R"(,"name":"x")", "", "name");                         // missing
+  rejects(R"("on":true,"flag":1)", R"("flag":1,"on":true)", "on");  // order
+  rejects(R"("shade":"green")", R"("shade":"green","hue":0)", "hue");
 }
 
 // --------------------------------------------------------- BenchReport ----

@@ -5,17 +5,21 @@
 
 #include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "congest/async.hpp"
 #include "congest/network.hpp"
 #include "congest/snapshot.hpp"
+#include "congest/supervisor.hpp"
 #include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics_series.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
+#include "support/crc.hpp"
 #include "support/rng.hpp"
 
 namespace csd::congest {
@@ -497,6 +501,105 @@ TEST(AsyncWatchdog, CutsAStarvedRunInsteadOfGrindingThroughRetries) {
   EXPECT_FALSE(outcome.completed);
   EXPECT_EQ(outcome.faults.watchdog_stalls, 1u);
   EXPECT_EQ(outcome.counters.value("watchdog_stalls"), 1);
+}
+
+// -------------------------------------------------------------- format --
+
+/// The csd-ckpt-v1 bytes save_snapshot writes for `snapshot`, after checking
+/// that the file parses and re-serializes to the very same bytes, both as
+/// plain JSON and through load_snapshot.
+std::string pinned_bytes(const Snapshot& snapshot, const std::string& name) {
+  const std::string path = testing::TempDir() + name;
+  save_snapshot(path, snapshot);
+  std::ifstream is(path);
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(obs::Json::parse(bytes).dump(1) + "\n", bytes);
+  EXPECT_EQ(to_json(load_snapshot(path)).dump(1) + "\n", bytes);
+  return bytes;
+}
+
+std::uint32_t crc32_bytes(const std::string& bytes) {
+  Crc32 crc;
+  for (const char ch : bytes) crc.bits(static_cast<unsigned char>(ch), 8);
+  return crc.value();
+}
+
+// One snapshot per kind, pinned by size and CRC-32: a change to any key, key
+// order, JSON kind or value rendering of csd-ckpt-v1 changes these constants.
+TEST(SnapshotFormat, SyncBytesArePinned) {
+  Rng rng(4);
+  const Graph g = build::gnp(14, 0.25, rng);
+  NetworkConfig cfg = faulty_sync_config();
+  cfg.checkpoint_at_round = 6;
+  const auto full = run_congest(g, cfg, detect::pipelined_cycle_program(4));
+  ASSERT_NE(full.checkpoint, nullptr);
+  Snapshot snapshot = *full.checkpoint;
+  ASSERT_FALSE(snapshot.sync.fault_streams.empty());
+  ASSERT_FALSE(snapshot.sync.faults.crashed_nodes.empty());
+  // The run records no violation; pin the violation record's layout too.
+  snapshot.sync.faults.violations.push_back(
+      {ViolationKind::DuplicateSend, 3, 2, "second send ignored"});
+  const std::string bytes = pinned_bytes(snapshot, "csd_pin_sync.json");
+  EXPECT_EQ(bytes.size(), 9060u);
+  EXPECT_EQ(crc32_bytes(bytes), 565186554u);
+}
+
+TEST(SnapshotFormat, AsyncBytesArePinned) {
+  // Reliable links under drops with a crashed node still down at capture:
+  // the queue holds data, ack and timer events plus the pending Recover,
+  // and the ARQ endpoints hold unacknowledged packets.
+  Rng rng(15);
+  const Graph g = build::gnp(9, 0.4, rng);
+  AsyncConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_pulses = 400;
+  cfg.seed = 61;
+  cfg.max_delay = 4;
+  cfg.transport = TransportMode::Reliable;
+  cfg.faults.drop = 0.1;
+  cfg.faults.crashes = {{2, 3}};
+  cfg.recovery.enabled = true;
+  cfg.recovery.rejoin_delay = 200;
+  cfg.checkpoint_at_pulse = 5;
+  const auto full = run_async(g, cfg, detect::pipelined_cycle_program(3));
+  ASSERT_NE(full.checkpoint, nullptr);
+  const AsyncSnapshot& s = full.checkpoint->async_state;
+  ASSERT_EQ(s.pending_recoveries, 1u);
+  std::set<EventRecord::Kind> kinds;
+  for (const auto& event : s.events) kinds.insert(event.kind);
+  ASSERT_EQ(kinds.size(), 4u);  // data, ack, timer and recover events
+  std::size_t pending = 0;
+  for (const auto& node : s.nodes)
+    for (const auto& sender : node.senders) pending += sender.pending.size();
+  ASSERT_GT(pending, 0u);
+  const std::string bytes =
+      pinned_bytes(*full.checkpoint, "csd_pin_async.json");
+  EXPECT_EQ(bytes.size(), 36570u);
+  EXPECT_EQ(crc32_bytes(bytes), 1322926194u);
+}
+
+TEST(SnapshotFormat, AmplifiedBytesArePinned) {
+  Rng rng(24);
+  const Graph g = build::gnp(10, 0.3, rng);
+  NetworkConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_rounds = 80;
+  cfg.seed = 17;
+  cfg.faults.drop = 0.05;
+  SupervisorConfig sup;
+  sup.early_exit = false;
+  sup.max_reps_per_call = 3;
+  const Supervisor supervisor(g, cfg, sup);
+  const SupervisedResult slice =
+      supervisor.run(detect::pipelined_cycle_program(3), 7);
+  ASSERT_TRUE(slice.paused);
+  ASSERT_NE(slice.checkpoint, nullptr);
+  const std::string bytes =
+      pinned_bytes(*slice.checkpoint, "csd_pin_amplified.json");
+  EXPECT_EQ(bytes.size(), 922u);
+  EXPECT_EQ(crc32_bytes(bytes), 3526381586u);
 }
 
 }  // namespace
