@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <queue>
+#include <string>
 
+#include "congest/event_queue.hpp"
 #include "congest/node_state.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
+#include "support/mathutil.hpp"
 
 namespace csd::congest {
 
 namespace {
-
-struct EventLater {
-  bool operator()(const EventRecord& a, const EventRecord& b) const {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  }
-};
 
 /// Synchronizer bookkeeping per node.
 struct SyncState {
@@ -41,7 +37,14 @@ class AsyncEngine {
         reliable_(config.transport == TransportMode::Reliable),
         ids_(std::move(ids)),
         factory_(&factory),
-        delay_rng_(derive_seed(config.seed, 0xde1a)) {
+        delay_rng_(derive_seed(config.seed, 0xde1a)),
+        base_rto_(config.transport_cfg.rto != 0 ? config.transport_cfg.rto
+                                                : 2ULL * config.max_delay + 4),
+        // Deliveries and acks land within max_delay ticks (plus FIFO slack)
+        // and a packet's first two timers within 2 RTOs, so nearly every
+        // event goes straight into a ring bucket.
+        events_(saturating_add(config.max_delay,
+                               saturating_mul(2, base_rto_))) {
     const Vertex n = topology_.num_vertices();
     CSD_CHECK_MSG(ids_.size() == n, "identifier assignment size mismatch");
     CSD_CHECK(config_.max_delay >= 1);
@@ -53,12 +56,9 @@ class AsyncEngine {
 
     if (!config_.faults.empty())
       injector_.emplace(config_.faults, config_.seed, topology_);
-    base_rto_ = config_.transport_cfg.rto != 0
-                    ? config_.transport_cfg.rto
-                    : 2ULL * config_.max_delay + 4;
     rejoin_delay_ = config_.recovery.rejoin_delay != 0
                         ? config_.recovery.rejoin_delay
-                        : 4 * base_rto_;
+                        : saturating_mul(4, base_rto_);
     // Inbox logging powers both node recovery and checkpoint capture; it
     // copies delivered payloads and never consumes randomness, so enabling
     // it cannot change a single bit of the run (fuzzer-enforced).
@@ -164,24 +164,28 @@ class AsyncEngine {
       if (config_.checkpoint_at_pulse != 0 && outcome_.checkpoint == nullptr &&
           outcome_.pulses >= config_.checkpoint_at_pulse)
         capture_checkpoint();
-      const EventRecord event = events_.top();
+      const std::uint64_t next = events_.next_time();
+      // A deadline past the end of virtual time never fires.
       if (config_.stall_window != 0 &&
-          event.time > last_progress_vt_ + config_.stall_window * base_rto_) {
+          next > saturating_add(last_progress_vt_,
+                                saturating_mul(config_.stall_window,
+                                               base_rto_))) {
         // No delivery or recovery for stall_window RTOs of virtual time:
         // cut the run instead of grinding through a dead event queue.
         outcome_.faults.watchdog_stalls = 1;
         if (telemetry_ != nullptr)
-          telemetry_->record(obs::EventKind::WatchdogStall, 0, event.time,
-                             event.time - last_progress_vt_);
+          telemetry_->record(obs::EventKind::WatchdogStall, 0, next,
+                             next - last_progress_vt_);
         break;
       }
-      events_.pop();
+      EventRecord event = events_.pop();
       // Per-event timing: nested program execution is subtracted (it books
       // itself into compute_ns); the remainder is synchronizer/delivery
       // work for Data events and reliable-transport work for Ack/Timer.
       const auto started = timing_ ? Clock::now() : Clock::time_point{};
       const std::uint64_t compute_before = outcome_.timers.compute_ns;
-      switch (event.kind) {
+      const EventRecord::Kind kind = event.kind;
+      switch (kind) {
         case EventRecord::Kind::Data:
           outcome_.virtual_time = std::max(outcome_.virtual_time, event.time);
           last_progress_vt_ = std::max(last_progress_vt_, event.time);
@@ -218,8 +222,8 @@ class AsyncEngine {
       }
       if (timing_)
         add_delivery_time(started, compute_before,
-                          event.kind == EventRecord::Kind::Ack ||
-                              event.kind == EventRecord::Kind::Timer);
+                          kind == EventRecord::Kind::Ack ||
+                              kind == EventRecord::Kind::Timer);
       if (stopped_count_ == topology_.num_vertices() &&
           pending_recoveries_ == 0)
         break;
@@ -402,7 +406,8 @@ class AsyncEngine {
     push_event(std::move(event));
   }
 
-  void deliver_data(const EventRecord& event) {
+  /// Takes the packet out of `event`.
+  void deliver_data(EventRecord& event) {
     // A permanently dead host neither acks nor buffers: its packets fall
     // into the void and the senders' retry budgets eventually give up —
     // mirroring handle_timer, where a permanent crash kills the transport
@@ -412,8 +417,9 @@ class AsyncEngine {
     const auto& dst_sync = sync_[event.dst];
     if (dst_sync.crashed && !dst_sync.recovery_pending) return;
     if (reliable_) {
-      auto accept = receivers_[event.dst][event.dst_port].on_data(event.packet);
-      if (accept.checksum_reject) {
+      receivers_[event.dst][event.dst_port].on_data(std::move(event.packet),
+                                                    accept_);
+      if (accept_.checksum_reject) {
         ++outcome_.faults.checksum_rejects;
         if (telemetry_ != nullptr) {
           m_crc_rejects_.add();
@@ -422,17 +428,17 @@ class AsyncEngine {
         }
         return;
       }
-      if (accept.send_ack)
-        send_ack(event.dst, event.dst_port, accept.ack_seq, event.time,
+      if (accept_.send_ack)
+        send_ack(event.dst, event.dst_port, accept_.ack_seq, event.time,
                  event.src, event.src_port);
-      if (accept.duplicate) {
+      if (accept_.duplicate) {
         ++outcome_.faults.duplicate_packets;
         return;
       }
-      for (Frame& frame : accept.deliver)
+      for (Frame& frame : accept_.deliver)
         deliver_frame(event.dst, event.dst_port, std::move(frame), event.time);
     } else {
-      deliver_frame(event.dst, event.dst_port, Frame(event.packet.frame),
+      deliver_frame(event.dst, event.dst_port, std::move(event.packet.frame),
                     event.time);
     }
   }
@@ -445,7 +451,8 @@ class AsyncEngine {
     sync.local_time = std::max(sync.local_time, time);
   }
 
-  void handle_timer(const EventRecord& event) {
+  /// May re-queue `event` itself (timer parking).
+  void handle_timer(EventRecord& event) {
     if (sync_[event.src].crashed) {
       if (sync_[event.src].recovery_pending) {
         // Timer parking: the host is down but scheduled to rejoin. Re-arm
@@ -453,9 +460,8 @@ class AsyncEngine {
         // attempt counter must not advance while the host is dead), so the
         // retransmission conversation resumes after the rejoin instead of
         // being abandoned.
-        EventRecord parked = event;
-        parked.time = event.time + base_rto_;
-        push_event(std::move(parked));
+        event.time += base_rto_;
+        push_event(std::move(event));
         return;
       }
       return;  // a permanent crash kills the transport too
@@ -522,6 +528,11 @@ class AsyncEngine {
     ++stopped_count_;
     if (recoverable && config_.recovery.enabled &&
         sync.recoveries_used < config_.recovery.max_recoveries) {
+      CSD_CHECK_MSG(rejoin_delay_ <= ~0ULL - sync.local_time,
+                    "--rejoin-delay " << rejoin_delay_ << " puts node " << v
+                        << "'s rejoin past the end of virtual time (it "
+                           "crashed at time "
+                        << sync.local_time << ")");
       ++sync.recoveries_used;
       sync.recovery_pending = true;
       ++pending_recoveries_;
@@ -784,11 +795,7 @@ class AsyncEngine {
       }
       ns.link_watermark = link_watermark_[v];
     }
-    auto queue = events_;
-    while (!queue.empty()) {
-      s.events.push_back(queue.top());
-      queue.pop();
-    }
+    s.events = events_.sorted();
     s.next_event_seq = next_event_seq_;
     s.delay_rng = delay_rng_.state();
     if (injector_.has_value()) s.fault_streams = injector_->save_streams();
@@ -808,6 +815,63 @@ class AsyncEngine {
       telemetry_->record(obs::EventKind::CheckpointSave, 0, outcome_.pulses);
   }
 
+  /// A snapshot's event list before replay: every node and port an event's
+  /// kind makes the engine index must exist, with a Data event's far end
+  /// the true end of its link, and the list must be what the queue pops —
+  /// nothing before the snapshot's virtual time, (t, q) strictly ascending,
+  /// every q below the next seq the engine hands out.
+  void check_events(const AsyncSnapshot& s) const {
+    const Vertex n = topology_.num_vertices();
+    for (std::size_t i = 0; i < s.events.size(); ++i) {
+      const EventRecord& e = s.events[i];
+      const auto at = [i] { return "snapshot event " + std::to_string(i); };
+      CSD_CHECK_MSG(e.src < n, at() << ": key 's' = " << e.src
+                                    << " is not a node (the topology has "
+                                    << n << ")");
+      if (e.kind != EventRecord::Kind::Recover)
+        CSD_CHECK_MSG(e.src_port < topology_.degree(e.src),
+                      at() << ": key 'sp' = " << e.src_port
+                           << " is not a port of node " << e.src
+                           << " (degree " << topology_.degree(e.src) << ")");
+      if (e.kind == EventRecord::Kind::Recover)
+        CSD_CHECK_MSG(config_.recovery.enabled,
+                      at() << ": key 'k': a recover event with crash "
+                              "recovery off");
+      else if (e.kind != EventRecord::Kind::Data)
+        CSD_CHECK_MSG(reliable_, at() << ": key 'k': an ack or timer event "
+                                         "under the raw transport");
+      if (e.kind == EventRecord::Kind::Data) {
+        const std::size_t edge = csr_->offsets[e.src] + e.src_port;
+        CSD_CHECK_MSG(e.dst == csr_->row(e.src)[e.src_port],
+                      at() << ": key 'd' = " << e.dst
+                           << " is not the far end of node " << e.src
+                           << "'s port " << e.src_port);
+        CSD_CHECK_MSG(e.dst_port == tables_.rev_port[edge],
+                      at() << ": key 'dp' = " << e.dst_port
+                           << " is not the far port of node " << e.src
+                           << "'s port " << e.src_port);
+      }
+      CSD_CHECK_MSG(e.time >= s.virtual_time,
+                    at() << ": key 't' = " << e.time
+                         << " precedes the snapshot's virtual_time "
+                         << s.virtual_time);
+      if (i > 0) {
+        const EventRecord& prev = s.events[i - 1];
+        CSD_CHECK_MSG(e.time >= prev.time,
+                      at() << ": key 't' = " << e.time
+                           << " precedes the previous event's " << prev.time);
+        CSD_CHECK_MSG(e.time > prev.time || e.seq > prev.seq,
+                      at() << ": key 'q' = " << e.seq
+                           << " does not follow the previous event's "
+                           << prev.seq << " at time " << e.time);
+      }
+      CSD_CHECK_MSG(e.seq < s.next_event_seq,
+                    at() << ": key 'q' = " << e.seq
+                         << " is not below next_event_seq "
+                         << s.next_event_seq);
+    }
+  }
+
   void restore(const Snapshot& snapshot) {
     CSD_CHECK_MSG(snapshot.kind == Snapshot::Kind::Async,
                   "resume_async needs an async snapshot, got "
@@ -822,6 +886,7 @@ class AsyncEngine {
                   "snapshot belongs to a different seed");
     const Vertex n = topology_.num_vertices();
     CSD_CHECK_MSG(s.nodes.size() == n, "snapshot node count mismatch");
+    check_events(s);
 
     std::vector<ProtocolViolation> scratch;
     for (Vertex v = 0; v < n; ++v) {
@@ -865,7 +930,7 @@ class AsyncEngine {
         if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
       }
     }
-    for (const EventRecord& event : s.events) events_.push(event);
+    for (const EventRecord& event : s.events) events_.push(EventRecord(event));
     next_event_seq_ = s.next_event_seq;
     delay_rng_.set_state(s.delay_rng);
     if (injector_.has_value()) injector_->restore_streams(s.fault_streams);
@@ -918,8 +983,8 @@ class AsyncEngine {
   std::vector<SyncState> sync_;
   std::vector<std::vector<LinkSender>> senders_;      // reliable mode only
   std::vector<std::vector<LinkReceiver>> receivers_;  // reliable mode only
-  std::priority_queue<EventRecord, std::vector<EventRecord>, EventLater>
-      events_;
+  detail::EventQueue events_;
+  LinkReceiver::Accept accept_;  // reused by every reliable delivery
   std::uint64_t next_event_seq_ = 0;
   Vertex halted_count_ = 0;   // gracefully halted
   Vertex stopped_count_ = 0;  // halted or crashed

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
+#include "support/mathutil.hpp"
 
 namespace csd::congest::detail {
 namespace {
@@ -809,8 +810,9 @@ RunOutcome RoundKernel::run() {
       if (!nodes_[v]->halted() && !crashed_[v]) ++workers_[w].live;
   }
   for (; round_ < config_.max_rounds; ++round_) {
+    // A deadline past the end of the round counter never fires.
     if (config_.stall_window != 0 &&
-        round_ >= last_progress_ + config_.stall_window) {
+        round_ >= saturating_add(last_progress_, config_.stall_window)) {
       outcome_.faults.watchdog_stalls = 1;
       if (telemetry_ != nullptr)
         telemetry_->record(obs::EventKind::WatchdogStall, 0, round_,
@@ -868,7 +870,8 @@ RunOutcome RoundKernel::run() {
       std::uint64_t next = std::min(next_wake_, config_.max_rounds);
       if (checkpoint_at_ > round_) next = std::min(next, checkpoint_at_);
       if (config_.stall_window != 0)
-        next = std::min(next, last_progress_ + config_.stall_window);
+        next = std::min(next,
+                        saturating_add(last_progress_, config_.stall_window));
       if (next > round_ + 1) {
         outcome_.trace.carry_phase(round_, next);
         if (telemetry_ != nullptr) {

@@ -85,27 +85,36 @@ void LinkSender::restore_state(const LinkSenderState& state) {
                      Pending{entry.frame, entry.crc, entry.attempts});
 }
 
-LinkReceiver::Accept LinkReceiver::on_data(const DataPacket& packet) {
-  Accept accept;
+void LinkReceiver::on_data(DataPacket packet, Accept& out) {
+  out.send_ack = false;
+  out.ack_seq = 0;
+  out.duplicate = false;
+  out.checksum_reject = false;
+  out.deliver.clear();
   if (packet_checksum(packet.seq, packet.frame, config_) != packet.crc) {
-    accept.checksum_reject = true;
-    return accept;
+    out.checksum_reject = true;
+    return;
   }
-  accept.send_ack = true;
-  accept.ack_seq = packet.seq;
-  if (packet.seq < next_expected_ ||
-      reorder_.find(packet.seq) != reorder_.end()) {
-    accept.duplicate = true;
-    return accept;
+  out.send_ack = true;
+  out.ack_seq = packet.seq;
+  if (packet.seq < next_expected_ || reorder_.contains(packet.seq)) {
+    out.duplicate = true;
+    return;
   }
-  reorder_.emplace(packet.seq, packet.frame);
-  for (auto it = reorder_.find(next_expected_); it != reorder_.end();
-       it = reorder_.find(next_expected_)) {
-    accept.deliver.push_back(std::move(it->second));
-    reorder_.erase(it);
+  if (packet.seq != next_expected_) {
+    reorder_.emplace(packet.seq, std::move(packet.frame));
+    return;
+  }
+  // In sequence: release it, then every buffered frame it unblocks (the
+  // buffer holds only seqs above next_expected_, smallest first).
+  out.deliver.push_back(std::move(packet.frame));
+  ++next_expected_;
+  for (auto it = reorder_.begin();
+       it != reorder_.end() && it->first == next_expected_;
+       it = reorder_.erase(it)) {
+    out.deliver.push_back(std::move(it->second));
     ++next_expected_;
   }
-  return accept;
 }
 
 LinkReceiverState LinkReceiver::save_state() const {

@@ -191,7 +191,10 @@ class LinkReceiver {
     /// Frames released to the synchronizer, in sequence order.
     std::vector<Frame> deliver;
   };
-  Accept on_data(const DataPacket& packet);
+  /// Take `packet` off the wire into `out`, which is reset first; a caller
+  /// that keeps one Accept keeps `deliver`'s capacity across calls. An
+  /// in-sequence packet with nothing buffered goes straight to `deliver`.
+  void on_data(DataPacket packet, Accept& out);
 
   std::uint64_t next_expected() const noexcept { return next_expected_; }
 

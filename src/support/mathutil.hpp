@@ -18,6 +18,18 @@ std::uint64_t floor_kth_root(std::uint64_t n, std::uint32_t k) noexcept;
 /// ⌈log2(n)⌉ for n >= 1 (returns 0 for n == 1).
 std::uint32_t ceil_log2(std::uint64_t n) noexcept;
 
+/// a + b with saturation at UINT64_MAX.
+constexpr std::uint64_t saturating_add(std::uint64_t a,
+                                       std::uint64_t b) noexcept {
+  return a > ~b ? ~0ULL : a + b;
+}
+
+/// a · b with saturation at UINT64_MAX.
+constexpr std::uint64_t saturating_mul(std::uint64_t a,
+                                       std::uint64_t b) noexcept {
+  return b != 0 && a > ~0ULL / b ? ~0ULL : a * b;
+}
+
 /// ⌈a / b⌉ for b > 0.
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return (a + b - 1) / b;

@@ -4,7 +4,11 @@
 // simulator — which is what justifies studying them synchronously.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "congest/async.hpp"
+#include "congest/event_queue.hpp"
 #include "congest/network.hpp"
 #include "detect/clique_detect.hpp"
 #include "detect/even_cycle.hpp"
@@ -13,6 +17,7 @@
 #include "congest/primitives.hpp"
 #include "detect/weighted_cycle.hpp"
 #include "graph/builders.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace csd::congest {
@@ -421,6 +426,180 @@ TEST(AsyncEngine, TransportOverheadAccountedSeparately) {
   EXPECT_GT(hard.faults.retransmissions, 0u);
   EXPECT_GT(hard.transport_bits, base.transport_bits);
   EXPECT_GT(hard.acks, 0u);
+}
+
+// ---------------------------------------------------------- event queue --
+// The engine's calendar queue must pop in exactly the order of the binary
+// heap on (time, seq) it replaced; that heap stays here as the oracle.
+
+struct Later {
+  bool operator()(const EventRecord& a, const EventRecord& b) const {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
+};
+using ReferenceQueue =
+    std::priority_queue<EventRecord, std::vector<EventRecord>, Later>;
+
+/// Drives both queues under the engine's discipline: each push is at or
+/// after the last popped time and takes the next seq. `gap` draws the push
+/// distance from the clock.
+class QueueDriver {
+ public:
+  QueueDriver(std::uint64_t horizon, std::uint64_t seed)
+      : queue(horizon), rng(seed) {}
+
+  template <class Gap>
+  void push(const Gap& gap) {
+    EventRecord e;
+    e.time = clock + gap(rng);
+    e.seq = next_seq++;
+    e.kind = EventRecord::Kind::Data;
+    e.link_seq = e.seq * 7 + 1;
+    e.packet.frame.payload.emplace();
+    e.packet.frame.payload->append_bits(e.seq, 40);
+    reference.push(e);
+    queue.push(std::move(e));
+  }
+
+  void pop_and_compare() {
+    ASSERT_FALSE(queue.empty());
+    ASSERT_EQ(queue.size(), reference.size());
+    const EventRecord want = reference.top();
+    reference.pop();
+    ASSERT_EQ(queue.next_time(), want.time);
+    const EventRecord got = queue.pop();
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.seq, want.seq);
+    ASSERT_EQ(got.link_seq, want.link_seq);
+    ASSERT_TRUE(got.packet.frame.payload.has_value());
+    ASSERT_EQ(*got.packet.frame.payload, *want.packet.frame.payload);
+    clock = got.time;
+  }
+
+  /// sorted() lists the drain order of both queues, without draining.
+  void expect_sorted_is_drain_order() const {
+    const std::vector<EventRecord> listed = queue.sorted();
+    ReferenceQueue ref = reference;
+    detail::EventQueue copy = queue;
+    ASSERT_EQ(listed.size(), ref.size());
+    for (const EventRecord& e : listed) {
+      EXPECT_EQ(e.time, ref.top().time);
+      EXPECT_EQ(e.seq, ref.top().seq);
+      ref.pop();
+      const EventRecord drained = copy.pop();
+      EXPECT_EQ(e.time, drained.time);
+      EXPECT_EQ(e.seq, drained.seq);
+    }
+    EXPECT_TRUE(copy.empty());
+  }
+
+  detail::EventQueue queue;
+  ReferenceQueue reference;
+  Rng rng;
+  std::uint64_t clock = 0;
+  std::uint64_t next_seq = 0;
+};
+
+TEST(EventQueue, RingIsAPowerOfTwoCoveringTheHorizon) {
+  EXPECT_EQ(detail::EventQueue(48).ring_ticks(), 64u);  // max_delay 8
+  EXPECT_EQ(detail::EventQueue(63).ring_ticks(), 64u);
+  EXPECT_EQ(detail::EventQueue(64).ring_ticks(), 128u);
+  EXPECT_EQ(detail::EventQueue(0).ring_ticks(), 1u);
+  EXPECT_EQ(detail::EventQueue(~0ULL).ring_ticks(),
+            detail::EventQueue::kMaxRingTicks);
+}
+
+TEST(EventQueue, RandomPushesAndPopsMatchTheBinaryHeap) {
+  // Gaps mostly inside the 64-tick ring, with equal times, some past it
+  // (backed-off timers) and rare long jumps.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    QueueDriver d(48, seed);
+    const auto gap = [](Rng& rng) -> std::uint64_t {
+      const std::uint64_t kind = rng.below(100);
+      if (kind < 20) return 0;
+      if (kind < 80) return 1 + rng.below(8);
+      if (kind < 97) return rng.below(400);
+      return 1000 + rng.below(100000);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      if (d.queue.empty() || d.rng.below(100) < 52) {
+        d.push(gap);
+      } else {
+        d.pop_and_compare();
+        if (HasFatalFailure()) return;
+      }
+      if (step % 4999 == 0) d.expect_sorted_is_drain_order();
+    }
+    while (!d.queue.empty()) {
+      d.pop_and_compare();
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventQueue, JumpsOverAnEmptyStretch) {
+  QueueDriver d(48, 3);
+  const auto at = [](std::uint64_t g) { return [g](Rng&) { return g; }; };
+  d.push(at(5));
+  d.push(at(100000));
+  d.push(at(100000));
+  d.push(at(5));
+  d.push(at(64));  // first tick past the ring
+  d.expect_sorted_is_drain_order();
+  for (int i = 0; i < 3; ++i) d.pop_and_compare();  // 5, 5, 64
+  EXPECT_EQ(d.clock, 64u);
+  d.push(at(3));  // a ring event while the far ones wait in the heap
+  d.pop_and_compare();
+  d.pop_and_compare();  // the jump: the ring is empty
+  EXPECT_EQ(d.clock, 100000u);
+  d.push(at(0));  // same tick as the one still queued
+  d.expect_sorted_is_drain_order();
+  d.pop_and_compare();
+  d.pop_and_compare();
+  EXPECT_TRUE(d.queue.empty());
+}
+
+TEST(EventQueue, BulkPushOfASortedListAsRestoreDoes) {
+  // A snapshot's list is sorted with gaps in seq; a fresh queue takes it
+  // whole, then the run pushes on with seqs from next_event_seq.
+  QueueDriver live(48, 9);
+  const auto gap = [](Rng& rng) -> std::uint64_t {
+    return rng.below(10) == 0 ? 70 + rng.below(3000) : rng.below(30);
+  };
+  for (int i = 0; i < 3000; ++i) {
+    live.push(gap);
+    if (i % 3 == 2) live.pop_and_compare();
+  }
+  QueueDriver restored(48, 10);
+  for (EventRecord e : live.queue.sorted()) {
+    restored.reference.push(e);
+    restored.queue.push(std::move(e));
+  }
+  restored.clock = live.clock;
+  restored.next_seq = live.next_seq;
+  restored.expect_sorted_is_drain_order();
+  for (int i = 0; i < 4000; ++i) {
+    if (restored.queue.empty() || i % 2 == 0) {
+      restored.push(gap);
+    } else {
+      restored.pop_and_compare();
+      if (HasFatalFailure()) return;
+    }
+  }
+  while (!restored.queue.empty()) {
+    restored.pop_and_compare();
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueue, RejectsAnEventBeforeTheClock) {
+  detail::EventQueue queue(48);
+  EventRecord e;
+  e.time = 10;
+  queue.push(EventRecord(e));
+  EXPECT_EQ(queue.pop().time, 10u);
+  e.time = 9;  // a wrapped virtual time lands in the past
+  EXPECT_THROW(queue.push(std::move(e)), CheckFailure);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "graph/builders.hpp"
 #include "support/check.hpp"
 #include "support/crc.hpp"
+#include "support/rng.hpp"
 
 namespace csd::congest {
 namespace {
@@ -60,6 +61,76 @@ TEST(Crc32, PacketChecksumCoversSeqPulseAndFlags) {
     pulse_flip.pulse ^= 1ULL << bit;
     EXPECT_NE(packet_checksum(7, pulse_flip, cfg), base)
         << "pulse bit " << bit << " not covered by the CRC";
+  }
+}
+
+/// The bit-serial CRC-32 definition, one polynomial step per bit: the
+/// oracle the byte-table path must equal.
+class BitSerialCrc32 {
+ public:
+  void bit(bool b) {
+    const bool mix = ((state_ ^ static_cast<std::uint32_t>(b)) & 1u) != 0;
+    state_ >>= 1;
+    if (mix) state_ ^= 0xedb88320u;
+  }
+  void bits(std::uint64_t value, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) bit(((value >> i) & 1ULL) != 0);
+  }
+  void raw(const BitVec& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) bit(v.get(i));
+  }
+  std::uint32_t value() const { return state_ ^ 0xffffffffu; }
+
+ private:
+  std::uint32_t state_ = 0xffffffffu;
+};
+
+/// A random bit vector of `length` bits.
+BitVec random_bits(Rng& rng, std::size_t length) {
+  BitVec v;
+  for (std::size_t i = 0; i < length; ++i) v.push_back(rng.below(2) == 1);
+  return v;
+}
+
+TEST(Crc32, TablePathEqualsTheBitSerialDefinition) {
+  Rng rng(2024);
+  // raw() at every length up to three words: whole bytes, whole words and
+  // every remainder in between.
+  for (std::size_t length = 0; length <= 192; ++length) {
+    const BitVec v = random_bits(rng, length);
+    BitSerialCrc32 serial;
+    serial.raw(v);
+    EXPECT_EQ(crc32_bits(v), serial.value()) << "length " << length;
+  }
+  // Random runs of bits(v, w) for every w in 0..64 (with garbage above w),
+  // bit(), and raw(), in any order: the state after every call must match.
+  for (int trial = 0; trial < 200; ++trial) {
+    Crc32 table;
+    BitSerialCrc32 serial;
+    for (int op = 0; op < 40; ++op) {
+      switch (rng.below(3)) {
+        case 0: {
+          const auto width = static_cast<unsigned>(rng.below(65));
+          const std::uint64_t value = rng();
+          table.bits(value, width);
+          serial.bits(value, width);
+          break;
+        }
+        case 1: {
+          const bool b = rng.below(2) == 1;
+          table.bit(b);
+          serial.bit(b);
+          break;
+        }
+        default: {
+          const BitVec v = random_bits(rng, rng.below(300));
+          table.raw(v);
+          serial.raw(v);
+          break;
+        }
+      }
+      ASSERT_EQ(table.value(), serial.value()) << "trial " << trial;
+    }
   }
 }
 
@@ -185,11 +256,19 @@ TEST(LinkSender, ExponentialBackoffThenGiveUp) {
 }
 
 // ---------------------------------------------------- link receiver ARQ --
+/// One packet into a fresh Accept.
+LinkReceiver::Accept receive(LinkReceiver& receiver, DataPacket packet) {
+  LinkReceiver::Accept accept;
+  receiver.on_data(std::move(packet), accept);
+  return accept;
+}
+
 TEST(LinkReceiver, InOrderDeliveryAndAcks) {
   LinkSender sender{TransportConfig{}};
   LinkReceiver receiver;
+  LinkReceiver::Accept accept;  // reused, as the engine does
   for (std::uint64_t i = 0; i < 4; ++i) {
-    const auto accept = receiver.on_data(sender.packet(test_frame(i)));
+    receiver.on_data(sender.packet(test_frame(i)), accept);
     EXPECT_TRUE(accept.send_ack);
     EXPECT_EQ(accept.ack_seq, i);
     EXPECT_FALSE(accept.duplicate);
@@ -205,12 +284,12 @@ TEST(LinkReceiver, ReorderBufferReleasesInSequence) {
   const DataPacket p0 = sender.packet(test_frame(0));
   const DataPacket p1 = sender.packet(test_frame(1));
   const DataPacket p2 = sender.packet(test_frame(2));
-  const auto late = receiver.on_data(p2);  // out of order: buffered
+  const auto late = receive(receiver, p2);  // out of order: buffered
   EXPECT_TRUE(late.send_ack);
   EXPECT_TRUE(late.deliver.empty());
-  const auto mid = receiver.on_data(p1);
+  const auto mid = receive(receiver, p1);
   EXPECT_TRUE(mid.deliver.empty());
-  const auto first = receiver.on_data(p0);  // releases all three, in order
+  const auto first = receive(receiver, p0);  // releases all three, in order
   ASSERT_EQ(first.deliver.size(), 3u);
   for (std::uint64_t i = 0; i < 3; ++i)
     EXPECT_EQ(first.deliver[i].pulse, i);
@@ -220,8 +299,8 @@ TEST(LinkReceiver, DuplicatesReAckedButNotRedelivered) {
   LinkSender sender{TransportConfig{}};
   LinkReceiver receiver;
   const DataPacket p = sender.packet(test_frame(0));
-  ASSERT_EQ(receiver.on_data(p).deliver.size(), 1u);
-  const auto dup = receiver.on_data(p);  // retransmit after a lost ack
+  ASSERT_EQ(receive(receiver, p).deliver.size(), 1u);
+  const auto dup = receive(receiver, p);  // retransmit after a lost ack
   EXPECT_TRUE(dup.send_ack);             // re-ack so the sender settles
   EXPECT_TRUE(dup.duplicate);
   EXPECT_TRUE(dup.deliver.empty());
@@ -232,7 +311,7 @@ TEST(LinkReceiver, CorruptedPacketRejectedWithoutAck) {
   LinkReceiver receiver;
   DataPacket p = sender.packet(test_frame(0, 16));
   p.frame.payload->flip(5);
-  const auto accept = receiver.on_data(p);
+  const auto accept = receive(receiver, p);
   EXPECT_TRUE(accept.checksum_reject);
   EXPECT_FALSE(accept.send_ack);
   EXPECT_TRUE(accept.deliver.empty());
@@ -248,13 +327,13 @@ TEST(LinkReceiver, CorruptedPulseRejectedByChecksum) {
   LinkReceiver receiver{TransportConfig{}};
   DataPacket p = sender.packet(test_frame(3, 8));
   p.frame.pulse ^= 1ULL << 40;
-  const auto accept = receiver.on_data(p);
+  const auto accept = receive(receiver, p);
   EXPECT_TRUE(accept.checksum_reject);
   EXPECT_FALSE(accept.send_ack);
   EXPECT_TRUE(accept.deliver.empty());
 
   DataPacket clean = sender.retransmit_packet(p.seq);
-  const auto healed = receiver.on_data(clean);
+  const auto healed = receive(receiver, clean);
   EXPECT_TRUE(healed.send_ack);
   ASSERT_EQ(healed.deliver.size(), 1u);
   EXPECT_EQ(healed.deliver[0].pulse, 3u);

@@ -372,6 +372,58 @@ TEST(Cli, DetectRecoverRestoresCrashedNodeAndSurfacesCounters) {
   std::remove(trace.c_str());
 }
 
+TEST(Cli, WatchdogDeadlinePastTheEndOfTheClockNeverFires) {
+  // last progress + window (sync), and window × RTO (async), used to wrap
+  // and fire the watchdog at once: 60 nodes "stalled" at round 1, and a
+  // reliable run cut short as incomplete.
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_wd.graph").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "gnp", "60", "10", "3", "--out", path},
+                    &text),
+            0);
+  const auto sync_run = [&](const std::string& window) {
+    std::string out;
+    EXPECT_EQ(run_cli({"detect", "triangle", path, "--supervised",
+                       "--stall-window", window, "--reps", "1", "--seed", "9"},
+                      &out),
+              0);
+    return out;
+  };
+  const std::string never = sync_run("18446744073709551615");
+  EXPECT_NE(never.find("REJECT"), std::string::npos) << never;
+  EXPECT_EQ(never, sync_run("1000"));
+
+  const std::vector<std::string> async_run = {
+      "detect", "triangle", path,  "--drop", "0.1", "--transport",
+      "reliable", "--reps", "1", "--seed", "9"};
+  std::string plain;
+  ASSERT_EQ(run_cli(async_run, &plain), 0);
+  std::vector<std::string> windowed = async_run;
+  windowed.insert(windowed.end(), {"--stall-window", "922337203685477581"});
+  ASSERT_EQ(run_cli(windowed, &text), 0);
+  EXPECT_NE(text.find("completed:  yes"), std::string::npos) << text;
+  EXPECT_EQ(text, plain);
+  std::remove(path.c_str());
+}
+
+TEST(Cli, RejoinPastTheEndOfVirtualTimeExitsTwo) {
+  // local time + rejoin delay used to wrap, so the node rejoined at once.
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_rejoin.graph").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "gnp", "60", "10", "3", "--out", path},
+                    &text),
+            0);
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--crash", "3:2",
+                     "--recover", "--rejoin-delay", "18446744073709551615",
+                     "--reps", "1", "--seed", "9"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("--rejoin-delay"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, DetectSupervisedSliceResumeAndStallReports) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string path = (dir / "csd_cli_sup.graph").string();

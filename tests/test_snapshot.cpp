@@ -392,6 +392,89 @@ TEST(AsyncCheckpoint, ResumeRejectsForeignSnapshots) {
                CheckFailure);
 }
 
+TEST(AsyncCheckpoint, ResumeRejectsDamagedEventLists) {
+  // An event indexes the engine's per-node and per-port tables, and the
+  // event queue pops a restored list correctly only if nothing precedes the
+  // snapshot's clock and (t, q) ascends: each damage exits with a check
+  // naming the key, before any replay.
+  Rng rng(12);
+  const Graph g = build::gnp(11, 0.3, rng);
+  const auto factory = detect::pipelined_cycle_program(3);
+  for (const TransportMode mode :
+       {TransportMode::Raw, TransportMode::Reliable}) {
+    AsyncConfig cfg = faulty_async_config(mode);
+    cfg.checkpoint_at_pulse = 2;
+    const auto full = run_async(g, cfg, factory);
+    ASSERT_NE(full.checkpoint, nullptr);
+    const AsyncSnapshot& clean = full.checkpoint->async_state;
+    ASSERT_GE(clean.events.size(), 2u);
+    ASSERT_GT(clean.virtual_time, 0u);
+
+    const auto expect_rejected = [&](const std::string& key,
+                                     const auto& damage) {
+      Snapshot bad = *full.checkpoint;
+      damage(bad.async_state);
+      try {
+        resume_async(g, cfg, factory, bad);
+        ADD_FAILURE() << "resumed a snapshot with a damaged " << key;
+      } catch (const CheckFailure& failure) {
+        EXPECT_NE(std::string(failure.what()).find("key " + key),
+                  std::string::npos)
+            << failure.what();
+      }
+    };
+    const auto index_of = [&](EventRecord::Kind kind) {
+      std::size_t i = 0;
+      while (i < clean.events.size() && clean.events[i].kind != kind) ++i;
+      return i;
+    };
+    const std::size_t data = index_of(EventRecord::Kind::Data);
+    ASSERT_LT(data, clean.events.size());
+
+    expect_rejected("'s'", [](AsyncSnapshot& s) { s.events[0].src = 100000; });
+    expect_rejected("'d'", [&](AsyncSnapshot& s) {
+      s.events[data].dst = 100000;
+    });
+    expect_rejected("'d'", [&](AsyncSnapshot& s) {
+      EventRecord& e = s.events[data];
+      e.dst = e.dst == 0 ? 1 : 0;  // a node, but not the link's far end
+    });
+    expect_rejected("'dp'", [&](AsyncSnapshot& s) {
+      s.events[data].dst_port += 1;
+    });
+    expect_rejected("'sp'", [&](AsyncSnapshot& s) {
+      s.events[data].src_port = 4000;
+    });
+    expect_rejected("'t'", [](AsyncSnapshot& s) {
+      s.events[0].time = s.virtual_time - 1;
+    });
+    expect_rejected("'t'", [](AsyncSnapshot& s) {
+      s.events[1].time = s.events[0].time - 1;
+    });
+    expect_rejected("'q'", [](AsyncSnapshot& s) {
+      s.events[1].time = s.events[0].time;
+      s.events[1].seq = s.events[0].seq;
+    });
+    expect_rejected("'q'", [](AsyncSnapshot& s) {
+      s.events.back().seq = s.next_event_seq;
+    });
+    if (mode == TransportMode::Reliable) {
+      const std::size_t ack = index_of(EventRecord::Kind::Ack);
+      ASSERT_LT(ack, clean.events.size());
+      expect_rejected("'sp'", [&](AsyncSnapshot& s) {
+        s.events[ack].src_port = 4000;
+      });
+    } else {
+      expect_rejected("'k'", [&](AsyncSnapshot& s) {
+        s.events[data].kind = EventRecord::Kind::Timer;
+      });
+    }
+    expect_rejected("'k'", [&](AsyncSnapshot& s) {  // recovery is off
+      s.events[data].kind = EventRecord::Kind::Recover;
+    });
+  }
+}
+
 // ------------------------------------------------------------- recovery --
 
 TEST(AsyncRecovery, ScheduledCrashRejoinsAndMatchesFaultFreeVerdicts) {
