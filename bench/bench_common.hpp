@@ -20,8 +20,8 @@
 //   --json DIR    write BENCH_<name>.json into DIR at ctx.finish()
 //   --trace FILE  benches that run live instances (and opt in via
 //                 ctx.trace_options()) concatenate one stamped JSONL trace
-//                 per instance into FILE for `csd analyze` /
-//                 tools/trace_report.py; benches without live runs ignore it
+//                 per instance into FILE for `csd analyze`; benches
+//                 without live runs ignore it
 //   --metrics-out FILE / --metrics-period MS / --blackbox FILE
 //                 same csd-metrics-v2 plane as the csd CLI: benches that run
 //                 live engines pass ctx.telemetry() into their configs; the

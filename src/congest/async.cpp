@@ -28,6 +28,20 @@ struct SyncState {
   std::uint32_t recoveries_used = 0;
 };
 
+/// The engine's counter rows (DESIGN.md §14): the run's own counts, then
+/// its FaultReport's.
+auto counts(const AsyncAccounting& outcome) {
+  return [&outcome](auto&& row) {
+    row("pulses", outcome.pulses);
+    row("frames", outcome.frames);
+    row("acks", outcome.acks);
+    row("payload_bits", outcome.payload_bits);
+    row("overhead_bits", outcome.overhead_bits);
+    row("transport_bits", outcome.transport_bits);
+    fault_rows(outcome.faults, row);
+  };
+}
+
 class AsyncEngine {
  public:
   AsyncEngine(const Graph& topology, const AsyncConfig& config,
@@ -114,20 +128,13 @@ class AsyncEngine {
     // afterwards. nullptr telemetry leaves every site a predicted branch.
     telemetry_ = config_.telemetry;
     if (telemetry_ != nullptr) {
-      m_pulses_ = telemetry_->counter("async_pulses");
-      m_frames_ = telemetry_->counter("async_frames");
-      m_retransmits_ = telemetry_->counter("async_retransmissions");
-      m_crc_rejects_ = telemetry_->counter("async_checksum_rejects");
-      m_drops_ = telemetry_->counter("async_frames_dropped");
-      m_corrupts_ = telemetry_->counter("async_frames_corrupted");
-      m_crashes_ = telemetry_->counter("async_node_crashes");
-      m_recoveries_ = telemetry_->counter("async_node_recoveries");
       m_queue_depth_ = telemetry_->gauge("async_event_queue");
       m_payload_hist_ = telemetry_->histogram("async_frame_payload_bits");
     }
   }
 
   AsyncRunOutcome run() {
+    plane_ = obs::RowPublisher(telemetry_, "async_", counts(outcome_));
     bootstrap();
     event_loop();
     return finalize();
@@ -135,6 +142,8 @@ class AsyncEngine {
 
   AsyncRunOutcome resume(const Snapshot& snapshot) {
     restore(snapshot);
+    // The plane's counts start from the restored totals.
+    plane_ = obs::RowPublisher(telemetry_, "async_", counts(outcome_));
     // A terminal snapshot froze a run that had already ended; its queued
     // events are dead letters, so finalize the restored state directly.
     if (snapshot.async_state.terminal == 0) event_loop();
@@ -165,6 +174,11 @@ class AsyncEngine {
           outcome_.pulses >= config_.checkpoint_at_pulse)
         capture_checkpoint();
       const std::uint64_t next = events_.next_time();
+      // The plane gets each virtual-time tick's counts as the loop leaves it.
+      if (telemetry_ != nullptr && next != published_tick_) {
+        published_tick_ = next;
+        plane_.publish(counts(outcome_));
+      }
       // A deadline past the end of virtual time never fires.
       if (config_.stall_window != 0 &&
           next > saturating_add(last_progress_vt_,
@@ -253,6 +267,7 @@ class AsyncEngine {
       if (!sync_[v].crashed && !node->halted())
         outcome_.faults.stalled_nodes.push_back(v);
     }
+    plane_.publish(counts(outcome_));
     outcome_.counters = fault_counters(outcome_.faults);
     if (outcome_.trace) {
       // Pad quiet trailing pulses so the trace covers exactly
@@ -315,20 +330,16 @@ class AsyncEngine {
         src, port, static_cast<std::size_t>(header_bits + payload_bits));
     if (fate.dropped) {
       ++outcome_.faults.frames_dropped;
-      if (telemetry_ != nullptr) {
-        m_drops_.add();
+      if (telemetry_ != nullptr)
         telemetry_->record(obs::EventKind::FrameDropped, src,
                            packet.frame.pulse);
-      }
       return false;
     }
     if (fate.corrupted) {
       ++outcome_.faults.frames_corrupted;
-      if (telemetry_ != nullptr) {
-        m_corrupts_.add();
+      if (telemetry_ != nullptr)
         telemetry_->record(obs::EventKind::FrameCorrupted, src,
                            packet.frame.pulse);
-      }
       const std::uint64_t bit = fate.corrupt_bit;
       if (bit < header_bits) {
         if (bit < Frame::kPulseWireBits)
@@ -387,10 +398,8 @@ class AsyncEngine {
       const auto fate = injector_->next_fate(dst, dst_port, 0);
       if (fate.dropped) {
         ++outcome_.faults.frames_dropped;
-        if (telemetry_ != nullptr) {
-          m_drops_.add();
+        if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::FrameDropped, dst, now);
-        }
         return;
       }
     }
@@ -421,11 +430,9 @@ class AsyncEngine {
                                                     accept_);
       if (accept_.checksum_reject) {
         ++outcome_.faults.checksum_rejects;
-        if (telemetry_ != nullptr) {
-          m_crc_rejects_.add();
+        if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::ChecksumReject, event.dst,
                              event.time);
-        }
         return;
       }
       if (accept_.send_ack)
@@ -476,11 +483,9 @@ class AsyncEngine {
       case LinkSender::TimeoutAction::Retransmit: {
         DataPacket packet = sender.retransmit_packet(event.link_seq);
         ++outcome_.faults.retransmissions;
-        if (telemetry_ != nullptr) {
-          m_retransmits_.add();
+        if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::Retransmit, event.src, event.time,
                              event.link_seq);
-        }
         outcome_.transport_bits += packet.frame.overhead_bits() +
                                    config_.transport_cfg.seq_bits +
                                    packet.frame.payload_bits() +
@@ -521,10 +526,8 @@ class AsyncEngine {
     sync.crashed = true;
     nodes_[v]->discard_outbox();
     outcome_.faults.crashed_nodes.push_back(v);
-    if (telemetry_ != nullptr) {
-      m_crashes_.add();
+    if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::NodeCrash, v, sync.pulse);
-    }
     ++stopped_count_;
     if (recoverable && config_.recovery.enabled &&
         sync.recoveries_used < config_.recovery.max_recoveries) {
@@ -614,7 +617,6 @@ class AsyncEngine {
       return;
     }
     outcome_.pulses = std::max(outcome_.pulses, sync.pulse + 1);
-    if (telemetry_ != nullptr) m_pulses_.add();
 
     // Emit this pulse's frames (exactly one per port), with jittered FIFO
     // delivery times; under the reliable transport each frame becomes a
@@ -638,7 +640,6 @@ class AsyncEngine {
       outcome_.overhead_bits += frame.overhead_bits();
       ++outcome_.frames;
       if (telemetry_ != nullptr) {
-        m_frames_.add();
         m_payload_hist_.observe(frame.payload_bits());
         m_queue_depth_.set(events_.size());
       }
@@ -731,10 +732,8 @@ class AsyncEngine {
     sync.running = true;
     sync.local_time = std::max(sync.local_time, event.time);
     outcome_.faults.recovered_nodes.push_back(v);
-    if (telemetry_ != nullptr) {
-      m_recoveries_.add();
+    if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::NodeRecover, v, event.time);
-    }
     if (outcome_.trace) outcome_.trace.set_phase(sync.pulse, "recover");
     --stopped_count_;
   }
@@ -802,14 +801,7 @@ class AsyncEngine {
     s.halted_count = halted_count_;
     s.stopped_count = stopped_count_;
     s.pending_recoveries = pending_recoveries_;
-    s.pulses = outcome_.pulses;
-    s.virtual_time = outcome_.virtual_time;
-    s.payload_bits = outcome_.payload_bits;
-    s.overhead_bits = outcome_.overhead_bits;
-    s.frames = outcome_.frames;
-    s.transport_bits = outcome_.transport_bits;
-    s.acks = outcome_.acks;
-    s.faults = outcome_.faults;
+    static_cast<AsyncAccounting&>(s) = outcome_;
     outcome_.checkpoint = std::move(snap);
     if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::CheckpointSave, 0, outcome_.pulses);
@@ -887,6 +879,8 @@ class AsyncEngine {
     const Vertex n = topology_.num_vertices();
     CSD_CHECK_MSG(s.nodes.size() == n, "snapshot node count mismatch");
     check_events(s);
+    for (Vertex v = 0; v < n; ++v)
+      check_inbox_log(s.nodes[v].inbox, v, topology_.degree(v));
 
     std::vector<ProtocolViolation> scratch;
     for (Vertex v = 0; v < n; ++v) {
@@ -945,14 +939,7 @@ class AsyncEngine {
       }
     CSD_CHECK_MSG(pending == pending_recoveries_,
                   "snapshot recovery bookkeeping inconsistent");
-    outcome_.pulses = s.pulses;
-    outcome_.virtual_time = s.virtual_time;
-    outcome_.payload_bits = s.payload_bits;
-    outcome_.overhead_bits = s.overhead_bits;
-    outcome_.frames = s.frames;
-    outcome_.transport_bits = s.transport_bits;
-    outcome_.acks = s.acks;
-    outcome_.faults = s.faults;
+    static_cast<AsyncAccounting&>(outcome_) = s;
     last_progress_vt_ = s.virtual_time;
   }
 
@@ -992,8 +979,8 @@ class AsyncEngine {
   bool timing_ = false;
   // csd-metrics-v2 plane (non-owning; nullptr = every site inert).
   obs::Telemetry* telemetry_ = nullptr;
-  obs::Counter m_pulses_, m_frames_, m_retransmits_, m_crc_rejects_, m_drops_,
-      m_corrupts_, m_crashes_, m_recoveries_;
+  obs::RowPublisher plane_;  // counts(outcome_)
+  std::uint64_t published_tick_ = 0;
   obs::Gauge m_queue_depth_;
   obs::Histogram m_payload_hist_;
   AsyncRunOutcome outcome_;

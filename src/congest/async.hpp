@@ -105,29 +105,12 @@ struct AsyncConfig {
   obs::Telemetry* telemetry = nullptr;
 };
 
-struct AsyncRunOutcome {
+/// The run's accounting (AsyncAccounting, congest/snapshot.hpp) plus what
+/// a snapshot does not carry.
+struct AsyncRunOutcome : AsyncAccounting {
   bool completed = false;
   std::vector<Verdict> verdicts;
   bool detected = false;
-  /// Pulses executed (== synchronous rounds when the run completes).
-  std::uint64_t pulses = 0;
-  /// Virtual time of the last delivery (event-queue clock).
-  std::uint64_t virtual_time = 0;
-  /// Program payload bits (comparable to the synchronous metrics). Counted
-  /// once per frame when the synchronizer hands it to the wire; drops and
-  /// retransmissions never change it.
-  std::uint64_t payload_bits = 0;
-  /// Synchronizer framing overhead in bits (Frame::kOverheadBits per frame:
-  /// the pulse field plus the halted/has-payload flags).
-  std::uint64_t overhead_bits = 0;
-  std::uint64_t frames = 0;
-  /// Reliable-transport overhead in bits: seq + CRC fields on first
-  /// transmissions, full packets for retransmissions, and ack packets.
-  std::uint64_t transport_bits = 0;
-  /// Ack packets sent by the reliable transport.
-  std::uint64_t acks = 0;
-  /// Structured fault/violation account (see congest/faults.hpp).
-  FaultReport faults;
   /// Per-pulse payload trajectory (empty unless config.trace.enabled).
   obs::RunTrace trace;
   /// Trace storage footprint in bytes; 0 when tracing is disabled.

@@ -75,21 +75,17 @@ std::string summarize(const FaultReport& report) {
   return os.str();
 }
 
+bool FaultReport::clean() const noexcept {
+  bool zero = true;
+  fault_rows(*this, [&](auto, std::uint64_t value) { zero &= value == 0; });
+  return zero;
+}
+
 obs::MetricsRegistry fault_counters(const FaultReport& report) {
   obs::MetricsRegistry counters;
-  counters.add("frames_dropped", report.frames_dropped);
-  counters.add("frames_corrupted", report.frames_corrupted);
-  counters.add("retransmissions", report.retransmissions);
-  counters.add("checksum_rejects", report.checksum_rejects);
-  counters.add("duplicate_packets", report.duplicate_packets);
-  counters.add("duplicate_acks", report.duplicate_acks);
-  counters.add("transport_failures", report.transport_failures);
-  counters.add("crashed_nodes", report.crashed_nodes.size());
-  counters.add("recovered_nodes", report.recovered_nodes.size());
-  counters.add("replayed_pulses", report.replayed_pulses);
-  counters.add("watchdog_stalls", report.watchdog_stalls);
-  counters.add("stalled_nodes", report.stalled_nodes.size());
-  counters.add("violations", report.violations.size());
+  fault_rows(report, [&](std::string_view name, std::uint64_t value) {
+    counters.add(name, value);
+  });
   return counters;
 }
 

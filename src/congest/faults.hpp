@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -135,25 +137,57 @@ struct FaultReport {
   /// detected_by_survivors ORed.
   void merge(FaultReport other);
 
-  bool clean() const noexcept {
-    return frames_dropped == 0 && frames_corrupted == 0 &&
-           retransmissions == 0 && checksum_rejects == 0 &&
-           duplicate_packets == 0 && duplicate_acks == 0 &&
-           transport_failures == 0 && crashed_nodes.empty() &&
-           recovered_nodes.empty() && replayed_pulses == 0 &&
-           watchdog_stalls == 0 && stalled_nodes.empty() &&
-           violations.empty();
-  }
+  /// Every counter row (fault_rows) is zero.
+  bool clean() const noexcept;
 
   friend bool operator==(const FaultReport&, const FaultReport&) = default;
 };
 
+/// The field lists csd-ckpt-v1 reads and writes a report with
+/// (obs/codec.hpp). report_fields' keys also name the counter rows.
+constexpr auto violation_fields = [](auto& io, auto& r) {
+  io("kind", r.kind, ViolationKind::ProgramFault);
+  io("node", r.node);
+  io("round", r.round);
+  io("detail", r.detail);
+};
+
+constexpr auto report_fields = [](auto& io, auto& r) {
+  io("frames_dropped", r.frames_dropped);
+  io("frames_corrupted", r.frames_corrupted);
+  io("retransmissions", r.retransmissions);
+  io("checksum_rejects", r.checksum_rejects);
+  io("duplicate_packets", r.duplicate_packets);
+  io("duplicate_acks", r.duplicate_acks);
+  io("transport_failures", r.transport_failures);
+  io("crashed_nodes", r.crashed_nodes);
+  io("recovered_nodes", r.recovered_nodes);
+  io("replayed_pulses", r.replayed_pulses);
+  io("watchdog_stalls", r.watchdog_stalls);
+  io("stalled_nodes", r.stalled_nodes);
+  io("violations", r.violations, violation_fields);
+  io("detected_by_survivors", r.detected_by_survivors);
+};
+
+/// The report's counter rows in report_fields order: visit(key, value) for
+/// each count, and for each list with its length. The survivors' verdict
+/// is a flag, not a count.
+template <typename Visit>
+void fault_rows(const FaultReport& report, Visit&& visit) {
+  auto row = [&](std::string_view key, const auto& value, const auto&...) {
+    if constexpr (std::is_same_v<decltype(value), const std::uint64_t&>)
+      visit(key, value);
+    else if constexpr (!std::is_same_v<decltype(value), const bool&>)
+      visit(key, std::uint64_t{value.size()});
+  };
+  report_fields(row, report);
+}
+
 /// Render a one-line-per-field human summary (used by the CLI).
 std::string summarize(const FaultReport& report);
 
-/// The report's counters as a named-metric registry — the bridge into
+/// The report's counter rows as a named-metric registry — the bridge into
 /// RunMetrics::counters / AsyncRunOutcome::counters and the trace summary.
-/// Node/violation lists contribute their sizes ("crashed_nodes", ...).
 obs::MetricsRegistry fault_counters(const FaultReport& report);
 
 /// Draws fault fates deterministically. One RNG stream per directed link

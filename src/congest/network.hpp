@@ -115,26 +115,10 @@ struct TranscriptEntry {
 };
 
 /// Aggregate cost metrics of a run (or of an amplified batch of runs: see
-/// run_amplified for the per-field aggregation rule).
-struct RunMetrics {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  /// Largest single-message size observed (must be <= bandwidth unless 0).
-  std::uint64_t max_message_bits = 0;
-  /// Per-node total bits sent (indexed by topology index).
-  std::vector<std::uint64_t> bits_sent_by_node;
-  /// Repetitions whose costs are included in this struct. 1 for a plain
-  /// Network::run; run_amplified sums costs over exactly this many.
-  std::uint32_t repetitions_executed = 1;
-  /// Repetitions skipped by run_amplified's early exit (one-sided detection:
-  /// once a repetition rejects, later ones cannot change the answer). Their
-  /// costs are NOT included above — accounting stays honest.
-  std::uint32_t repetitions_skipped = 0;
-  /// Storage the per-round trace observer allocated for this run; exactly 0
-  /// when NetworkConfig::trace is disabled (the observer's overhead is then
-  /// one branch per message and no memory — tested by test_obs).
-  std::uint64_t trace_bytes = 0;
+/// run_amplified for the per-field aggregation rule): the run's accounting
+/// (RunAccounting, congest/snapshot.hpp) plus what a snapshot does not
+/// carry.
+struct RunMetrics : RunAccounting {
   /// Engine counters by name (the FaultReport counters, surfaced uniformly
   /// — see fault_counters). Amplified: merged by name in repetition order.
   obs::MetricsRegistry counters;

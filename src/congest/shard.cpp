@@ -80,9 +80,7 @@ struct WorkerCtx {
   std::uint64_t max_message_bits = 0;
   std::uint64_t dropped = 0;
   std::uint64_t corrupted = 0;
-  std::uint64_t local_frames = 0;
   std::uint64_t channel_frames = 0;
-  std::uint64_t channel_bits = 0;
   std::vector<ProtocolViolation> violations;  // ascending node index
   std::vector<Vertex> crashes;                // ascending node index
   std::vector<FrameEvent> frame_events;       // ascending edge index
@@ -106,7 +104,7 @@ struct WorkerCtx {
     next_wake = kNoWake;
     messages = bits = max_message_bits = 0;
     dropped = corrupted = 0;
-    local_frames = channel_frames = channel_bits = 0;
+    channel_frames = 0;
     phase.reset();
   }
 };
@@ -233,6 +231,36 @@ class RoundKernel {
   /// live this round (the run ends).
   bool barrier();
   void publish_round_telemetry();
+  // The kernel's counter rows (DESIGN.md §14): the run's own counts, then
+  // its FaultReport's; at W >= 2 also the channel exchange.
+  auto sync_counts() const {
+    return [this](auto&& row) {
+      row("rounds", outcome_.metrics.rounds);
+      row("messages", outcome_.metrics.messages);
+      row("total_bits", outcome_.metrics.total_bits);
+      fault_rows(outcome_.faults, row);
+    };
+  }
+  auto shard_counts() const {
+    return [this](auto&& row) {
+      std::uint64_t frames = 0, bits = 0;
+      for (const WorkerCtx& ctx : workers_) {
+        frames += ctx.channel_frames_total;
+        bits += ctx.channel_bits_total;
+      }
+      row("channel_frames", frames);
+      row("channel_bits", bits);
+      // Every message is dropped, delivered locally, or shipped.
+      row("local_frames",
+          outcome_.metrics.messages - outcome_.faults.frames_dropped - frames);
+      for (std::uint32_t w = 0; w < workers_.size(); ++w)
+        row("channel_frames", workers_[w].channel_frames_total, w);
+    };
+  }
+  void publish_counts() {
+    sync_plane_.publish(sync_counts());
+    shard_plane_.publish(shard_counts());
+  }
   void take_checkpoint();
   std::vector<std::optional<BitVec>>& log_row(Vertex v, std::uint64_t r);
   RunOutcome finish();
@@ -280,20 +308,16 @@ class RoundKernel {
   bool progressed_ = false;
   std::uint64_t next_wake_ = kNoWake;
   std::uint64_t landed_ = 0;  // frames that land in an inbox this round
-  std::uint64_t round_messages_ = 0;
   std::uint64_t round_bits_ = 0;
 
-  // csd-metrics-v2 handles, updated only by the coordinator at the barrier
-  // (the ring records events in merge order). Write-only.
+  // csd-metrics-v2, written only by the coordinator at the barrier (the
+  // ring records events in merge order). Write-only.
   obs::Telemetry* const telemetry_;
-  obs::Counter m_rounds_, m_messages_, m_bits_, m_drops_, m_corrupts_,
-      m_crashes_;
+  obs::RowPublisher sync_plane_;   // sync_counts()
+  obs::RowPublisher shard_plane_;  // shard_counts(), W >= 2
   obs::Gauge m_arena_, m_arena_capacity_;
   obs::Histogram m_round_bits_;
-  // W >= 2 only: the channel exchange.
-  obs::Counter m_channel_frames_, m_channel_bits_, m_local_frames_;
-  obs::Histogram m_exchange_hist_;
-  std::vector<obs::Counter> m_worker_frames_;
+  obs::Histogram m_exchange_hist_;  // W >= 2
 };
 
 RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
@@ -354,25 +378,12 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
   if (faulty_) injector_.emplace(config_.faults, seed, topology);
 
   if (telemetry_ != nullptr) {
-    m_rounds_ = telemetry_->counter("sync_rounds");
-    m_messages_ = telemetry_->counter("sync_messages");
-    m_bits_ = telemetry_->counter("sync_bits");
-    m_drops_ = telemetry_->counter("sync_frames_dropped");
-    m_corrupts_ = telemetry_->counter("sync_frames_corrupted");
-    m_crashes_ = telemetry_->counter("sync_node_crashes");
     m_arena_ = telemetry_->gauge("sync_arena_frames");
     m_arena_capacity_ = telemetry_->gauge("sync_arena_capacity");
     m_arena_capacity_.set(inbox_arena_.size());
     m_round_bits_ = telemetry_->histogram("sync_round_bits");
-    if (!single_) {
-      m_channel_frames_ = telemetry_->counter("shard_channel_frames");
-      m_channel_bits_ = telemetry_->counter("shard_channel_bits");
-      m_local_frames_ = telemetry_->counter("shard_local_frames");
+    if (!single_)
       m_exchange_hist_ = telemetry_->histogram("shard_exchange_frames");
-      for (std::uint32_t w = 0; w < part_.workers(); ++w)
-        m_worker_frames_.push_back(telemetry_->counter(
-            obs::worker_counter_name("shard_channel_frames", w)));
-    }
   }
 }
 
@@ -393,9 +404,12 @@ void RoundKernel::replay(const SyncSnapshot& snap) {
                     snap.halted.size() == n_ &&
                     snap.bits_sent_by_node.size() == n_,
                 "snapshot node count mismatch");
+  for (Vertex v = 0; v < n_; ++v)
+    check_inbox_log(snap.inbox[v], v, net_.topology().degree(v));
   start_round_ = snap.round;
 
   // Restore accounting and the fault-plan cursor.
+  outcome_.metrics.rounds = snap.round;
   outcome_.metrics.messages = snap.messages;
   outcome_.metrics.total_bits = snap.total_bits;
   outcome_.metrics.max_message_bits = snap.max_message_bits;
@@ -588,11 +602,10 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
       ctx.progressed = true;
       const std::uint32_t dw = single_ ? w : part_.owner(dst);
       if (dw == w) {
-        ++ctx.local_frames;
         land(ctx, e, payload);
       } else {
         ++ctx.channel_frames;
-        ctx.channel_bits += bits;
+        ctx.channel_bits_total += bits;
         ctx.out[dw].push(e, payload);
       }
     }
@@ -627,7 +640,6 @@ bool RoundKernel::barrier() {
   progressed_ = false;
   next_wake_ = kNoWake;
   landed_ = 0;
-  round_messages_ = 0;
   round_bits_ = 0;
   RunMetrics& metrics = outcome_.metrics;
   for (const WorkerCtx& ctx : workers_) {
@@ -635,15 +647,14 @@ bool RoundKernel::barrier() {
     any_ran_ = any_ran_ || ctx.any_ran;
     progressed_ = progressed_ || ctx.progressed;
     next_wake_ = std::min(next_wake_, ctx.next_wake);
-    landed_ += ctx.local_frames + ctx.channel_frames;
-    round_messages_ += ctx.messages;
+    landed_ += ctx.messages - ctx.dropped;
     round_bits_ += ctx.bits;
+    metrics.messages += ctx.messages;
     metrics.max_message_bits =
         std::max(metrics.max_message_bits, ctx.max_message_bits);
     outcome_.faults.frames_dropped += ctx.dropped;
     outcome_.faults.frames_corrupted += ctx.corrupted;
   }
-  metrics.messages += round_messages_;
   metrics.total_bits += round_bits_;
 
   // Order-sensitive lists in the global merge order. The flight recorder
@@ -656,10 +667,8 @@ bool RoundKernel::barrier() {
       [](const Vertex v) { return static_cast<std::uint64_t>(v); },
       [&](Vertex v) {
         outcome_.faults.crashed_nodes.push_back(v);
-        if (telemetry_ != nullptr) {
-          m_crashes_.add();
+        if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::NodeCrash, v, round);
-        }
       });
   merge_rounds(
       workers_, &WorkerCtx::violations,
@@ -674,11 +683,7 @@ bool RoundKernel::barrier() {
   merge_rounds(
       workers_, &WorkerCtx::frame_events,
       [](const FrameEvent& ev) { return ev.edge; },
-      [&](FrameEvent&& ev) {
-        (ev.kind == obs::EventKind::FrameDropped ? m_drops_ : m_corrupts_)
-            .add();
-        telemetry_->record(ev.kind, ev.src, round);
-      });
+      [&](FrameEvent&& ev) { telemetry_->record(ev.kind, ev.src, round); });
   merge_rounds(
       workers_, &WorkerCtx::sent,
       [](const SentRecord& rec) { return rec.edge; },
@@ -703,20 +708,14 @@ bool RoundKernel::barrier() {
 }
 
 void RoundKernel::publish_round_telemetry() {
-  m_rounds_.add();
-  m_messages_.add(round_messages_);
-  m_bits_.add(round_bits_);
   m_arena_.set(landed_);
   m_round_bits_.observe(round_bits_);
+  publish_counts();
   if (single_) return;
   std::uint64_t exchanged = 0;
   for (std::uint32_t w = 0; w < workers_.size(); ++w) {
     const WorkerCtx& ctx = workers_[w];
     exchanged += ctx.channel_frames;
-    m_channel_frames_.add(ctx.channel_frames);
-    m_channel_bits_.add(ctx.channel_bits);
-    m_local_frames_.add(ctx.local_frames);
-    m_worker_frames_[w].add(ctx.channel_frames);
     if (ctx.channel_frames != 0)
       telemetry_->record(obs::EventKind::ChannelExchange, w, round_,
                          ctx.channel_frames);
@@ -809,6 +808,10 @@ RunOutcome RoundKernel::run() {
     for (const Vertex v : part_.owned(w))
       if (!nodes_[v]->halted() && !crashed_[v]) ++workers_[w].live;
   }
+  // The plane's counts start from the run's: zero, or a resume's totals.
+  sync_plane_ = obs::RowPublisher(telemetry_, "sync_", sync_counts());
+  if (!single_)
+    shard_plane_ = obs::RowPublisher(telemetry_, "shard_", shard_counts());
   for (; round_ < config_.max_rounds; ++round_) {
     // A deadline past the end of the round counter never fires.
     if (config_.stall_window != 0 &&
@@ -852,13 +855,13 @@ RunOutcome RoundKernel::run() {
       timers.delivery_ns += elapsed_ns(split, Clock::now());
     if (all_stopped) break;
 
-    if (telemetry_ != nullptr) publish_round_telemetry();
+    outcome_.metrics.rounds = round_ + 1;
     for (WorkerCtx& ctx : workers_) {
       ctx.channel_frames_total += ctx.channel_frames;
-      ctx.channel_bits_total += ctx.channel_bits;
       if (ctx.progressed) ctx.last_progress_round = round_ + 1;
     }
     if (progressed_) last_progress_ = round_ + 1;
+    if (telemetry_ != nullptr) publish_round_telemetry();
 
     // Nothing landed, so no node runs before next_wake: skip the idle
     // stretch in one step, stopping where the checkpoint, the stall
@@ -874,10 +877,11 @@ RunOutcome RoundKernel::run() {
                         saturating_add(last_progress_, config_.stall_window));
       if (next > round_ + 1) {
         outcome_.trace.carry_phase(round_, next);
+        outcome_.metrics.rounds = next;
         if (telemetry_ != nullptr) {
-          m_rounds_.add(next - round_ - 1);
           for (std::uint64_t r = round_ + 1; r < next; ++r)
             m_round_bits_.observe(0);
+          publish_counts();
         }
         round_ = next - 1;  // the loop's ++round_ lands on `next`
       }
@@ -888,7 +892,6 @@ RunOutcome RoundKernel::run() {
 
 RunOutcome RoundKernel::finish() {
   RunOutcome& outcome = outcome_;
-  outcome.metrics.rounds = round_;
   outcome.completed =
       std::all_of(nodes_.begin(), nodes_.end(),
                   [](const auto& node) { return node->halted(); });
@@ -901,6 +904,7 @@ RunOutcome RoundKernel::finish() {
     if (!crashed_[v] && !nodes_[v]->halted())
       outcome.faults.stalled_nodes.push_back(v);
   }
+  publish_counts();
   outcome.metrics.counters = fault_counters(outcome.faults);
   if (outcome.checkpoint != nullptr)
     outcome.metrics.counters.add("checkpoints_taken", 1);

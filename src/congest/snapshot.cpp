@@ -20,30 +20,6 @@ constexpr auto identity_fields = [](auto& io, auto& r) {
   io("seed", r.seed);
 };
 
-constexpr auto violation_fields = [](auto& io, auto& r) {
-  io("kind", r.kind, ViolationKind::ProgramFault);
-  io("node", r.node);
-  io("round", r.round);
-  io("detail", r.detail);
-};
-
-constexpr auto report_fields = [](auto& io, auto& r) {
-  io("frames_dropped", r.frames_dropped);
-  io("frames_corrupted", r.frames_corrupted);
-  io("retransmissions", r.retransmissions);
-  io("checksum_rejects", r.checksum_rejects);
-  io("duplicate_packets", r.duplicate_packets);
-  io("duplicate_acks", r.duplicate_acks);
-  io("transport_failures", r.transport_failures);
-  io("crashed_nodes", r.crashed_nodes);
-  io("recovered_nodes", r.recovered_nodes);
-  io("replayed_pulses", r.replayed_pulses);
-  io("watchdog_stalls", r.watchdog_stalls);
-  io("stalled_nodes", r.stalled_nodes);
-  io("violations", r.violations, violation_fields);
-  io("detected_by_survivors", r.detected_by_survivors);
-};
-
 constexpr auto frame_fields = [](auto& io, auto& r) {
   io("p", r.pulse);
   io("h", r.sender_halted);
@@ -201,6 +177,14 @@ std::uint64_t fault_plan_digest(const FaultPlan& plan) {
     h = digest_mix(h, crash.round);
   }
   return h;
+}
+
+void check_inbox_log(const InboxLog& log, Vertex node, std::uint32_t degree) {
+  for (std::size_t r = 0; r < log.size(); ++r)
+    CSD_CHECK_MSG(log[r].size() == degree,
+                  "snapshot node " << node << ": key 'inbox' row " << r
+                                   << " has " << log[r].size()
+                                   << " entries, not " << degree);
 }
 
 const char* to_string(Snapshot::Kind kind) noexcept {

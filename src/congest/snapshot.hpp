@@ -55,6 +55,10 @@ using RngState = std::array<std::uint64_t, 4>;
 /// construction. This is the raw material of program-state reconstruction.
 using InboxLog = std::vector<std::vector<std::optional<BitVec>>>;
 
+/// Before replay, which delivers a row port by port: every row of `node`'s
+/// log has one entry per port, or CheckFailure naming the key 'inbox'.
+void check_inbox_log(const InboxLog& log, Vertex node, std::uint32_t degree);
+
 /// Fingerprint of the run a snapshot belongs to. Resume CHECK-fails on a
 /// mismatch instead of silently replaying a log against the wrong topology
 /// or fault plan.
@@ -146,8 +150,32 @@ struct AsyncNodeSnapshot {
   std::vector<std::uint64_t> link_watermark; // per src-port
 };
 
+/// The async engine's accumulated accounting, declared once: a run's
+/// outcome (AsyncRunOutcome) holds it, and so does a snapshot of the run.
+struct AsyncAccounting {
+  /// Pulses executed (== synchronous rounds when the run completes).
+  std::uint64_t pulses = 0;
+  /// Virtual time of the last delivery (event-queue clock).
+  std::uint64_t virtual_time = 0;
+  /// Program payload bits (comparable to the synchronous metrics). Counted
+  /// once per frame when the synchronizer hands it to the wire; drops and
+  /// retransmissions never change it.
+  std::uint64_t payload_bits = 0;
+  /// Synchronizer framing overhead in bits (Frame::kOverheadBits per frame:
+  /// the pulse field plus the halted/has-payload flags).
+  std::uint64_t overhead_bits = 0;
+  std::uint64_t frames = 0;
+  /// Reliable-transport overhead in bits: seq + CRC fields on first
+  /// transmissions, full packets for retransmissions, and ack packets.
+  std::uint64_t transport_bits = 0;
+  /// Ack packets sent by the reliable transport.
+  std::uint64_t acks = 0;
+  /// Structured fault/violation account (see congest/faults.hpp).
+  FaultReport faults;
+};
+
 /// The async engine frozen between two scheduler events.
-struct AsyncSnapshot {
+struct AsyncSnapshot : AsyncAccounting {
   SnapshotIdentity identity;
   std::vector<AsyncNodeSnapshot> nodes;
   std::vector<EventRecord> events;
@@ -157,41 +185,47 @@ struct AsyncSnapshot {
   std::uint32_t halted_count = 0;
   std::uint32_t stopped_count = 0;
   std::uint32_t pending_recoveries = 0;
-  // Accumulated outcome fields.
-  std::uint64_t pulses = 0;
-  std::uint64_t virtual_time = 0;
-  std::uint64_t payload_bits = 0;
-  std::uint64_t overhead_bits = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t transport_bits = 0;
-  std::uint64_t acks = 0;
   /// Captured after the event loop already ended (the requested pulse was
   /// crossed inside the final event's cascade). The frozen state IS the
   /// final state: resume skips the event loop — the leftover events were
   /// abandoned by the original run and must stay abandoned.
   std::uint8_t terminal = 0;
-  FaultReport faults;
 };
 
 // ----------------------------------------------------------- amplified --
 
+/// A sync run's accumulated accounting, declared once: a run's RunMetrics
+/// holds it, and so does a snapshot of a batch of runs.
+struct RunAccounting {
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t total_bits = 0;
+  /// Largest single-message size observed (must be <= bandwidth unless 0).
+  std::uint64_t max_message_bits = 0;
+  /// Per-node total bits sent (indexed by topology index).
+  std::vector<std::uint64_t> bits_sent_by_node;
+  /// Repetitions whose costs are included in this struct. 1 for a plain
+  /// Network::run; run_amplified sums costs over exactly this many.
+  std::uint32_t repetitions_executed = 1;
+  /// Repetitions skipped by run_amplified's early exit (one-sided detection:
+  /// once a repetition rejects, later ones cannot change the answer). Their
+  /// costs are NOT included above — accounting stays honest.
+  std::uint32_t repetitions_skipped = 0;
+  /// Storage the per-round trace observer allocated for this run; exactly 0
+  /// when NetworkConfig::trace is disabled (the observer's overhead is then
+  /// one branch per message and no memory — tested by test_obs).
+  std::uint64_t trace_bytes = 0;
+};
+
 /// An amplified/supervised batch frozen at a repetition boundary: the
 /// aggregate (run_amplified rules) over repetitions < next_repetition.
-struct AmplifiedSnapshot {
+struct AmplifiedSnapshot : RunAccounting {
   SnapshotIdentity identity;
   std::uint32_t next_repetition = 0;
   std::uint32_t repetitions = 0;  // total planned
   std::uint8_t completed = 1;
   std::uint8_t detected = 0;
   std::vector<std::uint8_t> verdict_reject;  // per node
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t max_message_bits = 0;
-  std::vector<std::uint64_t> bits_sent_by_node;
-  std::uint32_t repetitions_executed = 0;
-  std::uint32_t repetitions_skipped = 0;
-  std::uint64_t trace_bytes = 0;
   std::uint32_t retries_used = 0;
   FaultReport faults;
 };

@@ -26,6 +26,7 @@ Snapshot make_amplified_snapshot(const SnapshotIdentity& identity,
   Snapshot snap;
   snap.kind = Snapshot::Kind::Amplified;
   AmplifiedSnapshot& amp = snap.amplified;
+  static_cast<RunAccounting&>(amp) = combined.metrics;
   amp.identity = identity;
   amp.next_repetition = next_repetition;
   amp.repetitions = repetitions;
@@ -34,14 +35,6 @@ Snapshot make_amplified_snapshot(const SnapshotIdentity& identity,
   amp.verdict_reject.resize(combined.verdicts.size());
   for (std::size_t v = 0; v < combined.verdicts.size(); ++v)
     amp.verdict_reject[v] = combined.verdicts[v] == Verdict::Reject ? 1 : 0;
-  amp.rounds = combined.metrics.rounds;
-  amp.messages = combined.metrics.messages;
-  amp.total_bits = combined.metrics.total_bits;
-  amp.max_message_bits = combined.metrics.max_message_bits;
-  amp.bits_sent_by_node = combined.metrics.bits_sent_by_node;
-  amp.repetitions_executed = combined.metrics.repetitions_executed;
-  amp.repetitions_skipped = combined.metrics.repetitions_skipped;
-  amp.trace_bytes = combined.metrics.trace_bytes;
   amp.retries_used = retries_used;
   amp.faults = combined.faults;
   return snap;
@@ -94,6 +87,10 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
                   "snapshot planned " << amp.repetitions
                                       << " repetitions, caller asked for "
                                       << repetitions);
+    CSD_CHECK_MSG(amp.next_repetition <= amp.repetitions,
+                  "key 'next_repetition' = " << amp.next_repetition
+                                              << " is above 'repetitions' = "
+                                              << amp.repetitions);
     CSD_CHECK_MSG(amp.verdict_reject.size() == n &&
                       amp.bits_sent_by_node.size() == n,
                   "snapshot node count mismatch");
@@ -104,14 +101,7 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
     for (Vertex v = 0; v < n; ++v)
       combined.verdicts[v] =
           amp.verdict_reject[v] != 0 ? Verdict::Reject : Verdict::Accept;
-    combined.metrics.rounds = amp.rounds;
-    combined.metrics.messages = amp.messages;
-    combined.metrics.total_bits = amp.total_bits;
-    combined.metrics.max_message_bits = amp.max_message_bits;
-    combined.metrics.bits_sent_by_node = amp.bits_sent_by_node;
-    combined.metrics.repetitions_executed = amp.repetitions_executed;
-    combined.metrics.repetitions_skipped = amp.repetitions_skipped;
-    combined.metrics.trace_bytes = amp.trace_bytes;
+    static_cast<RunAccounting&>(combined.metrics) = amp;
     combined.faults = amp.faults;
   }
 

@@ -1,8 +1,6 @@
 // Reader side of the csd-metrics-v2 JSONL series (obs/metrics_v2.hpp):
 // a strict parser. Consumed by `csd postmortem` (tools/cli.cpp), which
-// reads the samples and their span; the Python twin is
-// tools/postmortem_report.py — the two must render agreeing numbers, which
-// CI checks on induced-failure runs.
+// reads the samples and their span.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,8 @@
 //      tracking, and power-of-two-bucket histograms — registered by stable
 //      name. Registration takes a mutex once; the returned handles update
 //      relaxed atomics, so the hot path is lock-free and safe from any
-//      engine/worker thread.
+//      engine/worker thread. An engine's counters are its runs' own
+//      counts, published as rows by RowPublisher (DESIGN.md §14).
 //   2. A fixed-capacity lock-free flight recorder: a ring buffer of recent
 //      engine events (superstep barriers, channel exchanges, ARQ
 //      retransmits, CRC rejects, fault injections, checkpoint saves,
@@ -37,15 +38,18 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace csd::obs {
 
 /// What happened. The names are the wire strings of csd-blackbox-v1
-/// (to_string below); tools/postmortem_report.py mirrors the list.
+/// (to_string below), which `csd postmortem` counts by kind.
 enum class EventKind : std::uint8_t {
   SuperstepBarrier,   ///< sync kernel, W >= 2: one superstep's barrier
   ChannelExchange,    ///< sync kernel, W >= 2: one worker's remote frames
@@ -250,6 +254,45 @@ class Telemetry {
   std::uint64_t sample_index_ = 0;
   std::string series_path_;
   std::thread sampler_;
+};
+
+/// A run's counts on the plane. An engine counts each event once, in its
+/// run's outcome, and lists the outcome's counts as rows: rows(visit) calls
+/// visit(name, value), or visit(name, value, w) for worker w's share. Each
+/// row's counter, prefix + name (worker_counter_name of that for a share),
+/// is looked up once, and the values at construction count as published,
+/// so a resumed run's restored totals are not published again. publish()
+/// adds each row's change since the last publish without allocating or
+/// looking up a name. Without a telemetry plane it does nothing.
+class RowPublisher {
+ public:
+  RowPublisher() = default;
+
+  template <typename Rows>
+  RowPublisher(Telemetry* telemetry, std::string_view prefix,
+              const Rows& rows) {
+    if (telemetry == nullptr) return;
+    rows([&](std::string_view name, std::uint64_t value, auto... worker) {
+      std::string full = std::string(prefix).append(name);
+      if constexpr (sizeof...(worker) > 0)
+        full = worker_counter_name(full, worker...);
+      rows_.emplace_back(telemetry->counter(full), value);
+    });
+  }
+
+  template <typename Rows>
+  void publish(const Rows& rows) noexcept {
+    if (rows_.empty()) return;
+    std::size_t next = 0;
+    rows([&](std::string_view, std::uint64_t value, auto...) {
+      auto& [counter, published] = rows_[next++];
+      if (value != published) counter.add(value - published);
+      published = value;
+    });
+  }
+
+ private:
+  std::vector<std::pair<Counter, std::uint64_t>> rows_;  // (cell, published)
 };
 
 }  // namespace csd::obs

@@ -3,8 +3,8 @@
 // questions the paper's bounds are phrased in.
 //
 // The JSONL emitted by RunTrace::write_jsonl is the interchange format
-// between the engines and every analysis surface (csd analyze, the Chrome
-// trace exporter, tools/trace_report.py): one file may concatenate many
+// between the engines and every analysis surface (csd analyze and the
+// Chrome trace exporter): one file may concatenate many
 // instances (csd sweep --trace, bench --trace), each a header / rounds /
 // edges / summary block stamped with meta parameters for demuxing.
 //

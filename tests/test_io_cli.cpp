@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "congest/snapshot.hpp"
 #include "graph/builders.hpp"
 #include "graph/io.hpp"
 #include "obs/json.hpp"
@@ -511,6 +512,10 @@ TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
       {edit("\"repetitions\": 3,", "\"repetitions\": 4294967299,"),
        "'repetitions'"},
       {edit("\"rounds\":", "\"bogus\": 0,\n  \"rounds\":"), "'bogus'"},
+      // A resume point past the plan would underflow the count of
+      // repetitions left to run.
+      {edit("\"next_repetition\": 1,", "\"next_repetition\": 9,"),
+       "'next_repetition'"},
   };
   for (const auto& [bytes, key] : damaged) {
     std::ofstream(copy) << bytes;
@@ -520,6 +525,197 @@ TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
   std::remove(path.c_str());
   std::remove(ckpt.c_str());
   std::remove(copy.c_str());
+}
+
+// Replay hands an inbox-log row to its node port by port, so a row with
+// more entries than the node has ports must exit 2 naming the key before
+// any replay, not write past the node's inbox slots (the last of which
+// sit next to the following node's in the frame arena).
+TEST(Cli, ResumeRejectsAnInboxRowWiderThanItsNode) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_wide.txt").string();
+  const std::string ckpt = (dir / "csd_cli_wide.json").string();
+  const std::string copy = (dir / "csd_cli_wide_copy.json").string();
+  std::ofstream(path) << "6 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n";
+  const std::vector<std::string> base = {
+      "detect", "triangle", path,          "--seed",
+      "7",      "--drop",   "0.2",         "--transport",
+      "reliable"};
+  auto first = base;
+  first.insert(first.end(), {"--checkpoint", ckpt, "--checkpoint-at", "2"});
+  std::string text;
+  ASSERT_EQ(run_cli(first, &text), 0);
+  auto resume = base;
+  resume.insert(resume.end(), {"--resume", copy});
+
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{5000}}) {
+    congest::Snapshot snap = congest::load_snapshot(ckpt);
+    auto& row = snap.async_state.nodes.at(1).inbox.at(1);
+    ASSERT_EQ(row.size(), 3u);  // node 1's degree
+    BitVec payload;
+    payload.append_bits(3, 2);
+    row.insert(row.end(), extra, payload);
+    congest::save_snapshot(copy, snap);
+    EXPECT_EQ(run_cli(resume, &text), 2) << extra;
+    EXPECT_NE(text.find("key 'inbox'"), std::string::npos) << text;
+    EXPECT_EQ(text.find("verdict"), std::string::npos) << text;
+  }
+  std::remove(path.c_str());
+  std::remove(ckpt.c_str());
+  std::remove(copy.c_str());
+}
+
+// `csd postmortem` over a dump and a series written by hand: every
+// csd-postmortem-v1 field and the text report hold the values worked out
+// from the input. The dump instant is t = 1000000 ms; the default 30 s
+// window starts at 970000 ms and includes an event stamped exactly there.
+class Postmortem : public testing::Test {
+ protected:
+  void SetUp() override {
+    // ctest runs the cases in parallel: one set of files per case.
+    const std::string stem =
+        (std::filesystem::temp_directory_path() /
+         (std::string("csd_pm_") +
+          testing::UnitTest::GetInstance()->current_test_info()->name()))
+            .string();
+    dump_ = stem + "_dump.json";
+    series_ = stem + "_series.jsonl";
+    json_ = stem + "_summary.json";
+    std::ofstream(dump_) << R"({
+  "schema": "csd-blackbox-v1",
+  "reason": "stall-report",
+  "epoch_ms": 1000000,
+  "events_recorded": 7,
+  "events_kept": 5,
+  "torn": 1,
+  "events": [
+    {"kind": "node_crash", "actor": 1, "at": 0, "value": 0,
+     "epoch_ms": 960000},
+    {"kind": "frame_dropped", "actor": 2, "at": 3, "value": 0,
+     "epoch_ms": 970000},
+    {"kind": "frame_dropped", "actor": 0, "at": 4, "value": 0,
+     "epoch_ms": 969999},
+    {"kind": "watchdog_stall", "actor": 0, "at": 9, "value": 4,
+     "epoch_ms": 999500},
+    {"kind": "stall_report", "actor": 0, "at": 9, "value": 2,
+     "epoch_ms": 1000250}
+  ],
+  "metrics": {
+    "counters": {"sync_rounds": 9, "sync_watchdog_stalls": 1},
+    "gauges": {},
+    "histograms": {}
+  }
+}
+)";
+    std::ofstream series(series_);
+    for (const auto& [index, epoch] :
+         {std::pair{0, 998000}, {1, 999000}, {2, 1000100}})
+      series << R"({"schema":"csd-metrics-v2","sample":)" << index
+             << R"(,"epoch_ms":)" << epoch
+             << R"(,"events_recorded":4,"counters":{"sync_rounds":)"
+             << 3 * (index + 1)
+             << R"(},"gauges":{},"histograms":{}})" << '\n';
+  }
+
+  void TearDown() override {
+    std::remove(dump_.c_str());
+    std::remove(series_.c_str());
+    std::remove(json_.c_str());
+  }
+
+  /// The --json summary for `--last last` (default window when empty).
+  obs::Json summary(const std::string& last) {
+    std::vector<std::string> args = {"postmortem", dump_, "--series",
+                                     series_, "--json", json_};
+    if (!last.empty()) args.insert(args.end(), {"--last", last});
+    std::string text;
+    EXPECT_EQ(run_cli(args, &text), 0) << text;
+    return obs::Json::parse(read_file(json_));
+  }
+
+  std::string dump_, series_, json_;
+};
+
+TEST_F(Postmortem, JsonSummaryHoldsTheHandComputedValues) {
+  const obs::Json doc = summary("");
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "schema", "reason", "epoch_ms", "events_recorded",
+                      "events_kept", "torn", "window_seconds",
+                      "events_in_window", "event_counts", "counters",
+                      "series_samples", "series_span_ms"}));
+  EXPECT_EQ(doc.at("schema").as_string(), "csd-postmortem-v1");
+  EXPECT_EQ(doc.at("reason").as_string(), "stall-report");
+  EXPECT_EQ(doc.at("epoch_ms").as_uint(), 1000000u);
+  EXPECT_EQ(doc.at("events_recorded").as_uint(), 7u);
+  EXPECT_EQ(doc.at("events_kept").as_uint(), 5u);
+  EXPECT_EQ(doc.at("torn").as_uint(), 1u);
+  EXPECT_EQ(doc.at("window_seconds").as_double(), 30.0);
+  // 970000 (the cutoff itself), 999500 and 1000250; not 960000 or 969999.
+  EXPECT_EQ(doc.at("events_in_window").as_uint(), 3u);
+  // Every kept event, window or not, by kind in name order.
+  std::vector<std::pair<std::string, std::uint64_t>> counts;
+  for (const auto& [kind, count] : doc.at("event_counts").members())
+    counts.emplace_back(kind, count.as_uint());
+  EXPECT_EQ(counts, (std::vector<std::pair<std::string, std::uint64_t>>{
+                        {"frame_dropped", 2},
+                        {"node_crash", 1},
+                        {"stall_report", 1},
+                        {"watchdog_stall", 1}}));
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  for (const auto& [name, value] : doc.at("counters").members())
+    counters.emplace_back(name, value.as_uint());
+  EXPECT_EQ(counters, (std::vector<std::pair<std::string, std::uint64_t>>{
+                          {"sync_rounds", 9}, {"sync_watchdog_stalls", 1}}));
+  EXPECT_EQ(doc.at("series_samples").as_uint(), 3u);
+  EXPECT_EQ(doc.at("series_span_ms").as_uint(), 1000100u - 998000u);
+}
+
+TEST_F(Postmortem, WindowSelectsEventsAtOrAfterItsStart) {
+  // 35 s reaches back to 965000: everything but the 960000 crash.
+  EXPECT_EQ(summary("35").at("events_in_window").as_uint(), 4u);
+  EXPECT_EQ(summary("0.5").at("events_in_window").as_uint(), 2u);
+  // A window reaching past the dump's epoch keeps every event, however
+  // far: 1e17 s is 1e20 ms, more than a 64-bit millisecond count holds.
+  for (const char* last : {"1000", "1e17", "1e300"}) {
+    const obs::Json doc = summary(last);
+    EXPECT_EQ(doc.at("events_in_window").as_uint(), 5u) << last;
+    EXPECT_EQ(doc.at("window_seconds").as_double(), std::stod(last));
+  }
+}
+
+TEST_F(Postmortem, TextReportListsTheWindowOldestFirst) {
+  std::string text;
+  ASSERT_EQ(run_cli({"postmortem", dump_, "--series", series_}, &text), 0);
+  EXPECT_EQ(text,
+            "reason:     stall-report\n"
+            "events:     7 recorded, 5 kept, 1 torn\n"
+            "event counts:\n"
+            "  frame_dropped  2\n"
+            "  node_crash  1\n"
+            "  stall_report  1\n"
+            "  watchdog_stall  1\n"
+            "final counters:\n"
+            "  sync_rounds = 9\n"
+            "  sync_watchdog_stalls = 1\n"
+            "series:     3 sample(s) spanning 2100 ms\n"
+            "timeline (last 30s, 3 event(s)):\n"
+            "  [-30.000s] frame_dropped  actor=2 at=3 value=0\n"
+            "  [-0.500s] watchdog_stall  actor=0 at=9 value=4\n"
+            "  [+0.250s] stall_report  actor=0 at=9 value=2\n");
+}
+
+TEST_F(Postmortem, RejectsABadWindowBeforeWritingAnything) {
+  for (const char* last : {"inf", "-inf", "nan", "0", "-1"}) {
+    std::string text;
+    EXPECT_EQ(run_cli({"postmortem", dump_, "--last", last, "--json", json_},
+                      &text),
+              2)
+        << last;
+    EXPECT_NE(text.find("--last"), std::string::npos) << text;
+    EXPECT_FALSE(std::filesystem::exists(json_)) << last;
+  }
 }
 
 // Every command reads a declared set of flags; any other flag exits 2 and

@@ -10,14 +10,17 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "congest/async.hpp"
 #include "congest/network.hpp"
 #include "detect/even_cycle.hpp"
+#include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/chrome_trace.hpp"
@@ -937,6 +940,188 @@ TEST(TelemetryV2, EngineOutcomesBitIdenticalWithTelemetryAttached) {
   EXPECT_EQ(sharded_telemetry.counter("sync_messages").value(),
             sharded.metrics.messages);
   EXPECT_GT(sharded_telemetry.events_recorded(), 0u);
+}
+
+using Counts = std::map<std::string, std::uint64_t>;
+
+/// A row visitor that adds each row into `counts` as prefix + name, the
+/// plane's name for it (or subtracts it, for restored totals).
+auto tally(Counts& counts, std::string prefix, bool subtract = false) {
+  return [&counts, prefix, subtract](std::string_view name,
+                                     std::uint64_t value) {
+    std::uint64_t& cell = counts[prefix + std::string(name)];
+    cell = subtract ? cell - value : cell + value;
+  };
+}
+
+/// The plane's rows of a sync run (DESIGN.md §14): its own counts, then its
+/// FaultReport's.
+void add_sync_rows(Counts& counts, const congest::RunOutcome& out,
+                   bool subtract = false) {
+  auto row = tally(counts, "sync_", subtract);
+  row("rounds", out.metrics.rounds);
+  row("messages", out.metrics.messages);
+  row("total_bits", out.metrics.total_bits);
+  congest::fault_rows(out.faults, row);
+}
+
+/// The plane's rows of an async run.
+void add_async_rows(Counts& counts, const congest::AsyncAccounting& out,
+                    bool subtract = false) {
+  auto row = tally(counts, "async_", subtract);
+  row("pulses", out.pulses);
+  row("frames", out.frames);
+  row("acks", out.acks);
+  row("payload_bits", out.payload_bits);
+  row("overhead_bits", out.overhead_bits);
+  row("transport_bits", out.transport_bits);
+  congest::fault_rows(out.faults, row);
+}
+
+Counts plane_counters(const obs::Telemetry& telemetry) {
+  const obs::Json metrics = telemetry.metrics_json();
+  Counts counts;
+  for (const auto& [name, value] : metrics.at("counters").members())
+    counts[name] = value.as_uint();
+  return counts;
+}
+
+congest::NetworkConfig faulty_sync(obs::Telemetry* telemetry) {
+  congest::NetworkConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_rounds = 60;
+  cfg.seed = 41;
+  cfg.faults.drop = 0.15;
+  cfg.faults.corrupt = 0.2;
+  cfg.faults.crashes = {{2, 5}, {7, 9}};
+  cfg.stall_window = 4;
+  cfg.telemetry = telemetry;
+  return cfg;
+}
+
+congest::AsyncConfig faulty_async(obs::Telemetry* telemetry,
+                                  congest::TransportMode mode) {
+  congest::AsyncConfig cfg;
+  cfg.bandwidth = 64;
+  cfg.max_pulses = 120;
+  cfg.seed = 23;
+  cfg.max_delay = 5;
+  cfg.transport = mode;
+  cfg.faults.drop = mode == congest::TransportMode::Reliable ? 0.2 : 0.05;
+  cfg.telemetry = telemetry;
+  return cfg;
+}
+
+TEST(TelemetryV2, PlaneCountersEqualTheAttachedRunsRows) {
+  // Each engine counts an event once, in its run's outcome, and publishes
+  // the outcome's rows: after the runs, every counter on the plane equals
+  // its row summed over the runs attached to it.
+  Rng rng(4);
+  const Graph g = build::gnp(14, 0.25, rng);
+  const auto factory = detect::pipelined_cycle_program(4);
+  obs::Telemetry telemetry;
+  Counts expected;
+
+  // Sync, inline and on three workers, under drops, corruption, crashes
+  // and the stall watchdog.
+  congest::NetworkConfig sync_cfg = faulty_sync(&telemetry);
+  std::uint64_t channel_bytes = 0;  // each worker's bits, rounded up
+  for (const std::uint32_t workers : {1u, 3u}) {
+    sync_cfg.shard.workers = workers;
+    sync_cfg.shard.channel_counters = workers > 1;
+    const auto out = congest::Network(g, sync_cfg).run(factory);
+    add_sync_rows(expected, out);
+    if (workers == 1) continue;
+    // The channel exchange: what the run's shard counters report, and every
+    // message neither dropped nor shipped was delivered locally.
+    std::uint64_t shipped = 0;
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      const std::string name =
+          obs::worker_counter_name("shard_channel_frames", w);
+      expected[name] = out.metrics.counters.value(name);
+      shipped += expected[name];
+      channel_bytes += out.metrics.counters.value(
+          obs::worker_counter_name("shard_channel_bytes", w));
+    }
+    expected["shard_channel_frames"] = shipped;
+    expected["shard_local_frames"] =
+        out.metrics.messages - out.faults.frames_dropped - shipped;
+  }
+
+  // Async, raw and reliable under drops, then a crash the node recovers
+  // from.
+  for (const auto mode :
+       {congest::TransportMode::Raw, congest::TransportMode::Reliable})
+    add_async_rows(expected, congest::run_async(
+                                 g, faulty_async(&telemetry, mode), factory));
+  congest::AsyncConfig recovering =
+      faulty_async(&telemetry, congest::TransportMode::Reliable);
+  recovering.faults.crashes = {{1, 6}};
+  recovering.recovery.enabled = true;
+  add_async_rows(expected, congest::run_async(g, recovering, factory));
+
+  Counts plane = plane_counters(telemetry);
+  // The run reports its channel traffic as bytes per worker, each rounded
+  // up from that worker's bits.
+  const std::uint64_t channel_bits = plane["shard_channel_bits"];
+  EXPECT_LE(channel_bits, 8 * channel_bytes);
+  EXPECT_GE(channel_bits + 7 * 3, 8 * channel_bytes);
+  EXPECT_GT(channel_bits, 0u);
+  plane.erase("shard_channel_bits");
+  EXPECT_EQ(plane, expected);
+  // The rows the runs exercised, so the equality above is not 0 == 0.
+  for (const char* row :
+       {"sync_frames_dropped", "sync_frames_corrupted", "sync_crashed_nodes",
+        "sync_watchdog_stalls", "shard_channel_frames", "async_pulses",
+        "async_frames_dropped", "async_retransmissions",
+        "async_recovered_nodes", "async_replayed_pulses"})
+    EXPECT_GT(expected[row], 0u) << row;
+}
+
+TEST(TelemetryV2, AResumedRunPublishesOnlyWhatItCounted) {
+  // A resume starts from the snapshot's totals: the plane gets the counts
+  // the resumed run added, not the ones it restored.
+  Rng rng(4);
+  const Graph g = build::gnp(14, 0.25, rng);
+  const auto factory = detect::pipelined_cycle_program(4);
+
+  congest::NetworkConfig sync_cfg = faulty_sync(nullptr);
+  sync_cfg.checkpoint_at_round = 4;
+  const auto sync_full = congest::Network(g, sync_cfg).run(factory);
+  ASSERT_NE(sync_full.checkpoint, nullptr);
+  const congest::SyncSnapshot& at = sync_full.checkpoint->sync;
+  obs::Telemetry sync_plane;
+  sync_cfg.telemetry = &sync_plane;
+  const auto sync_resumed =
+      congest::Network(g, sync_cfg).resume(factory, *sync_full.checkpoint);
+  congest::RunOutcome sync_restored;
+  sync_restored.metrics.rounds = at.round;
+  sync_restored.metrics.messages = at.messages;
+  sync_restored.metrics.total_bits = at.total_bits;
+  sync_restored.faults = at.faults;
+  Counts sync_expected;
+  add_sync_rows(sync_expected, sync_resumed);
+  add_sync_rows(sync_expected, sync_restored, /*subtract=*/true);
+  EXPECT_EQ(plane_counters(sync_plane), sync_expected);
+  EXPECT_GT(sync_expected["sync_rounds"], 0u);
+  EXPECT_LT(sync_expected["sync_rounds"], sync_resumed.metrics.rounds);
+
+  congest::AsyncConfig async_cfg =
+      faulty_async(nullptr, congest::TransportMode::Reliable);
+  async_cfg.checkpoint_at_pulse = 2;
+  const auto async_full = congest::run_async(g, async_cfg, factory);
+  ASSERT_NE(async_full.checkpoint, nullptr);
+  obs::Telemetry async_plane;
+  async_cfg.telemetry = &async_plane;
+  const auto async_resumed =
+      congest::resume_async(g, async_cfg, factory, *async_full.checkpoint);
+  Counts async_expected;
+  add_async_rows(async_expected, async_resumed);
+  add_async_rows(async_expected, async_full.checkpoint->async_state,
+                 /*subtract=*/true);
+  EXPECT_EQ(plane_counters(async_plane), async_expected);
+  EXPECT_GT(async_expected["async_frames"], 0u);
+  EXPECT_LT(async_expected["async_frames"], async_resumed.frames);
 }
 
 TEST(TelemetryV2, SeriesParserRejectsMalformedStreams) {

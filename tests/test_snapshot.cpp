@@ -191,7 +191,7 @@ TEST(SyncCheckpoint, ResumeStaysBitIdenticalWithTelemetryAttached) {
   const obs::MetricsSeries series = obs::parse_metrics_series(is);
   EXPECT_FALSE(series.empty());
   EXPECT_GT(telemetry.events_recorded(), 0u);
-  EXPECT_GT(telemetry.counter("sync_node_crashes").value(), 0u);
+  EXPECT_GT(telemetry.counter("sync_crashed_nodes").value(), 0u);
 }
 
 TEST(SyncCheckpoint, JsonAndFileRoundTripPreserveTheResumeContract) {
@@ -251,6 +251,39 @@ TEST(SyncCheckpoint, ResumeRejectsForeignSnapshots) {
   const auto resumed = recheckpoint.resume(factory, *full.checkpoint);
   EXPECT_EQ(resumed.verdicts, full.verdicts);
   EXPECT_EQ(resumed.checkpoint, nullptr);
+}
+
+TEST(SyncCheckpoint, ResumeRejectsAnInboxRowWiderThanItsNode) {
+  // Replay hands a logged row to its node port by port: a row with more
+  // entries than the node has ports is refused before any replay, naming
+  // the key, at every worker count.
+  Rng rng(4);
+  const Graph g = build::gnp(14, 0.25, rng);
+  const auto factory = detect::pipelined_cycle_program(4);
+  NetworkConfig cfg = faulty_sync_config();
+  cfg.checkpoint_at_round = 4;
+  const auto full = Network(g, cfg).run(factory);
+  ASSERT_NE(full.checkpoint, nullptr);
+  BitVec payload;
+  payload.append_bits(3, 2);
+  for (const std::uint32_t workers : {1u, 3u}) {
+    cfg.shard.workers = workers;
+    const Network net(g, cfg);
+    for (const Vertex v : {Vertex{0}, Vertex{13}}) {
+      Snapshot wide = *full.checkpoint;
+      auto& row = wide.sync.inbox[v].back();
+      ASSERT_EQ(row.size(), g.degree(v));
+      row.push_back(payload);
+      try {
+        net.resume(factory, wide);
+        ADD_FAILURE() << "resumed node " << v << "'s widened inbox row";
+      } catch (const CheckFailure& failure) {
+        EXPECT_NE(std::string(failure.what()).find("key 'inbox'"),
+                  std::string::npos)
+            << failure.what();
+      }
+    }
+  }
 }
 
 TEST(SyncCheckpoint, NoCheckpointWhenTheRunEndsFirst) {

@@ -134,10 +134,10 @@ commands:
   postmortem <blackbox.json> [--series FILE] [--last SEC] [--json FILE]
       render a csd-blackbox-v1 flight-recorder dump (and optionally the
       csd-metrics-v2 series that ran alongside it) as a human-readable
-      last-N-seconds timeline (--last, default 30) with per-kind event
-      counts and final counter values. --json FILE writes the same summary
-      as a csd-postmortem-v1 document that agrees field-for-field with
-      tools/postmortem_report.py --json-out (CI asserts the agreement)
+      timeline of the events in the last SEC seconds before the dump
+      (--last, finite and > 0, default 30) with per-kind event counts and
+      final counter values. --json FILE writes the same summary as a
+      csd-postmortem-v1 document
   list-cliques <s> <file>
       congested-clique K_s listing; prints count and round cost
   fool <namespace-N> <budget-c>
@@ -867,8 +867,8 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
         << " (" << r.checkpoint_note << ")\n";
   }
   if (trace_path) {
-    // Stamp the instance parameters into the header so `csd analyze` and
-    // tools/trace_report.py can demux and fit without a side channel.
+    // Stamp the instance parameters into the header so `csd analyze` can
+    // demux and fit without a side channel.
     r.trace.set_meta("program", p.program);
     r.trace.set_meta("n", std::to_string(g.num_vertices()));
     r.trace.set_meta("m", std::to_string(g.num_edges()));
@@ -1053,8 +1053,7 @@ std::string meta_label(const obs::TraceInstance& instance, std::size_t index) {
 
 /// `csd postmortem`: render a csd-blackbox-v1 dump (+ optional
 /// csd-metrics-v2 series) as a last-N-seconds timeline, and emit the
-/// csd-postmortem-v1 summary that tools/postmortem_report.py mirrors
-/// field-for-field (the CI fuzz-smoke gate asserts the two agree).
+/// csd-postmortem-v1 summary (--json).
 int cmd_postmortem(const Invocation& inv, std::ostream& out) {
   check_flags(inv, "postmortem", {"series", "last", "json"});
   CSD_CHECK_MSG(inv.positional.size() == 2,
@@ -1071,11 +1070,16 @@ int cmd_postmortem(const Invocation& inv, std::ostream& out) {
                     << "' is not a csd-blackbox-v1 dump");
 
   const double last_sec = to_double(inv.flag("last").value_or("30"), "last");
-  CSD_CHECK_MSG(last_sec > 0, "--last wants seconds > 0");
+  CSD_CHECK_MSG(std::isfinite(last_sec) && last_sec > 0,
+                "--last wants a finite number of seconds > 0");
   const std::uint64_t dump_epoch = dump.at("epoch_ms").as_uint();
-  const auto window_ms = static_cast<std::uint64_t>(last_sec * 1000.0);
+  // The window holds the events at or after the cutoff; one that reaches
+  // back past the dump's epoch holds them all.
+  const double window_ms = last_sec * 1000.0;
   const std::uint64_t cutoff =
-      dump_epoch > window_ms ? dump_epoch - window_ms : 0;
+      window_ms >= static_cast<double>(dump_epoch)
+          ? 0
+          : dump_epoch - static_cast<std::uint64_t>(window_ms);
 
   std::map<std::string, std::uint64_t> counts;
   std::uint64_t in_window = 0;
