@@ -1,10 +1,8 @@
 #include "congest/network.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
-#include "congest/run_batch.hpp"
 #include "congest/shard.hpp"
 #include "support/check.hpp"
 
@@ -102,74 +100,6 @@ RunOutcome run_congest(const Graph& topology, const NetworkConfig& config,
                        const ProgramFactory& factory) {
   Network net(topology, config);
   return net.run(factory);
-}
-
-RunOutcome make_amplified_accumulator(Vertex n) {
-  RunOutcome combined;
-  combined.completed = true;
-  combined.verdicts.assign(n, Verdict::Accept);
-  combined.metrics.bits_sent_by_node.assign(n, 0);
-  combined.metrics.repetitions_executed = 0;
-  combined.metrics.repetitions_skipped = 0;
-  return combined;
-}
-
-void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
-  const Vertex n = static_cast<Vertex>(combined.verdicts.size());
-  CSD_CHECK_MSG(rep.verdicts.size() == n,
-                "merge_amplified: node count mismatch");
-  combined.completed = combined.completed && rep.completed;
-  combined.detected = combined.detected || rep.detected;
-  for (Vertex v = 0; v < n; ++v)
-    if (rep.verdicts[v] == Verdict::Reject)
-      combined.verdicts[v] = Verdict::Reject;
-  combined.metrics.rounds += rep.metrics.rounds;
-  combined.metrics.messages += rep.metrics.messages;
-  combined.metrics.total_bits += rep.metrics.total_bits;
-  combined.metrics.max_message_bits = std::max(
-      combined.metrics.max_message_bits, rep.metrics.max_message_bits);
-  for (Vertex v = 0; v < n; ++v)
-    combined.metrics.bits_sent_by_node[v] += rep.metrics.bits_sent_by_node[v];
-  combined.metrics.repetitions_executed += rep.metrics.repetitions_executed;
-  combined.metrics.repetitions_skipped += rep.metrics.repetitions_skipped;
-  combined.transcript.insert(combined.transcript.end(),
-                             std::make_move_iterator(rep.transcript.begin()),
-                             std::make_move_iterator(rep.transcript.end()));
-  // Traces merge in repetition order — the deterministic task order the
-  // batch guarantees — so the combined trace is jobs-count independent.
-  combined.trace.append(rep.trace);
-  combined.metrics.trace_bytes += rep.metrics.trace_bytes;
-  combined.metrics.counters.merge(rep.metrics.counters);
-  combined.metrics.timers.merge(rep.metrics.timers);
-  if (combined.checkpoint == nullptr) combined.checkpoint = rep.checkpoint;
-  combined.faults.merge(std::move(rep.faults));
-}
-
-RunOutcome run_amplified(const Graph& topology, const NetworkConfig& config,
-                         const ProgramFactory& factory,
-                         std::uint32_t repetitions,
-                         const AmplifyOptions& options) {
-  CSD_CHECK(repetitions >= 1);
-  const Network net(topology, config);
-
-  std::vector<std::uint64_t> seeds(repetitions);
-  for (std::uint32_t rep = 0; rep < repetitions; ++rep)
-    seeds[rep] = derive_seed(config.seed, 0x5eedULL + rep);
-  std::vector<RunBatch::Task> tasks(repetitions);
-  for (std::uint32_t rep = 0; rep < repetitions; ++rep)
-    tasks[rep] = {&net, &factory, seeds[rep]};
-
-  const RunBatch batch(options.jobs);
-  RunBatch::Result result = batch.execute(tasks, options.early_exit);
-
-  RunOutcome combined = make_amplified_accumulator(topology.num_vertices());
-  for (auto& slot : result.outcomes) {
-    if (!slot.has_value()) continue;  // skipped by early exit
-    merge_amplified(combined, std::move(*slot));
-  }
-  combined.metrics.repetitions_executed = result.executed;
-  combined.metrics.repetitions_skipped = result.skipped;
-  return combined;
 }
 
 }  // namespace csd::congest

@@ -115,12 +115,15 @@ struct TranscriptEntry {
 };
 
 /// Aggregate cost metrics of a run (or of an amplified batch of runs: see
-/// run_amplified for the per-field aggregation rule): the run's accounting
-/// (RunAccounting, congest/snapshot.hpp) plus what a snapshot does not
-/// carry.
+/// merge_amplified in congest/supervisor.hpp for the per-field aggregation
+/// rule): the run's accounting (RunAccounting, congest/snapshot.hpp) plus
+/// what a snapshot does not carry.
 struct RunMetrics : RunAccounting {
-  /// Engine counters by name (the FaultReport counters, surfaced uniformly
-  /// — see fault_counters). Amplified: merged by name in repetition order.
+  /// Engine counters by name: the FaultReport counters, surfaced uniformly
+  /// (see fault_counters), plus checkpoints_taken and the opt-in shard_*
+  /// rows. Amplified: fault_counters(merged FaultReport) only, the one rule
+  /// a resumed batch can reproduce; each repetition's other rows stay in
+  /// its trace summary.
   obs::MetricsRegistry counters;
   /// Wall-clock split of the run (compute vs. delivery), filled only when
   /// NetworkConfig::trace.timers is set. Deliberately NOT part of the trace:
@@ -149,9 +152,10 @@ struct RunOutcome {
   RunMetrics metrics;
   std::vector<TranscriptEntry> transcript;
   /// Per-round message/bit trajectory (empty unless config.trace.enabled).
-  /// Each run fills its own instance — no shared state — so RunBatch tasks
-  /// trace concurrently without locks; run_amplified appends the per-task
-  /// traces in repetition order (deterministic at every jobs count).
+  /// Each run fills its own instance — no shared state — so runs under
+  /// RunBatch trace concurrently without locks; merge_amplified appends the
+  /// per-repetition traces in repetition order (deterministic at every jobs
+  /// count).
   obs::RunTrace trace;
   /// Structured fault/violation account; FaultReport::clean() on a healthy
   /// run. See congest/faults.hpp. Amplified: counters summed, node/violation
@@ -159,7 +163,7 @@ struct RunOutcome {
   FaultReport faults;
   /// The csd-ckpt-v1 snapshot requested via NetworkConfig::checkpoint_at_round
   /// (null when disabled or when the run ended before that round). Shared,
-  /// not copied, through batch aggregation; run_amplified keeps the first
+  /// not copied, through batch aggregation; merge_amplified keeps the first
   /// repetition's snapshot only (repetition-granular checkpointing of
   /// batches is the Supervisor's job).
   std::shared_ptr<const Snapshot> checkpoint;
@@ -251,51 +255,5 @@ class Network {
 /// Convenience: run `factory` over `topology` and return the outcome.
 RunOutcome run_congest(const Graph& topology, const NetworkConfig& config,
                        const ProgramFactory& factory);
-
-/// How run_amplified schedules its repetitions.
-struct AmplifyOptions {
-  /// Worker threads fanning repetitions across a RunBatch; 1 = run inline
-  /// on the calling thread, 0 = one per hardware thread. Outcomes are
-  /// bit-identical for every value (see RunBatch's determinism contract).
-  unsigned jobs = 1;
-  /// Detection is one-sided (a Reject certifies a real copy of H), so once
-  /// a repetition rejects, later repetitions cannot change the answer:
-  /// stop after the first detecting repetition and record the rest in
-  /// metrics.repetitions_skipped. Costs of skipped repetitions are not
-  /// accounted. Disable to force the full cost of all repetitions (e.g.
-  /// when measuring per-repetition round budgets).
-  bool early_exit = true;
-};
-
-/// A fresh all-Accept aggregate for `n` nodes, ready for merge_amplified.
-RunOutcome make_amplified_accumulator(Vertex n);
-
-/// Fold one repetition's outcome into `combined` under run_amplified's
-/// aggregation rules (documented on run_amplified below). Exposed so the
-/// Supervisor — which owns its own repetition loop with retries, deadlines,
-/// and repetition-granular checkpoints — aggregates identically.
-void merge_amplified(RunOutcome& combined, RunOutcome&& rep);
-
-/// Run a randomized detection algorithm `repetitions` times with derived
-/// seeds (derive_seed(config.seed, 0x5eed + rep), the schedule the async
-/// CLI path mirrors) and aggregate ACROSS repetitions (one-sided
-/// amplification, as in §6 "putting everything together"):
-///   * detected / faults.detected_by_survivors : OR,
-///   * completed                               : AND,
-///   * verdicts                                : elementwise (Reject wins),
-///   * rounds / messages / total_bits          : summed,
-///   * bits_sent_by_node                       : elementwise sum,
-///   * max_message_bits                        : max,
-///   * fault counters summed; crash/stall/violation lists and transcripts
-///     concatenated in repetition order.
-/// The aggregate covers repetitions 0..r* where r* is the first detecting
-/// repetition (all of them when none detects or options.early_exit is off);
-/// metrics.repetitions_executed / repetitions_skipped record the split. The
-/// result is a pure function of (topology, config, factory, repetitions,
-/// options.early_exit) — options.jobs never changes a single bit.
-RunOutcome run_amplified(const Graph& topology, const NetworkConfig& config,
-                         const ProgramFactory& factory,
-                         std::uint32_t repetitions,
-                         const AmplifyOptions& options = {});
 
 }  // namespace csd::congest

@@ -5,10 +5,10 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
-
-#include "support/check.hpp"
+#include <vector>
 
 namespace csd::congest {
 
@@ -20,49 +20,26 @@ unsigned resolve_jobs(unsigned jobs) noexcept {
 
 RunBatch::RunBatch(unsigned jobs) : jobs_(resolve_jobs(jobs)) {}
 
-RunBatch::Result RunBatch::execute(const std::vector<Task>& tasks,
-                                   bool stop_after_detection) const {
-  for (const Task& task : tasks)
-    CSD_CHECK_MSG(task.network != nullptr && task.factory != nullptr,
-                  "RunBatch task missing network or factory");
-  Result result;
-  result.outcomes.resize(tasks.size());
-  result.executed = stream(
-      static_cast<std::uint32_t>(tasks.size()),
-      [&](std::uint32_t i) { return tasks[i]; },
-      [&](std::uint32_t i, RunOutcome&& outcome) {
-        const bool stop = stop_after_detection && outcome.detected;
-        result.outcomes[i] = std::move(outcome);
-        return !stop;
-      });
-  result.skipped =
-      static_cast<std::uint32_t>(tasks.size()) - result.executed;
-  return result;
-}
-
 std::uint32_t RunBatch::stream(
-    std::uint32_t count, const std::function<Task(std::uint32_t)>& task_at,
+    std::uint32_t count,
+    const std::function<RunOutcome(std::uint32_t)>& run_at,
     const std::function<bool(std::uint32_t, RunOutcome&&)>& consume) const {
-  const auto run = [&](std::uint32_t i) {
-    const Task task = task_at(i);
-    return task.network->run(*task.factory, task.seed);
-  };
   const std::uint32_t workers = std::min(jobs_, count);
   std::uint32_t consumed = 0;
   if (workers <= 1) {
     // Inline sequential path: the reference semantics the parallel path
     // must reproduce bit-for-bit.
     while (consumed < count) {
-      const bool more = consume(consumed, run(consumed));
+      const bool more = consume(consumed, run_at(consumed));
       ++consumed;
       if (!more) break;
     }
     return consumed;
   }
 
-  // Task i's outcome (or exception) waits in slot i % window until the
-  // consumer takes it; a worker claims task i only once task i - window
-  // has been taken, which bounds the outcomes held at `window`.
+  // Run i's outcome (or exception) waits in slot i % window until the
+  // consumer takes it; a worker claims run i only once run i - window has
+  // been taken, which bounds the outcomes held at `window`.
   struct Slot {
     std::optional<RunOutcome> outcome;
     std::exception_ptr error;
@@ -87,7 +64,7 @@ std::uint32_t RunBatch::stream(
       }
       Slot done;
       try {
-        done.outcome = run(i);
+        done.outcome = run_at(i);
       } catch (...) {
         done.error = std::current_exception();
       }

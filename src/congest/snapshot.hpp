@@ -205,11 +205,13 @@ struct RunAccounting {
   /// Per-node total bits sent (indexed by topology index).
   std::vector<std::uint64_t> bits_sent_by_node;
   /// Repetitions whose costs are included in this struct. 1 for a plain
-  /// Network::run; run_amplified sums costs over exactly this many.
+  /// Network::run; an amplified run sums costs over exactly this many.
   std::uint32_t repetitions_executed = 1;
-  /// Repetitions skipped by run_amplified's early exit (one-sided detection:
-  /// once a repetition rejects, later ones cannot change the answer). Their
-  /// costs are NOT included above — accounting stays honest.
+  /// Repetitions planned but not executed: planned minus executed, whether
+  /// early exit (one-sided detection: once a repetition rejects, later ones
+  /// cannot change the answer), the deadline or a pause cut the batch.
+  /// Their costs are NOT included above — accounting stays honest. Always 0
+  /// in an amplified snapshot, whose batch is still in progress.
   std::uint32_t repetitions_skipped = 0;
   /// Storage the per-round trace observer allocated for this run; exactly 0
   /// when NetworkConfig::trace is disabled (the observer's overhead is then
@@ -217,8 +219,8 @@ struct RunAccounting {
   std::uint64_t trace_bytes = 0;
 };
 
-/// An amplified/supervised batch frozen at a repetition boundary: the
-/// aggregate (run_amplified rules) over repetitions < next_repetition.
+/// An amplified batch frozen at a repetition boundary: the aggregate
+/// (merge_amplified rules) over repetitions < next_repetition.
 struct AmplifiedSnapshot : RunAccounting {
   SnapshotIdentity identity;
   std::uint32_t next_repetition = 0;

@@ -7,8 +7,54 @@
 #include "congest/run_batch.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace csd::congest {
+
+RunOutcome make_amplified_accumulator(Vertex n) {
+  RunOutcome combined;
+  combined.completed = true;
+  combined.verdicts.assign(n, Verdict::Accept);
+  combined.metrics.bits_sent_by_node.assign(n, 0);
+  combined.metrics.repetitions_executed = 0;
+  combined.metrics.repetitions_skipped = 0;
+  return combined;
+}
+
+void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
+  const Vertex n = static_cast<Vertex>(combined.verdicts.size());
+  CSD_CHECK_MSG(rep.verdicts.size() == n,
+                "merge_amplified: node count mismatch");
+  combined.completed = combined.completed && rep.completed;
+  combined.detected = combined.detected || rep.detected;
+  for (Vertex v = 0; v < n; ++v)
+    if (rep.verdicts[v] == Verdict::Reject)
+      combined.verdicts[v] = Verdict::Reject;
+  combined.metrics.rounds += rep.metrics.rounds;
+  combined.metrics.messages += rep.metrics.messages;
+  combined.metrics.total_bits += rep.metrics.total_bits;
+  combined.metrics.max_message_bits = std::max(
+      combined.metrics.max_message_bits, rep.metrics.max_message_bits);
+  for (Vertex v = 0; v < n; ++v)
+    combined.metrics.bits_sent_by_node[v] += rep.metrics.bits_sent_by_node[v];
+  combined.metrics.repetitions_executed += rep.metrics.repetitions_executed;
+  combined.metrics.repetitions_skipped += rep.metrics.repetitions_skipped;
+  combined.transcript.insert(combined.transcript.end(),
+                             std::make_move_iterator(rep.transcript.begin()),
+                             std::make_move_iterator(rep.transcript.end()));
+  // Traces merge in repetition order — the order the Supervisor merges in
+  // at every jobs count — so the combined trace is jobs-count independent.
+  combined.trace.append(rep.trace);
+  combined.metrics.trace_bytes += rep.metrics.trace_bytes;
+  combined.metrics.counters.merge(rep.metrics.counters);
+  combined.metrics.timers.merge(rep.metrics.timers);
+  if (combined.checkpoint == nullptr) combined.checkpoint = rep.checkpoint;
+  combined.faults.merge(std::move(rep.faults));
+}
+
+std::uint64_t repetition_seed(std::uint64_t seed, std::uint32_t rep) {
+  return derive_seed(seed, 0x5eedULL + rep);
+}
 
 namespace {
 
@@ -40,17 +86,11 @@ Snapshot make_amplified_snapshot(const SnapshotIdentity& identity,
   return snap;
 }
 
-NetworkConfig with_stall_window(NetworkConfig config,
-                                const SupervisorConfig& sup) {
-  if (sup.stall_window != 0) config.stall_window = sup.stall_window;
-  return config;
-}
-
 }  // namespace
 
 Supervisor::Supervisor(Graph topology, NetworkConfig config,
                        SupervisorConfig sup)
-    : net_(std::move(topology), with_stall_window(config, sup)), sup_(sup) {}
+    : net_(std::move(topology), std::move(config)), sup_(sup) {}
 
 SupervisedResult Supervisor::run(const ProgramFactory& factory,
                                  std::uint32_t repetitions) const {
@@ -94,6 +134,25 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
     CSD_CHECK_MSG(amp.verdict_reject.size() == n &&
                       amp.bits_sent_by_node.size() == n,
                   "snapshot node count mismatch");
+    // The accounting make_amplified_snapshot writes: every repetition
+    // before the resume point was executed (merged, never skipped), and
+    // `detected` is the OR of the verdicts it was merged with.
+    CSD_CHECK_MSG(amp.repetitions_executed == amp.next_repetition,
+                  "key 'repetitions_executed' = "
+                      << amp.repetitions_executed
+                      << " differs from 'next_repetition' = "
+                      << amp.next_repetition);
+    CSD_CHECK_MSG(amp.repetitions_skipped == 0,
+                  "key 'repetitions_skipped' = "
+                      << amp.repetitions_skipped
+                      << " in a snapshot (only a finished call skips)");
+    const bool any_reject =
+        std::any_of(amp.verdict_reject.begin(), amp.verdict_reject.end(),
+                    [](std::uint8_t reject) { return reject != 0; });
+    CSD_CHECK_MSG((amp.detected != 0) == any_reject,
+                  "key 'detected' = " << unsigned{amp.detected}
+                                      << " but " << (any_reject ? "some" : "no")
+                                      << " 'verdict_reject' is 1");
     start_rep = amp.next_repetition;
     result.retries_used = amp.retries_used;
     combined.completed = amp.completed != 0;
@@ -122,14 +181,14 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
   if (sup_.max_reps_per_call != 0)
     call_reps = std::min(call_reps, sup_.max_reps_per_call);
   const auto rep_seed = [&](std::uint32_t rep) {
-    return derive_seed(net_.config().seed, 0x5eedULL + rep);
+    return repetition_seed(net_.config().seed, rep);
   };
   std::uint32_t rep = start_rep;
   if (!(sup_.early_exit && combined.detected))
     RunBatch(sup_.jobs).stream(
         call_reps,
         [&](std::uint32_t i) {
-          return RunBatch::Task{&net_, &factory, rep_seed(start_rep + i)};
+          return net_.run(factory, rep_seed(start_rep + i));
         },
         [&](std::uint32_t, RunOutcome&& rep_outcome) {
           std::uint64_t merged_seed = rep_seed(rep);

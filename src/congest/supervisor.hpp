@@ -1,27 +1,28 @@
-// Run supervisor for long amplified detection runs.
+// Run supervisor: the one driver of amplified detection runs.
 //
-// run_amplified answers "what does the algorithm say" for a batch of
-// repetitions; the Supervisor answers "keep a long batch alive and
-// restartable on real hardware". It streams repetitions through one
+// A randomized detector errs one-sidedly and is amplified by independent
+// repetitions (§6, Corollary 6.2). The Supervisor runs them: it streams
+// repetition r, seeded repetition_seed(config.seed, r), through one
 // RunBatch::stream call (workers run a bounded window ahead; the merge
-// happens in repetition order on the calling thread) and adds three
-// robustness layers on top of the same aggregation rules (merge_amplified,
-// so the answer is bit-identical to run_amplified when nothing goes wrong):
+// happens in repetition order on the calling thread, under
+// merge_amplified's rules), so the aggregate is bit-identical at every
+// --jobs count. At its defaults it is the plain amplified run — the
+// detect_* wrappers, `csd detect`, `csd sweep` and the fuzz oracles all
+// drive it — and it adds three robustness layers on top:
 //
 //   * deadlines — a per-repetition round budget (deterministic, checked on
 //     the merged outcomes in repetition order) and a wall-clock deadline
 //     (checked between repetitions; inherently nondeterministic, which is
 //     why it only ever cuts *scheduling*, never changes a merged
 //     repetition);
-//   * a stall watchdog — NetworkConfig::stall_window is applied to every
-//     repetition, and each repetition that ends stalled (watchdog cut,
-//     crashed-out, or over its round budget) is surfaced as a structured
-//     StallReport instead of a silently weird aggregate;
+//   * stall reports — each repetition that ends stalled (cut by the
+//     NetworkConfig::stall_window watchdog, crashed-out, or over its round
+//     budget) is surfaced as a structured StallReport instead of a
+//     silently weird aggregate;
 //   * retry-with-reseed — a fault-killed repetition (it did not complete:
 //     crashes or drops starved it, or the watchdog cut it) is re-run with a
 //     seed derived deterministically from its repetition seed and attempt
-//     number, up to a budget. Retries never touch healthy repetitions, so
-//     the fault-free path stays byte-identical to run_amplified.
+//     number, up to a budget. Retries never touch healthy repetitions.
 //
 // Progress is checkpointed at repetition granularity: at the end of a call
 // the Supervisor snapshots the aggregate (csd-ckpt-v1, kind "amplified"), and
@@ -39,14 +40,49 @@
 
 namespace csd::congest {
 
-struct SupervisorConfig {
-  /// Worker threads (RunBatch semantics: outcomes are
-  /// bit-identical at every value). 0 = one per hardware thread.
+/// How an amplified run schedules its repetitions.
+struct AmplifyOptions {
+  /// Worker threads fanning repetitions across a RunBatch; 1 = run inline
+  /// on the calling thread, 0 = one per hardware thread. Outcomes are
+  /// bit-identical for every value (see RunBatch's determinism contract).
   unsigned jobs = 1;
-  /// Stop scheduling after the first repetition whose merged outcome —
-  /// after its retries — detects (one-sided detection; mirrors
-  /// AmplifyOptions::early_exit).
+  /// Detection is one-sided (a Reject certifies a real copy of H), so once
+  /// a repetition rejects, later repetitions cannot change the answer:
+  /// stop after the first detecting repetition and record the rest in
+  /// metrics.repetitions_skipped. Costs of skipped repetitions are not
+  /// accounted. Disable to force the full cost of all repetitions (e.g.
+  /// when measuring per-repetition round budgets).
   bool early_exit = true;
+};
+
+/// A fresh all-Accept aggregate for `n` nodes, ready for merge_amplified.
+RunOutcome make_amplified_accumulator(Vertex n);
+
+/// Fold one repetition's outcome into `combined`, the aggregate ACROSS
+/// repetitions of a randomized detection algorithm (one-sided
+/// amplification, as in §6 "putting everything together"):
+///   * detected / faults.detected_by_survivors : OR,
+///   * completed                               : AND,
+///   * verdicts                                : elementwise (Reject wins),
+///   * rounds / messages / total_bits          : summed,
+///   * bits_sent_by_node                       : elementwise sum,
+///   * max_message_bits                        : max,
+///   * fault counters summed; crash/stall/violation lists, transcripts and
+///     traces concatenated in repetition order.
+/// The Supervisor folds its repetitions through this in repetition order,
+/// so the aggregate is the same at every jobs count; exposed for callers
+/// that replay an amplified run repetition by repetition.
+void merge_amplified(RunOutcome& combined, RunOutcome&& rep);
+
+/// The seed of repetition `rep` of an amplified run with base seed `seed`
+/// (derive_seed off a fixed tag plus `rep`). Every repetition loop seeds
+/// through it (the Supervisor, the async CLI loop, the fuzz oracles), so
+/// the same (seed, rep) names the same random run on every engine.
+std::uint64_t repetition_seed(std::uint64_t seed, std::uint32_t rep);
+
+/// AmplifyOptions (jobs, early exit) plus the supervision knobs. Early
+/// exit reads each repetition's merged outcome, after its retries.
+struct SupervisorConfig : AmplifyOptions {
   /// Wall-clock deadline in milliseconds, checked between repetitions
   /// (0 = none).
   /// On expiry the remaining repetitions are recorded as skipped, the
@@ -56,9 +92,6 @@ struct SupervisorConfig {
   /// many rounds or more is flagged in a StallReport. Deterministic and
   /// jobs-invariant (evaluated on merged outcomes in repetition order).
   std::uint64_t round_budget = 0;
-  /// Engine stall watchdog applied to every repetition (0 = keep the
-  /// NetworkConfig::stall_window the caller already set).
-  std::uint64_t stall_window = 0;
   /// Retries per fault-killed repetition (0 = never retry). Attempt k
   /// reruns with derive_seed(repetition_seed, 0x9e7 + k) — deterministic,
   /// so a resumed supervisor makes the very same retry decisions.
@@ -91,9 +124,10 @@ struct StallReport {
 };
 
 struct SupervisedResult {
-  /// Aggregate over the merged repetitions, under run_amplified's exact
-  /// rules. metrics.counters is rebuilt from the merged FaultReport so the
-  /// run and resume paths report identically.
+  /// Aggregate over the merged repetitions, under merge_amplified's rules.
+  /// metrics.counters is fault_counters(merged FaultReport) so the run and
+  /// resume paths report identically; metrics.repetitions_skipped is
+  /// planned minus executed.
   RunOutcome outcome;
   std::uint32_t planned = 0;       ///< repetitions requested
   std::uint32_t retries_used = 0;  ///< total reseeded re-runs
@@ -109,20 +143,23 @@ struct SupervisedResult {
 
 class Supervisor {
  public:
-  /// The config's stall_window is overridden by SupervisorConfig's when
-  /// that one is nonzero. The topology is copied (Network semantics).
+  /// The topology is copied (Network semantics); every repetition runs
+  /// under `config`, its stall_window watchdog included.
   Supervisor(Graph topology, NetworkConfig config, SupervisorConfig sup);
 
-  /// Drive `repetitions` repetitions (seeded exactly like run_amplified:
-  /// derive_seed(config.seed, 0x5eed + rep)) under supervision.
+  /// Drive `repetitions` repetitions (repetition r seeded
+  /// repetition_seed(config.seed, r)) under supervision.
   SupervisedResult run(const ProgramFactory& factory,
                        std::uint32_t repetitions) const;
 
   /// Continue from an amplified checkpoint captured by run/resume with the
   /// same topology, config, seed, and repetition count (identity digests
-  /// CHECKed). Bit-identical continuation: verdicts, FaultReport, and retry
-  /// decisions all match the uninterrupted run; the trace covers only the
-  /// repetitions merged after the resume point.
+  /// CHECKed). The snapshot's accounting must be one the Supervisor can
+  /// write — repetitions_executed == next_repetition, repetitions_skipped
+  /// == 0, detected set exactly when some verdict_reject is — or the call
+  /// fails naming the key. Bit-identical continuation: verdicts,
+  /// FaultReport, and retry decisions all match the uninterrupted run; the
+  /// trace covers only the repetitions merged after the resume point.
   SupervisedResult resume(const ProgramFactory& factory,
                           std::uint32_t repetitions,
                           const Snapshot& snapshot) const;

@@ -398,8 +398,9 @@ congest::RunOutcome detect_even_cycle(const Graph& g,
                                cfg)
           .total_rounds() +
       1;
-  return congest::run_amplified(g, net_cfg, even_cycle_program(cfg),
-                                cfg.repetitions, cfg.amplify);
+  return congest::Supervisor(g, net_cfg, {cfg.amplify})
+      .run(even_cycle_program(cfg), cfg.repetitions)
+      .outcome;
 }
 
 }  // namespace csd::detect

@@ -26,7 +26,7 @@
 
 #include <cstdint>
 
-#include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "graph/graph.hpp"
 
 namespace csd::detect {

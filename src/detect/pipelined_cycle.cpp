@@ -104,9 +104,9 @@ congest::RunOutcome detect_cycle_pipelined(const Graph& g,
   net_cfg.telemetry = cfg.telemetry;
   net_cfg.max_rounds =
       pipelined_cycle_round_budget(g.num_vertices(), cfg.length) + 1;
-  return congest::run_amplified(g, net_cfg,
-                                pipelined_cycle_program(cfg.length),
-                                cfg.repetitions, cfg.amplify);
+  return congest::Supervisor(g, net_cfg, {cfg.amplify})
+      .run(pipelined_cycle_program(cfg.length), cfg.repetitions)
+      .outcome;
 }
 
 }  // namespace csd::detect

@@ -11,12 +11,12 @@
 //
 // One-sided error: rejection always certifies a real L-cycle; detection of
 // an existing cycle happens with probability >= L^{-L} per repetition and is
-// amplified by run_amplified.
+// amplified by repetitions under the run supervisor (congest/supervisor.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "graph/graph.hpp"
 
 namespace csd::detect {

@@ -118,8 +118,9 @@ congest::RunOutcome detect_tree(const Graph& g, const TreeDetectConfig& cfg,
   net_cfg.shard = cfg.shard;
   net_cfg.telemetry = cfg.telemetry;
   net_cfg.max_rounds = tree_detect_round_budget(cfg.tree) + 1;
-  return congest::run_amplified(g, net_cfg, tree_detect_program(cfg.tree),
-                                cfg.repetitions, cfg.amplify);
+  return congest::Supervisor(g, net_cfg, {cfg.amplify})
+      .run(tree_detect_program(cfg.tree), cfg.repetitions)
+      .outcome;
 }
 
 }  // namespace csd::detect

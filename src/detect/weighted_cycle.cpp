@@ -109,9 +109,9 @@ congest::RunOutcome detect_weighted_cycle(const Graph& g,
   net_cfg.bandwidth = bandwidth;
   net_cfg.seed = seed;
   net_cfg.max_rounds = weighted_cycle_round_budget(g.num_vertices(), cfg) + 1;
-  return congest::run_amplified(g, net_cfg,
-                                weighted_cycle_program(cfg, weight),
-                                cfg.repetitions, cfg.amplify);
+  return congest::Supervisor(g, net_cfg, {cfg.amplify})
+      .run(weighted_cycle_program(cfg, weight), cfg.repetitions)
+      .outcome;
 }
 
 }  // namespace csd::detect

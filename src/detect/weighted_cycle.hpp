@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "graph/graph.hpp"
 
 namespace csd::detect {

@@ -331,8 +331,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   std::vector<congest::RunOutcome> sync_reps;
   sync_reps.reserve(c.repetitions);
   for (std::uint32_t rep = 0; rep < c.repetitions; ++rep) {
-    // run_amplified's repetition seed schedule (the async CLI mirrors it).
-    const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL + rep);
+    const std::uint64_t rep_seed = congest::repetition_seed(c.seed, rep);
     congest::RunOutcome sync = net.run(factory, rep_seed);
     merged_sync_trace.append(sync.trace);
 
@@ -439,17 +438,21 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   }
   if (expect) expect->detected = any_detected;
 
-  // -- run_amplified: jobs-count determinism + aggregation ------------------
-  congest::AmplifyOptions full;
+  // -- the supervisor: jobs-count determinism + aggregation -----------------
+  congest::SupervisorConfig full;
   full.jobs = 1;
   full.early_exit = false;
   const congest::RunOutcome amplified =
-      run_amplified(host, sync_cfg, factory, c.repetitions, full);
+      congest::Supervisor(host, sync_cfg, full)
+          .run(factory, c.repetitions)
+          .outcome;
   for (const unsigned jobs : {4u, 0u}) {
-    congest::AmplifyOptions opts = full;
+    congest::SupervisorConfig opts = full;
     opts.jobs = jobs;
     const congest::RunOutcome other =
-        run_amplified(host, sync_cfg, factory, c.repetitions, opts);
+        congest::Supervisor(host, sync_cfg, opts)
+            .run(factory, c.repetitions)
+            .outcome;
     if (other.detected != amplified.detected ||
         other.completed != amplified.completed ||
         other.verdicts != amplified.verdicts ||
@@ -461,7 +464,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
         !(other.faults == amplified.faults) ||
         trace_bytes(other.trace) != trace_bytes(amplified.trace)) {
       std::ostringstream os;
-      os << "run_amplified at --jobs " << jobs
+      os << "supervisor at --jobs " << jobs
          << " differs from --jobs 1 (detected " << other.detected << "/"
          << amplified.detected << ", bits " << other.metrics.total_bits << "/"
          << amplified.metrics.total_bits << ")";
@@ -471,7 +474,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
 
   // -- worker count: bit-identical to the inline kernel at every W ----------
   {
-    const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL);
+    const std::uint64_t rep_seed = congest::repetition_seed(c.seed, 0);
     const congest::RunOutcome& reference = sync_reps[0];
     struct ShardCell {
       std::uint32_t workers;
@@ -534,7 +537,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   // threads, channels and barrier-folded wake rounds (W = 3), under the
   // case's faults when it has any.
   {
-    const std::uint64_t rep_seed = derive_seed(c.seed, 0x5eedULL);
+    const std::uint64_t rep_seed = congest::repetition_seed(c.seed, 0);
     const congest::ProgramFactory hintless = ignore_activity_hints(factory);
     congest::NetworkConfig cfg = sync_cfg;
     if (c.has_faults()) cfg.faults = fault_plan(c);
@@ -579,7 +582,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       amplified.verdicts != agg_verdicts ||
       trace_bytes(amplified.trace) != trace_bytes(merged_sync_trace)) {
     std::ostringstream os;
-    os << "run_amplified aggregate (detected=" << amplified.detected
+    os << "supervisor aggregate (detected=" << amplified.detected
        << ", rounds=" << amplified.metrics.rounds
        << ", bits=" << amplified.metrics.total_bits
        << ") != per-repetition aggregate (detected=" << agg_detected
@@ -588,11 +591,10 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   }
 
   // Early exit may skip repetitions but can never change the answer.
-  congest::AmplifyOptions early;
-  early.jobs = 1;
-  early.early_exit = true;
   const congest::RunOutcome exited =
-      run_amplified(host, sync_cfg, factory, c.repetitions, early);
+      congest::Supervisor(host, sync_cfg, {})
+          .run(factory, c.repetitions)
+          .outcome;
   if (exited.detected != amplified.detected ||
       exited.metrics.repetitions_executed +
               exited.metrics.repetitions_skipped !=

@@ -2,8 +2,8 @@
 //
 // check_case runs the case through every engine the repo has — the
 // synchronous Network, the async engine under both wire disciplines, and
-// the run_amplified parallel driver at several --jobs counts — and
-// cross-checks every invariant the engines advertise:
+// the run supervisor (the one amplified-run driver) at several --jobs
+// counts — and cross-checks every invariant the engines advertise:
 //
 //   * ground truth: the VF2 monomorphism oracle must agree with the
 //     family-specific oracle (has_clique / has_cycle_of_length / has_tree);
@@ -18,10 +18,10 @@
 //     against this file, not against itself;
 //   * one-sided error: a fault-free Reject certifies a real copy; the
 //     deterministic clique detector must match ground truth exactly;
-//   * driver determinism: run_amplified outcomes (verdicts, metrics, fault
-//     report, trace bytes) are identical at --jobs 1, 4 and hardware
-//     concurrency, and its aggregation matches a hand-rolled per-repetition
-//     aggregate;
+//   * driver determinism: the Supervisor's amplified outcomes (verdicts,
+//     metrics, fault report, trace bytes) are identical at --jobs 1, 4 and
+//     hardware concurrency, its aggregation matches a hand-rolled
+//     per-repetition aggregate, and early exit never changes the answer;
 //   * fault determinism: a faulty plan replays to the identical outcome and
 //     FaultReport on every engine, and reliable transport restores the
 //     fault-free verdicts whenever no node crashed and no packet exhausted

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <ostream>
 
-#include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/shrink.hpp"
 #include "graph/vf2.hpp"
@@ -26,11 +26,11 @@ CaseExpectation expectation(const FuzzCase& c) {
   cfg.bandwidth = effective_bandwidth(c, host);
   cfg.max_rounds = round_budget(c, host, cfg.bandwidth);
   cfg.seed = c.seed;
-  congest::AmplifyOptions full;
-  full.jobs = 1;
+  congest::SupervisorConfig full;
   full.early_exit = false;
-  expect.detected =
-      run_amplified(host, cfg, make_program(c), c.repetitions, full).detected;
+  expect.detected = congest::Supervisor(host, cfg, full)
+                        .run(make_program(c), c.repetitions)
+                        .outcome.detected;
   return expect;
 }
 

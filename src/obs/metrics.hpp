@@ -3,9 +3,10 @@
 // MetricsRegistry surfaces counters the engines historically kept internal
 // (ARQ retransmits, duplicate acks, CRC rejections, injected faults) as an
 // insertion-ordered list of (name, value) pairs. Both CONGEST engines fill
-// one per run from their FaultReport; run_amplified merges them by name in
-// repetition order, so the aggregate is bit-identical at every --jobs count
-// exactly like the rest of RunMetrics. RunTrace copies the registry into
+// one per run from their FaultReport; an amplified run's registry is the
+// one fault_counters builds from the merged FaultReport, so the aggregate
+// is bit-identical at every --jobs count, and across resume, exactly like
+// the rest of RunMetrics. RunTrace copies the registry into
 // its JSONL summary (non-zero entries only, so fault-free sync and async
 // traces stay byte-identical — neither engine has anything to report).
 //

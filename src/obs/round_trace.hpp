@@ -2,10 +2,10 @@
 //
 // A RunTrace rides inside a RunOutcome: each Network::run (or async run)
 // fills its own instance, so concurrent runs under RunBatch need no locks —
-// the per-task buffers are merged afterwards in deterministic task order by
-// run_amplified (RunBatch already returns outcomes in task order). The
-// trace is therefore bit-identical for every --jobs count, exactly like the
-// metrics it refines.
+// the per-repetition buffers are merged afterwards in repetition order by
+// merge_amplified (RunBatch::stream hands outcomes over in index order).
+// The trace is therefore bit-identical for every --jobs count, exactly like
+// the metrics it refines.
 //
 // Cost model: a disabled trace is a default-constructed object — no
 // allocation, and the engines guard every record() behind a single
@@ -134,7 +134,7 @@ class RunTrace {
   ///     repetitions;
   ///   * default-constructed (never configured): adopts `other` wholesale,
   ///     including its segment boundaries — the merge-accumulator idiom
-  ///     used by run_amplified and the CLI;
+  ///     used by merge_amplified and the CLI;
   ///   * explicitly configured with TraceOptions::enabled == false: no-op.
   ///     The receiver keeps its own (disabled) configuration instead of
   ///     silently inheriting the donor's options, which historically turned

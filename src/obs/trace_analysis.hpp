@@ -72,7 +72,8 @@ struct TraceInstance {
   /// Meta value parsed as a number (the sink stamps values as strings).
   std::optional<double> meta_number(std::string_view key) const;
   /// Rounds per repetition: declared rounds / segments — the y of the
-  /// growth fit (run_amplified concatenates one segment per repetition).
+  /// growth fit (an amplified run concatenates one segment per
+  /// repetition).
   double rounds_per_segment() const;
   /// Group label for fitting: meta "group", else meta "program", else "".
   std::string fit_group() const;

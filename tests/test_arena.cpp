@@ -73,7 +73,7 @@ TEST(ArenaDifferential, FiftyGeneratedCasesStayByteIdentical) {
   // A dedicated seed window (disjoint from test_fuzz's) wide enough that
   // the generator covers faulty and fault-free cases on every program
   // family. check_case cross-checks sync vs async (raw and reliable),
-  // traces byte-for-byte, the --jobs determinism of run_amplified, and the
+  // traces byte-for-byte, the --jobs determinism of the supervisor, and the
   // checkpoint/kill/resume contract — all of which read the arena slots.
   std::uint32_t faulty = 0, fault_free = 0;
   for (std::uint64_t seed = 9000; seed < 9050; ++seed) {

@@ -11,6 +11,7 @@
 
 #include "congest/clique.hpp"
 #include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "graph/builders.hpp"
 #include "obs/metrics_v2.hpp"
@@ -296,7 +297,7 @@ TEST(RunAmplified, AggregatesDetection) {
 
   // Default driver: stop after the first rejecting repetition (one-sided
   // error makes further repetitions redundant) and account honestly.
-  auto outcome = run_amplified(g, cfg, factory, 20);
+  auto outcome = Supervisor(g, cfg, {}).run(factory, 20).outcome;
   EXPECT_TRUE(outcome.detected);
   EXPECT_EQ(outcome.metrics.repetitions_executed +
                 outcome.metrics.repetitions_skipped,
@@ -305,9 +306,9 @@ TEST(RunAmplified, AggregatesDetection) {
   EXPECT_EQ(outcome.metrics.rounds, outcome.metrics.repetitions_executed);
 
   // Exhaustive mode: every repetition runs and the costs sum over all 20.
-  AmplifyOptions all;
+  SupervisorConfig all;
   all.early_exit = false;
-  auto full = run_amplified(g, cfg, factory, 20, all);
+  auto full = Supervisor(g, cfg, all).run(factory, 20).outcome;
   EXPECT_TRUE(full.detected);
   EXPECT_EQ(full.metrics.repetitions_executed, 20u);
   EXPECT_EQ(full.metrics.repetitions_skipped, 0u);

@@ -2,6 +2,7 @@
 // (driven in-process through csd::cli::run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -445,14 +446,23 @@ TEST(Cli, DetectSupervisedSliceResumeAndStallReports) {
 
   // Slice 2: resume finishes the batch; the control host stays clean.
   ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "4",
-                     "--supervised", "--max-reps-per-call", "2", "--resume",
-                     ckpt},
+                     "--supervised", "--resume", ckpt},
                     &text),
             0);
   EXPECT_NE(text.find("resumed:    " + ckpt), std::string::npos);
   EXPECT_NE(text.find("4 executed, 0 skipped (of 4 planned)"),
             std::string::npos);
   EXPECT_NE(text.find("verdict:    accept"), std::string::npos);
+
+  // A slice that pauses is only resumable from its checkpoint file, so
+  // --max-reps-per-call without --checkpoint is an error before any run.
+  EXPECT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "4",
+                     "--max-reps-per-call", "1"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("--max-reps-per-call needs --checkpoint FILE"),
+            std::string::npos)
+      << text;
 
   // A one-round budget flags every repetition in a structured StallReport.
   ASSERT_EQ(run_cli({"detect", "cycle", "4", path, "--reps", "2",
@@ -473,7 +483,8 @@ std::string read_file(const std::string& path) {
 }
 
 // A damaged checkpoint exits 2 naming the key instead of resuming into a
-// plausible wrong answer: here, the Reject the first slice found.
+// plausible wrong answer: here, the Reject the first slice found, and a
+// Reject nothing found.
 TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string path = (dir / "csd_cli_damaged.graph").string();
@@ -484,15 +495,15 @@ TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
                     &text),
             0);
   const std::vector<std::string> base = {
-      "detect", "cycle", "4", path, "--reps", "3", "--supervised",
-      "--max-reps-per-call", "1", "--seed", "7"};
+      "detect", "cycle", "4", path, "--reps", "3", "--supervised", "--seed",
+      "7"};
   auto first = base;
-  first.insert(first.end(), {"--checkpoint", ckpt});
+  first.insert(first.end(), {"--max-reps-per-call", "1", "--checkpoint", ckpt});
   ASSERT_EQ(run_cli(first, &text), 0);
   auto resume = base;
   resume.insert(resume.end(), {"--resume", copy});
 
-  const std::string intact = read_file(ckpt);
+  std::string intact = read_file(ckpt);
   std::ofstream(copy) << intact;
   ASSERT_EQ(run_cli(resume, &text), 0);
   EXPECT_NE(text.find("verdict:    REJECT"), std::string::npos);
@@ -516,15 +527,72 @@ TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
       // repetitions left to run.
       {edit("\"next_repetition\": 1,", "\"next_repetition\": 9,"),
        "'next_repetition'"},
+      // Accounting no Supervisor writes: every repetition before the
+      // resume point was executed, none skipped, and 'detected' is the OR
+      // of the verdicts.
+      {edit("\"repetitions_executed\": 1,", "\"repetitions_executed\": 9,"),
+       "'repetitions_executed'"},
+      {edit("\"repetitions_skipped\": 0,", "\"repetitions_skipped\": 2,"),
+       "'repetitions_skipped'"},
+      {edit("\"detected\": 1,", "\"detected\": 0,"), "'detected'"},
   };
   for (const auto& [bytes, key] : damaged) {
     std::ofstream(copy) << bytes;
     EXPECT_EQ(run_cli(resume, &text), 2) << bytes;
     EXPECT_NE(text.find(key), std::string::npos) << text;
   }
+
+  // On a C_4-free tree the slice accepts; a 'detected' set to 1 would
+  // resume into a false positive.
+  ASSERT_EQ(run_cli({"generate", "tree", "64", "3", "--out", path}, &text),
+            0);
+  ASSERT_EQ(run_cli(first, &text), 0);
+  intact = read_file(ckpt);
+  std::ofstream(copy) << edit("\"detected\": 0,", "\"detected\": 1,");
+  EXPECT_EQ(run_cli(resume, &text), 2);
+  EXPECT_NE(text.find("'detected'"), std::string::npos) << text;
   std::remove(path.c_str());
   std::remove(ckpt.c_str());
   std::remove(copy.c_str());
+}
+
+// A clean (--drop 0) async run is the sync run at every --reps, --reps 1
+// included: both engines seed repetition r with repetition_seed(seed, r),
+// so the verdict agrees, pulses equal rounds and payload bits equal total
+// bits.
+TEST(Cli, CleanAsyncRunReproducesTheSyncRunAtOneRepetition) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "csd_cli_async_one.graph").string();
+  const std::string json = (dir / "csd_cli_async_one.json").string();
+  std::string text;
+  ASSERT_EQ(run_cli({"generate", "gnp", "40", "20", "3", "--out", path},
+                    &text),
+            0);
+  const auto values = [&](std::vector<std::string> args) {
+    args.insert(args.end(), {"--json", json});
+    EXPECT_EQ(run_cli(args, &text), 0) << text;
+    return obs::Json::parse(read_file(json))
+        .at("measurements")
+        .items()[0]
+        .at("values");
+  };
+  for (const std::string len : {"4", "5"}) {
+    const std::vector<std::string> sync_args = {
+        "detect", "cycle", len, path, "--reps", "1", "--seed", "1"};
+    auto async_args = sync_args;
+    async_args.insert(async_args.end(), {"--drop", "0"});
+    const obs::Json sync = values(sync_args);
+    const obs::Json async = values(async_args);
+    EXPECT_EQ(async.at("verdict").as_string(), sync.at("verdict").as_string())
+        << "cycle " << len;
+    EXPECT_EQ(async.at("pulses").as_uint(), sync.at("rounds").as_uint())
+        << "cycle " << len;
+    EXPECT_EQ(async.at("payload_bits").as_uint(),
+              sync.at("total_bits").as_uint())
+        << "cycle " << len;
+  }
+  std::remove(path.c_str());
+  std::remove(json.c_str());
 }
 
 // Replay hands an inbox-log row to its node port by port, so a row with
@@ -550,8 +618,15 @@ TEST(Cli, ResumeRejectsAnInboxRowWiderThanItsNode) {
 
   for (const std::size_t extra : {std::size_t{1}, std::size_t{5000}}) {
     congest::Snapshot snap = congest::load_snapshot(ckpt);
-    auto& row = snap.async_state.nodes.at(1).inbox.at(1);
-    ASSERT_EQ(row.size(), 3u);  // node 1's degree
+    // The node the frozen run logged two pulses of inbox for; which one
+    // that is depends on the run's delays and drops.
+    auto& nodes = snap.async_state.nodes;
+    const auto logged =
+        std::find_if(nodes.begin(), nodes.end(),
+                     [](const auto& node) { return node.inbox.size() >= 2; });
+    ASSERT_NE(logged, nodes.end());
+    auto& row = logged->inbox.at(1);
+    ASSERT_EQ(row.size(), 3u);  // the node's degree: it sits in the K_4
     BitVec payload;
     payload.append_bits(3, 2);
     row.insert(row.end(), extra, payload);

@@ -19,6 +19,7 @@
 
 #include "congest/async.hpp"
 #include "congest/network.hpp"
+#include "congest/supervisor.hpp"
 #include "detect/even_cycle.hpp"
 #include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
@@ -217,8 +218,11 @@ TEST(BenchReport, SchemaRoundTripsThroughParse) {
 TEST(BenchReport, MeasurementReferencesStayStable) {
   obs::BenchReport report("stability");
   auto& first = report.measurement("a");
-  for (int i = 0; i < 100; ++i)
-    report.measurement("m" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "m";
+    name += std::to_string(i);
+    report.measurement(name);
+  }
   first.value("still_valid", true);  // would crash if `first` dangled
   EXPECT_TRUE(report.to_json()
                   .at("measurements")
@@ -244,11 +248,12 @@ congest::RunOutcome traced_run_opts(const Graph& g, unsigned jobs,
   net_cfg.max_rounds =
       detect::make_even_cycle_schedule(g.num_vertices(), cfg).total_rounds() +
       1;
-  congest::AmplifyOptions options;
-  options.jobs = jobs;
-  options.early_exit = false;  // every repetition contributes a segment
-  return congest::run_amplified(g, net_cfg, detect::even_cycle_program(cfg),
-                                reps, options);
+  congest::SupervisorConfig sup;
+  sup.jobs = jobs;
+  sup.early_exit = false;  // every repetition contributes a segment
+  return congest::Supervisor(g, net_cfg, sup)
+      .run(detect::even_cycle_program(cfg), reps)
+      .outcome;
 }
 
 congest::RunOutcome traced_run(const Graph& g, unsigned jobs,

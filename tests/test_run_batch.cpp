@@ -1,7 +1,7 @@
-// Tests for the deterministic parallel run driver: bit-identical outcomes
-// across jobs counts, the early-exit cut, in-order streaming within a
-// bounded window, exception determinism, and the repetition-aggregation
-// rules of run_amplified.
+// Tests for the deterministic parallel run driver and the amplified runs
+// built on it: bit-identical outcomes across jobs counts, in-order
+// streaming within a bounded window, exception determinism, and the
+// Supervisor's early-exit cut and repetition-aggregation rules.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 
 #include "congest/network.hpp"
 #include "congest/run_batch.hpp"
+#include "congest/supervisor.hpp"
 #include "graph/builders.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -74,55 +75,80 @@ TEST(RunBatch, ForEachIndexCoversEveryIndexOnce) {
   }
 }
 
-TEST(RunBatch, ExecuteIsBitIdenticalAcrossJobsCounts) {
+/// Every outcome `stream` hands over at `jobs` workers, in index order,
+/// for runs of `net` with seeds derive_seed(seed, i).
+std::vector<RunOutcome> stream_all(unsigned jobs, const Network& net,
+                                   const ProgramFactory& factory,
+                                   std::uint64_t seed, std::uint32_t count) {
+  std::vector<RunOutcome> got;
+  RunBatch(jobs).stream(
+      count,
+      [&](std::uint32_t i) { return net.run(factory, derive_seed(seed, i)); },
+      [&](std::uint32_t i, RunOutcome&& outcome) {
+        EXPECT_EQ(i, got.size());
+        got.push_back(std::move(outcome));
+        return true;
+      });
+  return got;
+}
+
+/// The amplified aggregate of `reps` repetitions at `jobs` workers.
+RunOutcome amplified(const Graph& g, const NetworkConfig& cfg,
+                     const ProgramFactory& factory, std::uint32_t reps,
+                     unsigned jobs = 1, bool early_exit = true) {
+  SupervisorConfig sup;
+  sup.jobs = jobs;
+  sup.early_exit = early_exit;
+  return Supervisor(g, cfg, sup).run(factory, reps).outcome;
+}
+
+TEST(RunBatch, StreamIsBitIdenticalAcrossJobsCounts) {
   NetworkConfig cfg;
   cfg.seed = 9;
   const Network net(build::path(2), cfg);
   const auto factory = coin_factory();
-  std::vector<RunBatch::Task> tasks;
-  for (std::uint32_t i = 0; i < 24; ++i)
-    tasks.push_back({&net, &factory, derive_seed(9, i)});
-
-  const auto reference = RunBatch(1).execute(tasks);
-  ASSERT_EQ(reference.outcomes.size(), tasks.size());
-  EXPECT_EQ(reference.executed, tasks.size());
-  EXPECT_EQ(reference.skipped, 0u);
+  const auto reference = stream_all(1, net, factory, 9, 24);
+  ASSERT_EQ(reference.size(), 24u);
   for (const unsigned jobs : {4u, 0u}) {
-    const auto result = RunBatch(jobs).execute(tasks);
-    ASSERT_EQ(result.outcomes.size(), tasks.size());
-    EXPECT_EQ(result.executed, reference.executed);
-    EXPECT_EQ(result.skipped, reference.skipped);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      ASSERT_TRUE(result.outcomes[i].has_value());
-      expect_same_outcome(*result.outcomes[i], *reference.outcomes[i]);
-    }
+    const auto result = stream_all(jobs, net, factory, 9, 24);
+    ASSERT_EQ(result.size(), reference.size());
+    for (std::size_t i = 0; i < result.size(); ++i)
+      expect_same_outcome(result[i], reference[i]);
   }
 }
 
 TEST(RunBatch, EarlyExitCutsAtLowestDetectingIndex) {
-  NetworkConfig cfg;
-  cfg.seed = 31;
-  const Network net(build::path(2), cfg);
+  const Graph g = build::path(2);
   const auto factory = coin_factory();
-  std::vector<RunBatch::Task> tasks;
-  for (std::uint32_t i = 0; i < 24; ++i)
-    tasks.push_back({&net, &factory, derive_seed(31, i)});
+  const std::uint32_t reps = 24;
 
-  // Sequential reference: the lowest-indexed detecting task.
-  std::size_t first = tasks.size();
-  for (std::size_t i = 0; i < tasks.size() && first == tasks.size(); ++i)
-    if (net.run(factory, tasks[i].seed).detected) first = i;
-  ASSERT_LT(first, tasks.size()) << "seed 31 must produce a detection";
+  // Sequential reference: the lowest-indexed detecting repetition under
+  // the documented seed schedule, for the first seed from 31 on whose cut
+  // lands past repetition 1 (so parallel workers run on both sides of it).
+  NetworkConfig cfg;
+  std::uint32_t first = reps;
+  for (std::uint64_t seed = 31; seed < 300 && (first < 2 || first == reps);
+       ++seed) {
+    cfg.seed = seed;
+    const Network net(g, cfg);
+    first = reps;
+    for (std::uint32_t i = 0; i < reps && first == reps; ++i)
+      if (net.run(factory, derive_seed(seed, 0x5eedULL + i)).detected)
+        first = i;
+  }
+  ASSERT_TRUE(first >= 2 && first < reps) << "no seed cuts past rep 1";
 
   for (const unsigned jobs : {1u, 4u, 0u}) {
-    const auto result = RunBatch(jobs).execute(tasks, true);
-    EXPECT_EQ(result.executed, first + 1);
-    EXPECT_EQ(result.skipped, tasks.size() - first - 1);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      EXPECT_EQ(result.outcomes[i].has_value(), i <= first) << "index " << i;
-    EXPECT_TRUE(result.outcomes[first]->detected);
-    for (std::size_t i = 0; i < first; ++i)
-      EXPECT_FALSE(result.outcomes[i]->detected);
+    SupervisorConfig sup;
+    sup.jobs = jobs;
+    const SupervisedResult result = Supervisor(g, cfg, sup).run(factory, reps);
+    EXPECT_EQ(result.outcome.metrics.repetitions_executed, first + 1);
+    EXPECT_EQ(result.outcome.metrics.repetitions_skipped, reps - first - 1);
+    EXPECT_TRUE(result.outcome.detected);
+    // Only repetitions 0..first were merged: each ran one round.
+    EXPECT_EQ(result.outcome.metrics.rounds, first + 1);
+    ASSERT_NE(result.checkpoint, nullptr);
+    EXPECT_EQ(result.checkpoint->amplified.next_repetition, first + 1);
   }
 }
 
@@ -131,10 +157,7 @@ TEST(RunBatch, StreamHandsOutcomesOverInOrderWithinABoundedWindow) {
   cfg.seed = 9;
   const Network net(build::path(2), cfg);
   const auto factory = coin_factory();
-  std::vector<RunBatch::Task> tasks;
-  for (std::uint32_t i = 0; i < 24; ++i)
-    tasks.push_back({&net, &factory, derive_seed(9, i)});
-  const auto reference = RunBatch(1).execute(tasks);
+  const auto reference = stream_all(1, net, factory, 9, 24);
 
   for (const unsigned jobs : {1u, 4u}) {
     // The consumer stops after 20 outcomes; no worker may start a task
@@ -147,7 +170,7 @@ TEST(RunBatch, StreamHandsOutcomesOverInOrderWithinABoundedWindow) {
         24,
         [&](std::uint32_t i) {
           if (i > consumed.load() + 2 * jobs) ran_ahead = true;
-          return tasks[i];
+          return net.run(factory, derive_seed(9, i));
         },
         [&](std::uint32_t i, RunOutcome&& outcome) {
           EXPECT_EQ(i, got.size());
@@ -159,7 +182,7 @@ TEST(RunBatch, StreamHandsOutcomesOverInOrderWithinABoundedWindow) {
     EXPECT_FALSE(ran_ahead) << "jobs " << jobs;
     ASSERT_EQ(got.size(), 20u);
     for (std::size_t i = 0; i < got.size(); ++i)
-      expect_same_outcome(got[i], *reference.outcomes[i]);
+      expect_same_outcome(got[i], reference[i]);
   }
 }
 
@@ -181,29 +204,22 @@ TEST(RunBatch, RethrowsLowestIndexedExceptionDeterministically) {
   const ProgramFactory factory = [](std::uint32_t) {
     return std::make_unique<SeedThrow>();
   };
-  std::vector<RunBatch::Task> tasks;
-  for (std::uint32_t i = 0; i < 24; ++i)
-    tasks.push_back({&net, &factory, derive_seed(3, i)});
-
-  std::string reference;
-  try {
-    RunBatch(1).execute(tasks);
-  } catch (const CheckFailure& failure) {
-    reference = failure.what();
-  }
-  ASSERT_FALSE(reference.empty()) << "seed 3 must produce a throwing task";
-  for (const unsigned jobs : {4u, 0u}) {
-    std::string parallel;
+  const auto first_failure = [&](unsigned jobs) {
     try {
-      RunBatch(jobs).execute(tasks);
+      stream_all(jobs, net, factory, 3, 24);
     } catch (const CheckFailure& failure) {
-      parallel = failure.what();
+      return std::string(failure.what());
     }
-    EXPECT_EQ(parallel, reference);
-  }
+    return std::string();
+  };
+
+  const std::string reference = first_failure(1);
+  ASSERT_FALSE(reference.empty()) << "seed 3 must produce a throwing run";
+  for (const unsigned jobs : {4u, 0u})
+    EXPECT_EQ(first_failure(jobs), reference);
 }
 
-// -------------------------------------------------------- run_amplified --
+// ---------------------------------------------------- amplified runs --
 /// The documented per-field aggregation rule, applied by hand to a
 /// sequential fold of run_congest outcomes with the derived-seed schedule.
 RunOutcome manual_fold(const Graph& g, const NetworkConfig& cfg,
@@ -249,13 +265,9 @@ TEST(RunAmplified, MatchesManualFoldOfPerRepetitionRuns) {
   const std::uint32_t reps = 16;
   const auto expected = manual_fold(g, cfg, factory, reps);
 
-  AmplifyOptions options;
-  options.early_exit = false;
-  for (const unsigned jobs : {1u, 4u, 0u}) {
-    options.jobs = jobs;
-    const auto outcome = run_amplified(g, cfg, factory, reps, options);
-    expect_same_outcome(outcome, expected);
-  }
+  for (const unsigned jobs : {1u, 4u, 0u})
+    expect_same_outcome(amplified(g, cfg, factory, reps, jobs, false),
+                        expected);
 }
 
 TEST(RunAmplified, EarlyExitAccountsExecutedAndSkipped) {
@@ -275,23 +287,20 @@ TEST(RunAmplified, EarlyExitAccountsExecutedAndSkipped) {
   }
   ASSERT_LT(first, reps) << "seed 5 must detect within 16 repetitions";
 
-  AmplifyOptions options;  // early_exit defaults on
-  const auto reference = run_amplified(g, cfg, factory, reps, options);
+  const auto reference = amplified(g, cfg, factory, reps);  // early exit on
   EXPECT_TRUE(reference.detected);
   EXPECT_EQ(reference.metrics.repetitions_executed, first + 1);
   EXPECT_EQ(reference.metrics.repetitions_skipped, reps - first - 1);
-  for (const unsigned jobs : {4u, 0u}) {
-    options.jobs = jobs;
-    expect_same_outcome(run_amplified(g, cfg, factory, reps, options),
-                        reference);
-  }
+  for (const unsigned jobs : {4u, 0u})
+    expect_same_outcome(amplified(g, cfg, factory, reps, jobs), reference);
 }
 
 TEST(RunAmplified, DetectionInEarlyRepetitionSurvivesAggregation) {
   // Regression: the aggregate used to keep only the LAST repetition's
   // verdicts/completed/faults, so a detection in repetition 0 whose final
   // repetition came up clean was silently lost. Find a seed whose first
-  // repetition detects and whose last does not, then check both drivers.
+  // repetition detects and whose last does not, then check with and
+  // without early exit.
   const Graph g = build::path(2);
   const auto factory = coin_factory();
   const std::uint32_t reps = 8;
@@ -310,10 +319,8 @@ TEST(RunAmplified, DetectionInEarlyRepetitionSurvivesAggregation) {
   }
   ASSERT_TRUE(found);
 
-  AmplifyOptions all;
-  all.early_exit = false;
-  EXPECT_TRUE(run_amplified(g, cfg, factory, reps, all).detected);
-  const auto eager = run_amplified(g, cfg, factory, reps);
+  EXPECT_TRUE(amplified(g, cfg, factory, reps, 1, false).detected);
+  const auto eager = amplified(g, cfg, factory, reps);
   EXPECT_TRUE(eager.detected);
   EXPECT_EQ(eager.metrics.repetitions_executed, 1u);  // cut at repetition 0
   EXPECT_EQ(eager.metrics.repetitions_skipped, reps - 1);
@@ -332,12 +339,9 @@ TEST(RunAmplified, FaultReportsConcatenateAcrossRepetitions) {
     return std::make_unique<RejectAndStall>();
   };
 
-  AmplifyOptions options;
-  options.early_exit = false;
   const std::uint32_t reps = 3;
   for (const unsigned jobs : {1u, 4u}) {
-    options.jobs = jobs;
-    const auto outcome = run_amplified(g, cfg, factory, reps, options);
+    const auto outcome = amplified(g, cfg, factory, reps, jobs, false);
     EXPECT_TRUE(outcome.detected);
     EXPECT_FALSE(outcome.completed);
     EXPECT_EQ(outcome.metrics.repetitions_executed, reps);

@@ -15,6 +15,7 @@
 
 #include "congest/network.hpp"
 #include "congest/partition.hpp"
+#include "congest/supervisor.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "fuzz/generator.hpp"
 #include "graph/builders.hpp"
@@ -264,18 +265,18 @@ TEST(Shard, AmplifiedRunsIdenticalAtEveryWorkersAndJobs) {
   cfg.max_rounds = 40;
   cfg.seed = 5;
   cfg.trace.enabled = true;
-  AmplifyOptions opts;
-  opts.jobs = 1;
-  opts.early_exit = false;
-  const RunOutcome reference = run_amplified(g, cfg, chatter(8), 6, opts);
+  SupervisorConfig sup;
+  sup.early_exit = false;
+  const RunOutcome reference =
+      Supervisor(g, cfg, sup).run(chatter(8), 6).outcome;
   for (const std::uint32_t w_count : {1u, 2u, 8u}) {
     for (const unsigned jobs : {1u, 4u}) {
       NetworkConfig shard_cfg = cfg;
       shard_cfg.shard.workers = w_count;
-      AmplifyOptions sharded_opts = opts;
-      sharded_opts.jobs = jobs;
+      SupervisorConfig sharded_sup = sup;
+      sharded_sup.jobs = jobs;
       const RunOutcome other =
-          run_amplified(g, shard_cfg, chatter(8), 6, sharded_opts);
+          Supervisor(g, shard_cfg, sharded_sup).run(chatter(8), 6).outcome;
       expect_outcomes_identical(reference, other,
                                 "W=" + std::to_string(w_count) + " jobs=" +
                                     std::to_string(jobs));

@@ -307,11 +307,12 @@ TEST(SyncCheckpoint, AmplifiedKeepsTheFirstRepetitionsSnapshot) {
   cfg.max_rounds = 60;
   cfg.seed = 77;
   cfg.checkpoint_at_round = 2;
-  AmplifyOptions options;
-  options.jobs = 2;
-  options.early_exit = false;
-  const auto combined = run_amplified(g, cfg, detect::pipelined_cycle_program(3),
-                                      4, options);
+  SupervisorConfig sup;
+  sup.jobs = 2;
+  sup.early_exit = false;
+  const auto combined = Supervisor(g, cfg, sup)
+                            .run(detect::pipelined_cycle_program(3), 4)
+                            .outcome;
   ASSERT_NE(combined.checkpoint, nullptr);
   EXPECT_EQ(combined.checkpoint->kind, Snapshot::Kind::Sync);
   // The kept snapshot is repetition 0's: its seed is the first derived one.

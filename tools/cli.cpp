@@ -145,7 +145,7 @@ commands:
   fuzz [--seconds N] [--seed S] [--cases N] [--corpus DIR]
       differential fuzzing: random (graph, program, fault plan, schedule)
       cases run through the sync, async-raw, async-reliable and parallel
-      (run_amplified) engines and every cross-engine invariant is checked
+      (supervised) engines and every cross-engine invariant is checked
       against the VF2 ground truth. Failing cases are delta-debugged to a
       minimal reproducer and written to DIR as replayable JSON. Exit 1 iff
       any divergence was found.
@@ -538,9 +538,11 @@ auto dump_on_failed_resume(const Invocation& inv, TelemetrySession* session,
 }
 
 /// The sync engine, for `detect` and `sweep` alike: the amplified batch
-/// through congest::Supervisor. Without supervisor flags every setting is
-/// at its default, which is the plain amplified run (early exit, no
-/// retries); aggregation follows run_amplified's rules either way.
+/// through congest::Supervisor, the one driver of amplified runs. Without
+/// supervisor flags every setting is at its default, which is the plain
+/// amplified run (early exit, no retries); repetition r is seeded
+/// repetition_seed(seed, r) and merged under merge_amplified's rules
+/// either way.
 congest::SupervisedResult run_sync_engine(const Invocation& inv,
                                           const Graph& g,
                                           const PatternProgram& p,
@@ -556,6 +558,9 @@ congest::SupervisedResult run_sync_engine(const Invocation& inv,
   sup.max_retries = to_u32(inv.flag("retries").value_or("0"), "retries");
   sup.max_reps_per_call = to_u32(
       inv.flag("max-reps-per-call").value_or("0"), "max-reps-per-call");
+  // A paused slice is only resumable from its checkpoint file.
+  CSD_CHECK_MSG(sup.max_reps_per_call == 0 || inv.has_flag("checkpoint"),
+                "--max-reps-per-call needs --checkpoint FILE");
   const congest::Supervisor supervisor(g, cfg, sup);
   const auto resume_path = inv.flag("resume");
   return dump_on_failed_resume(inv, session, out, [&] {
@@ -639,11 +644,12 @@ DetectReport sync_report(congest::SupervisedResult result, unsigned jobs,
 }
 
 /// The async engine and its side of the report: the repetitions run one
-/// after another through run_async (or resume_async). With more than one,
-/// repetition r is seeded derive_seed(seed, 0x5eed + r) as on the sync
-/// engine, so a clean async run reproduces the sync verdict bit for bit; a
-/// single run uses `seed`. Pulses are the longest repetition's; bits,
-/// faults, timers and traces add up in repetition order.
+/// after another through run_async (or resume_async). Repetition r is
+/// seeded repetition_seed(seed, r) as on the sync engine, at every --reps,
+/// so a clean (--drop 0) async run reproduces the sync run bit for bit:
+/// same verdict, pulses = rounds of a single run, payload bits = total
+/// bits. Pulses are the longest repetition's; bits, faults, timers and
+/// traces add up in repetition order.
 DetectReport run_async_engine(const Invocation& inv, const Graph& g,
                               const PatternProgram& p,
                               congest::AsyncConfig cfg, std::uint64_t seed,
@@ -679,7 +685,7 @@ DetectReport run_async_engine(const Invocation& inv, const Graph& g,
   DetectReport r;
   std::uint64_t pulses = 0, payload_bits = 0, transport_bits = 0;
   for (std::uint32_t rep = 0; rep < p.runs; ++rep) {
-    cfg.seed = p.runs == 1 ? seed : derive_seed(seed, 0x5eedULL + rep);
+    cfg.seed = congest::repetition_seed(seed, rep);
     congest::AsyncRunOutcome outcome =
         dump_on_failed_resume(inv, session, out, [&] {
           return resume_path
@@ -1018,9 +1024,10 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
         outcome.trace.set_meta("seed", std::to_string(seed));
         outcome.trace.write_jsonl(trace_os);
       }
-      report
-          .measurement("n" + std::to_string(n) + "/" +
-                       (positive ? "planted" : "control"))
+      std::string name = "n";
+      name += std::to_string(n);
+      name += positive ? "/planted" : "/control";
+      report.measurement(name)
           .value("verdict", outcome.detected ? "reject" : "accept")
           .value("oracle", p.truth)
           .value("repetitions_executed", outcome.metrics.repetitions_executed)
