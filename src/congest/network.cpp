@@ -61,8 +61,8 @@ Network::Network(Graph topology, NetworkConfig config,
 }
 
 // NetworkConfig::shard is deliberately NOT digested: the round kernel is
-// bit-identical at every worker count, so a snapshot taken at one worker
-// count must resume at any other (test_shard pins this).
+// bit-identical at every worker count, so an amplified checkpoint written
+// at one worker count resumes at any other (test_shard pins this).
 std::uint64_t Network::config_digest() const {
   std::uint64_t h = kDigestSeed;
   h = digest_mix(h, config_.bandwidth);
@@ -74,26 +74,12 @@ std::uint64_t Network::config_digest() const {
 }
 
 RunOutcome Network::run(const ProgramFactory& factory) const {
-  return run_impl(factory, config_.seed, nullptr);
+  return detail::run_rounds(*this, factory, config_.seed);
 }
 
 RunOutcome Network::run(const ProgramFactory& factory,
                         std::uint64_t seed) const {
-  return run_impl(factory, seed, nullptr);
-}
-
-RunOutcome Network::resume(const ProgramFactory& factory,
-                           const Snapshot& snapshot) const {
-  CSD_CHECK_MSG(snapshot.kind == Snapshot::Kind::Sync,
-                "Network::resume needs a sync snapshot, got "
-                    << to_string(snapshot.kind));
-  return run_impl(factory, snapshot.sync.identity.seed, &snapshot.sync);
-}
-
-RunOutcome Network::run_impl(const ProgramFactory& factory,
-                             std::uint64_t seed,
-                             const SyncSnapshot* resume_from) const {
-  return detail::run_rounds(*this, factory, seed, resume_from);
+  return detail::run_rounds(*this, factory, seed);
 }
 
 RunOutcome run_congest(const Graph& topology, const NetworkConfig& config,

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,12 +77,6 @@ struct NetworkConfig {
   /// the run loop then pays a single predicted branch per message and the
   /// outcome's trace stays empty (RunMetrics::trace_bytes == 0).
   obs::TraceOptions trace;
-  /// Capture a csd-ckpt-v1 snapshot at the top of this round (0 = off).
-  /// The run continues unperturbed — capture consumes no randomness and
-  /// changes no state — and RunOutcome::checkpoint carries the snapshot
-  /// (null if the run ended before the round was reached). Incompatible
-  /// with record_transcript and on_message (neither can be serialized).
-  std::uint64_t checkpoint_at_round = 0;
   /// Stall watchdog: if a window of this many consecutive rounds delivers
   /// no message and sees no halt or crash while unhalted nodes remain, cut
   /// the run (FaultReport::watchdog_stalls = 1, stragglers recorded as
@@ -94,15 +87,15 @@ struct NetworkConfig {
   /// the nodes across that many worker threads. Every outcome field is
   /// bit-identical at every worker count; sharding is an execution
   /// strategy, not part of the model, and is therefore excluded from
-  /// config_digest() (snapshots resume across worker counts).
+  /// config_digest() (an amplified checkpoint resumes at any worker count).
   ShardSpec shard;
   /// Optional csd-metrics-v2 telemetry plane (obs/metrics_v2.hpp). Non-
   /// owning; must outlive the run. The engine only ever writes to it
   /// (counters, gauges, flight-recorder events), never reads it back, so
   /// attaching telemetry cannot change any deterministic output. Like
-  /// trace/shard/on_message it is excluded from config_digest(): snapshots
-  /// resume with or without telemetry attached. nullptr = zero cost (one
-  /// predicted branch per instrumented site).
+  /// trace/shard/on_message it is excluded from config_digest(): an
+  /// amplified checkpoint resumes with or without telemetry attached.
+  /// nullptr = zero cost (one predicted branch per instrumented site).
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -120,10 +113,9 @@ struct TranscriptEntry {
 /// what a snapshot does not carry.
 struct RunMetrics : RunAccounting {
   /// Engine counters by name: the FaultReport counters, surfaced uniformly
-  /// (see fault_counters), plus checkpoints_taken and the opt-in shard_*
-  /// rows. Amplified: fault_counters(merged FaultReport) only, the one rule
-  /// a resumed batch can reproduce; each repetition's other rows stay in
-  /// its trace summary.
+  /// (see fault_counters), plus the opt-in shard_* rows. Amplified:
+  /// fault_counters(merged FaultReport) only, the one rule a resumed batch
+  /// can reproduce; each repetition's other rows stay in its trace summary.
   obs::MetricsRegistry counters;
   /// Wall-clock split of the run (compute vs. delivery), filled only when
   /// NetworkConfig::trace.timers is set. Deliberately NOT part of the trace:
@@ -161,12 +153,6 @@ struct RunOutcome {
   /// run. See congest/faults.hpp. Amplified: counters summed, node/violation
   /// lists concatenated in repetition order.
   FaultReport faults;
-  /// The csd-ckpt-v1 snapshot requested via NetworkConfig::checkpoint_at_round
-  /// (null when disabled or when the run ended before that round). Shared,
-  /// not copied, through batch aggregation; merge_amplified keeps the first
-  /// repetition's snapshot only (repetition-granular checkpointing of
-  /// batches is the Supervisor's job).
-  std::shared_ptr<const Snapshot> checkpoint;
 };
 
 namespace detail {
@@ -216,15 +202,6 @@ class Network {
   /// Network serves every repetition of an amplified run.
   RunOutcome run(const ProgramFactory& factory, std::uint64_t seed) const;
 
-  /// Continue a run frozen by checkpoint_at_round. The snapshot must be of
-  /// kind Sync and belong to this topology/config (identity digests are
-  /// CHECKed); the run seed comes from the snapshot, not the config. The
-  /// resumed outcome is bit-identical to the uninterrupted run except that
-  /// its trace covers only rounds >= the checkpoint round (earlier rounds
-  /// appear as quiet) and timers restart at zero.
-  RunOutcome resume(const ProgramFactory& factory,
-                    const Snapshot& snapshot) const;
-
   /// Digest of the engine-relevant config knobs (bandwidth, max_rounds,
   /// namespace, broadcast mode, fault plan); part of SnapshotIdentity.
   std::uint64_t config_digest() const;
@@ -240,9 +217,6 @@ class Network {
   const detail::EdgeTables& edge_tables() const noexcept { return tables_; }
 
  private:
-  RunOutcome run_impl(const ProgramFactory& factory, std::uint64_t seed,
-                      const SyncSnapshot* resume_from) const;
-
   Graph topology_;
   NetworkConfig config_;
   std::vector<NodeId> ids_;

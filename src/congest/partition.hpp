@@ -66,8 +66,8 @@ struct ShardChannel {
 /// Execution knobs of the synchronous round kernel (congest/shard.hpp),
 /// carried by NetworkConfig. Sharding is an execution strategy, not part of
 /// the model: it is deliberately excluded from Network::config_digest(), so
-/// csd-ckpt-v1 snapshots resume across worker counts and every outcome
-/// field is bit-identical at any W.
+/// the supervisor's csd-ckpt-v1 checkpoints resume across worker counts and
+/// every outcome field is bit-identical at any W.
 struct ShardSpec {
   /// Worker count W of the round kernel. 0 and 1 both run one worker
   /// inline on the calling thread; W >= 2 partitions the nodes across W

@@ -217,8 +217,6 @@ class RoundKernel {
   RoundKernel(const RoundKernel&) = delete;
   RoundKernel& operator=(const RoundKernel&) = delete;
 
-  /// Rebuild program state from a snapshot's inbox log (before run()).
-  void replay(const SyncSnapshot& snap);
   RunOutcome run();
 
  private:
@@ -261,17 +259,12 @@ class RoundKernel {
     sync_plane_.publish(sync_counts());
     shard_plane_.publish(shard_counts());
   }
-  void take_checkpoint();
-  std::vector<std::optional<BitVec>>& log_row(Vertex v, std::uint64_t r);
   RunOutcome finish();
 
-  const Network& net_;
   const NetworkConfig& config_;
   const GraphCsr& csr_;
-  const std::vector<std::uint32_t>& rev_port_;
   const std::vector<std::uint64_t>& rev_edge_;
   const Vertex n_;
-  const std::uint64_t seed_;
   const Partition part_;
   const bool single_;  // W = 1: inline, no channels, direct observers
 
@@ -286,22 +279,12 @@ class RoundKernel {
   // Byte flags, not vector<bool>: workers set disjoint entries in parallel.
   std::vector<std::uint8_t> crashed_;
 
-  // Inbox logging feeds checkpoint capture: every payload delivered (post-
-  // corruption, exactly what the program will see) is copied into a per-
-  // node round-indexed log, the raw material of program-state replay.
-  const std::uint64_t checkpoint_at_;
-  const bool logging_;
-  bool log_round_ = false;  // this round's deliveries go into the log
-  std::vector<InboxLog> inbox_log_;
-
   std::vector<std::uint64_t> wake_;  // next round v runs (DESIGN.md §15)
 
   const bool observing_;  // trace, transcript or on_message attached
   const bool timing_;
-  std::uint64_t start_round_ = 0;
   std::uint64_t round_ = 0;
   std::uint64_t last_progress_ = 0;
-  bool checkpoint_taken_ = false;
 
   // Round state folded at the barrier.
   bool any_ran_ = false;
@@ -322,13 +305,10 @@ class RoundKernel {
 
 RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
                          std::uint64_t seed)
-    : net_(net),
-      config_(net.config()),
+    : config_(net.config()),
       csr_(net.csr()),
-      rev_port_(net.edge_tables().rev_port),
       rev_edge_(net.edge_tables().rev_edge),
       n_(net.topology().num_vertices()),
-      seed_(seed),
       part_(Partition::build(csr_, std::max(1u, config_.shard.workers),
                              config_.shard.policy)),
       single_(part_.workers() == 1),
@@ -337,9 +317,7 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
       outbox_arena_(csr_),
       faulty_(!config_.faults.empty()),
       crashed_(n_, 0),
-      checkpoint_at_(config_.checkpoint_at_round),
-      logging_(checkpoint_at_ > 0),
-      inbox_log_(logging_ ? n_ : 0),
+      wake_(n_, 0),
       observing_(config_.trace.enabled || config_.record_transcript ||
                  static_cast<bool>(config_.on_message)),
       timing_(config_.trace.timers),
@@ -355,8 +333,11 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
   outcome_.trace = obs::RunTrace(n_, config_.trace);
   outcome_.metrics.timers.enabled = timing_;
 
-  if (!single_)
-    for (WorkerCtx& ctx : workers_) ctx.out.resize(part_.workers());
+  // Every run starts at round 0 with every node live (and, by wake_, due).
+  for (std::uint32_t w = 0; w < part_.workers(); ++w) {
+    workers_[w].live = static_cast<std::uint32_t>(part_.owned(w).size());
+    if (!single_) workers_[w].out.resize(part_.workers());
+  }
   nodes_.reserve(n_);
   programs_.reserve(n_);
   for (Vertex v = 0; v < n_; ++v) {
@@ -371,6 +352,12 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
     nodes_.back()->attach_frames(
         inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
         outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
+    if (outcome_.trace) {
+      if (single_)
+        nodes_.back()->set_trace(&outcome_.trace);
+      else
+        nodes_.back()->set_phase_slot(&workers_[part_.owner(v)].phase);
+    }
     programs_.push_back(factory(v));
     CSD_CHECK_MSG(programs_.back() != nullptr,
                   "factory returned null program");
@@ -384,95 +371,6 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
     m_round_bits_ = telemetry_->histogram("sync_round_bits");
     if (!single_)
       m_exchange_hist_ = telemetry_->histogram("shard_exchange_frames");
-  }
-}
-
-std::vector<std::optional<BitVec>>& RoundKernel::log_row(Vertex v,
-                                                        std::uint64_t r) {
-  auto& entries = inbox_log_[v];
-  while (entries.size() <= r) entries.emplace_back(csr_.row(v).size());
-  return entries[r];
-}
-
-void RoundKernel::replay(const SyncSnapshot& snap) {
-  CSD_CHECK_MSG(
-      snap.identity.topology == topology_digest(net_.topology(), net_.ids()),
-      "snapshot belongs to a different topology/identifier assignment");
-  CSD_CHECK_MSG(snap.identity.config == net_.config_digest(),
-                "snapshot belongs to a different engine configuration");
-  CSD_CHECK_MSG(snap.inbox.size() == n_ && snap.crashed.size() == n_ &&
-                    snap.halted.size() == n_ &&
-                    snap.bits_sent_by_node.size() == n_,
-                "snapshot node count mismatch");
-  for (Vertex v = 0; v < n_; ++v)
-    check_inbox_log(snap.inbox[v], v, net_.topology().degree(v));
-  start_round_ = snap.round;
-
-  // Restore accounting and the fault-plan cursor.
-  outcome_.metrics.rounds = snap.round;
-  outcome_.metrics.messages = snap.messages;
-  outcome_.metrics.total_bits = snap.total_bits;
-  outcome_.metrics.max_message_bits = snap.max_message_bits;
-  outcome_.metrics.bits_sent_by_node = snap.bits_sent_by_node;
-  outcome_.faults = snap.faults;
-  if (faulty_) injector_->restore_streams(snap.fault_streams);
-
-  // Rebuild program state by replaying the logged inboxes through the
-  // fresh programs, sequentially: same guards as the live loop, but zero
-  // accounting, no trace (run() attaches it later), and violations routed
-  // to a scratch sink (the restored FaultReport already carries everything
-  // from rounds < start_round).
-  std::vector<ProtocolViolation> replay_violations;
-  for (Vertex v = 0; v < n_; ++v)
-    nodes_[v]->set_violation_sink(&replay_violations);
-  const auto deliver_row = [&](Vertex v, std::uint64_t r) {
-    nodes_[v]->clear_inbox();
-    const auto& entries = snap.inbox[v];
-    if (r < entries.size())
-      for (std::uint32_t p = 0; p < entries[r].size(); ++p)
-        if (entries[r][p].has_value())
-          nodes_[v]->deliver(p, BitVec(*entries[r][p]));
-  };
-  for (std::uint64_t r = 0; r < start_round_; ++r) {
-    for (Vertex v = 0; v < n_; ++v) {
-      if (nodes_[v]->halted() || crashed_[v]) continue;
-      if (faulty_) {
-        if (const auto when = injector_->crash_round(v);
-            when.has_value() && r >= *when) {
-          crashed_[v] = 1;
-          nodes_[v]->discard_outbox();
-          continue;
-        }
-      }
-      deliver_row(v, r);
-      nodes_[v]->begin_round(r);
-      if (faulty_) {
-        try {
-          programs_[v]->on_round(*nodes_[v]);
-        } catch (const CheckFailure&) {
-          crashed_[v] = 1;
-          nodes_[v]->discard_outbox();
-        }
-      } else {
-        programs_[v]->on_round(*nodes_[v]);
-      }
-    }
-  }
-  for (Vertex v = 0; v < n_; ++v) {
-    CSD_CHECK_MSG(crashed_[v] == snap.crashed[v],
-                  "resume replay diverged: node " << v << " crash state");
-    CSD_CHECK_MSG(nodes_[v]->halted() == (snap.halted[v] != 0),
-                  "resume replay diverged: node " << v << " halt state");
-    // Replayed sends were already delivered before the snapshot (their
-    // payloads are in the log rows); drop them so the live scan does not
-    // ship the final replayed round's outbox twice. begin_round alone
-    // cannot clean this up — a node that halted during replay never begins
-    // another round.
-    nodes_[v]->discard_outbox();
-    nodes_[v]->set_violation_sink(&workers_[part_.owner(v)].violations);
-    // The live inbox for round start_round is the last logged row.
-    deliver_row(v, start_round_);
-    if (logging_) inbox_log_[v] = snap.inbox[v];
   }
 }
 
@@ -616,7 +514,6 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
 // receiver's owner (the only writer of its inbox row and wake round).
 void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload) {
   const Vertex dst = csr_.neighbors[e];
-  if (log_round_) log_row(dst, round_ + 1)[rev_port_[e]] = payload;
   std::swap(inbox_arena_.payload(rev_edge_[e]), payload);
   inbox_arena_.present(rev_edge_[e]) = 1;
   if (ctx.sleepers) wake_[dst] = round_ + 1;
@@ -724,47 +621,7 @@ void RoundKernel::publish_round_telemetry() {
   telemetry_->record(obs::EventKind::SuperstepBarrier, 0, round_, exchanged);
 }
 
-void RoundKernel::take_checkpoint() {
-  auto snap = std::make_shared<Snapshot>();
-  snap->kind = Snapshot::Kind::Sync;
-  SyncSnapshot& s = snap->sync;
-  s.identity = {topology_digest(net_.topology(), net_.ids()),
-                net_.config_digest(), seed_};
-  s.round = round_;
-  s.inbox.resize(n_);
-  for (Vertex v = 0; v < n_; ++v) {
-    log_row(v, round_);  // pad every log to round + 1 rows
-    s.inbox[v] = inbox_log_[v];
-  }
-  s.crashed.resize(n_);
-  s.halted.resize(n_);
-  for (Vertex v = 0; v < n_; ++v) {
-    s.crashed[v] = crashed_[v];
-    s.halted[v] = nodes_[v]->halted() ? 1 : 0;
-  }
-  s.messages = outcome_.metrics.messages;
-  s.total_bits = outcome_.metrics.total_bits;
-  s.max_message_bits = outcome_.metrics.max_message_bits;
-  s.bits_sent_by_node = outcome_.metrics.bits_sent_by_node;
-  s.trace_bytes = outcome_.trace.approx_bytes();
-  s.faults = outcome_.faults;
-  if (faulty_) s.fault_streams = injector_->save_streams();
-  outcome_.checkpoint = std::move(snap);
-  checkpoint_taken_ = true;
-  if (telemetry_ != nullptr)
-    telemetry_->record(obs::EventKind::CheckpointSave, 0, round_);
-}
-
 RunOutcome RoundKernel::run() {
-  // Message observers attach only now, so a resume replay never sees them.
-  if (outcome_.trace)
-    for (Vertex v = 0; v < n_; ++v) {
-      if (single_)
-        nodes_[v]->set_trace(&outcome_.trace);
-      else
-        nodes_[v]->set_phase_slot(&workers_[part_.owner(v)].phase);
-    }
-
   // Jobs never throw across the pool: exceptions park in the context and
   // the coordinator rethrows the one from the globally smallest vertex
   // (each worker stops at its first thrower, so its unrun vertices cannot
@@ -798,17 +655,6 @@ RunOutcome RoundKernel::run() {
   // as delivery (approximate). Timings stay out of the trace and out of
   // every determinism contract.
   obs::EngineTimers& timers = outcome_.metrics.timers;
-  round_ = start_round_;
-  last_progress_ = start_round_;
-  // Every live node runs in the run's first round (0, or the resume round,
-  // whose restored inbox would otherwise need its own wake-up).
-  wake_.assign(n_, start_round_);
-  for (std::uint32_t w = 0; w < part_.workers(); ++w) {
-    workers_[w].last_progress_round = start_round_;
-    for (const Vertex v : part_.owned(w))
-      if (!nodes_[v]->halted() && !crashed_[v]) ++workers_[w].live;
-  }
-  // The plane's counts start from the run's: zero, or a resume's totals.
   sync_plane_ = obs::RowPublisher(telemetry_, "sync_", sync_counts());
   if (!single_)
     shard_plane_ = obs::RowPublisher(telemetry_, "shard_", shard_counts());
@@ -822,9 +668,6 @@ RunOutcome RoundKernel::run() {
                            round_ - last_progress_);
       break;
     }
-    if (logging_ && round_ == checkpoint_at_ && !checkpoint_taken_)
-      take_checkpoint();
-    log_round_ = logging_ && !checkpoint_taken_ && round_ + 1 <= checkpoint_at_;
 
     for (WorkerCtx& ctx : workers_) ctx.begin_round();
     const auto compute_start = timing_ ? Clock::now() : Clock::time_point{};
@@ -843,8 +686,7 @@ RunOutcome RoundKernel::run() {
     const bool all_stopped = barrier();
     if (!all_stopped) {
       // Every live node slept through this round (say it only crashed a
-      // node or took the checkpoint): it keeps the previous round's phase,
-      // like a skipped round.
+      // node): it keeps the previous round's phase, like a skipped round.
       if (!any_ran_) outcome_.trace.carry_phase(round_ - 1, round_ + 1);
       if (!single_) {
         pool.run(phase_b_job);
@@ -864,14 +706,12 @@ RunOutcome RoundKernel::run() {
     if (telemetry_ != nullptr) publish_round_telemetry();
 
     // Nothing landed, so no node runs before next_wake: skip the idle
-    // stretch in one step, stopping where the checkpoint, the stall
-    // watchdog or the round cap acts so they fire in the same round as in
-    // a round-by-round run. The skipped rounds keep their trace rows (with
-    // the inherited phase) and their telemetry, written now so a snapshot
-    // at the end of the stretch records the same trace_bytes.
+    // stretch in one step, stopping where the stall watchdog or the round
+    // cap acts so they fire in the same round as in a round-by-round run.
+    // The skipped rounds keep their trace rows (with the inherited phase)
+    // and their telemetry.
     if (landed_ == 0 && next_wake_ != kNoWake) {
       std::uint64_t next = std::min(next_wake_, config_.max_rounds);
-      if (checkpoint_at_ > round_) next = std::min(next, checkpoint_at_);
       if (config_.stall_window != 0)
         next = std::min(next,
                         saturating_add(last_progress_, config_.stall_window));
@@ -906,8 +746,6 @@ RunOutcome RoundKernel::finish() {
   }
   publish_counts();
   outcome.metrics.counters = fault_counters(outcome.faults);
-  if (outcome.checkpoint != nullptr)
-    outcome.metrics.counters.add("checkpoints_taken", 1);
   if (config_.shard.channel_counters) {
     // Opt-in only: these depend on W (and on the partition), so the
     // determinism matrix runs without them and the nightly sweep with.
@@ -941,16 +779,8 @@ RunOutcome RoundKernel::finish() {
 }  // namespace
 
 RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed, const SyncSnapshot* resume_from) {
-  // Serialized observers are impossible, so checkpointing excludes them.
-  if (net.config().checkpoint_at_round > 0 || resume_from != nullptr)
-    CSD_CHECK_MSG(
-        !net.config().record_transcript && !net.config().on_message,
-        "checkpoint/resume is incompatible with record_transcript and "
-        "on_message observers");
-  RoundKernel kernel(net, factory, seed);
-  if (resume_from != nullptr) kernel.replay(*resume_from);
-  return kernel.run();
+                      std::uint64_t seed) {
+  return RoundKernel(net, factory, seed).run();
 }
 
 }  // namespace csd::congest::detail

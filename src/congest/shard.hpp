@@ -1,6 +1,5 @@
-// Internal: the synchronous round kernel behind Network::run and
-// Network::resume — the one implementation of CONGEST round semantics
-// (DESIGN.md §12, §15).
+// Internal: the synchronous round kernel behind Network::run — the one
+// implementation of CONGEST round semantics (DESIGN.md §12, §15).
 //
 // A deterministic Partition assigns each node to one of
 // W = max(1, ShardSpec::workers) workers, and every executed round is one
@@ -15,25 +14,22 @@
 // Activity-driven rounds at every W: wake[v], written only by v's owner,
 // is the round v runs next (its NodeApi::sleep_until hint folded with its
 // crash round, pulled in by mail), and after a round that landed no frame
-// the kernel jumps to the earliest wake, pending checkpoint, stall round or
-// max_rounds.
+// the kernel jumps to the earliest wake, stall round or max_rounds.
 //
 // Contract: every model-exact output (verdicts, RunMetrics, FaultReport,
-// traces, transcripts, on_message order, snapshots) is bit-identical at
-// any W, either partition policy and any --jobs, and identical to a run
-// that ignores the hint. At W >= 2 node programs of one run execute
-// concurrently, so a ProgramFactory must not share mutable state between
-// its program instances (the library's never do).
+// traces, transcripts, on_message order) is bit-identical at any W, either
+// partition policy and any --jobs, and identical to a run that ignores the
+// hint. At W >= 2 node programs of one run execute concurrently, so a
+// ProgramFactory must not share mutable state between its program
+// instances (the library's never do).
 #pragma once
 
 #include "congest/network.hpp"
 
 namespace csd::congest::detail {
 
-/// Run `factory` on `net` from round 0, or from `resume_from` (a
-/// csd-ckpt-v1 sync snapshot, replayed from its inbox log; any W resumes
-/// any snapshot).
+/// Run `factory` on `net` from round 0 to completion (or the round cap).
 RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed, const SyncSnapshot* resume_from);
+                      std::uint64_t seed);
 
 }  // namespace csd::congest::detail

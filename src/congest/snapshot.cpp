@@ -48,21 +48,6 @@ constexpr auto receiver_fields = [](auto& io, auto& r) {
   io("reorder", r.reorder, reorder_fields);
 };
 
-constexpr auto sync_fields = [](auto& io, auto& r) {
-  io("identity", r.identity, identity_fields);
-  io("round", r.round);
-  io("inbox", r.inbox);
-  io("crashed", r.crashed);
-  io("halted", r.halted);
-  io("messages", r.messages);
-  io("total_bits", r.total_bits);
-  io("max_message_bits", r.max_message_bits);
-  io("bits_sent_by_node", r.bits_sent_by_node);
-  io("trace_bytes", r.trace_bytes);
-  io("faults", r.faults, report_fields);
-  io("fault_streams", r.fault_streams);
-};
-
 constexpr auto event_fields = [](auto& io, auto& r) {
   io("t", r.time);
   io("q", r.seq);
@@ -135,16 +120,12 @@ constexpr auto amplified_fields = [](auto& io, auto& r) {
   io("faults", r.faults, report_fields);
 };
 
-constexpr std::array<const char*, 3> kKindNames = {"sync", "async",
-                                                   "amplified"};
+constexpr std::array<const char*, 2> kKindNames = {"async", "amplified"};
 
 constexpr auto snapshot_fields = [](auto& io, auto& r) {
   io.tag("schema", kSnapshotSchema);
   io("kind", r.kind, kKindNames);
   switch (r.kind) {
-    case Snapshot::Kind::Sync:
-      io("state", r.sync, sync_fields);
-      break;
     case Snapshot::Kind::Async:
       io("state", r.async_state, async_fields);
       break;

@@ -3,24 +3,24 @@
 // A Snapshot freezes a run mid-flight so it can be discarded and resumed
 // later — on another process, another day — with the contract that the
 // resumed run is *bit-identical* to the uninterrupted one: same verdicts,
-// same FaultReport, same trace suffix, at every --jobs count. Three
-// granularities share the schema:
-//   * SyncSnapshot      — the synchronous Network at a round boundary;
+// same FaultReport, same trace suffix, at every --jobs count. Two kinds
+// share the schema, one per restart unit a driver has:
 //   * AsyncSnapshot     — the async engine between two events (scheduler
 //                         queue, synchronizer state, ARQ endpoints, RNG
 //                         streams, fault-plan cursor — everything);
 //   * AmplifiedSnapshot — an amplified/supervised batch at a repetition
-//                         boundary (the aggregated prefix outcome).
+//                         boundary (the aggregated prefix outcome). The
+//                         synchronous engine restarts at repetitions only.
 //
 // Program state is NOT serialized. NodeProgram objects are arbitrary user
-// code, so the snapshot instead records every node's *delivered inbox log*
-// (sender-based message logging): programs are pure functions of their
-// inbox history and their seeded RNG draws, so replaying the logged inboxes
-// through a freshly constructed program — sends discarded, violations
-// routed to a scratch sink — reconstructs its internal state bit-exactly.
-// The replay is fault-transparent: logged payloads are post-corruption, and
-// the fault injector's stream positions are restored directly, so no fate
-// is ever re-drawn.
+// code, so an async snapshot instead records every node's *delivered inbox
+// log* (sender-based message logging): programs are pure functions of
+// their inbox history and their seeded RNG draws, so replaying the logged
+// inboxes through a freshly constructed program — sends discarded,
+// violations routed to a scratch sink — reconstructs its internal state
+// bit-exactly. The replay is fault-transparent: logged payloads are
+// post-corruption, and the fault injector's stream positions are restored
+// directly, so no fate is ever re-drawn.
 //
 // Zero-observer contract: capturing a checkpoint never perturbs the run it
 // is captured from. Logging copies payloads, capture copies state, and no
@@ -48,10 +48,10 @@ inline constexpr const char* kSnapshotSchema = "csd-ckpt-v1";
 /// Raw xoshiro256** position (Rng::state / Rng::set_state).
 using RngState = std::array<std::uint64_t, 4>;
 
-/// Delivered-inbox history of one node. log[r][p] holds the payload that
-/// reached port p's inbox for consumption at round/pulse r (post-corruption
+/// Delivered-inbox history of one async node. log[r][p] holds the payload
+/// that reached port p's inbox for consumption at pulse r (post-corruption
 /// — exactly what the program saw), nullopt when the port was silent.
-/// log[0] is always all-nullopt: round 0 has an empty inbox by
+/// log[0] is always all-nullopt: pulse 0 has an empty inbox by
 /// construction. This is the raw material of program-state reconstruction.
 using InboxLog = std::vector<std::vector<std::optional<BitVec>>>;
 
@@ -86,30 +86,6 @@ std::uint64_t topology_digest(const Graph& topology,
 /// Digest over a fault plan (drop/corrupt probabilities bit-exactly,
 /// corrupt_headers, crash schedule). Folded into the config digests.
 std::uint64_t fault_plan_digest(const FaultPlan& plan);
-
-// ---------------------------------------------------------------- sync --
-
-/// The synchronous Network frozen at the top of round `round`: delivery for
-/// round-1 -> round has happened (the live inbox is entries[round] of each
-/// log), no round-`round` program has run.
-struct SyncSnapshot {
-  SnapshotIdentity identity;
-  std::uint64_t round = 0;
-  std::vector<InboxLog> inbox;  // per node
-  // Replay-derived state, stored for validation: resume CHECKs its replay
-  // reproduces exactly these flags before trusting the reconstruction.
-  std::vector<std::uint8_t> crashed;
-  std::vector<std::uint8_t> halted;
-  // Accounting accumulated over rounds < round.
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t max_message_bits = 0;
-  std::vector<std::uint64_t> bits_sent_by_node;
-  std::uint64_t trace_bytes = 0;
-  FaultReport faults;
-  /// Fault-injector stream positions, [src][port]; empty when fault-free.
-  std::vector<std::vector<RngState>> fault_streams;
-};
 
 // --------------------------------------------------------------- async --
 
@@ -235,10 +211,9 @@ struct AmplifiedSnapshot : RunAccounting {
 // ------------------------------------------------------------- wrapper --
 
 struct Snapshot {
-  enum class Kind : std::uint8_t { Sync, Async, Amplified };
-  Kind kind = Kind::Sync;
+  enum class Kind : std::uint8_t { Async, Amplified };
+  Kind kind = Kind::Async;
   // Exactly one of these is meaningful, selected by `kind`.
-  SyncSnapshot sync;
   AsyncSnapshot async_state;
   AmplifiedSnapshot amplified;
 };

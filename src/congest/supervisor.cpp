@@ -48,7 +48,6 @@ void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
   combined.metrics.trace_bytes += rep.metrics.trace_bytes;
   combined.metrics.counters.merge(rep.metrics.counters);
   combined.metrics.timers.merge(rep.metrics.timers);
-  if (combined.checkpoint == nullptr) combined.checkpoint = rep.checkpoint;
   combined.faults.merge(std::move(rep.faults));
 }
 

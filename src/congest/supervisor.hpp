@@ -116,10 +116,10 @@ struct StallReport {
   bool watchdog = false;      ///< cut by the engine stall watchdog
   bool over_budget = false;   ///< rounds >= SupervisorConfig::round_budget
   bool incomplete = false;    ///< some node never halted (crash/starvation)
-  /// The merged attempt's engine counters (fault counters, checkpoint
-  /// count, and — with ShardSpec::channel_counters — the
-  /// per-worker shard_channel_* and shard_last_progress_w<N> counters that
-  /// locate which worker stopped making progress).
+  /// The merged attempt's engine counters (fault counters and — with
+  /// ShardSpec::channel_counters — the per-worker shard_channel_* and
+  /// shard_last_progress_w<N> counters that locate which worker stopped
+  /// making progress).
   obs::MetricsRegistry counters;
 };
 

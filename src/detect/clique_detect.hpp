@@ -19,11 +19,6 @@ namespace csd::detect {
 /// Program factory for K_s detection (s >= 2). Deterministic.
 congest::ProgramFactory clique_detect_program(std::uint32_t s);
 
-/// Triangle detection is the s = 3 special case.
-inline congest::ProgramFactory triangle_detect_program() {
-  return clique_detect_program(3);
-}
-
 std::uint64_t clique_detect_min_bandwidth(std::uint64_t n);
 
 /// Worst-case round budget on an n-node graph of max degree `max_degree`.

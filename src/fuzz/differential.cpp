@@ -65,7 +65,7 @@ AsyncDigest digest(const congest::AsyncRunOutcome& o) {
           o.acks,          o.faults};
 }
 
-/// Everything a resumed sync run must reproduce bit-for-bit.
+/// Everything two sync runs of one repetition must agree on bit-for-bit.
 struct SyncDigest {
   bool completed;
   bool detected;
@@ -123,62 +123,11 @@ congest::Snapshot wire_round_trip(const congest::Snapshot& snap) {
       obs::Json::parse(congest::to_json(snap).dump()));
 }
 
-/// Checkpoint-at-a-random-round, discard the engine, resume: the observed
+/// Checkpoint-at-a-random-pulse, discard the engine, resume: the observed
 /// run must be a zero observer of the reference (capturing changes nothing)
 /// and the resumed continuation must be bit-identical on verdicts, fault
-/// report, accounting, and the trace suffix.
-std::optional<Divergence> check_sync_resume(
-    const Graph& host, congest::NetworkConfig cfg,
-    const congest::ProgramFactory& factory,
-    const congest::RunOutcome& reference, std::uint64_t pick_seed,
-    const char* name) {
-  if (reference.metrics.rounds < 2) return std::nullopt;
-  cfg.checkpoint_at_round = 1 + pick_seed % (reference.metrics.rounds - 1);
-  const congest::Network net(host, cfg);
-  const congest::RunOutcome observed = net.run(factory);
-  // Round records must match in full; raw trace bytes may not — the
-  // checkpointing run legitimately reports a checkpoints_taken counter in
-  // the trace summary.
-  if (!(digest(observed) == digest(reference)) ||
-      !trace_suffix_matches(reference.trace, observed.trace, 0)) {
-    std::ostringstream os;
-    os << name << ": checkpointing at round " << cfg.checkpoint_at_round
-       << " changed the run (rounds " << observed.metrics.rounds << "/"
-       << reference.metrics.rounds << ", bits "
-       << observed.metrics.total_bits << "/" << reference.metrics.total_bits
-       << ")";
-    return diverge("checkpoint-zero-observer", os);
-  }
-  if (observed.checkpoint == nullptr) {
-    std::ostringstream os;
-    os << name << ": no snapshot captured at round "
-       << cfg.checkpoint_at_round << " of a " << reference.metrics.rounds
-       << "-round run";
-    return diverge("checkpoint-missing", os);
-  }
-  const congest::RunOutcome resumed =
-      net.resume(factory, wire_round_trip(*observed.checkpoint));
-  if (!(digest(resumed) == digest(reference))) {
-    std::ostringstream os;
-    os << name << ": resume from round " << cfg.checkpoint_at_round
-       << " diverged (verdicts " << verdicts_str(resumed.verdicts) << " vs "
-       << verdicts_str(reference.verdicts) << ", bits "
-       << resumed.metrics.total_bits << " vs "
-       << reference.metrics.total_bits << ")";
-    return diverge("checkpoint-resume", os);
-  }
-  if (!trace_suffix_matches(reference.trace, resumed.trace,
-                            cfg.checkpoint_at_round)) {
-    std::ostringstream os;
-    os << name << ": resumed trace suffix differs from the uninterrupted "
-       << "trace past round " << cfg.checkpoint_at_round;
-    return diverge("checkpoint-resume", os);
-  }
-  return std::nullopt;
-}
-
-/// The async flavour of check_sync_resume (both wire disciplines, and the
-/// recovery configuration when the caller enables it in `cfg`).
+/// report, accounting, and the trace suffix. Both wire disciplines, and the
+/// recovery configuration when the caller enables it in `cfg`.
 std::optional<Divergence> check_async_resume(
     const Graph& host, congest::AsyncConfig cfg,
     const congest::ProgramFactory& factory,
@@ -409,14 +358,6 @@ std::optional<Divergence> check_case(const FuzzCase& c,
           return d;
       }
     }
-    // -- checkpoint/kill/resume against the first repetition ----------------
-    if (rep == 0) {
-      congest::NetworkConfig ckpt_cfg = sync_cfg;
-      ckpt_cfg.seed = rep_seed;
-      if (auto d = check_sync_resume(host, ckpt_cfg, factory, sync, c.seed,
-                                     "sync"))
-        return d;
-    }
     sync_reps.push_back(std::move(sync));
   }
 
@@ -498,34 +439,6 @@ std::optional<Divergence> check_case(const FuzzCase& c,
            << ", bits " << sharded.metrics.total_bits << "/"
            << reference.metrics.total_bits << ")";
         return diverge("shard-equivalence", os);
-      }
-      if (cell.workers == 2 && reference.metrics.rounds >= 2) {
-        // Checkpoint/kill/resume entirely through W = 2...
-        congest::NetworkConfig ckpt_cfg = cfg;
-        ckpt_cfg.seed = rep_seed;
-        if (auto d = check_sync_resume(host, ckpt_cfg, factory, reference,
-                                       derive_seed(c.seed, 0x54a4dULL),
-                                       "sharded"))
-          return d;
-        // ...and across worker counts: a snapshot W = 2 captured resumes
-        // inline (config_digest excludes the shard spec, so the identity
-        // check passes by design).
-        ckpt_cfg.checkpoint_at_round =
-            1 + c.seed % (reference.metrics.rounds - 1);
-        const congest::Network sharded_ckpt_net(host, ckpt_cfg);
-        const congest::RunOutcome observed = sharded_ckpt_net.run(factory);
-        if (observed.checkpoint != nullptr) {
-          const congest::RunOutcome resumed =
-              net.resume(factory, *observed.checkpoint);
-          if (!(digest(resumed) == digest(reference))) {
-            std::ostringstream os;
-            os << "inline kernel resuming a W=2 snapshot from "
-               << "round " << ckpt_cfg.checkpoint_at_round << " diverged "
-               << "(bits " << resumed.metrics.total_bits << "/"
-               << reference.metrics.total_bits << ")";
-            return diverge("shard-cross-resume", os);
-          }
-        }
       }
     }
   }
@@ -661,11 +574,6 @@ std::optional<Divergence> check_case(const FuzzCase& c,
        << s1.faults.detected_by_survivors << " != detected " << s1.detected;
     return diverge("survivor-verdict", os);
   }
-  // The resume contract holds under injected faults too: the snapshot
-  // carries the fault-stream RNG states and the partial FaultReport.
-  if (auto d = check_sync_resume(host, faulty_sync, factory, s1,
-                                 derive_seed(c.seed, 0xC4), "faulty-sync"))
-    return d;
 
   for (const auto mode :
        {congest::TransportMode::Raw, congest::TransportMode::Reliable}) {

@@ -26,19 +26,19 @@
 //     FaultReport on every engine, and reliable transport restores the
 //     fault-free verdicts whenever no node crashed and no packet exhausted
 //     its retries;
-//   * checkpoint/kill/resume: snapshotting at a case-derived round/pulse is
-//     a zero observer (the checkpointing run matches the plain run byte for
-//     byte), the snapshot survives a csd-ckpt-v1 JSON round trip, and the
-//     resumed continuation reproduces the uninterrupted verdicts, metrics,
-//     FaultReport, and trace suffix — fault-free and under faults, on both
-//     engines;
+//   * checkpoint/kill/resume: snapshotting the async engine at a
+//     case-derived pulse is a zero observer (the checkpointing run matches
+//     the plain run byte for byte), the snapshot survives a csd-ckpt-v1
+//     JSON round trip, and the resumed continuation reproduces the
+//     uninterrupted verdicts, metrics, FaultReport, and trace suffix —
+//     fault-free and under faults, under both wire disciplines and with
+//     node recovery;
 //   * supervised slices: a Supervisor driven in max_reps_per_call slices
 //     through its amplified checkpoints reassembles the uninterrupted
 //     aggregate at --jobs 1 and 4, fault-free and with the retry ledger
 //     engaged;
 //   * worker count: the round kernel at W = 1, 2 and 5 (either partition
-//     policy) reproduces the inline run bit for bit, under faults too, and
-//     its snapshots resume across worker counts;
+//     policy) reproduces the inline run bit for bit, under faults too;
 //   * activity hint: the plain programs and the same programs with every
 //     NodeApi::sleep_until dropped (ignore_activity_hints) give identical
 //     outcomes and traces at W = 1 and W = 3;

@@ -8,9 +8,10 @@
 //   * a 50-case differential fuzz sweep (both engines, faults on and off,
 //     checkpoint/kill/resume) — any payload aliasing or stale-slot bug in
 //     the swap delivery shows up as a cross-engine divergence;
-//   * snapshot round trips through the arena-backed inbox log, plus an
-//     accounting regression that drives more than 2^32 bits through a run
-//     (a 32-bit intermediate anywhere in the counters would wrap).
+//   * a snapshot round trip through the async engine's arena-fed inbox
+//     log, plus an accounting regression that drives more than 2^32 bits
+//     through a run (a 32-bit intermediate anywhere in the counters would
+//     wrap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,38 +90,6 @@ TEST(ArenaDifferential, FiftyGeneratedCasesStayByteIdentical) {
 }
 
 // ------------------------------------------- snapshot through the arena --
-TEST(ArenaSnapshot, InboxLogRoundTripsThroughJson) {
-  // The sync inbox log is recorded from the same arena payloads the nodes
-  // read; a stale or aliased slot would corrupt the serialized log and
-  // break the resumed run. Round-trip through JSON to cover serialization.
-  Rng rng(12);
-  const Graph g = build::gnp(12, 0.3, rng);
-  const auto factory = detect::pipelined_cycle_program(4);
-  NetworkConfig cfg;
-  cfg.bandwidth = 48;
-  cfg.max_rounds = 60;
-  cfg.seed = 21;
-  cfg.faults.drop = 0.1;
-  cfg.faults.corrupt = 0.15;
-  cfg.trace.enabled = true;
-  cfg.checkpoint_at_round = 4;
-  const Network net(g, cfg);
-  const auto full = net.run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-
-  const obs::Json doc = to_json(*full.checkpoint);
-  const Snapshot reparsed = snapshot_from_json(obs::Json::parse(doc.dump()));
-  const auto resumed = net.resume(factory, reparsed);
-  EXPECT_EQ(resumed.verdicts, full.verdicts);
-  EXPECT_EQ(resumed.detected, full.detected);
-  EXPECT_EQ(resumed.completed, full.completed);
-  EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds);
-  EXPECT_EQ(resumed.metrics.messages, full.metrics.messages);
-  EXPECT_EQ(resumed.metrics.total_bits, full.metrics.total_bits);
-  EXPECT_EQ(resumed.metrics.bits_sent_by_node,
-            full.metrics.bits_sent_by_node);
-}
-
 TEST(ArenaSnapshot, AsyncInboxLogSurvivesTheRoundTrip) {
   Rng rng(13);
   const Graph g = build::gnp(10, 0.35, rng);

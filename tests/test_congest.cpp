@@ -499,7 +499,6 @@ struct NapSpec {
   std::uint64_t ping_at = kNever;
   std::uint64_t halt_at = kNever;
   bool pinger_naps = true;
-  const Snapshot* resume_from = nullptr;
 };
 
 /// One run of Napper: the outcome and the rounds each node ran.
@@ -521,9 +520,7 @@ NapRun run_napper(const Graph& g, NetworkConfig cfg, std::uint32_t workers,
                                     spec.pinger_naps);
   };
   if (!honor_hints) factory = fuzz::ignore_activity_hints(std::move(factory));
-  nap.outcome = spec.resume_from != nullptr
-                    ? net.resume(factory, *spec.resume_from)
-                    : net.run(factory);
+  nap.outcome = net.run(factory);
   return nap;
 }
 
@@ -650,46 +647,6 @@ TEST(ActivityHint, StallWatchdogFiresInTheSameRound) {
     EXPECT_EQ(nap.outcome.faults.watchdog_stalls, 1u);
     EXPECT_EQ(nap.outcome.metrics.rounds, 11u);
     EXPECT_EQ(nap.runs[1], (Runs{0, 4}));
-  }
-}
-
-TEST(ActivityHint, CheckpointInsideASkippedStretchAndResume) {
-  const Graph g = build::path(5);
-  const NapSpec spec{5, 40};
-  const NapRun uninterrupted = run_napper(g, traced_config(), 1, spec);
-  for (const std::uint64_t at : {6u, 20u}) {
-    SCOPED_TRACE("checkpoint at " + std::to_string(at));
-    NetworkConfig cfg = traced_config();
-    cfg.checkpoint_at_round = at;
-    const NapRun reference = run_reference(g, cfg, spec);
-    ASSERT_NE(reference.outcome.checkpoint, nullptr);
-    const std::string reference_snapshot =
-        to_json(*reference.outcome.checkpoint).dump();
-    for (const std::uint32_t w : kWidths) {
-      SCOPED_TRACE(width_label(w));
-      const NapRun nap = run_napper(g, cfg, w, spec);
-      expect_same_outcome(nap.outcome, reference.outcome);
-      ASSERT_NE(nap.outcome.checkpoint, nullptr);
-      EXPECT_EQ(to_json(*nap.outcome.checkpoint).dump(), reference_snapshot);
-      if (at == 20) {
-        // Round 20 lies in the stretch every node sleeps through.
-        EXPECT_EQ(nap.runs[2], (Runs{0, 40}));
-      }
-
-      // Resume both. From round 6 the restored inbox holds the ping, which
-      // must reach node 1 although it sleeps until round 40.
-      NapSpec resume = spec;
-      resume.resume_from = nap.outcome.checkpoint.get();
-      const NapRun resumed = run_napper(g, traced_config(), w, resume);
-      const NapRun resumed_ref = run_reference(g, traced_config(), resume);
-      expect_same_outcome(resumed.outcome, resumed_ref.outcome);
-      EXPECT_EQ(resumed.outcome.verdicts, uninterrupted.outcome.verdicts);
-      EXPECT_EQ(resumed.outcome.metrics.rounds,
-                uninterrupted.outcome.metrics.rounds);
-      EXPECT_EQ(resumed.outcome.verdicts[1], Verdict::Reject);
-      EXPECT_EQ(resumed.runs[2].back(), 40u);
-      EXPECT_LT(resumed.runs[2].size(), resumed_ref.runs[2].size());
-    }
   }
 }
 

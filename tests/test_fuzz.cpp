@@ -195,9 +195,9 @@ TEST(Fuzzer, CorpusEntryRoundTrips) {
 }
 
 TEST(Differential, ResumeContractHoldsAcrossGeneratedCases) {
-  // check_case now verifies the checkpoint/kill/resume contract (sync and
-  // async, fault-free and faulty), supervised slice-resume at --jobs 1 and
-  // 4, and the node-recovery oracle. Sweep a fixed window of generated
+  // check_case now verifies the async checkpoint/kill/resume contract
+  // (fault-free and faulty), supervised slice-resume at --jobs 1 and 4,
+  // and the node-recovery oracle. Sweep a fixed window of generated
   // cases wide enough to exercise every one of those paths, including the
   // scheduled-crash cases the recovery oracle needs.
   std::uint32_t crash_cases = 0;

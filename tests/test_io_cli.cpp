@@ -551,6 +551,24 @@ TEST(Cli, DamagedCheckpointsExitTwoNamingTheKey) {
   std::ofstream(copy) << edit("\"detected\": 0,", "\"detected\": 1,");
   EXPECT_EQ(run_cli(resume, &text), 2);
   EXPECT_NE(text.find("'detected'"), std::string::npos) << text;
+
+  // csd-ckpt-v1 has two kinds, async and amplified: an async checkpoint
+  // relabelled "sync" is refused for its kind, not for the state under it.
+  std::ofstream(path) << "6 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n";
+  const std::vector<std::string> async_base = {
+      "detect", "triangle", path,          "--seed",
+      "7",      "--drop",   "0.2",         "--transport",
+      "reliable"};
+  auto async_first = async_base;
+  async_first.insert(async_first.end(),
+                     {"--checkpoint", ckpt, "--checkpoint-at", "2"});
+  ASSERT_EQ(run_cli(async_first, &text), 0);
+  auto async_resume = async_base;
+  async_resume.insert(async_resume.end(), {"--resume", copy});
+  intact = read_file(ckpt);
+  std::ofstream(copy) << edit("\"kind\": \"async\",", "\"kind\": \"sync\",");
+  EXPECT_EQ(run_cli(async_resume, &text), 2);
+  EXPECT_NE(text.find("key 'kind'"), std::string::npos) << text;
   std::remove(path.c_str());
   std::remove(ckpt.c_str());
   std::remove(copy.c_str());

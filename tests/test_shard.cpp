@@ -15,10 +15,12 @@
 
 #include "congest/network.hpp"
 #include "congest/partition.hpp"
+#include "congest/snapshot.hpp"
 #include "congest/supervisor.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "fuzz/generator.hpp"
 #include "graph/builders.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/wire.hpp"
@@ -374,10 +376,13 @@ TEST(Shard, BroadcastOnlyModeMatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints, resume, snapshots
+// Amplified checkpoints
 // ---------------------------------------------------------------------------
 
-TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
+TEST(Shard, AmplifiedCheckpointsAreBitIdenticalAndResumeAcrossWorkerCounts) {
+  // The shard spec is outside config_digest(), so a supervised slice's
+  // csd-ckpt-v1 bytes do not depend on the worker count it ran at, and the
+  // checkpoint resumes at any other.
   Rng rng(31);
   const Graph g = build::gnp(56, 0.07, rng);
   NetworkConfig cfg;
@@ -385,43 +390,63 @@ TEST(Shard, SnapshotsAreBitIdenticalAndResumeAcrossWorkerCounts) {
   cfg.max_rounds = 48;
   cfg.seed = 21;
   cfg.trace.enabled = true;
-  const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(10));
-  ASSERT_GE(reference.metrics.rounds, 6u);
+  cfg.faults.drop = 0.05;
+  constexpr std::uint32_t kReps = 5;
+  SupervisorConfig sup;
+  sup.early_exit = false;
+  const RunOutcome reference =
+      Supervisor(g, cfg, sup).run(chatter(10), kReps).outcome;
+  ASSERT_GT(reference.faults.frames_dropped, 0u);
 
-  NetworkConfig ckpt_cfg = cfg;
-  ckpt_cfg.checkpoint_at_round = 5;
-  const Network classic_ckpt(g, ckpt_cfg);
-  const RunOutcome classic_observed = classic_ckpt.run(chatter(10));
-  ASSERT_NE(classic_observed.checkpoint, nullptr);
-  const std::string classic_snap_json =
-      to_json(*classic_observed.checkpoint).dump();
+  SupervisorConfig sliced = sup;
+  sliced.max_reps_per_call = 2;
+  const SupervisedResult inline_slice =
+      Supervisor(g, cfg, sliced).run(chatter(10), kReps);
+  ASSERT_TRUE(inline_slice.paused);
+  ASSERT_NE(inline_slice.checkpoint, nullptr);
+  const std::string inline_bytes = to_json(*inline_slice.checkpoint).dump();
 
   for (const std::uint32_t w_count : {1u, 2u, 8u}) {
-    NetworkConfig shard_ckpt = ckpt_cfg;
-    shard_ckpt.shard.workers = w_count;
-    shard_ckpt.shard.policy = PartitionPolicy::Hash;
-    const Network net(g, shard_ckpt);
-    const RunOutcome observed = net.run(chatter(10));
-    ASSERT_NE(observed.checkpoint, nullptr);
-    // csd-ckpt-v1 snapshots are bit-identical at every worker count.
-    EXPECT_EQ(to_json(*observed.checkpoint).dump(), classic_snap_json)
-        << "snapshot differs at W=" << w_count;
-    // A snapshot taken at W resumes at any other worker count (and inline)
-    // to the uninterrupted outcome.
-    NetworkConfig resume_cfg = cfg;
-    resume_cfg.shard.workers = w_count == 8 ? 2 : 8;
-    const Network resume_net(g, resume_cfg);
-    const RunOutcome resumed =
-        resume_net.resume(chatter(10), *observed.checkpoint);
-    EXPECT_EQ(resumed.verdicts, reference.verdicts);
-    EXPECT_EQ(resumed.metrics.messages, reference.metrics.messages);
-    EXPECT_EQ(resumed.metrics.total_bits, reference.metrics.total_bits);
-    EXPECT_TRUE(resumed.faults == reference.faults);
-    const RunOutcome classic_resumed =
-        classic.resume(chatter(10), *observed.checkpoint);
-    EXPECT_EQ(classic_resumed.metrics.total_bits,
-              reference.metrics.total_bits);
+    NetworkConfig shard_cfg = cfg;
+    shard_cfg.shard.workers = w_count;
+    shard_cfg.shard.policy = PartitionPolicy::Hash;
+    const SupervisedResult slice =
+        Supervisor(g, shard_cfg, sliced).run(chatter(10), kReps);
+    ASSERT_TRUE(slice.paused);
+    ASSERT_NE(slice.checkpoint, nullptr);
+    const std::string bytes = to_json(*slice.checkpoint).dump();
+    EXPECT_EQ(bytes, inline_bytes) << "checkpoint differs at W=" << w_count;
+
+    // Resume the written bytes at another worker count, and inline.
+    const Snapshot written = snapshot_from_json(obs::Json::parse(bytes));
+    NetworkConfig other_cfg = cfg;
+    other_cfg.shard.workers = w_count == 8 ? 2 : 8;
+    for (const NetworkConfig& resume_cfg : {other_cfg, cfg}) {
+      const std::string label = "W=" + std::to_string(w_count) +
+                                " resumed at W=" +
+                                std::to_string(resume_cfg.shard.workers);
+      const RunOutcome resumed = Supervisor(g, resume_cfg, sup)
+                                     .resume(chatter(10), kReps, written)
+                                     .outcome;
+      EXPECT_EQ(resumed.completed, reference.completed) << label;
+      EXPECT_EQ(resumed.detected, reference.detected) << label;
+      EXPECT_EQ(resumed.verdicts, reference.verdicts) << label;
+      EXPECT_EQ(resumed.metrics.rounds, reference.metrics.rounds) << label;
+      EXPECT_EQ(resumed.metrics.messages, reference.metrics.messages)
+          << label;
+      EXPECT_EQ(resumed.metrics.total_bits, reference.metrics.total_bits)
+          << label;
+      EXPECT_EQ(resumed.metrics.max_message_bits,
+                reference.metrics.max_message_bits)
+          << label;
+      EXPECT_EQ(resumed.metrics.bits_sent_by_node,
+                reference.metrics.bits_sent_by_node)
+          << label;
+      EXPECT_EQ(resumed.metrics.repetitions_executed, kReps) << label;
+      EXPECT_EQ(resumed.metrics.trace_bytes, reference.metrics.trace_bytes)
+          << label;
+      EXPECT_TRUE(resumed.faults == reference.faults) << label;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Checkpoint/restore tests: the csd-ckpt-v1 format and its bit-identical
-// resume contract on both engines, the zero-observer property of capture,
-// node recovery in the async engine, and the stall watchdogs.
+// Checkpoint/restore tests: the csd-ckpt-v1 format, the async engine's
+// bit-identical resume contract and the zero-observer property of its
+// capture, node recovery in the async engine, and the stall watchdogs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -16,8 +16,6 @@
 #include "detect/pipelined_cycle.hpp"
 #include "graph/builders.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics_series.hpp"
-#include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
 #include "support/crc.hpp"
 #include "support/rng.hpp"
@@ -78,247 +76,7 @@ void expect_trace_suffix_equal(const obs::RunTrace& full,
   }
 }
 
-NetworkConfig faulty_sync_config() {
-  NetworkConfig cfg;
-  cfg.bandwidth = 64;
-  cfg.max_rounds = 60;
-  cfg.seed = 41;
-  cfg.faults.drop = 0.15;
-  cfg.faults.corrupt = 0.2;
-  cfg.faults.crashes = {{2, 5}, {7, 9}};
-  cfg.trace.enabled = true;
-  return cfg;
-}
-
 // ---------------------------------------------------------------- sync --
-
-TEST(SyncCheckpoint, CaptureIsAZeroObserver) {
-  Rng rng(3);
-  const Graph g = build::gnp(12, 0.3, rng);
-  const auto factory = detect::pipelined_cycle_program(4);
-  NetworkConfig plain = faulty_sync_config();
-  NetworkConfig observed = plain;
-  observed.checkpoint_at_round = 3;
-  const auto a = run_congest(g, plain, factory);
-  const auto b = run_congest(g, observed, factory);
-  ASSERT_NE(b.checkpoint, nullptr);
-  EXPECT_EQ(b.checkpoint->kind, Snapshot::Kind::Sync);
-  EXPECT_EQ(b.checkpoint->sync.round, 3u);
-  // Capturing changed nothing: same verdicts, metrics, report, trace.
-  EXPECT_EQ(a.verdicts, b.verdicts);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
-  EXPECT_EQ(a.metrics.messages, b.metrics.messages);
-  EXPECT_EQ(a.metrics.total_bits, b.metrics.total_bits);
-  EXPECT_EQ(a.metrics.bits_sent_by_node, b.metrics.bits_sent_by_node);
-  expect_reports_equal(a.faults, b.faults);
-  expect_trace_suffix_equal(a.trace, b.trace, 0);
-}
-
-TEST(SyncCheckpoint, ResumeIsBitIdentical) {
-  Rng rng(4);
-  const Graph g = build::gnp(14, 0.25, rng);
-  const auto factory = detect::pipelined_cycle_program(4);
-  NetworkConfig cfg = faulty_sync_config();
-  cfg.checkpoint_at_round = 4;
-  const Network net(g, cfg);
-  const auto full = net.run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-
-  const auto resumed = net.resume(factory, *full.checkpoint);
-  EXPECT_EQ(resumed.verdicts, full.verdicts);
-  EXPECT_EQ(resumed.detected, full.detected);
-  EXPECT_EQ(resumed.completed, full.completed);
-  EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds);
-  EXPECT_EQ(resumed.metrics.messages, full.metrics.messages);
-  EXPECT_EQ(resumed.metrics.total_bits, full.metrics.total_bits);
-  EXPECT_EQ(resumed.metrics.max_message_bits, full.metrics.max_message_bits);
-  EXPECT_EQ(resumed.metrics.bits_sent_by_node,
-            full.metrics.bits_sent_by_node);
-  expect_reports_equal(resumed.faults, full.faults);
-  expect_trace_suffix_equal(full.trace, resumed.trace, 4);
-}
-
-TEST(SyncCheckpoint, ResumeStaysBitIdenticalWithTelemetryAttached) {
-  Rng rng(4);
-  const Graph g = build::gnp(14, 0.25, rng);
-  const auto factory = detect::pipelined_cycle_program(4);
-
-  // Baseline: the same checkpointed faulty run with no telemetry at all.
-  NetworkConfig plain_cfg = faulty_sync_config();
-  plain_cfg.checkpoint_at_round = 4;
-  const Network plain_net(g, plain_cfg);
-  const auto full = plain_net.run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-
-  // Instrumented: sampler streaming to disk and the flight recorder armed
-  // for the whole save + resume cycle.
-  const std::string series_path =
-      testing::TempDir() + "csd_resume_series.jsonl";
-  obs::Telemetry telemetry;
-  telemetry.start_sampler(series_path, /*period_ms=*/1);
-  NetworkConfig cfg = faulty_sync_config();
-  cfg.checkpoint_at_round = 4;
-  cfg.telemetry = &telemetry;
-  const Network net(g, cfg);
-  const auto run = net.run(factory);
-  ASSERT_NE(run.checkpoint, nullptr);
-  const auto resumed = net.resume(factory, *run.checkpoint);
-  telemetry.stop_sampler();
-
-  // The telemetry pointer is outside the config digest and the engine
-  // treats the plane as write-only, so the snapshot and every
-  // deterministic output match the uninstrumented baseline bit for bit.
-  EXPECT_EQ(to_json(*run.checkpoint).dump(),
-            to_json(*full.checkpoint).dump());
-  EXPECT_EQ(resumed.verdicts, full.verdicts);
-  EXPECT_EQ(resumed.detected, full.detected);
-  EXPECT_EQ(resumed.completed, full.completed);
-  EXPECT_EQ(resumed.metrics.rounds, full.metrics.rounds);
-  EXPECT_EQ(resumed.metrics.messages, full.metrics.messages);
-  EXPECT_EQ(resumed.metrics.total_bits, full.metrics.total_bits);
-  EXPECT_EQ(resumed.metrics.bits_sent_by_node,
-            full.metrics.bits_sent_by_node);
-  expect_reports_equal(resumed.faults, full.faults);
-  expect_trace_suffix_equal(full.trace, resumed.trace, 4);
-
-  // The wall-clock series may differ run to run (that's the point of
-  // keeping it out of the deterministic trace); it only has to exist and
-  // parse, and the recorder must have seen the induced fault events.
-  std::ifstream is(series_path);
-  ASSERT_TRUE(is.good());
-  const obs::MetricsSeries series = obs::parse_metrics_series(is);
-  EXPECT_FALSE(series.empty());
-  EXPECT_GT(telemetry.events_recorded(), 0u);
-  EXPECT_GT(telemetry.counter("sync_crashed_nodes").value(), 0u);
-}
-
-TEST(SyncCheckpoint, JsonAndFileRoundTripPreserveTheResumeContract) {
-  Rng rng(5);
-  const Graph g = build::gnp(10, 0.35, rng);
-  const auto factory = detect::pipelined_cycle_program(3);
-  NetworkConfig cfg = faulty_sync_config();
-  cfg.checkpoint_at_round = 3;
-  const Network net(g, cfg);
-  const auto full = net.run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-
-  // In-memory JSON round trip.
-  const obs::Json doc = to_json(*full.checkpoint);
-  const Snapshot reparsed = snapshot_from_json(obs::Json::parse(doc.dump()));
-  const auto resumed = net.resume(factory, reparsed);
-  EXPECT_EQ(resumed.verdicts, full.verdicts);
-  expect_reports_equal(resumed.faults, full.faults);
-
-  // File round trip.
-  const std::string path = testing::TempDir() + "csd_ckpt_roundtrip.json";
-  save_snapshot(path, *full.checkpoint);
-  const Snapshot loaded = load_snapshot(path);
-  const auto resumed2 = net.resume(factory, loaded);
-  EXPECT_EQ(resumed2.verdicts, full.verdicts);
-  EXPECT_EQ(resumed2.metrics.total_bits, full.metrics.total_bits);
-  expect_reports_equal(resumed2.faults, full.faults);
-}
-
-TEST(SyncCheckpoint, ResumeRejectsForeignSnapshots) {
-  Rng rng(6);
-  const Graph g = build::cycle(8);
-  const auto factory = detect::pipelined_cycle_program(3);
-  NetworkConfig cfg;
-  cfg.bandwidth = 64;
-  cfg.max_rounds = 40;
-  cfg.seed = 9;
-  cfg.checkpoint_at_round = 3;
-  const Network net(g, cfg);
-  const auto full = net.run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-
-  // Different topology.
-  const Network other_topology(build::path(8), cfg);
-  EXPECT_THROW(other_topology.resume(factory, *full.checkpoint),
-               CheckFailure);
-  // Different engine configuration.
-  NetworkConfig other_cfg = cfg;
-  other_cfg.bandwidth = 32;
-  const Network other_config(g, other_cfg);
-  EXPECT_THROW(other_config.resume(factory, *full.checkpoint), CheckFailure);
-  // Changing only the checkpoint round is allowed: it is not part of the
-  // identity digest (a resumed run may checkpoint elsewhere).
-  NetworkConfig reckpt = cfg;
-  reckpt.checkpoint_at_round = 0;
-  const Network recheckpoint(g, reckpt);
-  const auto resumed = recheckpoint.resume(factory, *full.checkpoint);
-  EXPECT_EQ(resumed.verdicts, full.verdicts);
-  EXPECT_EQ(resumed.checkpoint, nullptr);
-}
-
-TEST(SyncCheckpoint, ResumeRejectsAnInboxRowWiderThanItsNode) {
-  // Replay hands a logged row to its node port by port: a row with more
-  // entries than the node has ports is refused before any replay, naming
-  // the key, at every worker count.
-  Rng rng(4);
-  const Graph g = build::gnp(14, 0.25, rng);
-  const auto factory = detect::pipelined_cycle_program(4);
-  NetworkConfig cfg = faulty_sync_config();
-  cfg.checkpoint_at_round = 4;
-  const auto full = Network(g, cfg).run(factory);
-  ASSERT_NE(full.checkpoint, nullptr);
-  BitVec payload;
-  payload.append_bits(3, 2);
-  for (const std::uint32_t workers : {1u, 3u}) {
-    cfg.shard.workers = workers;
-    const Network net(g, cfg);
-    for (const Vertex v : {Vertex{0}, Vertex{13}}) {
-      Snapshot wide = *full.checkpoint;
-      auto& row = wide.sync.inbox[v].back();
-      ASSERT_EQ(row.size(), g.degree(v));
-      row.push_back(payload);
-      try {
-        net.resume(factory, wide);
-        ADD_FAILURE() << "resumed node " << v << "'s widened inbox row";
-      } catch (const CheckFailure& failure) {
-        EXPECT_NE(std::string(failure.what()).find("key 'inbox'"),
-                  std::string::npos)
-            << failure.what();
-      }
-    }
-  }
-}
-
-TEST(SyncCheckpoint, NoCheckpointWhenTheRunEndsFirst) {
-  const Graph g = build::cycle(6);
-  NetworkConfig cfg;
-  cfg.bandwidth = 64;
-  cfg.max_rounds = 200;
-  cfg.checkpoint_at_round = 150;  // far past the program's halting round
-  const auto outcome =
-      run_congest(g, cfg, detect::pipelined_cycle_program(3));
-  EXPECT_TRUE(outcome.completed);
-  EXPECT_EQ(outcome.checkpoint, nullptr);
-  EXPECT_EQ(outcome.metrics.counters.value("checkpoints_taken"), 0);
-}
-
-TEST(SyncCheckpoint, AmplifiedKeepsTheFirstRepetitionsSnapshot) {
-  Rng rng(8);
-  const Graph g = build::gnp(10, 0.3, rng);
-  NetworkConfig cfg;
-  cfg.bandwidth = 64;
-  cfg.max_rounds = 60;
-  cfg.seed = 77;
-  cfg.checkpoint_at_round = 2;
-  SupervisorConfig sup;
-  sup.jobs = 2;
-  sup.early_exit = false;
-  const auto combined = Supervisor(g, cfg, sup)
-                            .run(detect::pipelined_cycle_program(3), 4)
-                            .outcome;
-  ASSERT_NE(combined.checkpoint, nullptr);
-  EXPECT_EQ(combined.checkpoint->kind, Snapshot::Kind::Sync);
-  // The kept snapshot is repetition 0's: its seed is the first derived one.
-  EXPECT_EQ(combined.checkpoint->sync.identity.seed,
-            derive_seed(cfg.seed, 0x5eedULL + 0));
-}
 
 TEST(SyncWatchdog, CutsSilentRunsAfterTheWindow) {
   class SilentForever final : public NodeProgram {
@@ -645,24 +403,6 @@ std::uint32_t crc32_bytes(const std::string& bytes) {
 
 // One snapshot per kind, pinned by size and CRC-32: a change to any key, key
 // order, JSON kind or value rendering of csd-ckpt-v1 changes these constants.
-TEST(SnapshotFormat, SyncBytesArePinned) {
-  Rng rng(4);
-  const Graph g = build::gnp(14, 0.25, rng);
-  NetworkConfig cfg = faulty_sync_config();
-  cfg.checkpoint_at_round = 6;
-  const auto full = run_congest(g, cfg, detect::pipelined_cycle_program(4));
-  ASSERT_NE(full.checkpoint, nullptr);
-  Snapshot snapshot = *full.checkpoint;
-  ASSERT_FALSE(snapshot.sync.fault_streams.empty());
-  ASSERT_FALSE(snapshot.sync.faults.crashed_nodes.empty());
-  // The run records no violation; pin the violation record's layout too.
-  snapshot.sync.faults.violations.push_back(
-      {ViolationKind::DuplicateSend, 3, 2, "second send ignored"});
-  const std::string bytes = pinned_bytes(snapshot, "csd_pin_sync.json");
-  EXPECT_EQ(bytes.size(), 9060u);
-  EXPECT_EQ(crc32_bytes(bytes), 565186554u);
-}
-
 TEST(SnapshotFormat, AsyncBytesArePinned) {
   // Reliable links under drops with a crashed node still down at capture:
   // the queue holds data, ack and timer events plus the pending Recover,
@@ -697,7 +437,8 @@ TEST(SnapshotFormat, AsyncBytesArePinned) {
   EXPECT_EQ(crc32_bytes(bytes), 1322926194u);
 }
 
-TEST(SnapshotFormat, AmplifiedBytesArePinned) {
+/// The first slice (3 of 7 repetitions) of a lossy supervised batch.
+SupervisedResult amplified_slice() {
   Rng rng(24);
   const Graph g = build::gnp(10, 0.3, rng);
   NetworkConfig cfg;
@@ -708,15 +449,31 @@ TEST(SnapshotFormat, AmplifiedBytesArePinned) {
   SupervisorConfig sup;
   sup.early_exit = false;
   sup.max_reps_per_call = 3;
-  const Supervisor supervisor(g, cfg, sup);
-  const SupervisedResult slice =
-      supervisor.run(detect::pipelined_cycle_program(3), 7);
+  return Supervisor(g, cfg, sup).run(detect::pipelined_cycle_program(3), 7);
+}
+
+TEST(SnapshotFormat, AmplifiedBytesArePinned) {
+  const SupervisedResult slice = amplified_slice();
   ASSERT_TRUE(slice.paused);
   ASSERT_NE(slice.checkpoint, nullptr);
   const std::string bytes =
       pinned_bytes(*slice.checkpoint, "csd_pin_amplified.json");
   EXPECT_EQ(bytes.size(), 922u);
   EXPECT_EQ(crc32_bytes(bytes), 3526381586u);
+}
+
+TEST(SnapshotFormat, ViolationRecordBytesArePinned) {
+  // No pinned run records a violation; pin the violation record's layout
+  // on the amplified slice.
+  const SupervisedResult slice = amplified_slice();
+  ASSERT_NE(slice.checkpoint, nullptr);
+  Snapshot snapshot = *slice.checkpoint;
+  ASSERT_TRUE(snapshot.amplified.faults.violations.empty());
+  snapshot.amplified.faults.violations.push_back(
+      {ViolationKind::DuplicateSend, 3, 2, "second send ignored"});
+  const std::string bytes = pinned_bytes(snapshot, "csd_pin_violation.json");
+  EXPECT_EQ(bytes.size(), 1024u);
+  EXPECT_EQ(crc32_bytes(bytes), 225771609u);
 }
 
 }  // namespace

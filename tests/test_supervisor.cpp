@@ -309,9 +309,9 @@ TEST(Supervisor, ResumeRejectsForeignOrMismatchedSnapshots) {
   const Supervisor other(build::path(6), cfg, sup);
   EXPECT_THROW(other.resume(factory, 3, *first.checkpoint), CheckFailure);
   // Wrong kind.
-  Snapshot sync_snap;
-  sync_snap.kind = Snapshot::Kind::Sync;
-  EXPECT_THROW(supervisor.resume(factory, 3, sync_snap), CheckFailure);
+  Snapshot async_snap;
+  async_snap.kind = Snapshot::Kind::Async;
+  EXPECT_THROW(supervisor.resume(factory, 3, async_snap), CheckFailure);
   // Accounting no Supervisor writes: every repetition before the resume
   // point was executed, none skipped, and `detected` is the OR of the
   // verdicts (this C_3-free host rejects nowhere).
