@@ -60,12 +60,15 @@ std::uint64_t count_cut_edges(const Graph& topology,
   CSD_CHECK_MSG(owner.size() == topology.num_vertices(),
                 "ownership partition size mismatch");
   std::uint64_t cut = 0;
-  for (const auto& [u, v] : topology.edges()) {
-    const bool priv_u = owner[u] != Owner::Shared;
-    const bool priv_v = owner[v] != Owner::Shared;
-    // An edge is on the simulation cut if a message along it can carry
-    // information a player is missing: any edge leaving a private part.
-    if ((priv_u || priv_v) && owner[u] != owner[v]) ++cut;
+  for (Vertex u = 0; u < topology.num_vertices(); ++u) {
+    for (const Vertex v : topology.neighbors(u)) {
+      if (v < u) continue;  // each undirected edge once, from its lower end
+      const bool priv_u = owner[u] != Owner::Shared;
+      const bool priv_v = owner[v] != Owner::Shared;
+      // An edge is on the simulation cut if a message along it can carry
+      // information a player is missing: any edge leaving a private part.
+      if ((priv_u || priv_v) && owner[u] != owner[v]) ++cut;
+    }
   }
   return cut;
 }

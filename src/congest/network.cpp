@@ -1,6 +1,5 @@
 #include "congest/network.hpp"
 
-#include <unordered_map>
 #include <utility>
 
 #include "congest/shard.hpp"
@@ -9,35 +8,57 @@
 namespace csd::congest {
 
 // Port mapping: port p of node v leads to neighbors(v)[p]; for delivery we
-// need the reverse port on the receiving side. Per-vertex port maps make
-// the build O(sum deg) expected time (a std::find scan per neighbor would
-// be O(sum deg^2)). The tables are flat arrays over the CSR's dense
-// directed-edge index, so the delivery loop walks them linearly with no
-// pointer chasing.
+// need the reverse port on the receiving side. One counting-sort transpose
+// of the CSR groups the directed edges by head (tails ascending). A dense
+// per-vertex scratch then holds, for one vertex w at a time, the port by
+// which each neighbor reaches w, and w's own row is filled in port order:
+// every write to the 2m-entry tables is sequential, and the scattered
+// reads hit n-entry arrays. O(n + sum deg) time with flat temporaries. The
+// tables are flat arrays over the CSR's dense directed-edge index, so the
+// delivery loop walks them linearly with no pointer chasing.
 detail::EdgeTables detail::build_edge_tables(const GraphCsr& csr,
                                              const std::vector<NodeId>& ids) {
   const auto n = static_cast<Vertex>(ids.size());
-  std::vector<std::unordered_map<Vertex, std::uint32_t>> port_of(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = csr.row(v);
-    port_of[v].reserve(nbrs.size());
-    for (std::uint32_t p = 0; p < nbrs.size(); ++p) port_of[v][nbrs[p]] = p;
-  }
   const auto m2 = static_cast<std::size_t>(csr.num_directed_edges());
+  // in_begin[w] .. in_begin[w + 1]: the slots of the edges into w, each
+  // holding the edge's tail and its port there. A symmetric CSR has as many
+  // edges into each vertex as out of it.
+  std::vector<std::uint64_t> in_begin(std::size_t{n} + 1, 0);
+  for (const Vertex w : csr.neighbors) ++in_begin[std::size_t{w} + 1];
+  for (Vertex w = 0; w < n; ++w) in_begin[w + 1] += in_begin[w];
+  CSD_CHECK(in_begin == csr.offsets);
+  std::vector<Vertex> in_tail(m2);
+  std::vector<std::uint32_t> in_port(m2);
+  {
+    std::vector<std::uint64_t> next(in_begin.begin(), in_begin.end() - 1);
+    for (Vertex v = 0; v < n; ++v) {
+      const auto nbrs = csr.row(v);
+      for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+        const std::uint64_t slot = next[nbrs[p]]++;
+        in_tail[slot] = v;
+        in_port[slot] = p;
+      }
+    }
+  }
+  // port_from[u] is u's port to vertex into[u]. A neighbor v of w whose
+  // into[v] is not w has no edge back to w: the CSR is not symmetric.
+  std::vector<std::uint32_t> port_from(n);
+  std::vector<Vertex> into(n, kNoVertex);
   EdgeTables tables;
   tables.rev_port.resize(m2);
   tables.rev_edge.resize(m2);
   tables.neighbor_ids.resize(m2);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = csr.row(v);
-    const std::uint64_t base = csr.offsets[v];
-    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-      const Vertex w = nbrs[p];
-      const auto it = port_of[w].find(v);
-      CSD_CHECK(it != port_of[w].end());
-      tables.rev_port[base + p] = it->second;
-      tables.rev_edge[base + p] = csr.offsets[w] + it->second;
-      tables.neighbor_ids[base + p] = ids[w];
+  for (Vertex w = 0; w < n; ++w) {
+    for (std::uint64_t slot = in_begin[w]; slot < in_begin[w + 1]; ++slot) {
+      port_from[in_tail[slot]] = in_port[slot];
+      into[in_tail[slot]] = w;
+    }
+    for (std::uint64_t e = csr.offsets[w]; e < csr.offsets[w + 1]; ++e) {
+      const Vertex v = csr.neighbors[e];
+      CSD_CHECK(into[v] == w);
+      tables.rev_port[e] = port_from[v];
+      tables.rev_edge[e] = csr.offsets[v] + port_from[v];
+      tables.neighbor_ids[e] = ids[v];
     }
   }
   return tables;

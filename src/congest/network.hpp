@@ -159,7 +159,7 @@ namespace detail {
 
 /// Flat tables over a CSR's dense directed-edge index e = offsets[v] + p,
 /// built once per topology and identifier assignment — by Network for the
-/// round kernel, by the async engine per run — in O(sum deg) expected time.
+/// round kernel, by the async engine per run — in O(n + sum deg) time.
 struct EdgeTables {
   /// rev_port[e] = the port of neighbors(v)[p] that leads back to v.
   std::vector<std::uint32_t> rev_port;

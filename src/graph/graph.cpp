@@ -6,7 +6,7 @@ namespace csd {
 
 std::vector<std::pair<Vertex, Vertex>> Graph::edges() const {
   std::vector<std::pair<Vertex, Vertex>> out;
-  out.reserve(num_edges_);
+  out.reserve(num_edges());
   for (Vertex u = 0; u < num_vertices(); ++u)
     for (const Vertex v : adj_[u])
       if (u < v) out.emplace_back(u, v);
@@ -36,6 +36,13 @@ Vertex Graph::append_disjoint(const Graph& other) {
     for (const Vertex v : other.adj_[u])
       if (u < v) add_edge(offset + u, offset + v);
   return offset;
+}
+
+void Graph::EdgeSet::grow() {
+  const std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(16, 2 * old.size()), kEmpty);
+  for (const std::uint64_t key : old)
+    if (key != kEmpty) slots_[slot_of(key)] = key;
 }
 
 void Graph::sort_adjacency() {

@@ -6,12 +6,14 @@
 // identifier assignments for a fixed topology.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace csd {
 
@@ -47,7 +49,7 @@ class Graph {
   Vertex num_vertices() const noexcept {
     return static_cast<Vertex>(adj_.size());
   }
-  std::uint64_t num_edges() const noexcept { return num_edges_; }
+  std::uint64_t num_edges() const noexcept { return edge_set_.size(); }
 
   /// Append `count` fresh isolated vertices; returns the first new index.
   Vertex add_vertices(Vertex count) {
@@ -64,11 +66,10 @@ class Graph {
     CSD_CHECK_MSG(u < num_vertices() && v < num_vertices(),
                   "edge endpoint out of range: {" << u << "," << v << "}");
     CSD_CHECK_MSG(u != v, "self-loop rejected at vertex " << u);
-    CSD_CHECK_MSG(!has_edge(u, v), "duplicate edge {" << u << "," << v << "}");
+    CSD_CHECK_MSG(edge_set_.insert(edge_key(u, v)),
+                  "duplicate edge {" << u << "," << v << "}");
     adj_[u].push_back(v);
     adj_[v].push_back(u);
-    edge_set_.insert(edge_key(u, v));
-    ++num_edges_;
     csr_valid_ = false;
   }
 
@@ -81,7 +82,7 @@ class Graph {
 
   bool has_edge(Vertex u, Vertex v) const noexcept {
     if (u >= num_vertices() || v >= num_vertices() || u == v) return false;
-    return edge_set_.count(edge_key(u, v)) != 0;
+    return edge_set_.contains(edge_key(u, v));
   }
 
   std::span<const Vertex> neighbors(Vertex v) const noexcept {
@@ -127,9 +128,47 @@ class Graph {
     return (a << 32) | b;
   }
 
+  /// Open-addressing set of packed edge keys: linear probing over a
+  /// power-of-two table kept at most half full, so inserting, querying and
+  /// copying allocate nothing per edge. ~0 marks an empty slot; no key
+  /// equals it, since a key packs min < max.
+  class EdgeSet {
+   public:
+    std::uint64_t size() const noexcept { return size_; }
+
+    bool contains(std::uint64_t key) const noexcept {
+      return !slots_.empty() && slots_[slot_of(key)] == key;
+    }
+
+    /// Insert `key`; false (and no change) if it is already present.
+    bool insert(std::uint64_t key) {
+      if (2 * (size_ + 1) > slots_.size()) grow();
+      const std::size_t i = slot_of(key);
+      if (slots_[i] == key) return false;
+      slots_[i] = key;
+      ++size_;
+      return true;
+    }
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    std::size_t slot_of(std::uint64_t key) const noexcept {
+      const std::size_t mask = slots_.size() - 1;
+      std::uint64_t state = key;
+      std::size_t i = static_cast<std::size_t>(splitmix64(state)) & mask;
+      while (slots_[i] != kEmpty && slots_[i] != key) i = (i + 1) & mask;
+      return i;
+    }
+    void grow();
+
+    std::vector<std::uint64_t> slots_;
+    std::uint64_t size_ = 0;
+  };
+
   std::vector<std::vector<Vertex>> adj_;
-  std::unordered_set<std::uint64_t> edge_set_;
-  std::uint64_t num_edges_ = 0;
+  EdgeSet edge_set_;
   mutable GraphCsr csr_;
   mutable bool csr_valid_ = false;
 };

@@ -42,6 +42,26 @@ class LineReader {
   std::size_t line_number_ = 0;
 };
 
+/// Reject tokens left on `line` after its fields were read from `ss`.
+void expect_line_end(std::istringstream& ss, const std::string& line,
+                     std::size_t line_number) {
+  std::string rest;
+  ss >> rest;
+  CSD_CHECK_MSG(rest.empty(),
+                "line " << line_number << ": trailing tokens in '" << line
+                        << "'");
+}
+
+/// Reject meaningful lines after the `m` edges a header declared: a header
+/// that understates m must not silently drop edges.
+void expect_input_end(LineReader& reader, std::uint64_t m) {
+  std::string line;
+  CSD_CHECK_MSG(!reader.next(line),
+                "line " << reader.line_number()
+                        << ": trailing content after the " << m
+                        << " edges the header declares");
+}
+
 std::pair<std::uint64_t, std::uint64_t> parse_two(const std::string& line,
                                                   std::size_t line_number,
                                                   const char* what) {
@@ -50,11 +70,7 @@ std::pair<std::uint64_t, std::uint64_t> parse_two(const std::string& line,
   ss >> a >> b;
   CSD_CHECK_MSG(!ss.fail(), "line " << line_number << ": expected two "
                                     << what << " values in '" << line << "'");
-  std::string rest;
-  ss >> rest;
-  CSD_CHECK_MSG(rest.empty(),
-                "line " << line_number << ": trailing tokens in '" << line
-                        << "'");
+  expect_line_end(ss, line, line_number);
   return {a, b};
 }
 
@@ -80,7 +96,7 @@ Graph read_edge_list(std::istream& is) {
                                           << ": endpoint out of range");
     g.add_edge(static_cast<Vertex>(u), static_cast<Vertex>(v));
   }
-  CSD_CHECK_MSG(!reader.next(line), "trailing content after the edge list");
+  expect_input_end(reader, m);
   return g;
 }
 
@@ -101,6 +117,7 @@ Graph read_dimacs(std::istream& is) {
   header >> p >> kind >> n >> m;
   CSD_CHECK_MSG(p == "p" && !header.fail(),
                 "line " << reader.line_number() << ": expected 'p edge n m'");
+  expect_line_end(header, line, reader.line_number());
   CSD_CHECK_MSG(n <= kNoVertex, "vertex count too large");
   Graph g(static_cast<Vertex>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
@@ -111,11 +128,13 @@ Graph read_dimacs(std::istream& is) {
     ss >> e >> u >> v;
     CSD_CHECK_MSG(e == "e" && !ss.fail(),
                   "line " << reader.line_number() << ": expected 'e u v'");
+    expect_line_end(ss, line, reader.line_number());
     CSD_CHECK_MSG(u >= 1 && v >= 1 && u <= n && v <= n,
                   "line " << reader.line_number()
                           << ": endpoint out of range (DIMACS is 1-based)");
     g.add_edge(static_cast<Vertex>(u - 1), static_cast<Vertex>(v - 1));
   }
+  expect_input_end(reader, m);
   return g;
 }
 

@@ -24,7 +24,8 @@ namespace csd::io {
 void write_edge_list(std::ostream& os, const Graph& g);
 Graph read_edge_list(std::istream& is);
 
-/// Write/read DIMACS "p edge".
+/// Write/read DIMACS "p edge". The reader holds the same rules as
+/// read_edge_list: exactly m edge lines, no trailing tokens on any line.
 void write_dimacs(std::ostream& os, const Graph& g);
 Graph read_dimacs(std::istream& is);
 

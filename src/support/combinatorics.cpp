@@ -26,17 +26,27 @@ std::vector<std::uint32_t> unrank_k_subset(std::uint64_t rank, std::uint32_t m,
                                            std::uint32_t k) {
   CSD_CHECK_MSG(k <= m, "k-subset of [m] requires k <= m");
   CSD_CHECK_MSG(rank < binomial(m, k), "rank out of range");
-  // Colexicographic unranking: choose the largest element first.
+  // Colexicographic unranking: choose the largest element first. The element
+  // at position remaining - 1 is the largest c with C(c, remaining) <= r; it
+  // lies in [remaining - 1, hi], hi one below the element chosen before it
+  // (r < C(hi + 1, remaining) holds throughout). C(c, remaining) never
+  // decreases in c, saturation included, so binary search finds it with
+  // O(log m) binomials instead of a scan over [m].
   std::vector<std::uint32_t> out(k);
   std::uint64_t r = rank;
-  std::uint32_t remaining = k;
-  while (remaining > 0) {
-    // Largest c with C(c, remaining) <= r.
-    std::uint32_t c = remaining - 1;
-    while (binomial(c + 1, remaining) <= r) ++c;
-    out[remaining - 1] = c;
-    r -= binomial(c, remaining);
-    --remaining;
+  std::uint32_t hi = m - 1;
+  for (std::uint32_t remaining = k; remaining > 0; --remaining) {
+    std::uint32_t lo = remaining - 1;  // C(lo, remaining) = 0 <= r
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo + 1) / 2;
+      if (binomial(mid, remaining) <= r)
+        lo = mid;
+      else
+        hi = mid - 1;
+    }
+    out[remaining - 1] = lo;
+    r -= binomial(lo, remaining);
+    hi = lo - 1;
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // Tests for the CONGEST simulator: round semantics, bandwidth enforcement,
-// metrics accounting, transcripts, identifiers, the NodeApi::sleep_until
-// activity hint, and the congested-clique helpers.
+// metrics accounting, transcripts, identifiers, the engines' edge tables,
+// the NodeApi::sleep_until activity hint, and the congested-clique helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,10 @@
 #include "congest/supervisor.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "graph/builders.hpp"
+#include "lowerbound/gkn.hpp"
 #include "obs/metrics_v2.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 #include "support/wire.hpp"
 
 namespace csd::congest {
@@ -441,6 +443,74 @@ TEST(Network, BroadcastOnlyAllowsUniformMessages) {
   auto outcome = run_congest(
       g, cfg, [](std::uint32_t) { return std::make_unique<GossipOnce>(2); });
   EXPECT_TRUE(outcome.completed);
+}
+
+// --------------------------------------------------------- edge tables --
+// detail::build_edge_tables inverts every port in one counting-sort pass.
+// For each directed edge e = offsets[v] + p into w = row(v)[p], the tables
+// must lead back to v from w's side, name w's own index for the reverse
+// edge (an involution), and carry w's identifier.
+
+void expect_tables_invert_ports(const Graph& g,
+                                const std::vector<NodeId>& ids) {
+  const Network net(g, NetworkConfig{}, ids);
+  const GraphCsr& csr = net.csr();
+  const detail::EdgeTables& t = net.edge_tables();
+  ASSERT_EQ(t.rev_port.size(), csr.num_directed_edges());
+  ASSERT_EQ(t.rev_edge.size(), csr.num_directed_edges());
+  ASSERT_EQ(t.neighbor_ids.size(), csr.num_directed_edges());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto row = csr.row(v);
+    for (std::uint32_t p = 0; p < row.size(); ++p) {
+      const std::uint64_t e = csr.offsets[v] + p;
+      const Vertex w = row[p];
+      ASSERT_LT(t.rev_port[e], csr.row(w).size()) << "edge " << e;
+      EXPECT_EQ(csr.row(w)[t.rev_port[e]], v) << "edge " << e;
+      EXPECT_EQ(t.rev_edge[e], csr.offsets[w] + t.rev_port[e]);
+      EXPECT_EQ(t.rev_edge[t.rev_edge[e]], e);
+      EXPECT_EQ(t.neighbor_ids[e], ids[w]);
+    }
+  }
+}
+
+std::vector<NodeId> shuffled_ids(Vertex n, std::uint64_t seed) {
+  std::vector<NodeId> ids(n);
+  for (Vertex v = 0; v < n; ++v) ids[v] = 3 * static_cast<NodeId>(v) + 1;
+  Rng rng(seed);
+  std::shuffle(ids.begin(), ids.end(), rng);
+  return ids;
+}
+
+TEST(EdgeTables, InvertEveryPortOnRandomGraphs) {
+  Rng rng(23);
+  const Graph gnm = build::gnm(500, 4000, rng);
+  expect_tables_invert_ports(gnm, shuffled_ids(gnm.num_vertices(), 1));
+  const Graph tree = build::random_tree(2000, rng);
+  expect_tables_invert_ports(tree, shuffled_ids(tree.num_vertices(), 2));
+}
+
+TEST(EdgeTables, InvertPortsAboveSixteenBits) {
+  // The hub's ports run to 69999; each leaf's one port leads back there.
+  const Graph star = build::star(70000);
+  expect_tables_invert_ports(star, shuffled_ids(star.num_vertices(), 3));
+}
+
+TEST(EdgeTables, InvertEveryPortOfAGknFrame) {
+  // Endpoints, triangle corners and the high-degree fixed marker vertices
+  // under a shuffled identifier assignment.
+  const lb::GknGraph frame = lb::build_gkn_frame(2, 512);
+  expect_tables_invert_ports(frame.graph,
+                             shuffled_ids(frame.graph.num_vertices(), 4));
+}
+
+TEST(EdgeTables, AsymmetricCsrFailsTheCheck) {
+  // 0 -> 1 with no way back.
+  GraphCsr one_way{{0, 1, 1}, {1}};
+  EXPECT_THROW(detail::build_edge_tables(one_way, {0, 1}), CheckFailure);
+  // A directed 3-cycle: every in-degree equals its out-degree, yet no tail
+  // appears in its head's row.
+  GraphCsr cycle{{0, 1, 2, 3}, {1, 2, 0}};
+  EXPECT_THROW(detail::build_edge_tables(cycle, {0, 1, 2}), CheckFailure);
 }
 
 // ------------------------------------------------------- activity hint --

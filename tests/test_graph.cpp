@@ -40,6 +40,53 @@ TEST(Graph, RejectsBadEdges) {
   EXPECT_TRUE(g.add_edge_if_absent(1, 2));
 }
 
+TEST(Graph, EdgeSetSurvivesGrowthCopyAndMove) {
+  // 1500 edges take the flat edge set through eight table doublings; after
+  // each batch a copy and a moved-to graph must answer has_edge for every
+  // pair exactly as the reference set does.
+  const Vertex n = 120;
+  Graph g(n);
+  std::set<std::pair<Vertex, Vertex>> ref;
+  Rng rng(17);
+  const auto expect_same = [&](const Graph& h) {
+    ASSERT_EQ(h.num_edges(), ref.size());
+    for (Vertex u = 0; u < n; ++u)
+      for (Vertex v = 0; v < n; ++v)
+        ASSERT_EQ(h.has_edge(u, v),
+                  ref.count({std::min(u, v), std::max(u, v)}) != 0)
+            << u << "," << v;
+  };
+  for (const std::size_t target : {1u, 7u, 8u, 9u, 100u, 1500u}) {
+    while (ref.size() < target) {
+      const auto u = static_cast<Vertex>(rng.below(n));
+      const auto v = static_cast<Vertex>(rng.below(n));
+      if (u == v || !ref.insert({std::min(u, v), std::max(u, v)}).second)
+        continue;
+      g.add_edge(u, v);
+    }
+    const Graph copy = g;
+    expect_same(copy);
+    Graph moved_from = g;
+    const Graph moved = std::move(moved_from);
+    expect_same(moved);
+  }
+  // A copy owns its table: growing it leaves the original untouched.
+  Graph copy = g;
+  copy.add_vertices(1);
+  for (Vertex u = 0; u < n; ++u) copy.add_edge(u, n);
+  EXPECT_FALSE(g.has_edge(0, n));
+  EXPECT_TRUE(copy.has_edge(n, 0));
+  expect_same(g);
+  // Rejection is unchanged across growth, in either endpoint order.
+  const auto [a, b] = *ref.begin();
+  EXPECT_THROW(g.add_edge(a, b), CheckFailure);
+  EXPECT_THROW(g.add_edge(b, a), CheckFailure);
+  EXPECT_THROW(copy.add_edge(b, a), CheckFailure);
+  EXPECT_THROW(g.add_edge(a, a), CheckFailure);
+  EXPECT_FALSE(g.add_edge_if_absent(b, a));
+  EXPECT_EQ(g.num_edges(), ref.size());
+}
+
 TEST(Graph, EdgesAreSortedAndComplete) {
   Graph g(4);
   g.add_edge(2, 3);

@@ -87,6 +87,28 @@ TEST(GraphIo, DimacsValidatesHeaderAndRange) {
   EXPECT_THROW(io::read_dimacs(bad_header), CheckFailure);
   std::stringstream zero_based("p edge 3 1\ne 0 1\n");
   EXPECT_THROW(io::read_dimacs(zero_based), CheckFailure);
+  // The edge-list reader's rules: a header that understates m, or a line
+  // with a token left over, fails naming the line instead of reading a
+  // different graph.
+  const auto expect_failure = [](const std::string& content,
+                                 const std::string& needle) {
+    std::stringstream ss(content);
+    try {
+      io::read_dimacs(ss);
+      FAIL() << "expected parse failure for: " << content;
+    } catch (const CheckFailure& failure) {
+      EXPECT_NE(std::string(failure.what()).find(needle), std::string::npos)
+          << failure.what();
+    }
+  };
+  expect_failure("p edge 3 1\ne 1 2\ne 2 3\ne 1 3\n",
+                 "line 3: trailing content after the 1 edges");
+  expect_failure("p edge 3 1\ne 1 2 7\n", "line 2: trailing tokens");
+  expect_failure("p edge 3 1 1\ne 1 2\n", "line 1: trailing tokens");
+  expect_failure("p edge 3 2\ne 1 2\n", "expected 2 edges");
+  // Comments and blank lines after the last edge are not content.
+  std::stringstream commented("p edge 3 1\ne 1 2\nc done\n\n");
+  EXPECT_EQ(io::read_dimacs(commented).num_edges(), 1u);
 }
 
 TEST(GraphIo, SaveAndLoad) {
@@ -182,6 +204,27 @@ TEST(Cli, FoolReportsThresholdBehaviour) {
   EXPECT_NE(text.find("fooled:  YES"), std::string::npos);
   ASSERT_EQ(run_cli({"fool", "24", "3"}, &text), 0);
   EXPECT_NE(text.find("box found:         no"), std::string::npos);
+}
+
+TEST(Cli, DimacsInputThatHidesEdgesExitsTwo) {
+  // A triangle under a header declaring one edge: reading only that edge
+  // would accept a graph that contains the pattern, and the oracle would
+  // agree, since it reads the same truncated graph.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "csd_cli_dimacs.graph")
+          .string();
+  std::string text;
+  for (const char* content : {"p edge 3 1\ne 1 2\ne 2 3\ne 1 3\n",
+                              "p edge 3 3\ne 1 2 7\ne 2 3\ne 1 3\n"}) {
+    std::ofstream(path) << content;
+    EXPECT_EQ(run_cli({"detect", "triangle", path}, &text), 2) << content;
+    EXPECT_NE(text.find("trailing"), std::string::npos) << text;
+    EXPECT_EQ(text.find("verdict"), std::string::npos) << text;
+  }
+  std::ofstream(path) << "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n";
+  EXPECT_EQ(run_cli({"detect", "triangle", path}, &text), 0);
+  EXPECT_NE(text.find("REJECT"), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 TEST(Cli, ErrorsProduceExitCodeTwo) {

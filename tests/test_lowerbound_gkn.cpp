@@ -13,6 +13,7 @@
 #include "graph/vf2.hpp"
 #include "lowerbound/gkn.hpp"
 #include "lowerbound/hk.hpp"
+#include "support/crc.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
 
@@ -113,6 +114,28 @@ TEST(Gkn, SubsetEncodingIsInjective) {
     seen.insert(q);
   }
   EXPECT_EQ(seen.size(), 9u);
+}
+
+TEST(Gkn, FramePortOrderIsPinned) {
+  // Position p in row v is v's port p, and ports number every message, so
+  // the builder's edge order fixes every trace, snapshot and perf pin. A
+  // change that reorders it must fail here rather than drift a nightly fit.
+  // CRC-32 over csr().offsets (64-bit words) and csr().neighbors (32-bit).
+  struct Pin {
+    std::uint32_t k, offsets, neighbors;
+  };
+  constexpr Pin kPins[] = {{2, 0xaaf8de03u, 0xd5fb77c0u},
+                           {3, 0xb9f13339u, 0x5e9777d4u},
+                           {4, 0x60f117d6u, 0x3bf2779au}};
+  for (const Pin& pin : kPins) {
+    const auto g = build_gkn_frame(pin.k, 4096);
+    const GraphCsr& csr = g.graph.csr();
+    Crc32 offsets, neighbors;
+    for (const std::uint64_t o : csr.offsets) offsets.bits(o, 64);
+    for (const Vertex w : csr.neighbors) neighbors.bits(w, 32);
+    EXPECT_EQ(offsets.value(), pin.offsets) << "k=" << pin.k;
+    EXPECT_EQ(neighbors.value(), pin.neighbors) << "k=" << pin.k;
+  }
 }
 
 TEST(Gkn, EndpointWiredToItsSubsetTriangles) {

@@ -489,6 +489,30 @@ TEST(Combinatorics, UnrankRankInverse) {
   EXPECT_EQ(seen.size(), binomial(m, k));  // all distinct
 }
 
+TEST(Combinatorics, UnrankRoundTripsAtFrameSizes) {
+  // m = 364 is the THM12 frame's m at k = 2, n = 32768; 65536 makes each
+  // element's binary search span 16 halvings.
+  Rng rng(41);
+  for (const std::uint32_t m : {364u, 1024u, 65536u}) {
+    for (std::uint32_t k = 1; k <= 4; ++k) {
+      const std::uint64_t total = binomial(m, k);
+      std::vector<std::uint64_t> ranks = {0, 1, total - 1};
+      for (int i = 0; i < 200; ++i) ranks.push_back(rng.below(total));
+      for (const std::uint64_t r : ranks) {
+        const auto subset = unrank_k_subset(r, m, k);
+        ASSERT_EQ(subset.size(), k);
+        for (std::size_t i = 1; i < k; ++i)
+          EXPECT_LT(subset[i - 1], subset[i]) << "m=" << m << " r=" << r;
+        EXPECT_LT(subset.back(), m);
+        EXPECT_EQ(rank_k_subset(subset, m), r) << "m=" << m << " k=" << k;
+      }
+    }
+  }
+  // C(65536, 6) saturates; ranks below the saturated count still unrank.
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max() - 1;
+  EXPECT_EQ(rank_k_subset(unrank_k_subset(top, 65536, 6), 65536), top);
+}
+
 TEST(Combinatorics, UnrankOutOfRangeThrows) {
   EXPECT_THROW(unrank_k_subset(binomial(6, 2), 6, 2), CheckFailure);
 }
