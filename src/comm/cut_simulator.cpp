@@ -125,8 +125,8 @@ CutCostBatch simulate_across_cut_batch(const Graph& topology,
     if (tl_accum != nullptr) account(*tl_accum, owner, round, src, dst, bits);
   };
 
-  // One topology copy + CSR materialization + neighbor-table build for the
-  // whole batch: this amortization is the point of the API.
+  // One CSR, edge-table and partition build for the whole batch: this
+  // amortization is the point of the API.
   const congest::Network net(topology, instrumented);
   std::vector<CutAccum> accums(n);
 

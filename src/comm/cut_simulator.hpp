@@ -11,10 +11,10 @@
 //
 // Two entry points share the accounting logic:
 //   * simulate_across_cut — one (config, factory, seed) run, one CutCost;
-//   * simulate_across_cut_batch — many seeds over ONE topology/CSR build
-//     and ONE ownership scan, fanned across congest::RunBatch. Per-seed
-//     rows land in a structure-of-arrays CutCostBatch, written in seed
-//     order, so results are bit-identical at every jobs count.
+//   * simulate_across_cut_batch — many seeds over ONE Network (one CSR
+//     build) and ONE ownership scan, fanned across congest::RunBatch.
+//     Per-seed rows land in a structure-of-arrays CutCostBatch, written in
+//     seed order, so results are bit-identical at every jobs count.
 // Both chain to (never clobber) any caller-supplied on_message hook, and
 // both key per-round bit accounting by round number, so async delivery
 // order (the same round observed again after another) cannot undercount
@@ -85,8 +85,8 @@ struct CutCostBatch {
   }
 };
 
-/// Run `factory` once per seed over ONE Network (one topology copy, one CSR
-/// materialization, one ownership scan) and account each run's two-party
+/// Run `factory` once per seed over ONE Network (one CSR build, one table
+/// pass, one partition, one ownership scan) and account each run's two-party
 /// cost. Rows are written in seed order; with `jobs` > 1 the seeds fan
 /// across a congest::RunBatch and the result is bit-identical to jobs == 1
 /// (each run is a pure function of its seed; accumulators are per-seed).

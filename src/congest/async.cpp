@@ -46,10 +46,10 @@ class AsyncEngine {
  public:
   AsyncEngine(const Graph& topology, const AsyncConfig& config,
               std::vector<NodeId> ids, const ProgramFactory& factory)
-      : topology_(topology),
+      : topology_(detail::build_engine_topology(topology, std::move(ids),
+                                                config.namespace_size)),
         config_(config),
         reliable_(config.transport == TransportMode::Reliable),
-        ids_(std::move(ids)),
         factory_(&factory),
         delay_rng_(derive_seed(config.seed, 0xde1a)),
         base_rto_(config.transport_cfg.rto != 0 ? config.transport_cfg.rto
@@ -60,16 +60,9 @@ class AsyncEngine {
         events_(saturating_add(config.max_delay,
                                saturating_mul(2, base_rto_))) {
     const Vertex n = topology_.num_vertices();
-    CSD_CHECK_MSG(ids_.size() == n, "identifier assignment size mismatch");
     CSD_CHECK(config_.max_delay >= 1);
-    namespace_size_ = config_.namespace_size;
-    if (namespace_size_ == 0) namespace_size_ = n;
-    const std::uint64_t namespace_size = namespace_size_;
-    for (const NodeId id : ids_)
-      CSD_CHECK_MSG(id < namespace_size, "identifier outside namespace");
-
     if (!config_.faults.empty())
-      injector_.emplace(config_.faults, config_.seed, topology_);
+      injector_.emplace(config_.faults, config_.seed, topology_.csr);
     rejoin_delay_ = config_.recovery.rejoin_delay != 0
                         ? config_.recovery.rejoin_delay
                         : saturating_mul(4, base_rto_);
@@ -80,21 +73,16 @@ class AsyncEngine {
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
     if (log_enabled_) inbox_log_.resize(n);
 
-    csr_ = &topology_.csr();
-    tables_ = detail::build_edge_tables(*csr_, ids_);
-    inbox_arena_ = detail::FrameArena(*csr_);
-    outbox_arena_ = detail::FrameArena(*csr_);
+    inbox_arena_ = detail::FrameArena(topology_.csr);
+    outbox_arena_ = detail::FrameArena(topology_.csr);
 
     nodes_.reserve(n);
     programs_.reserve(n);
     sync_.resize(n);
     for (Vertex v = 0; v < n; ++v) {
       nodes_.push_back(std::make_unique<detail::NodeState>(
-          topology_, v, ids_[v], config_.seed, n, namespace_size,
-          config_.bandwidth, config_.broadcast_only,
-          &outcome_.faults.violations));
-      nodes_.back()->set_neighbor_ids(tables_.neighbor_ids.data() +
-                                      csr_->offsets[v]);
+          topology_, v, config_.seed, config_.bandwidth,
+          config_.broadcast_only, &outcome_.faults.violations));
       nodes_.back()->attach_frames(
           inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
           outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
@@ -367,8 +355,8 @@ class AsyncEngine {
     event.kind = EventRecord::Kind::Data;
     event.src = src;
     event.src_port = port;
-    event.dst = csr_->row(src)[port];
-    event.dst_port = tables_.rev_port[csr_->offsets[src] + port];
+    event.dst = topology_.csr.row(src)[port];
+    event.dst_port = topology_.rev_port[topology_.csr.offsets[src] + port];
     event.link_seq = packet.seq;
     event.packet = std::move(packet);
     push_event(std::move(event));
@@ -634,7 +622,7 @@ class AsyncEngine {
         node.consume_outbox(p);
       }
       if (outcome_.trace && frame.payload.has_value())
-        outcome_.trace.record(sync.pulse, v, topology_.neighbors(v)[p],
+        outcome_.trace.record(sync.pulse, v, topology_.csr.row(v)[p],
                               frame.payload_bits());
       outcome_.payload_bits += frame.payload_bits();
       outcome_.overhead_bits += frame.overhead_bits();
@@ -711,9 +699,8 @@ class AsyncEngine {
     // crash flag), so the node picks up exactly where it died.
     std::vector<ProtocolViolation> scratch;
     auto node = std::make_unique<detail::NodeState>(
-        topology_, v, ids_[v], config_.seed, topology_.num_vertices(),
-        namespace_size_, config_.bandwidth, config_.broadcast_only, &scratch);
-    node->set_neighbor_ids(tables_.neighbor_ids.data() + csr_->offsets[v]);
+        topology_, v, config_.seed, config_.bandwidth, config_.broadcast_only,
+        &scratch);
     auto program = (*factory_)(v);
     CSD_CHECK(program != nullptr);
     // The replica takes over the dead node's arena rows; replay clears them
@@ -767,8 +754,8 @@ class AsyncEngine {
     snap->kind = Snapshot::Kind::Async;
     AsyncSnapshot& s = snap->async_state;
     s.terminal = terminal ? 1 : 0;
-    s.identity = {topology_digest(topology_, ids_), config_digest(),
-                  config_.seed};
+    s.identity = {topology_digest(topology_.csr, topology_.ids),
+                  config_digest(), config_.seed};
     const Vertex n = topology_.num_vertices();
     s.nodes.resize(n);
     for (Vertex v = 0; v < n; ++v) {
@@ -833,12 +820,12 @@ class AsyncEngine {
         CSD_CHECK_MSG(reliable_, at() << ": key 'k': an ack or timer event "
                                          "under the raw transport");
       if (e.kind == EventRecord::Kind::Data) {
-        const std::size_t edge = csr_->offsets[e.src] + e.src_port;
-        CSD_CHECK_MSG(e.dst == csr_->row(e.src)[e.src_port],
+        const std::size_t edge = topology_.csr.offsets[e.src] + e.src_port;
+        CSD_CHECK_MSG(e.dst == topology_.csr.row(e.src)[e.src_port],
                       at() << ": key 'd' = " << e.dst
                            << " is not the far end of node " << e.src
                            << "'s port " << e.src_port);
-        CSD_CHECK_MSG(e.dst_port == tables_.rev_port[edge],
+        CSD_CHECK_MSG(e.dst_port == topology_.rev_port[edge],
                       at() << ": key 'dp' = " << e.dst_port
                            << " is not the far port of node " << e.src
                            << "'s port " << e.src_port);
@@ -869,7 +856,8 @@ class AsyncEngine {
                   "resume_async needs an async snapshot, got "
                       << to_string(snapshot.kind));
     const AsyncSnapshot& s = snapshot.async_state;
-    CSD_CHECK_MSG(s.identity.topology == topology_digest(topology_, ids_),
+    const std::uint64_t digest = topology_digest(topology_.csr, topology_.ids);
+    CSD_CHECK_MSG(s.identity.topology == digest,
                   "snapshot belongs to a different topology/identifier "
                   "assignment");
     CSD_CHECK_MSG(s.identity.config == config_digest(),
@@ -943,24 +931,18 @@ class AsyncEngine {
     last_progress_vt_ = s.virtual_time;
   }
 
-  Graph topology_;
+  const detail::EngineTopology topology_;
   AsyncConfig config_;
   bool reliable_;
-  std::vector<NodeId> ids_;
   const ProgramFactory* factory_;  // outlives the engine (recovery replicas)
   Rng delay_rng_;
   std::optional<FaultInjector> injector_;
   std::uint64_t base_rto_ = 0;
-  std::uint64_t namespace_size_ = 0;
   std::uint64_t rejoin_delay_ = 0;
   bool log_enabled_ = false;
   std::vector<InboxLog> inbox_log_;
   Vertex pending_recoveries_ = 0;
   std::uint64_t last_progress_vt_ = 0;
-  /// Materialized CSR view of topology_ (owned by it), and the flat tables
-  /// over its dense directed-edge index e = offsets[v] + port.
-  const GraphCsr* csr_ = nullptr;
-  detail::EdgeTables tables_;
   /// Per-run frame plane; nodes (and recovery replicas) hold row pointers.
   detail::FrameArena inbox_arena_;
   detail::FrameArena outbox_arena_;
@@ -997,9 +979,8 @@ AsyncRunOutcome run_async(const Graph& topology, const AsyncConfig& config,
 
 AsyncRunOutcome run_async(const Graph& topology, const AsyncConfig& config,
                           const ProgramFactory& factory) {
-  std::vector<NodeId> ids(topology.num_vertices());
-  for (Vertex v = 0; v < topology.num_vertices(); ++v) ids[v] = v;
-  return run_async(topology, config, std::move(ids), factory);
+  return run_async(topology, config, detail::index_ids(topology.num_vertices()),
+                   factory);
 }
 
 AsyncRunOutcome resume_async(const Graph& topology, const AsyncConfig& config,
@@ -1013,9 +994,9 @@ AsyncRunOutcome resume_async(const Graph& topology, const AsyncConfig& config,
 AsyncRunOutcome resume_async(const Graph& topology, const AsyncConfig& config,
                              const ProgramFactory& factory,
                              const Snapshot& snapshot) {
-  std::vector<NodeId> ids(topology.num_vertices());
-  for (Vertex v = 0; v < topology.num_vertices(); ++v) ids[v] = v;
-  return resume_async(topology, config, std::move(ids), factory, snapshot);
+  return resume_async(topology, config,
+                      detail::index_ids(topology.num_vertices()), factory,
+                      snapshot);
 }
 
 }  // namespace csd::congest

@@ -90,21 +90,22 @@ obs::MetricsRegistry fault_counters(const FaultReport& report) {
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
-                             const Graph& topology)
-    : plan_(plan) {
+                             const GraphCsr& csr)
+    : plan_(plan), offsets_(csr.offsets) {
   CSD_CHECK_MSG(plan_.drop >= 0.0 && plan_.drop <= 1.0,
                 "drop probability " << plan_.drop << " outside [0, 1]");
   CSD_CHECK_MSG(plan_.corrupt >= 0.0 && plan_.corrupt <= 1.0,
                 "corrupt probability " << plan_.corrupt << " outside [0, 1]");
-  const Vertex n = topology.num_vertices();
-  link_rng_.resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto deg = topology.degree(v);
-    link_rng_[v].reserve(deg);
-    for (std::uint32_t p = 0; p < deg; ++p)
-      link_rng_[v].emplace_back(derive_seed(
-          derive_seed(seed, 0xfa017ULL), (static_cast<std::uint64_t>(v) << 20) | p));
-  }
+  const Vertex n = csr.num_vertices();
+  // Link (v, p) is keyed (v << 20) | p < 2^52, unique below port 2^20; a
+  // wider port keys on its dense edge index with bit 63 set.
+  const std::uint64_t link_seed = derive_seed(seed, 0xfa017ULL);
+  link_rng_.reserve(csr.num_directed_edges());
+  for (Vertex v = 0; v < n; ++v)
+    for (std::uint64_t p = 0; p < csr.degree(v); ++p)
+      link_rng_.emplace_back(derive_seed(
+          link_seed, p < (1ULL << 20) ? (std::uint64_t{v} << 20) | p
+                                      : (1ULL << 63) | (offsets_[v] + p)));
   crash_round_.resize(n);
   for (const auto& crash : plan_.crashes) {
     CSD_CHECK_MSG(crash.node < n,
@@ -118,9 +119,9 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
 FaultInjector::Fate FaultInjector::next_fate(std::uint32_t src,
                                              std::uint32_t port,
                                              std::size_t corruptible_bits) {
-  CSD_DCHECK(src < link_rng_.size());
-  CSD_DCHECK(port < link_rng_[src].size());
-  Rng& rng = link_rng_[src][port];
+  CSD_DCHECK(src + 1 < offsets_.size());
+  CSD_DCHECK(port < offsets_[src + 1] - offsets_[src]);
+  Rng& rng = link_rng_[offsets_[src] + port];
   // Always make the same three draws so the stream position after the i-th
   // transmission is independent of earlier fates.
   const double drop_draw = rng.uniform();
@@ -137,28 +138,27 @@ FaultInjector::Fate FaultInjector::next_fate(std::uint32_t src,
 
 std::vector<std::vector<std::array<std::uint64_t, 4>>>
 FaultInjector::save_streams() const {
-  std::vector<std::vector<std::array<std::uint64_t, 4>>> streams;
-  streams.reserve(link_rng_.size());
-  for (const auto& per_port : link_rng_) {
-    auto& out = streams.emplace_back();
-    out.reserve(per_port.size());
-    for (const auto& rng : per_port) out.push_back(rng.state());
-  }
+  std::vector<std::vector<std::array<std::uint64_t, 4>>> streams(
+      crash_round_.size());  // one row per node
+  for (std::size_t v = 0; v < streams.size(); ++v)
+    for (std::uint64_t e = offsets_[v]; e < offsets_[v + 1]; ++e)
+      streams[v].push_back(link_rng_[e].state());
   return streams;
 }
 
 void FaultInjector::restore_streams(
     const std::vector<std::vector<std::array<std::uint64_t, 4>>>& streams) {
-  CSD_CHECK_MSG(streams.size() == link_rng_.size(),
+  CSD_CHECK_MSG(streams.size() == crash_round_.size(),
                 "snapshot fault streams cover " << streams.size()
-                << " nodes, topology has " << link_rng_.size());
+                << " nodes, topology has " << crash_round_.size());
   for (std::size_t v = 0; v < streams.size(); ++v) {
-    CSD_CHECK_MSG(streams[v].size() == link_rng_[v].size(),
+    const std::uint64_t degree = offsets_[v + 1] - offsets_[v];
+    CSD_CHECK_MSG(streams[v].size() == degree,
                   "snapshot fault streams for node " << v << " cover "
                   << streams[v].size() << " ports, topology has "
-                  << link_rng_[v].size());
+                  << degree);
     for (std::size_t p = 0; p < streams[v].size(); ++p)
-      link_rng_[v][p].set_state(streams[v][p]);
+      link_rng_[offsets_[v] + p].set_state(streams[v][p]);
   }
 }
 

@@ -195,8 +195,9 @@ obs::MetricsRegistry fault_counters(const FaultReport& report);
 /// fates are independent of event interleaving and of each other.
 class FaultInjector {
  public:
+  /// Streams for every directed link of `csr`, which need not outlive it.
   FaultInjector(const FaultPlan& plan, std::uint64_t seed,
-                const Graph& topology);
+                const GraphCsr& csr);
 
   /// Fate of the next transmission on the directed link (src, port).
   /// `corruptible_bits` sizes the corrupt-bit draw (the caller decides what
@@ -226,7 +227,8 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
-  std::vector<std::vector<Rng>> link_rng_;  // [src][port]
+  std::vector<std::uint64_t> offsets_;  // link (v, p) is offsets_[v] + p
+  std::vector<Rng> link_rng_;           // by dense directed-edge index
   std::vector<std::optional<std::uint64_t>> crash_round_;
 };
 

@@ -30,8 +30,7 @@
 namespace csd::congest::detail {
 
 /// Flat payload + presence arrays over the directed edges of a topology,
-/// rows addressed via the Graph's CSR offsets. The CSR (and the Graph that
-/// owns it) must outlive the arena.
+/// rows addressed via its CSR offsets. The CSR must outlive the arena.
 class FrameArena {
  public:
   FrameArena() = default;

@@ -1,5 +1,7 @@
 #include "congest/network.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "congest/shard.hpp"
@@ -64,22 +66,39 @@ detail::EdgeTables detail::build_edge_tables(const GraphCsr& csr,
   return tables;
 }
 
-Network::Network(Graph topology, NetworkConfig config)
-    : topology_(std::move(topology)), config_(config) {
-  ids_.resize(topology_.num_vertices());
-  for (Vertex v = 0; v < topology_.num_vertices(); ++v) ids_[v] = v;
-  csr_ = &topology_.csr();
-  tables_ = detail::build_edge_tables(*csr_, ids_);
+detail::EngineTopology detail::build_engine_topology(
+    const Graph& topology, std::vector<NodeId> ids,
+    std::uint64_t namespace_size) {
+  CSD_CHECK_MSG(ids.size() == topology.num_vertices(),
+                "identifier assignment size mismatch");
+  if (namespace_size == 0) namespace_size = ids.size();
+  for (const NodeId id : ids)
+    CSD_CHECK_MSG(id < namespace_size,
+                  "identifier " << id << " outside namespace ["
+                                << namespace_size << ")");
+  GraphCsr csr = topology.csr();
+  EdgeTables tables = build_edge_tables(csr, ids);
+  return {std::move(tables), std::move(csr), std::move(ids), namespace_size};
 }
 
-Network::Network(Graph topology, NetworkConfig config,
-                 std::vector<NodeId> ids)
-    : topology_(std::move(topology)), config_(config), ids_(std::move(ids)) {
-  CSD_CHECK_MSG(ids_.size() == topology_.num_vertices(),
-                "identifier assignment size mismatch");
-  csr_ = &topology_.csr();
-  tables_ = detail::build_edge_tables(*csr_, ids_);
+std::vector<NodeId> detail::index_ids(Vertex n) {
+  std::vector<NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), NodeId{0});
+  return ids;
 }
+
+Network::Network(const Graph& topology, NetworkConfig config)
+    : Network(topology, std::move(config),
+              detail::index_ids(topology.num_vertices())) {}
+
+Network::Network(const Graph& topology, NetworkConfig config,
+                 std::vector<NodeId> ids)
+    : config_(std::move(config)),
+      topology_(detail::build_engine_topology(topology, std::move(ids),
+                                              config_.namespace_size)),
+      partition_(Partition::build(topology_.csr,
+                                  std::max(1u, config_.shard.workers),
+                                  config_.shard.policy)) {}
 
 // NetworkConfig::shard is deliberately NOT digested: the round kernel is
 // bit-identical at every worker count, so an amplified checkpoint written

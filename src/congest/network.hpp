@@ -157,9 +157,7 @@ struct RunOutcome {
 
 namespace detail {
 
-/// Flat tables over a CSR's dense directed-edge index e = offsets[v] + p,
-/// built once per topology and identifier assignment — by Network for the
-/// round kernel, by the async engine per run — in O(n + sum deg) time.
+/// Flat tables over a CSR's dense directed-edge index e = offsets[v] + p.
 struct EdgeTables {
   /// rev_port[e] = the port of neighbors(v)[p] that leads back to v.
   std::vector<std::uint32_t> rev_port;
@@ -173,15 +171,38 @@ struct EdgeTables {
 EdgeTables build_edge_tables(const GraphCsr& csr,
                              const std::vector<NodeId>& ids);
 
+/// The fixed object a run executes on: one topology and one identifier
+/// assignment. Each engine builds this record once and owns it; runs only
+/// read it, so concurrent runs share it without locks.
+struct EngineTopology : EdgeTables {
+  GraphCsr csr;  // row position = port
+  std::vector<NodeId> ids;
+  /// N, resolved: every id lies in [0, N).
+  std::uint64_t namespace_size = 0;
+
+  Vertex num_vertices() const noexcept { return csr.num_vertices(); }
+  std::uint32_t degree(Vertex v) const noexcept { return csr.degree(v); }
+};
+
+/// The record of `topology` under `ids` in the namespace `namespace_size`
+/// (0 = the number of nodes). The one check of an identifier assignment:
+/// one id per node, each inside the namespace.
+EngineTopology build_engine_topology(const Graph& topology,
+                                     std::vector<NodeId> ids,
+                                     std::uint64_t namespace_size);
+
+/// The default identifier assignment, ids[v] = v.
+std::vector<NodeId> index_ids(Vertex n);
+
 }  // namespace detail
 
 /// Synchronous simulator over a fixed topology and identifier assignment.
-/// The topology is copied: a Network never dangles on a temporary graph.
 ///
-/// Construction precomputes the topology-derived tables that every run
-/// needs — the reverse-port map and the per-node neighbor-identifier
-/// vectors — so repeated runs (amplification, sweeps) pay for them once
-/// instead of once per repetition.
+/// Construction builds everything the runs share — the engine topology
+/// record (CSR, reverse-port and neighbor-identifier tables) and the
+/// partition of config.shard — so repeated runs (amplification, sweeps)
+/// pay for it once instead of once per repetition. Identifiers outside the
+/// namespace fail here, before any run.
 ///
 /// `run` is const and touches no mutable Network state: concurrent runs of
 /// the SAME Network from multiple threads are safe provided `factory` and
@@ -191,8 +212,8 @@ EdgeTables build_edge_tables(const GraphCsr& csr,
 class Network {
  public:
   /// Identifiers default to the topology index (ids[v] = v).
-  Network(Graph topology, NetworkConfig config);
-  Network(Graph topology, NetworkConfig config, std::vector<NodeId> ids);
+  Network(const Graph& topology, NetworkConfig config);
+  Network(const Graph& topology, NetworkConfig config, std::vector<NodeId> ids);
 
   /// Run `factory`-created programs to completion (or the round cap).
   RunOutcome run(const ProgramFactory& factory) const;
@@ -206,24 +227,19 @@ class Network {
   /// namespace, broadcast mode, fault plan); part of SnapshotIdentity.
   std::uint64_t config_digest() const;
 
-  const Graph& topology() const noexcept { return topology_; }
-  const std::vector<NodeId>& ids() const noexcept { return ids_; }
+  const std::vector<NodeId>& ids() const noexcept { return topology_.ids; }
   const NetworkConfig& config() const noexcept { return config_; }
 
-  // Plumbing for the round kernel (congest/shard.cpp): the materialized
-  // CSR view and the flat tables over its dense directed-edge index
-  // e = csr().offsets[v] + port.
-  const GraphCsr& csr() const noexcept { return *csr_; }
-  const detail::EdgeTables& edge_tables() const noexcept { return tables_; }
+  // Plumbing for the round kernel (congest/shard.cpp) and the supervisor.
+  const detail::EngineTopology& engine_topology() const noexcept {
+    return topology_;
+  }
+  const Partition& partition() const noexcept { return partition_; }
 
  private:
-  Graph topology_;
   NetworkConfig config_;
-  std::vector<NodeId> ids_;
-  /// Materialized CSR view of topology_ (owned by it), and the flat tables
-  /// over its dense directed-edge index.
-  const GraphCsr* csr_ = nullptr;
-  detail::EdgeTables tables_;
+  detail::EngineTopology topology_;
+  Partition partition_;
 };
 
 /// Convenience: run `factory` over `topology` and return the outcome.

@@ -17,8 +17,8 @@
 
 #include "congest/faults.hpp"
 #include "congest/frame_arena.hpp"
+#include "congest/network.hpp"
 #include "congest/program.hpp"
-#include "graph/graph.hpp"
 #include "obs/round_trace.hpp"
 #include "support/check.hpp"
 
@@ -26,20 +26,21 @@ namespace csd::congest::detail {
 
 class NodeState final : public NodeApi {
  public:
-  /// `violations` (owned by the engine, non-null) receives clamped protocol
-  /// violations; see network.hpp for the clamping semantics.
-  NodeState(const Graph& topology, Vertex index, NodeId node_id,
-            std::uint64_t run_seed, std::uint64_t network_size,
-            std::uint64_t namespace_size, std::uint64_t bandwidth,
+  /// Node `index` of `topology`, which must outlive it. `violations` (owned
+  /// by the engine, non-null) receives clamped violations (network.hpp).
+  NodeState(const EngineTopology& topology, Vertex index,
+            std::uint64_t run_seed, std::uint64_t bandwidth,
             bool broadcast_only, std::vector<ProtocolViolation>* violations)
       : index_(index),
         degree_(topology.degree(index)),
-        id_(node_id),
-        network_size_(network_size),
-        namespace_size_(namespace_size),
+        id_(topology.ids[index]),
+        network_size_(topology.num_vertices()),
+        namespace_size_(topology.namespace_size),
         bandwidth_(bandwidth),
         broadcast_only_(broadcast_only),
         violations_(violations),
+        neighbor_ids_(topology.neighbor_ids.data() +
+                      topology.csr.offsets[index]),
         rng_(derive_seed(run_seed, index)) {
     CSD_CHECK(violations_ != nullptr);
   }
@@ -160,10 +161,6 @@ class NodeState final : public NodeApi {
     violations_ = violations;
   }
 
-  /// Share a row of a flat table owned by the engine (detail::EdgeTables,
-  /// built once per topology); must outlive this NodeState and hold
-  /// degree() entries.
-  void set_neighbor_ids(const NodeId* shared) { neighbor_ids_ = shared; }
   void begin_round(std::uint64_t r) {
     round_ = r;
     wake_hint_ = 0;
@@ -209,13 +206,13 @@ class NodeState final : public NodeApi {
   std::uint64_t bandwidth_;
   bool broadcast_only_;
   std::vector<ProtocolViolation>* violations_;
+  const NodeId* neighbor_ids_;  // this node's row of topology.neighbor_ids
   obs::RunTrace* trace_ = nullptr;
   std::optional<std::string>* phase_slot_ = nullptr;
   Rng rng_;
   std::optional<BitVec> round_payload_;
   std::uint64_t round_ = 0;
   std::uint64_t wake_hint_ = 0;
-  const NodeId* neighbor_ids_ = nullptr;
   // Arena rows, engine-owned (attach_frames): payload buffers and presence
   // bytes are parallel arrays indexed by port.
   BitVec* inbox_payload_ = nullptr;

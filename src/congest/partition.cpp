@@ -31,9 +31,7 @@ bool parse_partition_policy(std::string_view text, PartitionPolicy& out) {
 Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
                            PartitionPolicy policy) {
   CSD_CHECK_MSG(workers >= 1, "Partition::build needs at least one worker");
-  const Vertex n = csr.offsets.empty()
-                       ? 0
-                       : static_cast<Vertex>(csr.offsets.size() - 1);
+  const Vertex n = csr.num_vertices();
   Partition part;
   part.workers_ = workers;
   part.policy_ = policy;
@@ -61,14 +59,14 @@ Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
              acc * workers >= static_cast<std::uint64_t>(w + 1) * total)
         ++w;
       part.owner_[v] = w;
-      acc += (csr.offsets[v + 1] - csr.offsets[v]) + 1;
+      acc += csr.degree(v) + 1;
     }
   }
 
   for (Vertex v = 0; v < n; ++v) {
     const std::uint32_t w = part.owner_[v];
     part.owned_[w].push_back(v);
-    part.owned_edges_[w] += csr.offsets[v + 1] - csr.offsets[v];
+    part.owned_edges_[w] += csr.degree(v);
     for (const Vertex u : csr.row(v))
       if (part.owner_[u] != w) ++part.cut_edges_;
   }

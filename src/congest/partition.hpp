@@ -82,7 +82,7 @@ struct ShardSpec {
   bool channel_counters = false;
 };
 
-/// Immutable node-to-worker assignment. Built once per run; O(n) memory.
+/// Immutable node-to-worker assignment, built once per Network; O(n) memory.
 class Partition {
  public:
   /// `workers` >= 1. Vertices with no owner never exist: owner(v) < workers
@@ -93,7 +93,6 @@ class Partition {
   std::uint32_t workers() const noexcept { return workers_; }
   PartitionPolicy policy() const noexcept { return policy_; }
   std::uint32_t owner(Vertex v) const noexcept { return owner_[v]; }
-  const std::vector<std::uint32_t>& owners() const noexcept { return owner_; }
   /// Vertices owned by `w`, ascending. The kernel iterates these in order —
   /// together with the channel merge-order rule this reproduces the global
   /// ascending-vertex order of a single worker exactly.

@@ -265,7 +265,7 @@ class RoundKernel {
   const GraphCsr& csr_;
   const std::vector<std::uint64_t>& rev_edge_;
   const Vertex n_;
-  const Partition part_;
+  const Partition& part_;
   const bool single_;  // W = 1: inline, no channels, direct observers
 
   RunOutcome outcome_;
@@ -306,11 +306,10 @@ class RoundKernel {
 RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
                          std::uint64_t seed)
     : config_(net.config()),
-      csr_(net.csr()),
-      rev_edge_(net.edge_tables().rev_edge),
-      n_(net.topology().num_vertices()),
-      part_(Partition::build(csr_, std::max(1u, config_.shard.workers),
-                             config_.shard.policy)),
+      csr_(net.engine_topology().csr),
+      rev_edge_(net.engine_topology().rev_edge),
+      n_(net.engine_topology().num_vertices()),
+      part_(net.partition()),
       single_(part_.workers() == 1),
       workers_(part_.workers()),
       inbox_arena_(csr_),
@@ -322,13 +321,6 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
                  static_cast<bool>(config_.on_message)),
       timing_(config_.trace.timers),
       telemetry_(config_.telemetry) {
-  const Graph& topology = net.topology();
-  std::uint64_t namespace_size = config_.namespace_size;
-  if (namespace_size == 0) namespace_size = n_;
-  for (const NodeId id : net.ids())
-    CSD_CHECK_MSG(id < namespace_size,
-                  "identifier " << id << " outside namespace ["
-                                << namespace_size << ")");
   outcome_.metrics.bits_sent_by_node.assign(n_, 0);
   outcome_.trace = obs::RunTrace(n_, config_.trace);
   outcome_.metrics.timers.enabled = timing_;
@@ -344,11 +336,8 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
     // Nodes route violations into their owner's per-round buffer; the
     // barrier merges the buffers into the FaultReport in node order.
     nodes_.push_back(std::make_unique<NodeState>(
-        topology, v, net.ids()[v], seed, n_, namespace_size,
-        config_.bandwidth, config_.broadcast_only,
-        &workers_[part_.owner(v)].violations));
-    nodes_.back()->set_neighbor_ids(net.edge_tables().neighbor_ids.data() +
-                                    csr_.offsets[v]);
+        net.engine_topology(), v, seed, config_.bandwidth,
+        config_.broadcast_only, &workers_[part_.owner(v)].violations));
     nodes_.back()->attach_frames(
         inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
         outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
@@ -362,7 +351,7 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
     CSD_CHECK_MSG(programs_.back() != nullptr,
                   "factory returned null program");
   }
-  if (faulty_) injector_.emplace(config_.faults, seed, topology);
+  if (faulty_) injector_.emplace(config_.faults, seed, csr_);
 
   if (telemetry_ != nullptr) {
     m_arena_ = telemetry_->gauge("sync_arena_frames");

@@ -137,13 +137,11 @@ constexpr auto snapshot_fields = [](auto& io, auto& r) {
 
 }  // namespace
 
-std::uint64_t topology_digest(const Graph& topology,
+std::uint64_t topology_digest(const GraphCsr& csr,
                               const std::vector<NodeId>& ids) {
   std::uint64_t h = kDigestSeed;
-  const Vertex n = topology.num_vertices();
-  h = digest_mix(h, n);
-  for (Vertex v = 0; v < n; ++v)
-    for (const Vertex w : topology.neighbors(v)) h = digest_mix(h, w);
+  h = digest_mix(h, csr.num_vertices());
+  for (const Vertex w : csr.neighbors) h = digest_mix(h, w);
   for (const NodeId id : ids) h = digest_mix(h, id);
   return h;
 }

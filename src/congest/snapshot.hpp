@@ -79,8 +79,8 @@ constexpr std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) noexcept {
 }
 inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
 
-/// Digest over vertex count, full adjacency, and identifier assignment.
-std::uint64_t topology_digest(const Graph& topology,
+/// Digest over vertex count, CSR rows in port order, and identifiers.
+std::uint64_t topology_digest(const GraphCsr& csr,
                               const std::vector<NodeId>& ids);
 
 /// Digest over a fault plan (drop/corrupt probabilities bit-exactly,

@@ -87,9 +87,9 @@ Snapshot make_amplified_snapshot(const SnapshotIdentity& identity,
 
 }  // namespace
 
-Supervisor::Supervisor(Graph topology, NetworkConfig config,
+Supervisor::Supervisor(const Graph& topology, NetworkConfig config,
                        SupervisorConfig sup)
-    : net_(std::move(topology), std::move(config)), sup_(sup) {}
+    : net_(topology, std::move(config)), sup_(sup) {}
 
 SupervisedResult Supervisor::run(const ProgramFactory& factory,
                                  std::uint32_t repetitions) const {
@@ -106,8 +106,9 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
                                    std::uint32_t repetitions,
                                    const Snapshot* resume_from) const {
   CSD_CHECK(repetitions >= 1);
-  const Vertex n = net_.topology().num_vertices();
-  const SnapshotIdentity identity{topology_digest(net_.topology(), net_.ids()),
+  const detail::EngineTopology& topology = net_.engine_topology();
+  const Vertex n = topology.num_vertices();
+  const SnapshotIdentity identity{topology_digest(topology.csr, topology.ids),
                                   net_.config_digest(), net_.config().seed};
 
   SupervisedResult result;

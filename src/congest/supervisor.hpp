@@ -143,9 +143,9 @@ struct SupervisedResult {
 
 class Supervisor {
  public:
-  /// The topology is copied (Network semantics); every repetition runs
-  /// under `config`, its stall_window watchdog included.
-  Supervisor(Graph topology, NetworkConfig config, SupervisorConfig sup);
+  /// One Network serves every repetition; each runs under `config`, its
+  /// stall_window watchdog included.
+  Supervisor(const Graph& topology, NetworkConfig config, SupervisorConfig sup);
 
   /// Drive `repetitions` repetitions (repetition r seeded
   /// repetition_seed(config.seed, r)) under supervision.
@@ -163,8 +163,6 @@ class Supervisor {
   SupervisedResult resume(const ProgramFactory& factory,
                           std::uint32_t repetitions,
                           const Snapshot& snapshot) const;
-
-  const Network& network() const noexcept { return net_; }
 
  private:
   SupervisedResult drive(const ProgramFactory& factory,

@@ -47,26 +47,18 @@ void Graph::EdgeSet::grow() {
 
 void Graph::sort_adjacency() {
   for (auto& nbrs : adj_) std::sort(nbrs.begin(), nbrs.end());
-  csr_valid_ = false;
 }
 
-const GraphCsr& Graph::csr() const {
-  if (!csr_valid_) {
-    const std::size_t n = adj_.size();
-    csr_.offsets.assign(n + 1, 0);
-    std::uint64_t total = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      csr_.offsets[v] = total;
-      total += adj_[v].size();
-    }
-    csr_.offsets[n] = total;
-    csr_.neighbors.clear();
-    csr_.neighbors.reserve(total);
-    for (const auto& nbrs : adj_)
-      csr_.neighbors.insert(csr_.neighbors.end(), nbrs.begin(), nbrs.end());
-    csr_valid_ = true;
+GraphCsr Graph::csr() const {
+  GraphCsr csr;
+  csr.offsets.reserve(adj_.size() + 1);
+  csr.offsets.push_back(0);
+  csr.neighbors.reserve(2 * num_edges());
+  for (const auto& nbrs : adj_) {
+    csr.neighbors.insert(csr.neighbors.end(), nbrs.begin(), nbrs.end());
+    csr.offsets.push_back(csr.neighbors.size());
   }
-  return csr_;
+  return csr;
 }
 
 }  // namespace csd

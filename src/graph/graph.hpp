@@ -20,7 +20,8 @@ namespace csd {
 using Vertex = std::uint32_t;
 constexpr Vertex kNoVertex = static_cast<Vertex>(-1);
 
-/// Immutable structure-of-arrays adjacency view (compressed sparse row).
+/// Structure-of-arrays adjacency (compressed sparse row), as Graph::csr()
+/// builds it.
 ///
 /// The neighbors of `v` are `neighbors[offsets[v] .. offsets[v+1])`, in
 /// exactly the adjacency-list order — so position `p` in a row is the same
@@ -30,12 +31,17 @@ struct GraphCsr {
   std::vector<std::uint64_t> offsets;  // n + 1 entries
   std::vector<Vertex> neighbors;       // 2m entries
 
+  Vertex num_vertices() const noexcept {
+    return offsets.empty() ? 0 : static_cast<Vertex>(offsets.size() - 1);
+  }
   std::uint64_t num_directed_edges() const noexcept {
     return offsets.empty() ? 0 : offsets.back();
   }
+  std::uint32_t degree(Vertex v) const noexcept {
+    return static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
+  }
   std::span<const Vertex> row(Vertex v) const noexcept {
-    return {neighbors.data() + offsets[v],
-            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
+    return {neighbors.data() + offsets[v], degree(v)};
   }
 };
 
@@ -55,7 +61,6 @@ class Graph {
   Vertex add_vertices(Vertex count) {
     const auto first = num_vertices();
     adj_.resize(adj_.size() + count);
-    csr_valid_ = false;
     return first;
   }
 
@@ -70,7 +75,6 @@ class Graph {
                   "duplicate edge {" << u << "," << v << "}");
     adj_[u].push_back(v);
     adj_[v].push_back(u);
-    csr_valid_ = false;
   }
 
   /// Insert {u, v} unless it already exists; returns true if inserted.
@@ -116,11 +120,9 @@ class Graph {
   /// algorithms); call after bulk construction.
   void sort_adjacency();
 
-  /// Cached CSR view over the current adjacency. Lazily built on first call
-  /// and invalidated by any mutation. Building mutates the cache, so
-  /// materialize it once (engine constructors do) before sharing a const
-  /// Graph across threads; concurrent reads of a built view are safe.
-  const GraphCsr& csr() const;
+  /// The current adjacency as a CSR, built anew by each call (O(n + m)).
+  /// Engines build it once and own it (congest::detail::EngineTopology).
+  GraphCsr csr() const;
 
  private:
   static std::uint64_t edge_key(Vertex u, Vertex v) noexcept {
@@ -169,8 +171,6 @@ class Graph {
 
   std::vector<std::vector<Vertex>> adj_;
   EdgeSet edge_set_;
-  mutable GraphCsr csr_;
-  mutable bool csr_valid_ = false;
 };
 
 }  // namespace csd

@@ -117,6 +117,9 @@ Graph read_dimacs(std::istream& is) {
   header >> p >> kind >> n >> m;
   CSD_CHECK_MSG(p == "p" && !header.fail(),
                 "line " << reader.line_number() << ": expected 'p edge n m'");
+  CSD_CHECK_MSG(kind == "edge", "line " << reader.line_number()
+                                        << ": problem kind '" << kind
+                                        << "' is not 'edge'");
   expect_line_end(header, line, reader.line_number());
   CSD_CHECK_MSG(n <= kNoVertex, "vertex count too large");
   Graph g(static_cast<Vertex>(n));

@@ -48,8 +48,9 @@ TEST(FrameArena, RowsFollowCsrOffsets) {
 }
 
 TEST(FrameArena, ResetClearsPresenceAndKeepsPayloadStorage) {
-  const Graph g = build::complete(3);
-  detail::FrameArena arena(g.csr());
+  // The arena keeps a pointer to the CSR's offsets, so the CSR is a local.
+  const GraphCsr csr = build::complete(3).csr();
+  detail::FrameArena arena(csr);
   arena.payload(0).append_bits(0xabcdef, 24);
   arena.present(0) = 1;
   const std::uint64_t* storage = arena.payload(0).words().data();

@@ -348,14 +348,11 @@ TEST(Network, NamespaceDefaultsToSizeAndIsVisible) {
 }
 
 TEST(Network, RejectsIdsOutsideNamespace) {
+  // The engine topology checks the ids once, when the Network is built.
   const Graph g = build::path(2);
   NetworkConfig cfg;
   cfg.namespace_size = 10;
-  Network net(g, cfg, {3, 11});
-  EXPECT_THROW(net.run([](std::uint32_t) {
-    return std::make_unique<NeverHalts>();
-  }),
-               CheckFailure);
+  EXPECT_THROW(Network(g, cfg, {3, 11}), CheckFailure);
 }
 
 class PerPortSender final : public NodeProgram {
@@ -453,9 +450,8 @@ TEST(Network, BroadcastOnlyAllowsUniformMessages) {
 
 void expect_tables_invert_ports(const Graph& g,
                                 const std::vector<NodeId>& ids) {
-  const Network net(g, NetworkConfig{}, ids);
-  const GraphCsr& csr = net.csr();
-  const detail::EdgeTables& t = net.edge_tables();
+  const GraphCsr csr = g.csr();
+  const detail::EdgeTables t = detail::build_edge_tables(csr, ids);
   ASSERT_EQ(t.rev_port.size(), csr.num_directed_edges());
   ASSERT_EQ(t.rev_edge.size(), csr.num_directed_edges());
   ASSERT_EQ(t.neighbor_ids.size(), csr.num_directed_edges());

@@ -140,9 +140,9 @@ TEST(FaultInjector, DeterministicPerLinkStreams) {
   FaultPlan plan;
   plan.drop = 0.4;
   plan.corrupt = 0.3;
-  FaultInjector a(plan, 99, g);
-  FaultInjector b(plan, 99, g);
-  FaultInjector other_seed(plan, 100, g);
+  FaultInjector a(plan, 99, g.csr());
+  FaultInjector b(plan, 99, g.csr());
+  FaultInjector other_seed(plan, 100, g.csr());
   bool any_difference = false;
   for (int i = 0; i < 200; ++i) {
     const auto fa = a.next_fate(2, 1, 64);
@@ -163,8 +163,8 @@ TEST(FaultInjector, FatesIndependentOfPayloadSize) {
   const Graph g = build::path(2);
   FaultPlan plan;
   plan.drop = 0.5;
-  FaultInjector a(plan, 7, g);
-  FaultInjector b(plan, 7, g);
+  FaultInjector a(plan, 7, g.csr());
+  FaultInjector b(plan, 7, g.csr());
   for (int i = 0; i < 100; ++i) {
     const auto fa = a.next_fate(0, 0, 8);
     const auto fb = b.next_fate(0, 0, 1024);
@@ -176,7 +176,7 @@ TEST(FaultInjector, NoPayloadNeverCorrupts) {
   const Graph g = build::path(2);
   FaultPlan plan;
   plan.corrupt = 1.0;
-  FaultInjector inj(plan, 3, g);
+  FaultInjector inj(plan, 3, g.csr());
   for (int i = 0; i < 50; ++i) {
     const auto fate = inj.next_fate(0, 0, 0);
     EXPECT_FALSE(fate.corrupted);
@@ -191,17 +191,46 @@ TEST(FaultInjector, EarliestCrashWinsAndValidates) {
   const Graph g = build::cycle(4);
   FaultPlan plan;
   plan.crashes = {{2, 9}, {2, 4}, {0, 1}};
-  FaultInjector inj(plan, 1, g);
+  FaultInjector inj(plan, 1, g.csr());
   EXPECT_EQ(inj.crash_round(2), std::optional<std::uint64_t>(4));
   EXPECT_EQ(inj.crash_round(0), std::optional<std::uint64_t>(1));
   EXPECT_EQ(inj.crash_round(1), std::nullopt);
 
   FaultPlan bad;
   bad.crashes = {{7, 0}};  // node out of range
-  EXPECT_THROW(FaultInjector(bad, 1, g), CheckFailure);
+  EXPECT_THROW(FaultInjector(bad, 1, g.csr()), CheckFailure);
   FaultPlan bad_p;
   bad_p.drop = 1.5;
-  EXPECT_THROW(FaultInjector(bad_p, 1, g), CheckFailure);
+  EXPECT_THROW(FaultInjector(bad_p, 1, g.csr()), CheckFailure);
+}
+
+TEST(FaultInjector, WidePortsGetTheirOwnStreams) {
+  // A star with 2^20 + 1 leaves. Under the key (v << 20) | p alone, the
+  // hub's port 2^20 and leaf 1's port 0 would share one stream and draw
+  // identical fates. A hand-built CSR spares the Graph build: the hub's row
+  // is 1..L, each leaf's row is {0}.
+  constexpr std::uint32_t kLeaves = (1u << 20) + 1;
+  GraphCsr star;
+  star.offsets.resize(kLeaves + 2);
+  star.neighbors.resize(2 * std::size_t{kLeaves});
+  for (std::uint32_t leaf = 1; leaf <= kLeaves; ++leaf) {
+    star.neighbors[leaf - 1] = leaf;
+    star.offsets[leaf + 1] = kLeaves + leaf;
+  }
+  star.offsets[1] = kLeaves;
+  FaultPlan plan;
+  plan.drop = 0.5;
+  plan.corrupt = 0.5;
+  FaultInjector inj(plan, 11, star);
+  bool any_difference = false;
+  for (int i = 0; i < 64; ++i) {
+    const auto hub = inj.next_fate(0, 1u << 20, 64);
+    const auto leaf = inj.next_fate(1, 0, 64);
+    any_difference |= hub.dropped != leaf.dropped ||
+                      hub.corrupted != leaf.corrupted ||
+                      hub.corrupt_bit != leaf.corrupt_bit;
+  }
+  EXPECT_TRUE(any_difference) << "links (0, 2^20) and (1, 0) share a stream";
 }
 
 // ------------------------------------------------------- link sender ARQ --

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
@@ -85,6 +86,21 @@ TEST(Graph, EdgeSetSurvivesGrowthCopyAndMove) {
   EXPECT_THROW(g.add_edge(a, a), CheckFailure);
   EXPECT_FALSE(g.add_edge_if_absent(b, a));
   EXPECT_EQ(g.num_edges(), ref.size());
+}
+
+TEST(Graph, ConstGraphIsSafeToShareAcrossThreads) {
+  // csr() builds a fresh value and writes nothing in the Graph, so threads
+  // may call it on one const Graph at once (the TSan job runs this).
+  Rng rng(5);
+  const Graph g = build::gnm(2000, 8000, rng);
+  GraphCsr a, b;
+  std::thread first([&] { a = g.csr(); });
+  std::thread second([&] { b = g.csr(); });
+  first.join();
+  second.join();
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.neighbors, b.neighbors);
+  EXPECT_EQ(a.num_directed_edges(), 2 * g.num_edges());
 }
 
 TEST(Graph, EdgesAreSortedAndComplete) {

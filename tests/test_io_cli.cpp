@@ -106,6 +106,8 @@ TEST(GraphIo, DimacsValidatesHeaderAndRange) {
   expect_failure("p edge 3 1\ne 1 2 7\n", "line 2: trailing tokens");
   expect_failure("p edge 3 1 1\ne 1 2\n", "line 1: trailing tokens");
   expect_failure("p edge 3 2\ne 1 2\n", "expected 2 edges");
+  // Only the 'edge' problem kind describes a graph.
+  expect_failure("p foo 3 2\ne 1 2\ne 2 3\n", "line 1: problem kind 'foo'");
   // Comments and blank lines after the last edge are not content.
   std::stringstream commented("p edge 3 1\ne 1 2\nc done\n\n");
   EXPECT_EQ(io::read_dimacs(commented).num_edges(), 1u);
