@@ -15,6 +15,11 @@ namespace csd::congest {
 
 namespace {
 
+/// The reliable transport's wire parameters: TransportConfig's defaults.
+/// config_digest() still mixes all four, so a checkpoint's digest does not
+/// depend on their being fixed.
+constexpr TransportConfig kTransport{};
+
 /// Synchronizer bookkeeping per node.
 struct SyncState {
   std::uint64_t pulse = 0;          // next pulse to execute
@@ -52,8 +57,8 @@ class AsyncEngine {
         reliable_(config.transport == TransportMode::Reliable),
         factory_(&factory),
         delay_rng_(derive_seed(config.seed, 0xde1a)),
-        base_rto_(config.transport_cfg.rto != 0 ? config.transport_cfg.rto
-                                                : 2ULL * config.max_delay + 4),
+        base_rto_(kTransport.rto != 0 ? kTransport.rto
+                                      : 2ULL * config.max_delay + 4),
         // Deliveries and acks land within max_delay ticks (plus FIFO slack)
         // and a packet's first two timers within 2 RTOs, so nearly every
         // event goes straight into a ring bucket.
@@ -105,10 +110,8 @@ class AsyncEngine {
       senders_.reserve(n);
       receivers_.reserve(n);
       for (Vertex v = 0; v < n; ++v) {
-        senders_.emplace_back(topology_.degree(v),
-                              LinkSender(config_.transport_cfg));
-        receivers_.emplace_back(topology_.degree(v),
-                                LinkReceiver(config.transport_cfg));
+        senders_.emplace_back(topology_.degree(v), LinkSender(kTransport));
+        receivers_.emplace_back(topology_.degree(v), LinkReceiver(kTransport));
       }
     }
 
@@ -377,8 +380,7 @@ class AsyncEngine {
                 std::uint64_t now, std::uint32_t data_src,
                 std::uint32_t data_src_port) {
     ++outcome_.acks;
-    outcome_.transport_bits +=
-        config_.transport_cfg.seq_bits + config_.transport_cfg.crc_bits;
+    outcome_.transport_bits += kTransport.seq_bits + kTransport.crc_bits;
     // The ack travels on the reverse directed link (dst, dst_port) and is
     // subject to the same drop process; it carries no payload, so the
     // corruption draw never fires (CRC-protected header abstracted away).
@@ -474,10 +476,9 @@ class AsyncEngine {
         if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::Retransmit, event.src, event.time,
                              event.link_seq);
-        outcome_.transport_bits += packet.frame.overhead_bits() +
-                                   config_.transport_cfg.seq_bits +
-                                   packet.frame.payload_bits() +
-                                   config_.transport_cfg.crc_bits;
+        outcome_.transport_bits +=
+            packet.frame.overhead_bits() + kTransport.seq_bits +
+            packet.frame.payload_bits() + kTransport.crc_bits;
         transmit(event.src, event.src_port, std::move(packet), event.time);
         arm_timer(event.src, event.src_port, event.link_seq, event.time);
         return;
@@ -633,8 +634,7 @@ class AsyncEngine {
       }
       if (reliable_) {
         DataPacket packet = senders_[v][p].packet(std::move(frame));
-        outcome_.transport_bits +=
-            config_.transport_cfg.seq_bits + config_.transport_cfg.crc_bits;
+        outcome_.transport_bits += kTransport.seq_bits + kTransport.crc_bits;
         const std::uint64_t seq = packet.seq;
         transmit(v, p, std::move(packet), sync.local_time);
         arm_timer(v, p, seq, sync.local_time);
@@ -736,10 +736,10 @@ class AsyncEngine {
     h = digest_mix(h, config_.broadcast_only ? 1 : 0);
     h = digest_mix(h, config_.max_delay);
     h = digest_mix(h, static_cast<std::uint64_t>(config_.transport));
-    h = digest_mix(h, config_.transport_cfg.rto);
-    h = digest_mix(h, config_.transport_cfg.max_retries);
-    h = digest_mix(h, config_.transport_cfg.seq_bits);
-    h = digest_mix(h, config_.transport_cfg.crc_bits);
+    h = digest_mix(h, kTransport.rto);
+    h = digest_mix(h, kTransport.max_retries);
+    h = digest_mix(h, kTransport.seq_bits);
+    h = digest_mix(h, kTransport.crc_bits);
     h = digest_mix(h, config_.recovery.enabled ? 1 : 0);
     h = digest_mix(h, config_.recovery.rejoin_delay);
     h = digest_mix(h, config_.recovery.max_recoveries);

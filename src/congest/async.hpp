@@ -83,7 +83,6 @@ struct AsyncConfig {
   FaultPlan faults;
   /// Wire discipline; Reliable restores exact semantics under faults.
   TransportMode transport = TransportMode::Raw;
-  TransportConfig transport_cfg;
   /// Per-pulse observability. Accounted at the synchronizer's frame
   /// emission (sender side, payload-carrying frames only), so a fault-free
   /// async trace matches the synchronous engine's trace bit-for-bit.

@@ -60,13 +60,6 @@ std::uint64_t LinkSender::timeout_for(std::uint64_t seq,
   return base_rto << shift;
 }
 
-std::vector<std::uint64_t> LinkSender::pending_seqs() const {
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(pending_.size());
-  for (const auto& [seq, pending] : pending_) seqs.push_back(seq);
-  return seqs;
-}
-
 LinkSenderState LinkSender::save_state() const {
   LinkSenderState state;
   state.next_seq = next_seq_;

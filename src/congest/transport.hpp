@@ -150,11 +150,6 @@ class LinkSender {
   /// Packets not yet acknowledged or abandoned.
   std::size_t in_flight() const noexcept { return pending_.size(); }
 
-  /// Sequence numbers of all in-flight packets, ascending. Used by node
-  /// recovery to re-arm retransmission timers after a rejoin (the timers a
-  /// crashed host would have serviced fired into the void).
-  std::vector<std::uint64_t> pending_seqs() const;
-
   LinkSenderState save_state() const;
   void restore_state(const LinkSenderState& state);
 

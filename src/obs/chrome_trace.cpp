@@ -10,18 +10,6 @@ namespace csd::obs {
 
 namespace {
 
-std::string instance_label(const TraceInstance& instance, std::size_t index) {
-  if (instance.meta.empty()) return "instance " + std::to_string(index);
-  std::string label;
-  for (const auto& [key, value] : instance.meta) {
-    if (!label.empty()) label += ' ';
-    label += key;
-    label += '=';
-    label += value;
-  }
-  return label;
-}
-
 Json event_base(const char* name, const char* ph, std::size_t pid) {
   Json event = Json::object();
   event.set("name", name);
@@ -42,7 +30,7 @@ void write_chrome_trace(std::ostream& os,
 
     Json name_meta = event_base("process_name", "M", i);
     Json name_args = Json::object();
-    name_args.set("name", instance_label(instance, i));
+    name_args.set("name", instance.label(i));
     name_meta.set("args", std::move(name_args));
     events.push(std::move(name_meta));
 
@@ -55,11 +43,11 @@ void write_chrome_trace(std::ostream& os,
     };
     std::size_t r = 0;
     while (r < instance.rounds.size()) {
-      if (instance.rounds[r].phase.empty()) {
+      if (!instance.rounds[r].phase) {
         ++r;
         continue;
       }
-      const std::string& phase = instance.rounds[r].phase;
+      const std::string& phase = *instance.rounds[r].phase;
       std::size_t end = r + 1;
       std::uint64_t messages = instance.rounds[r].messages;
       std::uint64_t bits = instance.rounds[r].bits;

@@ -1,6 +1,7 @@
 // Field-list codecs for the formats the system reads back: csd-ckpt-v1
-// snapshots (congest/snapshot.cpp) and csd-fuzz-case-v1 corpus files
-// (fuzz/fuzz_case.cpp).
+// snapshots (congest/snapshot.cpp), csd-fuzz-case-v1 corpus files
+// (fuzz/fuzz_case.cpp), csd-trace-v2 traces (obs/trace_analysis.hpp), and
+// csd-metrics-v2 series and csd-blackbox-v1 dumps (obs/metrics_v2.hpp).
 //
 // A record is described once, by its field list: a generic callable that
 // names each member with its key,
@@ -16,8 +17,8 @@
 // default-constructed record and fills it in. Both directions walk the same
 // list, so keys, key order and JSON kinds cannot drift apart. The list is
 // plain code: a key may depend on a field listed before it (an event's kind
-// decides whether it carries a packet), and `io.reading` guards a check only
-// a load needs.
+// decides whether it carries a packet), one list may run another's fields
+// inline, and `io.reading` guards a check only a load needs.
 //
 // A member's C++ type decides its JSON form:
 //   bool                     true / false
@@ -27,22 +28,27 @@
 //   BitVec                   {"n": length, "w": [64-bit words]}
 //   std::optional<T>         null, or T
 //   std::vector<T>           [T, ...]
+//   std::vector<std::pair<std::string, T>>
+//                            {name: T, ...}, an object keyed by name
 //   std::array<T, N>         [T, ...] with exactly N entries
 //   std::pair<A, B>          [A, B]
 // A third argument covers the rest, and applies to the elements of vectors,
-// arrays and optionals:
+// arrays and optionals and to the values of keyed objects:
 //   io(key, record, fields)  an object described by the field list `fields`
 //   io(key, e, Enum::Last)   an enum as its number, 0 .. Last
 //   io(key, e, names)        an enum as the string names[e]
 // io.tag(key, text) writes a constant string that a load insists on.
+// io.if_present(key, value) writes a member only when it is not its type's
+// empty value (nullopt, an empty vector); a load then leaves it empty.
 //
 // The reader accepts only what the writer can produce. An object holds
 // exactly the listed keys, in list order. A value has its field's JSON kind
 // and fits the field: an unsigned field rejects a number above its maximum
 // (2^32 - 1 for 32 bits), a flag anything but 0 or 1, an enum a number past
 // its last value or an unknown name, a BitVec a word count that does not
-// match its length or a bit set past it. Each failure is a CheckFailure that
-// names the key. Duplicate keys never get here: Json::parse rejects them.
+// match its length or a bit set past it, an if_present member an empty
+// value. Each failure is a CheckFailure that names the key. Duplicate keys
+// never get here: Json::parse rejects them.
 #pragma once
 
 #include <array>
@@ -76,6 +82,9 @@ template <class T> inline constexpr bool kIsOptional<std::optional<T>> = true;
 template <class T> inline constexpr bool kIsPair = false;
 template <class A, class B>
 inline constexpr bool kIsPair<std::pair<A, B>> = true;
+template <class T> inline constexpr bool kIsNamed = false;
+template <class T>
+inline constexpr bool kIsNamed<std::vector<std::pair<std::string, T>>> = true;
 template <class T> inline constexpr bool kUnsupported = false;
 
 template <class T, class Spec = NoSpec>
@@ -99,6 +108,12 @@ class FieldWriter {
     object_.set(std::string(key), codec_detail::write(value, spec));
   }
 
+  template <class T, class Spec = codec_detail::NoSpec>
+  void if_present(std::string_view key, const T& value,
+                  const Spec& spec = {}) {
+    if (!(value == T{})) (*this)(key, value, spec);
+  }
+
   void tag(std::string_view key, std::string_view text) {
     object_.set(std::string(key), std::string(text));
   }
@@ -118,6 +133,14 @@ class FieldReader {
   template <class T, class Spec = codec_detail::NoSpec>
   void operator()(std::string_view key, T& value, const Spec& spec = {}) {
     codec_detail::read(next(key), key, value, spec);
+  }
+
+  template <class T, class Spec = codec_detail::NoSpec>
+  void if_present(std::string_view key, T& value, const Spec& spec = {}) {
+    if (next_ == members_.size() || members_[next_].first != key) return;
+    (*this)(key, value, spec);
+    CSD_CHECK_MSG(!(value == T{}),
+                  "key '" << key << "' is written only when present");
   }
 
   void tag(std::string_view key, std::string_view text) {
@@ -185,12 +208,26 @@ inline std::uint64_t read_number(const Json& j, std::string_view key,
 
 template <class T, class Spec>
 Json write(const T& value, const Spec& spec) {
-  if constexpr (kIsVector<T> || kIsArray<T>) {
+  if constexpr (kIsNamed<T>) {
+    Json out = Json::object();
+    for (const auto& [name, item] : value) out.set(name, write(item, spec));
+    return out;
+  } else if constexpr (kIsVector<T> || kIsArray<T>) {
     Json out = Json::array();
+    out.reserve(value.size());
     for (const auto& item : value) out.push(write(item, spec));
     return out;
   } else if constexpr (kIsOptional<T>) {
     return value.has_value() ? write(*value, spec) : Json();
+  } else if constexpr (std::is_enum_v<T> && std::is_same_v<Spec, T>) {
+    return Json(static_cast<std::uint64_t>(value));
+  } else if constexpr (std::is_enum_v<T>) {
+    return Json(spec[static_cast<std::size_t>(value)]);
+  } else if constexpr (!std::is_same_v<Spec, NoSpec>) {
+    Json out = Json::object();
+    FieldWriter fields(out);
+    spec(fields, value);
+    return out;
   } else if constexpr (kIsPair<T>) {
     Json out = Json::array();
     out.push(write(value.first));
@@ -200,15 +237,6 @@ Json write(const T& value, const Spec& spec) {
     Json out = Json::object();
     out.set("n", std::uint64_t{value.size()});
     out.set("w", write(value.words()));
-    return out;
-  } else if constexpr (std::is_enum_v<T> && std::is_same_v<Spec, T>) {
-    return Json(static_cast<std::uint64_t>(value));
-  } else if constexpr (std::is_enum_v<T>) {
-    return Json(spec[static_cast<std::size_t>(value)]);
-  } else if constexpr (!std::is_same_v<Spec, NoSpec>) {
-    Json out = Json::object();
-    FieldWriter fields(out);
-    spec(fields, value);
     return out;
   } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
                        std::is_same_v<T, std::string>) {
@@ -222,7 +250,15 @@ Json write(const T& value, const Spec& spec) {
 
 template <class T, class Spec>
 void read(const Json& j, std::string_view key, T& value, const Spec& spec) {
-  if constexpr (kIsVector<T>) {
+  if constexpr (kIsNamed<T>) {
+    expect_kind(j, Json::Kind::Object, key);
+    value.clear();
+    for (const auto& [name, item] : j.members()) {
+      auto& [entry_name, entry] = value.emplace_back();
+      entry_name = name;
+      read(item, key, entry, spec);
+    }
+  } else if constexpr (kIsVector<T>) {
     expect_kind(j, Json::Kind::Array, key);
     value.clear();
     value.reserve(j.items().size());
@@ -240,6 +276,21 @@ void read(const Json& j, std::string_view key, T& value, const Spec& spec) {
       value.reset();
     else
       read(j, key, value.emplace(), spec);
+  } else if constexpr (std::is_enum_v<T> && std::is_same_v<Spec, T>) {
+    value = static_cast<T>(
+        read_number(j, key, static_cast<std::uint64_t>(spec)));
+  } else if constexpr (std::is_enum_v<T>) {
+    expect_kind(j, Json::Kind::String, key);
+    std::size_t index = 0;
+    while (index < spec.size() && j.as_string() != spec[index]) ++index;
+    CSD_CHECK_MSG(index < spec.size(), "key '" << key << "': unknown name '"
+                                               << j.as_string() << "'");
+    value = static_cast<T>(index);
+  } else if constexpr (!std::is_same_v<Spec, NoSpec>) {
+    expect_kind(j, Json::Kind::Object, key);
+    FieldReader fields(j);
+    spec(fields, value);
+    fields.finish();
   } else if constexpr (kIsPair<T>) {
     expect_kind(j, Json::Kind::Array, key);
     CSD_CHECK_MSG(j.items().size() == 2, "key '" << key << "' wants a pair");
@@ -265,21 +316,6 @@ void read(const Json& j, std::string_view key, T& value, const Spec& spec) {
     }
     CSD_CHECK_MSG(length == 0,
                   "key '" << key << "': bit vector has fewer words than bits");
-  } else if constexpr (std::is_enum_v<T> && std::is_same_v<Spec, T>) {
-    value = static_cast<T>(
-        read_number(j, key, static_cast<std::uint64_t>(spec)));
-  } else if constexpr (std::is_enum_v<T>) {
-    expect_kind(j, Json::Kind::String, key);
-    std::size_t index = 0;
-    while (index < spec.size() && j.as_string() != spec[index]) ++index;
-    CSD_CHECK_MSG(index < spec.size(), "key '" << key << "': unknown name '"
-                                               << j.as_string() << "'");
-    value = static_cast<T>(index);
-  } else if constexpr (!std::is_same_v<Spec, NoSpec>) {
-    expect_kind(j, Json::Kind::Object, key);
-    FieldReader fields(j);
-    spec(fields, value);
-    fields.finish();
   } else if constexpr (std::is_same_v<T, bool>) {
     expect_kind(j, Json::Kind::Bool, key);
     value = j.as_bool();

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "support/check.hpp"
 
@@ -98,40 +97,44 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
   return object_;
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
+static void write_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;  // start of the characters still to copy as they are
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        os << "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        os << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        os << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        os << "\\t";
+        out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
-  os << '"';
+  out.append(s, run);
+  out += '"';
 }
 
-std::string format_json_double(double value) {
+/// Shortest round-trip formatting for doubles ("1.5", "0.125", "1e-09"...);
+/// integral-valued doubles gain a trailing ".0" so they re-parse as Double.
+static std::string format_json_double(double value) {
   CSD_CHECK_MSG(std::isfinite(value),
                 "JSON cannot represent non-finite number");
   char buf[32];
@@ -144,44 +147,48 @@ std::string format_json_double(double value) {
 }
 
 void Json::write(std::ostream& os, int indent) const {
-  write_indented(os, indent, 0);
+  os << dump(indent);
 }
 
 std::string Json::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent);
-  return os.str();
+  std::string out;
+  write_indented(out, indent, 0);
+  return out;
 }
 
-void Json::write_indented(std::ostream& os, int indent, int depth) const {
+void Json::write_indented(std::string& out, int indent, int depth) const {
   const bool pretty = indent >= 0;
   const auto newline_pad = [&](int d) {
     if (!pretty) return;
-    os << '\n';
-    for (int i = 0; i < indent * d; ++i) os << ' ';
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * d), ' ');
+  };
+  const auto number = [&](auto value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   };
   switch (kind_) {
     case Kind::Null:
-      os << "null";
+      out += "null";
       break;
     case Kind::Bool:
-      os << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       break;
     case Kind::Uint:
-      os << uint_;
+      number(uint_);
       break;
     case Kind::Int:
-      os << int_;
+      number(int_);
       break;
     case Kind::Double:
-      os << format_json_double(double_);
+      out += format_json_double(double_);
       break;
     case Kind::String:
-      write_json_string(os, string_);
+      write_json_string(out, string_);
       break;
     case Kind::Array: {
       if (array_.empty()) {
-        os << "[]";
+        out += "[]";
         break;
       }
       // Arrays of scalars stay on one line even in pretty mode (the trace
@@ -190,31 +197,31 @@ void Json::write_indented(std::ostream& os, int indent, int depth) const {
       for (const Json& item : array_)
         scalar_only = scalar_only && item.kind_ != Kind::Array &&
                       item.kind_ != Kind::Object;
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) os << (scalar_only && pretty ? ", " : ",");
+        if (i > 0) out += scalar_only && pretty ? ", " : ",";
         if (!scalar_only) newline_pad(depth + 1);
-        array_[i].write_indented(os, scalar_only ? -1 : indent, depth + 1);
+        array_[i].write_indented(out, scalar_only ? -1 : indent, depth + 1);
       }
       if (!scalar_only) newline_pad(depth);
-      os << ']';
+      out += ']';
       break;
     }
     case Kind::Object: {
       if (object_.empty()) {
-        os << "{}";
+        out += "{}";
         break;
       }
-      os << '{';
+      out += '{';
       for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) os << ',';
+        if (i > 0) out += ',';
         newline_pad(depth + 1);
-        write_json_string(os, object_[i].first);
-        os << (pretty ? ": " : ":");
-        object_[i].second.write_indented(os, indent, depth + 1);
+        write_json_string(out, object_[i].first);
+        out += pretty ? ": " : ":";
+        object_[i].second.write_indented(out, indent, depth + 1);
       }
       newline_pad(depth);
-      os << '}';
+      out += '}';
       break;
     }
   }

@@ -84,6 +84,7 @@ class Json {
 
   // -- arrays ---------------------------------------------------------------
   Json& push(Json value);
+  void reserve(std::size_t items) { array_.reserve(items); }
   const std::vector<Json>& items() const;
 
   // -- objects (insertion-ordered) ------------------------------------------
@@ -106,7 +107,7 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
 
  private:
-  void write_indented(std::ostream& os, int indent, int depth) const;
+  void write_indented(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
@@ -117,12 +118,5 @@ class Json {
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
-
-/// JSON string escaping (shared with the JSONL trace sink).
-void write_json_string(std::ostream& os, std::string_view s);
-
-/// Shortest round-trip formatting for doubles ("1.5", "0.125", "1e-09"...);
-/// integral-valued doubles gain a trailing ".0" so they re-parse as Double.
-std::string format_json_double(double value);
 
 }  // namespace csd::obs

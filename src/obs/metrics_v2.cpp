@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 
+#include "obs/codec.hpp"
 #include "support/check.hpp"
 
 namespace csd::obs {
@@ -19,24 +20,10 @@ std::uint64_t wall_epoch_ms() {
 
 }  // namespace
 
-const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::SuperstepBarrier: return "superstep_barrier";
-    case EventKind::ChannelExchange: return "channel_exchange";
-    case EventKind::Retransmit: return "retransmit";
-    case EventKind::ChecksumReject: return "checksum_reject";
-    case EventKind::FrameDropped: return "frame_dropped";
-    case EventKind::FrameCorrupted: return "frame_corrupted";
-    case EventKind::NodeCrash: return "node_crash";
-    case EventKind::NodeRecover: return "node_recover";
-    case EventKind::CheckpointSave: return "checkpoint_save";
-    case EventKind::WatchdogStall: return "watchdog_stall";
-    case EventKind::Violation: return "violation";
-    case EventKind::StallReport: return "stall_report";
-    case EventKind::ResumeReject: return "resume_reject";
-    case EventKind::FatalSignal: return "fatal_signal";
-  }
-  return "unknown";
+std::uint64_t MetricsSample::counter(const std::string& name) const {
+  for (const auto& [key, value] : counters)
+    if (key == name) return value;
+  return 0;
 }
 
 Telemetry::Telemetry(std::size_t ring_capacity) {
@@ -48,37 +35,29 @@ Telemetry::Telemetry(std::size_t ring_capacity) {
 
 Telemetry::~Telemetry() { stop_sampler(); }
 
-Counter Telemetry::counter(const std::string& name) {
+std::atomic<std::uint64_t>* Telemetry::cells(std::vector<NamedCell>& kind,
+                                             const std::string& name,
+                                             std::size_t width) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (NamedCell& cell : counters_)
-    if (cell.name == name) return Counter(&cell.cells[0]);
-  counters_.push_back(
-      {name, std::make_unique<std::atomic<std::uint64_t>[]>(1)});
-  counters_.back().cells[0].store(0, std::memory_order_relaxed);
-  return Counter(&counters_.back().cells[0]);
+  for (NamedCell& cell : kind)
+    if (cell.name == name) return cell.cells.get();
+  // make_unique value-initializes: every new cell starts at 0.
+  kind.push_back(
+      {name, std::make_unique<std::atomic<std::uint64_t>[]>(width)});
+  return kind.back().cells.get();
+}
+
+Counter Telemetry::counter(const std::string& name) {
+  return Counter(cells(counters_, name, 1));
 }
 
 Gauge Telemetry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (NamedCell& cell : gauges_)
-    if (cell.name == name) return Gauge(&cell.cells[0], &cell.cells[1]);
-  gauges_.push_back(
-      {name, std::make_unique<std::atomic<std::uint64_t>[]>(2)});
-  gauges_.back().cells[0].store(0, std::memory_order_relaxed);
-  gauges_.back().cells[1].store(0, std::memory_order_relaxed);
-  return Gauge(&gauges_.back().cells[0], &gauges_.back().cells[1]);
+  std::atomic<std::uint64_t>* const value_and_high = cells(gauges_, name, 2);
+  return Gauge(value_and_high, value_and_high + 1);
 }
 
 Histogram Telemetry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (NamedCell& cell : histograms_)
-    if (cell.name == name) return Histogram(cell.cells.get());
-  histograms_.push_back(
-      {name,
-       std::make_unique<std::atomic<std::uint64_t>[]>(Histogram::kBuckets)});
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
-    histograms_.back().cells[i].store(0, std::memory_order_relaxed);
-  return Histogram(histograms_.back().cells.get());
+  return Histogram(cells(histograms_, name, Histogram::kBuckets));
 }
 
 void Telemetry::record(EventKind kind, std::uint32_t actor, std::uint64_t at,
@@ -88,11 +67,7 @@ void Telemetry::record(EventKind kind, std::uint32_t actor, std::uint64_t at,
   // Invalidate first so a concurrent reader of the previous occupant
   // notices the rewrite in progress, then stamp on completion.
   slot.stamp.store(0, std::memory_order_relaxed);
-  slot.kind = kind;
-  slot.actor = actor;
-  slot.at = at;
-  slot.value = value;
-  slot.epoch_ms = wall_epoch_ms();
+  slot.event = {kind, actor, at, value, wall_epoch_ms()};
   slot.stamp.store(seq + 1, std::memory_order_release);
 }
 
@@ -106,12 +81,7 @@ std::vector<FlightEvent> Telemetry::events() const {
     const Slot& slot = slots_[seq & mask_];
     if (slot.stamp.load(std::memory_order_acquire) != seq + 1)
       continue;  // torn or already overwritten by a racing writer
-    FlightEvent event;
-    event.kind = slot.kind;
-    event.actor = slot.actor;
-    event.at = slot.at;
-    event.value = slot.value;
-    event.epoch_ms = slot.epoch_ms;
+    const FlightEvent event = slot.event;
     // Re-check the stamp: if a writer lapped us mid-copy the fields above
     // may be torn — drop the event instead of reporting garbage.
     if (slot.stamp.load(std::memory_order_acquire) != seq + 1) continue;
@@ -120,80 +90,46 @@ std::vector<FlightEvent> Telemetry::events() const {
   return out;
 }
 
-Json Telemetry::metrics_json() const {
+MetricsSample Telemetry::snapshot() const {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto sorted_names = [](const std::vector<NamedCell>& cells) {
-    std::vector<const NamedCell*> sorted;
-    sorted.reserve(cells.size());
-    for (const NamedCell& cell : cells) sorted.push_back(&cell);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const NamedCell* a, const NamedCell* b) {
-                return a->name < b->name;
-              });
-    return sorted;
+  const auto load = [](const NamedCell& cell, std::size_t i) {
+    return cell.cells[i].load(std::memory_order_relaxed);
   };
-
-  Json doc = Json::object();
-  Json counters = Json::object();
-  for (const NamedCell* cell : sorted_names(counters_))
-    counters.set(cell->name,
-                 Json(cell->cells[0].load(std::memory_order_relaxed)));
-  doc.set("counters", std::move(counters));
-
-  Json gauges = Json::object();
-  for (const NamedCell* cell : sorted_names(gauges_)) {
-    Json g = Json::object();
-    g.set("value", Json(cell->cells[0].load(std::memory_order_relaxed)));
-    g.set("high_water",
-          Json(cell->cells[1].load(std::memory_order_relaxed)));
-    gauges.set(cell->name, std::move(g));
+  MetricsSample plane;
+  for (const NamedCell& cell : counters_)
+    plane.counters.emplace_back(cell.name, load(cell, 0));
+  for (const NamedCell& cell : gauges_)
+    plane.gauges.emplace_back(cell.name,
+                              std::pair{load(cell, 0), load(cell, 1)});
+  for (const NamedCell& cell : histograms_) {
+    auto& [name, buckets] = plane.histograms.emplace_back();
+    name = cell.name;
+    // Sparse: (bucket, count) pairs for non-empty buckets only.
+    for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
+      if (const std::uint64_t count = load(cell, i); count != 0)
+        buckets.emplace_back(i, count);
   }
-  doc.set("gauges", std::move(gauges));
+  // By name (names are unique): the same contract as the trace summary.
+  std::sort(plane.counters.begin(), plane.counters.end());
+  std::sort(plane.gauges.begin(), plane.gauges.end());
+  std::sort(plane.histograms.begin(), plane.histograms.end());
+  return plane;
+}
 
-  Json histograms = Json::object();
-  for (const NamedCell* cell : sorted_names(histograms_)) {
-    // Sparse encoding: [bucket, count] pairs for non-empty buckets only.
-    Json buckets = Json::array();
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t count =
-          cell->cells[i].load(std::memory_order_relaxed);
-      if (count == 0) continue;
-      Json pair = Json::array();
-      pair.push(Json(static_cast<std::uint64_t>(i)));
-      pair.push(Json(count));
-      buckets.push(std::move(pair));
-    }
-    histograms.set(cell->name, std::move(buckets));
-  }
-  doc.set("histograms", std::move(histograms));
-  return doc;
+Json Telemetry::metrics_json() const {
+  return encode(snapshot(), metric_plane_fields);
 }
 
 Json Telemetry::blackbox_json(const std::string& reason) const {
-  const std::vector<FlightEvent> ring = events();
-  Json doc = Json::object();
-  doc.set("schema", Json("csd-blackbox-v1"));
-  doc.set("reason", Json(reason));
-  doc.set("epoch_ms", Json(wall_epoch_ms()));
-  const std::uint64_t recorded = events_recorded();
-  doc.set("events_recorded", Json(recorded));
-  doc.set("events_kept", Json(static_cast<std::uint64_t>(ring.size())));
-  const std::uint64_t window =
-      std::min<std::uint64_t>(recorded, slots_.size());
-  doc.set("torn", Json(window - ring.size()));
-  Json events = Json::array();
-  for (const FlightEvent& event : ring) {
-    Json e = Json::object();
-    e.set("kind", Json(to_string(event.kind)));
-    e.set("actor", Json(event.actor));
-    e.set("at", Json(event.at));
-    e.set("value", Json(event.value));
-    e.set("epoch_ms", Json(event.epoch_ms));
-    events.push(std::move(e));
-  }
-  doc.set("events", std::move(events));
-  doc.set("metrics", metrics_json());
-  return doc;
+  BlackboxDump dump;
+  dump.events = events();
+  dump.reason = reason;
+  dump.epoch_ms = wall_epoch_ms();
+  dump.events_recorded = events_recorded();
+  dump.torn = std::min<std::uint64_t>(dump.events_recorded, slots_.size()) -
+              dump.events.size();
+  dump.metrics = snapshot();
+  return encode(dump, blackbox_fields);
 }
 
 bool Telemetry::dump_blackbox(const std::string& path,
@@ -246,18 +182,14 @@ void Telemetry::sampler_loop() {
 }
 
 void Telemetry::write_sample(std::uint64_t index) {
-  Json sample = Json::object();
-  sample.set("schema", Json("csd-metrics-v2"));
-  sample.set("sample", Json(index));
-  sample.set("epoch_ms", Json(wall_epoch_ms()));
-  sample.set("events_recorded", Json(events_recorded()));
-  const Json metrics = metrics_json();
-  sample.set("counters", metrics.at("counters"));
-  sample.set("gauges", metrics.at("gauges"));
-  sample.set("histograms", metrics.at("histograms"));
+  MetricsSample sample = snapshot();
+  sample.sample = index;
+  sample.epoch_ms = wall_epoch_ms();
+  sample.events_recorded = events_recorded();
   std::ofstream os(series_path_, std::ios::app);
   if (!os.good()) return;  // best-effort: sampling must never kill a run
-  os << sample.dump(-1) << '\n';
+  encode(sample, metrics_sample_fields).write(os, -1);
+  os << '\n';
 }
 
 }  // namespace csd::obs

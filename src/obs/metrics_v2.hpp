@@ -32,6 +32,7 @@
 // fatal signals (the CLI owns the triggers; see tools/cli.cpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -45,11 +46,12 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "support/check.hpp"
 
 namespace csd::obs {
 
-/// What happened. The names are the wire strings of csd-blackbox-v1
-/// (to_string below), which `csd postmortem` counts by kind.
+/// What happened. kEventKindNames holds the wire strings of csd-blackbox-v1,
+/// which `csd postmortem` counts by kind.
 enum class EventKind : std::uint8_t {
   SuperstepBarrier,   ///< sync kernel, W >= 2: one superstep's barrier
   ChannelExchange,    ///< sync kernel, W >= 2: one worker's remote frames
@@ -67,7 +69,16 @@ enum class EventKind : std::uint8_t {
   FatalSignal,        ///< process-level signal (CLI handler)
 };
 
-const char* to_string(EventKind kind) noexcept;
+inline constexpr std::array<const char*, 14> kEventKindNames = {
+    "superstep_barrier", "channel_exchange", "retransmit",
+    "checksum_reject",   "frame_dropped",    "frame_corrupted",
+    "node_crash",        "node_recover",     "checkpoint_save",
+    "watchdog_stall",    "violation",        "stall_report",
+    "resume_reject",     "fatal_signal"};
+
+inline const char* to_string(EventKind kind) noexcept {
+  return kEventKindNames[static_cast<std::size_t>(kind)];
+}
 
 /// One flight-recorder entry. `actor` is a node, worker, or repetition
 /// index (kind-dependent); `at` is model time (round / pulse / wave);
@@ -79,6 +90,81 @@ struct FlightEvent {
   std::uint64_t at = 0;
   std::uint64_t value = 0;
   std::uint64_t epoch_ms = 0;
+};
+
+/// The metric plane at one instant, names in sorted order: one
+/// csd-metrics-v2 series line, or (without its first three members) a dump's
+/// `metrics`.
+struct MetricsSample {
+  std::uint64_t sample = 0;
+  std::uint64_t epoch_ms = 0;
+  std::uint64_t events_recorded = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  /// name -> (value, high_water).
+  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
+      gauges;
+  /// name -> sparse (bucket, count) pairs; bucket i >= 1 covers
+  /// [2^(i-1), 2^i), bucket 0 counts zeros.
+  std::vector<std::pair<std::string,
+                        std::vector<std::pair<std::uint64_t, std::uint64_t>>>>
+      histograms;
+
+  std::uint64_t counter(const std::string& name) const;
+};
+
+/// A csd-blackbox-v1 document: the ring, oldest first (its `events_kept` is
+/// events.size()), and a final metric snapshot.
+struct BlackboxDump {
+  std::string reason;
+  std::uint64_t epoch_ms = 0;
+  std::uint64_t events_recorded = 0;
+  std::uint64_t torn = 0;
+  std::vector<FlightEvent> events;
+  MetricsSample metrics;
+};
+
+/// The csd-metrics-v2 and csd-blackbox-v1 field lists (obs/codec.hpp):
+/// Telemetry encodes, parse_metrics_series and `csd postmortem` decode.
+inline constexpr auto gauge_fields = [](auto& io, auto& r) {
+  io("value", r.first);
+  io("high_water", r.second);
+};
+
+inline constexpr auto metric_plane_fields = [](auto& io, auto& r) {
+  io("counters", r.counters);
+  io("gauges", r.gauges, gauge_fields);
+  io("histograms", r.histograms);
+};
+
+inline constexpr auto metrics_sample_fields = [](auto& io, auto& r) {
+  io.tag("schema", "csd-metrics-v2");
+  io("sample", r.sample);
+  io("epoch_ms", r.epoch_ms);
+  io("events_recorded", r.events_recorded);
+  metric_plane_fields(io, r);
+};
+
+inline constexpr auto flight_event_fields = [](auto& io, auto& r) {
+  io("kind", r.kind, kEventKindNames);
+  io("actor", r.actor);
+  io("at", r.at);
+  io("value", r.value);
+  io("epoch_ms", r.epoch_ms);
+};
+
+inline constexpr auto blackbox_fields = [](auto& io, auto& r) {
+  io.tag("schema", "csd-blackbox-v1");
+  io("reason", r.reason);
+  io("epoch_ms", r.epoch_ms);
+  io("events_recorded", r.events_recorded);
+  std::uint64_t kept = r.events.size();
+  io("events_kept", kept);
+  io("torn", r.torn);
+  io("events", r.events, flight_event_fields);
+  CSD_CHECK_MSG(kept == r.events.size(), "key 'events_kept' is "
+                                             << kept << " but 'events' holds "
+                                             << r.events.size());
+  io("metrics", r.metrics, metric_plane_fields);
 };
 
 /// Handle to one registered counter. Copyable, trivially destructible; the
@@ -201,14 +287,10 @@ class Telemetry {
   bool sampling() const noexcept { return sampler_.joinable(); }
 
   // -- snapshots / post-mortem ------------------------------------------
-  /// The metric plane as insertion-ordered JSON:
-  /// {"counters":{...},"gauges":{name:{"value":..,"high_water":..}},
-  ///  "histograms":{name:[nonempty (bucket,count) pairs...]}}.
-  /// Names are emitted in sorted order (same contract as the trace summary).
+  /// The metric plane as a dump's `metrics` object (metric_plane_fields).
   Json metrics_json() const;
 
-  /// The full csd-blackbox-v1 document: reason, epoch, ring contents
-  /// (oldest first), and a final metric snapshot.
+  /// The full csd-blackbox-v1 document (BlackboxDump).
   Json blackbox_json(const std::string& reason) const;
 
   /// Write blackbox_json(reason) to `path` (pretty-printed). Best-effort:
@@ -220,13 +302,10 @@ class Telemetry {
  private:
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};  // seq + 1 once fully written
-    EventKind kind = EventKind::SuperstepBarrier;
-    std::uint32_t actor = 0;
-    std::uint64_t at = 0;
-    std::uint64_t value = 0;
-    std::uint64_t epoch_ms = 0;
+    FlightEvent event;
   };
 
+  MetricsSample snapshot() const;
   void sampler_loop();
   void write_sample(std::uint64_t index);
 
@@ -240,6 +319,9 @@ class Telemetry {
   std::vector<NamedCell> counters_;
   std::vector<NamedCell> gauges_;
   std::vector<NamedCell> histograms_;
+  /// The `width` cells registered under `name` in `kind`, made on first use.
+  std::atomic<std::uint64_t>* cells(std::vector<NamedCell>& kind,
+                                    const std::string& name, std::size_t width);
 
   // Ring.
   std::vector<Slot> slots_;

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
-#include "obs/json.hpp"
+#include "obs/codec.hpp"
+#include "obs/trace_analysis.hpp"
 #include "support/bits.hpp"
 #include "support/check.hpp"
 
@@ -180,47 +181,32 @@ std::uint64_t RunTrace::approx_bytes() const noexcept {
 }
 
 void RunTrace::write_jsonl(std::ostream& os) const {
-  const auto write_u64_array = [&](const char* key,
-                                   const std::vector<std::uint64_t>& values) {
-    os << ",\"" << key << "\":[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) os << ',';
-      os << values[i];
-    }
-    os << ']';
+  TraceLine line;
+  const auto write = [&] {
+    encode(line, trace_line_fields).write(os, -1);
+    os << '\n';
   };
+  TraceInstance& instance = line.instance;
+  instance.nodes = num_nodes_;
+  instance.declared_rounds = rounds_.size();
+  instance.segments = segments();
+  instance.per_node = options_.per_node;
+  instance.per_edge = options_.per_edge;
+  instance.meta = meta_;
+  instance.segment_starts = segment_starts_;
+  write();
 
-  os << "{\"type\":\"header\",\"schema\":\"csd-trace-v2\",\"nodes\":"
-     << num_nodes_ << ",\"rounds\":" << rounds_.size()
-     << ",\"segments\":" << segments() << ",\"per_node\":"
-     << (options_.per_node ? "true" : "false") << ",\"per_edge\":"
-     << (options_.per_edge ? "true" : "false");
-  if (!meta_.empty()) {
-    os << ",\"meta\":{";
-    for (std::size_t i = 0; i < meta_.size(); ++i) {
-      if (i > 0) os << ',';
-      write_json_string(os, meta_[i].first);
-      os << ':';
-      write_json_string(os, meta_[i].second);
-    }
-    os << '}';
-  }
-  if (!segment_starts_.empty())
-    write_u64_array("segment_starts", segment_starts_);
-  os << "}\n";
-
+  line.type = TraceLine::Type::Round;
   for (const RoundRecord& rec : rounds_) {
-    os << "{\"type\":\"round\",\"round\":" << rec.round
-       << ",\"messages\":" << rec.messages << ",\"bits\":" << rec.bits;
-    if (rec.phase >= 0) {
-      os << ",\"phase\":";
-      write_json_string(os, phase_names_[static_cast<std::size_t>(rec.phase)]);
-    }
+    const auto phase = static_cast<std::size_t>(rec.phase);
+    line.round = {rec.round, rec.messages, rec.bits,
+                  rec.phase < 0 ? std::nullopt
+                                : std::optional{phase_names_[phase]}};
     if (options_.per_node) {
-      write_u64_array("node_messages", rec.node_messages);
-      write_u64_array("node_bits", rec.node_bits);
+      line.node_messages = rec.node_messages;
+      line.node_bits = rec.node_bits;
     }
-    os << "}\n";
+    write();
   }
 
   if (options_.per_edge) {
@@ -228,69 +214,39 @@ void RunTrace::write_jsonl(std::ostream& os) const {
     keys.reserve(edges_.size());
     for (const auto& [key, edge] : edges_) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
+    line.type = TraceLine::Type::Edge;
     for (const std::uint64_t key : keys) {
       const EdgeRecord& edge = edges_.at(key);
-      os << "{\"type\":\"edge\",\"src\":" << (key >> 32)
-         << ",\"dst\":" << (key & 0xffffffffULL)
-         << ",\"messages\":" << edge.messages << ",\"bits\":" << edge.bits
-         << "}\n";
+      line.edge = {static_cast<std::uint32_t>(key >> 32),
+                   static_cast<std::uint32_t>(key), edge.messages, edge.bits};
+      write();
     }
   }
 
-  os << "{\"type\":\"summary\",\"total_messages\":" << total_messages_
-     << ",\"total_bits\":" << total_bits_;
-  if (options_.histogram) write_u64_array("size_histogram", histogram_);
-  if (!phase_names_.empty()) {
-    // Per-phase totals in first-declaration order; rounds without a
-    // declared phase stay unattributed (visible as the difference from the
-    // run totals).
-    struct PhaseTotal {
-      std::uint64_t rounds = 0;
-      std::uint64_t messages = 0;
-      std::uint64_t bits = 0;
-    };
-    std::vector<PhaseTotal> totals(phase_names_.size());
-    for (const RoundRecord& rec : rounds_) {
-      if (rec.phase < 0) continue;
-      PhaseTotal& total = totals[static_cast<std::size_t>(rec.phase)];
-      ++total.rounds;
-      total.messages += rec.messages;
-      total.bits += rec.bits;
-    }
-    os << ",\"phases\":[";
-    for (std::size_t i = 0; i < phase_names_.size(); ++i) {
-      if (i > 0) os << ',';
-      os << "{\"name\":";
-      write_json_string(os, phase_names_[i]);
-      os << ",\"rounds\":" << totals[i].rounds
-         << ",\"messages\":" << totals[i].messages
-         << ",\"bits\":" << totals[i].bits << '}';
-    }
-    os << ']';
+  line.type = TraceLine::Type::Summary;
+  instance.total_messages = total_messages_;
+  instance.total_bits = total_bits_;
+  if (options_.histogram) instance.size_histogram = histogram_;
+  // Per-phase totals in first-declaration order; rounds without a declared
+  // phase stay unattributed (visible as the difference from the run
+  // totals).
+  for (const std::string& name : phase_names_)
+    instance.phases.push_back({name});
+  for (const RoundRecord& rec : rounds_) {
+    if (rec.phase < 0) continue;
+    TraceInstance::Phase& phase =
+        instance.phases[static_cast<std::size_t>(rec.phase)];
+    ++phase.rounds;
+    phase.messages += rec.messages;
+    phase.bits += rec.bits;
   }
-  // Non-zero counters only: a clean run's summary is byte-identical whether
-  // it came from the sync engine (which never registers transport counters
-  // above zero) or the async one. Emission is in sorted-name order — the
-  // registry itself stays insertion-ordered (callers rely on that), but the
-  // summary must not depend on which engine path registered a counter
-  // first (DESIGN.md §14 documents this contract).
-  std::vector<const std::pair<std::string, std::uint64_t>*> nonzero;
+  // Non-zero counters only, by name: a clean run's summary is the same
+  // bytes from either engine, whichever registered a counter first (the
+  // sync engine never raises a transport counter; DESIGN.md §14).
   for (const auto& entry : counters_.entries())
-    if (entry.second != 0) nonzero.push_back(&entry);
-  if (!nonzero.empty()) {
-    std::sort(nonzero.begin(), nonzero.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-    os << ",\"counters\":{";
-    bool first = true;
-    for (const auto* entry : nonzero) {
-      if (!first) os << ',';
-      first = false;
-      write_json_string(os, entry->first);
-      os << ':' << entry->second;
-    }
-    os << '}';
-  }
-  os << "}\n";
+    if (entry.second != 0) instance.counters.push_back(entry);
+  std::sort(instance.counters.begin(), instance.counters.end());
+  write();
 }
 
 }  // namespace csd::obs

@@ -24,15 +24,16 @@
 // claims), engine counters (set_counters), and free-form header metadata
 // (set_meta — instance parameters, so multi-instance JSONL files demux).
 //
-// The JSONL sink writes one compact JSON object per line: a header, one
-// line per round, one line per directed edge (per_edge only, sorted by
-// (src, dst)), and a summary with histogram / per-phase totals / non-zero
-// counters — machine-exact trajectories for bench_compare and
-// `csd analyze`. Everything emitted is a pure function of the
-// recorded model-level data: no timestamps, no pointers, no wall clock
-// (EngineTimers lives in RunMetrics for exactly that reason), so a
-// fault-free async trace is byte-identical to the synchronous one and any
-// trace is byte-identical at every --jobs count.
+// The JSONL sink writes one compact JSON object per line, each encoded by
+// trace_line_fields (obs/trace_analysis.hpp): a header, one line per round,
+// one line per directed edge (per_edge only, sorted by (src, dst)), and a
+// summary with histogram / per-phase totals / non-zero counters —
+// machine-exact trajectories for bench_compare and `csd analyze`.
+// Everything emitted is a pure function of the recorded model-level data:
+// no timestamps, no pointers, no wall clock (EngineTimers lives in
+// RunMetrics for exactly that reason), so a fault-free async trace is
+// byte-identical to the synchronous one and any trace is byte-identical at
+// every --jobs count.
 #pragma once
 
 #include <cstdint>

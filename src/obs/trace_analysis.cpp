@@ -4,8 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <tuple>
 
-#include "obs/json.hpp"
+#include "obs/codec.hpp"
 #include "support/check.hpp"
 
 namespace csd::obs {
@@ -40,82 +41,87 @@ std::string TraceInstance::fit_group() const {
   return "";
 }
 
+std::string TraceInstance::label(std::size_t index) const {
+  if (meta.empty()) return "instance " + std::to_string(index);
+  std::string text;
+  for (const auto& [key, value] : meta)
+    text += (text.empty() ? "" : " ") + key + "=" + value;
+  return text;
+}
+
 std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
+  using Type = TraceLine::Type;
   std::vector<TraceInstance> instances;
-  TraceInstance* current = nullptr;
-  bool summary_seen = true;  // a header must open each instance
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const Json doc = Json::parse(line);
-    const std::string& type = doc.at("type").as_string();
-    if (type == "header") {
-      CSD_CHECK_MSG(summary_seen,
-                    "trace line " << line_no
-                                  << ": header before previous summary");
-      summary_seen = false;
-      instances.emplace_back();
-      current = &instances.back();
-      const std::string& schema = doc.at("schema").as_string();
-      CSD_CHECK_MSG(schema == "csd-trace-v1" || schema == "csd-trace-v2",
-                    "trace line " << line_no << ": unknown schema " << schema);
-      current->nodes = doc.at("nodes").as_uint();
-      current->declared_rounds = doc.at("rounds").as_uint();
-      current->segments = doc.at("segments").as_uint();
-      current->per_node = doc.at("per_node").as_bool();
-      if (const Json* per_edge = doc.find("per_edge"))
-        current->per_edge = per_edge->as_bool();
-      if (const Json* meta = doc.find("meta"))
-        for (const auto& [key, value] : meta->members())
-          current->meta.emplace_back(key, value.as_string());
-      if (const Json* starts = doc.find("segment_starts"))
-        for (const Json& start : starts->items())
-          current->segment_starts.push_back(start.as_uint());
-      continue;
-    }
-    CSD_CHECK_MSG(current != nullptr && !summary_seen,
-                  "trace line " << line_no << ": '" << type
-                                << "' line outside an instance");
-    if (type == "round") {
-      TraceInstance::Round round;
-      round.round = doc.at("round").as_uint();
-      round.messages = doc.at("messages").as_uint();
-      round.bits = doc.at("bits").as_uint();
-      if (const Json* phase = doc.find("phase"))
-        round.phase = phase->as_string();
-      current->rounds.push_back(std::move(round));
-    } else if (type == "edge") {
-      TraceInstance::Edge edge;
-      edge.src = static_cast<std::uint32_t>(doc.at("src").as_uint());
-      edge.dst = static_cast<std::uint32_t>(doc.at("dst").as_uint());
-      edge.messages = doc.at("messages").as_uint();
-      edge.bits = doc.at("bits").as_uint();
-      current->edges.push_back(edge);
-    } else if (type == "summary") {
-      summary_seen = true;
-      current->total_messages = doc.at("total_messages").as_uint();
-      current->total_bits = doc.at("total_bits").as_uint();
-      if (const Json* phases = doc.find("phases")) {
-        for (const Json& item : phases->items()) {
-          TraceInstance::Phase phase;
-          phase.name = item.at("name").as_string();
-          phase.rounds = item.at("rounds").as_uint();
-          phase.messages = item.at("messages").as_uint();
-          phase.bits = item.at("bits").as_uint();
-          current->phases.push_back(std::move(phase));
-        }
+  bool open = false;  // between a header and its summary
+  std::string text;
+  for (std::uint64_t line_no = 1; std::getline(is, text); ++line_no) {
+    if (text.empty()) continue;
+    try {
+      TraceLine line =
+          decode<TraceLine>(Json::parse(text), trace_line_fields);
+      CSD_CHECK_MSG(open != (line.type == Type::Header),
+                    (open ? "header before the previous instance's summary"
+                          : "line outside an instance"));
+      if (line.type == Type::Header) {
+        TraceInstance& header = line.instance;
+        const std::vector<std::uint64_t>& starts = header.segment_starts;
+        CSD_CHECK_MSG(
+            starts.empty() ? header.segments == (header.declared_rounds > 0)
+                           : header.segments == starts.size() &&
+                                 starts.front() == 0 &&
+                                 std::is_sorted(starts.begin(), starts.end()) &&
+                                 starts.back() <= header.declared_rounds,
+            "key 'segments' (" << header.segments
+                               << ") disagrees with 'segment_starts'");
+        instances.push_back(std::move(header));
+        open = true;
+        continue;
       }
-      if (const Json* counters = doc.find("counters"))
-        for (const auto& [name, value] : counters->members())
-          current->counters.emplace_back(name, value.as_uint());
-    } else {
-      CSD_CHECK_MSG(false,
-                    "trace line " << line_no << ": unknown type " << type);
+      TraceInstance& t = instances.back();
+      if (line.type == Type::Round) {
+        CSD_CHECK_MSG(t.edges.empty() && line.round.round == t.rounds.size(),
+                      "key 'round' is " << line.round.round << ", expected "
+                                        << t.rounds.size());
+        CSD_CHECK_MSG(line.node_messages.has_value() == t.per_node &&
+                          line.node_bits.has_value() == t.per_node,
+                      "keys 'node_messages'/'node_bits' must appear exactly "
+                      "when the header says per_node");
+        t.total_messages += line.round.messages;
+        t.total_bits += line.round.bits;
+        t.rounds.push_back(std::move(line.round));
+        continue;
+      }
+      CSD_CHECK_MSG(t.rounds.size() == t.declared_rounds,
+                    "the header's 'rounds' is " << t.declared_rounds
+                                                << " but the instance has "
+                                                << t.rounds.size()
+                                                << " round lines");
+      if (line.type == Type::Edge) {
+        const TraceInstance::Edge& e = line.edge;
+        CSD_CHECK_MSG(t.per_edge && e.src < t.nodes && e.dst < t.nodes &&
+                          (t.edges.empty() ||
+                           std::tie(t.edges.back().src, t.edges.back().dst) <
+                               std::tie(e.src, e.dst)),
+                      "edge keys 'src'/'dst' must be below 'nodes' and "
+                      "strictly ascending");
+        t.edges.push_back(e);
+        continue;
+      }
+      CSD_CHECK_MSG(line.instance.total_messages == t.total_messages &&
+                        line.instance.total_bits == t.total_bits,
+                    "keys 'total_messages'/'total_bits' must sum the round "
+                    "lines: " << t.total_messages << " messages, "
+                              << t.total_bits << " bits");
+      t.size_histogram = std::move(line.instance.size_histogram);
+      t.phases = std::move(line.instance.phases);
+      t.counters = std::move(line.instance.counters);
+      open = false;
+    } catch (const CheckFailure& failure) {
+      throw CheckFailure("trace line " + std::to_string(line_no) + ": " +
+                         failure.what());
     }
   }
-  CSD_CHECK_MSG(summary_seen, "trace ends mid-instance (no summary line)");
+  CSD_CHECK_MSG(!open, "trace ends mid-instance (no summary line)");
   return instances;
 }
 

@@ -6,7 +6,8 @@
 // between the engines and every analysis surface (csd analyze and the
 // Chrome trace exporter): one file may concatenate many
 // instances (csd sweep --trace, bench --trace), each a header / rounds /
-// edges / summary block stamped with meta parameters for demuxing.
+// edges / summary block stamped with meta parameters for demuxing. Each
+// line is a TraceLine, written and read by trace_line_fields below.
 //
 // The headline check: Thm 1.1 gives C_{2k} detection in
 // O(n^{1 - 1/(k(k-1))}) rounds, so on a log-log plot of per-repetition
@@ -15,6 +16,7 @@
 // slope of that plot; csd analyze and CI gate on it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -29,24 +31,24 @@ namespace csd::obs {
 struct TraceInstance {
   // Header.
   std::vector<std::pair<std::string, std::string>> meta;
-  std::uint64_t nodes = 0;
+  std::uint32_t nodes = 0;
   std::uint64_t declared_rounds = 0;
   std::uint64_t segments = 1;
   bool per_node = false;
   bool per_edge = false;
   std::vector<std::uint64_t> segment_starts;
 
-  // Round lines (node_* arrays are not retained; the analyses here are
-  // phase- and edge-centric).
+  // Round lines (per-node arrays are checked, not kept: the analyses here
+  // are phase- and edge-centric).
   struct Round {
     std::uint64_t round = 0;
     std::uint64_t messages = 0;
     std::uint64_t bits = 0;
-    std::string phase;  // empty = unattributed
+    std::optional<std::string> phase;  // absent = unattributed
   };
   std::vector<Round> rounds;
 
-  // Edge lines (per_edge traces only).
+  // Edge lines (per_edge traces only), ascending by (src, dst).
   struct Edge {
     std::uint32_t src = 0;
     std::uint32_t dst = 0;
@@ -61,11 +63,15 @@ struct TraceInstance {
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;
     std::uint64_t bits = 0;
+
+    bool operator==(const Phase&) const = default;
   };
   std::vector<Phase> phases;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::uint64_t total_messages = 0;
   std::uint64_t total_bits = 0;
+  /// Present when the run kept the message-size histogram.
+  std::optional<std::vector<std::uint64_t>> size_histogram;
 
   /// Meta value for `key`, if stamped.
   std::optional<std::string> meta_value(std::string_view key) const;
@@ -77,10 +83,79 @@ struct TraceInstance {
   double rounds_per_segment() const;
   /// Group label for fitting: meta "group", else meta "program", else "".
   std::string fit_group() const;
+  /// "k=v k=v ..." over the meta, or "instance <index>" without any.
+  std::string label(std::size_t index) const;
 };
 
-/// Parse a (possibly multi-instance) csd-trace JSONL stream. Accepts both
-/// schema v1 and v2. Throws CheckFailure on malformed input.
+/// One csd-trace-v2 line: a header or summary line carries those members of
+/// `instance`, a round line `round` and the node_* arrays (present exactly
+/// when the header says per_node), an edge line `edge`.
+struct TraceLine {
+  enum class Type : std::uint8_t { Header, Round, Edge, Summary };
+  Type type = Type::Header;
+  TraceInstance instance;
+  TraceInstance::Round round;
+  std::optional<std::vector<std::uint64_t>> node_messages;
+  std::optional<std::vector<std::uint64_t>> node_bits;
+  TraceInstance::Edge edge;
+};
+
+inline constexpr std::array<const char*, 4> kTraceLineTypes = {
+    "header", "round", "edge", "summary"};
+
+inline constexpr auto trace_phase_fields = [](auto& io, auto& r) {
+  io("name", r.name);
+  io("rounds", r.rounds);
+  io("messages", r.messages);
+  io("bits", r.bits);
+};
+
+/// Each line kind's field list (obs/codec.hpp), after the `type` tag:
+/// RunTrace::write_jsonl encodes lines with it, parse_trace_jsonl decodes.
+inline constexpr auto trace_line_fields = [](auto& io, auto& r) {
+  io("type", r.type, kTraceLineTypes);
+  auto& t = r.instance;
+  switch (r.type) {
+    case TraceLine::Type::Header:
+      io.tag("schema", "csd-trace-v2");
+      io("nodes", t.nodes);
+      io("rounds", t.declared_rounds);
+      io("segments", t.segments);
+      io("per_node", t.per_node);
+      io("per_edge", t.per_edge);
+      io.if_present("meta", t.meta);
+      io.if_present("segment_starts", t.segment_starts);
+      break;
+    case TraceLine::Type::Round:
+      io("round", r.round.round);
+      io("messages", r.round.messages);
+      io("bits", r.round.bits);
+      io.if_present("phase", r.round.phase);
+      io.if_present("node_messages", r.node_messages);
+      io.if_present("node_bits", r.node_bits);
+      break;
+    case TraceLine::Type::Edge:
+      io("src", r.edge.src);
+      io("dst", r.edge.dst);
+      io("messages", r.edge.messages);
+      io("bits", r.edge.bits);
+      break;
+    case TraceLine::Type::Summary:
+      io("total_messages", t.total_messages);
+      io("total_bits", t.total_bits);
+      io.if_present("size_histogram", t.size_histogram);
+      io.if_present("phases", t.phases, trace_phase_fields);
+      io.if_present("counters", t.counters);
+      break;
+  }
+};
+
+/// Parse a (possibly multi-instance) csd-trace-v2 JSONL stream, checking
+/// what ties an instance's lines together: the header's `rounds` counts the
+/// round lines, round r is numbered r, `segments` agrees with
+/// `segment_starts`, the summary sums the round lines, and edge lines are
+/// strictly ascending and below `nodes`. Throws CheckFailure naming the
+/// line and the key.
 std::vector<TraceInstance> parse_trace_jsonl(std::istream& is);
 
 /// Least-squares fit of log(y) = exponent * log(x) + log_coeff over the

@@ -856,6 +856,181 @@ TEST_F(Postmortem, RejectsABadWindowBeforeWritingAnything) {
   }
 }
 
+/// `csd postmortem` on `dump` (and `series`, when given) exits 2 with an
+/// error naming `key`.
+void expect_postmortem_rejects(const std::string& dump,
+                               const std::string& series,
+                               const std::string& key) {
+  std::vector<std::string> args = {"postmortem", dump};
+  if (!series.empty()) args.insert(args.end(), {"--series", series});
+  std::string text;
+  EXPECT_EQ(run_cli(args, &text), 2) << text;
+  EXPECT_NE(text.find("'" + key + "'"), std::string::npos) << text;
+}
+
+/// The fixture's dump with `from` replaced by `to`, written to its file.
+void damage(const std::string& path, const std::string& from,
+            const std::string& to) {
+  std::string text = read_file(path);
+  const auto at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  std::ofstream(path) << text;
+}
+
+TEST_F(Postmortem, AnUnknownEventKindExitsTwo) {
+  damage(dump_, R"("node_crash")", R"("node_krash")");
+  expect_postmortem_rejects(dump_, "", "kind");
+}
+
+TEST_F(Postmortem, AnExtraTopLevelKeyExitsTwo) {
+  damage(dump_, "\n}\n", ",\n  \"extra\": 0\n}\n");
+  expect_postmortem_rejects(dump_, "", "extra");
+}
+
+TEST_F(Postmortem, EventsKeptThatMissTheEventCountExitsTwo) {
+  damage(dump_, R"("events_kept": 5)", R"("events_kept": 9)");
+  expect_postmortem_rejects(dump_, "", "events_kept");
+}
+
+TEST_F(Postmortem, ASeriesNumberedOutOfOrderExitsTwo) {
+  std::ofstream(series_)
+      << R"({"schema":"csd-metrics-v2","sample":5,"epoch_ms":999000,)"
+      << R"("events_recorded":4,"counters":{},"gauges":{},"histograms":{}})"
+      << '\n'
+      << R"({"schema":"csd-metrics-v2","sample":2,"epoch_ms":998000,)"
+      << R"("events_recorded":4,"counters":{},"gauges":{},"histograms":{}})"
+      << '\n';
+  expect_postmortem_rejects(dump_, series_, "sample");
+}
+
+// The sampler stamps the wall clock, which may step back: the span is the
+// latest sample's epoch minus the earliest's, not a wrapped difference.
+TEST_F(Postmortem, ASeriesWhoseClockStepsBackSpansItsRange) {
+  std::ofstream(series_)
+      << R"({"schema":"csd-metrics-v2","sample":0,"epoch_ms":999000,)"
+      << R"("events_recorded":4,"counters":{},"gauges":{},"histograms":{}})"
+      << '\n'
+      << R"({"schema":"csd-metrics-v2","sample":1,"epoch_ms":998000,)"
+      << R"("events_recorded":4,"counters":{},"gauges":{},"histograms":{}})"
+      << '\n';
+  EXPECT_EQ(summary("").at("series_span_ms").as_uint(), 1000u);
+}
+
+// `csd analyze` over a damaged copy of a real --per-edge trace exits 2 and
+// names the key and the line; the undamaged trace reads back with exit 0.
+class DamagedTrace : public testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string stem =
+        (std::filesystem::temp_directory_path() /
+         (std::string("csd_trace_") +
+          testing::UnitTest::GetInstance()->current_test_info()->name()))
+            .string();
+    graph_ = stem + ".txt";
+    trace_ = stem + ".jsonl";
+    std::string text;
+    ASSERT_EQ(run_cli({"generate", "complete", "6", "--out", graph_}, &text),
+              0);
+    ASSERT_EQ(run_cli({"detect", "cycle", "4", graph_, "--reps", "2",
+                       "--trace", trace_, "--per-edge"},
+                      &text),
+              0)
+        << text;
+    ASSERT_EQ(run_cli({"analyze", trace_, "--cut", "3"}, &text), 0) << text;
+    std::istringstream is(read_file(trace_));
+    for (std::string line; std::getline(is, line);) lines_.push_back(line);
+  }
+
+  void TearDown() override {
+    std::remove(graph_.c_str());
+    std::remove(trace_.c_str());
+  }
+
+  /// Index of the first line of `type`.
+  std::size_t first(const std::string& type) const {
+    for (std::size_t i = 0; i < lines_.size(); ++i)
+      if (lines_[i].find("\"type\":\"" + type + "\"") != std::string::npos)
+        return i;
+    ADD_FAILURE() << "no " << type << " line";
+    return 0;
+  }
+
+  /// Replaces `from` by `to` on line `index` and expects `csd analyze` to
+  /// exit 2 naming `key` and line `error_line` (1-based).
+  void expect_rejected(std::size_t index, const std::string& from,
+                       const std::string& to, const std::string& key,
+                       std::size_t error_line) {
+    std::vector<std::string> lines = lines_;
+    const auto at = lines[index].find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    lines[index].replace(at, from.size(), to);
+    {
+      std::ofstream os(trace_);
+      for (const std::string& line : lines) os << line << '\n';
+    }
+    std::string text;
+    EXPECT_EQ(run_cli({"analyze", trace_, "--cut", "3"}, &text), 2) << text;
+    EXPECT_NE(text.find("'" + key + "'"), std::string::npos) << text;
+    EXPECT_NE(text.find("trace line " + std::to_string(error_line) + ":"),
+              std::string::npos)
+        << text;
+  }
+
+  std::string graph_, trace_;
+  std::vector<std::string> lines_;
+};
+
+TEST_F(DamagedTrace, HeaderRoundsThatMissTheRoundLineCountExitTwo) {
+  const std::string rounds = std::to_string(
+      obs::Json::parse(lines_[0]).at("rounds").as_uint());
+  expect_rejected(0, "\"rounds\":" + rounds + ",", "\"rounds\":9999,",
+                  "rounds", first("edge") + 1);
+}
+
+TEST_F(DamagedTrace, AnEdgeSrcPast32BitsExitsTwo) {
+  const std::size_t edge = first("edge");
+  const std::uint64_t src = obs::Json::parse(lines_[edge]).at("src").as_uint();
+  expect_rejected(edge, "\"src\":" + std::to_string(src) + ",",
+                  "\"src\":" + std::to_string((1ULL << 32) + src) + ",",
+                  "src", edge + 1);
+}
+
+TEST_F(DamagedTrace, AnUnknownKeyOnARoundLineExitsTwo) {
+  expect_rejected(first("round"), "}", ",\"extra\":1}", "extra",
+                  first("round") + 1);
+}
+
+TEST_F(DamagedTrace, ACsdTraceV1HeaderExitsTwo) {
+  expect_rejected(0, "csd-trace-v2", "csd-trace-v1", "schema", 1);
+}
+
+// `csd detect --trace` and `csd sweep --trace` write no per-node rows:
+// `csd analyze` reads none, and they cost O(rounds * n) memory and bytes.
+TEST(Cli, TracesCarryNoPerNodeRows) {
+  const std::string path = write_k6("csd_cli_per_node.txt");
+  const std::string trace =
+      (std::filesystem::temp_directory_path() / "csd_cli_per_node.jsonl")
+          .string();
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"detect", "cycle", "4", path, "--reps", "2"},
+        std::vector<std::string>{"sweep", "cycle", "4", "--sizes", "16",
+                                 "--reps", "2"}}) {
+    args.insert(args.end(), {"--trace", trace});
+    std::string text;
+    ASSERT_EQ(run_cli(args, &text), 0) << text;
+    const std::string jsonl = read_file(trace);
+    std::istringstream lines(jsonl);
+    std::string header;
+    std::getline(lines, header);
+    EXPECT_NE(header.find("\"per_node\":false"), std::string::npos)
+        << args[0] << ": " << header;
+    EXPECT_EQ(jsonl.find("node_messages"), std::string::npos) << args[0];
+  }
+  std::remove(path.c_str());
+  std::remove(trace.c_str());
+}
+
 // Every command reads a declared set of flags; any other flag exits 2 and
 // names the flag instead of running as if it were absent.
 TEST(Cli, SweepRejectsFaultAndTimerFlags) {

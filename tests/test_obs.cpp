@@ -672,6 +672,162 @@ TEST(TraceAnalysis, ParseRejectsMalformedStreams) {
   EXPECT_THROW(obs::parse_trace_jsonl(bad_schema), CheckFailure);
 }
 
+// Each csd-trace-v2 line kind is one record run through one field list:
+// encode gives the writer's bytes, and decode then encode gives them back,
+// with every if_present member written and with none.
+TEST(TraceAnalysis, EachLineKindRoundTripsThroughItsFieldList) {
+  using Type = obs::TraceLine::Type;
+  const auto round_trip = [](const obs::TraceLine& line,
+                             const std::string& expected) {
+    const std::string text =
+        obs::encode(line, obs::trace_line_fields).dump(-1);
+    EXPECT_EQ(text, expected);
+    const auto back = obs::decode<obs::TraceLine>(obs::Json::parse(text),
+                                                  obs::trace_line_fields);
+    EXPECT_EQ(back.type, line.type);
+    EXPECT_EQ(obs::encode(back, obs::trace_line_fields).dump(-1), expected);
+  };
+
+  obs::TraceLine header;
+  header.instance.nodes = 3;
+  header.instance.declared_rounds = 4;
+  header.instance.segments = 2;
+  header.instance.per_node = true;
+  header.instance.meta = {{"program", "toy"}, {"n", "3"}};
+  header.instance.segment_starts = {0, 2};
+  round_trip(header,
+             R"({"type":"header","schema":"csd-trace-v2","nodes":3,)"
+             R"("rounds":4,"segments":2,"per_node":true,"per_edge":false,)"
+             R"("meta":{"program":"toy","n":"3"},"segment_starts":[0,2]})");
+  header.instance.meta.clear();
+  header.instance.segment_starts.clear();
+  round_trip(header,
+             R"({"type":"header","schema":"csd-trace-v2","nodes":3,)"
+             R"("rounds":4,"segments":2,"per_node":true,"per_edge":false})");
+
+  obs::TraceLine round;
+  round.type = Type::Round;
+  round.round = {3, 2, 40, "echo"};
+  round.node_messages = std::vector<std::uint64_t>{0, 2, 0};
+  round.node_bits = std::vector<std::uint64_t>{0, 40, 0};
+  round_trip(round,
+             R"({"type":"round","round":3,"messages":2,"bits":40,)"
+             R"("phase":"echo","node_messages":[0,2,0],)"
+             R"("node_bits":[0,40,0]})");
+  round.round.phase.reset();
+  round.node_messages.reset();
+  round.node_bits.reset();
+  round_trip(round, R"({"type":"round","round":3,"messages":2,"bits":40})");
+
+  obs::TraceLine edge;
+  edge.type = Type::Edge;
+  edge.edge = {4294967295u, 1, 2, 40};
+  round_trip(edge, R"({"type":"edge","src":4294967295,"dst":1,)"
+                   R"("messages":2,"bits":40})");
+
+  obs::TraceLine summary;
+  summary.type = Type::Summary;
+  summary.instance.total_messages = 2;
+  summary.instance.total_bits = 40;
+  summary.instance.size_histogram = std::vector<std::uint64_t>{};
+  summary.instance.phases = {{"echo", 1, 2, 40}};
+  summary.instance.counters = {{"acks", 5}};
+  round_trip(summary,
+             R"({"type":"summary","total_messages":2,"total_bits":40,)"
+             R"("size_histogram":[],"phases":[{"name":"echo","rounds":1,)"
+             R"("messages":2,"bits":40}],"counters":{"acks":5}})");
+  summary.instance.size_histogram.reset();
+  summary.instance.phases.clear();
+  summary.instance.counters.clear();
+  round_trip(summary,
+             R"({"type":"summary","total_messages":2,"total_bits":40})");
+}
+
+// A line the writer cannot produce fails its decode, naming the key.
+TEST(TraceAnalysis, LineDecodeRejectsWhatTheWriterCannotProduce) {
+  const auto rejects = [](const std::string& text, const std::string& key) {
+    try {
+      obs::decode<obs::TraceLine>(obs::Json::parse(text),
+                                  obs::trace_line_fields);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const CheckFailure& failure) {
+      EXPECT_NE(std::string(failure.what()).find("'" + key + "'"),
+                std::string::npos)
+          << failure.what();
+    }
+  };
+  rejects(R"({"type":"header","schema":"csd-trace-v2","nodes":1,"rounds":0,)"
+          R"("segments":0,"per_node":false,"per_edge":false,"meta":{}})",
+          "meta");
+  rejects(R"({"type":"round","round":0,"messages":0,"bits":0,"phase":null})",
+          "phase");
+  rejects(R"({"type":"edge","src":0,"dst":4294967296,"messages":0,"bits":0})",
+          "dst");
+  rejects(R"({"type":"summary","total_messages":0,"total_bits":0,)"
+          R"("counters":{"acks":-1}})",
+          "counters");
+  rejects(R"({"type":"footer"})", "type");
+}
+
+// parse_trace_jsonl checks what ties an instance's lines together; each
+// stream below breaks one tie and fails naming the line and the key.
+TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
+  const std::string header =
+      R"({"type":"header","schema":"csd-trace-v2","nodes":2,"rounds":2,)"
+      R"("segments":1,"per_node":false,"per_edge":true})";
+  const std::string rounds =
+      R"({"type":"round","round":0,"messages":1,"bits":8})"
+      "\n"
+      R"({"type":"round","round":1,"messages":1,"bits":16})";
+  const std::string edges =
+      R"({"type":"edge","src":0,"dst":1,"messages":1,"bits":8})"
+      "\n"
+      R"({"type":"edge","src":1,"dst":0,"messages":1,"bits":16})";
+  const std::string summary =
+      R"({"type":"summary","total_messages":2,"total_bits":24})";
+  const auto parse = [](const std::string& text) {
+    std::istringstream is(text + "\n");
+    return obs::parse_trace_jsonl(is);
+  };
+  ASSERT_EQ(parse(header + "\n" + rounds + "\n" + edges + "\n" + summary)
+                .front()
+                .total_bits,
+            24u);
+  const auto rejects = [&](std::string text, const std::string& from,
+                           const std::string& to, const std::string& line,
+                           const std::string& key) {
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const CheckFailure& failure) {
+      const std::string what = failure.what();
+      EXPECT_EQ(what.rfind("trace line " + line + ":", 0), 0u) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  };
+  const std::string good =
+      header + "\n" + rounds + "\n" + edges + "\n" + summary;
+  rejects(good, R"("rounds":2)", R"("rounds":3)", "4", "'rounds'");
+  rejects(good, R"("rounds":2)", R"("rounds":1)", "4", "'rounds'");
+  rejects(good, R"("round":1)", R"("round":2)", "3", "'round'");
+  rejects(good, R"("segments":1)", R"("segments":2)", "1", "'segments'");
+  rejects(good, R"("per_node":false)", R"("per_node":true)", "2",
+          "'node_messages'");
+  rejects(good, R"("bits":8})", R"("bits":8,"node_messages":[1,0],)"
+                                R"("node_bits":[8,0]})",
+          "2", "'node_messages'");
+  rejects(good, R"("src":1,"dst":0)", R"("src":0,"dst":1)", "5", "'src'");
+  rejects(good, R"("src":1,"dst":0)", R"("src":1,"dst":2)", "5", "'dst'");
+  rejects(good, R"("per_edge":true)", R"("per_edge":false)", "4",
+          "per_edge");
+  rejects(good, R"("total_bits":24)", R"("total_bits":25)", "6",
+          "'total_bits'");
+  rejects(good, R"("csd-trace-v2")", R"("csd-trace-v1")", "1", "'schema'");
+}
+
 TEST(TraceAnalysis, FitPowerLawRecoversSyntheticExponent) {
   std::vector<std::pair<double, double>> xy;
   for (const double x : {8.0, 16.0, 32.0, 64.0, 128.0})
@@ -898,6 +1054,62 @@ TEST(TelemetryV2, SamplerSeriesRoundTripsThroughParser) {
   ASSERT_EQ(series.back().histograms.size(), 1u);
   EXPECT_EQ(series.back().histograms[0].first, "payload");
   EXPECT_EQ(series.back().histograms[0].second, (Buckets{{4, 1}}));
+}
+
+// A series line and a dump are each one record run through one field
+// list: encode gives the writer's bytes, decode then encode gives them back.
+TEST(TelemetryV2, SeriesLineAndDumpRoundTripThroughTheirFieldLists) {
+  obs::MetricsSample sample;
+  sample.sample = 2;
+  sample.epoch_ms = 1000;
+  sample.events_recorded = 7;
+  sample.counters = {{"acks", 3}, {"drops", 0}};
+  sample.gauges = {{"queue", {4, 9}}};
+  sample.histograms = {{"payload", {{0, 1}, {4, 2}}}};
+  const std::string line =
+      obs::encode(sample, obs::metrics_sample_fields).dump(-1);
+  EXPECT_EQ(line,
+            R"({"schema":"csd-metrics-v2","sample":2,"epoch_ms":1000,)"
+            R"("events_recorded":7,"counters":{"acks":3,"drops":0},)"
+            R"("gauges":{"queue":{"value":4,"high_water":9}},)"
+            R"("histograms":{"payload":[[0,1],[4,2]]}})");
+  const auto sample_back = obs::decode<obs::MetricsSample>(
+      obs::Json::parse(line), obs::metrics_sample_fields);
+  EXPECT_EQ(obs::encode(sample_back, obs::metrics_sample_fields).dump(-1),
+            line);
+  EXPECT_EQ(sample_back.gauges, sample.gauges);
+
+  obs::BlackboxDump dump;
+  dump.reason = "unit-test";
+  dump.epoch_ms = 1000;
+  dump.events_recorded = 9;
+  dump.torn = 1;
+  dump.events = {{obs::EventKind::NodeCrash, 4294967295u, 3, 0, 990},
+                 {obs::EventKind::FatalSignal, 0, 0, 11, 999}};
+  dump.metrics = sample;
+  const obs::Json doc = obs::encode(dump, obs::blackbox_fields);
+  EXPECT_EQ(doc.at("events_kept").as_uint(), 2u);
+  EXPECT_EQ(doc.at("events").items()[1].at("kind").as_string(),
+            "fatal_signal");
+  const auto dump_back =
+      obs::decode<obs::BlackboxDump>(doc, obs::blackbox_fields);
+  EXPECT_EQ(obs::encode(dump_back, obs::blackbox_fields).dump(2),
+            doc.dump(2));
+  EXPECT_EQ(dump_back.events[0].actor, 4294967295u);
+  EXPECT_EQ(dump_back.events[1].kind, obs::EventKind::FatalSignal);
+
+  // The recorder's own dump reads back the same way.
+  obs::Telemetry telemetry;
+  telemetry.counter("hits").add(2);
+  telemetry.gauge("depth").set(5);
+  telemetry.histogram("sizes").observe(3);
+  telemetry.record(obs::EventKind::Retransmit, 1, 2, 3);
+  const obs::Json live = telemetry.blackbox_json("live");
+  EXPECT_EQ(obs::encode(obs::decode<obs::BlackboxDump>(live,
+                                                       obs::blackbox_fields),
+                        obs::blackbox_fields)
+                .dump(2),
+            live.dump(2));
 }
 
 TEST(TelemetryV2, EngineOutcomesBitIdenticalWithTelemetryAttached) {

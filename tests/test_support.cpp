@@ -29,6 +29,19 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+// A failed check names its source file relative to the checkout, so the
+// message's bytes do not depend on where the binary was built.
+TEST(Check, NamesItsFileRelativeToTheCheckout) {
+  try {
+    CSD_CHECK(1 == 2);
+    FAIL() << "expected throw";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(" at tests/test_support.cpp:"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------------ rng --
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);

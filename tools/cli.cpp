@@ -32,6 +32,7 @@
 #include "lowerbound/hk.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/codec.hpp"
 #include "obs/lb_fit.hpp"
 #include "obs/metrics_series.hpp"
 #include "obs/metrics_v2.hpp"
@@ -788,8 +789,10 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
   const std::uint64_t stall_window =
       to_u64(inv.flag("stall-window").value_or("0"), "stall-window");
   const auto trace_path = inv.flag("trace");
+  // No per-node rows: `csd analyze` reads none, and they cost O(rounds * n).
   obs::TraceOptions trace_opts;
   trace_opts.enabled = trace_path.has_value();
+  trace_opts.per_node = false;
   trace_opts.per_edge = inv.has_flag("per-edge");
   trace_opts.timers = inv.has_flag("timers");
 
@@ -961,6 +964,7 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
   cfg.bandwidth = bandwidth;
   cfg.seed = seed;
   cfg.trace.enabled = trace_path.has_value();
+  cfg.trace.per_node = false;  // as in `csd detect`
   cfg.trace.per_edge = inv.has_flag("per-edge");
   std::ofstream trace_os;
   if (trace_path) {
@@ -1048,16 +1052,6 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
   return 0;
 }
 
-std::string meta_label(const obs::TraceInstance& instance, std::size_t index) {
-  if (instance.meta.empty()) return "instance " + std::to_string(index);
-  std::string label;
-  for (const auto& [key, value] : instance.meta) {
-    if (!label.empty()) label += ' ';
-    label += key + "=" + value;
-  }
-  return label;
-}
-
 /// `csd postmortem`: render a csd-blackbox-v1 dump (+ optional
 /// csd-metrics-v2 series) as a last-N-seconds timeline, and emit the
 /// csd-postmortem-v1 summary (--json).
@@ -1070,30 +1064,25 @@ int cmd_postmortem(const Invocation& inv, std::ostream& out) {
                 "cannot read blackbox file '" << inv.positional[1] << "'");
   std::stringstream buffer;
   buffer << is.rdbuf();
-  const obs::Json dump = obs::Json::parse(buffer.str());
-  CSD_CHECK_MSG(dump.find("schema") != nullptr &&
-                    dump.at("schema").as_string() == "csd-blackbox-v1",
-                "'" << inv.positional[1]
-                    << "' is not a csd-blackbox-v1 dump");
+  const auto dump = obs::decode<obs::BlackboxDump>(
+      obs::Json::parse(buffer.str()), obs::blackbox_fields);
 
   const double last_sec = to_double(inv.flag("last").value_or("30"), "last");
   CSD_CHECK_MSG(std::isfinite(last_sec) && last_sec > 0,
                 "--last wants a finite number of seconds > 0");
-  const std::uint64_t dump_epoch = dump.at("epoch_ms").as_uint();
   // The window holds the events at or after the cutoff; one that reaches
   // back past the dump's epoch holds them all.
   const double window_ms = last_sec * 1000.0;
   const std::uint64_t cutoff =
-      window_ms >= static_cast<double>(dump_epoch)
+      window_ms >= static_cast<double>(dump.epoch_ms)
           ? 0
-          : dump_epoch - static_cast<std::uint64_t>(window_ms);
+          : dump.epoch_ms - static_cast<std::uint64_t>(window_ms);
 
   std::map<std::string, std::uint64_t> counts;
   std::uint64_t in_window = 0;
-  const obs::Json& events = dump.at("events");
-  for (const obs::Json& event : events.items()) {
-    ++counts[event.at("kind").as_string()];
-    if (event.at("epoch_ms").as_uint() >= cutoff) ++in_window;
+  for (const obs::FlightEvent& event : dump.events) {
+    ++counts[obs::to_string(event.kind)];
+    if (event.epoch_ms >= cutoff) ++in_window;
   }
 
   std::uint64_t series_samples = 0, series_span_ms = 0;
@@ -1102,25 +1091,32 @@ int cmd_postmortem(const Invocation& inv, std::ostream& out) {
     CSD_CHECK_MSG(ss.good(),
                   "cannot read series file '" << *series_path << "'");
     const obs::MetricsSeries series = obs::parse_metrics_series(ss);
-    series_samples = series.samples.size();
-    series_span_ms = series.span_ms();
+    series_samples = series.size();
+    // Latest minus earliest: the wall clock may step back between samples.
+    const auto [lo, hi] = std::minmax_element(
+        series.begin(), series.end(),
+        [](const auto& a, const auto& b) { return a.epoch_ms < b.epoch_ms; });
+    if (lo != series.end()) series_span_ms = hi->epoch_ms - lo->epoch_ms;
   }
 
   if (const auto json_path = inv.flag("json")) {
     obs::Json doc = obs::Json::object();
     doc.set("schema", obs::Json("csd-postmortem-v1"));
-    doc.set("reason", dump.at("reason"));
-    doc.set("epoch_ms", obs::Json(dump_epoch));
-    doc.set("events_recorded", dump.at("events_recorded"));
-    doc.set("events_kept", dump.at("events_kept"));
-    doc.set("torn", dump.at("torn"));
+    doc.set("reason", obs::Json(dump.reason));
+    doc.set("epoch_ms", obs::Json(dump.epoch_ms));
+    doc.set("events_recorded", obs::Json(dump.events_recorded));
+    doc.set("events_kept", obs::Json(dump.events.size()));
+    doc.set("torn", obs::Json(dump.torn));
     doc.set("window_seconds", obs::Json(last_sec));
     doc.set("events_in_window", obs::Json(in_window));
     obs::Json counts_json = obs::Json::object();
     for (const auto& [kind, count] : counts)
       counts_json.set(kind, obs::Json(count));
     doc.set("event_counts", std::move(counts_json));
-    doc.set("counters", dump.at("metrics").at("counters"));
+    obs::Json counters_json = obs::Json::object();
+    for (const auto& [name, value] : dump.metrics.counters)
+      counters_json.set(name, obs::Json(value));
+    doc.set("counters", std::move(counters_json));
     doc.set("series_samples", obs::Json(series_samples));
     doc.set("series_span_ms", obs::Json(series_span_ms));
     std::ofstream os(*json_path);
@@ -1129,40 +1125,36 @@ int cmd_postmortem(const Invocation& inv, std::ostream& out) {
     out << "json:       " << *json_path << '\n';
   }
 
-  out << "reason:     " << dump.at("reason").as_string() << '\n'
-      << "events:     " << dump.at("events_recorded").as_uint()
-      << " recorded, " << dump.at("events_kept").as_uint() << " kept, "
-      << dump.at("torn").as_uint() << " torn\n";
+  out << "reason:     " << dump.reason << '\n'
+      << "events:     " << dump.events_recorded << " recorded, "
+      << dump.events.size() << " kept, " << dump.torn << " torn\n";
   if (!counts.empty()) {
     out << "event counts:\n";
     for (const auto& [kind, count] : counts)
       out << "  " << kind << "  " << count << '\n';
   }
-  const obs::Json& counters = dump.at("metrics").at("counters");
-  if (!counters.members().empty()) {
+  if (!dump.metrics.counters.empty()) {
     out << "final counters:\n";
-    for (const auto& [name, value] : counters.members())
-      out << "  " << name << " = " << value.as_uint() << '\n';
+    for (const auto& [name, value] : dump.metrics.counters)
+      out << "  " << name << " = " << value << '\n';
   }
   if (inv.flag("series"))
     out << "series:     " << series_samples << " sample(s) spanning "
         << series_span_ms << " ms\n";
   out << "timeline (last " << last_sec << "s, " << in_window
       << " event(s)):\n";
-  for (const obs::Json& event : events.items()) {
-    const std::uint64_t e_epoch = event.at("epoch_ms").as_uint();
-    if (e_epoch < cutoff) continue;
+  for (const obs::FlightEvent& event : dump.events) {
+    if (event.epoch_ms < cutoff) continue;
     // Offset relative to the dump instant, millisecond precision.
-    const std::int64_t rel = static_cast<std::int64_t>(e_epoch) -
-                             static_cast<std::int64_t>(dump_epoch);
+    const std::int64_t rel = static_cast<std::int64_t>(event.epoch_ms) -
+                             static_cast<std::int64_t>(dump.epoch_ms);
     const std::int64_t mag = rel < 0 ? -rel : rel;
     out << "  [" << (rel < 0 ? '-' : '+') << mag / 1000 << '.'
         << static_cast<char>('0' + (mag / 100) % 10)
         << static_cast<char>('0' + (mag / 10) % 10)
         << static_cast<char>('0' + mag % 10) << "s] "
-        << event.at("kind").as_string() << "  actor="
-        << event.at("actor").as_uint() << " at=" << event.at("at").as_uint()
-        << " value=" << event.at("value").as_uint() << '\n';
+        << obs::to_string(event.kind) << "  actor=" << event.actor
+        << " at=" << event.at << " value=" << event.value << '\n';
   }
   return 0;
 }
@@ -1186,7 +1178,7 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
   out << instances.size() << " instance(s) in " << inv.positional[1] << "\n";
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const obs::TraceInstance& instance = instances[i];
-    out << "\n--- " << meta_label(instance, i) << " ---\n"
+    out << "\n--- " << instance.label(i) << " ---\n"
         << "nodes " << instance.nodes << ", rounds "
         << instance.declared_rounds << " (" << instance.segments
         << " segment(s), " << instance.rounds_per_segment()
