@@ -46,12 +46,14 @@ void account(CutAccum& accum, const std::vector<Owner>& owner,
     accum.bits_bob_to_alice += bits;
 }
 
-// The batch path shares one instrumented NetworkConfig across every seed,
-// so the observer cannot capture a per-run accumulator; it dereferences
-// this thread-local instead. Safe under RunBatch (each worker sets it
-// before its run) and at any --workers (the round kernel calls on_message
-// on the coordinating thread — the one that called run()).
-thread_local CutAccum* tl_accum = nullptr;
+// The run's message observer: charges each message to `accum`.
+congest::MessageObserver charge_to(CutAccum& accum,
+                                   const std::vector<Owner>& owner) {
+  return [&accum, &owner](std::uint64_t round, Vertex src, Vertex dst,
+                          const BitVec& payload) {
+    account(accum, owner, round, src, dst, payload.size());
+  };
+}
 
 }  // namespace
 
@@ -81,16 +83,8 @@ CutCost simulate_across_cut(const Graph& topology,
   cost.cut_edges = count_cut_edges(topology, owner);
 
   CutAccum accum;
-  congest::NetworkConfig instrumented = config;
-  instrumented.on_message = [&accum, &owner, prior = config.on_message](
-                                std::uint64_t round, std::uint32_t src,
-                                std::uint32_t dst, std::uint64_t bits) {
-    if (prior) prior(round, src, dst, bits);
-    account(accum, owner, round, src, dst, bits);
-  };
-
-  congest::Network net(topology, instrumented);
-  cost.outcome = net.run(factory);
+  const congest::Network net(topology, config);
+  cost.outcome = net.run(factory, config.seed, charge_to(accum, owner));
   cost.bits_alice_to_bob = accum.bits_alice_to_bob;
   cost.bits_bob_to_alice = accum.bits_bob_to_alice;
   cost.crossing_messages = accum.crossing_messages;
@@ -117,24 +111,15 @@ CutCostBatch simulate_across_cut_batch(const Graph& topology,
   batch.completed.resize(n);
   if (n == 0) return batch;
 
-  congest::NetworkConfig instrumented = config;
-  instrumented.on_message = [&owner, prior = config.on_message](
-                                std::uint64_t round, std::uint32_t src,
-                                std::uint32_t dst, std::uint64_t bits) {
-    if (prior) prior(round, src, dst, bits);
-    if (tl_accum != nullptr) account(*tl_accum, owner, round, src, dst, bits);
-  };
-
   // One CSR, edge-table and partition build for the whole batch: this
   // amortization is the point of the API.
-  const congest::Network net(topology, instrumented);
+  const congest::Network net(topology, config);
   std::vector<CutAccum> accums(n);
 
   const congest::RunBatch runner(jobs);
   runner.for_each_index(n, [&](std::size_t i) {
-    tl_accum = &accums[i];
-    const congest::RunOutcome outcome = net.run(factory, seeds[i]);
-    tl_accum = nullptr;
+    const congest::RunOutcome outcome =
+        net.run(factory, seeds[i], charge_to(accums[i], owner));
     batch.bits_alice_to_bob[i] = accums[i].bits_alice_to_bob;
     batch.bits_bob_to_alice[i] = accums[i].bits_bob_to_alice;
     batch.crossing_messages[i] = accums[i].crossing_messages;

@@ -15,10 +15,10 @@
 //     build) and ONE ownership scan, fanned across congest::RunBatch.
 //     Per-seed rows land in a structure-of-arrays CutCostBatch, written in
 //     seed order, so results are bit-identical at every jobs count.
-// Both chain to (never clobber) any caller-supplied on_message hook, and
-// both key per-round bit accounting by round number, so async delivery
-// order (the same round observed again after another) cannot undercount
-// max_bits_per_round.
+// Each run charges its messages through its own MessageObserver
+// (congest/network.hpp) into its own accumulator, and per-round bits are
+// keyed by round number, so a round observed again after another cannot
+// undercount max_bits_per_round.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,7 @@ std::uint64_t count_cut_edges(const Graph& topology,
 
 /// Run `factory` over `topology` and account the two-party simulation cost
 /// under the given ownership partition. `owner.size()` must equal the number
-/// of vertices. A caller-supplied config.on_message hook keeps firing for
-/// every delivered message (the simulator chains its instrumentation).
+/// of vertices. The run is seeded config.seed.
 CutCost simulate_across_cut(const Graph& topology,
                             const std::vector<Owner>& owner,
                             const congest::NetworkConfig& config,
@@ -90,8 +89,6 @@ struct CutCostBatch {
 /// cost. Rows are written in seed order; with `jobs` > 1 the seeds fan
 /// across a congest::RunBatch and the result is bit-identical to jobs == 1
 /// (each run is a pure function of its seed; accumulators are per-seed).
-/// A caller-supplied config.on_message hook is chained, not clobbered; with
-/// jobs > 1 it must be safe to invoke concurrently.
 CutCostBatch simulate_across_cut_batch(const Graph& topology,
                                        const std::vector<Owner>& owner,
                                        const congest::NetworkConfig& config,

@@ -259,13 +259,12 @@ class AsyncEngine {
         outcome_.faults.stalled_nodes.push_back(v);
     }
     plane_.publish(counts(outcome_));
-    outcome_.counters = fault_counters(outcome_.faults);
     if (outcome_.trace) {
       // Pad quiet trailing pulses so the trace covers exactly
       // outcome_.pulses rounds — mirroring the synchronous engine, which
       // keeps fault-free traces byte-identical across the two.
       outcome_.trace.finish_run(outcome_.pulses);
-      outcome_.trace.set_counters(outcome_.counters);
+      outcome_.trace.set_counters(fault_counters(outcome_.faults));
     }
     outcome_.trace_bytes = outcome_.trace.approx_bytes();
     return outcome_;

@@ -114,9 +114,6 @@ struct AsyncRunOutcome : AsyncAccounting {
   obs::RunTrace trace;
   /// Trace storage footprint in bytes; 0 when tracing is disabled.
   std::uint64_t trace_bytes = 0;
-  /// Engine counters by name (the FaultReport counters, surfaced uniformly
-  /// across both engines — see fault_counters).
-  obs::MetricsRegistry counters;
   /// Wall-clock split (compute / synchronizer delivery / transport), filled
   /// only when config.trace.timers is set. Never part of the trace or of
   /// any determinism digest: wall clocks are not reproducible.

@@ -187,7 +187,7 @@ void fault_rows(const FaultReport& report, Visit&& visit) {
 std::string summarize(const FaultReport& report);
 
 /// The report's counter rows as a named-metric registry — the bridge into
-/// RunMetrics::counters / AsyncRunOutcome::counters and the trace summary.
+/// RunMetrics::counters and the trace summary.
 obs::MetricsRegistry fault_counters(const FaultReport& report);
 
 /// Draws fault fates deterministically. One RNG stream per directed link

@@ -114,12 +114,12 @@ std::uint64_t Network::config_digest() const {
 }
 
 RunOutcome Network::run(const ProgramFactory& factory) const {
-  return detail::run_rounds(*this, factory, config_.seed);
+  return run(factory, config_.seed);
 }
 
-RunOutcome Network::run(const ProgramFactory& factory,
-                        std::uint64_t seed) const {
-  return detail::run_rounds(*this, factory, seed);
+RunOutcome Network::run(const ProgramFactory& factory, std::uint64_t seed,
+                        const MessageObserver& observe) const {
+  return detail::run_rounds(*this, factory, seed, observe);
 }
 
 RunOutcome run_congest(const Graph& topology, const NetworkConfig& config,

@@ -4,8 +4,9 @@
 // loop. It enforces the model's cost constraints exactly:
 //   * at most one message per directed edge per round,
 //   * at most B bits per message (config.bandwidth; 0 = LOCAL model),
-// and it accounts every bit sent. Optionally it records a full transcript
-// (round, src, dst, payload) — the raw material of the §4 fooling argument.
+// and it accounts every bit sent. A run may also be watched message by
+// message (MessageObserver): the two-party cut simulator charges crossing
+// bits that way, and the §4 fooling adversary collects transcripts.
 //
 // Protocol violations degrade gracefully instead of aborting the run.
 // Historically the engines threw CheckFailure on any model violation (and
@@ -62,15 +63,8 @@ struct NetworkConfig {
   /// Broadcast CONGEST ([DKO14], [KR17]): a node must send the *same*
   /// message on every edge it uses in a round (enforced per send).
   bool broadcast_only = false;
-  /// Record every message (memory-heavy; used by the fooling machinery).
-  bool record_transcript = false;
-  /// Optional observer invoked for every delivered message; used by the
-  /// two-party cut simulator to account bits without storing transcripts.
-  std::function<void(std::uint64_t round, std::uint32_t src, std::uint32_t dst,
-                     std::uint64_t bits)>
-      on_message;
   /// Fault environment (drops, corruption, crashes). Empty = fault-free.
-  /// Metrics and transcripts account what the sender put on the wire;
+  /// Metrics and message observers see what the sender put on the wire;
   /// corruption is applied after accounting, before delivery.
   FaultPlan faults;
   /// Per-round observability (obs/round_trace.hpp). Disabled by default:
@@ -93,19 +87,19 @@ struct NetworkConfig {
   /// owning; must outlive the run. The engine only ever writes to it
   /// (counters, gauges, flight-recorder events), never reads it back, so
   /// attaching telemetry cannot change any deterministic output. Like
-  /// trace/shard/on_message it is excluded from config_digest(): an
-  /// amplified checkpoint resumes with or without telemetry attached.
+  /// trace and shard it is excluded from config_digest(): an amplified
+  /// checkpoint resumes with or without telemetry attached.
   /// nullptr = zero cost (one predicted branch per instrumented site).
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// One recorded message (only populated when record_transcript is set).
-struct TranscriptEntry {
-  std::uint64_t round;
-  std::uint32_t src;  // topology index
-  std::uint32_t dst;  // topology index
-  BitVec payload;
-};
+/// Watches one run's messages: called once per sent message, in (round,
+/// dense directed-edge) order at every worker count, on the thread that
+/// called Network::run, with the payload as the sender put it on the wire
+/// (before any fault fate). `src` and `dst` are topology indices. Attaching
+/// one changes no output of the run.
+using MessageObserver = std::function<void(
+    std::uint64_t round, Vertex src, Vertex dst, const BitVec& payload)>;
 
 /// Aggregate cost metrics of a run (or of an amplified batch of runs: see
 /// merge_amplified in congest/supervisor.hpp for the per-field aggregation
@@ -142,7 +136,6 @@ struct RunOutcome {
   /// repetition's crash set.
   bool detected = false;
   RunMetrics metrics;
-  std::vector<TranscriptEntry> transcript;
   /// Per-round message/bit trajectory (empty unless config.trace.enabled).
   /// Each run fills its own instance — no shared state — so runs under
   /// RunBatch trace concurrently without locks; merge_amplified appends the
@@ -205,10 +198,11 @@ std::vector<NodeId> index_ids(Vertex n);
 /// namespace fail here, before any run.
 ///
 /// `run` is const and touches no mutable Network state: concurrent runs of
-/// the SAME Network from multiple threads are safe provided `factory` and
-/// `config().on_message` are themselves safe to invoke concurrently (the
-/// library's program factories are: they capture configs by value and
-/// allocate fresh programs). This is what RunBatch builds on.
+/// the SAME Network from multiple threads are safe provided `factory` is
+/// itself safe to invoke concurrently (the library's program factories
+/// are: they capture configs by value and allocate fresh programs). Each
+/// run takes its own observer, so per-run state needs no sharing. This is
+/// what RunBatch builds on.
 class Network {
  public:
   /// Identifiers default to the topology index (ids[v] = v).
@@ -220,8 +214,10 @@ class Network {
 
   /// Same, but with the run seed overridden (node RNGs and the fault
   /// injector derive from `seed` instead of config().seed). This is how one
-  /// Network serves every repetition of an amplified run.
-  RunOutcome run(const ProgramFactory& factory, std::uint64_t seed) const;
+  /// Network serves every repetition of an amplified run. `observe`, when
+  /// set, watches every message of this run (see MessageObserver).
+  RunOutcome run(const ProgramFactory& factory, std::uint64_t seed,
+                 const MessageObserver& observe = {}) const;
 
   /// Digest of the engine-relevant config knobs (bandwidth, max_rounds,
   /// namespace, broadcast mode, fault plan); part of SnapshotIdentity.

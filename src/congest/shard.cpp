@@ -34,9 +34,9 @@ std::uint64_t elapsed_ns(Clock::time_point since, Clock::time_point until) {
           .count());
 }
 
-// One message as the observers saw it at the sender, buffered by a W >= 2
-// outbox scan when an observer is attached (the payload only for a
-// transcript) and replayed at the barrier in ascending dense-edge order.
+// One message as the sender put it on the wire, buffered by a W >= 2 outbox
+// scan when the trace or an observer is attached (the payload only for an
+// observer) and replayed at the barrier in ascending dense-edge order.
 struct SentRecord {
   std::uint64_t edge = 0;
   Vertex src = 0;
@@ -213,7 +213,7 @@ void merge_rounds(std::vector<WorkerCtx>& workers,
 class RoundKernel {
  public:
   RoundKernel(const Network& net, const ProgramFactory& factory,
-              std::uint64_t seed);
+              std::uint64_t seed, const MessageObserver& observe);
   RoundKernel(const RoundKernel&) = delete;
   RoundKernel& operator=(const RoundKernel&) = delete;
 
@@ -267,6 +267,7 @@ class RoundKernel {
   const Vertex n_;
   const Partition& part_;
   const bool single_;  // W = 1: inline, no channels, direct observers
+  const MessageObserver& observe_;
 
   RunOutcome outcome_;
   std::vector<WorkerCtx> workers_;
@@ -281,7 +282,7 @@ class RoundKernel {
 
   std::vector<std::uint64_t> wake_;  // next round v runs (DESIGN.md §15)
 
-  const bool observing_;  // trace, transcript or on_message attached
+  const bool observing_;  // trace or observer attached
   const bool timing_;
   std::uint64_t round_ = 0;
   std::uint64_t last_progress_ = 0;
@@ -304,21 +305,21 @@ class RoundKernel {
 };
 
 RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
-                         std::uint64_t seed)
+                         std::uint64_t seed, const MessageObserver& observe)
     : config_(net.config()),
       csr_(net.engine_topology().csr),
       rev_edge_(net.engine_topology().rev_edge),
       n_(net.engine_topology().num_vertices()),
       part_(net.partition()),
       single_(part_.workers() == 1),
+      observe_(observe),
       workers_(part_.workers()),
       inbox_arena_(csr_),
       outbox_arena_(csr_),
       faulty_(!config_.faults.empty()),
       crashed_(n_, 0),
       wake_(n_, 0),
-      observing_(config_.trace.enabled || config_.record_transcript ||
-                 static_cast<bool>(config_.on_message)),
+      observing_(config_.trace.enabled || static_cast<bool>(observe)),
       timing_(config_.trace.timers),
       telemetry_(config_.telemetry) {
   outcome_.metrics.bits_sent_by_node.assign(n_, 0);
@@ -442,7 +443,6 @@ void RoundKernel::phase_a(std::uint32_t w) {
 void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
   const std::uint64_t round = round_;
   obs::RunTrace& trace = outcome_.trace;
-  const bool transcripting = config_.record_transcript;
   std::vector<std::uint64_t>& bits_sent = outcome_.metrics.bits_sent_by_node;
   for (const Vertex v : part_.owned(w)) {
     if (crashed_[v]) continue;
@@ -462,12 +462,10 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
       ctx.max_message_bits = std::max(ctx.max_message_bits, bits);
       if (single_) {
         if (trace) trace.record(round, v, dst, bits);
-        if (transcripting)
-          outcome_.transcript.push_back({round, v, dst, payload});
-        if (config_.on_message) config_.on_message(round, v, dst, bits);
+        if (observe_) observe_(round, v, dst, payload);
       } else if (observing_) {
         SentRecord rec{e, v, dst, bits, {}};
-        if (transcripting) rec.payload = payload;
+        if (observe_) rec.payload = payload;
         ctx.sent.push_back(std::move(rec));
       }
       if (faulty_) {
@@ -546,7 +544,7 @@ bool RoundKernel::barrier() {
   // Order-sensitive lists in the global merge order. The flight recorder
   // gets, per round: crashes by node, violations by node, fault fates by
   // dense edge (listed only with telemetry attached). At W = 1 nothing is
-  // in `sent`: the scan called the observers directly.
+  // in `sent`: the scan recorded the trace and called the observer.
   const std::uint64_t round = round_;
   merge_rounds(
       workers_, &WorkerCtx::crashes,
@@ -576,11 +574,7 @@ bool RoundKernel::barrier() {
       [&](SentRecord&& rec) {
         if (outcome_.trace)
           outcome_.trace.record(round, rec.src, rec.dst, rec.bits);
-        if (config_.record_transcript)
-          outcome_.transcript.push_back(
-              {round, rec.src, rec.dst, std::move(rec.payload)});
-        if (config_.on_message)
-          config_.on_message(round, rec.src, rec.dst, rec.bits);
+        if (observe_) observe_(round, rec.src, rec.dst, rec.payload);
       });
   // At W >= 2: programs derive the phase from the round number (the
   // documented contract — every node agrees), so which worker's slot is
@@ -768,8 +762,8 @@ RunOutcome RoundKernel::finish() {
 }  // namespace
 
 RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed) {
-  return RoundKernel(net, factory, seed).run();
+                      std::uint64_t seed, const MessageObserver& observe) {
+  return RoundKernel(net, factory, seed, observe).run();
 }
 
 }  // namespace csd::congest::detail

@@ -9,7 +9,8 @@
 // drains the channels in (src_worker, edge) order; the barrier folds the
 // workers' accounting, fault lists, flight-recorder events and activity
 // state in that global order. W = 1 runs inline on the calling thread with
-// no threads, no channels and the message observers called directly.
+// no threads, no channels, and the trace and the run's MessageObserver
+// called directly from the scan.
 //
 // Activity-driven rounds at every W: wake[v], written only by v's owner,
 // is the round v runs next (its NodeApi::sleep_until hint folded with its
@@ -17,7 +18,7 @@
 // the kernel jumps to the earliest wake, stall round or max_rounds.
 //
 // Contract: every model-exact output (verdicts, RunMetrics, FaultReport,
-// traces, transcripts, on_message order) is bit-identical at any W, either
+// traces, the observer's events) is bit-identical at any W, either
 // partition policy and any --jobs, and identical to a run that ignores the
 // hint. At W >= 2 node programs of one run execute concurrently, so a
 // ProgramFactory must not share mutable state between its program
@@ -28,8 +29,9 @@
 
 namespace csd::congest::detail {
 
-/// Run `factory` on `net` from round 0 to completion (or the round cap).
+/// Run `factory` on `net` from round 0 to completion (or the round cap),
+/// calling `observe` (when set) once per sent message.
 RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed);
+                      std::uint64_t seed, const MessageObserver& observe);
 
 }  // namespace csd::congest::detail

@@ -39,9 +39,6 @@ void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
     combined.metrics.bits_sent_by_node[v] += rep.metrics.bits_sent_by_node[v];
   combined.metrics.repetitions_executed += rep.metrics.repetitions_executed;
   combined.metrics.repetitions_skipped += rep.metrics.repetitions_skipped;
-  combined.transcript.insert(combined.transcript.end(),
-                             std::make_move_iterator(rep.transcript.begin()),
-                             std::make_move_iterator(rep.transcript.end()));
   // Traces merge in repetition order — the order the Supervisor merges in
   // at every jobs count — so the combined trace is jobs-count independent.
   combined.trace.append(rep.trace);

@@ -67,8 +67,8 @@ RunOutcome make_amplified_accumulator(Vertex n);
 ///   * rounds / messages / total_bits          : summed,
 ///   * bits_sent_by_node                       : elementwise sum,
 ///   * max_message_bits                        : max,
-///   * fault counters summed; crash/stall/violation lists, transcripts and
-///     traces concatenated in repetition order.
+///   * fault counters summed; crash/stall/violation lists and traces
+///     concatenated in repetition order.
 /// The Supervisor folds its repetitions through this in repetition order,
 /// so the aggregate is the same at every jobs count; exposed for callers
 /// that replay an amplified run repetition by repetition.

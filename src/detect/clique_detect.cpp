@@ -142,16 +142,10 @@ std::uint64_t clique_detect_round_budget(std::uint64_t n,
 }
 
 congest::RunOutcome detect_clique(const Graph& g, std::uint32_t s,
-                                  std::uint64_t bandwidth, std::uint64_t seed,
-                                  const obs::TraceOptions& trace,
-                                  const congest::ShardSpec& shard,
-                                  obs::Telemetry* telemetry) {
+                                  std::uint64_t bandwidth, std::uint64_t seed) {
   congest::NetworkConfig cfg;
   cfg.bandwidth = bandwidth;
   cfg.seed = seed;
-  cfg.trace = trace;
-  cfg.shard = shard;
-  cfg.telemetry = telemetry;
   cfg.max_rounds =
       clique_detect_round_budget(g.num_vertices(), g.max_degree(), bandwidth) +
       2;

@@ -26,14 +26,8 @@ std::uint64_t clique_detect_round_budget(std::uint64_t n,
                                          std::uint64_t max_degree,
                                          std::uint64_t bandwidth);
 
-/// End-to-end run. `trace` opts into the per-round recorder (obs/);
-/// `shard` sets the round kernel's workers (0 and 1 run inline; the
-/// outcome is bit-identical at every count); `telemetry` attaches the
-/// optional csd-metrics-v2 plane (non-owning, write-only).
+/// End-to-end run.
 congest::RunOutcome detect_clique(const Graph& g, std::uint32_t s,
-                                  std::uint64_t bandwidth, std::uint64_t seed,
-                                  const obs::TraceOptions& trace = {},
-                                  const congest::ShardSpec& shard = {},
-                                  obs::Telemetry* telemetry = nullptr);
+                                  std::uint64_t bandwidth, std::uint64_t seed);
 
 }  // namespace csd::detect

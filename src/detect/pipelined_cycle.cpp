@@ -99,9 +99,6 @@ congest::RunOutcome detect_cycle_pipelined(const Graph& g,
   congest::NetworkConfig net_cfg;
   net_cfg.bandwidth = bandwidth;
   net_cfg.seed = seed;
-  net_cfg.trace = cfg.trace;
-  net_cfg.shard = cfg.shard;
-  net_cfg.telemetry = cfg.telemetry;
   net_cfg.max_rounds =
       pipelined_cycle_round_budget(g.num_vertices(), cfg.length) + 1;
   return congest::Supervisor(g, net_cfg, {cfg.amplify})

@@ -29,14 +29,6 @@ struct PipelinedCycleConfig {
   /// How repetitions are driven: worker threads + early exit after the
   /// first rejecting repetition. Results are jobs-count independent.
   congest::AmplifyOptions amplify;
-  /// Per-round observability for every repetition's run.
-  obs::TraceOptions trace;
-  /// Round-kernel workers for each repetition (congest/shard.hpp); 0 and 1
-  /// run inline. Bit-identical at every worker count.
-  congest::ShardSpec shard;
-  /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
-  /// (non-owning, write-only; nullptr = zero cost).
-  obs::Telemetry* telemetry = nullptr;
 };
 
 /// Program factory for one repetition (colors drawn from the network seed).

@@ -114,9 +114,6 @@ congest::RunOutcome detect_tree(const Graph& g, const TreeDetectConfig& cfg,
   congest::NetworkConfig net_cfg;
   net_cfg.bandwidth = bandwidth;
   net_cfg.seed = seed;
-  net_cfg.trace = cfg.trace;
-  net_cfg.shard = cfg.shard;
-  net_cfg.telemetry = cfg.telemetry;
   net_cfg.max_rounds = tree_detect_round_budget(cfg.tree) + 1;
   return congest::Supervisor(g, net_cfg, {cfg.amplify})
       .run(tree_detect_program(cfg.tree), cfg.repetitions)

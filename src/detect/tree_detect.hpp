@@ -25,14 +25,6 @@ struct TreeDetectConfig {
   /// How repetitions are driven: worker threads + early exit after the
   /// first rejecting repetition. Results are jobs-count independent.
   congest::AmplifyOptions amplify;
-  /// Per-round observability for every repetition's run.
-  obs::TraceOptions trace;
-  /// Round-kernel workers for each repetition (congest/shard.hpp); 0 and 1
-  /// run inline. Bit-identical at every worker count.
-  congest::ShardSpec shard;
-  /// Optional csd-metrics-v2 plane, forwarded to every repetition's engine
-  /// (non-owning, write-only; nullptr = zero cost).
-  obs::Telemetry* telemetry = nullptr;
 };
 
 congest::ProgramFactory tree_detect_program(const Graph& tree);

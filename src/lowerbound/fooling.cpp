@@ -16,17 +16,31 @@ namespace csd::lb {
 
 namespace {
 
+/// One message of a run, in the order its observer saw it (round order).
+struct Message {
+  Vertex src, dst;  // topology indices
+  BitVec payload;
+};
+using Transcript = std::vector<Message>;
+
+/// The observer that appends each message of a run to `transcript`.
+congest::MessageObserver record_into(Transcript& transcript) {
+  return [&transcript](std::uint64_t, Vertex src, Vertex dst,
+                       const BitVec& payload) {
+    transcript.push_back({src, dst, payload});
+  };
+}
+
 /// Canonical §4 transcript: for each node in namespace order, its messages
 /// to the "+1" neighbor in round order, then to the "+2" neighbor. Encoded
 /// as a '0'/'1' string with part boundaries marked (markers are bookkeeping
 /// only — the algorithm's own messages must be prefix-free, which the wire
 /// codec guarantees, so the raw bit stream is uniquely parsable too).
 ///
-/// `position_of[v]` maps a topology index to its part (0, 1, 2);
 /// `plus_one[v]` is the topology index of v's "+1" neighbor.
-std::string canonical_transcript(
-    const std::vector<congest::TranscriptEntry>& transcript,
-    const std::array<std::uint32_t, 6>& plus_one, std::uint32_t num_nodes) {
+std::string canonical_transcript(const Transcript& transcript,
+                                 const std::array<std::uint32_t, 6>& plus_one,
+                                 std::uint32_t num_nodes) {
   std::string out;
   for (std::uint32_t v = 0; v < num_nodes; ++v) {
     for (const bool towards_plus_one : {true, false}) {
@@ -93,7 +107,6 @@ FoolingReport run_fooling_adversary(const FoolingConfig& config) {
   run_cfg.bandwidth = config.bandwidth;
   run_cfg.max_rounds = config.max_rounds;
   run_cfg.namespace_size = config.namespace_size;
-  run_cfg.record_transcript = true;
 
   // Bucket all n^3 executions by canonical transcript.
   std::map<std::string, std::vector<std::array<std::uint64_t, 3>>> buckets;
@@ -104,14 +117,16 @@ FoolingReport run_fooling_adversary(const FoolingConfig& config) {
         const congest::NodeId u1 = n + b;
         const congest::NodeId u2 = 2 * n + c;
         congest::Network net(triangle, run_cfg, {u0, u1, u2});
-        const auto outcome = net.run(config.algorithm);
+        Transcript transcript;
+        const auto outcome =
+            net.run(config.algorithm, run_cfg.seed, record_into(transcript));
         CSD_CHECK_MSG(outcome.completed,
                       "algorithm did not halt on a triangle");
         report.all_triangles_rejected &= outcome.detected;
         for (const auto& node_bits : outcome.metrics.bits_sent_by_node)
           report.max_total_bits_per_node =
               std::max(report.max_total_bits_per_node, node_bits);
-        buckets[canonical_transcript(outcome.transcript, tri_plus_one, 3)]
+        buckets[canonical_transcript(transcript, tri_plus_one, 3)]
             .push_back({a, b, c});
       }
     }
@@ -170,15 +185,17 @@ FoolingReport run_fooling_adversary(const FoolingConfig& config) {
 
   congest::Network net(hexagon, run_cfg,
                        {u0, u1, u2, u0p, u1p, u2p});
-  const auto outcome = net.run(config.algorithm);
+  Transcript transcript;
+  const auto outcome =
+      net.run(config.algorithm, run_cfg.seed, record_into(transcript));
   CSD_CHECK_MSG(outcome.completed, "algorithm did not halt on the hexagon");
   report.hexagon_fooled = outcome.detected;
 
   // Claim 4.4: per-node hexagon transcripts equal the triangle transcript
   // slices t_0 t_1 t_2 (each appearing twice).
   const auto tri_parts = split_by_node(transcript_t);
-  const auto hex_parts = split_by_node(
-      canonical_transcript(outcome.transcript, hex_plus_one, 6));
+  const auto hex_parts =
+      split_by_node(canonical_transcript(transcript, hex_plus_one, 6));
   CSD_CHECK(tri_parts.size() == 3 && hex_parts.size() == 6);
   report.transcripts_match = true;
   for (std::uint32_t i = 0; i < 6; ++i)
@@ -213,7 +230,6 @@ TranscriptSampleReport sample_transcript_collisions(const FoolingConfig& config,
   run_cfg.bandwidth = config.bandwidth;
   run_cfg.max_rounds = config.max_rounds;
   run_cfg.namespace_size = config.namespace_size;
-  run_cfg.record_transcript = true;
 
   // Per-index result slots; the sequential fold below keeps the report
   // independent of execution order.
@@ -224,13 +240,15 @@ TranscriptSampleReport sample_transcript_collisions(const FoolingConfig& config,
   batch.for_each_index(samples, [&](std::size_t i) {
     const auto& [a, b, c] = triples[i];
     congest::Network net(triangle, run_cfg, {a, n + b, 2 * n + c});
-    const auto outcome = net.run(config.algorithm);
+    Transcript transcript;
+    const auto outcome =
+        net.run(config.algorithm, run_cfg.seed, record_into(transcript));
     CSD_CHECK_MSG(outcome.completed, "algorithm did not halt on a triangle");
     rejected[i] = outcome.detected ? 1 : 0;
     for (const auto& node_bits : outcome.metrics.bits_sent_by_node)
       max_bits[i] = std::max(max_bits[i], node_bits);
     hashes[i] =
-        transcript_hash(canonical_transcript(outcome.transcript, tri_plus_one, 3));
+        transcript_hash(canonical_transcript(transcript, tri_plus_one, 3));
   });
 
   info::FlatCounts counts;

@@ -88,6 +88,15 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
                       "when the header says per_node");
         t.total_messages += line.round.messages;
         t.total_bits += line.round.bits;
+        if (const auto& label = line.round.phase; label.has_value()) {
+          auto it = std::find_if(
+              t.phases.begin(), t.phases.end(),
+              [&](const auto& p) { return p.name == *label; });
+          if (it == t.phases.end()) it = t.phases.insert(it, {*label});
+          ++it->rounds;
+          it->messages += line.round.messages;
+          it->bits += line.round.bits;
+        }
         t.rounds.push_back(std::move(line.round));
         continue;
       }
@@ -112,6 +121,25 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
                     "keys 'total_messages'/'total_bits' must sum the round "
                     "lines: " << t.total_messages << " messages, "
                               << t.total_bits << " bits");
+      // t.phases holds the round lines' sums per label.
+      const auto by_name = [](std::vector<TraceInstance::Phase> phases) {
+        std::sort(phases.begin(), phases.end(),
+                  [](const auto& a, const auto& b) { return a.name < b.name; });
+        return phases;
+      };
+      CSD_CHECK_MSG(by_name(line.instance.phases) == by_name(t.phases),
+                    "key 'phases' must list each round line 'phase' once, "
+                    "with the sums of its lines' rounds, messages and bits");
+      std::uint64_t edge_messages = 0, edge_bits = 0;
+      for (const TraceInstance::Edge& e : t.edges) {
+        edge_messages += e.messages;
+        edge_bits += e.bits;
+      }
+      CSD_CHECK_MSG(!t.per_edge || (edge_messages == t.total_messages &&
+                                    edge_bits == t.total_bits),
+                    "keys 'total_messages'/'total_bits' must sum the edge "
+                    "lines: " << edge_messages << " messages, " << edge_bits
+                              << " bits");
       t.size_histogram = std::move(line.instance.size_histogram);
       t.phases = std::move(line.instance.phases);
       t.counters = std::move(line.instance.counters);

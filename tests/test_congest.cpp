@@ -224,29 +224,36 @@ TEST(Network, MetricsCountBits) {
 
 TEST(Network, TranscriptRecordsMessages) {
   const Graph g = build::path(2);
-  NetworkConfig cfg;
-  cfg.record_transcript = true;
-  auto outcome = run_congest(
-      g, cfg, [](std::uint32_t) { return std::make_unique<PingOnce>(); });
-  ASSERT_EQ(outcome.transcript.size(), 1u);
-  EXPECT_EQ(outcome.transcript[0].src, 0u);
-  EXPECT_EQ(outcome.transcript[0].dst, 1u);
-  EXPECT_EQ(outcome.transcript[0].round, 0u);
-  EXPECT_EQ(outcome.transcript[0].payload.size(), 3u);
+  const NetworkConfig cfg;
+  struct Entry {
+    std::uint64_t round;
+    Vertex src, dst;
+    BitVec payload;
+  };
+  std::vector<Entry> transcript;
+  Network(g, cfg).run(
+      [](std::uint32_t) { return std::make_unique<PingOnce>(); }, cfg.seed,
+      [&](std::uint64_t round, Vertex src, Vertex dst, const BitVec& payload) {
+        transcript.push_back({round, src, dst, payload});
+      });
+  ASSERT_EQ(transcript.size(), 1u);
+  EXPECT_EQ(transcript[0].src, 0u);
+  EXPECT_EQ(transcript[0].dst, 1u);
+  EXPECT_EQ(transcript[0].round, 0u);
+  EXPECT_EQ(transcript[0].payload.size(), 3u);
 }
 
 TEST(Network, ObserverSeesMessages) {
   const Graph g = build::path(2);
-  NetworkConfig cfg;
+  const NetworkConfig cfg;
   std::uint64_t observed_bits = 0;
-  cfg.on_message = [&](std::uint64_t, std::uint32_t src, std::uint32_t dst,
-                       std::uint64_t bits) {
-    EXPECT_EQ(src, 0u);
-    EXPECT_EQ(dst, 1u);
-    observed_bits += bits;
-  };
-  run_congest(g, cfg,
-              [](std::uint32_t) { return std::make_unique<PingOnce>(); });
+  Network(g, cfg).run(
+      [](std::uint32_t) { return std::make_unique<PingOnce>(); }, cfg.seed,
+      [&](std::uint64_t, Vertex src, Vertex dst, const BitVec& payload) {
+        EXPECT_EQ(src, 0u);
+        EXPECT_EQ(dst, 1u);
+        observed_bits += payload.size();
+      });
   EXPECT_EQ(observed_bits, 3u);
 }
 

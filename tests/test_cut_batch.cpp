@@ -1,12 +1,10 @@
 // Tests for the batched measurement data path: simulate_across_cut_batch's
-// bit-identity to the sequential simulator at every jobs count, the
-// on_message chaining contract (the regression behind the instrumentation
-// bugfix sweep), round-keyed max-bits accounting, the batched one-round
-// evaluator, the bit-sliced disjointness batch, the bootstrap exponent
-// fits, and the sampled transcript-collision probe.
+// bit-identity to the sequential simulator at every jobs count, round-keyed
+// max-bits accounting, the batched one-round evaluator, the bit-sliced
+// disjointness batch, the bootstrap exponent fits, and the sampled
+// transcript-collision probe.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -83,48 +81,6 @@ TEST(CutBatch, TrafficProgramIsSeedDeterministicWithSeedDependentSpread) {
   }
   // The probe exists to give multi-seed batches nonzero spread.
   EXPECT_TRUE(any_spread);
-}
-
-// -------------------------------------------------- on_message chaining --
-TEST(CutBatch, CallerOnMessageHookIsChainedNotClobbered) {
-  const Graph g = build::path(3);
-  const std::vector<Owner> owner = {Owner::Alice, Owner::Shared, Owner::Bob};
-  const auto factory = random_traffic_program(2);
-  const std::vector<std::uint64_t> seeds = {21, 22, 23};
-
-  // Per-seed sequential runs, counting every delivered message by hand.
-  std::uint64_t sequential_calls = 0;
-  std::vector<CutCost> expected;
-  for (const std::uint64_t s : seeds) {
-    congest::NetworkConfig cfg;
-    cfg.bandwidth = 8;
-    cfg.seed = s;
-    cfg.on_message = [&sequential_calls](std::uint64_t, std::uint32_t,
-                                         std::uint32_t, std::uint64_t) {
-      ++sequential_calls;
-    };
-    expected.push_back(simulate_across_cut(g, owner, cfg, factory));
-  }
-  // The simulator must observe crossing traffic even though the caller
-  // installed its own hook first — the regression this sweep fixed.
-  EXPECT_GT(sequential_calls, 0u);
-  for (const auto& cost : expected) EXPECT_GT(cost.total_crossing_bits(), 0u);
-
-  // Batched path, jobs > 1: the chained hook must fire for every delivery
-  // of every seed, concurrently, without perturbing the accounting.
-  std::atomic<std::uint64_t> batch_calls{0};
-  congest::NetworkConfig cfg;
-  cfg.bandwidth = 8;
-  cfg.on_message = [&batch_calls](std::uint64_t, std::uint32_t, std::uint32_t,
-                                  std::uint64_t) {
-    batch_calls.fetch_add(1, std::memory_order_relaxed);
-  };
-  const auto batch =
-      simulate_across_cut_batch(g, owner, cfg, factory, seeds, 2);
-  EXPECT_EQ(batch_calls.load(), sequential_calls);
-  for (std::size_t i = 0; i < seeds.size(); ++i)
-    EXPECT_EQ(batch.total_crossing_bits(i),
-              expected[i].total_crossing_bits());
 }
 
 // --------------------------------------------- round-keyed bit account --

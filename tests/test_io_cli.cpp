@@ -1005,6 +1005,32 @@ TEST_F(DamagedTrace, ACsdTraceV1HeaderExitsTwo) {
   expect_rejected(0, "csd-trace-v2", "csd-trace-v1", "schema", 1);
 }
 
+// A summary phase's totals are the sums of the round lines labelled with it.
+TEST_F(DamagedTrace, ASummaryPhaseThatMissesItsRoundLinesExitsTwo) {
+  const std::size_t summary = first("summary");
+  const std::uint64_t bits = obs::Json::parse(lines_[summary])
+                                 .at("phases")
+                                 .items()
+                                 .front()
+                                 .at("bits")
+                                 .as_uint();
+  // The first phase entry holds the line's first "bits" key.
+  expect_rejected(summary, "\"bits\":" + std::to_string(bits) + "}",
+                  "\"bits\":" + std::to_string(bits + 1000) + "}", "phases",
+                  summary + 1);
+}
+
+// The edge lines of a per-edge trace sum to the summary's totals, so an
+// edge cannot gain bits the cut analysis would count.
+TEST_F(DamagedTrace, EdgeLinesThatMissTheTotalsExitTwo) {
+  const std::size_t edge = first("edge");
+  const std::uint64_t bits =
+      obs::Json::parse(lines_[edge]).at("bits").as_uint();
+  expect_rejected(edge, "\"bits\":" + std::to_string(bits) + "}",
+                  "\"bits\":" + std::to_string(bits + 1000) + "}",
+                  "total_bits", first("summary") + 1);
+}
+
 // `csd detect --trace` and `csd sweep --trace` write no per-node rows:
 // `csd analyze` reads none, and they cost O(rounds * n) memory and bytes.
 TEST(Cli, TracesCarryNoPerNodeRows) {

@@ -365,6 +365,20 @@ TEST(RunTrace, AppendRebasesRoundsAndAdoptsIntoDisabled) {
   EXPECT_EQ(merged.segments(), 2u);
 }
 
+// A per-edge trace's edge lines sum to its totals only if every appended
+// segment recorded its edges too.
+TEST(RunTrace, AppendRejectsADonorWithAnotherPerEdgeOption) {
+  obs::TraceOptions opts;
+  opts.enabled = true;
+  obs::RunTrace plain(2, opts);
+  opts.per_edge = true;
+  obs::RunTrace edged(2, opts);
+  plain.record(0, 0, 1, 8);
+  edged.record(0, 0, 1, 8);
+  EXPECT_THROW(edged.append(plain), CheckFailure);
+  EXPECT_THROW(plain.append(edged), CheckFailure);
+}
+
 TEST(RunTrace, AppendIntoConfiguredDisabledReceiverIsANoOp) {
   obs::TraceOptions on;
   on.enabled = true;
@@ -825,7 +839,31 @@ TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
           "per_edge");
   rejects(good, R"("total_bits":24)", R"("total_bits":25)", "6",
           "'total_bits'");
+  rejects(good, R"("dst":0,"messages":1,"bits":16)",
+          R"("dst":0,"messages":1,"bits":17)", "6", "'total_bits'");
   rejects(good, R"("csd-trace-v2")", R"("csd-trace-v1")", "1", "'schema'");
+
+  // A summary's `phases` are the sums over the round lines labelled with
+  // each name: distinct names, covering every label.
+  const std::string phased =
+      R"({"type":"header","schema":"csd-trace-v2","nodes":2,"rounds":3,)"
+      R"("segments":1,"per_node":false,"per_edge":false})"
+      "\n"
+      R"({"type":"round","round":0,"messages":1,"bits":8,"phase":"a"})"
+      "\n"
+      R"({"type":"round","round":1,"messages":1,"bits":16,"phase":"b"})"
+      "\n"
+      R"({"type":"round","round":2,"messages":0,"bits":0,"phase":"a"})"
+      "\n"
+      R"({"type":"summary","total_messages":2,"total_bits":24,"phases":[)"
+      R"({"name":"a","rounds":2,"messages":1,"bits":8},)"
+      R"({"name":"b","rounds":1,"messages":1,"bits":16}]})";
+  ASSERT_EQ(parse(phased).front().phases.size(), 2u);
+  rejects(phased, R"("bits":8},)", R"("bits":9},)", "5", "'phases'");
+  rejects(phased, R"("rounds":2,"messages":1)", R"("rounds":1,"messages":1)",
+          "5", "'phases'");
+  rejects(phased, R"("name":"b")", R"("name":"a")", "5", "'phases'");
+  rejects(phased, R"("phase":"b")", R"("phase":"c")", "5", "'phases'");
 }
 
 TEST(TraceAnalysis, FitPowerLawRecoversSyntheticExponent) {

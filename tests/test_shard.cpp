@@ -50,13 +50,16 @@ void expect_outcomes_identical(const RunOutcome& a, const RunOutcome& b,
       << label;
   EXPECT_TRUE(a.faults == b.faults) << label;
   EXPECT_EQ(trace_jsonl(a), trace_jsonl(b)) << label;
-  ASSERT_EQ(a.transcript.size(), b.transcript.size()) << label;
-  for (std::size_t i = 0; i < a.transcript.size(); ++i) {
-    EXPECT_EQ(a.transcript[i].round, b.transcript[i].round) << label;
-    EXPECT_EQ(a.transcript[i].src, b.transcript[i].src) << label;
-    EXPECT_EQ(a.transcript[i].dst, b.transcript[i].dst) << label;
-    EXPECT_TRUE(a.transcript[i].payload == b.transcript[i].payload) << label;
-  }
+}
+
+/// One message as a run's observer saw it: (round, src, dst, payload).
+using Event = std::tuple<std::uint64_t, Vertex, Vertex, BitVec>;
+
+MessageObserver record_into(std::vector<Event>& events) {
+  return [&events](std::uint64_t round, Vertex src, Vertex dst,
+                   const BitVec& payload) {
+    events.emplace_back(round, src, dst, payload);
+  };
 }
 
 /// Traffic-heavy randomized program: phase declarations, per-node RNG,
@@ -337,28 +340,105 @@ TEST(Shard, TranscriptAndOnMessageReplayInClassicOrder) {
   cfg.bandwidth = 12;
   cfg.max_rounds = 24;
   cfg.seed = 9;
-  cfg.record_transcript = true;
-  using Event = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t,
-                           std::uint64_t>;
   std::vector<Event> classic_events;
-  cfg.on_message = [&](std::uint64_t r, std::uint32_t s, std::uint32_t d,
-                       std::uint64_t bits) {
-    classic_events.emplace_back(r, s, d, bits);
-  };
   const Network classic(g, cfg);
-  const RunOutcome reference = classic.run(chatter(6));
-  ASSERT_FALSE(reference.transcript.empty());
+  const RunOutcome reference =
+      classic.run(chatter(6), cfg.seed, record_into(classic_events));
+  ASSERT_FALSE(classic_events.empty());
 
   std::vector<Event> sharded_events;
   NetworkConfig shard_cfg = cfg;
   shard_cfg.shard.workers = 4;
-  shard_cfg.on_message = [&](std::uint64_t r, std::uint32_t s,
-                             std::uint32_t d, std::uint64_t bits) {
-    sharded_events.emplace_back(r, s, d, bits);
-  };
   const Network net(g, shard_cfg);
-  expect_outcomes_identical(reference, net.run(chatter(6)), "transcript");
+  expect_outcomes_identical(
+      reference, net.run(chatter(6), cfg.seed, record_into(sharded_events)),
+      "transcript");
   EXPECT_EQ(classic_events, sharded_events);
+}
+
+/// The payload node `id` sends in `round`: 16 bits naming both, so a
+/// flipped bit always shows.
+BitVec stamp(std::uint64_t round, NodeId id) {
+  wire::Writer w;
+  w.u((id << 6 | round) & 0xffff, 16);
+  return std::move(w).take();
+}
+
+/// Sends stamp(round, id) on every port for `rounds` rounds, counting the
+/// frames that arrive differing from their sender's stamp, and halts after
+/// reading the last round's mail.
+class Stamper final : public NodeProgram {
+ public:
+  Stamper(std::uint64_t rounds, std::uint64_t* damaged)
+      : rounds_(rounds), damaged_(damaged) {}
+  void on_round(NodeApi& api) override {
+    for (std::uint32_t p = 0; p < api.degree(); ++p) {
+      const BitVec* got = api.inbox(p);
+      if (got != nullptr && !(*got == stamp(api.round() - 1,
+                                            api.neighbor_id(p))))
+        ++*damaged_;
+    }
+    if (api.round() == rounds_) {
+      api.halt();
+      return;
+    }
+    for (std::uint32_t p = 0; p < api.degree(); ++p)
+      api.send(p, stamp(api.round(), api.id()));
+  }
+
+ private:
+  std::uint64_t rounds_;
+  std::uint64_t* damaged_;
+};
+
+TEST(Shard, ObserverSeesPayloadsBeforeCorruptionAtEveryWorkerCount) {
+  const Graph g = build::grid(6, 6);
+  NetworkConfig cfg;
+  cfg.bandwidth = 16;
+  cfg.max_rounds = 16;
+  cfg.seed = 5;
+  cfg.faults.corrupt = 0.2;
+  cfg.trace.enabled = true;
+  cfg.trace.per_edge = true;
+  struct Observed {
+    RunOutcome outcome;
+    std::vector<Event> events;
+    std::uint64_t damaged = 0;  // frames that reached a receiver altered
+  };
+  const auto run = [&](std::uint32_t workers, bool observe) {
+    NetworkConfig c = cfg;
+    c.shard.workers = workers;
+    std::vector<std::uint64_t> damaged(g.num_vertices(), 0);
+    Observed o;
+    o.outcome = Network(g, c).run(
+        [&damaged](std::uint32_t v) {
+          return std::make_unique<Stamper>(6, &damaged[v]);
+        },
+        c.seed, observe ? record_into(o.events) : MessageObserver{});
+    for (const std::uint64_t d : damaged) o.damaged += d;
+    return o;
+  };
+
+  // The observer sees every payload as its sender stamped it (ids are
+  // topology indices), while every corrupted frame reaches its receiver
+  // altered.
+  const Observed inline_run = run(1, true);
+  ASSERT_EQ(inline_run.events.size(), inline_run.outcome.metrics.messages);
+  for (const auto& [round, src, dst, payload] : inline_run.events)
+    EXPECT_TRUE(payload == stamp(round, src)) << round << " " << src;
+  EXPECT_GT(inline_run.outcome.faults.frames_corrupted, 0u);
+  EXPECT_EQ(inline_run.damaged, inline_run.outcome.faults.frames_corrupted);
+
+  // The same events at W = 3.
+  const Observed sharded = run(3, true);
+  EXPECT_EQ(inline_run.events, sharded.events);
+  expect_outcomes_identical(inline_run.outcome, sharded.outcome, "W = 3");
+
+  // Attaching the observer changes nothing, trace bytes included.
+  expect_outcomes_identical(inline_run.outcome, run(1, false).outcome,
+                            "unobserved, W = 1");
+  expect_outcomes_identical(sharded.outcome, run(3, false).outcome,
+                            "unobserved, W = 3");
 }
 
 TEST(Shard, BroadcastOnlyModeMatches) {

@@ -38,6 +38,22 @@ ProgramFactory fuzz_factory() {
   return [](std::uint32_t) { return std::make_unique<FuzzProgram>(); };
 }
 
+/// One message as a run's observer saw it.
+struct Entry {
+  std::uint64_t round;
+  Vertex src, dst;
+  BitVec payload;
+};
+
+/// Run `net` seeded config().seed, collecting every message it sends.
+RunOutcome run_recorded(const Network& net, std::vector<Entry>& transcript) {
+  return net.run(fuzz_factory(), net.config().seed,
+                 [&transcript](std::uint64_t round, Vertex src, Vertex dst,
+                               const BitVec& payload) {
+                   transcript.push_back({round, src, dst, payload});
+                 });
+}
+
 TEST(SimulatorFuzz, MetricsAreInternallyConsistent) {
   Rng rng(1);
   for (int trial = 0; trial < 10; ++trial) {
@@ -46,26 +62,18 @@ TEST(SimulatorFuzz, MetricsAreInternallyConsistent) {
     cfg.bandwidth = 16;
     cfg.seed = 100 + static_cast<std::uint64_t>(trial);
     cfg.max_rounds = 64;
-    cfg.record_transcript = true;
 
-    std::uint64_t observed_bits = 0, observed_messages = 0;
-    cfg.on_message = [&](std::uint64_t, std::uint32_t, std::uint32_t,
-                         std::uint64_t bits) {
-      observed_bits += bits;
-      ++observed_messages;
-    };
     Network net(g, cfg);
-    const auto outcome = net.run(fuzz_factory());
+    std::vector<Entry> transcript;
+    const auto outcome = run_recorded(net, transcript);
     ASSERT_TRUE(outcome.completed);
 
-    // Observer == metrics == transcript == per-node tallies.
-    EXPECT_EQ(observed_bits, outcome.metrics.total_bits);
-    EXPECT_EQ(observed_messages, outcome.metrics.messages);
-    EXPECT_EQ(outcome.transcript.size(), outcome.metrics.messages);
+    // Observer == metrics == per-node tallies.
+    EXPECT_EQ(transcript.size(), outcome.metrics.messages);
     std::uint64_t per_node_sum = 0, transcript_bits = 0;
     for (const auto bits : outcome.metrics.bits_sent_by_node)
       per_node_sum += bits;
-    for (const auto& entry : outcome.transcript)
+    for (const auto& entry : transcript)
       transcript_bits += entry.payload.size();
     EXPECT_EQ(per_node_sum, outcome.metrics.total_bits);
     EXPECT_EQ(transcript_bits, outcome.metrics.total_bits);
@@ -83,11 +91,11 @@ TEST(SimulatorFuzz, TranscriptSourcesAreRealEdges) {
   const Graph g = build::gnp(12, 0.35, rng);
   NetworkConfig cfg;
   cfg.bandwidth = 8;
-  cfg.record_transcript = true;
   cfg.max_rounds = 64;
   Network net(g, cfg);
-  const auto outcome = net.run(fuzz_factory());
-  for (const auto& entry : outcome.transcript) {
+  std::vector<Entry> transcript;
+  run_recorded(net, transcript);
+  for (const auto& entry : transcript) {
     EXPECT_TRUE(g.has_edge(entry.src, entry.dst))
         << entry.src << "->" << entry.dst;
     EXPECT_LE(entry.payload.size(), 8u);
@@ -95,7 +103,7 @@ TEST(SimulatorFuzz, TranscriptSourcesAreRealEdges) {
   // At most one message per directed edge per round.
   std::map<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>, int>
       count;
-  for (const auto& entry : outcome.transcript) {
+  for (const auto& entry : transcript) {
     const auto key = std::make_tuple(entry.round, entry.src, entry.dst);
     EXPECT_EQ(++count[key], 1);
   }

@@ -296,8 +296,6 @@ TEST(AsyncRecovery, ScheduledCrashRejoinsAndMatchesFaultFreeVerdicts) {
   ASSERT_EQ(healed.faults.crashed_nodes, std::vector<std::uint32_t>{3});
   ASSERT_EQ(healed.faults.recovered_nodes, std::vector<std::uint32_t>{3});
   EXPECT_EQ(healed.faults.replayed_pulses, 4u);  // pulses 0..3 replayed
-  EXPECT_EQ(healed.counters.value("recovered_nodes"), 1);
-  EXPECT_EQ(healed.counters.value("replayed_pulses"), 4);
 }
 
 TEST(AsyncRecovery, CrashAtPulseZeroRecoversFromAnEmptyHistory) {
@@ -375,7 +373,6 @@ TEST(AsyncWatchdog, CutsAStarvedRunInsteadOfGrindingThroughRetries) {
   const auto outcome = run_async(g, cfg, factory);
   EXPECT_FALSE(outcome.completed);
   EXPECT_EQ(outcome.faults.watchdog_stalls, 1u);
-  EXPECT_EQ(outcome.counters.value("watchdog_stalls"), 1);
 }
 
 // -------------------------------------------------------------- format --
