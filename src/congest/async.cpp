@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <string>
+#include <tuple>
 
 #include "congest/event_queue.hpp"
 #include "congest/node_state.hpp"
@@ -19,19 +19,6 @@ namespace {
 /// config_digest() still mixes all four, so a checkpoint's digest does not
 /// depend on their being fixed.
 constexpr TransportConfig kTransport{};
-
-/// Synchronizer bookkeeping per node.
-struct SyncState {
-  std::uint64_t pulse = 0;          // next pulse to execute
-  std::uint64_t local_time = 0;     // virtual time the node last acted
-  std::vector<std::deque<Frame>> arrived;  // per port
-  std::vector<bool> port_dead;             // sender halted, nothing more
-  bool running = true;   // false once halted, crashed, or cap-stopped
-  bool crashed = false;  // fault-injected or program fault
-  bool crash_done = false;        // scheduled crash already honored
-  bool recovery_pending = false;  // a Recover event is in the queue
-  std::uint32_t recoveries_used = 0;
-};
 
 /// The engine's counter rows (DESIGN.md §14): the run's own counts, then
 /// its FaultReport's.
@@ -76,44 +63,27 @@ class AsyncEngine {
     // it cannot change a single bit of the run (fuzzer-enforced).
     log_enabled_ =
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
-    if (log_enabled_) inbox_log_.resize(n);
 
     inbox_arena_ = detail::FrameArena(topology_.csr);
     outbox_arena_ = detail::FrameArena(topology_.csr);
 
-    nodes_.reserve(n);
-    programs_.reserve(n);
-    sync_.resize(n);
-    for (Vertex v = 0; v < n; ++v) {
-      nodes_.push_back(std::make_unique<detail::NodeState>(
-          topology_, v, config_.seed, config_.bandwidth,
-          config_.broadcast_only, &outcome_.faults.violations));
-      nodes_.back()->attach_frames(
-          inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
-          outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
-      programs_.push_back(factory(v));
-      CSD_CHECK(programs_.back() != nullptr);
-      sync_[v].arrived.resize(topology_.degree(v));
-      sync_[v].port_dead.assign(topology_.degree(v), false);
-    }
     outcome_.trace = obs::RunTrace(n, config_.trace);
-    if (outcome_.trace)
-      for (Vertex v = 0; v < n; ++v) nodes_[v]->set_trace(&outcome_.trace);
+    nodes_.resize(n);
+    programs_.resize(n);
+    hosts_.resize(n);
+    for (Vertex v = 0; v < n; ++v) {
+      build_node(v);
+      AsyncNodeState& host = hosts_[v];
+      const std::uint32_t degree = topology_.degree(v);
+      host.arrived.resize(degree);
+      host.port_dead.assign(degree, 0);
+      host.link_watermark.assign(degree, 0);
+      // Default endpoints carry kTransport; raw links have none.
+      host.senders.resize(reliable_ ? degree : 0);
+      host.receivers.resize(reliable_ ? degree : 0);
+    }
     timing_ = config_.trace.timers;
     outcome_.timers.enabled = timing_;
-    // FIFO watermark per directed link (indexed by src, src-port); acks on
-    // the reverse link share its watermark with that link's data frames.
-    link_watermark_.resize(n);
-    for (Vertex v = 0; v < n; ++v)
-      link_watermark_[v].assign(topology_.degree(v), 0);
-    if (reliable_) {
-      senders_.reserve(n);
-      receivers_.reserve(n);
-      for (Vertex v = 0; v < n; ++v) {
-        senders_.emplace_back(topology_.degree(v), LinkSender(kTransport));
-        receivers_.emplace_back(topology_.degree(v), LinkReceiver(kTransport));
-      }
-    }
 
     // csd-metrics-v2 instrumentation: handles registered once, write-only
     // afterwards. nullptr telemetry leaves every site a predicted branch.
@@ -204,9 +174,10 @@ class AsyncEngine {
           // A permanently crashed host's transport dies with it, but a
           // host with a pending recovery keeps its ARQ card: acks that
           // arrive while it is down still settle its in-flight packets.
-          if ((!sync_[event.src].crashed ||
-               sync_[event.src].recovery_pending) &&
-              !senders_[event.src][event.src_port].on_ack(event.link_seq))
+          if ((!hosts_[event.src].crashed ||
+               hosts_[event.src].recovery_pending) &&
+              !hosts_[event.src].senders[event.src_port].on_ack(
+                  event.link_seq))
             ++outcome_.faults.duplicate_acks;
           break;
         case EventRecord::Kind::Timer:
@@ -219,7 +190,7 @@ class AsyncEngine {
           // needs the same unconditional kick the bootstrap gives (ports
           // cannot be "ready" for it — there is no pulse -1 frame to wait
           // on). Later pulses cascade normally off the queued arrivals.
-          if (sync_[event.src].pulse == 0 && sync_[event.src].running)
+          if (hosts_[event.src].pulse == 0 && hosts_[event.src].running)
             execute_pulse(event.src);
           while (try_execute(event.src)) {
           }
@@ -253,9 +224,9 @@ class AsyncEngine {
       const auto& node = nodes_[v];
       outcome_.verdicts.push_back(node->verdict());
       if (node->verdict() == Verdict::Reject) outcome_.detected = true;
-      if (!sync_[v].crashed && node->verdict() == Verdict::Reject)
+      if (!hosts_[v].crashed && node->verdict() == Verdict::Reject)
         outcome_.faults.detected_by_survivors = true;
-      if (!sync_[v].crashed && !node->halted())
+      if (!hosts_[v].crashed && !node->halted())
         outcome_.faults.stalled_nodes.push_back(v);
     }
     plane_.publish(counts(outcome_));
@@ -349,9 +320,9 @@ class AsyncEngine {
   void transmit(std::uint32_t src, std::uint32_t port, DataPacket packet,
                 std::uint64_t now) {
     if (!survive_faults(src, port, packet)) return;
-    std::uint64_t when = now + fresh_delay();
-    when = std::max(when, link_watermark_[src][port] + 1);
-    link_watermark_[src][port] = when;
+    std::uint64_t& watermark = hosts_[src].link_watermark[port];
+    const std::uint64_t when = std::max(now + fresh_delay(), watermark + 1);
+    watermark = when;
     EventRecord event;
     event.time = when;
     event.kind = EventRecord::Kind::Data;
@@ -367,7 +338,7 @@ class AsyncEngine {
   void arm_timer(std::uint32_t src, std::uint32_t port, std::uint64_t seq,
                  std::uint64_t now) {
     EventRecord event;
-    event.time = now + senders_[src][port].timeout_for(seq, base_rto_);
+    event.time = now + hosts_[src].senders[port].timeout_for(seq, base_rto_);
     event.kind = EventRecord::Kind::Timer;
     event.src = src;
     event.src_port = port;
@@ -392,9 +363,9 @@ class AsyncEngine {
         return;
       }
     }
-    std::uint64_t when = now + fresh_delay();
-    when = std::max(when, link_watermark_[dst][dst_port] + 1);
-    link_watermark_[dst][dst_port] = when;
+    std::uint64_t& watermark = hosts_[dst].link_watermark[dst_port];
+    const std::uint64_t when = std::max(now + fresh_delay(), watermark + 1);
+    watermark = when;
     EventRecord event;
     event.time = when;
     event.kind = EventRecord::Kind::Ack;
@@ -412,11 +383,10 @@ class AsyncEngine {
     // too. A host with a *pending* recovery keeps receiving: its ARQ card
     // and arrival queues survive the outage, and the replica drains the
     // backlog after the rejoin.
-    const auto& dst_sync = sync_[event.dst];
-    if (dst_sync.crashed && !dst_sync.recovery_pending) return;
+    AsyncNodeState& dst = hosts_[event.dst];
+    if (dst.crashed && !dst.recovery_pending) return;
     if (reliable_) {
-      receivers_[event.dst][event.dst_port].on_data(std::move(event.packet),
-                                                    accept_);
+      dst.receivers[event.dst_port].on_data(std::move(event.packet), accept_);
       if (accept_.checksum_reject) {
         ++outcome_.faults.checksum_rejects;
         if (telemetry_ != nullptr)
@@ -441,16 +411,17 @@ class AsyncEngine {
 
   void deliver_frame(std::uint32_t dst, std::uint32_t port, Frame frame,
                      std::uint64_t time) {
-    auto& sync = sync_[dst];
-    if (frame.sender_halted) sync.port_dead[port] = true;  // after this frame
-    sync.arrived[port].push_back(std::move(frame));
-    sync.local_time = std::max(sync.local_time, time);
+    AsyncNodeState& host = hosts_[dst];
+    if (frame.sender_halted) host.port_dead[port] = 1;  // after this frame
+    host.arrived[port].push_back(std::move(frame));
+    host.local_time = std::max(host.local_time, time);
   }
 
   /// May re-queue `event` itself (timer parking).
   void handle_timer(EventRecord& event) {
-    if (sync_[event.src].crashed) {
-      if (sync_[event.src].recovery_pending) {
+    AsyncNodeState& host = hosts_[event.src];
+    if (host.crashed) {
+      if (host.recovery_pending) {
         // Timer parking: the host is down but scheduled to rejoin. Re-arm
         // the raw event one RTO out without consulting the sender (whose
         // attempt counter must not advance while the host is dead), so the
@@ -462,7 +433,7 @@ class AsyncEngine {
       }
       return;  // a permanent crash kills the transport too
     }
-    auto& sender = senders_[event.src][event.src_port];
+    LinkSender& sender = host.senders[event.src_port];
     switch (sender.on_timeout(event.link_seq)) {
       case LinkSender::TimeoutAction::Settled:
         return;
@@ -486,21 +457,19 @@ class AsyncEngine {
   }
 
   // ---------------------------------------------------------- synchronizer --
-  /// Frame for the pulse dst is waiting on available (or the port is
-  /// permanently dead with no buffered frames: the sender halted earlier)?
+  /// Runs v's next pulse if every port holds the frame it waits on or is
+  /// permanently dead with no buffered frames (the sender halted earlier).
   /// Under raw faulty links a dropped frame leaves a pulse gap at the head
-  /// of the queue — the port is then starved forever and the node stalls.
-  bool port_ready(const SyncState& sync, std::uint32_t port) const {
-    const auto& queue = sync.arrived[port];
-    if (!queue.empty()) return queue.front().pulse + 1 == sync.pulse;
-    return sync.port_dead[port];
-  }
-
+  /// of a queue — the port is then starved forever and the node stalls.
   bool try_execute(Vertex v) {
-    auto& sync = sync_[v];
-    if (!sync.running) return false;
-    for (std::uint32_t p = 0; p < sync.arrived.size(); ++p)
-      if (!port_ready(sync, p)) return false;
+    const AsyncNodeState& host = hosts_[v];
+    if (!host.running) return false;
+    for (std::uint32_t p = 0; p < host.arrived.size(); ++p) {
+      const auto& queue = host.arrived[p];
+      if (queue.empty() ? host.port_dead[p] == 0
+                        : queue.front().pulse + 1 != host.pulse)
+        return false;
+    }
     execute_pulse(v);
     return true;
   }
@@ -509,26 +478,26 @@ class AsyncEngine {
   /// a deterministic function of a delivered payload, so a restored replica
   /// would re-crash on the same input — recovery never applies to it.
   void crash_node(Vertex v, bool recoverable) {
-    auto& sync = sync_[v];
-    sync.running = false;
-    sync.crashed = true;
+    AsyncNodeState& host = hosts_[v];
+    host.running = 0;
+    host.crashed = 1;
     nodes_[v]->discard_outbox();
     outcome_.faults.crashed_nodes.push_back(v);
     if (telemetry_ != nullptr)
-      telemetry_->record(obs::EventKind::NodeCrash, v, sync.pulse);
+      telemetry_->record(obs::EventKind::NodeCrash, v, host.pulse);
     ++stopped_count_;
     if (recoverable && config_.recovery.enabled &&
-        sync.recoveries_used < config_.recovery.max_recoveries) {
-      CSD_CHECK_MSG(rejoin_delay_ <= ~0ULL - sync.local_time,
+        host.recoveries_used < config_.recovery.max_recoveries) {
+      CSD_CHECK_MSG(rejoin_delay_ <= ~0ULL - host.local_time,
                     "--rejoin-delay " << rejoin_delay_ << " puts node " << v
                         << "'s rejoin past the end of virtual time (it "
                            "crashed at time "
-                        << sync.local_time << ")");
-      ++sync.recoveries_used;
-      sync.recovery_pending = true;
+                        << host.local_time << ")");
+      ++host.recoveries_used;
+      host.recovery_pending = true;
       ++pending_recoveries_;
       EventRecord event;
-      event.time = sync.local_time + rejoin_delay_;
+      event.time = host.local_time + rejoin_delay_;
       event.kind = EventRecord::Kind::Recover;
       event.src = v;
       push_event(std::move(event));
@@ -536,44 +505,44 @@ class AsyncEngine {
   }
 
   void execute_pulse(Vertex v) {
-    auto& sync = sync_[v];
+    AsyncNodeState& host = hosts_[v];
     auto& node = *nodes_[v];
-    CSD_CHECK(sync.running);
+    CSD_CHECK(host.running);
     // crash_done: a recovered node must not be re-killed by the same
     // schedule entry on every subsequent pulse (the entry means "crash when
     // the pulse counter first reaches `when`", not "stay dead forever").
-    if (injector_.has_value() && !sync.crash_done) {
+    if (injector_.has_value() && !host.crash_done) {
       if (const auto when = injector_->crash_round(v);
-          when.has_value() && sync.pulse >= *when) {
-        sync.crash_done = true;
+          when.has_value() && host.pulse >= *when) {
+        host.crash_done = 1;
         crash_node(v, /*recoverable=*/true);
         return;
       }
     }
-    if (sync.pulse >= config_.max_pulses) {
+    if (host.pulse >= config_.max_pulses) {
       pulse_cap_hit_ = true;
-      sync.running = false;
+      host.running = 0;
       return;
     }
 
     // Assemble the inbox for this pulse (pulse 0 has none by construction).
     node.clear_inbox();
-    if (sync.pulse > 0) {
-      for (std::uint32_t p = 0; p < sync.arrived.size(); ++p) {
-        if (sync.arrived[p].empty()) continue;  // dead port
-        Frame frame = std::move(sync.arrived[p].front());
-        sync.arrived[p].pop_front();
-        CSD_CHECK_MSG(frame.pulse + 1 == sync.pulse,
+    if (host.pulse > 0) {
+      for (std::uint32_t p = 0; p < host.arrived.size(); ++p) {
+        if (host.arrived[p].empty()) continue;  // dead port
+        Frame frame = std::move(host.arrived[p].front());
+        host.arrived[p].pop_front();
+        CSD_CHECK_MSG(frame.pulse + 1 == host.pulse,
                       "synchronizer frame out of order");
         if (frame.payload.has_value()) {
           if (logging_active())
-            log_row(v, sync.pulse)[p] = *frame.payload;  // post-corruption
+            log_row(v, host.pulse)[p] = *frame.payload;  // post-corruption
           node.deliver(p, std::move(*frame.payload));
         }
       }
     }
 
-    node.begin_round(sync.pulse);
+    node.begin_round(host.pulse);
     bool program_fault = false;
     const auto invoke_program = [&] {
       if (injector_.has_value()) {
@@ -584,7 +553,7 @@ class AsyncEngine {
           programs_[v]->on_round(node);
         } catch (const CheckFailure& failure) {
           outcome_.faults.violations.push_back(
-              {ViolationKind::ProgramFault, v, sync.pulse, failure.what()});
+              {ViolationKind::ProgramFault, v, host.pulse, failure.what()});
           program_fault = true;
         }
       } else {
@@ -598,21 +567,22 @@ class AsyncEngine {
     } else {
       invoke_program();
     }
+    const bool node_halted = node.halted();
+    host.halted = node_halted ? 1 : 0;
     if (program_fault) {
       if (telemetry_ != nullptr)
-        telemetry_->record(obs::EventKind::Violation, v, sync.pulse);
+        telemetry_->record(obs::EventKind::Violation, v, host.pulse);
       crash_node(v, /*recoverable=*/false);
       return;
     }
-    outcome_.pulses = std::max(outcome_.pulses, sync.pulse + 1);
+    outcome_.pulses = std::max(outcome_.pulses, host.pulse + 1);
 
     // Emit this pulse's frames (exactly one per port), with jittered FIFO
     // delivery times; under the reliable transport each frame becomes a
     // sequenced, CRC-protected, retransmittable packet.
-    const bool node_halted = node.halted();
-    for (std::uint32_t p = 0; p < sync.arrived.size(); ++p) {
+    for (std::uint32_t p = 0; p < host.arrived.size(); ++p) {
       Frame frame;
-      frame.pulse = sync.pulse;
+      frame.pulse = host.pulse;
       frame.sender_halted = node_halted;
       if (node.outbox_present(p)) {
         // Move the payload buffer out of the arena slot into the frame; the
@@ -622,7 +592,7 @@ class AsyncEngine {
         node.consume_outbox(p);
       }
       if (outcome_.trace && frame.payload.has_value())
-        outcome_.trace.record(sync.pulse, v, topology_.csr.row(v)[p],
+        outcome_.trace.record(host.pulse, v, topology_.csr.row(v)[p],
                               frame.payload_bits());
       outcome_.payload_bits += frame.payload_bits();
       outcome_.overhead_bits += frame.overhead_bits();
@@ -632,21 +602,21 @@ class AsyncEngine {
         m_queue_depth_.set(events_.size());
       }
       if (reliable_) {
-        DataPacket packet = senders_[v][p].packet(std::move(frame));
+        DataPacket packet = host.senders[p].packet(std::move(frame));
         outcome_.transport_bits += kTransport.seq_bits + kTransport.crc_bits;
         const std::uint64_t seq = packet.seq;
-        transmit(v, p, std::move(packet), sync.local_time);
-        arm_timer(v, p, seq, sync.local_time);
+        transmit(v, p, std::move(packet), host.local_time);
+        arm_timer(v, p, seq, host.local_time);
       } else {
         DataPacket packet;
         packet.frame = std::move(frame);
-        transmit(v, p, std::move(packet), sync.local_time);
+        transmit(v, p, std::move(packet), host.local_time);
       }
     }
 
-    ++sync.pulse;
+    ++host.pulse;
     if (node_halted) {
-      sync.running = false;
+      host.running = 0;
       ++halted_count_;
       ++stopped_count_;
     }
@@ -661,66 +631,74 @@ class AsyncEngine {
   }
 
   std::vector<std::optional<BitVec>>& log_row(Vertex v, std::uint64_t r) {
-    auto& entries = inbox_log_[v];
+    auto& entries = hosts_[v].inbox;
     while (entries.size() <= r) entries.emplace_back(topology_.degree(v));
     return entries[r];
   }
 
-  /// Replay pulses [0, pulses) of `log` through a fresh (node, program)
+  /// A fresh (node, program) pair for v on v's arena rows, reporting to the
+  /// run's violation list and trace.
+  void build_node(Vertex v) {
+    nodes_[v] = std::make_unique<detail::NodeState>(
+        topology_, v, config_.seed, config_.bandwidth, config_.broadcast_only,
+        &outcome_.faults.violations);
+    nodes_[v]->attach_frames(
+        inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
+        outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
+    if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
+    programs_[v] = (*factory_)(v);
+    CSD_CHECK(programs_[v] != nullptr);
+  }
+
+  /// Replay pulses [0, pulse) of v's inbox log through its freshly built
   /// pair: deliver the logged inbox, run the program, discard its sends.
   /// Programs are pure functions of (inbox history, seeded RNG draws), so
-  /// this reconstructs internal state bit-exactly — the caller routes
-  /// violations to a scratch sink and detaches the trace first, because
-  /// everything observable was already reported when the history ran live.
-  static void replay_history(detail::NodeState& node, NodeProgram& program,
-                             const InboxLog& log, std::uint64_t pulses) {
-    for (std::uint64_t r = 0; r < pulses; ++r) {
+  /// this reconstructs internal state bit-exactly. Violations go to a
+  /// scratch sink and the trace is detached meanwhile: everything
+  /// observable was already reported when the history ran live.
+  void replay(Vertex v) {
+    detail::NodeState& node = *nodes_[v];
+    const InboxLog& log = hosts_[v].inbox;
+    std::vector<ProtocolViolation> scratch;
+    node.set_violation_sink(&scratch);
+    node.set_trace(nullptr);
+    for (std::uint64_t r = 0; r < hosts_[v].pulse; ++r) {
       node.clear_inbox();
       if (r < log.size())
         for (std::uint32_t p = 0; p < log[r].size(); ++p)
           if (log[r][p].has_value()) node.deliver(p, BitVec(*log[r][p]));
       node.begin_round(r);
-      program.on_round(node);
+      programs_[v]->on_round(node);
     }
     node.discard_outbox();
+    node.set_violation_sink(&outcome_.faults.violations);
+    if (outcome_.trace) node.set_trace(&outcome_.trace);
   }
 
   void handle_recover(const EventRecord& event) {
     const Vertex v = event.src;
-    auto& sync = sync_[v];
-    CSD_CHECK(sync.crashed && sync.recovery_pending);
-    sync.recovery_pending = false;
+    AsyncNodeState& host = hosts_[v];
+    CSD_CHECK(host.crashed && host.recovery_pending);
+    host.recovery_pending = false;
     --pending_recoveries_;
     // The rejoined host lost its memory: build a fresh replica and replay
     // its logged inbox history — the in-engine model of "restart the host,
     // restore its checkpoint". Frames that arrived while it was down are
-    // still queued in sync.arrived (delivery never checks the destination's
-    // crash flag), so the node picks up exactly where it died.
-    std::vector<ProtocolViolation> scratch;
-    auto node = std::make_unique<detail::NodeState>(
-        topology_, v, config_.seed, config_.bandwidth, config_.broadcast_only,
-        &scratch);
-    auto program = (*factory_)(v);
-    CSD_CHECK(program != nullptr);
-    // The replica takes over the dead node's arena rows; replay clears them
-    // pulse by pulse, so no stale frames leak into the rebuilt state.
-    node->attach_frames(
-        inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
-        outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
-    replay_history(*node, *program, inbox_log_[v], sync.pulse);
-    outcome_.faults.replayed_pulses += sync.pulse;
-    CSD_CHECK_MSG(!node->halted(), "replayed replica halted mid-history");
-    node->set_violation_sink(&outcome_.faults.violations);
-    if (outcome_.trace) node->set_trace(&outcome_.trace);
-    nodes_[v] = std::move(node);
-    programs_[v] = std::move(program);
-    sync.crashed = false;
-    sync.running = true;
-    sync.local_time = std::max(sync.local_time, event.time);
+    // still queued in host.arrived (delivery keeps a recovering host's
+    // queues), so the node picks up exactly where it died. The replica
+    // takes over the dead node's arena rows; replay clears them pulse by
+    // pulse, so no stale frames leak into the rebuilt state.
+    build_node(v);
+    replay(v);
+    outcome_.faults.replayed_pulses += host.pulse;
+    CSD_CHECK_MSG(!nodes_[v]->halted(), "replayed replica halted mid-history");
+    host.crashed = 0;
+    host.running = 1;
+    host.local_time = std::max(host.local_time, event.time);
     outcome_.faults.recovered_nodes.push_back(v);
     if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::NodeRecover, v, event.time);
-    if (outcome_.trace) outcome_.trace.set_phase(sync.pulse, "recover");
+    if (outcome_.trace) outcome_.trace.set_phase(host.pulse, "recover");
     --stopped_count_;
   }
 
@@ -755,31 +733,7 @@ class AsyncEngine {
     s.terminal = terminal ? 1 : 0;
     s.identity = {topology_digest(topology_.csr, topology_.ids),
                   config_digest(), config_.seed};
-    const Vertex n = topology_.num_vertices();
-    s.nodes.resize(n);
-    for (Vertex v = 0; v < n; ++v) {
-      const auto& sync = sync_[v];
-      AsyncNodeSnapshot& ns = s.nodes[v];
-      ns.pulse = sync.pulse;
-      ns.local_time = sync.local_time;
-      ns.arrived.resize(sync.arrived.size());
-      for (std::uint32_t p = 0; p < sync.arrived.size(); ++p)
-        ns.arrived[p].assign(sync.arrived[p].begin(), sync.arrived[p].end());
-      ns.port_dead.assign(sync.port_dead.begin(), sync.port_dead.end());
-      ns.running = sync.running ? 1 : 0;
-      ns.crashed = sync.crashed ? 1 : 0;
-      ns.halted = nodes_[v]->halted() ? 1 : 0;
-      ns.crash_done = sync.crash_done ? 1 : 0;
-      ns.recoveries_used = sync.recoveries_used;
-      ns.inbox = inbox_log_[v];
-      if (reliable_) {
-        for (std::uint32_t p = 0; p < topology_.degree(v); ++p) {
-          ns.senders.push_back(senders_[v][p].save_state());
-          ns.receivers.push_back(receivers_[v][p].save_state());
-        }
-      }
-      ns.link_watermark = link_watermark_[v];
-    }
+    s.nodes = hosts_;
     s.events = events_.sorted();
     s.next_event_seq = next_event_seq_;
     s.delay_rng = delay_rng_.state();
@@ -797,7 +751,10 @@ class AsyncEngine {
   /// kind makes the engine index must exist, with a Data event's far end
   /// the true end of its link, and the list must be what the queue pops —
   /// nothing before the snapshot's virtual time, (t, q) strictly ascending,
-  /// every q below the next seq the engine hands out.
+  /// every q below the next seq the engine hands out. Under the reliable
+  /// transport a Data, Ack or Timer event names a seq below its sender's
+  /// next_seq, and a Data event's packet carries that seq. Needs the node
+  /// records checked first.
   void check_events(const AsyncSnapshot& s) const {
     const Vertex n = topology_.num_vertices();
     for (std::size_t i = 0; i < s.events.size(); ++i) {
@@ -818,6 +775,14 @@ class AsyncEngine {
       else if (e.kind != EventRecord::Kind::Data)
         CSD_CHECK_MSG(reliable_, at() << ": key 'k': an ack or timer event "
                                          "under the raw transport");
+      if (reliable_ && e.kind != EventRecord::Kind::Recover) {
+        const std::uint64_t next = s.nodes[e.src].senders[e.src_port].next_seq;
+        CSD_CHECK_MSG(e.link_seq < next && (e.kind != EventRecord::Kind::Data ||
+                                            e.packet.seq == e.link_seq),
+                      at() << ": key 'ls' = " << e.link_seq
+                           << " is not below its sender's next_seq " << next
+                           << ", or not its packet's 'ps'");
+      }
       if (e.kind == EventRecord::Kind::Data) {
         const std::size_t edge = topology_.csr.offsets[e.src] + e.src_port;
         CSD_CHECK_MSG(e.dst == topology_.csr.row(e.src)[e.src_port],
@@ -850,6 +815,85 @@ class AsyncEngine {
     }
   }
 
+  /// A snapshot's node record before replay: one entry per port in each
+  /// per-port list (ARQ endpoints under the reliable transport only), and
+  /// endpoint lists in the order their sorted storage relies on: pending
+  /// seqs strictly ascending below next_seq, each sent at least once and at
+  /// most once past the retry budget (on_timeout gives up then), and
+  /// reorder seqs strictly ascending above next_expected (a frame at
+  /// next_expected is never released: its packet counts as a duplicate).
+  void check_node(const AsyncNodeState& host, Vertex v) const {
+    const std::uint32_t deg = topology_.degree(v);
+    const std::uint32_t ports = reliable_ ? deg : 0;
+    for (std::size_t r = 0; r < host.inbox.size(); ++r)
+      CSD_CHECK_MSG(host.inbox[r].size() == deg,
+                    "snapshot node " << v << ": key 'inbox' row " << r
+                                     << " has " << host.inbox[r].size()
+                                     << " entries, not " << deg);
+    CSD_CHECK_MSG(host.arrived.size() == deg && host.port_dead.size() == deg &&
+                      host.link_watermark.size() == deg &&
+                      host.senders.size() == ports &&
+                      host.receivers.size() == ports,
+                  "snapshot node " << v
+                                   << ": keys 'arrived' to 'link_watermark' "
+                                      "want an entry per port (no endpoints "
+                                      "under the raw transport)");
+    const auto unordered = [](const auto& a, const auto& b) {
+      return a.seq >= b.seq;
+    };
+    for (std::uint32_t p = 0; p < ports; ++p) {
+      const LinkSender& sender = host.senders[p];
+      const auto& pending = sender.pending;
+      const LinkReceiver& receiver = host.receivers[p];
+      const auto& reorder = receiver.reorder;
+      const std::string at =
+          "snapshot node " + std::to_string(v) + " port " + std::to_string(p);
+      CSD_CHECK_MSG(
+          std::adjacent_find(pending.begin(), pending.end(), unordered) ==
+                  pending.end() &&
+              (pending.empty() || pending.back().seq < sender.next_seq),
+          at << ": key 'pending' is not strictly ascending by seq below "
+                "next_seq " << sender.next_seq);
+      for (const LinkSender::Unacked& entry : pending)
+        CSD_CHECK_MSG(entry.attempts >= 1 &&
+                          entry.attempts <= kTransport.max_retries + 1,
+                      at << ": key 'attempts' = " << entry.attempts
+                         << " is not in [1, " << kTransport.max_retries + 1
+                         << "]");
+      CSD_CHECK_MSG(
+          std::adjacent_find(reorder.begin(), reorder.end(), unordered) ==
+                  reorder.end() &&
+              (reorder.empty() || reorder.front().seq > receiver.expected),
+          at << ": key 'reorder' is not strictly ascending by seq above "
+                "next_expected " << receiver.expected);
+    }
+  }
+
+  /// Under the reliable transport, each packet a host awaits an ack for is
+  /// named by exactly one Timer event, the one that retransmits it. A
+  /// permanently crashed host dropped its timers, so its packets are exempt;
+  /// a recovering host's are parked, so they count. An acknowledged
+  /// packet's Timer stays queued until it fires.
+  void check_timers(const std::vector<EventRecord>& events) const {
+    std::vector<std::tuple<Vertex, std::uint32_t, std::uint64_t>> timers;
+    for (const EventRecord& e : events)
+      if (e.kind == EventRecord::Kind::Timer)
+        timers.emplace_back(e.src, e.src_port, e.link_seq);
+    std::sort(timers.begin(), timers.end());
+    for (Vertex v = 0; v < hosts_.size(); ++v)
+      for (std::uint32_t p = 0; p < hosts_[v].senders.size(); ++p)
+        for (const LinkSender::Unacked& entry : hosts_[v].senders[p].pending) {
+          const auto [first, last] = std::equal_range(
+              timers.begin(), timers.end(), std::tuple{v, p, entry.seq});
+          CSD_CHECK_MSG(
+              last - first == 1 ||
+                  (hosts_[v].crashed && !hosts_[v].recovery_pending),
+              "snapshot node " << v << " port " << p << ": key 'pending' seq "
+                               << entry.seq << " is named by " << last - first
+                               << " timer events, not 1");
+        }
+  }
+
   void restore(const Snapshot& snapshot) {
     CSD_CHECK_MSG(snapshot.kind == Snapshot::Kind::Async,
                   "resume_async needs an async snapshot, got "
@@ -865,51 +909,34 @@ class AsyncEngine {
                   "snapshot belongs to a different seed");
     const Vertex n = topology_.num_vertices();
     CSD_CHECK_MSG(s.nodes.size() == n, "snapshot node count mismatch");
+    for (Vertex v = 0; v < n; ++v) check_node(s.nodes[v], v);
     check_events(s);
-    for (Vertex v = 0; v < n; ++v)
-      check_inbox_log(s.nodes[v].inbox, v, topology_.degree(v));
 
-    std::vector<ProtocolViolation> scratch;
+    hosts_ = s.nodes;
+    // A queued Recover event marks its host's pending recovery; the flag is
+    // derived, not saved.
+    for (AsyncNodeState& host : hosts_) host.recovery_pending = false;
+    Vertex pending = 0;
+    for (const EventRecord& event : s.events)
+      if (event.kind == EventRecord::Kind::Recover) {
+        hosts_[event.src].recovery_pending = true;
+        ++pending;
+      }
+    CSD_CHECK_MSG(pending == s.pending_recoveries,
+                  "snapshot recovery bookkeeping inconsistent");
+    if (reliable_) check_timers(s.events);
     for (Vertex v = 0; v < n; ++v) {
-      const AsyncNodeSnapshot& ns = s.nodes[v];
-      auto& sync = sync_[v];
-      const std::uint32_t deg = topology_.degree(v);
-      CSD_CHECK_MSG(ns.arrived.size() == deg && ns.port_dead.size() == deg &&
-                        ns.link_watermark.size() == deg,
-                    "snapshot degree mismatch at node " << v);
-      sync.pulse = ns.pulse;
-      sync.local_time = ns.local_time;
-      for (std::uint32_t p = 0; p < deg; ++p) {
-        sync.arrived[p].assign(ns.arrived[p].begin(), ns.arrived[p].end());
-        sync.port_dead[p] = ns.port_dead[p] != 0;
-      }
-      sync.running = ns.running != 0;
-      sync.crashed = ns.crashed != 0;
-      sync.crash_done = ns.crash_done != 0;
-      sync.recoveries_used = ns.recoveries_used;
-      if (log_enabled_) inbox_log_[v] = ns.inbox;
-      if (reliable_) {
-        CSD_CHECK_MSG(ns.senders.size() == deg && ns.receivers.size() == deg,
-                      "snapshot transport state mismatch at node " << v);
-        for (std::uint32_t p = 0; p < deg; ++p) {
-          senders_[v][p].restore_state(ns.senders[p]);
-          receivers_[v][p].restore_state(ns.receivers[p]);
-        }
-      }
-      link_watermark_[v] = ns.link_watermark;
-      if (!sync.crashed) {
+      AsyncNodeState& host = hosts_[v];
+      if (!host.crashed) {
         // Reconstruct the program by replay. Crashed nodes are skipped: a
         // permanently dead program never runs again, and a pending recovery
         // builds its own fresh replica from the log when its Recover event
         // fires.
-        nodes_[v]->set_violation_sink(&scratch);
-        nodes_[v]->set_trace(nullptr);
-        replay_history(*nodes_[v], *programs_[v], ns.inbox, sync.pulse);
-        CSD_CHECK_MSG(nodes_[v]->halted() == (ns.halted != 0),
+        replay(v);
+        CSD_CHECK_MSG(nodes_[v]->halted() == (host.halted != 0),
                       "resume replay diverged: node " << v << " halt state");
-        nodes_[v]->set_violation_sink(&outcome_.faults.violations);
-        if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
       }
+      if (!log_enabled_) host.inbox = {};  // nothing logs or replays it
     }
     for (const EventRecord& event : s.events) events_.push(EventRecord(event));
     next_event_seq_ = s.next_event_seq;
@@ -918,14 +945,6 @@ class AsyncEngine {
     halted_count_ = s.halted_count;
     stopped_count_ = s.stopped_count;
     pending_recoveries_ = s.pending_recoveries;
-    Vertex pending = 0;
-    for (const EventRecord& event : s.events)
-      if (event.kind == EventRecord::Kind::Recover) {
-        sync_[event.src].recovery_pending = true;
-        ++pending;
-      }
-    CSD_CHECK_MSG(pending == pending_recoveries_,
-                  "snapshot recovery bookkeeping inconsistent");
     static_cast<AsyncAccounting&>(outcome_) = s;
     last_progress_vt_ = s.virtual_time;
   }
@@ -939,18 +958,14 @@ class AsyncEngine {
   std::uint64_t base_rto_ = 0;
   std::uint64_t rejoin_delay_ = 0;
   bool log_enabled_ = false;
-  std::vector<InboxLog> inbox_log_;
   Vertex pending_recoveries_ = 0;
   std::uint64_t last_progress_vt_ = 0;
   /// Per-run frame plane; nodes (and recovery replicas) hold row pointers.
   detail::FrameArena inbox_arena_;
   detail::FrameArena outbox_arena_;
-  std::vector<std::vector<std::uint64_t>> link_watermark_;
   std::vector<std::unique_ptr<detail::NodeState>> nodes_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<SyncState> sync_;
-  std::vector<std::vector<LinkSender>> senders_;      // reliable mode only
-  std::vector<std::vector<LinkReceiver>> receivers_;  // reliable mode only
+  std::vector<AsyncNodeState> hosts_;  // what a snapshot saves, per node
   detail::EventQueue events_;
   LinkReceiver::Accept accept_;  // reused by every reliable delivery
   std::uint64_t next_event_seq_ = 0;

@@ -44,7 +44,7 @@ constexpr auto reorder_fields = [](auto& io, auto& r) {
 };
 
 constexpr auto receiver_fields = [](auto& io, auto& r) {
-  io("next_expected", r.next_expected);
+  io("next_expected", r.expected);
   io("reorder", r.reorder, reorder_fields);
 };
 
@@ -156,14 +156,6 @@ std::uint64_t fault_plan_digest(const FaultPlan& plan) {
     h = digest_mix(h, crash.round);
   }
   return h;
-}
-
-void check_inbox_log(const InboxLog& log, Vertex node, std::uint32_t degree) {
-  for (std::size_t r = 0; r < log.size(); ++r)
-    CSD_CHECK_MSG(log[r].size() == degree,
-                  "snapshot node " << node << ": key 'inbox' row " << r
-                                   << " has " << log[r].size()
-                                   << " entries, not " << degree);
 }
 
 const char* to_string(Snapshot::Kind kind) noexcept {

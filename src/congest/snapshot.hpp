@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,10 +55,6 @@ using RngState = std::array<std::uint64_t, 4>;
 /// log[0] is always all-nullopt: pulse 0 has an empty inbox by
 /// construction. This is the raw material of program-state reconstruction.
 using InboxLog = std::vector<std::vector<std::optional<BitVec>>>;
-
-/// Before replay, which delivers a row port by port: every row of `node`'s
-/// log has one entry per port, or CheckFailure naming the key 'inbox'.
-void check_inbox_log(const InboxLog& log, Vertex node, std::uint32_t degree);
 
 /// Fingerprint of the run a snapshot belongs to. Resume CHECK-fails on a
 /// mismatch instead of silently replaying a log against the wrong topology
@@ -108,22 +105,24 @@ struct EventRecord {
   DataPacket packet;           // Data only (raw mode leaves seq/crc zero)
 };
 
-/// Per-node async state: synchronizer bookkeeping, buffered frames, ARQ
-/// endpoints, recovery bookkeeping, and the inbox log for program replay.
-struct AsyncNodeSnapshot {
-  std::uint64_t pulse = 0;
-  std::uint64_t local_time = 0;
-  std::vector<std::vector<Frame>> arrived;  // per port, FIFO order
-  std::vector<std::uint8_t> port_dead;
-  std::uint8_t running = 1;
-  std::uint8_t crashed = 0;
-  std::uint8_t halted = 0;     // validation (replay-derived)
-  std::uint8_t crash_done = 0; // scheduled crash already honored
+/// One async node's engine state: synchronizer bookkeeping, buffered
+/// frames, ARQ endpoints, recovery bookkeeping, and the inbox log for
+/// program replay. The engine runs on these records; a snapshot copies them.
+struct AsyncNodeState {
+  std::uint64_t pulse = 0;       // next pulse to execute
+  std::uint64_t local_time = 0;  // virtual time the node last acted
+  std::vector<std::deque<Frame>> arrived;  // per port, FIFO order
+  std::vector<std::uint8_t> port_dead;  // per port: sender halted, no more
+  std::uint8_t running = 1;     // 0 once halted, crashed, or cap-stopped
+  std::uint8_t crashed = 0;     // fault-injected or program fault
+  std::uint8_t halted = 0;      // the program halted (resume replay checks)
+  std::uint8_t crash_done = 0;  // scheduled crash already honored
   std::uint32_t recoveries_used = 0;
   InboxLog inbox;
-  std::vector<LinkSenderState> senders;      // reliable mode only, per port
-  std::vector<LinkReceiverState> receivers;  // reliable mode only, per port
-  std::vector<std::uint64_t> link_watermark; // per src-port
+  std::vector<LinkSender> senders;      // reliable mode only, per port
+  std::vector<LinkReceiver> receivers;  // reliable mode only, per port
+  std::vector<std::uint64_t> link_watermark;  // FIFO per src-port, acks too
+  bool recovery_pending = false;  // not saved: resume derives it from events
 };
 
 /// The async engine's accumulated accounting, declared once: a run's
@@ -153,7 +152,7 @@ struct AsyncAccounting {
 /// The async engine frozen between two scheduler events.
 struct AsyncSnapshot : AsyncAccounting {
   SnapshotIdentity identity;
-  std::vector<AsyncNodeSnapshot> nodes;
+  std::vector<AsyncNodeState> nodes;
   std::vector<EventRecord> events;
   std::uint64_t next_event_seq = 0;
   RngState delay_rng{};

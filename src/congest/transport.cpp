@@ -1,5 +1,7 @@
 #include "congest/transport.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 #include "support/crc.hpp"
 
@@ -16,66 +18,62 @@ std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame,
   return crc.value();
 }
 
+namespace {
+
+/// The entry of `seq` in an endpoint's list, or end(). The lists hold a few
+/// packets at most (DESIGN.md §2), so a scan is as quick as a search.
+template <class Entries>
+auto find_seq(Entries& entries, std::uint64_t seq) {
+  return std::find_if(entries.begin(), entries.end(),
+                      [seq](const auto& entry) { return entry.seq == seq; });
+}
+
+}  // namespace
+
 DataPacket LinkSender::packet(Frame frame) {
   DataPacket packet;
-  packet.seq = next_seq_++;
+  packet.seq = next_seq++;
   CSD_CHECK_MSG(config_.seq_bits >= 64 || (packet.seq >> config_.seq_bits) == 0,
                 "sequence number " << packet.seq << " overflows the "
                 << config_.seq_bits << "-bit on-wire field");
   packet.crc = packet_checksum(packet.seq, frame, config_);
-  packet.frame = frame;
-  pending_.emplace(packet.seq, Pending{std::move(frame), packet.crc, 1});
+  packet.frame = std::move(frame);
+  pending.push_back({packet, 1});
   return packet;
 }
 
 bool LinkSender::on_ack(std::uint64_t seq) {
-  return pending_.erase(seq) != 0;
+  const auto it = find_seq(pending, seq);
+  if (it == pending.end()) return false;
+  pending.erase(it);
+  return true;
 }
 
 LinkSender::TimeoutAction LinkSender::on_timeout(std::uint64_t seq) {
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) return TimeoutAction::Settled;
-  if (it->second.attempts > config_.max_retries) {
-    pending_.erase(it);
+  const auto it = find_seq(pending, seq);
+  if (it == pending.end()) return TimeoutAction::Settled;
+  if (it->attempts > config_.max_retries) {
+    pending.erase(it);
     return TimeoutAction::GiveUp;
   }
-  ++it->second.attempts;
+  ++it->attempts;
   return TimeoutAction::Retransmit;
 }
 
 DataPacket LinkSender::retransmit_packet(std::uint64_t seq) const {
-  const auto it = pending_.find(seq);
-  CSD_CHECK_MSG(it != pending_.end(), "retransmit of settled packet " << seq);
-  return DataPacket{seq, it->second.frame, it->second.crc};
+  const auto it = find_seq(pending, seq);
+  CSD_CHECK_MSG(it != pending.end(), "retransmit of settled packet " << seq);
+  return *it;
 }
 
 std::uint64_t LinkSender::timeout_for(std::uint64_t seq,
                                       std::uint64_t base_rto) const {
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) return base_rto;
+  const auto it = find_seq(pending, seq);
+  if (it == pending.end()) return base_rto;
   // attempts = k means the k-th transmission was just sent: back off 2^(k-1),
   // capped to keep virtual times sane on long retry chains.
-  const std::uint32_t shift =
-      it->second.attempts > 16 ? 16u : it->second.attempts - 1;
+  const std::uint32_t shift = it->attempts > 16 ? 16u : it->attempts - 1;
   return base_rto << shift;
-}
-
-LinkSenderState LinkSender::save_state() const {
-  LinkSenderState state;
-  state.next_seq = next_seq_;
-  state.pending.reserve(pending_.size());
-  for (const auto& [seq, pending] : pending_)
-    state.pending.push_back(
-        {seq, pending.frame, pending.crc, pending.attempts});
-  return state;
-}
-
-void LinkSender::restore_state(const LinkSenderState& state) {
-  next_seq_ = state.next_seq;
-  pending_.clear();
-  for (const auto& entry : state.pending)
-    pending_.emplace(entry.seq,
-                     Pending{entry.frame, entry.crc, entry.attempts});
 }
 
 void LinkReceiver::on_data(DataPacket packet, Accept& out) {
@@ -90,40 +88,27 @@ void LinkReceiver::on_data(DataPacket packet, Accept& out) {
   }
   out.send_ack = true;
   out.ack_seq = packet.seq;
-  if (packet.seq < next_expected_ || reorder_.contains(packet.seq)) {
+  const auto at = std::find_if(
+      reorder.begin(), reorder.end(),
+      [&](const Buffered& entry) { return entry.seq >= packet.seq; });
+  if (packet.seq < expected || (at != reorder.end() && at->seq == packet.seq)) {
     out.duplicate = true;
     return;
   }
-  if (packet.seq != next_expected_) {
-    reorder_.emplace(packet.seq, std::move(packet.frame));
+  if (packet.seq != expected) {
+    reorder.insert(at, {packet.seq, std::move(packet.frame)});
     return;
   }
   // In sequence: release it, then every buffered frame it unblocks (the
-  // buffer holds only seqs above next_expected_, smallest first).
+  // buffer holds only seqs above `expected`, smallest first).
   out.deliver.push_back(std::move(packet.frame));
-  ++next_expected_;
-  for (auto it = reorder_.begin();
-       it != reorder_.end() && it->first == next_expected_;
-       it = reorder_.erase(it)) {
-    out.deliver.push_back(std::move(it->second));
-    ++next_expected_;
+  ++expected;
+  auto released = reorder.begin();
+  for (; released != reorder.end() && released->seq == expected; ++released) {
+    out.deliver.push_back(std::move(released->frame));
+    ++expected;
   }
-}
-
-LinkReceiverState LinkReceiver::save_state() const {
-  LinkReceiverState state;
-  state.next_expected = next_expected_;
-  state.reorder.reserve(reorder_.size());
-  for (const auto& [seq, frame] : reorder_)
-    state.reorder.push_back({seq, frame});
-  return state;
-}
-
-void LinkReceiver::restore_state(const LinkReceiverState& state) {
-  next_expected_ = state.next_expected;
-  reorder_.clear();
-  for (const auto& entry : state.reorder)
-    reorder_.emplace(entry.seq, entry.frame);
+  reorder.erase(reorder.begin(), released);
 }
 
 }  // namespace csd::congest

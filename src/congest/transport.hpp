@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -94,34 +93,17 @@ struct DataPacket {
 std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame,
                               const TransportConfig& config);
 
-/// Serialized state of a LinkSender (snapshot/resume support). Plain data:
-/// the next sequence number plus every unacknowledged packet with its retry
-/// count, enough to rebuild the endpoint mid-conversation.
-struct LinkSenderState {
-  struct PendingEntry {
-    std::uint64_t seq = 0;
-    Frame frame;
-    std::uint32_t crc = 0;
-    std::uint32_t attempts = 1;
-  };
-  std::uint64_t next_seq = 0;
-  std::vector<PendingEntry> pending;  // ascending seq
-};
-
-/// Serialized state of a LinkReceiver: the in-order cursor plus the reorder
-/// buffer of frames received ahead of it.
-struct LinkReceiverState {
-  struct ReorderEntry {
-    std::uint64_t seq = 0;
-    Frame frame;
-  };
-  std::uint64_t next_expected = 0;
-  std::vector<ReorderEntry> reorder;  // ascending seq
-};
-
-/// Sender endpoint of one directed link.
+/// Sender endpoint of one directed link. Its public members are its whole
+/// state, the record a csd-ckpt-v1 snapshot saves; a default endpoint
+/// carries TransportConfig{}, the async engine's wire parameters.
 class LinkSender {
  public:
+  /// A packet sent and not yet acknowledged or abandoned.
+  struct Unacked : DataPacket {
+    std::uint32_t attempts = 1;  // transmissions so far
+  };
+
+  LinkSender() = default;
   explicit LinkSender(const TransportConfig& config) : config_(config) {}
 
   /// Wrap `frame` into the next-in-sequence packet; a copy is retained for
@@ -148,25 +130,27 @@ class LinkSender {
   std::uint64_t timeout_for(std::uint64_t seq, std::uint64_t base_rto) const;
 
   /// Packets not yet acknowledged or abandoned.
-  std::size_t in_flight() const noexcept { return pending_.size(); }
+  std::size_t in_flight() const noexcept { return pending.size(); }
 
-  LinkSenderState save_state() const;
-  void restore_state(const LinkSenderState& state);
+  std::uint64_t next_seq = 0;  // the seq packet() assigns next
+  /// Strictly ascending by seq, all below next_seq: packet() appends. A
+  /// link rarely has more than three in flight (DESIGN.md §2).
+  std::vector<Unacked> pending;
 
  private:
-  struct Pending {
-    Frame frame;
-    std::uint32_t crc = 0;
-    std::uint32_t attempts = 1;  // transmissions so far
-  };
   TransportConfig config_;
-  std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, Pending> pending_;
 };
 
-/// Receiver endpoint of one directed link.
+/// Receiver endpoint of one directed link; its public members are its whole
+/// state, as LinkSender's are.
 class LinkReceiver {
  public:
+  /// A frame received ahead of the in-order cursor.
+  struct Buffered {
+    std::uint64_t seq = 0;
+    Frame frame;
+  };
+
   LinkReceiver() = default;
   /// The receiver must share the sender's TransportConfig: the CRC hashes
   /// the config's on-wire seq width, so mismatched configs reject every
@@ -191,15 +175,15 @@ class LinkReceiver {
   /// in-sequence packet with nothing buffered goes straight to `deliver`.
   void on_data(DataPacket packet, Accept& out);
 
-  std::uint64_t next_expected() const noexcept { return next_expected_; }
+  std::uint64_t next_expected() const noexcept { return expected; }
 
-  LinkReceiverState save_state() const;
-  void restore_state(const LinkReceiverState& state);
+  std::uint64_t expected = 0;  // the seq released next (key next_expected)
+  /// Strictly ascending by seq, all above `expected`: a frame at `expected`
+  /// would never be released, as its packet would count as a duplicate.
+  std::vector<Buffered> reorder;
 
  private:
   TransportConfig config_;
-  std::uint64_t next_expected_ = 0;
-  std::map<std::uint64_t, Frame> reorder_;
 };
 
 }  // namespace csd::congest

@@ -28,6 +28,7 @@
 //   BitVec                   {"n": length, "w": [64-bit words]}
 //   std::optional<T>         null, or T
 //   std::vector<T>           [T, ...]
+//   std::deque<T>            [T, ...], the bytes of a vector
 //   std::vector<std::pair<std::string, T>>
 //                            {name: T, ...}, an object keyed by name
 //   std::array<T, N>         [T, ...] with exactly N entries
@@ -53,6 +54,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <string>
@@ -74,6 +76,8 @@ struct NoSpec {};
 
 template <class T> inline constexpr bool kIsVector = false;
 template <class T> inline constexpr bool kIsVector<std::vector<T>> = true;
+template <class T> inline constexpr bool kIsDeque = false;
+template <class T> inline constexpr bool kIsDeque<std::deque<T>> = true;
 template <class T> inline constexpr bool kIsArray = false;
 template <class T, std::size_t N>
 inline constexpr bool kIsArray<std::array<T, N>> = true;
@@ -212,7 +216,7 @@ Json write(const T& value, const Spec& spec) {
     Json out = Json::object();
     for (const auto& [name, item] : value) out.set(name, write(item, spec));
     return out;
-  } else if constexpr (kIsVector<T> || kIsArray<T>) {
+  } else if constexpr (kIsVector<T> || kIsDeque<T> || kIsArray<T>) {
     Json out = Json::array();
     out.reserve(value.size());
     for (const auto& item : value) out.push(write(item, spec));
@@ -258,10 +262,10 @@ void read(const Json& j, std::string_view key, T& value, const Spec& spec) {
       entry_name = name;
       read(item, key, entry, spec);
     }
-  } else if constexpr (kIsVector<T>) {
+  } else if constexpr (kIsVector<T> || kIsDeque<T>) {
     expect_kind(j, Json::Kind::Array, key);
     value.clear();
-    value.reserve(j.items().size());
+    if constexpr (kIsVector<T>) value.reserve(j.items().size());
     for (const Json& item : j.items())
       read(item, key, value.emplace_back(), spec);
   } else if constexpr (kIsArray<T>) {

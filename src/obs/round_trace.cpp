@@ -130,9 +130,12 @@ void RunTrace::append(const RunTrace& other) {
   }
   CSD_CHECK_MSG(num_nodes_ == other.num_nodes_,
                 "appending traces of different networks");
-  // Edge lines must sum to the totals (parse_trace_jsonl checks it).
+  // Edge lines and histogram buckets must sum to the totals
+  // (parse_trace_jsonl checks both).
   CSD_CHECK_MSG(options_.per_edge == other.options_.per_edge,
                 "appending a trace with a different per_edge option");
+  CSD_CHECK_MSG(options_.histogram == other.options_.histogram,
+                "appending a trace with a different histogram option");
   if (segment_starts_.empty() && !rounds_.empty())
     segment_starts_.push_back(0);
   const std::uint64_t base = rounds_.size();

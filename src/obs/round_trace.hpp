@@ -132,8 +132,8 @@ class RunTrace {
   ///     round, histograms / edge totals / counters / totals are summed,
   ///     phase names are re-interned by name, the receiver's meta is kept,
   ///     and the segment boundary is remembered so the JSONL sink can label
-  ///     repetitions. Both must agree on per_edge (CHECKed), so edge
-  ///     totals keep summing to the run totals;
+  ///     repetitions. Both must agree on per_edge and histogram
+  ///     (CHECKed), so edge totals and buckets keep summing to the totals;
   ///   * default-constructed (never configured): adopts `other` wholesale,
   ///     including its segment boundaries — the merge-accumulator idiom
   ///     used by merge_amplified and the CLI;

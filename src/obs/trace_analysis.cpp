@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <tuple>
 
 #include "obs/codec.hpp"
@@ -51,6 +52,9 @@ std::string TraceInstance::label(std::size_t index) const {
 
 std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
   using Type = TraceLine::Type;
+  const auto sum = [](const std::vector<std::uint64_t>& values) {
+    return std::accumulate(values.begin(), values.end(), std::uint64_t{0});
+  };
   std::vector<TraceInstance> instances;
   bool open = false;  // between a header and its summary
   std::string text;
@@ -86,6 +90,14 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
                           line.node_bits.has_value() == t.per_node,
                       "keys 'node_messages'/'node_bits' must appear exactly "
                       "when the header says per_node");
+        CSD_CHECK_MSG(!t.per_node ||
+                          (line.node_messages->size() == t.nodes &&
+                           line.node_bits->size() == t.nodes &&
+                           sum(*line.node_messages) == line.round.messages &&
+                           sum(*line.node_bits) == line.round.bits),
+                      "keys 'node_messages'/'node_bits' must have "
+                          << t.nodes << " entries, summing to the line's "
+                          << "'messages' and 'bits'");
         t.total_messages += line.round.messages;
         t.total_bits += line.round.bits;
         if (const auto& label = line.round.phase; label.has_value()) {
@@ -140,6 +152,10 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
                     "keys 'total_messages'/'total_bits' must sum the edge "
                     "lines: " << edge_messages << " messages, " << edge_bits
                               << " bits");
+      const auto& buckets = line.instance.size_histogram;
+      CSD_CHECK_MSG(!buckets || sum(*buckets) == t.total_messages,
+                    "key 'size_histogram' must sum to the round lines' "
+                        << t.total_messages << " messages");
       t.size_histogram = std::move(line.instance.size_histogram);
       t.phases = std::move(line.instance.phases);
       t.counters = std::move(line.instance.counters);

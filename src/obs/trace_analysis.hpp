@@ -153,10 +153,11 @@ inline constexpr auto trace_line_fields = [](auto& io, auto& r) {
 /// Parse a (possibly multi-instance) csd-trace-v2 JSONL stream, checking
 /// what ties an instance's lines together: the header's `rounds` counts the
 /// round lines, round r is numbered r, `segments` agrees with
-/// `segment_starts`, the summary's totals and each of its `phases` sum the
-/// round lines (labelled with that phase), and edge lines are strictly
-/// ascending, below `nodes` and sum to the totals. Throws CheckFailure
-/// naming the line and the key.
+/// `segment_starts`, a per-node row has `nodes` entries summing to its
+/// line, the summary's totals, its `size_histogram` buckets and each of its
+/// `phases` sum the round lines (labelled with that phase), and edge lines
+/// are strictly ascending, below `nodes` and sum to the totals. Throws
+/// CheckFailure naming the line and the key.
 std::vector<TraceInstance> parse_trace_jsonl(std::istream& is);
 
 /// Least-squares fit of log(y) = exponent * log(x) + log_coeff over the

@@ -1031,6 +1031,19 @@ TEST_F(DamagedTrace, EdgeLinesThatMissTheTotalsExitTwo) {
                   "total_bits", first("summary") + 1);
 }
 
+// A summary's size histogram counts each message once, so a bucket cannot
+// gain messages the round lines never carried.
+TEST_F(DamagedTrace, AHistogramThatMissesTheTotalExitsTwo) {
+  const std::size_t summary = first("summary");
+  const auto buckets =
+      obs::Json::parse(lines_[summary]).at("size_histogram").items();
+  ASSERT_FALSE(buckets.empty());
+  const std::uint64_t last = buckets.back().as_uint();
+  expect_rejected(summary, "," + std::to_string(last) + "]",
+                  "," + std::to_string(last + 9000) + "]", "size_histogram",
+                  summary + 1);
+}
+
 // `csd detect --trace` and `csd sweep --trace` write no per-node rows:
 // `csd analyze` reads none, and they cost O(rounds * n) memory and bytes.
 TEST(Cli, TracesCarryNoPerNodeRows) {

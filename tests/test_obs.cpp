@@ -843,6 +843,32 @@ TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
           R"("dst":0,"messages":1,"bits":17)", "6", "'total_bits'");
   rejects(good, R"("csd-trace-v2")", R"("csd-trace-v1")", "1", "'schema'");
 
+  // A summary's size histogram counts every message once.
+  const std::string histogram =
+      R"({"type":"summary","total_messages":2,"total_bits":24,)"
+      R"("size_histogram":[0,0,0,0,1,1]})";
+  ASSERT_EQ(parse(header + "\n" + rounds + "\n" + edges + "\n" + histogram)
+                .front()
+                .size_histogram->size(),
+            6u);
+  rejects(header + "\n" + rounds + "\n" + edges + "\n" + histogram,
+          R"([0,0,0,0,1,1])", R"([0,0,0,0,1,2])", "6", "'size_histogram'");
+
+  // A per-node row has one entry per node and splits its line's totals.
+  const std::string per_node =
+      R"({"type":"header","schema":"csd-trace-v2","nodes":2,"rounds":1,)"
+      R"("segments":1,"per_node":true,"per_edge":false})"
+      "\n"
+      R"({"type":"round","round":0,"messages":3,"bits":24,)"
+      R"("node_messages":[1,2],"node_bits":[8,16]})"
+      "\n"
+      R"({"type":"summary","total_messages":3,"total_bits":24})";
+  ASSERT_EQ(parse(per_node).front().total_bits, 24u);
+  rejects(per_node, R"("node_messages":[1,2])", R"("node_messages":[1,2,0])",
+          "2", "'node_messages'");
+  rejects(per_node, R"("node_bits":[8,16])", R"("node_bits":[8,15])", "2",
+          "'node_bits'");
+
   // A summary's `phases` are the sums over the round lines labelled with
   // each name: distinct names, covering every label.
   const std::string phased =

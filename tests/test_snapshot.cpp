@@ -3,11 +3,14 @@
 // capture, node recovery in the async engine, and the stall watchdogs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "congest/async.hpp"
 #include "congest/network.hpp"
@@ -187,8 +190,9 @@ TEST(AsyncCheckpoint, ResumeRejectsForeignSnapshots) {
 TEST(AsyncCheckpoint, ResumeRejectsDamagedEventLists) {
   // An event indexes the engine's per-node and per-port tables, and the
   // event queue pops a restored list correctly only if nothing precedes the
-  // snapshot's clock and (t, q) ascends: each damage exits with a check
-  // naming the key, before any replay.
+  // snapshot's clock and (t, q) ascends; under the reliable transport the
+  // events must also agree with the ARQ endpoints they name. Each damage
+  // exits with a check naming the key, before any replay.
   Rng rng(12);
   const Graph g = build::gnp(11, 0.3, rng);
   const auto factory = detect::pipelined_cycle_program(3);
@@ -255,6 +259,59 @@ TEST(AsyncCheckpoint, ResumeRejectsDamagedEventLists) {
       ASSERT_LT(ack, clean.events.size());
       expect_rejected("'sp'", [&](AsyncSnapshot& s) {
         s.events[ack].src_port = 4000;
+      });
+
+      // The ARQ endpoints keep their lists sorted, and the event list must
+      // agree with them: a live node's sender with two packets in flight.
+      std::optional<std::pair<std::size_t, std::size_t>> busy;  // node, port
+      for (std::size_t v = 0; v < clean.nodes.size() && !busy; ++v)
+        for (std::size_t p = 0; p < clean.nodes[v].senders.size() && !busy;
+             ++p)
+          if (!clean.nodes[v].crashed &&
+              clean.nodes[v].senders[p].pending.size() >= 2)
+            busy = {{v, p}};
+      ASSERT_TRUE(busy.has_value());
+      const auto sender = [&](AsyncSnapshot& s) -> LinkSender& {
+        return s.nodes[busy->first].senders[busy->second];
+      };
+      expect_rejected("'pending'", [&](AsyncSnapshot& s) {
+        auto& pending = sender(s).pending;
+        pending.insert(pending.begin(), pending.front());
+      });
+      expect_rejected("'pending'", [&](AsyncSnapshot& s) {
+        std::reverse(sender(s).pending.begin(), sender(s).pending.end());
+      });
+      expect_rejected("'pending'", [&](AsyncSnapshot& s) {
+        sender(s).pending.back().seq = sender(s).next_seq;
+      });
+      expect_rejected("'attempts'", [&](AsyncSnapshot& s) {
+        sender(s).pending.front().attempts = 0;
+      });
+      expect_rejected("'attempts'", [&](AsyncSnapshot& s) {  // past the budget
+        sender(s).pending.front().attempts = TransportConfig{}.max_retries + 2;
+      });
+      expect_rejected("'reorder'", [&](AsyncSnapshot& s) {
+        LinkReceiver& receiver = s.nodes[busy->first].receivers[busy->second];
+        receiver.reorder.insert(receiver.reorder.begin(),
+                                {receiver.expected, Frame{}});
+      });
+      const std::size_t timer = index_of(EventRecord::Kind::Timer);
+      ASSERT_LT(timer, clean.events.size());
+      expect_rejected("'ls'", [&](AsyncSnapshot& s) {
+        EventRecord& e = s.events[timer];
+        e.link_seq = s.nodes[e.src].senders[e.src_port].next_seq;
+      });
+      expect_rejected("'pending'", [&](AsyncSnapshot& s) {
+        // Delete the Timer event that retransmits the first pending packet.
+        const std::uint64_t seq = sender(s).pending.front().seq;
+        const auto named = std::find_if(
+            s.events.begin(), s.events.end(), [&](const EventRecord& e) {
+              return e.kind == EventRecord::Kind::Timer &&
+                     e.src == busy->first && e.src_port == busy->second &&
+                     e.link_seq == seq;
+            });
+        ASSERT_NE(named, s.events.end());
+        s.events.erase(named);
       });
     } else {
       expect_rejected("'k'", [&](AsyncSnapshot& s) {
