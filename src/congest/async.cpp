@@ -235,7 +235,7 @@ class AsyncEngine {
       // outcome_.pulses rounds — mirroring the synchronous engine, which
       // keeps fault-free traces byte-identical across the two.
       outcome_.trace.finish_run(outcome_.pulses);
-      outcome_.trace.set_counters(fault_counters(outcome_.faults));
+      outcome_.trace.set_counters(fault_counters(outcome_.faults).entries());
     }
     outcome_.trace_bytes = outcome_.trace.approx_bytes();
     return outcome_;

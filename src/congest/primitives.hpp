@@ -1,10 +1,10 @@
 // Classic CONGEST building blocks: distributed BFS-tree construction,
 // convergecast aggregation up the tree, and broadcast down it.
 //
-// These are the standard O(D)-round primitives every CONGEST library ships;
-// here they power the leader-based collection variant of the universal
-// detector and give the tests an independent cross-check of the simulator
-// (tree distances must equal the centralized BFS oracle).
+// These are the standard O(D)-round primitives every CONGEST library ships.
+// No detector runs them (the universal detector, detect/collect.cpp, floods
+// edges): bench_micro times them, and the tests cross-check the simulator
+// with them (tree distances must equal the centralized BFS oracle).
 //
 // All three phases run in one program:
 //   1. BFS flood from the root (smallest identifier by default):

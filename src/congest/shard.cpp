@@ -753,7 +753,7 @@ RunOutcome RoundKernel::finish() {
     // (the exponent fit divides by segments to recover per-repetition
     // rounds), and surface the engine counters in the summary.
     outcome.trace.finish_run(round_);
-    outcome.trace.set_counters(outcome.metrics.counters);
+    outcome.trace.set_counters(outcome.metrics.counters.entries());
   }
   outcome.metrics.trace_bytes = outcome.trace.approx_bytes();
   return std::move(outcome_);

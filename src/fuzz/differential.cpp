@@ -9,6 +9,7 @@
 #include "congest/supervisor.hpp"
 #include "graph/oracle.hpp"
 #include "graph/vf2.hpp"
+#include "obs/trace_analysis.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -23,12 +24,6 @@ namespace {
 constexpr std::uint64_t kFrameOverheadBits = 64 + 2;  // pulse + 2 flags
 constexpr std::uint64_t kSeqWireBits = 32;
 constexpr std::uint64_t kCrcWireBits = 32;
-
-std::string trace_bytes(const obs::RunTrace& trace) {
-  std::ostringstream os;
-  trace.write_jsonl(os);
-  return os.str();
-}
 
 std::string verdicts_str(const std::vector<congest::Verdict>& vs) {
   std::string s;
@@ -94,26 +89,29 @@ SyncDigest digest(const congest::RunOutcome& o) {
 
 /// The resumed trace must match the uninterrupted one for every round at or
 /// past the resume point (earlier rounds are quiet in the resumed trace).
-/// Phases are compared by NAME: the traces intern names in first-use order,
-/// so the indices may disagree when the prefix declared phases the resumed
-/// run never saw.
 bool trace_suffix_matches(const obs::RunTrace& full,
                           const obs::RunTrace& resumed, std::uint64_t from) {
   const auto& a = full.rounds();
   const auto& b = resumed.rounds();
   if (a.size() != b.size()) return false;
-  for (std::size_t i = from; i < a.size(); ++i) {
-    if (a[i].round != b[i].round || a[i].messages != b[i].messages ||
-        a[i].bits != b[i].bits || a[i].node_messages != b[i].node_messages ||
-        a[i].node_bits != b[i].node_bits)
-      return false;
-    if ((a[i].phase >= 0) != (b[i].phase >= 0)) return false;
-    if (a[i].phase >= 0 &&
-        full.phase_names()[static_cast<std::size_t>(a[i].phase)] !=
-            resumed.phase_names()[static_cast<std::size_t>(b[i].phase)])
-      return false;
-  }
+  for (std::size_t i = from; i < a.size(); ++i)
+    if (a[i] != b[i]) return false;
   return true;
+}
+
+/// The csd-trace-v2 reader gives back the record the writer wrote.
+std::optional<Divergence> check_trace_round_trip(const obs::RunTrace& trace) {
+  std::stringstream jsonl;
+  trace.write_jsonl(jsonl);
+  std::ostringstream os;
+  try {
+    const auto back = obs::parse_trace_jsonl(jsonl);
+    if (back.size() == 1 && back.front() == trace.instance()) return {};
+    os << back.size() << " instance(s) read back, unequal to the record";
+  } catch (const CheckFailure& failure) {
+    os << "the trace's own JSONL is rejected: " << failure.what();
+  }
+  return diverge("trace-round-trip", os);
 }
 
 /// Serialize the snapshot to JSON and parse it back — the resume below then
@@ -312,10 +310,10 @@ std::optional<Divergence> check_case(const FuzzCase& c,
            << " vs rounds " << sync.metrics.rounds;
         return diverge("sync-vs-async-accounting", os);
       }
-      if (trace_bytes(async.trace) != trace_bytes(sync.trace)) {
+      if (async.trace.instance() != sync.trace.instance()) {
         std::ostringstream os;
         os << name << " rep " << rep
-           << ": per-round JSONL trace differs from the sync engine";
+           << ": per-round trace differs from the sync engine";
         return diverge("sync-vs-async-trace", os);
       }
       if (async.overhead_bits != kFrameOverheadBits * async.frames) {
@@ -403,7 +401,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
         other.metrics.max_message_bits != amplified.metrics.max_message_bits ||
         other.metrics.bits_sent_by_node != amplified.metrics.bits_sent_by_node ||
         !(other.faults == amplified.faults) ||
-        trace_bytes(other.trace) != trace_bytes(amplified.trace)) {
+        other.trace.instance() != amplified.trace.instance()) {
       std::ostringstream os;
       os << "supervisor at --jobs " << jobs
          << " differs from --jobs 1 (detected " << other.detected << "/"
@@ -412,6 +410,8 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       return diverge("jobs-determinism", os);
     }
   }
+
+  if (auto d = check_trace_round_trip(amplified.trace)) return d;
 
   // -- worker count: bit-identical to the inline kernel at every W ----------
   {
@@ -431,7 +431,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       const congest::Network sharded_net(host, cfg);
       const congest::RunOutcome sharded = sharded_net.run(factory, rep_seed);
       if (!(digest(sharded) == digest(reference)) ||
-          trace_bytes(sharded.trace) != trace_bytes(reference.trace)) {
+          sharded.trace.instance() != reference.trace.instance()) {
         std::ostringstream os;
         os << "kernel at W=" << cell.workers << " ("
            << to_string(cell.policy) << ") differs from the inline run "
@@ -460,7 +460,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       const congest::RunOutcome plain = hint_net.run(factory, rep_seed);
       const congest::RunOutcome ignored = hint_net.run(hintless, rep_seed);
       if (!(digest(plain) == digest(ignored)) ||
-          trace_bytes(plain.trace) != trace_bytes(ignored.trace)) {
+          plain.trace.instance() != ignored.trace.instance()) {
         std::ostringstream os;
         os << "honoring the activity hint at W=" << workers
            << " changes the run (detected " << plain.detected << "/"
@@ -493,7 +493,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
       amplified.metrics.total_bits != agg_bits ||
       amplified.metrics.messages != agg_messages ||
       amplified.verdicts != agg_verdicts ||
-      trace_bytes(amplified.trace) != trace_bytes(merged_sync_trace)) {
+      amplified.trace.instance() != merged_sync_trace.instance()) {
     std::ostringstream os;
     os << "supervisor aggregate (detected=" << amplified.detected
        << ", rounds=" << amplified.metrics.rounds
@@ -558,7 +558,7 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     const congest::Network faulty_sharded_net(host, faulty_shard_cfg);
     const congest::RunOutcome s3 = faulty_sharded_net.run(factory);
     if (!(digest(s3) == digest(s1)) ||
-        trace_bytes(s3.trace) != trace_bytes(s1.trace)) {
+        s3.trace.instance() != s1.trace.instance()) {
       std::ostringstream os;
       os << "kernel at W=3 under faults differs from the inline run "
          << "(detected " << s3.detected << "/" << s1.detected << ", dropped "

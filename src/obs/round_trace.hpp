@@ -24,27 +24,23 @@
 // claims), engine counters (set_counters), and free-form header metadata
 // (set_meta — instance parameters, so multi-instance JSONL files demux).
 //
-// The JSONL sink writes one compact JSON object per line, each encoded by
-// trace_line_fields (obs/trace_analysis.hpp): a header, one line per round,
-// one line per directed edge (per_edge only, sorted by (src, dst)), and a
-// summary with histogram / per-phase totals / non-zero counters —
-// machine-exact trajectories for bench_compare and `csd analyze`.
-// Everything emitted is a pure function of the recorded model-level data:
-// no timestamps, no pointers, no wall clock (EngineTimers lives in
-// RunMetrics for exactly that reason), so a fault-free async trace is
-// byte-identical to the synchronous one and any trace is byte-identical at
-// every --jobs count.
+// All of it lives in one obs::TraceInstance, the record csd-trace-v2 reads
+// back, so traces compare as records. It holds model-level data only — no
+// timestamps, no wall clock (EngineTimers lives in RunMetrics for exactly
+// that reason), so a fault-free async trace equals the synchronous one and
+// any trace is the same at every --jobs count.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/trace_analysis.hpp"
 
 namespace csd::obs {
 
@@ -65,22 +61,8 @@ struct TraceOptions {
   bool timers = false;
 };
 
-/// One round's traffic. `node_*` vectors are empty unless per_node is set;
-/// `phase` indexes RunTrace::phase_names() (-1 = no phase declared).
-struct RoundRecord {
-  std::uint64_t round = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  std::int32_t phase = -1;
-  std::vector<std::uint64_t> node_messages;
-  std::vector<std::uint64_t> node_bits;
-};
-
-/// Directed-edge traffic totals (per_edge only).
-struct EdgeRecord {
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-};
+/// One round's traffic (TraceInstance::Round).
+using RoundRecord = TraceInstance::Round;
 
 class RunTrace {
  public:
@@ -88,13 +70,13 @@ class RunTrace {
   RunTrace() = default;
   RunTrace(std::uint32_t num_nodes, const TraceOptions& options);
 
-  bool enabled() const noexcept { return enabled_; }
-  explicit operator bool() const noexcept { return enabled_; }
+  bool enabled() const noexcept { return options_ && options_->enabled; }
+  explicit operator bool() const noexcept { return enabled(); }
 
   /// Account one message of `bits` payload bits sent by node `src` to node
   /// `dst` in `round`. Rounds may be recorded out of order (the async
-  /// engine's pulses interleave across nodes); the vector grows as needed
-  /// and quiet rounds keep zero records.
+  /// engine's pulses interleave across nodes); the round list grows as
+  /// needed and quiet rounds keep zero records.
   void record(std::uint64_t round, std::uint32_t src, std::uint32_t dst,
               std::uint64_t bits);
 
@@ -110,15 +92,15 @@ class RunTrace {
   /// write to a key wins. Values are emitted as JSON strings.
   void set_meta(std::string_view key, std::string_view value);
 
-  /// Replace the engine-counter block copied into the JSONL summary (only
-  /// non-zero entries are emitted, so clean runs add no bytes).
-  void set_counters(const MetricsRegistry& counters);
+  /// Replace the summary's counter block with the non-zero entries of
+  /// `counters`, sorted by name (so clean runs add no bytes).
+  void set_counters(
+      const std::vector<std::pair<std::string, std::uint64_t>>& counters);
 
-  /// Declare that the run executed `rounds` rounds in total, materializing
-  /// quiet trailing rounds (a trace otherwise ends at the last round that
-  /// sent a message). Called by both engines at the end of a run so
-  /// rounds / segments is exactly the per-repetition round count — the
-  /// quantity the rounds-vs-n exponent fit consumes.
+  /// End a run of `rounds` rounds: materialize quiet trailing rounds (a
+  /// trace otherwise ends at the last round that sent a message), so
+  /// rounds / segments is the per-repetition round count the exponent fit
+  /// consumes, and fold the run's per-edge totals into the record.
   void finish_run(std::uint64_t rounds);
 
   /// Rounds from+1 .. until-1 ran no node (the sync kernel skipped them,
@@ -129,11 +111,11 @@ class RunTrace {
 
   /// Append `other` as the next repetition. Contract, by receiver state:
   ///   * enabled: `other`'s rounds are re-based after this trace's last
-  ///     round, histograms / edge totals / counters / totals are summed,
-  ///     phase names are re-interned by name, the receiver's meta is kept,
-  ///     and the segment boundary is remembered so the JSONL sink can label
-  ///     repetitions. Both must agree on per_edge and histogram
-  ///     (CHECKed), so edge totals and buckets keep summing to the totals;
+  ///     round, histograms / edge totals / counters are summed, the
+  ///     receiver's meta is kept, and the segment boundary is remembered
+  ///     so the JSONL sink can label repetitions. Both must agree on
+  ///     per_node, per_edge and histogram (CHECKed), so node rows, edge
+  ///     totals and buckets keep summing to the totals;
   ///   * default-constructed (never configured): adopts `other` wholesale,
   ///     including its segment boundaries — the merge-accumulator idiom
   ///     used by merge_amplified and the CLI;
@@ -144,64 +126,35 @@ class RunTrace {
   /// Appending a disabled `other` is always a no-op.
   void append(const RunTrace& other);
 
-  std::uint32_t num_nodes() const noexcept { return num_nodes_; }
-  const std::vector<RoundRecord>& rounds() const noexcept { return rounds_; }
-  /// histogram()[b] counts messages whose payload size in bits lies in
-  /// [2^(b-1), 2^b); bucket 0 counts empty (0-bit) messages alone.
-  const std::vector<std::uint64_t>& histogram() const noexcept {
-    return histogram_;
+  /// The recorded instance. A run's per-edge totals join it at finish_run.
+  const TraceInstance& instance() const noexcept { return instance_; }
+  const std::vector<RoundRecord>& rounds() const noexcept {
+    return instance_.rounds;
   }
-  /// Phase names in first-declaration order; RoundRecord::phase indexes it.
-  const std::vector<std::string>& phase_names() const noexcept {
-    return phase_names_;
-  }
-  /// Directed-edge totals keyed (src << 32) | dst (per_edge only).
-  const std::unordered_map<std::uint64_t, EdgeRecord>& edges() const noexcept {
-    return edges_;
-  }
-  const std::vector<std::pair<std::string, std::string>>& meta()
-      const noexcept {
-    return meta_;
-  }
-  std::uint64_t total_messages() const noexcept { return total_messages_; }
-  std::uint64_t total_bits() const noexcept { return total_bits_; }
   /// Number of appended run segments (1 for a plain run, R for amplified).
   std::uint64_t segments() const noexcept {
-    return segment_starts_.empty() ? (rounds_.empty() ? 0 : 1)
-                                   : segment_starts_.size();
+    return segment_count(instance_.segment_starts.size(),
+                         instance_.rounds.size());
   }
 
   /// Observer storage footprint in bytes (0 when disabled) — the number
   /// RunMetrics::trace_bytes exposes.
   std::uint64_t approx_bytes() const noexcept;
 
-  /// JSONL sink: header line, one line per round, one line per directed
-  /// edge (per_edge, sorted), summary line. Output is a pure function of
-  /// the recorded data (no timestamps, no pointers), so it is bit-identical
-  /// across thread counts and re-runs.
+  /// JSONL sink: write_trace_jsonl of instance(), after finish_run.
   void write_jsonl(std::ostream& os) const;
 
  private:
   void ensure_round(std::uint64_t round);
-  std::int32_t intern_phase(std::string_view name);
 
-  bool enabled_ = false;
-  /// True once a configuration was chosen (the 2-arg constructor ran or a
-  /// donor was adopted); distinguishes a deliberate disabled trace from a
+  /// nullopt until a configuration is chosen (the 2-arg constructor ran or
+  /// a donor was adopted); tells a deliberately disabled trace from a
   /// default-constructed accumulator in append().
-  bool configured_ = false;
-  TraceOptions options_;
-  std::uint32_t num_nodes_ = 0;
-  std::vector<RoundRecord> rounds_;
-  std::vector<std::uint64_t> histogram_;
-  std::vector<std::string> phase_names_;
-  std::unordered_map<std::uint64_t, EdgeRecord> edges_;
-  std::vector<std::pair<std::string, std::string>> meta_;
-  MetricsRegistry counters_;
-  std::uint64_t total_messages_ = 0;
-  std::uint64_t total_bits_ = 0;
-  /// Index into rounds_ where each appended segment starts.
-  std::vector<std::uint64_t> segment_starts_;
+  std::optional<TraceOptions> options_;
+  TraceInstance instance_;
+  /// The current run's per-edge totals keyed (src << 32) | dst, folded into
+  /// instance_.edges by finish_run.
+  std::unordered_map<std::uint64_t, TraceInstance::Edge> run_edges_;
 };
 
 }  // namespace csd::obs

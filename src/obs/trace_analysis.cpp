@@ -5,6 +5,7 @@
 #include <cmath>
 #include <istream>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 
 #include "obs/codec.hpp"
@@ -31,8 +32,10 @@ std::optional<double> TraceInstance::meta_number(std::string_view key) const {
 }
 
 double TraceInstance::rounds_per_segment() const {
+  const std::uint64_t segments =
+      segment_count(segment_starts.size(), rounds.size());
   if (segments == 0) return 0.0;
-  return static_cast<double>(declared_rounds) / static_cast<double>(segments);
+  return static_cast<double>(rounds.size()) / static_cast<double>(segments);
 }
 
 std::string TraceInstance::fit_group() const {
@@ -50,13 +53,57 @@ std::string TraceInstance::label(std::size_t index) const {
   return text;
 }
 
+TraceCounts trace_counts(const TraceInstance& instance) {
+  TraceCounts counts;
+  counts.rounds = instance.rounds.size();
+  counts.segments =
+      segment_count(instance.segment_starts.size(), counts.rounds);
+  for (const TraceInstance::Round& round : instance.rounds) {
+    counts.total_messages += round.messages;
+    counts.total_bits += round.bits;
+    if (!round.phase.has_value()) continue;
+    auto it = std::find_if(
+        counts.phases.begin(), counts.phases.end(),
+        [&](const TraceCounts::Phase& p) { return p.name == *round.phase; });
+    if (it == counts.phases.end())
+      it = counts.phases.insert(it, {*round.phase});
+    ++it->rounds;
+    it->messages += round.messages;
+    it->bits += round.bits;
+  }
+  return counts;
+}
+
+void write_trace_jsonl(std::ostream& os, const TraceInstance& instance) {
+  TraceLine line;
+  line.header = instance;
+  line.summary = instance;
+  line.counts = trace_counts(instance);
+  const auto write = [&](TraceLine::Type type) {
+    line.type = type;
+    encode(line, trace_line_fields).write(os, -1);
+    os << '\n';
+  };
+  write(TraceLine::Type::Header);
+  for (const TraceInstance::Round& round : instance.rounds) {
+    line.round = round;
+    write(TraceLine::Type::Round);
+  }
+  for (const TraceInstance::Edge& edge : instance.edges) {
+    line.edge = edge;
+    write(TraceLine::Type::Edge);
+  }
+  write(TraceLine::Type::Summary);
+}
+
 std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
   using Type = TraceLine::Type;
   const auto sum = [](const std::vector<std::uint64_t>& values) {
     return std::accumulate(values.begin(), values.end(), std::uint64_t{0});
   };
   std::vector<TraceInstance> instances;
-  bool open = false;  // between a header and its summary
+  TraceCounts stated;  // the open instance's header counts
+  bool open = false;   // between a header and its summary
   std::string text;
   for (std::uint64_t line_no = 1; std::getline(is, text); ++line_no) {
     if (text.empty()) continue;
@@ -67,53 +114,43 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
                     (open ? "header before the previous instance's summary"
                           : "line outside an instance"));
       if (line.type == Type::Header) {
-        TraceInstance& header = line.instance;
-        const std::vector<std::uint64_t>& starts = header.segment_starts;
+        stated = std::move(line.counts);
+        const std::vector<std::uint64_t>& starts = line.header.segment_starts;
         CSD_CHECK_MSG(
-            starts.empty() ? header.segments == (header.declared_rounds > 0)
-                           : header.segments == starts.size() &&
-                                 starts.front() == 0 &&
-                                 std::is_sorted(starts.begin(), starts.end()) &&
-                                 starts.back() <= header.declared_rounds,
-            "key 'segments' (" << header.segments
+            stated.segments == segment_count(starts.size(), stated.rounds) &&
+                (starts.empty() ||
+                 (starts.front() == 0 &&
+                  std::is_sorted(starts.begin(), starts.end()) &&
+                  starts.back() <= stated.rounds)),
+            "key 'segments' (" << stated.segments
                                << ") disagrees with 'segment_starts'");
-        instances.push_back(std::move(header));
+        static_cast<TraceHeader&>(instances.emplace_back()) =
+            std::move(line.header);
         open = true;
         continue;
       }
       TraceInstance& t = instances.back();
       if (line.type == Type::Round) {
-        CSD_CHECK_MSG(t.edges.empty() && line.round.round == t.rounds.size(),
-                      "key 'round' is " << line.round.round << ", expected "
+        const TraceInstance::Round& r = line.round;
+        CSD_CHECK_MSG(t.edges.empty() && r.round == t.rounds.size(),
+                      "key 'round' is " << r.round << ", expected "
                                         << t.rounds.size());
-        CSD_CHECK_MSG(line.node_messages.has_value() == t.per_node &&
-                          line.node_bits.has_value() == t.per_node,
+        const auto row_fits = [&](const std::vector<std::uint64_t>& row,
+                                  std::uint64_t total) {
+          return t.per_node ? row.size() == t.nodes && sum(row) == total
+                            : row.empty();
+        };
+        CSD_CHECK_MSG(row_fits(r.node_messages, r.messages) &&
+                          row_fits(r.node_bits, r.bits),
                       "keys 'node_messages'/'node_bits' must appear exactly "
-                      "when the header says per_node");
-        CSD_CHECK_MSG(!t.per_node ||
-                          (line.node_messages->size() == t.nodes &&
-                           line.node_bits->size() == t.nodes &&
-                           sum(*line.node_messages) == line.round.messages &&
-                           sum(*line.node_bits) == line.round.bits),
-                      "keys 'node_messages'/'node_bits' must have "
-                          << t.nodes << " entries, summing to the line's "
+                      "when the header says per_node, with "
+                          << t.nodes << " entries summing to the line's "
                           << "'messages' and 'bits'");
-        t.total_messages += line.round.messages;
-        t.total_bits += line.round.bits;
-        if (const auto& label = line.round.phase; label.has_value()) {
-          auto it = std::find_if(
-              t.phases.begin(), t.phases.end(),
-              [&](const auto& p) { return p.name == *label; });
-          if (it == t.phases.end()) it = t.phases.insert(it, {*label});
-          ++it->rounds;
-          it->messages += line.round.messages;
-          it->bits += line.round.bits;
-        }
         t.rounds.push_back(std::move(line.round));
         continue;
       }
-      CSD_CHECK_MSG(t.rounds.size() == t.declared_rounds,
-                    "the header's 'rounds' is " << t.declared_rounds
+      CSD_CHECK_MSG(t.rounds.size() == stated.rounds,
+                    "the header's 'rounds' is " << stated.rounds
                                                 << " but the instance has "
                                                 << t.rounds.size()
                                                 << " round lines");
@@ -128,37 +165,39 @@ std::vector<TraceInstance> parse_trace_jsonl(std::istream& is) {
         t.edges.push_back(e);
         continue;
       }
-      CSD_CHECK_MSG(line.instance.total_messages == t.total_messages &&
-                        line.instance.total_bits == t.total_bits,
+      static_cast<TraceSummary&>(t) = std::move(line.summary);
+      const TraceCounts derived = trace_counts(t);
+      const TraceCounts& summary = line.counts;
+      CSD_CHECK_MSG(summary.total_messages == derived.total_messages &&
+                        summary.total_bits == derived.total_bits,
                     "keys 'total_messages'/'total_bits' must sum the round "
-                    "lines: " << t.total_messages << " messages, "
-                              << t.total_bits << " bits");
-      // t.phases holds the round lines' sums per label.
-      const auto by_name = [](std::vector<TraceInstance::Phase> phases) {
-        std::sort(phases.begin(), phases.end(),
-                  [](const auto& a, const auto& b) { return a.name < b.name; });
-        return phases;
-      };
-      CSD_CHECK_MSG(by_name(line.instance.phases) == by_name(t.phases),
+                    "lines: " << derived.total_messages << " messages, "
+                              << derived.total_bits << " bits");
+      CSD_CHECK_MSG(summary.phases == derived.phases,
                     "key 'phases' must list each round line 'phase' once, "
-                    "with the sums of its lines' rounds, messages and bits");
+                    "in the order the rounds first carry it, with the sums "
+                    "of its lines' rounds, messages and bits");
       std::uint64_t edge_messages = 0, edge_bits = 0;
       for (const TraceInstance::Edge& e : t.edges) {
         edge_messages += e.messages;
         edge_bits += e.bits;
       }
-      CSD_CHECK_MSG(!t.per_edge || (edge_messages == t.total_messages &&
-                                    edge_bits == t.total_bits),
+      CSD_CHECK_MSG(!t.per_edge || (edge_messages == derived.total_messages &&
+                                    edge_bits == derived.total_bits),
                     "keys 'total_messages'/'total_bits' must sum the edge "
                     "lines: " << edge_messages << " messages, " << edge_bits
                               << " bits");
-      const auto& buckets = line.instance.size_histogram;
-      CSD_CHECK_MSG(!buckets || sum(*buckets) == t.total_messages,
+      const auto& buckets = t.size_histogram;
+      CSD_CHECK_MSG(!buckets || sum(*buckets) == derived.total_messages,
                     "key 'size_histogram' must sum to the round lines' "
-                        << t.total_messages << " messages");
-      t.size_histogram = std::move(line.instance.size_histogram);
-      t.phases = std::move(line.instance.phases);
-      t.counters = std::move(line.instance.counters);
+                        << derived.total_messages << " messages");
+      // Names are distinct (Json::parse rejects a duplicate key).
+      const auto& counters = t.counters;
+      const auto zero = [](const auto& c) { return c.second == 0; };
+      CSD_CHECK_MSG(std::is_sorted(counters.begin(), counters.end()) &&
+                        std::none_of(counters.begin(), counters.end(), zero),
+                    "key 'counters' must hold non-zero values under "
+                    "strictly ascending names");
       open = false;
     } catch (const CheckFailure& failure) {
       throw CheckFailure("trace line " + std::to_string(line_no) + ": " +

@@ -25,6 +25,7 @@
 #include "fuzz/generator.hpp"
 #include "graph/builders.hpp"
 #include "obs/json.hpp"
+#include "obs/trace_analysis.hpp"
 #include "support/rng.hpp"
 
 namespace csd::congest {
@@ -161,10 +162,11 @@ TEST(OverflowRegression, AccountingSurvivesMoreThan32BitsOfTraffic) {
   ASSERT_EQ(outcome.metrics.bits_sent_by_node.size(), 2u);
   EXPECT_EQ(outcome.metrics.bits_sent_by_node[0], kRounds * kPayloadBits);
   EXPECT_EQ(outcome.metrics.bits_sent_by_node[1], kRounds * kPayloadBits);
-  EXPECT_EQ(outcome.trace.total_bits(), expected);
+  EXPECT_EQ(obs::trace_counts(outcome.trace.instance()).total_bits, expected);
   // 2^28 lands in histogram bucket bit_width(2^28) = 29, counted 2R times.
-  ASSERT_GT(outcome.trace.histogram().size(), 29u);
-  EXPECT_EQ(outcome.trace.histogram()[29], 2 * kRounds);
+  const auto& histogram = *outcome.trace.instance().size_histogram;
+  ASSERT_GT(histogram.size(), 29u);
+  EXPECT_EQ(histogram[29], 2 * kRounds);
 }
 
 TEST(OverflowRegression, AsyncPayloadAccountingMatchesAtScale) {

@@ -1044,6 +1044,15 @@ TEST_F(DamagedTrace, AHistogramThatMissesTheTotalExitsTwo) {
                   summary + 1);
 }
 
+// A summary's counter block holds non-zero counts under ascending names,
+// so an edited zero cannot print as a counter.
+TEST_F(DamagedTrace, AZeroCounterExitsTwo) {
+  const std::size_t summary = first("summary");
+  ASSERT_EQ(lines_[summary].find("counters"), std::string::npos);
+  expect_rejected(summary, "]}", R"(],"counters":{"watchdog_stalls":0}})",
+                  "counters", summary + 1);
+}
+
 // `csd detect --trace` and `csd sweep --trace` write no per-node rows:
 // `csd analyze` reads none, and they cost O(rounds * n) memory and bytes.
 TEST(Cli, TracesCarryNoPerNodeRows) {

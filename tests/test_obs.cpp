@@ -379,6 +379,20 @@ TEST(RunTrace, AppendRejectsADonorWithAnotherPerEdgeOption) {
   EXPECT_THROW(plain.append(edged), CheckFailure);
 }
 
+// A per-node trace's rows split each round line only if every appended
+// segment recorded its rows too.
+TEST(RunTrace, AppendRejectsADonorWithAnotherPerNodeOption) {
+  obs::TraceOptions opts;
+  opts.enabled = true;
+  obs::RunTrace rows(3, opts);
+  opts.per_node = false;
+  obs::RunTrace plain(3, opts);
+  rows.record(0, 0, 1, 8);
+  plain.record(0, 0, 1, 8);
+  EXPECT_THROW(rows.append(plain), CheckFailure);
+  EXPECT_THROW(plain.append(rows), CheckFailure);
+}
+
 TEST(RunTrace, AppendIntoConfiguredDisabledReceiverIsANoOp) {
   obs::TraceOptions on;
   on.enabled = true;
@@ -394,8 +408,8 @@ TEST(RunTrace, AppendIntoConfiguredDisabledReceiverIsANoOp) {
   // (the historical bug: `*this = other` turned it into an enabled trace).
   EXPECT_FALSE(receiver.enabled());
   EXPECT_TRUE(receiver.rounds().empty());
-  EXPECT_EQ(receiver.total_messages(), 0u);
-  EXPECT_EQ(receiver.total_bits(), 0u);
+  EXPECT_EQ(obs::trace_counts(receiver.instance()).total_messages, 0u);
+  EXPECT_EQ(obs::trace_counts(receiver.instance()).total_bits, 0u);
   EXPECT_EQ(receiver.segments(), 0u);
   EXPECT_EQ(receiver.approx_bytes(), 0u);
 
@@ -425,12 +439,12 @@ TEST(RunTrace, AppendAdoptsMultiSegmentDonorIntoDefaultConstructed) {
   EXPECT_EQ(receiver.segments(), 2u);
   ASSERT_EQ(receiver.rounds().size(), 2u);
   EXPECT_EQ(receiver.rounds()[1].round, 1u);
-  EXPECT_EQ(receiver.total_bits(), 12u);
+  EXPECT_EQ(obs::trace_counts(receiver.instance()).total_bits, 12u);
 
   // And the adopted receiver keeps merging like a normal enabled trace.
   receiver.append(c);
   EXPECT_EQ(receiver.segments(), 3u);
-  EXPECT_EQ(receiver.total_bits(), 14u);
+  EXPECT_EQ(obs::trace_counts(receiver.instance()).total_bits, 14u);
 }
 
 // ------------------------------------------------- RunTrace (schema v2) ----
@@ -496,7 +510,7 @@ TEST(RunTrace, CountersAppearInSummaryOnlyWhenNonZero) {
   obs::MetricsRegistry zeros;
   zeros.add("retransmissions", 0);
   zeros.add("checksum_rejects", 0);
-  clean.set_counters(zeros);
+  clean.set_counters(zeros.entries());
   std::ostringstream clean_os;
   clean.write_jsonl(clean_os);
   // All-zero counters are omitted so clean sync and async traces stay
@@ -507,7 +521,7 @@ TEST(RunTrace, CountersAppearInSummaryOnlyWhenNonZero) {
   obs::MetricsRegistry mixed;
   mixed.add("retransmissions", 3);
   mixed.add("checksum_rejects", 0);
-  dirty.set_counters(mixed);
+  dirty.set_counters(mixed.entries());
   std::ostringstream dirty_os;
   dirty.write_jsonl(dirty_os);
   EXPECT_NE(dirty_os.str().find(R"("counters":{"retransmissions":3})"),
@@ -556,12 +570,12 @@ TEST(RunTrace, PhaseAttributionCoversAllTrafficInEvenCycleRun) {
   std::istringstream is(os.str());
   const auto instances = obs::parse_trace_jsonl(is);
   ASSERT_EQ(instances.size(), 1u);
-  const obs::TraceInstance& instance = instances.front();
+  const obs::TraceCounts counts = obs::trace_counts(instances.front());
 
-  ASSERT_FALSE(instance.phases.empty());
+  ASSERT_FALSE(counts.phases.empty());
   std::vector<std::string> names;
   std::uint64_t phase_rounds = 0, phase_bits = 0;
-  for (const auto& phase : instance.phases) {
+  for (const auto& phase : counts.phases) {
     names.push_back(phase.name);
     phase_rounds += phase.rounds;
     phase_bits += phase.bits;
@@ -573,8 +587,8 @@ TEST(RunTrace, PhaseAttributionCoversAllTrafficInEvenCycleRun) {
   // Every message is sent from some on_round call, and every on_round call
   // declares a phase — so phases account for all traffic. Only quiet padded
   // rounds after the last halt may be unattributed.
-  EXPECT_EQ(phase_bits, instance.total_bits);
-  EXPECT_LE(phase_rounds, instance.declared_rounds);
+  EXPECT_EQ(phase_bits, counts.total_bits);
+  EXPECT_LE(phase_rounds, counts.rounds);
   EXPECT_GT(phase_rounds, 0u);
 }
 
@@ -643,9 +657,10 @@ TEST(TraceAnalysis, ParsesEmittedTraceRoundTrip) {
   trace.write_jsonl(os);
 
   const obs::TraceInstance instance = parse_single(os.str());
+  EXPECT_EQ(instance, trace.instance());
   EXPECT_EQ(instance.nodes, 4u);
-  EXPECT_EQ(instance.declared_rounds, 2u);
-  EXPECT_EQ(instance.segments, 1u);
+  EXPECT_EQ(obs::trace_counts(instance).rounds, 2u);
+  EXPECT_EQ(obs::trace_counts(instance).segments, 1u);
   EXPECT_TRUE(instance.per_edge);
   EXPECT_EQ(instance.meta_value("program"), "toy");
   EXPECT_EQ(instance.meta_number("n"), 4.0);
@@ -654,7 +669,7 @@ TEST(TraceAnalysis, ParsesEmittedTraceRoundTrip) {
   ASSERT_EQ(instance.rounds.size(), 2u);
   EXPECT_EQ(instance.rounds[0].phase, "seed");
   ASSERT_EQ(instance.edges.size(), 3u);
-  EXPECT_EQ(instance.total_bits, 48u);
+  EXPECT_EQ(obs::trace_counts(instance).total_bits, 48u);
   EXPECT_EQ(instance.rounds_per_segment(), 2.0);
 
   // Edges (0,2) and (1,3) cross the cut at boundary 2; (2,0) crosses back.
@@ -665,6 +680,110 @@ TEST(TraceAnalysis, ParsesEmittedTraceRoundTrip) {
   EXPECT_EQ(top[0].bits, 32u);
   EXPECT_EQ(top[1].src, 0u);  // 8-bit tie broken by (src, dst)
   EXPECT_EQ(top[1].dst, 2u);
+
+  // Engine traces read back as their records too, whatever the engine,
+  // worker count, transport, faults and trace options.
+  const auto reads_back = [](const obs::RunTrace& recorded,
+                             const std::string& what) {
+    ASSERT_TRUE(recorded.enabled()) << what;
+    ASSERT_FALSE(recorded.rounds().empty()) << what;
+    std::ostringstream jsonl;
+    recorded.write_jsonl(jsonl);
+    EXPECT_EQ(parse_single(jsonl.str()), recorded.instance()) << what;
+  };
+  const Graph g = trace_host();
+  const auto factory = detect::pipelined_cycle_program(4);
+  const auto sync_trace = [&](std::uint32_t workers,
+                              const obs::TraceOptions& options) {
+    congest::NetworkConfig cfg;
+    cfg.bandwidth = 64;
+    cfg.max_rounds = 200;
+    cfg.seed = 5;
+    cfg.shard.workers = workers;
+    cfg.trace = options;
+    return congest::Network(g, cfg).run(factory).trace;
+  };
+  obs::TraceOptions on;
+  on.enabled = true;
+  reads_back(sync_trace(1, on), "sync, W = 1, per-node rows");
+  reads_back(sync_trace(3, on), "sync, W = 3, per-node rows");
+  obs::TraceOptions lean = on;
+  lean.per_node = false;
+  lean.histogram = false;
+  reads_back(sync_trace(3, lean), "sync, W = 3, no rows, no histogram");
+  obs::TraceOptions edged = on;
+  edged.per_node = false;
+  edged.per_edge = true;
+  reads_back(sync_trace(1, edged), "sync, per-edge");
+
+  const obs::RunTrace amplified = traced_run(g, 1, true, 4).trace;
+  ASSERT_EQ(amplified.segments(), 4u);
+  reads_back(amplified, "amplified, 4 segments");
+
+  congest::AsyncConfig raw;
+  raw.bandwidth = 64;
+  raw.max_pulses = 200;
+  raw.seed = 5;
+  raw.trace = on;
+  reads_back(congest::run_async(g, raw, factory).trace, "async raw");
+
+  congest::AsyncConfig reliable = raw;
+  reliable.transport = congest::TransportMode::Reliable;
+  reliable.faults.drop = 0.2;
+  reliable.faults.corrupt = 0.05;
+  reliable.faults.crashes = {{3, 2}};
+  reliable.recovery.enabled = true;
+  reliable.max_pulses = 2000;
+  congest::AsyncRunOutcome healed = congest::run_async(g, reliable, factory);
+  ASSERT_FALSE(healed.trace.instance().counters.empty());
+  healed.trace.set_meta("program", "pipelined_cycle");
+  healed.trace.set_meta("n", std::to_string(g.num_vertices()));
+  reads_back(healed.trace, "async reliable, faults, recovery, meta, counters");
+
+  congest::AsyncConfig paused = reliable;
+  paused.checkpoint_at_pulse = 3;
+  const auto full = congest::run_async(g, paused, factory);
+  ASSERT_NE(full.checkpoint, nullptr);
+  reads_back(congest::resume_async(g, paused, factory, *full.checkpoint).trace,
+             "resumed async");
+}
+
+// Record equality sees every value a line states: records that differ in
+// one phase label, node row, edge, counter or meta value compare unequal,
+// and write different bytes.
+TEST(TraceAnalysis, RecordEqualityTellsApartTracesDifferingInOneValue) {
+  obs::TraceOptions opts;
+  opts.enabled = true;
+  opts.per_edge = true;
+  obs::RunTrace trace(3, opts);
+  trace.record(0, 0, 1, 8);
+  trace.record(1, 2, 0, 16);
+  trace.set_phase(0, "seed");
+  trace.set_phase(1, "echo");
+  trace.set_meta("program", "toy");
+  trace.set_counters({{"retransmissions", 2}});
+  trace.finish_run(2);
+  const obs::TraceInstance& base = trace.instance();
+  const auto bytes = [](const obs::TraceInstance& instance) {
+    std::ostringstream os;
+    obs::write_trace_jsonl(os, instance);
+    return os.str();
+  };
+  const auto differs = [&](const std::string& what, const auto& edit) {
+    obs::TraceInstance changed = base;
+    edit(changed);
+    EXPECT_NE(changed, base) << what;
+    EXPECT_NE(bytes(changed), bytes(base)) << what;
+  };
+  differs("phase label", [](auto& t) { t.rounds[1].phase = "seed"; });
+  differs("node row", [](auto& t) {
+    std::swap(t.rounds[0].node_messages[0], t.rounds[0].node_messages[1]);
+    std::swap(t.rounds[0].node_bits[0], t.rounds[0].node_bits[1]);
+  });
+  differs("edge", [](auto& t) { t.edges[0].dst = 2; });
+  differs("counter", [](auto& t) { t.counters[0].second = 3; });
+  differs("meta value", [](auto& t) { t.meta[0].second = "other"; });
+  EXPECT_EQ(obs::TraceInstance(base), base);
 }
 
 TEST(TraceAnalysis, ParseRejectsMalformedStreams) {
@@ -703,34 +822,32 @@ TEST(TraceAnalysis, EachLineKindRoundTripsThroughItsFieldList) {
   };
 
   obs::TraceLine header;
-  header.instance.nodes = 3;
-  header.instance.declared_rounds = 4;
-  header.instance.segments = 2;
-  header.instance.per_node = true;
-  header.instance.meta = {{"program", "toy"}, {"n", "3"}};
-  header.instance.segment_starts = {0, 2};
+  header.header.nodes = 3;
+  header.counts.rounds = 4;
+  header.counts.segments = 2;
+  header.header.per_node = true;
+  header.header.meta = {{"program", "toy"}, {"n", "3"}};
+  header.header.segment_starts = {0, 2};
   round_trip(header,
              R"({"type":"header","schema":"csd-trace-v2","nodes":3,)"
              R"("rounds":4,"segments":2,"per_node":true,"per_edge":false,)"
              R"("meta":{"program":"toy","n":"3"},"segment_starts":[0,2]})");
-  header.instance.meta.clear();
-  header.instance.segment_starts.clear();
+  header.header.meta.clear();
+  header.header.segment_starts.clear();
   round_trip(header,
              R"({"type":"header","schema":"csd-trace-v2","nodes":3,)"
              R"("rounds":4,"segments":2,"per_node":true,"per_edge":false})");
 
   obs::TraceLine round;
   round.type = Type::Round;
-  round.round = {3, 2, 40, "echo"};
-  round.node_messages = std::vector<std::uint64_t>{0, 2, 0};
-  round.node_bits = std::vector<std::uint64_t>{0, 40, 0};
+  round.round = {3, 2, 40, "echo", {0, 2, 0}, {0, 40, 0}};
   round_trip(round,
              R"({"type":"round","round":3,"messages":2,"bits":40,)"
              R"("phase":"echo","node_messages":[0,2,0],)"
              R"("node_bits":[0,40,0]})");
   round.round.phase.reset();
-  round.node_messages.reset();
-  round.node_bits.reset();
+  round.round.node_messages.clear();
+  round.round.node_bits.clear();
   round_trip(round, R"({"type":"round","round":3,"messages":2,"bits":40})");
 
   obs::TraceLine edge;
@@ -741,18 +858,18 @@ TEST(TraceAnalysis, EachLineKindRoundTripsThroughItsFieldList) {
 
   obs::TraceLine summary;
   summary.type = Type::Summary;
-  summary.instance.total_messages = 2;
-  summary.instance.total_bits = 40;
-  summary.instance.size_histogram = std::vector<std::uint64_t>{};
-  summary.instance.phases = {{"echo", 1, 2, 40}};
-  summary.instance.counters = {{"acks", 5}};
+  summary.counts.total_messages = 2;
+  summary.counts.total_bits = 40;
+  summary.summary.size_histogram = std::vector<std::uint64_t>{};
+  summary.counts.phases = {{"echo", 1, 2, 40}};
+  summary.summary.counters = {{"acks", 5}};
   round_trip(summary,
              R"({"type":"summary","total_messages":2,"total_bits":40,)"
              R"("size_histogram":[],"phases":[{"name":"echo","rounds":1,)"
              R"("messages":2,"bits":40}],"counters":{"acks":5}})");
-  summary.instance.size_histogram.reset();
-  summary.instance.phases.clear();
-  summary.instance.counters.clear();
+  summary.summary.size_histogram.reset();
+  summary.counts.phases.clear();
+  summary.summary.counters.clear();
   round_trip(summary,
              R"({"type":"summary","total_messages":2,"total_bits":40})");
 }
@@ -803,10 +920,12 @@ TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
     std::istringstream is(text + "\n");
     return obs::parse_trace_jsonl(is);
   };
-  ASSERT_EQ(parse(header + "\n" + rounds + "\n" + edges + "\n" + summary)
-                .front()
-                .total_bits,
-            24u);
+  ASSERT_EQ(
+      obs::trace_counts(
+          parse(header + "\n" + rounds + "\n" + edges + "\n" + summary)
+              .front())
+          .total_bits,
+      24u);
   const auto rejects = [&](std::string text, const std::string& from,
                            const std::string& to, const std::string& line,
                            const std::string& key) {
@@ -863,7 +982,7 @@ TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
       R"("node_messages":[1,2],"node_bits":[8,16]})"
       "\n"
       R"({"type":"summary","total_messages":3,"total_bits":24})";
-  ASSERT_EQ(parse(per_node).front().total_bits, 24u);
+  ASSERT_EQ(parse(per_node).front().rounds[0].node_bits[1], 16u);
   rejects(per_node, R"("node_messages":[1,2])", R"("node_messages":[1,2,0])",
           "2", "'node_messages'");
   rejects(per_node, R"("node_bits":[8,16])", R"("node_bits":[8,15])", "2",
@@ -884,12 +1003,37 @@ TEST(TraceAnalysis, ParseRejectsLinesThatDisagreeWithTheirInstance) {
       R"({"type":"summary","total_messages":2,"total_bits":24,"phases":[)"
       R"({"name":"a","rounds":2,"messages":1,"bits":8},)"
       R"({"name":"b","rounds":1,"messages":1,"bits":16}]})";
-  ASSERT_EQ(parse(phased).front().phases.size(), 2u);
+  ASSERT_EQ(obs::trace_counts(parse(phased).front()).phases.size(), 2u);
   rejects(phased, R"("bits":8},)", R"("bits":9},)", "5", "'phases'");
   rejects(phased, R"("rounds":2,"messages":1)", R"("rounds":1,"messages":1)",
           "5", "'phases'");
   rejects(phased, R"("name":"b")", R"("name":"a")", "5", "'phases'");
   rejects(phased, R"("phase":"b")", R"("phase":"c")", "5", "'phases'");
+  // ... listed in the order the round lines first carry each name.
+  rejects(phased,
+          R"({"name":"a","rounds":2,"messages":1,"bits":8},)"
+          R"({"name":"b","rounds":1,"messages":1,"bits":16})",
+          R"({"name":"b","rounds":1,"messages":1,"bits":16},)"
+          R"({"name":"a","rounds":2,"messages":1,"bits":8})",
+          "5", "'phases'");
+
+  // A summary's counters are the writer's: non-zero values under strictly
+  // ascending names.
+  const std::string counted =
+      R"({"type":"summary","total_messages":2,"total_bits":24,)"
+      R"("counters":{"crashed_nodes":1,"frames_dropped":4,"violations":2}})";
+  const std::string faulty =
+      header + "\n" + rounds + "\n" + edges + "\n" + counted;
+  ASSERT_EQ(parse(faulty).front().counters.size(), 3u);
+  rejects(faulty, R"("frames_dropped":4)", R"("frames_dropped":0)", "6",
+          "'counters'");
+  rejects(faulty, R"("crashed_nodes":1,"frames_dropped":4,"violations":2)",
+          R"("violations":2,"crashed_nodes":1,"frames_dropped":4)", "6",
+          "'counters'");
+  rejects(header + "\n" + rounds + "\n" + edges + "\n" + summary,
+          R"("total_bits":24})",
+          R"("total_bits":24,"counters":{"watchdog_stalls":0}})", "6",
+          "'counters'");
 }
 
 TEST(TraceAnalysis, FitPowerLawRecoversSyntheticExponent) {
@@ -1015,7 +1159,7 @@ TEST(RunTrace, SummaryCountersEmitSortedByName) {
   counters.add("zeta", 1);  // insertion order deliberately unsorted
   counters.add("alpha", 2);
   counters.add("mid", 0);  // zero: omitted from the summary entirely
-  trace.set_counters(counters);
+  trace.set_counters(counters.entries());
   std::ostringstream os;
   trace.write_jsonl(os);
   // DESIGN.md §14: summary counters serialize in sorted-name order, so the

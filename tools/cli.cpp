@@ -1178,20 +1178,21 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
   out << instances.size() << " instance(s) in " << inv.positional[1] << "\n";
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const obs::TraceInstance& instance = instances[i];
+    const obs::TraceCounts counts = obs::trace_counts(instance);
     out << "\n--- " << instance.label(i) << " ---\n"
-        << "nodes " << instance.nodes << ", rounds "
-        << instance.declared_rounds << " (" << instance.segments
-        << " segment(s), " << instance.rounds_per_segment()
-        << " rounds/rep), bits " << instance.total_bits << '\n';
-    if (!instance.phases.empty()) {
+        << "nodes " << instance.nodes << ", rounds " << counts.rounds << " ("
+        << counts.segments << " segment(s), "
+        << instance.rounds_per_segment() << " rounds/rep), bits "
+        << counts.total_bits << '\n';
+    if (!counts.phases.empty()) {
       Table table({"phase", "rounds", "messages", "bits", "bit share"});
       std::uint64_t attributed = 0;
-      for (const auto& phase : instance.phases) {
+      for (const auto& phase : counts.phases) {
         const double share =
-            instance.total_bits == 0
+            counts.total_bits == 0
                 ? 0.0
                 : 100.0 * static_cast<double>(phase.bits) /
-                      static_cast<double>(instance.total_bits);
+                      static_cast<double>(counts.total_bits);
         std::ostringstream share_os;
         share_os.precision(1);
         share_os << std::fixed << share << '%';
@@ -1204,8 +1205,8 @@ int cmd_analyze(const Invocation& inv, std::ostream& out) {
         attributed += phase.bits;
       }
       table.print(out);
-      if (attributed < instance.total_bits)
-        out << "unattributed: " << instance.total_bits - attributed
+      if (attributed < counts.total_bits)
+        out << "unattributed: " << counts.total_bits - attributed
             << " bits\n";
     }
     if (!instance.counters.empty()) {
