@@ -588,7 +588,7 @@ class AsyncEngine {
         // Move the payload buffer out of the arena slot into the frame; the
         // transport layer reads from the same buffer, no copy is made.
         frame.payload.emplace();
-        std::swap(*frame.payload, node.outbox_payload(p));
+        frame.payload->swap(node.outbox_payload(p));
         node.consume_outbox(p);
       }
       if (outcome_.trace && frame.payload.has_value())

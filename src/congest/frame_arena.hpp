@@ -6,8 +6,10 @@
 // *separate* flat arrays: the per-round scans (reset presence, find present
 // outbox slots) walk a dense byte array instead of striding over 40-byte
 // slots, and a round's delivery *swaps* the payload buffer of a present
-// outbox slot into the reverse-edge inbox slot — no per-message copy, and
-// buffer capacity circulates between the two arenas for the run's lifetime.
+// outbox slot into the reverse-edge inbox slot — no per-message copy. A
+// payload of at most BitVec::kInlineBits bits lives inside its slot, so the
+// swap exchanges its words; a larger one's heap buffer circulates between
+// the two arenas for the run's lifetime.
 //
 // Presence is the only truth: a payload whose presence byte is 0 is
 // unobservable, so resets clear presence bytes and deliberately leave stale

@@ -5,8 +5,9 @@
 // A NodeState does not own its message slots: the engine allocates one
 // inbox and one outbox FrameArena per run (frame_arena.hpp) and attaches
 // each node to its contiguous row via attach_frames(). Sends and deliveries
-// swap payload buffers into the slots instead of copying them, and the
-// buffers displaced by sends feed the scratch() pool.
+// swap payload buffers into the slots instead of copying them, and the heap
+// buffers displaced by sends (payloads above BitVec::kInlineBits) feed the
+// scratch() pool.
 #pragma once
 
 #include <cstring>
@@ -100,12 +101,13 @@ class NodeState final : public NodeApi {
         round_payload_ = payload;
       }
     }
-    // Swap the message into the arena slot; the displaced buffer (stale
+    // Swap the message into the arena slot. A displaced heap buffer (stale
     // contents, unobservable while absent) retires into the scratch pool so
-    // its capacity keeps circulating.
-    std::swap(outbox_payload_[port], payload);
+    // its capacity keeps circulating; an inline one has nothing to reuse.
+    outbox_payload_[port].swap(payload);
     outbox_present_[port] = 1;
-    if (pool_.size() < degree_) pool_.push_back(std::move(payload));
+    if (payload.on_heap() && pool_.size() < degree_)
+      pool_.push_back(std::move(payload));
   }
 
   void broadcast(const BitVec& payload) override {
@@ -122,7 +124,7 @@ class NodeState final : public NodeApi {
     if (pool_.empty()) return BitVec{};
     BitVec buf = std::move(pool_.back());
     pool_.pop_back();
-    buf.clear();  // vector storage is retained, so capacity is reused
+    buf.clear();  // the heap buffer is retained, so capacity is reused
     return buf;
   }
 
@@ -173,7 +175,7 @@ class NodeState final : public NodeApi {
     if (degree_ > 0) std::memset(inbox_present_, 0, degree_);
   }
   void deliver(std::uint32_t port, BitVec payload) {
-    std::swap(inbox_payload_[port], payload);
+    inbox_payload_[port].swap(payload);
     inbox_present_[port] = 1;
   }
   bool outbox_present(std::uint32_t port) const {

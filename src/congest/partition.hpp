@@ -57,7 +57,7 @@ struct ShardChannel {
     } else {
       edges[used] = edge;
     }
-    std::swap(payloads[used], slot);
+    payloads[used].swap(slot);
     ++used;
   }
   void reset() noexcept { used = 0; }

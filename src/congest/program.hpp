@@ -63,11 +63,12 @@ class NodeApi {
   /// Node-local deterministic randomness (derived from the run seed).
   virtual Rng& rng() = 0;
 
-  /// An empty payload buffer recycled from this node's already-consumed
-  /// inbox messages (contents cleared, heap capacity retained). Semantically
-  /// identical to `BitVec{}`; building outgoing payloads from it (e.g.
-  /// `wire::Writer w(api.scratch());`) eliminates the one heap allocation
-  /// per message per round that otherwise dominates tight send loops.
+  /// An empty payload buffer, semantically identical to `BitVec{}`. A
+  /// payload of at most BitVec::kInlineBits bits never allocates anyway;
+  /// above that, the buffer is recycled from this node's earlier sends
+  /// (contents cleared, heap capacity retained), so building large outgoing
+  /// payloads from it (e.g. `wire::Writer w(api.scratch());`) saves their
+  /// per-message heap allocation.
   virtual BitVec scratch() { return BitVec{}; }
 
   /// Annotate the current round with the algorithmic phase it belongs to

@@ -501,7 +501,7 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
 // receiver's owner (the only writer of its inbox row and wake round).
 void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload) {
   const Vertex dst = csr_.neighbors[e];
-  std::swap(inbox_arena_.payload(rev_edge_[e]), payload);
+  inbox_arena_.payload(rev_edge_[e]).swap(payload);
   inbox_arena_.present(rev_edge_[e]) = 1;
   if (ctx.sleepers) wake_[dst] = round_ + 1;
 }

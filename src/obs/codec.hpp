@@ -240,7 +240,10 @@ Json write(const T& value, const Spec& spec) {
   } else if constexpr (std::is_same_v<T, BitVec>) {
     Json out = Json::object();
     out.set("n", std::uint64_t{value.size()});
-    out.set("w", write(value.words()));
+    Json words = Json::array();
+    words.reserve(value.words().size());
+    for (const std::uint64_t word : value.words()) words.push(Json(word));
+    out.set("w", std::move(words));
     return out;
   } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
                        std::is_same_v<T, std::string>) {

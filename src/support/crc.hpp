@@ -43,7 +43,7 @@ class Crc32 {
   }
 
   void raw(const BitVec& v) noexcept {
-    const std::vector<std::uint64_t>& words = v.words();
+    const auto words = v.words();
     const std::size_t full = v.size() / 64;
     for (std::size_t w = 0; w < full; ++w) bits(words[w], 64);
     if (const auto rest = static_cast<unsigned>(v.size() % 64); rest != 0)

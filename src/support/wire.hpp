@@ -7,6 +7,7 @@
 // that the §4 transcript argument requires.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,8 +30,9 @@ class Writer {
   Writer() = default;
 
   /// Start from a recycled buffer (e.g. congest::NodeApi::scratch()): the
-  /// contents are cleared but the heap capacity is reused, which removes the
-  /// per-message allocation in hot per-round send loops.
+  /// contents are cleared but a heap buffer is reused, which saves the
+  /// allocation of a message above BitVec::kInlineBits bits (smaller ones
+  /// never allocate).
   explicit Writer(BitVec scratch) : bits_(std::move(scratch)) {
     bits_.clear();
   }
@@ -89,7 +91,10 @@ class Reader {
       more = bits_.get(pos_);
       const std::uint64_t group = bits_.read_bits(pos_ + 1, 7);
       pos_ += 8;
-      CSD_CHECK_MSG(shift < 64, "varint overflow");
+      // The group at shift 63 has room for one bit: a wider one would lose
+      // its high bits, so a damaged payload could decode to a valid value.
+      CSD_CHECK_MSG(shift < 63 || (shift == 63 && group <= 1),
+                    "varint overflow");
       v |= group << shift;
       shift += 7;
     }
@@ -99,7 +104,11 @@ class Reader {
   BitVec raw(std::size_t nbits) {
     CSD_CHECK_MSG(pos_ + nbits <= bits_.size(), "wire read past end (raw)");
     BitVec out;
-    for (std::size_t i = 0; i < nbits; ++i) out.push_back(bits_.get(pos_ + i));
+    for (std::size_t done = 0; done < nbits; done += 64) {
+      const auto width =
+          static_cast<unsigned>(std::min<std::size_t>(64, nbits - done));
+      out.append_bits(bits_.read_bits(pos_ + done, width), width);
+    }
     pos_ += nbits;
     return out;
   }

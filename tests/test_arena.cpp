@@ -48,17 +48,36 @@ TEST(FrameArena, RowsFollowCsrOffsets) {
   EXPECT_EQ(&arena.present(csr.offsets[2] + 1), arena.present_row(2) + 1);
 }
 
-TEST(FrameArena, ResetClearsPresenceAndKeepsPayloadStorage) {
+TEST(FrameArena, ResetClearsPresenceOfAnInlinePayload) {
   // The arena keeps a pointer to the CSR's offsets, so the CSR is a local.
   const GraphCsr csr = build::complete(3).csr();
   detail::FrameArena arena(csr);
+  // A payload of at most BitVec::kInlineBits bits lives in the slot itself.
   arena.payload(0).append_bits(0xabcdef, 24);
   arena.present(0) = 1;
-  const std::uint64_t* storage = arena.payload(0).words().data();
+  EXPECT_FALSE(arena.payload(0).on_heap());
   arena.reset_presence();
   EXPECT_EQ(arena.present(0), 0);
   // Presence is the only truth: the payload keeps its (now unobservable)
-  // contents and, after a clear, its heap storage — no reallocation.
+  // contents, and refilling it up to 128 bits never touches the heap.
+  EXPECT_EQ(arena.payload(0).read_bits(0, 24), 0xabcdefu);
+  arena.payload(0).clear();
+  arena.payload(0).append_bits(~0ULL, 64);
+  arena.payload(0).append_bits(~0ULL, 64);
+  EXPECT_FALSE(arena.payload(0).on_heap());
+}
+
+TEST(FrameArena, ResetClearsPresenceAndKeepsPayloadStorage) {
+  const GraphCsr csr = build::complete(3).csr();
+  detail::FrameArena arena(csr);
+  // Above BitVec::kInlineBits bits the payload moves to a heap buffer.
+  for (int w = 0; w < 3; ++w) arena.payload(0).append_bits(0xabcdef, 64);
+  arena.present(0) = 1;
+  ASSERT_TRUE(arena.payload(0).on_heap());
+  const std::uint64_t* storage = arena.payload(0).words().data();
+  arena.reset_presence();
+  EXPECT_EQ(arena.present(0), 0);
+  // After a clear the slot keeps its heap storage — no reallocation.
   arena.payload(0).clear();
   arena.payload(0).append_bits(0x1, 1);
   EXPECT_EQ(arena.payload(0).words().data(), storage);

@@ -390,6 +390,150 @@ TEST(BitVec, TruncateKeepsTrimInvariant) {
   EXPECT_EQ(v.read_bits(64, 64), 1u);
 }
 
+// ------------------------------------------------- BitVec storage rule --
+// Up to BitVec::kInlineBits bits live inline; past that in a heap buffer
+// that clear() and truncate() keep. Contents never depend on the storage.
+
+// The bits of `v` as bools, read one at a time.
+std::vector<bool> bits_of(const BitVec& v) {
+  std::vector<bool> out;
+  for (std::size_t i = 0; i < v.size(); ++i) out.push_back(v.get(i));
+  return out;
+}
+
+// A `bits`-bit vector with a position-dependent pattern; `salt` varies it.
+BitVec patterned(std::size_t bits, std::uint64_t salt = 0) {
+  BitVec v;
+  for (std::size_t i = 0; i < bits; ++i)
+    v.push_back(((i * 7 + salt) % 3) == 0);
+  return v;
+}
+
+TEST(BitVecStorage, GrowsPastTheInlineWordsAndShrinksBack) {
+  Rng rng(11);
+  for (int grow_by = 0; grow_by < 3; ++grow_by) {
+    BitVec v;
+    std::vector<bool> want;
+    while (v.size() <= BitVec::kInlineBits + 70) {
+      EXPECT_EQ(v.on_heap(), v.size() > BitVec::kInlineBits) << v.size();
+      if (grow_by == 0) {  // append_bits, 13 bits at a time
+        const std::uint64_t value = rng();
+        v.append_bits(value, 13);
+        for (unsigned i = 0; i < 13; ++i) want.push_back((value >> i) & 1);
+      } else if (grow_by == 1) {  // push_back
+        const bool bit = rng.below(2) == 1;
+        v.push_back(bit);
+        want.push_back(bit);
+      } else {  // append, 37 bits at a time
+        const BitVec piece = patterned(37, v.size());
+        v.append(piece);
+        const auto piece_bits = bits_of(piece);
+        want.insert(want.end(), piece_bits.begin(), piece_bits.end());
+      }
+      ASSERT_EQ(bits_of(v), want);
+    }
+    ASSERT_TRUE(v.on_heap());
+    // Back below 128 bits: the heap buffer stays, the contents follow.
+    v.truncate(100);
+    want.resize(100);
+    EXPECT_TRUE(v.on_heap());
+    EXPECT_EQ(bits_of(v), want);
+    v.clear();
+    EXPECT_TRUE(v.on_heap());
+    EXPECT_TRUE(v.empty());
+    v.append_bits(0b1011, 4);
+    EXPECT_EQ(v.read_bits(0, 4), 0b1011u);
+    EXPECT_EQ(v.count(), 3u);
+  }
+}
+
+TEST(BitVecStorage, CopyMoveSwapAndSelfAssignmentAcrossStorage) {
+  const std::size_t sizes[] = {100, 300};  // inline, heap
+  for (const std::size_t a_bits : sizes) {
+    for (const std::size_t b_bits : sizes) {
+      SCOPED_TRACE(testing::Message() << a_bits << " x " << b_bits);
+      const BitVec a0 = patterned(a_bits, 1);
+      const BitVec b0 = patterned(b_bits, 2);
+      EXPECT_EQ(a0.on_heap(), a_bits > BitVec::kInlineBits);
+
+      BitVec copy(a0);  // copy construction
+      EXPECT_EQ(copy, a0);
+      BitVec target = b0;  // copy assignment over each storage
+      target = a0;
+      EXPECT_EQ(target, a0);
+
+      BitVec source = a0;  // move construction empties the source
+      BitVec moved(std::move(source));
+      EXPECT_EQ(moved, a0);
+      EXPECT_TRUE(source.empty());
+      EXPECT_FALSE(source.on_heap());
+      source.append_bits(0b11, 2);  // a moved-from vector is usable
+      EXPECT_EQ(source.count(), 2u);
+
+      BitVec over = b0;  // move assignment over each storage
+      BitVec from = a0;
+      over = std::move(from);
+      EXPECT_EQ(over, a0);
+      EXPECT_TRUE(from.empty());
+
+      BitVec x = a0, y = b0;  // member swap, then the ADL swap back
+      x.swap(y);
+      EXPECT_EQ(x, b0);
+      EXPECT_EQ(y, a0);
+      EXPECT_EQ(x.on_heap(), b0.on_heap());
+      swap(x, y);
+      EXPECT_EQ(x, a0);
+      EXPECT_EQ(y, b0);
+
+      BitVec self = a0;  // self-assignment keeps the contents
+      BitVec& alias = self;
+      self = alias;
+      EXPECT_EQ(self, a0);
+      self = std::move(alias);
+      EXPECT_EQ(self, a0);
+      self.swap(alias);
+      EXPECT_EQ(self, a0);
+    }
+  }
+}
+
+TEST(BitVecStorage, EqualityAndHashIgnoreTheStorage) {
+  for (const std::size_t bits : {0u, 1u, 64u, 100u, 128u}) {
+    const BitVec in_line = patterned(bits, 3);
+    BitVec on_heap = patterned(BitVec::kInlineBits + 64, 3);
+    on_heap.truncate(bits);
+    ASSERT_FALSE(in_line.on_heap());
+    ASSERT_TRUE(on_heap.on_heap());
+    EXPECT_EQ(in_line, on_heap) << bits;
+    EXPECT_EQ(in_line.hash(), on_heap.hash()) << bits;
+    if (bits > 0) {
+      on_heap.flip(bits - 1);
+      EXPECT_FALSE(in_line == on_heap) << bits;
+    }
+  }
+}
+
+TEST(BitVecStorage, IntersectIntoMayAliasAnOperandAtEitherSize) {
+  for (const std::size_t bits : {100u, 300u}) {
+    SCOPED_TRACE(bits);
+    const BitVec a0 = patterned(bits, 0);
+    const BitVec b0 = patterned(bits, 1);
+    BitVec want;
+    intersect_into(want, a0, b0);
+    for (std::size_t i = 0; i < bits; ++i)
+      ASSERT_EQ(want.get(i), a0.get(i) && b0.get(i));
+    BitVec a = a0, b = b0;
+    intersect_into(a, a, b);  // dst aliases a
+    EXPECT_EQ(a, want);
+    a = a0;
+    intersect_into(b, a, b);  // dst aliases b
+    EXPECT_EQ(b, want);
+    BitVec both = a0;
+    intersect_into(both, both, both);  // dst aliases both
+    EXPECT_EQ(both, a0);
+  }
+}
+
 // ----------------------------------------------------------------- wire --
 TEST(Wire, BitsFor) {
   EXPECT_EQ(wire::bits_for(0), 1u);
@@ -421,6 +565,30 @@ TEST(Wire, VarintRoundTrip) {
     wire::Reader r(w.bits());
     EXPECT_EQ(r.varint(), v);
     EXPECT_TRUE(r.at_end());
+  }
+}
+
+// The tenth group sits at shift 63 and has room for one bit. A wider one
+// must throw: 0x7f there would otherwise decode to ~0, the same value as the
+// writer's own encoding (last group 0x01), so six damaged bits would vanish.
+TEST(Wire, VarintRejectsAnOverflowingTenthGroup) {
+  const auto ten_groups = [](std::uint64_t last) {
+    wire::Writer w;
+    for (int g = 0; g < 9; ++g) {
+      w.boolean(true);
+      w.u(0x7f, 7);
+    }
+    w.boolean(false);
+    w.u(last, 7);
+    return std::move(w).take();
+  };
+  const BitVec ok = ten_groups(0x01);
+  wire::Reader valid(ok);
+  EXPECT_EQ(valid.varint(), ~0ULL);
+  for (const std::uint64_t last : {0x02ULL, 0x03ULL, 0x7fULL}) {
+    const BitVec bad = ten_groups(last);
+    wire::Reader r(bad);
+    EXPECT_THROW(r.varint(), CheckFailure) << last;
   }
 }
 
@@ -465,6 +633,21 @@ TEST(Wire, RawRoundTrip) {
   wire::Reader r(w.bits());
   EXPECT_EQ(r.u(4), 9u);
   EXPECT_EQ(r.raw(5), payload);
+  // Runs across word boundaries, read from an unaligned position.
+  Rng rng(5);
+  for (const std::size_t run : {0u, 1u, 63u, 64u, 65u, 128u, 129u, 300u}) {
+    BitVec long_run;
+    for (std::size_t i = 0; i < run; ++i) long_run.push_back(rng.below(2) == 1);
+    wire::Writer lw;
+    lw.u(5, 3);
+    lw.raw(long_run);
+    lw.boolean(true);
+    wire::Reader lr(lw.bits());
+    EXPECT_EQ(lr.u(3), 5u);
+    EXPECT_EQ(lr.raw(run), long_run) << run;
+    EXPECT_TRUE(lr.boolean());
+    EXPECT_TRUE(lr.at_end());
+  }
 }
 
 // -------------------------------------------------------- combinatorics --
