@@ -46,6 +46,8 @@ class AsyncEngine {
         delay_rng_(derive_seed(config.seed, 0xde1a)),
         base_rto_(kTransport.rto != 0 ? kTransport.rto
                                       : 2ULL * config.max_delay + 4),
+        node_(topology_, config.bandwidth, config.broadcast_only, records_,
+              inbox_arena_, outbox_arena_, &outcome_.faults.violations),
         // Deliveries and acks land within max_delay ticks (plus FIFO slack)
         // and a packet's first two timers within 2 RTOs, so nearly every
         // event goes straight into a ring bucket.
@@ -64,11 +66,12 @@ class AsyncEngine {
     log_enabled_ =
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
 
-    inbox_arena_ = detail::FrameArena(topology_.csr);
-    outbox_arena_ = detail::FrameArena(topology_.csr);
+    inbox_arena_ = detail::FrameArena(topology_.csr.num_directed_edges());
+    outbox_arena_ = detail::FrameArena(topology_.csr.num_directed_edges());
 
     outcome_.trace = obs::RunTrace(n, config_.trace);
-    nodes_.resize(n);
+    if (outcome_.trace) node_.set_trace(&outcome_.trace);
+    records_.reset(n, config_.seed);
     programs_.resize(n);
     hosts_.resize(n);
     for (Vertex v = 0; v < n; ++v) {
@@ -219,14 +222,13 @@ class AsyncEngine {
   AsyncRunOutcome finalize() {
     const Vertex n = topology_.num_vertices();
     outcome_.completed = halted_count_ == n;
-    outcome_.verdicts.reserve(n);
+    outcome_.verdicts = records_.verdicts;
     for (Vertex v = 0; v < n; ++v) {
-      const auto& node = nodes_[v];
-      outcome_.verdicts.push_back(node->verdict());
-      if (node->verdict() == Verdict::Reject) outcome_.detected = true;
-      if (!hosts_[v].crashed && node->verdict() == Verdict::Reject)
+      const bool rejected = records_.verdicts[v] == Verdict::Reject;
+      if (rejected) outcome_.detected = true;
+      if (!hosts_[v].crashed && rejected)
         outcome_.faults.detected_by_survivors = true;
-      if (!hosts_[v].crashed && !node->halted())
+      if (!hosts_[v].crashed && records_.halted[v] == 0)
         outcome_.faults.stalled_nodes.push_back(v);
     }
     plane_.publish(counts(outcome_));
@@ -481,7 +483,7 @@ class AsyncEngine {
     AsyncNodeState& host = hosts_[v];
     host.running = 0;
     host.crashed = 1;
-    nodes_[v]->discard_outbox();
+    outbox_arena_.clear_row(topology_.csr.offsets[v], topology_.degree(v));
     outcome_.faults.crashed_nodes.push_back(v);
     if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::NodeCrash, v, host.pulse);
@@ -506,7 +508,6 @@ class AsyncEngine {
 
   void execute_pulse(Vertex v) {
     AsyncNodeState& host = hosts_[v];
-    auto& node = *nodes_[v];
     CSD_CHECK(host.running);
     // crash_done: a recovered node must not be re-killed by the same
     // schedule entry on every subsequent pulse (the entry means "crash when
@@ -526,7 +527,8 @@ class AsyncEngine {
     }
 
     // Assemble the inbox for this pulse (pulse 0 has none by construction).
-    node.clear_inbox();
+    node_.bind(v);
+    node_.clear_inbox();
     if (host.pulse > 0) {
       for (std::uint32_t p = 0; p < host.arrived.size(); ++p) {
         if (host.arrived[p].empty()) continue;  // dead port
@@ -537,12 +539,12 @@ class AsyncEngine {
         if (frame.payload.has_value()) {
           if (logging_active())
             log_row(v, host.pulse)[p] = *frame.payload;  // post-corruption
-          node.deliver(p, std::move(*frame.payload));
+          node_.deliver(p, std::move(*frame.payload));
         }
       }
     }
 
-    node.begin_round(host.pulse);
+    node_.begin_round(host.pulse);
     bool program_fault = false;
     const auto invoke_program = [&] {
       if (injector_.has_value()) {
@@ -550,14 +552,14 @@ class AsyncEngine {
         // (typically a wire decode of a corrupted payload) becomes a crashed
         // node, not a crashed process. Without faults, fail fast.
         try {
-          programs_[v]->on_round(node);
+          programs_[v]->on_round(node_);
         } catch (const CheckFailure& failure) {
           outcome_.faults.violations.push_back(
               {ViolationKind::ProgramFault, v, host.pulse, failure.what()});
           program_fault = true;
         }
       } else {
-        programs_[v]->on_round(node);
+        programs_[v]->on_round(node_);
       }
     };
     if (timing_) {
@@ -567,7 +569,7 @@ class AsyncEngine {
     } else {
       invoke_program();
     }
-    const bool node_halted = node.halted();
+    const bool node_halted = records_.halted[v] != 0;
     host.halted = node_halted ? 1 : 0;
     if (program_fault) {
       if (telemetry_ != nullptr)
@@ -584,12 +586,12 @@ class AsyncEngine {
       Frame frame;
       frame.pulse = host.pulse;
       frame.sender_halted = node_halted;
-      if (node.outbox_present(p)) {
+      if (node_.outbox_present(p)) {
         // Move the payload buffer out of the arena slot into the frame; the
         // transport layer reads from the same buffer, no copy is made.
         frame.payload.emplace();
-        frame.payload->swap(node.outbox_payload(p));
-        node.consume_outbox(p);
+        frame.payload->swap(node_.outbox_payload(p));
+        node_.consume_outbox(p);
       }
       if (outcome_.trace && frame.payload.has_value())
         outcome_.trace.record(host.pulse, v, topology_.csr.row(v)[p],
@@ -636,43 +638,36 @@ class AsyncEngine {
     return entries[r];
   }
 
-  /// A fresh (node, program) pair for v on v's arena rows, reporting to the
-  /// run's violation list and trace.
+  /// A fresh program for v on fresh node records.
   void build_node(Vertex v) {
-    nodes_[v] = std::make_unique<detail::NodeState>(
-        topology_, v, config_.seed, config_.bandwidth, config_.broadcast_only,
-        &outcome_.faults.violations);
-    nodes_[v]->attach_frames(
-        inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
-        outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
-    if (outcome_.trace) nodes_[v]->set_trace(&outcome_.trace);
+    records_.reset_node(v, config_.seed);
     programs_[v] = (*factory_)(v);
     CSD_CHECK(programs_[v] != nullptr);
   }
 
   /// Replay pulses [0, pulse) of v's inbox log through its freshly built
-  /// pair: deliver the logged inbox, run the program, discard its sends.
-  /// Programs are pure functions of (inbox history, seeded RNG draws), so
-  /// this reconstructs internal state bit-exactly. Violations go to a
-  /// scratch sink and the trace is detached meanwhile: everything
-  /// observable was already reported when the history ran live.
+  /// program and records: deliver the logged inbox, run the program,
+  /// discard its sends. Programs are pure functions of (inbox history,
+  /// seeded RNG draws), so this reconstructs internal state bit-exactly.
+  /// Violations go to a scratch sink and the trace is detached meanwhile:
+  /// everything observable was already reported when the history ran live.
   void replay(Vertex v) {
-    detail::NodeState& node = *nodes_[v];
     const InboxLog& log = hosts_[v].inbox;
     std::vector<ProtocolViolation> scratch;
-    node.set_violation_sink(&scratch);
-    node.set_trace(nullptr);
+    node_.set_violation_sink(&scratch);
+    node_.set_trace(nullptr);
+    node_.bind(v);
     for (std::uint64_t r = 0; r < hosts_[v].pulse; ++r) {
-      node.clear_inbox();
+      node_.clear_inbox();
       if (r < log.size())
         for (std::uint32_t p = 0; p < log[r].size(); ++p)
-          if (log[r][p].has_value()) node.deliver(p, BitVec(*log[r][p]));
-      node.begin_round(r);
-      programs_[v]->on_round(node);
+          if (log[r][p].has_value()) node_.deliver(p, BitVec(*log[r][p]));
+      node_.begin_round(r);
+      programs_[v]->on_round(node_);
     }
-    node.discard_outbox();
-    node.set_violation_sink(&outcome_.faults.violations);
-    if (outcome_.trace) node.set_trace(&outcome_.trace);
+    node_.discard_outbox();
+    node_.set_violation_sink(&outcome_.faults.violations);
+    if (outcome_.trace) node_.set_trace(&outcome_.trace);
   }
 
   void handle_recover(const EventRecord& event) {
@@ -691,7 +686,8 @@ class AsyncEngine {
     build_node(v);
     replay(v);
     outcome_.faults.replayed_pulses += host.pulse;
-    CSD_CHECK_MSG(!nodes_[v]->halted(), "replayed replica halted mid-history");
+    CSD_CHECK_MSG(records_.halted[v] == 0,
+                  "replayed replica halted mid-history");
     host.crashed = 0;
     host.running = 1;
     host.local_time = std::max(host.local_time, event.time);
@@ -933,7 +929,7 @@ class AsyncEngine {
         // builds its own fresh replica from the log when its Recover event
         // fires.
         replay(v);
-        CSD_CHECK_MSG(nodes_[v]->halted() == (host.halted != 0),
+        CSD_CHECK_MSG((records_.halted[v] != 0) == (host.halted != 0),
                       "resume replay diverged: node " << v << " halt state");
       }
       if (!log_enabled_) host.inbox = {};  // nothing logs or replays it
@@ -960,10 +956,12 @@ class AsyncEngine {
   bool log_enabled_ = false;
   Vertex pending_recoveries_ = 0;
   std::uint64_t last_progress_vt_ = 0;
-  /// Per-run frame plane; nodes (and recovery replicas) hold row pointers.
+  /// Per-run frame plane and node records (node_state.hpp), and the
+  /// engine's one view over them, bound to a node before it runs.
   detail::FrameArena inbox_arena_;
   detail::FrameArena outbox_arena_;
-  std::vector<std::unique_ptr<detail::NodeState>> nodes_;
+  detail::NodeRecords records_;
+  detail::NodeState node_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<AsyncNodeState> hosts_;  // what a snapshot saves, per node
   detail::EventQueue events_;

@@ -1,54 +1,55 @@
 // Arena-allocated frame plane, structure-of-arrays layout.
 //
-// One run allocates two flat arenas — outboxes and inboxes — over the
-// directed edges of the topology, indexed by the CSR dense edge index
+// A run works on two flat arenas — outboxes and inboxes — over the directed
+// edges of the topology, indexed by the CSR dense edge index
 // `csr.offsets[v] + port`. Payload buffers and presence flags live in
 // *separate* flat arrays: the per-round scans (reset presence, find present
-// outbox slots) walk a dense byte array instead of striding over 40-byte
+// outbox slots) walk a dense byte array instead of striding over 32-byte
 // slots, and a round's delivery *swaps* the payload buffer of a present
 // outbox slot into the reverse-edge inbox slot — no per-message copy. A
 // payload of at most BitVec::kInlineBits bits lives inside its slot, so the
 // swap exchanges its words; a larger one's heap buffer circulates between
-// the two arenas for the run's lifetime.
+// the two arenas for as long as the arenas live.
 //
 // Presence is the only truth: a payload whose presence byte is 0 is
 // unobservable, so resets clear presence bytes and deliberately leave stale
 // payload bits in place (they are overwritten by the next swap-in). This is
 // what makes `reset_presence()` a memset instead of an O(E) walk that
-// touches every BitVec.
+// touches every BitVec, and what lets a later run reuse the arenas of an
+// earlier one: a reset arena is indistinguishable from a fresh one.
 //
-// Ownership: the engine owns both arenas for the duration of a run;
-// NodeState instances hold raw row pointers into them (attach_frames) and
-// must not outlive the arenas.
+// Ownership: the arenas live in a run workspace (node_state.hpp), which a
+// Network hands from run to run. An arena knows only its size, never the
+// topology: callers address a node's row by the dense index of its first
+// edge (`csr.offsets[v]`), so a workspace stays valid when its Network is
+// moved.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "support/bitvec.hpp"
 
 namespace csd::congest::detail {
 
-/// Flat payload + presence arrays over the directed edges of a topology,
-/// rows addressed via its CSR offsets. The CSR must outlive the arena.
+/// Flat payload + presence arrays over `directed_edges` dense edge slots.
 class FrameArena {
  public:
   FrameArena() = default;
 
-  explicit FrameArena(const GraphCsr& csr)
-      : offsets_(&csr.offsets),
-        payloads_(static_cast<std::size_t>(csr.num_directed_edges())),
-        present_(static_cast<std::size_t>(csr.num_directed_edges()), 0) {}
+  explicit FrameArena(std::uint64_t directed_edges)
+      : payloads_(static_cast<std::size_t>(directed_edges)),
+        present_(static_cast<std::size_t>(directed_edges), 0) {}
 
-  /// First payload / presence byte of `v`'s row; ports index from it
-  /// contiguously.
-  BitVec* payload_row(Vertex v) noexcept {
-    return payloads_.data() + (*offsets_)[v];
+  /// Payload / presence byte of the row that starts at dense edge `first`
+  /// (a node's `csr.offsets[v]`); ports index from it contiguously. `first`
+  /// may equal size() (the empty row of a trailing degree-0 node).
+  BitVec* payload_row(std::uint64_t first) noexcept {
+    return payloads_.data() + first;
   }
-  std::uint8_t* present_row(Vertex v) noexcept {
-    return present_.data() + (*offsets_)[v];
+  std::uint8_t* present_row(std::uint64_t first) noexcept {
+    return present_.data() + first;
   }
 
   BitVec& payload(std::uint64_t e) noexcept { return payloads_[e]; }
@@ -62,8 +63,12 @@ class FrameArena {
       std::memset(present_.data(), 0, present_.size());
   }
 
+  /// Mark the `count` slots of the row at `first` absent.
+  void clear_row(std::uint64_t first, std::uint32_t count) noexcept {
+    if (count > 0) std::memset(present_row(first), 0, count);
+  }
+
  private:
-  const std::vector<std::uint64_t>* offsets_ = nullptr;
   std::vector<BitVec> payloads_;
   std::vector<std::uint8_t> present_;
 };

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "congest/node_state.hpp"
 #include "congest/shard.hpp"
 #include "support/check.hpp"
 
@@ -87,6 +88,25 @@ std::vector<NodeId> detail::index_ids(Vertex n) {
   return ids;
 }
 
+detail::WorkspacePool::~WorkspacePool() = default;
+
+std::unique_ptr<detail::RunWorkspace> detail::WorkspacePool::take() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!idle_.empty()) {
+      std::unique_ptr<RunWorkspace> workspace = std::move(idle_.back());
+      idle_.pop_back();
+      return workspace;
+    }
+  }
+  return std::make_unique<RunWorkspace>();
+}
+
+void detail::WorkspacePool::give(std::unique_ptr<RunWorkspace> workspace) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  idle_.push_back(std::move(workspace));
+}
+
 Network::Network(const Graph& topology, NetworkConfig config)
     : Network(topology, std::move(config),
               detail::index_ids(topology.num_vertices())) {}
@@ -98,7 +118,8 @@ Network::Network(const Graph& topology, NetworkConfig config,
                                               config_.namespace_size)),
       partition_(Partition::build(topology_.csr,
                                   std::max(1u, config_.shard.workers),
-                                  config_.shard.policy)) {}
+                                  config_.shard.policy)),
+      workspaces_(std::make_unique<detail::WorkspacePool>()) {}
 
 // NetworkConfig::shard is deliberately NOT digested: the round kernel is
 // bit-identical at every worker count, so an amplified checkpoint written
@@ -117,9 +138,14 @@ RunOutcome Network::run(const ProgramFactory& factory) const {
   return run(factory, config_.seed);
 }
 
+// A run that throws drops its workspace instead of giving it back.
 RunOutcome Network::run(const ProgramFactory& factory, std::uint64_t seed,
                         const MessageObserver& observe) const {
-  return detail::run_rounds(*this, factory, seed, observe);
+  std::unique_ptr<detail::RunWorkspace> workspace = workspaces_->take();
+  RunOutcome outcome =
+      detail::run_rounds(*this, *workspace, factory, seed, observe);
+  workspaces_->give(std::move(workspace));
+  return outcome;
 }
 
 RunOutcome run_congest(const Graph& topology, const NetworkConfig& config,

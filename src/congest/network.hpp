@@ -29,6 +29,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -156,8 +158,8 @@ struct EdgeTables {
   std::vector<std::uint32_t> rev_port;
   /// rev_edge[e] = the dense index of the reverse directed edge.
   std::vector<std::uint64_t> rev_edge;
-  /// neighbor_ids[e] = ids[neighbors(v)[p]]; NodeStates read their rows in
-  /// place.
+  /// neighbor_ids[e] = ids[neighbors(v)[p]]; the NodeApi view reads the
+  /// bound node's row in place.
   std::vector<NodeId> neighbor_ids;
 };
 
@@ -187,6 +189,23 @@ EngineTopology build_engine_topology(const Graph& topology,
 /// The default identifier assignment, ids[v] = v.
 std::vector<NodeId> index_ids(Vertex n);
 
+struct RunWorkspace;  // congest/node_state.hpp
+
+/// A Network's idle run workspaces. A run takes one (built if none is
+/// idle) and gives it back when it ends, so the list never holds more
+/// workspaces than the most runs that were in flight at once.
+class WorkspacePool {
+ public:
+  ~WorkspacePool();  // in network.cpp, where RunWorkspace is complete
+
+  std::unique_ptr<RunWorkspace> take();
+  void give(std::unique_ptr<RunWorkspace> workspace);
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<RunWorkspace>> idle_;
+};
+
 }  // namespace detail
 
 /// Synchronous simulator over a fixed topology and identifier assignment.
@@ -197,12 +216,18 @@ std::vector<NodeId> index_ids(Vertex n);
 /// pay for it once instead of once per repetition. Identifiers outside the
 /// namespace fail here, before any run.
 ///
-/// `run` is const and touches no mutable Network state: concurrent runs of
-/// the SAME Network from multiple threads are safe provided `factory` is
-/// itself safe to invoke concurrently (the library's program factories
-/// are: they capture configs by value and allocate fresh programs). Each
-/// run takes its own observer, so per-run state needs no sharing. This is
-/// what RunBatch builds on.
+/// A run's working memory (frame arenas, node records, crash and wake
+/// arrays, the programs vector's storage) is a workspace the Network hands
+/// from run to run, so a Network's later runs allocate no O(n) or O(|E|)
+/// table, only their programs. `run` is const and shares nothing else
+/// mutable: each run takes an idle workspace under a mutex (or builds one)
+/// and gives it back at its end, so concurrent runs of the SAME Network
+/// from multiple threads each work in their own, and are safe provided
+/// `factory` is itself safe to invoke concurrently (the library's program
+/// factories are: they capture configs by value and allocate fresh
+/// programs). Each run takes its own observer, so per-run state needs no
+/// sharing. This is what RunBatch builds on. A Network is movable, not
+/// copyable; a moved Network keeps its workspaces and runs the same.
 class Network {
  public:
   /// Identifiers default to the topology index (ids[v] = v).
@@ -236,6 +261,8 @@ class Network {
   NetworkConfig config_;
   detail::EngineTopology topology_;
   Partition partition_;
+  // On the heap: a mutex cannot move, a Network can.
+  std::unique_ptr<detail::WorkspacePool> workspaces_;
 };
 
 /// Convenience: run `factory` over `topology` and return the outcome.

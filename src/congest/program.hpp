@@ -28,7 +28,10 @@ enum class Verdict : std::uint8_t { Accept, Reject };
 
 /// The per-round, per-node view handed to a NodeProgram. All model
 /// interaction flows through this interface; programs cannot observe
-/// anything else (no shared memory, no global state).
+/// anything else (no shared memory, no global state). The reference is
+/// valid only during the on_round call it is passed to: the engines bind
+/// one view to each node in turn, so a program must not keep it (or a
+/// pointer from it, such as an inbox buffer) past that call.
 class NodeApi {
  public:
   virtual ~NodeApi() = default;
@@ -65,10 +68,11 @@ class NodeApi {
 
   /// An empty payload buffer, semantically identical to `BitVec{}`. A
   /// payload of at most BitVec::kInlineBits bits never allocates anyway;
-  /// above that, the buffer is recycled from this node's earlier sends
-  /// (contents cleared, heap capacity retained), so building large outgoing
-  /// payloads from it (e.g. `wire::Writer w(api.scratch());`) saves their
-  /// per-message heap allocation.
+  /// above that, the buffer is recycled from the engine's earlier sends,
+  /// this node's or another's (contents cleared, heap capacity retained),
+  /// so building large outgoing payloads from it (e.g.
+  /// `wire::Writer w(api.scratch());`) saves their per-message heap
+  /// allocation.
   virtual BitVec scratch() { return BitVec{}; }
 
   /// Annotate the current round with the algorithmic phase it belongs to

@@ -212,10 +212,13 @@ void merge_rounds(std::vector<WorkerCtx>& workers,
 
 class RoundKernel {
  public:
-  RoundKernel(const Network& net, const ProgramFactory& factory,
-              std::uint64_t seed, const MessageObserver& observe);
+  RoundKernel(const Network& net, RunWorkspace& workspace,
+              const ProgramFactory& factory, std::uint64_t seed,
+              const MessageObserver& observe);
   RoundKernel(const RoundKernel&) = delete;
   RoundKernel& operator=(const RoundKernel&) = delete;
+  // The run's programs die with it; the workspace keeps their storage.
+  ~RoundKernel() { programs_.clear(); }
 
   RunOutcome run();
 
@@ -271,16 +274,16 @@ class RoundKernel {
 
   RunOutcome outcome_;
   std::vector<WorkerCtx> workers_;
-  FrameArena inbox_arena_;
-  FrameArena outbox_arena_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
-  std::vector<std::unique_ptr<NodeProgram>> programs_;
+  std::vector<NodeState> views_;  // one per worker, bound node by node
+  // The workspace's tables (node_state.hpp), reset for this run.
+  FrameArena& inbox_arena_;
+  FrameArena& outbox_arena_;
+  NodeRecords& nodes_;
+  std::vector<std::uint8_t>& crashed_;
+  std::vector<std::uint64_t>& wake_;
+  std::vector<std::unique_ptr<NodeProgram>>& programs_;
   const bool faulty_;
   std::optional<FaultInjector> injector_;
-  // Byte flags, not vector<bool>: workers set disjoint entries in parallel.
-  std::vector<std::uint8_t> crashed_;
-
-  std::vector<std::uint64_t> wake_;  // next round v runs (DESIGN.md §15)
 
   const bool observing_;  // trace or observer attached
   const bool timing_;
@@ -304,8 +307,9 @@ class RoundKernel {
   obs::Histogram m_exchange_hist_;  // W >= 2
 };
 
-RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
-                         std::uint64_t seed, const MessageObserver& observe)
+RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
+                         const ProgramFactory& factory, std::uint64_t seed,
+                         const MessageObserver& observe)
     : config_(net.config()),
       csr_(net.engine_topology().csr),
       rev_edge_(net.engine_topology().rev_edge),
@@ -314,40 +318,40 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
       single_(part_.workers() == 1),
       observe_(observe),
       workers_(part_.workers()),
-      inbox_arena_(csr_),
-      outbox_arena_(csr_),
+      inbox_arena_(workspace.inbox),
+      outbox_arena_(workspace.outbox),
+      nodes_(workspace.nodes),
+      crashed_(workspace.crashed),
+      wake_(workspace.wake),
+      programs_(workspace.programs),
       faulty_(!config_.faults.empty()),
-      crashed_(n_, 0),
-      wake_(n_, 0),
       observing_(config_.trace.enabled || static_cast<bool>(observe)),
       timing_(config_.trace.timers),
       telemetry_(config_.telemetry) {
+  workspace.reset(net.engine_topology(), seed);
   outcome_.metrics.bits_sent_by_node.assign(n_, 0);
   outcome_.trace = obs::RunTrace(n_, config_.trace);
   outcome_.metrics.timers.enabled = timing_;
 
   // Every run starts at round 0 with every node live (and, by wake_, due).
+  views_.reserve(part_.workers());
   for (std::uint32_t w = 0; w < part_.workers(); ++w) {
-    workers_[w].live = static_cast<std::uint32_t>(part_.owned(w).size());
-    if (!single_) workers_[w].out.resize(part_.workers());
-  }
-  nodes_.reserve(n_);
-  programs_.reserve(n_);
-  for (Vertex v = 0; v < n_; ++v) {
-    // Nodes route violations into their owner's per-round buffer; the
+    WorkerCtx& ctx = workers_[w];
+    ctx.live = static_cast<std::uint32_t>(part_.owned(w).size());
+    if (!single_) ctx.out.resize(part_.workers());
+    // A worker's view routes violations into its per-round buffer; the
     // barrier merges the buffers into the FaultReport in node order.
-    nodes_.push_back(std::make_unique<NodeState>(
-        net.engine_topology(), v, seed, config_.bandwidth,
-        config_.broadcast_only, &workers_[part_.owner(v)].violations));
-    nodes_.back()->attach_frames(
-        inbox_arena_.payload_row(v), inbox_arena_.present_row(v),
-        outbox_arena_.payload_row(v), outbox_arena_.present_row(v));
+    NodeState& view = views_.emplace_back(
+        net.engine_topology(), config_.bandwidth, config_.broadcast_only,
+        nodes_, inbox_arena_, outbox_arena_, &ctx.violations);
     if (outcome_.trace) {
       if (single_)
-        nodes_.back()->set_trace(&outcome_.trace);
+        view.set_trace(&outcome_.trace);
       else
-        nodes_.back()->set_phase_slot(&workers_[part_.owner(v)].phase);
+        view.set_phase_slot(&ctx.phase);
     }
+  }
+  for (Vertex v = 0; v < n_; ++v) {
     programs_.push_back(factory(v));
     CSD_CHECK_MSG(programs_.back() != nullptr,
                   "factory returned null program");
@@ -366,7 +370,7 @@ RoundKernel::RoundKernel(const Network& net, const ProgramFactory& factory,
 
 void RoundKernel::crash(WorkerCtx& ctx, Vertex v) {
   crashed_[v] = 1;
-  nodes_[v]->discard_outbox();
+  outbox_arena_.clear_row(csr_.offsets[v], csr_.degree(v));
   ctx.crashes.push_back(v);
   --ctx.live;
   ctx.progressed = true;
@@ -377,9 +381,10 @@ void RoundKernel::phase_a(std::uint32_t w) {
   WorkerCtx& ctx = workers_[w];
   if (ctx.live == 0) return;  // vote to halt: nothing to run or ship
   const std::uint64_t round = round_;
+  NodeState& node = views_[w];
+  const std::vector<std::uint8_t>& halted = nodes_.halted;
   for (const Vertex v : part_.owned(w)) {
-    NodeState& node = *nodes_[v];
-    if (node.halted() || crashed_[v]) continue;
+    if (halted[v] || crashed_[v]) continue;
     std::optional<std::uint64_t> crash_at;
     if (faulty_) {
       crash_at = injector_->crash_round(v);
@@ -396,6 +401,7 @@ void RoundKernel::phase_a(std::uint32_t w) {
       continue;
     }
     ctx.any_ran = true;
+    node.bind(v);
     node.begin_round(round);
     if (faulty_) {
       // Graceful degradation: a program that throws (typically a wire
@@ -414,7 +420,7 @@ void RoundKernel::phase_a(std::uint32_t w) {
       ctx.error_vertex = v;  // fail-fast bookkeeping, see run()
       programs_[v]->on_round(node);
     }
-    if (node.halted()) {
+    if (halted[v]) {
       --ctx.live;
       ctx.progressed = true;
       continue;
@@ -431,7 +437,8 @@ void RoundKernel::phase_a(std::uint32_t w) {
   if (single_) {
     inbox_arena_.reset_presence();
   } else {
-    for (const Vertex v : part_.owned(w)) nodes_[v]->clear_inbox();
+    for (const Vertex v : part_.owned(w))
+      inbox_arena_.clear_row(csr_.offsets[v], csr_.degree(v));
   }
   scan(ctx, w);
 }
@@ -715,16 +722,15 @@ RunOutcome RoundKernel::run() {
 
 RunOutcome RoundKernel::finish() {
   RunOutcome& outcome = outcome_;
-  outcome.completed =
-      std::all_of(nodes_.begin(), nodes_.end(),
-                  [](const auto& node) { return node->halted(); });
-  outcome.verdicts.reserve(n_);
+  const std::vector<std::uint8_t>& halted = nodes_.halted;
+  outcome.completed = std::all_of(halted.begin(), halted.end(),
+                                  [](std::uint8_t h) { return h != 0; });
+  outcome.verdicts = nodes_.verdicts;
   for (Vertex v = 0; v < n_; ++v) {
-    outcome.verdicts.push_back(nodes_[v]->verdict());
-    if (nodes_[v]->verdict() == Verdict::Reject) outcome.detected = true;
-    if (!crashed_[v] && nodes_[v]->verdict() == Verdict::Reject)
-      outcome.faults.detected_by_survivors = true;
-    if (!crashed_[v] && !nodes_[v]->halted())
+    const bool rejected = outcome.verdicts[v] == Verdict::Reject;
+    if (rejected) outcome.detected = true;
+    if (!crashed_[v] && rejected) outcome.faults.detected_by_survivors = true;
+    if (!crashed_[v] && halted[v] == 0)
       outcome.faults.stalled_nodes.push_back(v);
   }
   publish_counts();
@@ -761,9 +767,10 @@ RunOutcome RoundKernel::finish() {
 
 }  // namespace
 
-RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed, const MessageObserver& observe) {
-  return RoundKernel(net, factory, seed, observe).run();
+RunOutcome run_rounds(const Network& net, RunWorkspace& workspace,
+                      const ProgramFactory& factory, std::uint64_t seed,
+                      const MessageObserver& observe) {
+  return RoundKernel(net, workspace, factory, seed, observe).run();
 }
 
 }  // namespace csd::congest::detail

@@ -29,9 +29,13 @@
 
 namespace csd::congest::detail {
 
-/// Run `factory` on `net` from round 0 to completion (or the round cap),
-/// calling `observe` (when set) once per sent message.
-RunOutcome run_rounds(const Network& net, const ProgramFactory& factory,
-                      std::uint64_t seed, const MessageObserver& observe);
+struct RunWorkspace;  // congest/node_state.hpp
+
+/// Run `factory` on `net` from round 0 to completion (or the round cap) in
+/// `workspace` (one of `net`'s, reset here), calling `observe` (when set)
+/// once per sent message.
+RunOutcome run_rounds(const Network& net, RunWorkspace& workspace,
+                      const ProgramFactory& factory, std::uint64_t seed,
+                      const MessageObserver& observe);
 
 }  // namespace csd::congest::detail

@@ -1,6 +1,7 @@
 #include "fuzz/differential.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "congest/async.hpp"
@@ -472,6 +473,41 @@ std::optional<Divergence> check_case(const FuzzCase& c,
     }
   }
 
+  // -- workspace reuse: a run inherits nothing from the run before ----------
+  // A Network hands each run the workspace (frame arenas, node records,
+  // crash and wake arrays) its previous run left. After other programs ran
+  // on it at another seed, repetition 0 must equal a first run: sync_reps[0],
+  // or under the case's faults a fresh Network's first run.
+  {
+    const std::uint64_t rep_seed = congest::repetition_seed(c.seed, 0);
+    const congest::ProgramFactory hintless = ignore_activity_hints(factory);
+    congest::NetworkConfig cfg = sync_cfg;
+    std::optional<congest::RunOutcome> faulty_first;
+    if (c.has_faults()) {
+      cfg.faults = fault_plan(c);
+      faulty_first = congest::Network(host, cfg).run(factory, rep_seed);
+    }
+    const congest::RunOutcome& reference =
+        faulty_first ? *faulty_first : sync_reps[0];
+    for (const std::uint32_t workers : {1u, 3u}) {
+      cfg.shard.workers = workers;
+      const congest::Network reuse_net(host, cfg);
+      reuse_net.run(hintless, congest::repetition_seed(c.seed, 1));
+      const congest::RunOutcome reused = reuse_net.run(factory, rep_seed);
+      if (!(digest(reused) == digest(reference)) ||
+          reused.trace.instance() != reference.trace.instance()) {
+        std::ostringstream os;
+        os << "a run at W=" << workers << " on a reused workspace differs "
+           << "from a first run (detected " << reused.detected << "/"
+           << reference.detected << ", rounds " << reused.metrics.rounds
+           << "/" << reference.metrics.rounds << ", bits "
+           << reused.metrics.total_bits << "/"
+           << reference.metrics.total_bits << ")";
+        return diverge("workspace-reuse", os);
+      }
+    }
+  }
+
   // Aggregation rules vs a hand-rolled per-repetition aggregate.
   bool agg_detected = false, agg_completed = true;
   std::uint64_t agg_rounds = 0, agg_bits = 0, agg_messages = 0;
@@ -538,12 +574,11 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   congest::NetworkConfig faulty_sync = sync_cfg;
   faulty_sync.faults = plan;
   const congest::Network faulty_net(host, faulty_sync);
+  // s2 runs on the workspace s1 left.
   const congest::RunOutcome s1 = faulty_net.run(factory);
   const congest::RunOutcome s2 = faulty_net.run(factory);
-  if (s1.detected != s2.detected || s1.completed != s2.completed ||
-      s1.verdicts != s2.verdicts ||
-      s1.metrics.total_bits != s2.metrics.total_bits ||
-      !(s1.faults == s2.faults)) {
+  if (!(digest(s1) == digest(s2)) ||
+      s1.trace.instance() != s2.trace.instance()) {
     std::ostringstream os;
     os << "sync engine under faults is not deterministic (detected "
        << s1.detected << "/" << s2.detected << ")";

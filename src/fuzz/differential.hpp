@@ -23,7 +23,8 @@
 //     hardware concurrency, its aggregation matches a hand-rolled
 //     per-repetition aggregate, and early exit never changes the answer;
 //   * fault determinism: a faulty plan replays to the identical outcome and
-//     FaultReport on every engine, and reliable transport restores the
+//     FaultReport on every engine (and trace record on the sync engine,
+//     whose second run reuses the first one's workspace), and reliable transport restores the
 //     fault-free verdicts whenever no node crashed and no packet exhausted
 //     its retries;
 //   * checkpoint/kill/resume: snapshotting the async engine at a
@@ -42,6 +43,9 @@
 //   * activity hint: the plain programs and the same programs with every
 //     NodeApi::sleep_until dropped (ignore_activity_hints) give identical
 //     outcomes and traces at W = 1 and W = 3;
+//   * workspace reuse: on one Network at W = 1 and W = 3, a run after
+//     another factory's run at another seed equals a first run (outcome
+//     and trace record), under the case's faults too;
 //   * node recovery: with scheduled crashes, reliable transport, and
 //     RecoveryPolicy on, the run is deterministic, every crashed node
 //     rejoins (none left dead with retry budget to spare), and when no

@@ -4,7 +4,7 @@
 // delivery) must be an invisible optimization: every engine produces the
 // same verdicts, metrics, traces, and snapshots it produced when each
 // message was an owned heap box. The sweeps here pin that down three ways:
-//   * direct FrameArena/FrameSlot unit checks (addressing, reset semantics);
+//   * direct FrameArena unit checks (addressing, reset semantics);
 //   * a 50-case differential fuzz sweep (both engines, faults on and off,
 //     checkpoint/kill/resume) — any payload aliasing or stale-slot bug in
 //     the swap delivery shows up as a cross-engine divergence;
@@ -34,24 +34,29 @@ namespace {
 // ---------------------------------------------------------------- arena --
 TEST(FrameArena, RowsFollowCsrOffsets) {
   const Graph g = build::path(4);  // degrees 1, 2, 2, 1
-  const GraphCsr& csr = g.csr();
-  detail::FrameArena arena(csr);
-  EXPECT_EQ(arena.size(), csr.num_directed_edges());
+  const GraphCsr csr = g.csr();
+  detail::FrameArena arena(csr.num_directed_edges());
   EXPECT_EQ(arena.size(), 6u);
-  // Row pointers are contiguous slices of one flat allocation, for both the
-  // payload and the presence planes.
-  EXPECT_EQ(arena.payload_row(0) + 1, arena.payload_row(1));
-  EXPECT_EQ(arena.payload_row(1) + 2, arena.payload_row(2));
-  EXPECT_EQ(arena.present_row(0) + 1, arena.present_row(1));
-  EXPECT_EQ(arena.present_row(1) + 2, arena.present_row(2));
-  EXPECT_EQ(&arena.payload(csr.offsets[2] + 1), arena.payload_row(2) + 1);
-  EXPECT_EQ(&arena.present(csr.offsets[2] + 1), arena.present_row(2) + 1);
+  // A node's row starts at its CSR offset; rows are contiguous slices of
+  // one flat allocation, for both the payload and the presence planes.
+  const auto& at = csr.offsets;
+  EXPECT_EQ(arena.payload_row(at[0]) + 1, arena.payload_row(at[1]));
+  EXPECT_EQ(arena.payload_row(at[1]) + 2, arena.payload_row(at[2]));
+  EXPECT_EQ(arena.present_row(at[0]) + 1, arena.present_row(at[1]));
+  EXPECT_EQ(arena.present_row(at[1]) + 2, arena.present_row(at[2]));
+  EXPECT_EQ(&arena.payload(at[2] + 1), arena.payload_row(at[2]) + 1);
+  EXPECT_EQ(&arena.present(at[2] + 1), arena.present_row(at[2]) + 1);
+  // The last row ends at the arena's end.
+  EXPECT_EQ(arena.payload_row(at[3]) + 1, arena.payload_row(arena.size()));
+  // clear_row clears one row's presence bytes and no other.
+  for (std::uint64_t e = 0; e < arena.size(); ++e) arena.present(e) = 1;
+  arena.clear_row(at[1], 2);
+  for (std::uint64_t e = 0; e < arena.size(); ++e)
+    EXPECT_EQ(arena.present(e), e == at[1] || e == at[1] + 1 ? 0 : 1) << e;
 }
 
 TEST(FrameArena, ResetClearsPresenceOfAnInlinePayload) {
-  // The arena keeps a pointer to the CSR's offsets, so the CSR is a local.
-  const GraphCsr csr = build::complete(3).csr();
-  detail::FrameArena arena(csr);
+  detail::FrameArena arena(build::complete(3).csr().num_directed_edges());
   // A payload of at most BitVec::kInlineBits bits lives in the slot itself.
   arena.payload(0).append_bits(0xabcdef, 24);
   arena.present(0) = 1;
@@ -68,8 +73,7 @@ TEST(FrameArena, ResetClearsPresenceOfAnInlinePayload) {
 }
 
 TEST(FrameArena, ResetClearsPresenceAndKeepsPayloadStorage) {
-  const GraphCsr csr = build::complete(3).csr();
-  detail::FrameArena arena(csr);
+  detail::FrameArena arena(build::complete(3).csr().num_directed_edges());
   // Above BitVec::kInlineBits bits the payload moves to a heap buffer.
   for (int w = 0; w < 3; ++w) arena.payload(0).append_bits(0xabcdef, 64);
   arena.present(0) = 1;

@@ -586,5 +586,105 @@ TEST(Shard, StallWindowFiresIdentically) {
   expect_outcomes_identical(reference, net.run(factory), "stall");
 }
 
+// ---------------------------------------------------------------------------
+// Workspace reuse: a Network hands each run the arenas, node records, crash
+// and wake arrays an earlier run left, and a run must not see them.
+// ---------------------------------------------------------------------------
+
+/// Leaves state in every part of a workspace: wake rounds (it sleeps between
+/// its sending rounds), heap payloads above BitVec::kInlineBits built from
+/// scratch() (arena slots and the view's pool), RNG draws, rejects on some
+/// nodes and early halts on others. `salt` picks which nodes do what.
+class LeakProbe final : public NodeProgram {
+ public:
+  explicit LeakProbe(std::uint32_t salt) : salt_(salt) {}
+  void on_round(NodeApi& api) override {
+    const std::uint64_t r = api.round();
+    const std::uint64_t period = 2 + (api.id() + salt_) % 3;
+    const std::uint64_t stop = (api.id() + salt_) % 4 == 0 ? 3 : 11;
+    bool mail = false;
+    for (std::uint32_t p = 0; p < api.degree(); ++p)
+      if (const BitVec* m = api.inbox(p)) {
+        heard_ = heard_ * 1000003 + m->hash();
+        mail = true;
+      }
+    if (r >= stop) {
+      if ((api.id() + salt_) % 3 == 0 || heard_ % 5 == 0) api.reject();
+      api.halt();
+      return;
+    }
+    if (mail || r % period == 0)
+      for (std::uint32_t p = 0; p < api.degree(); ++p) {
+        if (api.rng().below(3) == 0) continue;
+        BitVec payload = api.scratch();
+        const std::uint64_t bits = 130 + api.rng().below(120);
+        while (payload.size() + 64 <= bits) payload.append_bits(api.rng()(), 64);
+        payload.append_bits(api.id() ^ salt_,
+                            static_cast<unsigned>(bits - payload.size()));
+        api.send(p, std::move(payload));
+      }
+    api.sleep_until(std::min((r / period + 1) * period, stop));
+  }
+
+ private:
+  std::uint32_t salt_;
+  std::uint64_t heard_ = 0;
+};
+
+ProgramFactory leak_probe(std::uint32_t salt) {
+  return [salt](std::uint32_t) { return std::make_unique<LeakProbe>(salt); };
+}
+
+NetworkConfig leak_probe_config() {
+  NetworkConfig cfg;
+  cfg.bandwidth = 256;
+  cfg.max_rounds = 40;
+  cfg.trace.enabled = true;  // per-node rows included (the default)
+  cfg.faults.drop = 0.2;
+  cfg.faults.crashes.push_back({5, 2});
+  return cfg;
+}
+
+TEST(Shard, ReusedWorkspaceLeaksNoState) {
+  Rng rng(29);
+  const Graph g = build::gnp(36, 0.2, rng);
+  for (const std::uint32_t w_count : {1u, 3u}) {
+    NetworkConfig cfg = leak_probe_config();
+    cfg.shard.workers = w_count;
+    const Network net(g, cfg);
+    const RunOutcome first = net.run(leak_probe(1), 11);
+    const RunOutcome other = net.run(leak_probe(2), 12);
+    const RunOutcome again = net.run(leak_probe(1), 11);
+    const std::string label = "W=" + std::to_string(w_count);
+    // The probe reaches every part of the workspace, and the run between
+    // differs from the first one.
+    ASSERT_TRUE(first.detected) << label;
+    ASSERT_FALSE(first.faults.crashed_nodes.empty()) << label;
+    ASSERT_GT(first.faults.frames_dropped, 0u) << label;
+    ASSERT_GT(first.metrics.max_message_bits, BitVec::kInlineBits) << label;
+    ASSERT_FALSE(first.trace.instance().rounds.front().node_messages.empty())
+        << label;
+    ASSERT_NE(other.verdicts, first.verdicts) << label;
+    expect_outcomes_identical(first, again, label);
+    EXPECT_TRUE(first.trace.instance() == again.trace.instance()) << label;
+  }
+}
+
+TEST(Shard, MovedNetworkRunsTheSame) {
+  Rng rng(31);
+  const Graph g = build::gnp(30, 0.25, rng);
+  for (const std::uint32_t w_count : {1u, 3u}) {
+    NetworkConfig cfg = leak_probe_config();
+    cfg.shard.workers = w_count;
+    Network net(g, cfg);
+    const RunOutcome before = net.run(leak_probe(1), 7);
+    const Network moved(std::move(net));
+    const RunOutcome after = moved.run(leak_probe(1), 7);
+    const std::string label = "moved W=" + std::to_string(w_count);
+    expect_outcomes_identical(before, after, label);
+    EXPECT_TRUE(before.trace.instance() == after.trace.instance()) << label;
+  }
+}
+
 }  // namespace
 }  // namespace csd::congest
