@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace csd::comm {
@@ -48,77 +47,6 @@ DisjointnessInstance random_disjointness(std::uint64_t universe,
   }
   CSD_CHECK(inst.intersects() == force_intersecting);
   return inst;
-}
-
-std::uint64_t DisjointnessBatch::intersect_mask() const {
-  std::uint64_t mask = 0;
-  for (std::uint64_t e = 0; e < universe; ++e)
-    mask |= x_slices[e] & y_slices[e];
-  return mask & lane_mask();
-}
-
-DisjointnessInstance DisjointnessBatch::instance(std::uint32_t i) const {
-  CSD_CHECK(i < count);
-  const std::uint64_t lane = 1ULL << i;
-  DisjointnessInstance inst;
-  inst.universe = universe;
-  for (std::uint64_t e = 0; e < universe; ++e) {
-    if (x_slices[e] & lane) inst.x.push_back(e);
-    if (y_slices[e] & lane) inst.y.push_back(e);
-  }
-  return inst;
-}
-
-DisjointnessBatch random_disjointness_batch(std::uint64_t universe,
-                                            double density,
-                                            std::uint64_t force_mask,
-                                            std::uint32_t count, Rng& rng) {
-  CSD_CHECK(universe > 0);
-  CSD_CHECK(count >= 1 && count <= 64);
-  DisjointnessBatch batch;
-  batch.universe = universe;
-  batch.count = count;
-  const std::uint64_t lanes = batch.lane_mask();
-  CSD_CHECK_MSG((force_mask & ~lanes) == 0,
-                "force_mask names lanes beyond count");
-  batch.x_slices.resize(universe);
-  batch.y_slices.resize(universe);
-
-  for (std::uint64_t e = 0; e < universe; ++e) {
-    std::uint64_t xw, yw;
-    if (density == 0.5) {
-      // One draw fills all 64 lanes: iid fair bits per (element, instance).
-      xw = rng() & lanes;
-      yw = rng() & lanes;
-    } else {
-      xw = yw = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (rng.uniform() < density) xw |= 1ULL << i;
-        if (rng.uniform() < density) yw |= 1ULL << i;
-      }
-    }
-    batch.x_slices[e] = xw;
-    batch.y_slices[e] = yw;
-  }
-
-  // Disjoint lanes: strip any accidental intersection out of Y, as the
-  // scalar generator does.
-  const std::uint64_t strip = lanes & ~force_mask;
-  for (std::uint64_t e = 0; e < universe; ++e)
-    batch.y_slices[e] &= ~(batch.x_slices[e] & strip);
-
-  // Intersecting lanes: plant one common element per lane.
-  std::uint64_t forced = force_mask;
-  while (forced != 0) {
-    const auto i = static_cast<std::uint32_t>(countr_zero64(forced));
-    forced &= forced - 1;
-    const std::uint64_t common = rng.below(universe);
-    batch.x_slices[common] |= 1ULL << i;
-    batch.y_slices[common] |= 1ULL << i;
-  }
-
-  CSD_CHECK(batch.intersect_mask() == force_mask);
-  return batch;
 }
 
 }  // namespace csd::comm

@@ -35,40 +35,6 @@ DisjointnessInstance random_disjointness(std::uint64_t universe,
                                          double density,
                                          bool force_intersecting, Rng& rng);
 
-/// Up to 64 disjointness instances over one universe, stored element-major
-/// and bit-sliced: bit i of x_slices[e] says whether instance i put element
-/// e into X. Set operations then run word-parallel across the whole batch —
-/// one AND+OR per element answers "which instances intersect?" for 64
-/// instances at once, which is how the scaled transcript sweeps enumerate
-/// instances without 64 separate passes.
-struct DisjointnessBatch {
-  std::uint64_t universe = 0;
-  std::uint32_t count = 0;               // instances = live lanes (<= 64)
-  std::vector<std::uint64_t> x_slices;   // [universe] lane words
-  std::vector<std::uint64_t> y_slices;   // [universe] lane words
-
-  /// Bit i set iff instance i intersects. One AND+OR per element.
-  std::uint64_t intersect_mask() const;
-
-  /// Lane word with every live instance's bit set.
-  std::uint64_t lane_mask() const noexcept {
-    return count == 64 ? ~0ULL : (1ULL << count) - 1;
-  }
-
-  /// Scatter lane i back to a scalar instance (sorted element lists).
-  DisjointnessInstance instance(std::uint32_t i) const;
-};
-
-/// Batch counterpart of random_disjointness: `count` instances, each element
-/// joining X (resp. Y) iid with `density` per instance; instances whose bit
-/// is set in `force_mask` get a planted common element, the others have any
-/// intersection stripped (from Y). The density==0.5 fast path fills a whole
-/// lane word per element from one rng draw.
-DisjointnessBatch random_disjointness_batch(std::uint64_t universe,
-                                            double density,
-                                            std::uint64_t force_mask,
-                                            std::uint32_t count, Rng& rng);
-
 /// Interpret a pair index (i, j) in [n]×[n] as a universe element of [n²].
 constexpr std::uint64_t pair_to_element(std::uint64_t i, std::uint64_t j,
                                         std::uint64_t n) noexcept {

@@ -237,9 +237,11 @@ class AsyncEngine {
       // outcome_.pulses rounds — mirroring the synchronous engine, which
       // keeps fault-free traces byte-identical across the two.
       outcome_.trace.finish_run(outcome_.pulses);
-      outcome_.trace.set_counters(fault_counters(outcome_.faults).entries());
+      fault_rows(outcome_.faults,
+                 [&](std::string_view name, std::uint64_t value) {
+                   outcome_.trace.add_counter(name, value);
+                 });
     }
-    outcome_.trace_bytes = outcome_.trace.approx_bytes();
     return outcome_;
   }
 
@@ -570,7 +572,6 @@ class AsyncEngine {
       invoke_program();
     }
     const bool node_halted = records_.halted[v] != 0;
-    host.halted = node_halted ? 1 : 0;
     if (program_fault) {
       if (telemetry_ != nullptr)
         telemetry_->record(obs::EventKind::Violation, v, host.pulse);
@@ -730,6 +731,8 @@ class AsyncEngine {
     s.identity = {topology_digest(topology_.csr, topology_.ids),
                   config_digest(), config_.seed};
     s.nodes = hosts_;
+    s.halted = records_.halted;
+    s.verdicts = records_.verdicts;
     s.events = events_.sorted();
     s.next_event_seq = next_event_seq_;
     s.delay_rng = delay_rng_.state();
@@ -890,6 +893,31 @@ class AsyncEngine {
         }
   }
 
+  /// A snapshot's node records and the counts saved beside them: an entry
+  /// per node in `halted` and `verdicts`, `halted_count` the nodes halted
+  /// and not crashed, `stopped_count` the nodes halted or crashed.
+  void check_records(const AsyncSnapshot& s) const {
+    const Vertex n = topology_.num_vertices();
+    CSD_CHECK_MSG(s.halted.size() == n && s.verdicts.size() == n,
+                  "key 'halted' or 'verdicts' does not hold "
+                      << n << " entries, one per node");
+    Vertex halted = 0, stopped = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      const bool crashed = s.nodes[v].crashed != 0;
+      halted += s.halted[v] != 0 && !crashed;
+      stopped += s.halted[v] != 0 || crashed;
+    }
+    CSD_CHECK_MSG(s.halted_count == halted,
+                  "key 'halted_count' = " << s.halted_count << " but "
+                                          << halted
+                                          << " node(s) are halted and not "
+                                             "crashed");
+    CSD_CHECK_MSG(s.stopped_count == stopped,
+                  "key 'stopped_count' = " << s.stopped_count << " but "
+                                           << stopped
+                                           << " node(s) are halted or crashed");
+  }
+
   void restore(const Snapshot& snapshot) {
     CSD_CHECK_MSG(snapshot.kind == Snapshot::Kind::Async,
                   "resume_async needs an async snapshot, got "
@@ -906,6 +934,7 @@ class AsyncEngine {
     const Vertex n = topology_.num_vertices();
     CSD_CHECK_MSG(s.nodes.size() == n, "snapshot node count mismatch");
     for (Vertex v = 0; v < n; ++v) check_node(s.nodes[v], v);
+    check_records(s);
     check_events(s);
 
     hosts_ = s.nodes;
@@ -919,7 +948,10 @@ class AsyncEngine {
         ++pending;
       }
     CSD_CHECK_MSG(pending == s.pending_recoveries,
-                  "snapshot recovery bookkeeping inconsistent");
+                  "key 'pending_recoveries' = " << s.pending_recoveries
+                                                << " but the events hold "
+                                                << pending
+                                                << " recover events");
     if (reliable_) check_timers(s.events);
     for (Vertex v = 0; v < n; ++v) {
       AsyncNodeState& host = hosts_[v];
@@ -929,11 +961,21 @@ class AsyncEngine {
         // builds its own fresh replica from the log when its Recover event
         // fires.
         replay(v);
-        CSD_CHECK_MSG((records_.halted[v] != 0) == (host.halted != 0),
-                      "resume replay diverged: node " << v << " halt state");
+        CSD_CHECK_MSG(records_.halted[v] == s.halted[v],
+                      "snapshot node " << v
+                                       << ": key 'halted' disagrees with "
+                                          "its replay");
+        CSD_CHECK_MSG(records_.verdicts[v] == s.verdicts[v],
+                      "snapshot node " << v
+                                       << ": key 'verdicts' disagrees with "
+                                          "its replay");
       }
       if (!log_enabled_) host.inbox = {};  // nothing logs or replays it
     }
+    // The crashed nodes keep their saved records: a node that rejected and
+    // then crashed for good still rejected.
+    records_.halted = s.halted;
+    records_.verdicts = s.verdicts;
     for (const EventRecord& event : s.events) events_.push(EventRecord(event));
     next_event_seq_ = s.next_event_seq;
     delay_rng_.set_state(s.delay_rng);

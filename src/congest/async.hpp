@@ -112,8 +112,6 @@ struct AsyncRunOutcome : AsyncAccounting {
   bool detected = false;
   /// Per-pulse payload trajectory (empty unless config.trace.enabled).
   obs::RunTrace trace;
-  /// Trace storage footprint in bytes; 0 when tracing is disabled.
-  std::uint64_t trace_bytes = 0;
   /// Wall-clock split (compute / synchronizer delivery / transport), filled
   /// only when config.trace.timers is set. Never part of the trace or of
   /// any determinism digest: wall clocks are not reproducible.

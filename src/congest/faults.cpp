@@ -81,14 +81,6 @@ bool FaultReport::clean() const noexcept {
   return zero;
 }
 
-obs::MetricsRegistry fault_counters(const FaultReport& report) {
-  obs::MetricsRegistry counters;
-  fault_rows(report, [&](std::string_view name, std::uint64_t value) {
-    counters.add(name, value);
-  });
-  return counters;
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
                              const GraphCsr& csr)
     : plan_(plan), offsets_(csr.offsets) {

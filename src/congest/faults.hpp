@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
 
@@ -186,10 +185,6 @@ void fault_rows(const FaultReport& report, Visit&& visit) {
 /// Render a one-line-per-field human summary (used by the CLI).
 std::string summarize(const FaultReport& report);
 
-/// The report's counter rows as a named-metric registry — the bridge into
-/// RunMetrics::counters and the trace summary.
-obs::MetricsRegistry fault_counters(const FaultReport& report);
-
 /// Draws fault fates deterministically. One RNG stream per directed link
 /// (src, src-port), advanced a fixed number of times per transmission, so
 /// fates are independent of event interleaving and of each other.
@@ -215,8 +210,6 @@ class FaultInjector {
 
   /// Round at which `node` is scheduled to crash, if any.
   std::optional<std::uint64_t> crash_round(std::uint32_t node) const;
-
-  const FaultPlan& plan() const noexcept { return plan_; }
 
   /// Snapshot/restore of every link stream's RNG position, [src][port].
   /// Restoring mid-run resumes the exact fate sequence, which is what makes

@@ -71,7 +71,7 @@ struct NetworkConfig {
   FaultPlan faults;
   /// Per-round observability (obs/round_trace.hpp). Disabled by default:
   /// the run loop then pays a single predicted branch per message and the
-  /// outcome's trace stays empty (RunMetrics::trace_bytes == 0).
+  /// outcome's trace stays empty (RunTrace::approx_bytes() == 0).
   obs::TraceOptions trace;
   /// Stall watchdog: if a window of this many consecutive rounds delivers
   /// no message and sees no halt or crash while unhalted nodes remain, cut
@@ -108,10 +108,10 @@ using MessageObserver = std::function<void(
 /// rule): the run's accounting (RunAccounting, congest/snapshot.hpp) plus
 /// what a snapshot does not carry.
 struct RunMetrics : RunAccounting {
-  /// Engine counters by name: the FaultReport counters, surfaced uniformly
-  /// (see fault_counters), plus the opt-in shard_* rows. Amplified:
-  /// fault_counters(merged FaultReport) only, the one rule a resumed batch
-  /// can reproduce; each repetition's other rows stay in its trace summary.
+  /// The opt-in shard_* rows (ShardSpec::channel_counters), which depend on
+  /// the worker count; empty otherwise. The run's fault counts live in
+  /// RunOutcome::faults, and the trace summary's counter block holds both.
+  /// Amplified: empty (each repetition's rows stay in its trace summary).
   obs::MetricsRegistry counters;
   /// Wall-clock split of the run (compute vs. delivery), filled only when
   /// NetworkConfig::trace.timers is set. Deliberately NOT part of the trace:

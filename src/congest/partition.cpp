@@ -1,6 +1,5 @@
 #include "congest/partition.hpp"
 
-#include "congest/snapshot.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -34,7 +33,6 @@ Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
   const Vertex n = csr.num_vertices();
   Partition part;
   part.workers_ = workers;
-  part.policy_ = policy;
   part.owner_.resize(n);
   part.owned_.assign(workers, {});
   part.owned_edges_.assign(workers, 0);
@@ -42,7 +40,7 @@ Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
   if (policy == PartitionPolicy::Hash) {
     // SIKeyHash-style stateless assignment: a fixed splitmix64 mix of the
     // vertex index mod W. The constant is arbitrary but frozen — changing
-    // it would re-shuffle every partition digest.
+    // it would re-shuffle every hash partition.
     for (Vertex v = 0; v < n; ++v)
       part.owner_[v] =
           static_cast<std::uint32_t>(derive_seed(0x5AA2Dull, v) % workers);
@@ -71,14 +69,6 @@ Partition Partition::build(const GraphCsr& csr, std::uint32_t workers,
       if (part.owner_[u] != w) ++part.cut_edges_;
   }
   return part;
-}
-
-std::uint64_t Partition::digest() const noexcept {
-  std::uint64_t h = kDigestSeed;
-  h = digest_mix(h, workers_);
-  h = digest_mix(h, static_cast<std::uint64_t>(policy_));
-  for (const std::uint32_t w : owner_) h = digest_mix(h, w);
-  return h;
 }
 
 }  // namespace csd::congest

@@ -91,7 +91,6 @@ class Partition {
                          PartitionPolicy policy);
 
   std::uint32_t workers() const noexcept { return workers_; }
-  PartitionPolicy policy() const noexcept { return policy_; }
   std::uint32_t owner(Vertex v) const noexcept { return owner_[v]; }
   /// Vertices owned by `w`, ascending. The kernel iterates these in order —
   /// together with the channel merge-order rule this reproduces the global
@@ -107,13 +106,9 @@ class Partition {
   /// Directed edges whose endpoints live on different workers (each
   /// crossing edge counted once per direction).
   std::uint64_t cut_directed_edges() const noexcept { return cut_edges_; }
-  /// FNV digest over (workers, policy, owner map); stamped into traces by
-  /// callers that want to pin the assignment.
-  std::uint64_t digest() const noexcept;
 
  private:
   std::uint32_t workers_ = 1;
-  PartitionPolicy policy_ = PartitionPolicy::Range;
   std::vector<std::uint32_t> owner_;
   std::vector<std::vector<Vertex>> owned_;
   std::vector<std::uint64_t> owned_edges_;

@@ -37,8 +37,6 @@ class RunBatch {
   /// 0 = hardware_concurrency.
   explicit RunBatch(unsigned jobs = 0);
 
-  unsigned jobs() const noexcept { return jobs_; }
-
   /// Call run_at(i) for i = 0, 1, ... < count on the worker group and hand
   /// each outcome to consume(i, outcome) on the calling thread, in index
   /// order, until consume returns false. run_at is called from the

@@ -734,7 +734,6 @@ RunOutcome RoundKernel::finish() {
       outcome.faults.stalled_nodes.push_back(v);
   }
   publish_counts();
-  outcome.metrics.counters = fault_counters(outcome.faults);
   if (config_.shard.channel_counters) {
     // Opt-in only: these depend on W (and on the partition), so the
     // determinism matrix runs without them and the nightly sweep with.
@@ -757,11 +756,16 @@ RunOutcome RoundKernel::finish() {
   if (outcome.trace) {
     // Materialize quiet trailing rounds so trace rounds == metrics.rounds
     // (the exponent fit divides by segments to recover per-repetition
-    // rounds), and surface the engine counters in the summary.
+    // rounds), and surface the FaultReport's rows and the shard rows in
+    // the summary.
     outcome.trace.finish_run(round_);
-    outcome.trace.set_counters(outcome.metrics.counters.entries());
+    const auto add = [&](std::string_view name, std::uint64_t value) {
+      outcome.trace.add_counter(name, value);
+    };
+    fault_rows(outcome.faults, add);
+    for (const auto& [name, value] : outcome.metrics.counters.entries())
+      add(name, value);
   }
-  outcome.metrics.trace_bytes = outcome.trace.approx_bytes();
   return std::move(outcome_);
 }
 

@@ -71,7 +71,6 @@ constexpr auto async_node_fields = [](auto& io, auto& r) {
   io("port_dead", r.port_dead);
   io("running", r.running);
   io("crashed", r.crashed);
-  io("halted", r.halted);
   io("crash_done", r.crash_done);
   io("recoveries_used", r.recoveries_used);
   io("inbox", r.inbox);
@@ -83,6 +82,8 @@ constexpr auto async_node_fields = [](auto& io, auto& r) {
 constexpr auto async_fields = [](auto& io, auto& r) {
   io("identity", r.identity, identity_fields);
   io("nodes", r.nodes, async_node_fields);
+  io("halted", r.halted);
+  io("verdicts", r.verdicts, Verdict::Reject);
   io("events", r.events, event_fields);
   io("next_event_seq", r.next_event_seq);
   io("delay_rng", r.delay_rng);
@@ -115,7 +116,6 @@ constexpr auto amplified_fields = [](auto& io, auto& r) {
   io("bits_sent_by_node", r.bits_sent_by_node);
   io("repetitions_executed", r.repetitions_executed);
   io("repetitions_skipped", r.repetitions_skipped);
-  io("trace_bytes", r.trace_bytes);
   io("retries_used", r.retries_used);
   io("faults", r.faults, report_fields);
 };

@@ -108,6 +108,8 @@ struct EventRecord {
 /// One async node's engine state: synchronizer bookkeeping, buffered
 /// frames, ARQ endpoints, recovery bookkeeping, and the inbox log for
 /// program replay. The engine runs on these records; a snapshot copies them.
+/// What the NodeApi mutates (halted flag, verdict) lives in the engine's
+/// node records instead, which a snapshot saves beside these.
 struct AsyncNodeState {
   std::uint64_t pulse = 0;       // next pulse to execute
   std::uint64_t local_time = 0;  // virtual time the node last acted
@@ -115,7 +117,6 @@ struct AsyncNodeState {
   std::vector<std::uint8_t> port_dead;  // per port: sender halted, no more
   std::uint8_t running = 1;     // 0 once halted, crashed, or cap-stopped
   std::uint8_t crashed = 0;     // fault-injected or program fault
-  std::uint8_t halted = 0;      // the program halted (resume replay checks)
   std::uint8_t crash_done = 0;  // scheduled crash already honored
   std::uint32_t recoveries_used = 0;
   InboxLog inbox;
@@ -153,10 +154,18 @@ struct AsyncAccounting {
 struct AsyncSnapshot : AsyncAccounting {
   SnapshotIdentity identity;
   std::vector<AsyncNodeState> nodes;
+  /// The node records a program mutates, per node: its halted flag and its
+  /// verdict. Resume replays the live nodes, checks these against the
+  /// replay, and keeps them for the crashed ones (a node that rejected and
+  /// then crashed for good still rejected).
+  std::vector<std::uint8_t> halted;
+  std::vector<Verdict> verdicts;
   std::vector<EventRecord> events;
   std::uint64_t next_event_seq = 0;
   RngState delay_rng{};
   std::vector<std::vector<RngState>> fault_streams;
+  /// Nodes halted and not crashed, and nodes halted or crashed: saved, and
+  /// checked on resume against the records and the `crashed` flags.
   std::uint32_t halted_count = 0;
   std::uint32_t stopped_count = 0;
   std::uint32_t pending_recoveries = 0;
@@ -188,10 +197,6 @@ struct RunAccounting {
   /// Their costs are NOT included above — accounting stays honest. Always 0
   /// in an amplified snapshot, whose batch is still in progress.
   std::uint32_t repetitions_skipped = 0;
-  /// Storage the per-round trace observer allocated for this run; exactly 0
-  /// when NetworkConfig::trace is disabled (the observer's overhead is then
-  /// one branch per message and no memory — tested by test_obs).
-  std::uint64_t trace_bytes = 0;
 };
 
 /// An amplified batch frozen at a repetition boundary: the aggregate

@@ -42,8 +42,6 @@ void merge_amplified(RunOutcome& combined, RunOutcome&& rep) {
   // Traces merge in repetition order — the order the Supervisor merges in
   // at every jobs count — so the combined trace is jobs-count independent.
   combined.trace.append(rep.trace);
-  combined.metrics.trace_bytes += rep.metrics.trace_bytes;
-  combined.metrics.counters.merge(rep.metrics.counters);
   combined.metrics.timers.merge(rep.metrics.timers);
   combined.faults.merge(std::move(rep.faults));
 }
@@ -232,10 +230,6 @@ SupervisedResult Supervisor::drive(const ProgramFactory& factory,
 
   combined.metrics.repetitions_skipped =
       repetitions - combined.metrics.repetitions_executed;
-  // Rebuild the counters from the merged report: the per-repetition
-  // counter registries are not serialized, and every fault counter is a
-  // linear function of the report, so run and resume stay identical.
-  combined.metrics.counters = fault_counters(combined.faults);
   result.outcome = std::move(combined);
   return result;
 }

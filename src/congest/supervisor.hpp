@@ -68,7 +68,9 @@ RunOutcome make_amplified_accumulator(Vertex n);
 ///   * bits_sent_by_node                       : elementwise sum,
 ///   * max_message_bits                        : max,
 ///   * fault counters summed; crash/stall/violation lists and traces
-///     concatenated in repetition order.
+///     concatenated in repetition order,
+///   * metrics.counters                        : left empty (each
+///     repetition's shard rows stay in its trace summary).
 /// The Supervisor folds its repetitions through this in repetition order,
 /// so the aggregate is the same at every jobs count; exposed for callers
 /// that replay an amplified run repetition by repetition.
@@ -116,18 +118,17 @@ struct StallReport {
   bool watchdog = false;      ///< cut by the engine stall watchdog
   bool over_budget = false;   ///< rounds >= SupervisorConfig::round_budget
   bool incomplete = false;    ///< some node never halted (crash/starvation)
-  /// The merged attempt's engine counters (fault counters and — with
-  /// ShardSpec::channel_counters — the per-worker shard_channel_* and
+  /// The merged attempt's shard rows (empty unless
+  /// ShardSpec::channel_counters): the per-worker shard_channel_* and
   /// shard_last_progress_w<N> counters that locate which worker stopped
-  /// making progress).
+  /// making progress. Its fault counts are the `watchdog`, `stalled_nodes`
+  /// and `incomplete` fields above.
   obs::MetricsRegistry counters;
 };
 
 struct SupervisedResult {
-  /// Aggregate over the merged repetitions, under merge_amplified's rules.
-  /// metrics.counters is fault_counters(merged FaultReport) so the run and
-  /// resume paths report identically; metrics.repetitions_skipped is
-  /// planned minus executed.
+  /// Aggregate over the merged repetitions, under merge_amplified's rules;
+  /// metrics.repetitions_skipped is planned minus executed.
   RunOutcome outcome;
   std::uint32_t planned = 0;       ///< repetitions requested
   std::uint32_t retries_used = 0;  ///< total reseeded re-runs

@@ -18,10 +18,6 @@ std::uint64_t MetricsRegistry::value(std::string_view name) const noexcept {
   return 0;
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [key, value] : other.entries_) add(key, value);
-}
-
 std::string worker_counter_name(std::string_view base, std::uint32_t worker) {
   std::string name(base);
   name += "_w";

@@ -1,14 +1,12 @@
 // Named-counter registry + engine wall-clock timers.
 //
-// MetricsRegistry surfaces counters the engines historically kept internal
-// (ARQ retransmits, duplicate acks, CRC rejections, injected faults) as an
-// insertion-ordered list of (name, value) pairs. Both CONGEST engines fill
-// one per run from their FaultReport; an amplified run's registry is the
-// one fault_counters builds from the merged FaultReport, so the aggregate
-// is bit-identical at every --jobs count, and across resume, exactly like
-// the rest of RunMetrics. RunTrace copies the registry into
-// its JSONL summary (non-zero entries only, so fault-free sync and async
-// traces stay byte-identical — neither engine has anything to report).
+// MetricsRegistry holds the round kernel's opt-in shard_* rows
+// (ShardSpec::channel_counters): per-worker channel traffic and progress,
+// which depend on the worker count, so only a run that asks for them
+// records them. A run's fault counts have one home, its FaultReport: the
+// engines write a trace summary's counter block from the report's rows
+// (fault_rows) plus these, and RunTrace keeps the block's non-zero entries
+// only, so fault-free sync and async traces stay byte-identical.
 //
 // EngineTimers is the *only* wall-clock data the observability layer keeps,
 // and it deliberately lives outside RunTrace: trace output is a pure
@@ -43,10 +41,6 @@ class MetricsRegistry {
     return entries_;
   }
   bool empty() const noexcept { return entries_.empty(); }
-
-  /// Sum `other` into this registry, name by name; names new to the
-  /// receiver are appended in the donor's order (deterministic merge).
-  void merge(const MetricsRegistry& other);
 
  private:
   std::vector<std::pair<std::string, std::uint64_t>> entries_;

@@ -40,21 +40,6 @@ void settle(std::vector<TraceInstance::Edge>& edges) {
   edges.resize(kept);
 }
 
-/// Adds the non-zero `counters` into `block`, which stays sorted by name.
-void add_counters(decltype(TraceSummary::counters)& block,
-                  const decltype(TraceSummary::counters)& counters) {
-  for (const auto& [name, value] : counters) {
-    if (value == 0) continue;
-    auto it = block.begin();
-    while (it != block.end() && it->first != name) ++it;
-    if (it == block.end())
-      block.emplace_back(name, value);
-    else
-      it->second += value;
-  }
-  std::sort(block.begin(), block.end());
-}
-
 }  // namespace
 
 RunTrace::RunTrace(std::uint32_t num_nodes, const TraceOptions& options)
@@ -109,11 +94,18 @@ void RunTrace::set_meta(std::string_view key, std::string_view value) {
   instance_.meta.emplace_back(std::string(key), std::string(value));
 }
 
-void RunTrace::set_counters(
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
-  if (!enabled()) return;
-  instance_.counters.clear();
-  add_counters(instance_.counters, counters);
+void RunTrace::add_counter(std::string_view name, std::uint64_t value) {
+  if (!enabled() || value == 0) return;
+  auto& block = instance_.counters;
+  const auto it = std::lower_bound(
+      block.begin(), block.end(), name,
+      [](const auto& entry, std::string_view key) {
+        return entry.first < key;
+      });
+  if (it != block.end() && it->first == name)
+    it->second += value;
+  else
+    block.emplace(it, std::string(name), value);
 }
 
 void RunTrace::finish_run(std::uint64_t rounds) {
@@ -192,7 +184,7 @@ void RunTrace::append(const RunTrace& other) {
   instance_.edges.insert(instance_.edges.end(), donor.edges.begin(),
                          donor.edges.end());
   settle(instance_.edges);
-  add_counters(instance_.counters, donor.counters);
+  for (const auto& [name, value] : donor.counters) add_counter(name, value);
 }
 
 std::uint64_t RunTrace::approx_bytes() const noexcept {

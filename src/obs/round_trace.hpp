@@ -10,8 +10,8 @@
 // Cost model: a disabled trace is a default-constructed object — no
 // allocation, and the engines guard every record() behind a single
 // well-predicted `if (trace)`, so the hot path pays one branch and nothing
-// else. RunMetrics::trace_bytes reports the observer's storage footprint
-// (0 when disabled), which test_obs pins down.
+// else. approx_bytes() reports the observer's storage footprint (0 when
+// disabled), which test_obs pins down.
 //
 // Recorded per round (sender-side accounting, matching RunMetrics):
 //   * total messages and payload bits,
@@ -21,7 +21,7 @@
 // plus run-wide aggregates: a message-size histogram in power-of-two
 // buckets (TraceOptions::histogram), per-directed-edge message/bit totals
 // (TraceOptions::per_edge — the raw material of the §3.4 cut-traffic
-// claims), engine counters (set_counters), and free-form header metadata
+// claims), engine counters (add_counter), and free-form header metadata
 // (set_meta — instance parameters, so multi-instance JSONL files demux).
 //
 // All of it lives in one obs::TraceInstance, the record csd-trace-v2 reads
@@ -92,10 +92,9 @@ class RunTrace {
   /// write to a key wins. Values are emitted as JSON strings.
   void set_meta(std::string_view key, std::string_view value);
 
-  /// Replace the summary's counter block with the non-zero entries of
-  /// `counters`, sorted by name (so clean runs add no bytes).
-  void set_counters(
-      const std::vector<std::pair<std::string, std::uint64_t>>& counters);
+  /// Add `value` to the summary's counter `name`. The block keeps its
+  /// names sorted and holds no zero, so clean runs add no bytes.
+  void add_counter(std::string_view name, std::uint64_t value);
 
   /// End a run of `rounds` rounds: materialize quiet trailing rounds (a
   /// trace otherwise ends at the last round that sent a message), so
@@ -137,8 +136,7 @@ class RunTrace {
                          instance_.rounds.size());
   }
 
-  /// Observer storage footprint in bytes (0 when disabled) — the number
-  /// RunMetrics::trace_bytes exposes.
+  /// Observer storage footprint in bytes (0 when disabled).
   std::uint64_t approx_bytes() const noexcept;
 
   /// JSONL sink: write_trace_jsonl of instance(), after finish_run.

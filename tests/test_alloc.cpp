@@ -66,8 +66,8 @@ Counted count_run(const Network& net, const ProgramFactory& factory,
 // Network allocates is one program per node, its workspace (two frame
 // arenas, the node records, the crash and wake arrays, the programs
 // vector) and a fixed set of per-run tables (the outcome's vectors, the
-// worker context and view), bounded here by n + 64. A second run reuses
-// the workspace: n + 40, and no allocation as large as an arena's payload
+// worker context and view), bounded here by n + 40. A second run reuses
+// the workspace: n + 24, and no allocation as large as an arena's payload
 // array.
 TEST(Alloc, FaultFreeRunAllocatesPerNodeNotPerMessage) {
   const Graph g = build::complete(32);
@@ -80,12 +80,12 @@ TEST(Alloc, FaultFreeRunAllocatesPerNodeNotPerMessage) {
   const Counted first = count_run(net, factory, 7);
   ASSERT_TRUE(first.outcome.completed);
   EXPECT_EQ(first.outcome.metrics.messages, 1984u);
-  EXPECT_LE(first.allocations, n + 64u);
+  EXPECT_LE(first.allocations, n + 40u);
 
   const Counted second = count_run(net, factory, 8);
   ASSERT_TRUE(second.outcome.completed);
   EXPECT_EQ(second.outcome.metrics.messages, 1984u);
-  EXPECT_LE(second.allocations, n + 40u);
+  EXPECT_LE(second.allocations, n + 24u);
   const std::size_t arena_payloads = 2 * g.num_edges() * sizeof(BitVec);
   EXPECT_LT(second.largest, arena_payloads);
 }

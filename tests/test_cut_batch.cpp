@@ -1,8 +1,7 @@
 // Tests for the batched measurement data path: simulate_across_cut_batch's
 // bit-identity to the sequential simulator at every jobs count, round-keyed
-// max-bits accounting, the batched one-round evaluator, the bit-sliced
-// disjointness batch, the bootstrap exponent fits, and the sampled
-// transcript-collision probe.
+// max-bits accounting, the batched one-round evaluator, the bootstrap
+// exponent fits, and the sampled transcript-collision probe.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "comm/cut_simulator.hpp"
-#include "comm/disjointness.hpp"
 #include "detect/triangle.hpp"
 #include "graph/builders.hpp"
 #include "lowerbound/fooling.hpp"
@@ -178,25 +176,6 @@ TEST(CutBatch, InteractiveSlicedIsExactAboveTheQueryWidth) {
   // Without room for the query the decision degenerates to the trivial
   // predictor: error 1/8 (the all-edges-present cell of μ).
   EXPECT_NEAR(starved.error, 0.125, 0.01);
-}
-
-// -------------------------------------------- disjointness lane batch ---
-TEST(CutBatch, DisjointnessLanesScatterBackToConsistentScalars) {
-  Rng rng(51);
-  const std::uint64_t force_mask = 0b0101;
-  const auto batch = random_disjointness_batch(200, 0.3, force_mask, 4, rng);
-  EXPECT_EQ(batch.count, 4u);
-  EXPECT_EQ(batch.lane_mask(), 0b1111u);
-  const std::uint64_t mask = batch.intersect_mask();
-  EXPECT_EQ(mask & force_mask, force_mask);
-  for (std::uint32_t i = 0; i < batch.count; ++i) {
-    const auto scalar = batch.instance(i);
-    EXPECT_EQ(scalar.universe, 200u);
-    EXPECT_EQ(scalar.intersects(), (mask >> i & 1) != 0) << "lane " << i;
-    EXPECT_EQ((force_mask >> i & 1) != 0, scalar.intersects()) << "lane " << i;
-    for (const std::uint64_t e : scalar.x) EXPECT_LT(e, 200u);
-    for (const std::uint64_t e : scalar.y) EXPECT_LT(e, 200u);
-  }
 }
 
 // ----------------------------------------------------- bootstrap fits ---

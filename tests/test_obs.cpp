@@ -2,7 +2,7 @@
 // codec, the bench report schema, and the per-round trace — including the
 // two contracts the rest of the repo leans on: traces are bit-identical at
 // every --jobs count, and a disabled trace costs exactly nothing
-// (trace_bytes == 0, metrics unchanged).
+// (approx_bytes() == 0, metrics unchanged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -305,11 +305,10 @@ TEST(RunTrace, DisabledTraceHasZeroOverheadAndSameMetrics) {
   const auto off = traced_run(g, 1, false, 4);
   const auto on = traced_run(g, 1, true, 4);
 
-  EXPECT_EQ(off.metrics.trace_bytes, 0u) << "disabled trace must not "
-                                            "allocate observer storage";
+  EXPECT_EQ(off.trace.approx_bytes(), 0u) << "disabled trace must not "
+                                              "allocate observer storage";
   EXPECT_EQ(off.trace.segments(), 0u);
-  EXPECT_EQ(off.trace.approx_bytes(), 0u);
-  EXPECT_GT(on.metrics.trace_bytes, 0u);
+  EXPECT_GT(on.trace.approx_bytes(), 0u);
 
   // Observation is passive: enabling the trace changes no model-level
   // number.
@@ -507,10 +506,8 @@ TEST(RunTrace, CountersAppearInSummaryOnlyWhenNonZero) {
   obs::TraceOptions opts;
   opts.enabled = true;
   obs::RunTrace clean(2, opts);
-  obs::MetricsRegistry zeros;
-  zeros.add("retransmissions", 0);
-  zeros.add("checksum_rejects", 0);
-  clean.set_counters(zeros.entries());
+  clean.add_counter("retransmissions", 0);
+  clean.add_counter("checksum_rejects", 0);
   std::ostringstream clean_os;
   clean.write_jsonl(clean_os);
   // All-zero counters are omitted so clean sync and async traces stay
@@ -518,10 +515,8 @@ TEST(RunTrace, CountersAppearInSummaryOnlyWhenNonZero) {
   EXPECT_EQ(clean_os.str().find("counters"), std::string::npos);
 
   obs::RunTrace dirty(2, opts);
-  obs::MetricsRegistry mixed;
-  mixed.add("retransmissions", 3);
-  mixed.add("checksum_rejects", 0);
-  dirty.set_counters(mixed.entries());
+  dirty.add_counter("retransmissions", 3);
+  dirty.add_counter("checksum_rejects", 0);
   std::ostringstream dirty_os;
   dirty.write_jsonl(dirty_os);
   EXPECT_NE(dirty_os.str().find(R"("counters":{"retransmissions":3})"),
@@ -554,7 +549,6 @@ TEST(RunTrace, DisabledTraceStaysFreeWithPerEdgeAndTimersRequested) {
   opts.per_edge = true;
   opts.timers = true;
   const auto outcome = traced_run_opts(g, 1, opts, 2);
-  EXPECT_EQ(outcome.metrics.trace_bytes, 0u);
   EXPECT_EQ(outcome.trace.approx_bytes(), 0u);
   EXPECT_TRUE(outcome.trace.rounds().empty());
   // Engine timers are independent of the trace: they live in RunMetrics and
@@ -594,7 +588,7 @@ TEST(RunTrace, PhaseAttributionCoversAllTrafficInEvenCycleRun) {
 
 // ------------------------------------------------------------- Metrics ----
 
-TEST(Metrics, RegistryAccumulatesAndMergesByName) {
+TEST(Metrics, RegistryAccumulatesByName) {
   obs::MetricsRegistry a;
   a.add("x", 1);
   a.add("y", 2);
@@ -602,16 +596,9 @@ TEST(Metrics, RegistryAccumulatesAndMergesByName) {
   EXPECT_EQ(a.value("x"), 4u);
   EXPECT_EQ(a.value("y"), 2u);
   EXPECT_EQ(a.value("missing"), 0u);
-
-  obs::MetricsRegistry b;
-  b.add("y", 10);
-  b.add("z", 5);
-  a.merge(b);
-  ASSERT_EQ(a.entries().size(), 3u);  // insertion order: x, y, z
+  ASSERT_EQ(a.entries().size(), 2u);  // insertion order: x, y
   EXPECT_EQ(a.entries()[0].first, "x");
-  EXPECT_EQ(a.entries()[2].first, "z");
-  EXPECT_EQ(a.value("y"), 12u);
-  EXPECT_EQ(a.value("z"), 5u);
+  EXPECT_EQ(a.entries()[1].first, "y");
 }
 
 TEST(Metrics, EngineTimersMerge) {
@@ -761,7 +748,7 @@ TEST(TraceAnalysis, RecordEqualityTellsApartTracesDifferingInOneValue) {
   trace.set_phase(0, "seed");
   trace.set_phase(1, "echo");
   trace.set_meta("program", "toy");
-  trace.set_counters({{"retransmissions", 2}});
+  trace.add_counter("retransmissions", 2);
   trace.finish_run(2);
   const obs::TraceInstance& base = trace.instance();
   const auto bytes = [](const obs::TraceInstance& instance) {
@@ -1155,16 +1142,15 @@ TEST(RunTrace, SummaryCountersEmitSortedByName) {
   obs::TraceOptions opts;
   opts.enabled = true;
   obs::RunTrace trace(2, opts);
-  obs::MetricsRegistry counters;
-  counters.add("zeta", 1);  // insertion order deliberately unsorted
-  counters.add("alpha", 2);
-  counters.add("mid", 0);  // zero: omitted from the summary entirely
-  trace.set_counters(counters.entries());
+  trace.add_counter("zeta", 1);  // insertion order deliberately unsorted
+  trace.add_counter("alpha", 2);
+  trace.add_counter("mid", 0);  // zero: omitted from the summary entirely
+  trace.add_counter("zeta", 2);  // adds into the existing row
   std::ostringstream os;
   trace.write_jsonl(os);
   // DESIGN.md §14: summary counters serialize in sorted-name order, so the
   // summary line is independent of engine registration order.
-  EXPECT_NE(os.str().find(R"("counters":{"alpha":2,"zeta":1})"),
+  EXPECT_NE(os.str().find(R"("counters":{"alpha":2,"zeta":3})"),
             std::string::npos)
       << os.str();
 }

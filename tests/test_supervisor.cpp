@@ -167,11 +167,9 @@ TEST(Supervisor, StallReportsSurfaceUnhealthyRepetitions) {
     EXPECT_EQ(result.stalls[i].repetition, i);
     EXPECT_TRUE(result.stalls[i].incomplete);
     EXPECT_TRUE(result.stalls[i].watchdog);
-    // The report carries the round the watchdog fired at plus the
-    // repetition's counter scope — enough to localize the stall without
-    // re-running.
+    // The report carries the round the watchdog fired at — enough to
+    // localize the stall without re-running.
     EXPECT_GT(result.stalls[i].rounds, 0u);
-    EXPECT_EQ(result.stalls[i].counters.value("watchdog_stalls"), 1u);
   }
   EXPECT_EQ(result.outcome.faults.watchdog_stalls, 3u);
 }

@@ -850,12 +850,11 @@ int cmd_detect(const Invocation& inv, std::ostream& out) {
           << (s.watchdog ? " [watchdog]" : "")
           << (s.over_budget ? " [over-budget]" : "")
           << (s.incomplete ? " [incomplete]" : "") << '\n';
-      // The repetition's counter scope travels with the report; the
-      // shard_last_progress_w<N> entries (present with --workers W
+      // The shard_last_progress_w<N> rows (present with --workers W
       // --shard-counters) point at the worker that stopped advancing.
+      out << "      watchdog_stalls = " << (s.watchdog ? 1 : 0) << '\n';
       for (const auto& [name, value] : s.counters.entries())
-        if (name == "watchdog_stalls" ||
-            name.rfind("shard_last_progress", 0) == 0)
+        if (name.rfind("shard_last_progress", 0) == 0)
           out << "      " << name << " = " << value << '\n';
     }
   }
