@@ -1,9 +1,9 @@
 #include "detect/collect.hpp"
 
-#include <deque>
 #include <set>
 #include <utility>
 
+#include "detect/fifo.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/vf2.hpp"
 #include "support/check.hpp"
@@ -81,7 +81,7 @@ class CollectAndCheckProgram final : public congest::NodeProgram {
   std::uint64_t budget_;
   CollectedChecker checker_;
   std::set<IdEdge> known_;
-  std::deque<IdEdge> queue_;
+  Fifo<IdEdge> queue_;
 };
 
 class LocalBallProgram final : public congest::NodeProgram {

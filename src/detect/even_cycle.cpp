@@ -1,8 +1,8 @@
 #include "detect/even_cycle.hpp"
 
 #include <algorithm>
-#include <deque>
 
+#include "detect/fifo.hpp"
 #include "detect/id_set.hpp"
 #include "support/check.hpp"
 #include "support/mathutil.hpp"
@@ -125,8 +125,8 @@ class EvenCycleProgram final : public congest::NodeProgram {
     token_seen_.init(api.namespace_size());
     incr_origins_.init(api.namespace_size());
     decr_origins_.init(api.namespace_size());
-    neighbor_active_.assign(api.degree(), true);
-    neighbor_unassigned_.assign(api.degree(), true);
+    // Every neighbor starts active and unassigned.
+    neighbor_flags_.assign(api.degree(), kActive | kUnassigned);
     if (cfg_.enable_phase1 && color1_ == 0 &&
         api.degree() >= sched_.degree_threshold)
       phase1_queue_.push_back(api.id());
@@ -188,8 +188,8 @@ class EvenCycleProgram final : public congest::NodeProgram {
       CSD_CHECK_MSG(msg != nullptr, "missing removal announcement");
       wire::Reader reader(*msg);
       if (reader.boolean()) {
-        neighbor_active_[p] = false;
-        neighbor_unassigned_[p] = false;
+        // A removed neighbor is neither active nor unassigned.
+        neighbor_flags_[p] = 0;
       }
     }
   }
@@ -200,7 +200,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
     if (layer_ != kNoLayer) return;
     std::uint64_t remaining = 0;
     for (std::uint32_t p = 0; p < api.degree(); ++p)
-      if (neighbor_unassigned_[p]) ++remaining;
+      if ((neighbor_flags_[p] & kUnassigned) != 0) ++remaining;
     if (remaining <= sched_.peel_degree) {
       layer_ = wave;
       wire::Writer w(api.scratch());
@@ -215,7 +215,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
       const auto* msg = api.inbox(p);
       if (msg == nullptr) continue;
       wire::Reader reader(*msg);
-      if (reader.boolean()) neighbor_unassigned_[p] = false;
+      if (reader.boolean()) neighbor_flags_[p] &= kActive;  // peeled
     }
   }
 
@@ -274,7 +274,7 @@ class EvenCycleProgram final : public congest::NodeProgram {
   void receive_tokens(congest::NodeApi& api, const Role& role) {
     for (std::uint32_t p = 0; p < api.degree(); ++p) {
       const auto* msg = api.inbox(p);
-      if (msg == nullptr || !neighbor_active_[p]) continue;
+      if (msg == nullptr || (neighbor_flags_[p] & kActive) == 0) continue;
       wire::Reader reader(*msg);
       Token token;
       token.decreasing = reader.boolean();
@@ -321,11 +321,11 @@ class EvenCycleProgram final : public congest::NodeProgram {
   std::uint32_t color1_ = 0, color2_ = 0;
   bool removed_ = false;
   std::uint32_t layer_ = kNoLayer;
-  std::vector<bool> neighbor_active_;
-  std::vector<bool> neighbor_unassigned_;
-  std::deque<congest::NodeId> phase1_queue_;
+  static constexpr std::uint8_t kActive = 1, kUnassigned = 2;
+  std::vector<std::uint8_t> neighbor_flags_;  // kActive | kUnassigned per port
+  Fifo<congest::NodeId> phase1_queue_;
   IdSet phase1_seen_;
-  std::deque<Token> queue_;
+  Fifo<Token> queue_;
   IdSet token_seen_;
   IdSet incr_origins_;
   IdSet decr_origins_;

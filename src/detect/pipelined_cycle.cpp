@@ -1,8 +1,8 @@
 #include "detect/pipelined_cycle.hpp"
 
-#include <deque>
 #include <unordered_set>
 
+#include "detect/fifo.hpp"
 #include "support/check.hpp"
 #include "support/wire.hpp"
 
@@ -69,7 +69,7 @@ class PipelinedCycleProgram final : public congest::NodeProgram {
   std::uint32_t length_;
   std::uint32_t color_ = 0;
   std::uint64_t budget_ = 0;
-  std::deque<congest::NodeId> queue_;
+  Fifo<congest::NodeId> queue_;
   std::unordered_set<congest::NodeId> seen_;
 };
 

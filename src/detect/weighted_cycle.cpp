@@ -1,8 +1,8 @@
 #include "detect/weighted_cycle.hpp"
 
-#include <deque>
 #include <unordered_set>
 
+#include "detect/fifo.hpp"
 #include "support/check.hpp"
 #include "support/wire.hpp"
 
@@ -74,7 +74,7 @@ class WeightedCycleProgram final : public congest::NodeProgram {
   EdgeWeightFn weight_;
   std::uint32_t color_ = 0;
   std::uint64_t budget_ = 0;
-  std::deque<std::pair<congest::NodeId, std::uint64_t>> queue_;
+  Fifo<std::pair<congest::NodeId, std::uint64_t>> queue_;
   std::unordered_set<std::uint64_t> seen_;
 };
 

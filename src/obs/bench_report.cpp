@@ -1,5 +1,7 @@
 #include "obs/bench_report.hpp"
 
+#include <sys/resource.h>
+
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -7,6 +9,18 @@
 #include "support/check.hpp"
 
 namespace csd::obs {
+
+namespace {
+
+/// The process's peak resident set so far, in MiB (Linux reports
+/// ru_maxrss in KiB).
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+}  // namespace
 
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
   CSD_CHECK_MSG(!name_.empty(), "bench report needs a name");
@@ -54,6 +68,7 @@ Json BenchReport::to_json() const {
   Json env = env_;
   env.set("git_sha", git_sha());
   if (wall_clock_ms_ >= 0.0) env.set("wall_clock_ms", wall_clock_ms_);
+  env.set("peak_rss_mib", peak_rss_mib());
   doc.set("env", std::move(env));
   return doc;
 }

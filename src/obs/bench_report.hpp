@@ -11,12 +11,14 @@
 //     "measurements": [                     // ordered, deterministic
 //       {"name": "<section>/<row>", "values": { ... }}, ...
 //     ],
-//     "env": { "git_sha": "...", "wall_clock_ms": <double>, ... }
+//     "env": { ..., "git_sha": "...", "wall_clock_ms": <double>,
+//              "peak_rss_mib": <double> }
 //   }
 //
 // Everything OUTSIDE "env" is a pure function of the workload: model-exact
 // rounds/bits/verdicts, bit-identical across --jobs counts and re-runs.
-// Wall-clock, the git SHA, and the jobs count live in "env", which
+// Wall-clock, the process's peak resident set when the report is written
+// (getrusage ru_maxrss), the git SHA, and the jobs count live in "env", which
 // tools/bench_compare.py treats separately (tolerance-gated wall clock,
 // ignored SHA). Keys ending in "_ms" or "_ns" inside measurements are also
 // wall-clock by convention (bench_micro) and compared with tolerance.
@@ -71,8 +73,8 @@ class BenchReport {
   BenchReport& env(const std::string& key, Json value);
   void set_wall_clock_ms(double ms) { wall_clock_ms_ = ms; }
 
-  /// Full document, deterministic member order. Wall clock and git SHA are
-  /// confined to the "env" object.
+  /// Full document, deterministic member order. Wall clock, peak RSS and
+  /// git SHA are confined to the "env" object.
   Json to_json() const;
   std::string to_json_text() const;
 

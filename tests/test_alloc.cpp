@@ -1,10 +1,11 @@
 // Allocation guard for the synchronous round kernel: a run allocates per
 // node, never per message, and a Network's later runs reuse the workspace
 // (frame arenas, node records, crash and wake arrays) its first run built,
-// so what they allocate per node is the program alone. This binary
-// replaces the global operator new to count the calls made while a flag is
-// up, and the largest size asked for, so it holds the counts for its own
-// tests only.
+// so what they allocate per node is the program alone. It also guards what
+// a detector's program allocates: per-node state that allocates only for
+// what the node stores in it. This binary replaces the global operator new
+// to count the calls made while a flag is up, their bytes and the largest
+// size asked for, so it holds the counts for its own tests only.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,17 +15,22 @@
 
 #include "comm/cut_simulator.hpp"
 #include "congest/network.hpp"
+#include "detect/even_cycle.hpp"
+#include "detect/id_set.hpp"
 #include "graph/builders.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 bool g_counting = false;
 std::uint64_t g_allocations = 0;
+std::uint64_t g_bytes = 0;
 std::size_t g_largest = 0;
 
 void* counted_alloc(std::size_t size) {
   if (g_counting) {
     ++g_allocations;
+    g_bytes += size;
     if (size > g_largest) g_largest = size;
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -88,6 +94,54 @@ TEST(Alloc, FaultFreeRunAllocatesPerNodeNotPerMessage) {
   EXPECT_LE(second.allocations, n + 24u);
   const std::size_t arena_payloads = 2 * g.num_edges() * sizeof(BitVec);
   EXPECT_LT(second.largest, arena_payloads);
+}
+
+// The C_4 detector on the bench's HOTPATH tree (512 nodes, Rng(23)): a later
+// run on the Network allocates its programs and what each node stores in
+// them. A node that holds no token allocates its program, its copy of the
+// schedule and one byte per port of neighbour flags; its token queues and
+// id sets allocate only when a token arrives, and an id set holding a few
+// ids is a short list.
+TEST(Alloc, EvenCycleRunAllocatesWhatItsNodesHold) {
+  Rng rng(23);
+  const Graph g = build::random_tree(512, rng);
+  detect::EvenCycleConfig cfg;
+  cfg.k = 2;
+  cfg.c_num = 1;
+  NetworkConfig config;
+  config.bandwidth = 64;
+  config.max_rounds =
+      detect::make_even_cycle_schedule(g.num_vertices(), cfg).total_rounds() +
+      1;
+  const Network net(g, config);
+  const ProgramFactory factory = detect::even_cycle_program(cfg);
+  const std::uint64_t n = g.num_vertices();
+
+  ASSERT_TRUE(count_run(net, factory, 19).outcome.completed);
+  const Counted later = count_run(net, factory, 20);
+  ASSERT_TRUE(later.outcome.completed);
+  EXPECT_FALSE(later.outcome.detected);
+  EXPECT_LE(later.allocations, 4 * n);
+}
+
+// A set holding a few ids over the largest namespace that promotes to a
+// dense bitset allocates for those ids, not the 16 KiB bitset.
+TEST(Alloc, IdSetHoldingThreeIdsAllocatesUnderOneKiB) {
+  g_allocations = 0;
+  g_bytes = 0;
+  g_counting = true;
+  {
+    detect::IdSet set;
+    set.init(detect::IdSet::kDenseLimit);
+    EXPECT_TRUE(set.insert(5));
+    EXPECT_TRUE(set.insert(detect::IdSet::kDenseLimit - 1));
+    EXPECT_TRUE(set.insert(70000));
+    EXPECT_FALSE(set.insert(5));
+    EXPECT_TRUE(set.contains(70000));
+  }
+  g_counting = false;
+  EXPECT_GT(g_allocations, 0u);
+  EXPECT_LT(g_bytes, 1024u);
 }
 
 }  // namespace

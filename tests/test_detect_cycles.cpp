@@ -2,15 +2,20 @@
 // baseline and the §6 sublinear C_2k detector (Theorem 1.1). Both are
 // validated against the exhaustive oracle; rejection must always certify a
 // real cycle (one-sided error) and detection must succeed with enough
-// repetitions. Also covers IdSet, the detectors' id-set helper.
+// repetitions. Also covers IdSet and Fifo, the detectors' per-node id-set
+// and token-queue helpers, against std::set and std::deque models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "detect/even_cycle.hpp"
+#include "detect/fifo.hpp"
 #include "detect/id_set.hpp"
 #include "detect/pipelined_cycle.hpp"
 #include "fuzz/fuzz_case.hpp"
@@ -449,18 +454,18 @@ TEST(IdSet, NeverInsertedSetReadsEmpty) {
   IdSet a, b, sparse;
   a.init(100);
   b.init(100);
-  sparse.init(IdSet::kDenseLimit + 1);  // hash-set representation
+  sparse.init(IdSet::kDenseLimit + 1);  // promotes to a hash set
   EXPECT_FALSE(a.contains(0));
   EXPECT_FALSE(a.contains(99));
   EXPECT_FALSE(a.contains(1000));
-  EXPECT_FALSE(intersects(a, b));  // both unallocated
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(intersects(a, b));  // both empty lists
   EXPECT_FALSE(intersects(a, sparse));
-  // Dense x dense with one side unallocated: the bitsets differ in size,
-  // which BitVec's intersection would reject.
+  // One side empty, the other holding an id.
   EXPECT_TRUE(b.insert(7));
   EXPECT_FALSE(intersects(a, b));
   EXPECT_FALSE(intersects(b, a));
-  // Dense x sparse.
+  // Across universes.
   EXPECT_TRUE(sparse.insert(7));
   EXPECT_FALSE(intersects(a, sparse));
   EXPECT_FALSE(intersects(sparse, a));
@@ -489,12 +494,174 @@ TEST(IdSet, ClearThenReinsert) {
   s.clear();
   EXPECT_FALSE(s.contains(3));
   EXPECT_FALSE(s.contains(150));
-  EXPECT_FALSE(intersects(s, other));  // allocated, all zero
+  EXPECT_FALSE(intersects(s, other));
   EXPECT_TRUE(s.insert(3));
   EXPECT_FALSE(s.insert(3));
   EXPECT_FALSE(intersects(s, other));
   EXPECT_TRUE(s.insert(150));
   EXPECT_TRUE(intersects(s, other));
+}
+
+/// Drives an IdSet over `universe` with seeded random inserts, lookups and
+/// clears, checking every answer and the size against a std::set. Returns
+/// how often the set outgrew its list (the 17th distinct id since a clear).
+std::uint64_t run_id_set_model(std::uint64_t universe, std::uint64_t seed) {
+  Rng rng(seed);
+  IdSet set;
+  set.init(universe);
+  std::set<std::uint64_t> model;
+  std::uint64_t promotions = 0;
+  for (int op = 0; op < 20000; ++op) {
+    // Ids of a small range repeat; ids of the whole universe reach its end.
+    const std::uint64_t id =
+        rng.below(2) == 0 ? rng.below(48) : rng.below(universe);
+    const std::uint64_t kind = rng.below(100);
+    if (kind < 60) {
+      const bool fresh = model.insert(id).second;
+      EXPECT_EQ(set.insert(id), fresh) << "insert " << id << ", op " << op;
+      if (fresh && model.size() == IdSet::kListCap + 1) ++promotions;
+    } else if (kind < 99) {
+      // Past the universe too: every representation reads it as absent.
+      const std::uint64_t probe = kind < 97 ? id : universe + id % 100;
+      EXPECT_EQ(set.contains(probe), model.count(probe) != 0)
+          << "contains " << probe << ", op " << op;
+    } else {
+      set.clear();
+      model.clear();
+    }
+    EXPECT_EQ(set.size(), model.size()) << "op " << op;
+  }
+  for (const std::uint64_t id : model) EXPECT_TRUE(set.contains(id)) << id;
+  return promotions;
+}
+
+TEST(IdSet, MatchesASetModelAcrossListToBitsetPromotions) {
+  EXPECT_GE(run_id_set_model(IdSet::kDenseLimit, 1), 100u);
+  EXPECT_GE(run_id_set_model(1000, 2), 100u);
+}
+
+TEST(IdSet, MatchesASetModelAcrossListToHashSetPromotions) {
+  EXPECT_GE(run_id_set_model(IdSet::kDenseLimit + 1, 3), 100u);
+}
+
+TEST(IdSet, ClearAfterAPromotionThenReinsert) {
+  const std::uint64_t universes[] = {4096, IdSet::kDenseLimit + 1};
+  for (const std::uint64_t universe : universes) {
+    SCOPED_TRACE(universe);
+    IdSet s, probe;
+    s.init(universe);
+    probe.init(universe);
+    const std::uint64_t ids = IdSet::kListCap + 1;  // one past the list
+    for (std::uint64_t i = 0; i < ids; ++i) EXPECT_TRUE(s.insert(3 * i));
+    EXPECT_EQ(s.size(), ids);
+    EXPECT_TRUE(probe.insert(3 * (ids - 1)));  // the id that promoted s
+    EXPECT_TRUE(intersects(s, probe));
+    s.clear();
+    EXPECT_EQ(s.size(), 0u);
+    for (std::uint64_t i = 0; i < ids; ++i) EXPECT_FALSE(s.contains(3 * i));
+    EXPECT_FALSE(intersects(s, probe));
+    // Refill past the cap with other ids: the old ones stay gone.
+    for (std::uint64_t i = 0; i < 2 * ids; ++i)
+      EXPECT_TRUE(s.insert(3 * i + 1));
+    EXPECT_FALSE(s.insert(1));
+    EXPECT_FALSE(s.contains(3 * (ids - 1)));
+    EXPECT_FALSE(intersects(s, probe));
+    EXPECT_TRUE(probe.insert(4));
+    EXPECT_TRUE(intersects(s, probe));
+    EXPECT_TRUE(intersects(probe, s));
+  }
+}
+
+TEST(IdSet, IntersectsAgreesAcrossEveryPairOfRepresentations) {
+  // (universe, ids): an empty list, a short list and a promoted set over
+  // two dense universes of unequal size and one hash-set universe.
+  struct Shape {
+    std::uint64_t universe;
+    std::uint64_t ids;
+  };
+  const std::uint64_t universes[] = {1000, 5000, IdSet::kDenseLimit + 1};
+  const std::uint64_t counts[] = {0, 3, 40};
+  std::vector<Shape> shapes;
+  for (const std::uint64_t universe : universes)
+    for (const std::uint64_t ids : counts) shapes.push_back({universe, ids});
+  // Left sets hold even ids and right sets odd ones, so they meet only in
+  // the shared id when one is added to both.
+  const auto make = [](const Shape& shape, std::uint64_t parity, bool shared,
+                       Rng& rng) {
+    IdSet s;
+    s.init(shape.universe);
+    while (s.size() < shape.ids)
+      s.insert(2 * rng.below(shape.universe / 2) + parity);
+    if (shared) s.insert(999);
+    return s;
+  };
+  Rng rng(11);
+  int pairs = 0;
+  for (const Shape& left : shapes)
+    for (const Shape& right : shapes)
+      for (const bool shared : {false, true}) {
+        const IdSet a = make(left, 0, shared, rng);
+        const IdSet b = make(right, 1, shared, rng);
+        EXPECT_EQ(intersects(a, b), shared)
+            << left.universe << "/" << left.ids << " x " << right.universe
+            << "/" << right.ids;
+        EXPECT_EQ(intersects(b, a), shared);
+        ++pairs;
+      }
+  EXPECT_EQ(pairs, 162);
+}
+
+// ------------------------------------------------------------------ FIFOs --
+TEST(Fifo, MatchesADequeModel) {
+  Rng rng(5);
+  Fifo<std::uint64_t> fifo;
+  std::deque<std::uint64_t> model;
+  EXPECT_EQ(fifo.capacity(), 0u);  // allocates on its first push
+  std::size_t peak = 0;
+  for (std::uint64_t op = 0; op < 100000; ++op) {
+    // Stretches that mostly push, then mostly pop, so lengths rise and fall.
+    const std::uint64_t push_percent = (op / 2000) % 2 == 0 ? 65 : 35;
+    const std::uint64_t kind = rng.below(1000);
+    if (kind == 0) {
+      fifo.clear();
+      model.clear();
+    } else if (kind % 100 < push_percent || model.empty()) {
+      fifo.push_back(op);
+      model.push_back(op);
+    } else {
+      ASSERT_FALSE(fifo.empty());
+      EXPECT_EQ(fifo.front(), model.front()) << "op " << op;
+      fifo.pop_front();
+      model.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), model.size()) << "op " << op;
+    EXPECT_EQ(fifo.empty(), model.empty());
+    if (!model.empty()) {
+      EXPECT_EQ(fifo.front(), model.front());
+    }
+    peak = std::max(peak, model.size());
+    // Storage within a constant factor of the longest the queue has been.
+    EXPECT_LE(fifo.capacity(), 4 * peak) << "op " << op;
+  }
+  EXPECT_GE(peak, 100u);
+}
+
+TEST(Fifo, StorageStaysBoundedUnderInterleavedPushAndPop) {
+  Rng rng(9);
+  Fifo<std::uint64_t> fifo;
+  std::uint64_t next = 0, expected = 0;
+  for (int op = 0; op < 100000; ++op) {
+    // At most 3 items live; 10^5 pushes and pops run through the queue.
+    const bool push = fifo.empty() || (fifo.size() < 3 && rng.below(2) == 0);
+    if (push) {
+      fifo.push_back(next++);
+    } else {
+      ASSERT_EQ(fifo.front(), expected++);
+      fifo.pop_front();
+    }
+  }
+  EXPECT_GT(next, 40000u);
+  EXPECT_LE(fifo.capacity(), 64u);
 }
 
 // The paper's cycle algorithms are broadcast algorithms and must be

@@ -213,6 +213,8 @@ TEST(BenchReport, SchemaRoundTripsThroughParse) {
   EXPECT_EQ(doc.at("env").at("wall_clock_ms").as_double(), 1.5);
   // git_sha is always stamped (possibly "unknown" outside a git checkout).
   EXPECT_FALSE(doc.at("env").at("git_sha").as_string().empty());
+  // So is the peak resident set the process reached by the time of writing.
+  EXPECT_GT(doc.at("env").at("peak_rss_mib").as_double(), 0.0);
 }
 
 TEST(BenchReport, MeasurementReferencesStayStable) {
