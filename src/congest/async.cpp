@@ -46,8 +46,10 @@ class AsyncEngine {
         delay_rng_(derive_seed(config.seed, 0xde1a)),
         base_rto_(kTransport.rto != 0 ? kTransport.rto
                                       : 2ULL * config.max_delay + 4),
+        arena_(topology_.csr.num_directed_edges()),
+        inbox_(topology_.csr.num_directed_edges()),
         node_(topology_, config.bandwidth, config.broadcast_only, records_,
-              inbox_arena_, outbox_arena_, &outcome_.faults.violations),
+              arena_, arena_, inbox_, &outcome_.faults.violations),
         // Deliveries and acks land within max_delay ticks (plus FIFO slack)
         // and a packet's first two timers within 2 RTOs, so nearly every
         // event goes straight into a ring bucket.
@@ -65,9 +67,6 @@ class AsyncEngine {
     // it cannot change a single bit of the run (fuzzer-enforced).
     log_enabled_ =
         config_.recovery.enabled || config_.checkpoint_at_pulse != 0;
-
-    inbox_arena_ = detail::FrameArena(topology_.csr.num_directed_edges());
-    outbox_arena_ = detail::FrameArena(topology_.csr.num_directed_edges());
 
     outcome_.trace = obs::RunTrace(n, config_.trace);
     if (outcome_.trace) node_.set_trace(&outcome_.trace);
@@ -485,7 +484,7 @@ class AsyncEngine {
     AsyncNodeState& host = hosts_[v];
     host.running = 0;
     host.crashed = 1;
-    outbox_arena_.clear_row(topology_.csr.offsets[v], topology_.degree(v));
+    arena_.clear_row(topology_.csr.offsets[v], topology_.degree(v));
     outcome_.faults.crashed_nodes.push_back(v);
     if (telemetry_ != nullptr)
       telemetry_->record(obs::EventKind::NodeCrash, v, host.pulse);
@@ -999,9 +998,10 @@ class AsyncEngine {
   Vertex pending_recoveries_ = 0;
   std::uint64_t last_progress_vt_ = 0;
   /// Per-run frame plane and node records (node_state.hpp), and the
-  /// engine's one view over them, bound to a node before it runs.
-  detail::FrameArena inbox_arena_;
-  detail::FrameArena outbox_arena_;
+  /// engine's one view over them, bound to a node before it runs. A node
+  /// sends into and reads its inbox from the one arena.
+  detail::FrameArena arena_;
+  detail::Presence inbox_;
   detail::NodeRecords records_;
   detail::NodeState node_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;

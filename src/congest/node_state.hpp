@@ -6,27 +6,36 @@
 // What the NodeApi mutates per node is three flat arrays (NodeRecords): the
 // node's Rng, its halted flag and its verdict, 34 bytes a node. The rest of
 // what a program sees is read in place from the EngineTopology (id, degree,
-// neighbour ids, the node's arena rows) or is run-constant (bandwidth,
-// sizes, the violation sink, the trace or phase slot, the scratch() pool).
-// So NodeState is a view: the engine binds it to node v before v's
-// on_round, and one view serves every node — the round kernel keeps one
-// per worker, the async engine one per engine, and replay and recovery
-// rebind the engine's view with a scratch violation sink and no trace.
+// neighbour ids, reverse edges, the node's arena rows) or is run-constant
+// (bandwidth, sizes, the violation sink, the trace or phase slot, the
+// scratch() pool). So NodeState is a view: the engine binds it to node v
+// before v's on_round, and one view serves every node — the round kernel
+// keeps one per worker, the async engine one per engine, and replay and
+// recovery rebind the engine's view with a scratch violation sink and no
+// trace.
 //
-// The view does not own the message slots either: they are rows of the
-// inbox and outbox FrameArenas (frame_arena.hpp). Sends and deliveries swap
-// payload buffers into the slots instead of copying them, and the heap
-// buffers displaced by sends (payloads above BitVec::kInlineBits) feed the
-// view's scratch() pool, so scratch() recycles buffers from the engine's
-// earlier sends, whichever node made them.
+// The view does not own the message slots either (frame_arena.hpp). A send
+// swaps its payload into the node's row of the send arena; inbox(p) reads
+// the message in the neighbour's send slot, the reverse edge of the node's
+// port p, in the arena the engine names as received, when the node's inbox
+// presence byte for p is set. The round kernel alternates two send arenas
+// (set_arenas); the async engine names its one arena for both, which is
+// safe because a node's inbox slots (u -> v) are never its own send slots
+// (v -> .) and no other node runs between its deliver() calls and its
+// on_round. The heap buffers displaced by sends (payloads above
+// BitVec::kInlineBits) feed the view's scratch() pool, so scratch()
+// recycles buffers from the engine's earlier sends, whichever node made
+// them.
 //
-// A RunWorkspace is a synchronous run's working memory: the two arenas,
-// the node records, the kernel's crash and wake arrays and the storage of
-// the programs vector. A Network hands its idle workspaces to its next
-// runs (network.hpp), and a run resets the one it takes, so only a
-// Network's first run (or its first runs at once) allocates one.
+// A RunWorkspace is a synchronous run's working memory: the two send
+// arenas, the inbox presence plane, the node records, the kernel's crash
+// and wake arrays and the storage of the programs vector. A Network hands
+// its idle workspaces to its next runs (network.hpp), and a run resets the
+// one it takes, so only a Network's first run (or its first runs at once)
+// allocates one.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -69,23 +78,32 @@ struct NodeRecords {
 class NodeState final : public NodeApi {
  public:
   /// A view over the nodes of `topology`: their NodeApi state is
-  /// `records`, their message slots the rows of `inbox` and `outbox`, all
-  /// of which must outlive the view. `violations` (owned by the engine,
-  /// non-null) receives clamped violations (network.hpp). Call bind()
-  /// before anything else.
+  /// `records`, their sends go into `send`, their inboxes are the messages
+  /// of `received` that `inbox` marks present; all of these must outlive
+  /// the view. `violations` (owned by the engine, non-null) receives
+  /// clamped violations (network.hpp). Call bind() before anything else.
   NodeState(const EngineTopology& topology, std::uint64_t bandwidth,
-            bool broadcast_only, NodeRecords& records, FrameArena& inbox,
-            FrameArena& outbox, std::vector<ProtocolViolation>* violations)
+            bool broadcast_only, NodeRecords& records, FrameArena& send,
+            FrameArena& received, Presence& inbox,
+            std::vector<ProtocolViolation>* violations)
       : topology_(&topology),
         network_size_(topology.num_vertices()),
         namespace_size_(topology.namespace_size),
         bandwidth_(bandwidth),
         broadcast_only_(broadcast_only),
         records_(&records),
+        send_(&send),
+        received_(&received),
         inbox_(&inbox),
-        outbox_(&outbox),
         violations_(violations) {
     CSD_CHECK(violations_ != nullptr);
+  }
+
+  /// Send into `send` and read inboxes from `received` from the next bind
+  /// on. The round kernel swaps its two arenas every executed round.
+  void set_arenas(FrameArena& send, FrameArena& received) {
+    send_ = &send;
+    received_ = &received;
   }
 
   /// Point the view at node `v`: until the next bind, every call reads and
@@ -95,10 +113,11 @@ class NodeState final : public NodeApi {
     index_ = v;
     degree_ = static_cast<std::uint32_t>(topology_->csr.offsets[v + 1] - first);
     first_ = first;
-    inbox_payload_ = inbox_->payload_row(first);
-    inbox_present_ = inbox_->present_row(first);
-    outbox_payload_ = outbox_->payload_row(first);
-    outbox_present_ = outbox_->present_row(first);
+    rev_edge_ = topology_->rev_edge.data() + first;
+    received_payload_ = received_->payload_row(0);
+    inbox_present_ = inbox_->row(first);
+    outbox_payload_ = send_->payload_row(first);
+    outbox_present_ = send_->present_row(first);
   }
 
   // NodeApi -----------------------------------------------------------
@@ -115,7 +134,8 @@ class NodeState final : public NodeApi {
 
   const BitVec* inbox(std::uint32_t port) const override {
     CSD_CHECK_MSG(port < degree_, "inbox: port out of range");
-    return inbox_present_[port] != 0 ? &inbox_payload_[port] : nullptr;
+    return inbox_present_[port] != 0 ? &received_payload_[rev_edge_[port]]
+                                     : nullptr;
   }
 
   void send(std::uint32_t port, BitVec payload) override {
@@ -217,8 +237,10 @@ class NodeState final : public NodeApi {
     discard_outbox();
   }
   void clear_inbox() { inbox_->clear_row(first_, degree_); }
+  /// Put `payload` where inbox(port) reads it: the neighbour's send slot
+  /// of the received arena (the async engine's one arena).
   void deliver(std::uint32_t port, BitVec payload) {
-    inbox_payload_[port].swap(payload);
+    received_payload_[rev_edge_[port]].swap(payload);
     inbox_present_[port] = 1;
   }
   bool outbox_present(std::uint32_t port) const {
@@ -226,7 +248,7 @@ class NodeState final : public NodeApi {
   }
   BitVec& outbox_payload(std::uint32_t port) { return outbox_payload_[port]; }
   void consume_outbox(std::uint32_t port) { outbox_present_[port] = 0; }
-  void discard_outbox() { outbox_->clear_row(first_, degree_); }
+  void discard_outbox() { send_->clear_row(first_, degree_); }
   /// The round the bound node asked to sleep until during its latest
   /// on_round call (NodeApi::sleep_until), or 0 for no hint. The
   /// synchronous round kernel reads it at every worker count; the async
@@ -246,18 +268,20 @@ class NodeState final : public NodeApi {
   std::uint64_t bandwidth_;
   bool broadcast_only_;
   NodeRecords* records_;
-  FrameArena* inbox_;
-  FrameArena* outbox_;
+  FrameArena* send_;
+  FrameArena* received_;
+  Presence* inbox_;
   std::vector<ProtocolViolation>* violations_;
   obs::RunTrace* trace_ = nullptr;
   std::optional<std::string>* phase_slot_ = nullptr;
   std::vector<BitVec> pool_;  // retired payload buffers (see scratch())
-  // The bound node (bind): its index and rows. Payload buffers and
-  // presence bytes are parallel arrays indexed by port.
+  // The bound node (bind): its index and rows, indexed by port. Port p's
+  // message is received_payload_[rev_edge_[p]].
   Vertex index_ = 0;
   std::uint32_t degree_ = 0;
   std::uint64_t first_ = 0;  // dense index of port 0
-  BitVec* inbox_payload_ = nullptr;
+  const std::uint64_t* rev_edge_ = nullptr;
+  BitVec* received_payload_ = nullptr;  // the whole received arena
   std::uint8_t* inbox_present_ = nullptr;
   BitVec* outbox_payload_ = nullptr;
   std::uint8_t* outbox_present_ = nullptr;
@@ -271,8 +295,10 @@ class NodeState final : public NodeApi {
 /// hands one to each run (network.hpp); it holds no pointer into the
 /// topology, so it survives a move of its Network.
 struct RunWorkspace {
-  FrameArena inbox;
-  FrameArena outbox;
+  /// Round r sends into one and reads round r - 1's messages from the
+  /// other; the kernel swaps them every executed round.
+  std::array<FrameArena, 2> sends;
+  Presence inbox;  // by receiving slot: a message landed for the next round
   NodeRecords nodes;
   // Byte flags, not vector<bool>: workers set disjoint entries in parallel.
   std::vector<std::uint8_t> crashed;
@@ -288,11 +314,11 @@ struct RunWorkspace {
     const Vertex n = topology.num_vertices();
     const std::uint64_t edges = topology.csr.num_directed_edges();
     if (inbox.size() != edges) {
-      inbox = FrameArena(edges);
-      outbox = FrameArena(edges);
+      for (FrameArena& arena : sends) arena = FrameArena(edges);
+      inbox = Presence(edges);
     } else {
-      inbox.reset_presence();
-      outbox.reset_presence();
+      for (FrameArena& arena : sends) arena.reset_presence();
+      inbox.reset();
     }
     nodes.reset(n, run_seed);
     crashed.assign(n, 0);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "support/bitvec.hpp"
 
 namespace csd::congest {
 
@@ -35,32 +34,19 @@ std::string_view to_string(PartitionPolicy policy);
 bool parse_partition_policy(std::string_view text, PartitionPolicy& out);
 
 /// One (src_worker, dst_worker) frame batch, exchanged at the superstep
-/// barrier. Structure-of-arrays over the first `used` entries: `edges[i]`
-/// is the dense directed-edge index of the send (CSR offsets[src] + port)
-/// and `payloads[i]` the post-fault payload exactly as the receiver will
-/// see it. The kernel fills channels in ascending edge order and drains
-/// them in (src_worker, edge) order — the merge-order rule that makes the
-/// exchange deterministic. `payloads` is high-water sized so BitVec heap
-/// buffers recycle across rounds instead of reallocating.
+/// barrier: `edges[i]` is the dense directed-edge index of a send (CSR
+/// offsets[src] + port) whose receiver the destination worker owns. The
+/// payload stays in the sender's send-arena slot (congest/frame_arena.hpp),
+/// where the receiver reads it next round, so the destination lands each
+/// edge by setting one presence byte. The kernel fills channels in
+/// ascending edge order and drains them in (src_worker, edge) order — the
+/// merge-order rule that makes the exchange deterministic. `edges` keeps
+/// its capacity across rounds.
 struct ShardChannel {
   std::vector<std::uint64_t> edges;
-  std::vector<BitVec> payloads;
-  std::size_t used = 0;
 
-  /// Append a frame, swapping the payload out of `slot` (the sender's
-  /// arena slot donates its buffer; the channel's retired buffer, if any,
-  /// lands back in the slot).
-  void push(std::uint64_t edge, BitVec& slot) {
-    if (used == payloads.size()) {
-      edges.push_back(edge);
-      payloads.emplace_back();
-    } else {
-      edges[used] = edge;
-    }
-    payloads[used].swap(slot);
-    ++used;
-  }
-  void reset() noexcept { used = 0; }
+  void push(std::uint64_t edge) { edges.push_back(edge); }
+  void reset() noexcept { edges.clear(); }
 };
 
 /// Execution knobs of the synchronous round kernel (congest/shard.hpp),

@@ -226,7 +226,7 @@ class RoundKernel {
   void phase_a(std::uint32_t w);
   void phase_b(std::uint32_t w);
   void scan(WorkerCtx& ctx, std::uint32_t w);
-  void land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload);
+  void land(WorkerCtx& ctx, std::uint64_t e);
   void crash(WorkerCtx& ctx, Vertex v);
   /// Fold the workers' round state into the outcome; true when no node was
   /// live this round (the run ends).
@@ -275,9 +275,11 @@ class RoundKernel {
   RunOutcome outcome_;
   std::vector<WorkerCtx> workers_;
   std::vector<NodeState> views_;  // one per worker, bound node by node
-  // The workspace's tables (node_state.hpp), reset for this run.
-  FrameArena& inbox_arena_;
-  FrameArena& outbox_arena_;
+  // The workspace's tables (node_state.hpp), reset for this run. The run
+  // loop swaps the two send arenas at the top of every executed round.
+  FrameArena* send_arena_;
+  FrameArena* received_arena_;
+  Presence& inbox_;
   NodeRecords& nodes_;
   std::vector<std::uint8_t>& crashed_;
   std::vector<std::uint64_t>& wake_;
@@ -318,8 +320,9 @@ RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
       single_(part_.workers() == 1),
       observe_(observe),
       workers_(part_.workers()),
-      inbox_arena_(workspace.inbox),
-      outbox_arena_(workspace.outbox),
+      send_arena_(&workspace.sends[1]),
+      received_arena_(&workspace.sends[0]),
+      inbox_(workspace.inbox),
       nodes_(workspace.nodes),
       crashed_(workspace.crashed),
       wake_(workspace.wake),
@@ -343,7 +346,7 @@ RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
     // barrier merges the buffers into the FaultReport in node order.
     NodeState& view = views_.emplace_back(
         net.engine_topology(), config_.bandwidth, config_.broadcast_only,
-        nodes_, inbox_arena_, outbox_arena_, &ctx.violations);
+        nodes_, *send_arena_, *received_arena_, inbox_, &ctx.violations);
     if (outcome_.trace) {
       if (single_)
         view.set_trace(&outcome_.trace);
@@ -361,7 +364,7 @@ RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
   if (telemetry_ != nullptr) {
     m_arena_ = telemetry_->gauge("sync_arena_frames");
     m_arena_capacity_ = telemetry_->gauge("sync_arena_capacity");
-    m_arena_capacity_.set(inbox_arena_.size());
+    m_arena_capacity_.set(inbox_.size());
     m_round_bits_ = telemetry_->histogram("sync_round_bits");
     if (!single_)
       m_exchange_hist_ = telemetry_->histogram("shard_exchange_frames");
@@ -370,7 +373,7 @@ RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
 
 void RoundKernel::crash(WorkerCtx& ctx, Vertex v) {
   crashed_[v] = 1;
-  outbox_arena_.clear_row(csr_.offsets[v], csr_.degree(v));
+  send_arena_->clear_row(csr_.offsets[v], csr_.degree(v));
   ctx.crashes.push_back(v);
   --ctx.live;
   ctx.progressed = true;
@@ -435,32 +438,33 @@ void RoundKernel::phase_a(std::uint32_t w) {
   // this worker writes its nodes' inbox rows (locally here, remotely in
   // its own phase B), so the reset never races.
   if (single_) {
-    inbox_arena_.reset_presence();
+    inbox_.reset();
   } else {
     for (const Vertex v : part_.owned(w))
-      inbox_arena_.clear_row(csr_.offsets[v], csr_.degree(v));
+      inbox_.clear_row(csr_.offsets[v], csr_.degree(v));
   }
   scan(ctx, w);
 }
 
-// The outbox scan: account, observe, apply the fault fate, then deliver
-// locally or batch for the destination worker's phase B. A present outbox
-// slot's payload buffer is *swapped* onward — no copy; the receiver's
-// retired buffer lands in the sender's outbox slot and keeps circulating.
+// The outbox scan: account, observe, apply the fault fate, then land
+// locally or list the edge for the destination worker's phase B. The
+// payload stays in the sender's slot, where its receiver reads it next
+// round; a corruption flips the bit there.
 void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
   const std::uint64_t round = round_;
   obs::RunTrace& trace = outcome_.trace;
   std::vector<std::uint64_t>& bits_sent = outcome_.metrics.bits_sent_by_node;
+  FrameArena& sent = *send_arena_;
   for (const Vertex v : part_.owned(w)) {
     if (crashed_[v]) continue;
     const auto nbrs = csr_.row(v);
     const std::uint64_t base = csr_.offsets[v];
     for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
       const std::uint64_t e = base + p;
-      std::uint8_t& out_present = outbox_arena_.present(e);
+      std::uint8_t& out_present = sent.present(e);
       if (out_present == 0) continue;
       out_present = 0;
-      BitVec& payload = outbox_arena_.payload(e);
+      BitVec& payload = sent.payload(e);
       const std::uint64_t bits = payload.size();
       const Vertex dst = nbrs[p];
       ++ctx.messages;
@@ -494,23 +498,22 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
       ctx.progressed = true;
       const std::uint32_t dw = single_ ? w : part_.owner(dst);
       if (dw == w) {
-        land(ctx, e, payload);
+        land(ctx, e);
       } else {
         ++ctx.channel_frames;
         ctx.channel_bits_total += bits;
-        ctx.out[dw].push(e, payload);
+        ctx.out[dw].push(e);
       }
     }
   }
 }
 
-// One frame on dense edge e lands in its receiver's inbox; `ctx` is the
-// receiver's owner (the only writer of its inbox row and wake round).
-void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e, BitVec& payload) {
-  const Vertex dst = csr_.neighbors[e];
-  inbox_arena_.payload(rev_edge_[e]).swap(payload);
-  inbox_arena_.present(rev_edge_[e]) = 1;
-  if (ctx.sleepers) wake_[dst] = round_ + 1;
+// The frame on dense edge e lands in its receiver's inbox: one presence
+// byte at the receiver's port, the reverse edge. `ctx` is the receiver's
+// owner (the only writer of its inbox row and wake round).
+void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e) {
+  inbox_[rev_edge_[e]] = 1;
+  if (ctx.sleepers) wake_[csr_.neighbors[e]] = round_ + 1;
 }
 
 // Phase B: drain every channel addressed to this worker in (src_worker,
@@ -519,8 +522,7 @@ void RoundKernel::phase_b(std::uint32_t w) {
   WorkerCtx& ctx = workers_[w];
   for (WorkerCtx& src : workers_) {
     ShardChannel& channel = src.out[w];
-    for (std::size_t i = 0; i < channel.used; ++i)
-      land(ctx, channel.edges[i], channel.payloads[i]);
+    for (const std::uint64_t e : channel.edges) land(ctx, e);
     channel.reset();
   }
 }
@@ -659,6 +661,11 @@ RunOutcome RoundKernel::run() {
       break;
     }
 
+    // This round sends into the arena the round before last sent into and
+    // reads the previous round's messages from the other one.
+    std::swap(send_arena_, received_arena_);
+    for (NodeState& view : views_)
+      view.set_arenas(*send_arena_, *received_arena_);
     for (WorkerCtx& ctx : workers_) ctx.begin_round();
     const auto compute_start = timing_ ? Clock::now() : Clock::time_point{};
     pool.run(phase_a_job);
@@ -695,11 +702,11 @@ RunOutcome RoundKernel::run() {
     if (progressed_) last_progress_ = round_ + 1;
     if (telemetry_ != nullptr) publish_round_telemetry();
 
-    // Nothing landed, so no node runs before next_wake: skip the idle
-    // stretch in one step, stopping where the stall watchdog or the round
-    // cap acts so they fire in the same round as in a round-by-round run.
-    // The skipped rounds keep their trace rows (with the inherited phase)
-    // and their telemetry.
+    // Nothing landed, so no node runs before next_wake and no message is
+    // pending for the next round: skip the idle stretch in one step,
+    // stopping where the stall watchdog or the round cap acts so they fire
+    // in the same round as in a round-by-round run. The skipped rounds keep
+    // their trace rows (with the inherited phase) and their telemetry.
     if (landed_ == 0 && next_wake_ != kNoWake) {
       std::uint64_t next = std::min(next_wake_, config_.max_rounds);
       if (config_.stall_window != 0)

@@ -4,13 +4,16 @@
 // A deterministic Partition assigns each node to one of
 // W = max(1, ShardSpec::workers) workers, and every executed round is one
 // Pregel-style superstep: phase A runs each worker's due nodes and scans
-// their outboxes in ascending vertex / dense-edge order, delivering local
-// frames and batching cross-worker ones into channels; phase B (W >= 2)
-// drains the channels in (src_worker, edge) order; the barrier folds the
-// workers' accounting, fault lists, flight-recorder events and activity
-// state in that global order. W = 1 runs inline on the calling thread with
-// no threads, no channels, and the trace and the run's MessageObserver
-// called directly from the scan.
+// their outboxes in ascending vertex / dense-edge order, landing local
+// frames and listing the edges of cross-worker ones in channels; phase B
+// (W >= 2) lands the channels' edges in (src_worker, edge) order; the
+// barrier folds the workers' accounting, fault lists, flight-recorder
+// events and activity state in that global order. Landing a frame sets one
+// inbox presence byte: its payload stays in the sender's slot of the
+// round's send arena, where the receiver reads it next round, and the
+// kernel alternates two send arenas (congest/frame_arena.hpp). W = 1 runs
+// inline on the calling thread with no threads, no channels, and the trace
+// and the run's MessageObserver called directly from the scan.
 //
 // Activity-driven rounds at every W: wake[v], written only by v's owner,
 // is the round v runs next (its NodeApi::sleep_until hint folded with its

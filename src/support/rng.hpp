@@ -63,11 +63,15 @@ class Rng {
     return result;
   }
 
-  /// Uniform integer in [0, bound). Requires bound > 0.
-  /// Lemire-style rejection; unbiased.
+  /// Uniform integer in [0, bound). Requires bound > 0. Unbiased:
+  /// rejection below a modulo threshold, then `r % bound`.
   std::uint64_t below(std::uint64_t bound) noexcept {
     CSD_DCHECK(bound > 0);
-    // Rejection sampling on the top bits to avoid modulo bias.
+    // A power-of-two bound divides 2^64, so its threshold is 0 and the
+    // first draw is taken: the mask is `r % bound` without the divisions.
+    if ((bound & (bound - 1)) == 0) return (*this)() & (bound - 1);
+    // Reject the 2^64 mod bound lowest draws, so every residue is equally
+    // likely.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = (*this)();

@@ -1,20 +1,26 @@
 // Arena frame-plane tests.
 //
-// The zero-copy delivery path (congest/frame_arena.hpp + the engines' swap
-// delivery) must be an invisible optimization: every engine produces the
-// same verdicts, metrics, traces, and snapshots it produced when each
-// message was an owned heap box. The sweeps here pin that down three ways:
+// The zero-copy delivery path (congest/frame_arena.hpp: a message stays in
+// its sender's slot and landing it sets a presence byte) must be an
+// invisible optimization: every engine produces the same verdicts,
+// metrics, traces, and snapshots it produced when each message was an
+// owned heap box. The sweeps here pin that down four ways:
 //   * direct FrameArena unit checks (addressing, reset semantics);
 //   * a 50-case differential fuzz sweep (both engines, faults on and off,
 //     checkpoint/kill/resume) — any payload aliasing or stale-slot bug in
-//     the swap delivery shows up as a cross-engine divergence;
+//     the delivery shows up as a cross-engine divergence;
+//   * a probe program whose every inbox must hold exactly the neighbour's
+//     previous-round message, run through the kernel at 1, 2 and 4
+//     workers and through the async engine under drops;
 //   * a snapshot round trip through the async engine's arena-fed inbox
 //     log, plus an accounting regression that drives more than 2^32 bits
 //     through a run (a 32-bit intermediate anywhere in the counters would
 //     wrap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "congest/async.hpp"
 #include "congest/frame_arena.hpp"
@@ -138,6 +144,127 @@ TEST(ArenaSnapshot, AsyncInboxLogSurvivesTheRoundTrip) {
   EXPECT_EQ(resumed.pulses, full.pulses);
   EXPECT_EQ(resumed.payload_bits, full.payload_bits);
   EXPECT_EQ(resumed.overhead_bits, full.overhead_bits);
+}
+
+// ------------------------------------------------- which slot is read ----
+/// Sends on every port in the rounds r < `rounds` where (r + id) mod 3 != 0
+/// and sleeps until its next such round otherwise; halts in round `rounds`.
+/// A message names (round, sender, receiver) in 40 bits, repeated up to
+/// `bits` bits. Whenever the node runs in round r it rejects unless each
+/// inbox holds exactly that neighbour's round r - 1 message, or nothing
+/// when the neighbour did not send in r - 1: a message from two rounds
+/// back must never reappear.
+class SlotProbeProgram final : public NodeProgram {
+ public:
+  SlotProbeProgram(std::uint64_t bits, std::uint64_t rounds)
+      : bits_(bits), rounds_(rounds) {}
+
+  static bool sends_in(std::uint64_t r, NodeId id) { return (r + id) % 3 != 0; }
+
+  void on_round(NodeApi& api) override {
+    const std::uint64_t r = api.round();
+    for (std::uint32_t p = 0; p < api.degree(); ++p) {
+      const BitVec* got = api.inbox(p);
+      const NodeId from = api.neighbor_id(p);
+      if (r == 0 || !sends_in(r - 1, from)) {
+        if (got != nullptr) api.reject();
+        continue;
+      }
+      write(expected_, r - 1, from, api.id());
+      if (got == nullptr || !(*got == expected_)) api.reject();
+    }
+    if (r >= rounds_) {
+      api.halt();
+      return;
+    }
+    if (sends_in(r, api.id())) {
+      for (std::uint32_t p = 0; p < api.degree(); ++p) {
+        BitVec message = api.scratch();
+        write(message, r, api.id(), api.neighbor_id(p));
+        api.send(p, std::move(message));
+      }
+    }
+    // Every node runs the halting round.
+    api.sleep_until(std::min(sends_in(r + 1, api.id()) ? r + 1 : r + 2,
+                             rounds_));
+  }
+
+ private:
+  void write(BitVec& out, std::uint64_t r, NodeId from, NodeId to) const {
+    const std::uint64_t word = (r & 0xff) |
+                               (static_cast<std::uint64_t>(from) << 8) |
+                               (static_cast<std::uint64_t>(to) << 24);
+    out.clear();
+    for (std::uint64_t left = bits_; left > 0;) {
+      const unsigned chunk = left < 40 ? static_cast<unsigned>(left) : 40u;
+      out.append_bits(word, chunk);
+      left -= chunk;
+    }
+  }
+
+  std::uint64_t bits_;
+  std::uint64_t rounds_;
+  BitVec expected_;
+};
+
+/// Runs SlotProbeProgram on `g` through every engine path that reads the
+/// arena slots; no node may reject.
+void probe_slots(const Graph& g) {
+  const std::uint64_t rounds = 13;
+  // 40 bits stay inline in their slot; 200 bits live in heap buffers that
+  // scratch() recycles.
+  for (const auto& [bits, bandwidth] :
+       {std::pair<std::uint64_t, std::uint64_t>{40, 40}, {200, 0}}) {
+    const ProgramFactory factory = [bits = bits, rounds](std::uint32_t) {
+      return std::make_unique<SlotProbeProgram>(bits, rounds);
+    };
+    for (const std::uint32_t workers : {1u, 2u, 4u}) {
+      for (const PartitionPolicy policy :
+           {PartitionPolicy::Range, PartitionPolicy::Hash}) {
+        NetworkConfig cfg;
+        cfg.bandwidth = bandwidth;
+        cfg.max_rounds = rounds + 2;
+        cfg.shard.workers = workers;
+        cfg.shard.policy = policy;
+        const Network net(g, cfg);
+        // A later run reads slots an earlier run left behind.
+        for (std::uint64_t seed = 5; seed <= 6; ++seed) {
+          const RunOutcome out = net.run(factory, seed);
+          SCOPED_TRACE(testing::Message()
+                       << bits << " bits, W = " << workers << ", "
+                       << to_string(policy) << ", seed " << seed);
+          EXPECT_TRUE(out.completed);
+          EXPECT_FALSE(out.detected);
+          EXPECT_GT(out.metrics.messages, 0u);
+        }
+      }
+    }
+    for (const TransportMode transport :
+         {TransportMode::Raw, TransportMode::Reliable}) {
+      AsyncConfig cfg;
+      cfg.bandwidth = bandwidth;
+      cfg.max_pulses = rounds + 2;
+      cfg.seed = 9;
+      cfg.max_delay = 4;
+      cfg.faults.drop = 0.2;
+      cfg.transport = transport;
+      const AsyncRunOutcome out = run_async(g, cfg, factory);
+      SCOPED_TRACE(testing::Message() << bits << " bits, transport "
+                                      << static_cast<int>(transport));
+      EXPECT_FALSE(out.detected);
+      EXPECT_GT(out.faults.frames_dropped, 0u);
+      if (transport == TransportMode::Reliable) {
+        EXPECT_TRUE(out.completed);
+      }
+    }
+  }
+}
+
+TEST(ArenaSlots, EachInboxReadsTheNeighboursPreviousRoundMessage) {
+  Rng rng(71);
+  probe_slots(build::gnp(20, 0.35, rng));
+  // On a tree's leaves a sleeper often has no mail to wake it.
+  probe_slots(build::random_tree(20, rng));
 }
 
 // ------------------------------------------------ overflow regression ----

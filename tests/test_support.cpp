@@ -69,6 +69,28 @@ TEST(Rng, BelowIsInRangeAndRoughlyUniform) {
   }
 }
 
+// The rejection loop below() ran for every bound before power-of-two
+// bounds took the mask.
+std::uint64_t below_by_rejection(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, BelowMatchesTheRejectionLoopDrawForDraw) {
+  std::vector<std::uint64_t> bounds = {3, 1000, (1ULL << 63) + 1};
+  for (int k = 0; k < 64; ++k) bounds.push_back(1ULL << k);
+  for (const std::uint64_t bound : bounds) {
+    Rng masked(41), looped(41);
+    for (int i = 0; i < 10000; ++i)
+      ASSERT_EQ(masked.below(bound), below_by_rejection(looped, bound))
+          << "bound " << bound << " draw " << i;
+    EXPECT_EQ(masked.state(), looped.state()) << "bound " << bound;
+  }
+}
+
 TEST(Rng, RangeInclusive) {
   Rng rng(3);
   bool lo_seen = false, hi_seen = false;
