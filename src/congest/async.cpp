@@ -15,11 +15,6 @@ namespace csd::congest {
 
 namespace {
 
-/// The reliable transport's wire parameters: TransportConfig's defaults.
-/// config_digest() still mixes all four, so a checkpoint's digest does not
-/// depend on their being fixed.
-constexpr TransportConfig kTransport{};
-
 /// The engine's counter rows (DESIGN.md §14): the run's own counts, then
 /// its FaultReport's.
 auto counts(const AsyncAccounting& outcome) {
@@ -44,8 +39,7 @@ class AsyncEngine {
         reliable_(config.transport == TransportMode::Reliable),
         factory_(&factory),
         delay_rng_(derive_seed(config.seed, 0xde1a)),
-        base_rto_(kTransport.rto != 0 ? kTransport.rto
-                                      : 2ULL * config.max_delay + 4),
+        base_rto_(2ULL * config.max_delay + 4),
         arena_(topology_.csr.num_directed_edges()),
         inbox_(topology_.csr.num_directed_edges()),
         node_(topology_, config.bandwidth, config.broadcast_only, records_,
@@ -80,7 +74,7 @@ class AsyncEngine {
       host.arrived.resize(degree);
       host.port_dead.assign(degree, 0);
       host.link_watermark.assign(degree, 0);
-      // Default endpoints carry kTransport; raw links have none.
+      // Raw links have no endpoints.
       host.senders.resize(reliable_ ? degree : 0);
       host.receivers.resize(reliable_ ? degree : 0);
     }
@@ -353,7 +347,7 @@ class AsyncEngine {
                 std::uint64_t now, std::uint32_t data_src,
                 std::uint32_t data_src_port) {
     ++outcome_.acks;
-    outcome_.transport_bits += kTransport.seq_bits + kTransport.crc_bits;
+    outcome_.transport_bits += kSeqWireBits + kCrcWireBits;
     // The ack travels on the reverse directed link (dst, dst_port) and is
     // subject to the same drop process; it carries no payload, so the
     // corruption draw never fires (CRC-protected header abstracted away).
@@ -450,8 +444,8 @@ class AsyncEngine {
           telemetry_->record(obs::EventKind::Retransmit, event.src, event.time,
                              event.link_seq);
         outcome_.transport_bits +=
-            packet.frame.overhead_bits() + kTransport.seq_bits +
-            packet.frame.payload_bits() + kTransport.crc_bits;
+            packet.frame.overhead_bits() + kSeqWireBits +
+            packet.frame.payload_bits() + kCrcWireBits;
         transmit(event.src, event.src_port, std::move(packet), event.time);
         arm_timer(event.src, event.src_port, event.link_seq, event.time);
         return;
@@ -532,9 +526,10 @@ class AsyncEngine {
     node_.clear_inbox();
     if (host.pulse > 0) {
       for (std::uint32_t p = 0; p < host.arrived.size(); ++p) {
-        if (host.arrived[p].empty()) continue;  // dead port
-        Frame frame = std::move(host.arrived[p].front());
-        host.arrived[p].pop_front();
+        std::vector<Frame>& queue = host.arrived[p];
+        if (queue.empty()) continue;  // dead port
+        Frame frame = std::move(queue.front());
+        queue.erase(queue.begin());
         CSD_CHECK_MSG(frame.pulse + 1 == host.pulse,
                       "synchronizer frame out of order");
         if (frame.payload.has_value()) {
@@ -605,7 +600,7 @@ class AsyncEngine {
       }
       if (reliable_) {
         DataPacket packet = host.senders[p].packet(std::move(frame));
-        outcome_.transport_bits += kTransport.seq_bits + kTransport.crc_bits;
+        outcome_.transport_bits += kSeqWireBits + kCrcWireBits;
         const std::uint64_t seq = packet.seq;
         transmit(v, p, std::move(packet), host.local_time);
         arm_timer(v, p, seq, host.local_time);
@@ -709,10 +704,12 @@ class AsyncEngine {
     h = digest_mix(h, config_.broadcast_only ? 1 : 0);
     h = digest_mix(h, config_.max_delay);
     h = digest_mix(h, static_cast<std::uint64_t>(config_.transport));
-    h = digest_mix(h, kTransport.rto);
-    h = digest_mix(h, kTransport.max_retries);
-    h = digest_mix(h, kTransport.seq_bits);
-    h = digest_mix(h, kTransport.crc_bits);
+    // The transport's wire parameters, led by a 0: the RTO derives from
+    // max_delay (mixed above), and the 0 keeps saved checkpoints' digests.
+    h = digest_mix(h, 0);
+    h = digest_mix(h, kMaxRetries);
+    h = digest_mix(h, kSeqWireBits);
+    h = digest_mix(h, kCrcWireBits);
     h = digest_mix(h, config_.recovery.enabled ? 1 : 0);
     h = digest_mix(h, config_.recovery.rejoin_delay);
     h = digest_mix(h, config_.recovery.max_recoveries);
@@ -854,9 +851,9 @@ class AsyncEngine {
                 "next_seq " << sender.next_seq);
       for (const LinkSender::Unacked& entry : pending)
         CSD_CHECK_MSG(entry.attempts >= 1 &&
-                          entry.attempts <= kTransport.max_retries + 1,
+                          entry.attempts <= kMaxRetries + 1,
                       at << ": key 'attempts' = " << entry.attempts
-                         << " is not in [1, " << kTransport.max_retries + 1
+                         << " is not in [1, " << kMaxRetries + 1
                          << "]");
       CSD_CHECK_MSG(
           std::adjacent_find(reorder.begin(), reorder.end(), unordered) ==

@@ -27,11 +27,13 @@ struct Plan {
   std::uint64_t max_stage2 = 0;
 };
 
-Vertex relay_of(Vertex src, Vertex dst, std::uint64_t seq,
-                std::uint64_t salt, Vertex n) {
+/// A message's relay is a pure function of (src, dst, seq) and this salt.
+constexpr std::uint64_t kRelaySalt = 0x5a17;
+
+Vertex relay_of(Vertex src, Vertex dst, std::uint64_t seq, Vertex n) {
   std::uint64_t key = (static_cast<std::uint64_t>(src) << 40) ^
                       (static_cast<std::uint64_t>(dst) << 16) ^ seq;
-  key = derive_seed(key, salt);
+  key = derive_seed(key, kRelaySalt);
   return static_cast<Vertex>(key % n);
 }
 
@@ -54,8 +56,7 @@ Plan build_plan(const CliqueRouteRequest& request) {
       continue;
     }
     const std::uint64_t seq = pair_seq[{message.src, message.dst}]++;
-    const Vertex relay =
-        relay_of(message.src, message.dst, seq, request.salt, n);
+    const Vertex relay = relay_of(message.src, message.dst, seq, n);
     if (relay == message.src) {
       plan.queues[message.src][message.dst].push_back(
           {message.dst, true, message.payload});

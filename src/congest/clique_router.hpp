@@ -37,8 +37,6 @@ struct CliqueRouteRequest {
   /// Per-link bandwidth; must fit one routed record
   /// (2 + ⌈log2 n⌉ + payload_bits). 0 = unbounded.
   std::uint64_t bandwidth = 64;
-  /// Relay-choice salt (deterministic given the salt).
-  std::uint64_t salt = 0x5a17;
 };
 
 struct CliqueRouteResult {

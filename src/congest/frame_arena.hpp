@@ -60,8 +60,9 @@ class Presence {
     if (!bytes_.empty()) std::memset(bytes_.data(), 0, bytes_.size());
   }
 
-  /// Mark the `count` slots of the row at `first` absent.
-  void clear_row(std::uint64_t first, std::uint32_t count) noexcept {
+  /// Mark the `count` slots from dense edge `first` on absent: a node's
+  /// row, or a worker's contiguous run of rows.
+  void clear_row(std::uint64_t first, std::uint64_t count) noexcept {
     if (count > 0) std::memset(row(first), 0, count);
   }
 

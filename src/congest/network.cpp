@@ -117,8 +117,7 @@ Network::Network(const Graph& topology, NetworkConfig config,
       topology_(detail::build_engine_topology(topology, std::move(ids),
                                               config_.namespace_size)),
       partition_(Partition::build(topology_.csr,
-                                  std::max(1u, config_.shard.workers),
-                                  config_.shard.policy)),
+                                  std::max(1u, config_.shard.workers))),
       workspaces_(std::make_unique<detail::WorkspacePool>()) {}
 
 // NetworkConfig::shard is deliberately NOT digested: the round kernel is

@@ -78,10 +78,10 @@ struct NetworkConfig {
   /// the run (FaultReport::watchdog_stalls = 1, stragglers recorded as
   /// stalled) instead of spinning to max_rounds. 0 = disabled.
   std::uint64_t stall_window = 0;
-  /// Worker count and partition of the round kernel (congest/shard.hpp):
-  /// workers 0 and 1 run inline on the calling thread, workers >= 2 spread
-  /// the nodes across that many worker threads. Every outcome field is
-  /// bit-identical at every worker count; sharding is an execution
+  /// Worker count of the round kernel (congest/shard.hpp): workers 0 and 1
+  /// run inline on the calling thread, workers >= 2 split the nodes into
+  /// that many contiguous ranges, one per worker thread. Every outcome
+  /// field is bit-identical at every worker count; sharding is an execution
   /// strategy, not part of the model, and is therefore excluded from
   /// config_digest() (an amplified checkpoint resumes at any worker count).
   ShardSpec shard;

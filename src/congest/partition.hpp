@@ -1,53 +1,33 @@
 // Deterministic node-to-worker partitioning for the synchronous round
 // kernel (congest/shard.cpp).
 //
-// A Partition is a pure function of (topology, workers, policy): no seeds,
-// no wall clock, no platform dependence. That purity is what lets the
-// round kernel promise bit-identical outcomes at every worker count — the
-// partition only decides *which thread* executes a node and *which channel*
-// carries a frame, never what the node computes or what the frame says.
-// At W = 1 every node is owned by the single inline worker.
+// A Partition is a pure function of (topology, workers): no seeds, no wall
+// clock, no platform dependence. That purity is what lets the round kernel
+// promise bit-identical outcomes at every worker count — the partition only
+// decides *which thread* executes a node and *which channel* carries a
+// frame, never what the node computes or what the frame says.
 //
-// Two policies, mirroring the standard Pregel choices:
-//   * Hash  — owner(v) = mix64(v) mod W. Stateless, balanced in
-//     expectation on any vertex distribution, oblivious to topology;
-//     adjacent vertices usually land on different workers (high cut).
-//   * Range — contiguous vertex ranges weighted by CSR degree, so every
-//     worker owns about the same number of directed edges (the unit of
-//     per-round work). Builders in this library lay out structured
-//     instances (paths, cycles, planted gadgets) with locality, so Range
-//     usually cuts far fewer edges than Hash.
+// Worker w owns the contiguous vertex range [first(w), first(w + 1)),
+// balanced by CSR degree so every worker owns about the same number of
+// directed edges (the unit of per-round work). The partition is its W + 1
+// boundaries: no per-vertex table. Because the ranges are contiguous and in
+// worker order, lists each worker fills in ascending vertex or dense-edge
+// order concatenate, in worker order, into the global order. At W = 1 the
+// single inline worker owns [0, n).
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+#include <ranges>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace csd::congest {
 
-enum class PartitionPolicy : std::uint8_t { Range = 0, Hash = 1 };
-
-std::string_view to_string(PartitionPolicy policy);
-/// Parse "range" / "hash" (exact, lowercase). Returns false on anything else.
-bool parse_partition_policy(std::string_view text, PartitionPolicy& out);
-
-/// One (src_worker, dst_worker) frame batch, exchanged at the superstep
-/// barrier: `edges[i]` is the dense directed-edge index of a send (CSR
-/// offsets[src] + port) whose receiver the destination worker owns. The
-/// payload stays in the sender's send-arena slot (congest/frame_arena.hpp),
-/// where the receiver reads it next round, so the destination lands each
-/// edge by setting one presence byte. The kernel fills channels in
-/// ascending edge order and drains them in (src_worker, edge) order — the
-/// merge-order rule that makes the exchange deterministic. `edges` keeps
-/// its capacity across rounds.
-struct ShardChannel {
-  std::vector<std::uint64_t> edges;
-
-  void push(std::uint64_t edge) { edges.push_back(edge); }
-  void reset() noexcept { edges.clear(); }
-};
+/// Only the range partition exists. The enum, ShardSpec::policy and
+/// Partition::build's third parameter remain because the benchmark sources
+/// (perfbench/) name them.
+enum class PartitionPolicy : std::uint8_t { Range = 0 };
 
 /// Execution knobs of the synchronous round kernel (congest/shard.hpp),
 /// carried by NetworkConfig. Sharding is an execution strategy, not part of
@@ -56,10 +36,11 @@ struct ShardChannel {
 /// every outcome field is bit-identical at any W.
 struct ShardSpec {
   /// Worker count W of the round kernel. 0 and 1 both run one worker
-  /// inline on the calling thread; W >= 2 partitions the nodes across W
-  /// workers (W - 1 extra threads) that exchange frames at a barrier.
+  /// inline on the calling thread; W >= 2 splits the nodes into W
+  /// contiguous ranges run by W workers (W - 1 extra threads) that exchange
+  /// frames at a barrier.
   std::uint32_t workers = 0;
-  PartitionPolicy policy = PartitionPolicy::Range;
+  PartitionPolicy policy = PartitionPolicy::Range;  // see PartitionPolicy
   /// Surface per-worker channel traffic as engine counters
   /// (shard_channel_frames_w*/shard_channel_bytes_w*) in
   /// RunMetrics::counters and hence the trace summary. Off by default:
@@ -68,22 +49,28 @@ struct ShardSpec {
   bool channel_counters = false;
 };
 
-/// Immutable node-to-worker assignment, built once per Network; O(n) memory.
+/// Immutable node-to-worker assignment, built once per Network; O(W) memory.
 class Partition {
  public:
-  /// `workers` >= 1. Vertices with no owner never exist: owner(v) < workers
-  /// for every v, and the owned lists partition [0, n).
+  /// `workers` >= 1. For 0 < w < W, first(w) is the least vertex v with
+  /// (offsets[v] + v) * W >= w * (2m + n): offsets[v] + v is the weight of
+  /// the vertices before v, each weighing degree + 1 (the +1 keeps isolated
+  /// vertices from piling onto one worker). A range may be empty. At W = 1
+  /// this makes no pass over the graph.
   static Partition build(const GraphCsr& csr, std::uint32_t workers,
-                         PartitionPolicy policy);
+                         PartitionPolicy = PartitionPolicy::Range);
 
-  std::uint32_t workers() const noexcept { return workers_; }
-  std::uint32_t owner(Vertex v) const noexcept { return owner_[v]; }
-  /// Vertices owned by `w`, ascending. The kernel iterates these in order —
-  /// together with the channel merge-order rule this reproduces the global
-  /// ascending-vertex order of a single worker exactly.
-  const std::vector<Vertex>& owned(std::uint32_t w) const noexcept {
-    return owned_[w];
+  std::uint32_t workers() const noexcept {
+    return static_cast<std::uint32_t>(first_.size() - 1);
   }
+  /// The first vertex of worker w's range; first(workers()) = n.
+  Vertex first(std::uint32_t w) const noexcept { return first_[w]; }
+  /// Vertices owned by `w`, ascending.
+  auto owned(std::uint32_t w) const noexcept {
+    return std::views::iota(first_[w], first_[w + 1]);
+  }
+  /// The worker whose range holds `v` (v < n).
+  std::uint32_t owner(Vertex v) const noexcept;
   /// Directed edges whose source is owned by `w` (the per-worker share of
   /// the dense edge index; these shares partition [0, num_directed_edges)).
   std::uint64_t owned_directed_edges(std::uint32_t w) const noexcept {
@@ -94,9 +81,7 @@ class Partition {
   std::uint64_t cut_directed_edges() const noexcept { return cut_edges_; }
 
  private:
-  std::uint32_t workers_ = 1;
-  std::vector<std::uint32_t> owner_;
-  std::vector<std::vector<Vertex>> owned_;
+  std::vector<Vertex> first_;  // W + 1 ascending boundaries, 0 .. n
   std::vector<std::uint64_t> owned_edges_;
   std::uint64_t cut_edges_ = 0;
 };

@@ -88,7 +88,10 @@ struct WorkerCtx {
   std::optional<std::string> phase;  // first NodeApi::phase this round
   Clock::time_point scan_start;      // timers: end of the compute loop
 
-  std::vector<ShardChannel> out;  // one per destination worker (W >= 2)
+  // Channels, one per destination worker (W >= 2): the dense edge index of
+  // each frame this worker's nodes send to that worker's nodes, filled in
+  // ascending edge order. They keep their capacity across rounds.
+  std::vector<std::vector<std::uint64_t>> out;
 
   // First exception this worker hit, with the vertex it was processing
   // (the coordinator rethrows the globally smallest vertex's exception:
@@ -183,31 +186,18 @@ class SuperstepPool {
   bool quit_ = false;
 };
 
-// K-way merge of per-worker, per-round event lists into the global order
-// (ascending key; ties impossible — keys are node or edge indices owned by
-// exactly one worker). W is small: repeated min-scan.
-template <typename T, typename Key, typename Consume>
-void merge_rounds(std::vector<WorkerCtx>& workers,
-                  std::vector<T> WorkerCtx::* member, Key key,
-                  Consume consume) {
-  const std::uint32_t w_count = static_cast<std::uint32_t>(workers.size());
-  std::vector<std::size_t> pos(w_count, 0);
-  while (true) {
-    std::uint32_t best = w_count;
-    std::uint64_t best_key = 0;
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      auto& list = workers[w].*member;
-      if (pos[w] >= list.size()) continue;
-      const std::uint64_t k = key(list[pos[w]]);
-      if (best == w_count || k < best_key) {
-        best = w;
-        best_key = k;
-      }
-    }
-    if (best == w_count) break;
-    consume(std::move((workers[best].*member)[pos[best]++]));
+// Per-worker, per-round event lists in the global order: each worker owns a
+// contiguous vertex range, the ranges ascend with the worker index, and a
+// worker fills its lists in ascending vertex or dense-edge order, so the
+// lists concatenated in worker order are sorted.
+template <typename T, typename Consume>
+void drain_in_worker_order(std::vector<WorkerCtx>& workers,
+                           std::vector<T> WorkerCtx::* member,
+                           Consume consume) {
+  for (WorkerCtx& ctx : workers) {
+    for (T& item : ctx.*member) consume(std::move(item));
+    (ctx.*member).clear();
   }
-  for (std::uint32_t w = 0; w < w_count; ++w) (workers[w].*member).clear();
 }
 
 class RoundKernel {
@@ -300,7 +290,7 @@ class RoundKernel {
   std::uint64_t round_bits_ = 0;
 
   // csd-metrics-v2, written only by the coordinator at the barrier (the
-  // ring records events in merge order). Write-only.
+  // ring records events in global order). Write-only.
   obs::Telemetry* const telemetry_;
   obs::RowPublisher sync_plane_;   // sync_counts()
   obs::RowPublisher shard_plane_;  // shard_counts(), W >= 2
@@ -343,7 +333,7 @@ RoundKernel::RoundKernel(const Network& net, RunWorkspace& workspace,
     ctx.live = static_cast<std::uint32_t>(part_.owned(w).size());
     if (!single_) ctx.out.resize(part_.workers());
     // A worker's view routes violations into its per-round buffer; the
-    // barrier merges the buffers into the FaultReport in node order.
+    // barrier drains the buffers into the FaultReport in node order.
     NodeState& view = views_.emplace_back(
         net.engine_topology(), config_.bandwidth, config_.broadcast_only,
         nodes_, *send_arena_, *received_arena_, inbox_, &ctx.violations);
@@ -434,24 +424,23 @@ void RoundKernel::phase_a(std::uint32_t w) {
     ctx.sleepers = ctx.sleepers || wake > round + 1;
   }
   if (timing_) ctx.scan_start = Clock::now();
-  // Fresh inboxes for round + 1 before any delivery lands in them. Only
-  // this worker writes its nodes' inbox rows (locally here, remotely in
-  // its own phase B), so the reset never races.
-  if (single_) {
-    inbox_.reset();
-  } else {
-    for (const Vertex v : part_.owned(w))
-      inbox_.clear_row(csr_.offsets[v], csr_.degree(v));
-  }
+  // Fresh inboxes for round + 1 before any delivery lands in them. The
+  // owned nodes' inbox rows are one contiguous slot range, and only this
+  // worker writes it (locally here, remotely in its own phase B), so the
+  // clear never races.
+  inbox_.clear_row(csr_.offsets[part_.first(w)],
+                   part_.owned_directed_edges(w));
   scan(ctx, w);
 }
 
-// The outbox scan: account, observe, apply the fault fate, then land
-// locally or list the edge for the destination worker's phase B. The
-// payload stays in the sender's slot, where its receiver reads it next
-// round; a corruption flips the bit there.
+// The outbox scan: account, observe, apply the fault fate, then land a
+// frame whose receiver is in this worker's range or list the edge for its
+// owner's phase B. The payload stays in the sender's slot, where its
+// receiver reads it next round; a corruption flips the bit there.
 void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
   const std::uint64_t round = round_;
+  const Vertex lo = part_.first(w);
+  const Vertex hi = part_.first(w + 1);
   obs::RunTrace& trace = outcome_.trace;
   std::vector<std::uint64_t>& bits_sent = outcome_.metrics.bits_sent_by_node;
   FrameArena& sent = *send_arena_;
@@ -496,13 +485,12 @@ void RoundKernel::scan(WorkerCtx& ctx, std::uint32_t w) {
         }
       }
       ctx.progressed = true;
-      const std::uint32_t dw = single_ ? w : part_.owner(dst);
-      if (dw == w) {
+      if (dst >= lo && dst < hi) {
         land(ctx, e);
       } else {
         ++ctx.channel_frames;
         ctx.channel_bits_total += bits;
-        ctx.out[dw].push(e);
+        ctx.out[part_.owner(dst)].push_back(e);
       }
     }
   }
@@ -516,14 +504,14 @@ void RoundKernel::land(WorkerCtx& ctx, std::uint64_t e) {
   if (ctx.sleepers) wake_[csr_.neighbors[e]] = round_ + 1;
 }
 
-// Phase B: drain every channel addressed to this worker in (src_worker,
-// edge) order — the deterministic merge order.
+// Phase B: drain every channel addressed to this worker, in source-worker
+// order, which is ascending edge order.
 void RoundKernel::phase_b(std::uint32_t w) {
   WorkerCtx& ctx = workers_[w];
   for (WorkerCtx& src : workers_) {
-    ShardChannel& channel = src.out[w];
-    for (const std::uint64_t e : channel.edges) land(ctx, e);
-    channel.reset();
+    std::vector<std::uint64_t>& edges = src.out[w];
+    for (const std::uint64_t e : edges) land(ctx, e);
+    edges.clear();
   }
 }
 
@@ -550,44 +538,34 @@ bool RoundKernel::barrier() {
   }
   metrics.total_bits += round_bits_;
 
-  // Order-sensitive lists in the global merge order. The flight recorder
-  // gets, per round: crashes by node, violations by node, fault fates by
-  // dense edge (listed only with telemetry attached). At W = 1 nothing is
-  // in `sent`: the scan recorded the trace and called the observer.
+  // Order-sensitive lists in the global order, worker by worker. The flight
+  // recorder gets, per round: crashes by node, violations by node, fault
+  // fates by dense edge (listed only with telemetry attached). At W = 1
+  // nothing is in `sent`: the scan recorded the trace and called the
+  // observer.
   const std::uint64_t round = round_;
-  merge_rounds(
-      workers_, &WorkerCtx::crashes,
-      [](const Vertex v) { return static_cast<std::uint64_t>(v); },
-      [&](Vertex v) {
-        outcome_.faults.crashed_nodes.push_back(v);
-        if (telemetry_ != nullptr)
-          telemetry_->record(obs::EventKind::NodeCrash, v, round);
-      });
-  merge_rounds(
-      workers_, &WorkerCtx::violations,
-      [](const ProtocolViolation& pv) {
-        return static_cast<std::uint64_t>(pv.node);
-      },
-      [&](ProtocolViolation&& pv) {
+  drain_in_worker_order(workers_, &WorkerCtx::crashes, [&](Vertex v) {
+    outcome_.faults.crashed_nodes.push_back(v);
+    if (telemetry_ != nullptr)
+      telemetry_->record(obs::EventKind::NodeCrash, v, round);
+  });
+  drain_in_worker_order(
+      workers_, &WorkerCtx::violations, [&](ProtocolViolation&& pv) {
         if (telemetry_ != nullptr)
           telemetry_->record(obs::EventKind::Violation, pv.node, round);
         outcome_.faults.violations.push_back(std::move(pv));
       });
-  merge_rounds(
+  drain_in_worker_order(
       workers_, &WorkerCtx::frame_events,
-      [](const FrameEvent& ev) { return ev.edge; },
       [&](FrameEvent&& ev) { telemetry_->record(ev.kind, ev.src, round); });
-  merge_rounds(
-      workers_, &WorkerCtx::sent,
-      [](const SentRecord& rec) { return rec.edge; },
-      [&](SentRecord&& rec) {
-        if (outcome_.trace)
-          outcome_.trace.record(round, rec.src, rec.dst, rec.bits);
-        if (observe_) observe_(round, rec.src, rec.dst, rec.payload);
-      });
-  // At W >= 2: programs derive the phase from the round number (the
-  // documented contract — every node agrees), so which worker's slot is
-  // forwarded never shows.
+  drain_in_worker_order(workers_, &WorkerCtx::sent, [&](SentRecord&& rec) {
+    if (outcome_.trace)
+      outcome_.trace.record(round, rec.src, rec.dst, rec.bits);
+    if (observe_) observe_(round, rec.src, rec.dst, rec.payload);
+  });
+  // At W >= 2: the lowest worker whose slot is set holds the first phase
+  // its nodes declared, which is the lowest declaring node's: the phase
+  // W = 1 records (first declaration wins).
   for (const WorkerCtx& ctx : workers_)
     if (ctx.phase.has_value()) {
       outcome_.trace.set_phase(round, *ctx.phase);

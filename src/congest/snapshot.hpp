@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -113,7 +112,11 @@ struct EventRecord {
 struct AsyncNodeState {
   std::uint64_t pulse = 0;       // next pulse to execute
   std::uint64_t local_time = 0;  // virtual time the node last acted
-  std::vector<std::deque<Frame>> arrived;  // per port, FIFO order
+  /// Per port, FIFO order. A node that runs its pulses finds at most two
+  /// frames on a port (a neighbour runs at most one pulse ahead, as its
+  /// next pulse needs this node's frame), so popping the front moves at
+  /// most one; frames pile up only at a node that no longer runs.
+  std::vector<std::vector<Frame>> arrived;
   std::vector<std::uint8_t> port_dead;  // per port: sender halted, no more
   std::uint8_t running = 1;     // 0 once halted, crashed, or cap-stopped
   std::uint8_t crashed = 0;     // fault-injected or program fault

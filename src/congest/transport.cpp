@@ -7,10 +7,9 @@
 
 namespace csd::congest {
 
-std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame,
-                              const TransportConfig& config) {
+std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame) {
   Crc32 crc;
-  crc.bits(seq, config.seq_bits);
+  crc.bits(seq, kSeqWireBits);
   crc.bits(frame.pulse, Frame::kPulseWireBits);
   crc.bit(frame.sender_halted);
   crc.bit(frame.payload.has_value());
@@ -33,10 +32,10 @@ auto find_seq(Entries& entries, std::uint64_t seq) {
 DataPacket LinkSender::packet(Frame frame) {
   DataPacket packet;
   packet.seq = next_seq++;
-  CSD_CHECK_MSG(config_.seq_bits >= 64 || (packet.seq >> config_.seq_bits) == 0,
+  CSD_CHECK_MSG((packet.seq >> kSeqWireBits) == 0,
                 "sequence number " << packet.seq << " overflows the "
-                << config_.seq_bits << "-bit on-wire field");
-  packet.crc = packet_checksum(packet.seq, frame, config_);
+                << kSeqWireBits << "-bit on-wire field");
+  packet.crc = packet_checksum(packet.seq, frame);
   packet.frame = std::move(frame);
   pending.push_back({packet, 1});
   return packet;
@@ -52,7 +51,7 @@ bool LinkSender::on_ack(std::uint64_t seq) {
 LinkSender::TimeoutAction LinkSender::on_timeout(std::uint64_t seq) {
   const auto it = find_seq(pending, seq);
   if (it == pending.end()) return TimeoutAction::Settled;
-  if (it->attempts > config_.max_retries) {
+  if (it->attempts > kMaxRetries) {
     pending.erase(it);
     return TimeoutAction::GiveUp;
   }
@@ -82,7 +81,7 @@ void LinkReceiver::on_data(DataPacket packet, Accept& out) {
   out.duplicate = false;
   out.checksum_reject = false;
   out.deliver.clear();
-  if (packet_checksum(packet.seq, packet.frame, config_) != packet.crc) {
+  if (packet_checksum(packet.seq, packet.frame) != packet.crc) {
     out.checksum_reject = true;
     return;
   }

@@ -40,22 +40,21 @@ enum class TransportMode : std::uint8_t {
   Reliable,
 };
 
-struct TransportConfig {
-  /// Initial retransmission timeout in virtual time units. 0 = derive from
-  /// the engine's max_delay (one full round trip plus slack).
-  std::uint64_t rto = 0;
-  /// Give up on a packet after this many retransmissions. With per-attempt
-  /// loss q the residual failure probability is q^(max_retries+1); the
-  /// default keeps it negligible even at 30% drop + lost acks.
-  std::uint32_t max_retries = 32;
-  /// On-wire width of the sequence-number field. This is the width the CRC
-  /// hashes and the accounting charges; LinkSender CHECKs that its 64-bit
-  /// counter never outgrows it (2^32 packets per directed link is far above
-  /// any pulse budget this repo runs).
-  unsigned seq_bits = 32;
-  /// On-wire width of the checksum field (accounting).
-  unsigned crc_bits = 32;
-};
+// The reliable transport's wire parameters, the same on every link and in
+// every run. (The retransmission timeout is the engine's: one round trip of
+// its max_delay plus slack.)
+
+/// Give up on a packet after this many retransmissions. With per-attempt
+/// loss q the residual failure probability is q^(kMaxRetries+1), negligible
+/// even at 30% drop + lost acks.
+inline constexpr std::uint32_t kMaxRetries = 32;
+/// On-wire width of the sequence-number field. This is the width the CRC
+/// hashes and the accounting charges; LinkSender CHECKs that its 64-bit
+/// counter never outgrows it (2^32 packets per directed link is far above
+/// any pulse budget this repo runs).
+inline constexpr unsigned kSeqWireBits = 32;
+/// On-wire width of the checksum field (accounting).
+inline constexpr unsigned kCrcWireBits = 32;
 
 /// One synchronizer frame on a directed link (also the raw-mode wire unit).
 /// Wire layout: [pulse][halted][has_payload][payload].
@@ -86,25 +85,20 @@ struct DataPacket {
 };
 
 /// CRC-32 over everything the packet puts on the wire: the sequence number
-/// (config.seq_bits wide — exactly the on-wire field), the full frame header
+/// (kSeqWireBits wide — exactly the on-wire field), the full frame header
 /// (pulse + flags), and the payload bits. Covering the header means a header
 /// bit-flip (FaultPlan::corrupt_headers) is caught and the packet discarded,
 /// instead of a corrupted pulse reaching the synchronizer and desyncing it.
-std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame,
-                              const TransportConfig& config);
+std::uint32_t packet_checksum(std::uint64_t seq, const Frame& frame);
 
 /// Sender endpoint of one directed link. Its public members are its whole
-/// state, the record a csd-ckpt-v1 snapshot saves; a default endpoint
-/// carries TransportConfig{}, the async engine's wire parameters.
+/// state, the record a csd-ckpt-v1 snapshot saves.
 class LinkSender {
  public:
   /// A packet sent and not yet acknowledged or abandoned.
   struct Unacked : DataPacket {
     std::uint32_t attempts = 1;  // transmissions so far
   };
-
-  LinkSender() = default;
-  explicit LinkSender(const TransportConfig& config) : config_(config) {}
 
   /// Wrap `frame` into the next-in-sequence packet; a copy is retained for
   /// retransmission until acknowledged.
@@ -136,9 +130,6 @@ class LinkSender {
   /// Strictly ascending by seq, all below next_seq: packet() appends. A
   /// link rarely has more than three in flight (DESIGN.md §2).
   std::vector<Unacked> pending;
-
- private:
-  TransportConfig config_;
 };
 
 /// Receiver endpoint of one directed link; its public members are its whole
@@ -150,12 +141,6 @@ class LinkReceiver {
     std::uint64_t seq = 0;
     Frame frame;
   };
-
-  LinkReceiver() = default;
-  /// The receiver must share the sender's TransportConfig: the CRC hashes
-  /// the config's on-wire seq width, so mismatched configs reject every
-  /// packet.
-  explicit LinkReceiver(const TransportConfig& config) : config_(config) {}
 
   /// Outcome of a data packet arriving on the wire.
   struct Accept {
@@ -181,9 +166,6 @@ class LinkReceiver {
   /// Strictly ascending by seq, all above `expected`: a frame at `expected`
   /// would never be released, as its packet would count as a duplicate.
   std::vector<Buffered> reorder;
-
- private:
-  TransportConfig config_;
 };
 
 }  // namespace csd::congest

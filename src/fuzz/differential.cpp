@@ -19,9 +19,9 @@ namespace csd::fuzz {
 namespace {
 
 // Independent restatement of the wire formats. Deliberately NOT written in
-// terms of Frame::kOverheadBits / TransportConfig: if an engine-side
-// accounting constant regresses, the fuzzer diverges against these numbers
-// instead of agreeing with the regressed engine.
+// terms of Frame::kOverheadBits / kSeqWireBits / kCrcWireBits: if an
+// engine-side accounting constant regresses, the fuzzer diverges against
+// these numbers instead of agreeing with the regressed engine.
 constexpr std::uint64_t kFrameOverheadBits = 64 + 2;  // pulse + 2 flags
 constexpr std::uint64_t kSeqWireBits = 32;
 constexpr std::uint64_t kCrcWireBits = 32;
@@ -418,24 +418,15 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   {
     const std::uint64_t rep_seed = congest::repetition_seed(c.seed, 0);
     const congest::RunOutcome& reference = sync_reps[0];
-    struct ShardCell {
-      std::uint32_t workers;
-      congest::PartitionPolicy policy;
-    };
-    for (const ShardCell cell :
-         {ShardCell{1, congest::PartitionPolicy::Range},
-          ShardCell{2, congest::PartitionPolicy::Hash},
-          ShardCell{5, congest::PartitionPolicy::Range}}) {
+    for (const std::uint32_t workers : {1u, 2u, 5u}) {
       congest::NetworkConfig cfg = sync_cfg;
-      cfg.shard.workers = cell.workers;
-      cfg.shard.policy = cell.policy;
+      cfg.shard.workers = workers;
       const congest::Network sharded_net(host, cfg);
       const congest::RunOutcome sharded = sharded_net.run(factory, rep_seed);
       if (!(digest(sharded) == digest(reference)) ||
           sharded.trace.instance() != reference.trace.instance()) {
         std::ostringstream os;
-        os << "kernel at W=" << cell.workers << " ("
-           << to_string(cell.policy) << ") differs from the inline run "
+        os << "kernel at W=" << workers << " differs from the inline run "
            << "(detected " << sharded.detected << "/" << reference.detected
            << ", bits " << sharded.metrics.total_bits << "/"
            << reference.metrics.total_bits << ")";
@@ -589,7 +580,6 @@ std::optional<Divergence> check_case(const FuzzCase& c,
   {
     congest::NetworkConfig faulty_shard_cfg = faulty_sync;
     faulty_shard_cfg.shard.workers = 3;
-    faulty_shard_cfg.shard.policy = congest::PartitionPolicy::Hash;
     const congest::Network faulty_sharded_net(host, faulty_shard_cfg);
     const congest::RunOutcome s3 = faulty_sharded_net.run(factory);
     if (!(digest(s3) == digest(s1)) ||

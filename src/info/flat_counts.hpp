@@ -21,20 +21,9 @@
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace csd::info {
-
-namespace detail {
-
-/// splitmix64 finalizer: the avalanche step without the sequence state.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace detail
 
 /// key -> summed weight. Occupied iff count != 0.
 class FlatCounts {
@@ -71,7 +60,8 @@ class FlatCounts {
 
   std::uint64_t count(std::uint64_t key) const noexcept {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::mix64(key) & mask;; i = (i + 1) & mask) {
+    std::uint64_t state = key;
+    for (std::size_t i = splitmix64(state) & mask;; i = (i + 1) & mask) {
       const Item& slot = slots_[i];
       if (slot.count == 0) return 0;
       if (slot.key == key) return slot.count;
@@ -97,7 +87,8 @@ class FlatCounts {
 
   Item& probe(std::uint64_t key) noexcept {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::mix64(key) & mask;; i = (i + 1) & mask) {
+    std::uint64_t state = key;
+    for (std::size_t i = splitmix64(state) & mask;; i = (i + 1) & mask) {
       Item& slot = slots_[i];
       if (slot.count == 0 || slot.key == key) return slot;
     }
@@ -181,7 +172,8 @@ class FlatPairCounts {
   static constexpr std::size_t kMinCapacity = 16;
 
   static std::uint64_t hash(std::uint64_t x, std::uint64_t y) noexcept {
-    return detail::mix64(detail::mix64(x) + y);
+    std::uint64_t state = splitmix64(x) + y;  // x is a copy
+    return splitmix64(state);
   }
 
   Item& probe(std::uint64_t x, std::uint64_t y) noexcept {
@@ -235,7 +227,8 @@ class FlatIndex {
 
   std::uint32_t find(std::uint64_t key) const noexcept {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::mix64(key) & mask;; i = (i + 1) & mask) {
+    std::uint64_t state = key;
+    for (std::size_t i = splitmix64(state) & mask;; i = (i + 1) & mask) {
       const Slot& slot = slots_[i];
       if (slot.pos_plus_one == 0) return npos;
       if (slot.key == key) return slot.pos_plus_one - 1;
@@ -254,7 +247,8 @@ class FlatIndex {
 
   static Slot& probe(std::vector<Slot>& slots, std::uint64_t key) noexcept {
     const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = detail::mix64(key) & mask;; i = (i + 1) & mask) {
+    std::uint64_t state = key;
+    for (std::size_t i = splitmix64(state) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots[i];
       if (slot.pos_plus_one == 0 || slot.key == key) return slot;
     }

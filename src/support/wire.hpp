@@ -60,7 +60,6 @@ class Writer {
   /// Raw bit run copied verbatim.
   void raw(const BitVec& v) { bits_.append(v); }
 
-  std::size_t bit_size() const noexcept { return bits_.size(); }
   const BitVec& bits() const noexcept { return bits_; }
   BitVec take() && { return std::move(bits_); }
 

@@ -219,24 +219,19 @@ void probe_slots(const Graph& g) {
       return std::make_unique<SlotProbeProgram>(bits, rounds);
     };
     for (const std::uint32_t workers : {1u, 2u, 4u}) {
-      for (const PartitionPolicy policy :
-           {PartitionPolicy::Range, PartitionPolicy::Hash}) {
-        NetworkConfig cfg;
-        cfg.bandwidth = bandwidth;
-        cfg.max_rounds = rounds + 2;
-        cfg.shard.workers = workers;
-        cfg.shard.policy = policy;
-        const Network net(g, cfg);
-        // A later run reads slots an earlier run left behind.
-        for (std::uint64_t seed = 5; seed <= 6; ++seed) {
-          const RunOutcome out = net.run(factory, seed);
-          SCOPED_TRACE(testing::Message()
-                       << bits << " bits, W = " << workers << ", "
-                       << to_string(policy) << ", seed " << seed);
-          EXPECT_TRUE(out.completed);
-          EXPECT_FALSE(out.detected);
-          EXPECT_GT(out.metrics.messages, 0u);
-        }
+      NetworkConfig cfg;
+      cfg.bandwidth = bandwidth;
+      cfg.max_rounds = rounds + 2;
+      cfg.shard.workers = workers;
+      const Network net(g, cfg);
+      // A later run reads slots an earlier run left behind.
+      for (std::uint64_t seed = 5; seed <= 6; ++seed) {
+        const RunOutcome out = net.run(factory, seed);
+        SCOPED_TRACE(testing::Message() << bits << " bits, W = " << workers
+                                        << ", seed " << seed);
+        EXPECT_TRUE(out.completed);
+        EXPECT_FALSE(out.detected);
+        EXPECT_GT(out.metrics.messages, 0u);
       }
     }
     for (const TransportMode transport :

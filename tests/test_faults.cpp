@@ -4,6 +4,7 @@
 // backoff, bounded retries) — all without spinning up an engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,24 +43,23 @@ TEST(Crc32, DetectsEverySingleBitFlip) {
 }
 
 TEST(Crc32, PacketChecksumCoversSeqPulseAndFlags) {
-  const TransportConfig cfg;
   Frame frame;
   frame.payload.emplace();
   frame.payload->append_bits(0b1011, 4);
-  const std::uint32_t base = packet_checksum(7, frame, cfg);
-  EXPECT_NE(packet_checksum(8, frame, cfg), base);  // seq covered
+  const std::uint32_t base = packet_checksum(7, frame);
+  EXPECT_NE(packet_checksum(8, frame), base);  // seq covered
   Frame halted = frame;
   halted.sender_halted = true;
-  EXPECT_NE(packet_checksum(7, halted, cfg), base);  // flag covered
+  EXPECT_NE(packet_checksum(7, halted), base);  // flag covered
   Frame empty;
-  EXPECT_NE(packet_checksum(7, empty, cfg), base);  // has_payload covered
+  EXPECT_NE(packet_checksum(7, empty), base);  // has_payload covered
   // Regression: the pulse field rides on every frame and the synchronizer
   // hard-depends on it, so the CRC must cover it — a single flipped pulse
   // bit must change the checksum (historically it did not).
   for (unsigned bit = 0; bit < Frame::kPulseWireBits; ++bit) {
     Frame pulse_flip = frame;
     pulse_flip.pulse ^= 1ULL << bit;
-    EXPECT_NE(packet_checksum(7, pulse_flip, cfg), base)
+    EXPECT_NE(packet_checksum(7, pulse_flip), base)
         << "pulse bit " << bit << " not covered by the CRC";
   }
 }
@@ -243,7 +243,7 @@ Frame test_frame(std::uint64_t pulse, std::uint64_t bits = 8) {
 }
 
 TEST(LinkSender, ConsecutiveSeqAndAckSettles) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   const DataPacket p0 = sender.packet(test_frame(0));
   const DataPacket p1 = sender.packet(test_frame(1));
   EXPECT_EQ(p0.seq, 0u);
@@ -256,29 +256,31 @@ TEST(LinkSender, ConsecutiveSeqAndAckSettles) {
 }
 
 TEST(LinkSender, RetransmitPreservesPacketBits) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   const DataPacket original = sender.packet(test_frame(4, 32));
   EXPECT_EQ(sender.on_timeout(original.seq),
             LinkSender::TimeoutAction::Retransmit);
   const DataPacket again = sender.retransmit_packet(original.seq);
   EXPECT_EQ(again.seq, original.seq);
   EXPECT_EQ(again.crc, original.crc);
-  EXPECT_EQ(packet_checksum(again.seq, again.frame, TransportConfig{}),
-            again.crc);
+  EXPECT_EQ(packet_checksum(again.seq, again.frame), again.crc);
 }
 
 TEST(LinkSender, ExponentialBackoffThenGiveUp) {
-  TransportConfig cfg;
-  cfg.max_retries = 3;
-  LinkSender sender{cfg};
+  LinkSender sender;
   const DataPacket p = sender.packet(test_frame(0));
   EXPECT_EQ(sender.timeout_for(p.seq, 10), 10u);  // first transmission
-  EXPECT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::Retransmit);
-  EXPECT_EQ(sender.timeout_for(p.seq, 10), 20u);
-  EXPECT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::Retransmit);
-  EXPECT_EQ(sender.timeout_for(p.seq, 10), 40u);
-  EXPECT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::Retransmit);
-  EXPECT_EQ(sender.timeout_for(p.seq, 10), 80u);
+  // The timeout doubles with every retransmission, up to 2^16 times the
+  // base, and the timeout after the kMaxRetries-th retransmission (the
+  // 33rd) gives up.
+  for (std::uint32_t sent = 1; sent <= kMaxRetries; ++sent) {
+    ASSERT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::Retransmit)
+        << "timeout " << sent;
+    EXPECT_EQ(sender.timeout_for(p.seq, 10),
+              std::uint64_t{10} << std::min(sent, 16u))
+        << "after retransmission " << sent;
+  }
+  EXPECT_EQ(sender.timeout_for(p.seq, 10), 10u << 16);
   EXPECT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::GiveUp);
   EXPECT_EQ(sender.in_flight(), 0u);
   EXPECT_EQ(sender.on_timeout(p.seq), LinkSender::TimeoutAction::Settled);
@@ -293,7 +295,7 @@ LinkReceiver::Accept receive(LinkReceiver& receiver, DataPacket packet) {
 }
 
 TEST(LinkReceiver, InOrderDeliveryAndAcks) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   LinkReceiver receiver;
   LinkReceiver::Accept accept;  // reused, as the engine does
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -308,7 +310,7 @@ TEST(LinkReceiver, InOrderDeliveryAndAcks) {
 }
 
 TEST(LinkReceiver, ReorderBufferReleasesInSequence) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   LinkReceiver receiver;
   const DataPacket p0 = sender.packet(test_frame(0));
   const DataPacket p1 = sender.packet(test_frame(1));
@@ -325,7 +327,7 @@ TEST(LinkReceiver, ReorderBufferReleasesInSequence) {
 }
 
 TEST(LinkReceiver, DuplicatesReAckedButNotRedelivered) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   LinkReceiver receiver;
   const DataPacket p = sender.packet(test_frame(0));
   ASSERT_EQ(receive(receiver, p).deliver.size(), 1u);
@@ -336,7 +338,7 @@ TEST(LinkReceiver, DuplicatesReAckedButNotRedelivered) {
 }
 
 TEST(LinkReceiver, CorruptedPacketRejectedWithoutAck) {
-  LinkSender sender{TransportConfig{}};
+  LinkSender sender;
   LinkReceiver receiver;
   DataPacket p = sender.packet(test_frame(0, 16));
   p.frame.payload->flip(5);
@@ -352,8 +354,8 @@ TEST(LinkReceiver, CorruptedPulseRejectedByChecksum) {
   // the checksum and reach the synchronizer with a bogus pulse number. The
   // receiver must treat it exactly like a corrupted payload — discard, no
   // ack — so the sender's retransmission heals it.
-  LinkSender sender{TransportConfig{}};
-  LinkReceiver receiver{TransportConfig{}};
+  LinkSender sender;
+  LinkReceiver receiver;
   DataPacket p = sender.packet(test_frame(3, 8));
   p.frame.pulse ^= 1ULL << 40;
   const auto accept = receive(receiver, p);
@@ -369,15 +371,14 @@ TEST(LinkReceiver, CorruptedPulseRejectedByChecksum) {
 }
 
 TEST(LinkSender, SeqOverflowOfOnWireFieldIsRejected) {
-  // TransportConfig::seq_bits is the width the wire carries and the CRC
-  // hashes; the sender's 64-bit counter must never silently outgrow it.
-  TransportConfig cfg;
-  cfg.seq_bits = 2;
-  LinkSender sender{cfg};
-  for (int i = 0; i < 4; ++i) {
-    const DataPacket p = sender.packet(test_frame(0));
-    sender.on_ack(p.seq);
-  }
+  // kSeqWireBits is the width the wire carries and the CRC hashes; the
+  // sender's 64-bit counter must never silently outgrow it.
+  constexpr std::uint64_t kLastSeq = (std::uint64_t{1} << kSeqWireBits) - 1;
+  LinkSender sender;
+  sender.next_seq = kLastSeq;
+  const DataPacket last = sender.packet(test_frame(0));
+  EXPECT_EQ(last.seq, kLastSeq);
+  sender.on_ack(last.seq);
   EXPECT_THROW(sender.packet(test_frame(0)), CheckFailure);
 }
 

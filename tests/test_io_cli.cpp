@@ -1101,6 +1101,20 @@ TEST(Cli, DetectRejectsAMisspeltFlag) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ShardPolicyFlagIsGone) {
+  // Workers own contiguous vertex ranges; there is no policy to pick.
+  const std::string path = write_k6("csd_cli_shard_policy.txt");
+  std::string text;
+  EXPECT_EQ(run_cli({"detect", "triangle", path, "--workers", "2",
+                     "--shard-policy", "hash"},
+                    &text),
+            2);
+  EXPECT_NE(text.find("does not read --shard-policy"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("verdict"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, SyncEngineRejectsTransportAndRecoveryFlags) {
   const std::string path = write_k6("csd_cli_sync_transport.txt");
   std::string text;

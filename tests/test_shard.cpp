@@ -1,15 +1,16 @@
 // Tests for the synchronous round kernel's worker dimension
-// (congest/shard.hpp) and its Partitioner: partition invariants and balance
-// bounds, and the hard bit-identity contract — every outcome field the
-// inline run (workers 0) promises to be deterministic must be byte-for-byte
-// identical at every worker count, either partition policy, and any --jobs
-// fan-out.
+// (congest/shard.hpp) and its range partition: the boundaries against a
+// greedy reference assignment, partition invariants and balance bounds,
+// and the hard bit-identity contract — every outcome field the inline run
+// (workers 0) promises to be deterministic must be byte-for-byte identical
+// at every worker count, empty ranges included, and any --jobs fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -124,32 +125,29 @@ TEST(Partition, OwnedListsPartitionVerticesAndEdges) {
   for (const Graph& g : families) {
     const GraphCsr& csr = g.csr();
     for (const std::uint32_t w_count : {1u, 2u, 3u, 8u, 64u, 100u}) {
-      for (const auto policy :
-           {PartitionPolicy::Range, PartitionPolicy::Hash}) {
-        const Partition part = Partition::build(csr, w_count, policy);
-        std::vector<std::uint8_t> seen(g.num_vertices(), 0);
-        std::uint64_t edges = 0;
-        for (std::uint32_t w = 0; w < w_count; ++w) {
-          Vertex prev = 0;
-          bool first = true;
-          for (const Vertex v : part.owned(w)) {
-            ASSERT_LT(v, g.num_vertices());
-            EXPECT_EQ(part.owner(v), w);
-            EXPECT_TRUE(first || v > prev) << "owned list not ascending";
-            ASSERT_EQ(seen[v], 0) << "vertex owned twice";
-            seen[v] = 1;
-            prev = v;
-            first = false;
-          }
-          edges += part.owned_directed_edges(w);
+      const Partition part = Partition::build(csr, w_count);
+      std::vector<std::uint8_t> seen(g.num_vertices(), 0);
+      std::uint64_t edges = 0;
+      for (std::uint32_t w = 0; w < w_count; ++w) {
+        Vertex prev = 0;
+        bool first = true;
+        for (const Vertex v : part.owned(w)) {
+          ASSERT_LT(v, g.num_vertices());
+          EXPECT_EQ(part.owner(v), w);
+          EXPECT_TRUE(first || v > prev) << "owned list not ascending";
+          ASSERT_EQ(seen[v], 0) << "vertex owned twice";
+          seen[v] = 1;
+          prev = v;
+          first = false;
         }
-        for (Vertex v = 0; v < g.num_vertices(); ++v)
-          EXPECT_EQ(seen[v], 1) << "vertex " << v << " unowned";
-        // Edge ownership (by source vertex) partitions the dense index.
-        EXPECT_EQ(edges, csr.num_directed_edges());
-        // Directed cuts come in reverse pairs.
-        EXPECT_EQ(part.cut_directed_edges() % 2, 0u);
+        edges += part.owned_directed_edges(w);
       }
+      for (Vertex v = 0; v < g.num_vertices(); ++v)
+        EXPECT_EQ(seen[v], 1) << "vertex " << v << " unowned";
+      // Edge ownership (by source vertex) partitions the dense index.
+      EXPECT_EQ(edges, csr.num_directed_edges());
+      // Directed cuts come in reverse pairs.
+      EXPECT_EQ(part.cut_directed_edges() % 2, 0u);
     }
   }
 }
@@ -164,8 +162,7 @@ TEST(Partition, RangePolicyIsContiguousAndEdgeBalanced) {
     for (Vertex v = 0; v < g.num_vertices(); ++v)
       max_weight = std::max<std::uint64_t>(max_weight, g.degree(v) + 1);
     for (const std::uint32_t w_count : {2u, 4u, 8u}) {
-      const Partition part =
-          Partition::build(csr, w_count, PartitionPolicy::Range);
+      const Partition part = Partition::build(csr, w_count);
       // Contiguity: owners are non-decreasing in vertex order.
       for (Vertex v = 1; v < g.num_vertices(); ++v)
         EXPECT_GE(part.owner(v), part.owner(v - 1));
@@ -182,16 +179,64 @@ TEST(Partition, RangePolicyIsContiguousAndEdgeBalanced) {
   }
 }
 
-TEST(Partition, HashPolicyBalancesVertices) {
-  Rng rng(13);
-  const Graph g = build::gnp(512, 0.03, rng);
-  const Partition part =
-      Partition::build(g.csr(), 8, PartitionPolicy::Hash);
-  for (std::uint32_t w = 0; w < 8; ++w) {
-    // Fixed mixer, so this is a deterministic property, not a flaky one:
-    // each worker holds 64 +- 32 of the 512 vertices.
-    EXPECT_GE(part.owned(w).size(), 32u);
-    EXPECT_LE(part.owned(w).size(), 96u);
+/// Reference owner table, one greedy pass: each vertex weighs degree + 1,
+/// and worker w takes vertices until the weight before the next one
+/// reaches its share of the total.
+std::vector<std::uint32_t> greedy_owners(const GraphCsr& csr,
+                                         std::uint32_t workers) {
+  const Vertex n = csr.num_vertices();
+  const std::uint64_t total = csr.num_directed_edges() + n;
+  std::vector<std::uint32_t> owner(n);
+  std::uint64_t acc = 0;
+  std::uint32_t w = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    while (w + 1 < workers &&
+           acc * workers >= static_cast<std::uint64_t>(w + 1) * total)
+      ++w;
+    owner[v] = w;
+    acc += csr.degree(v) + 1;
+  }
+  return owner;
+}
+
+TEST(Partition, BoundariesMatchTheGreedyAssignment) {
+  Rng rng(41);
+  std::vector<Graph> families = {
+      Graph(0),          Graph(1),          build::path(2),
+      build::path(97),   build::cycle(50),  build::complete(24),
+      build::star(40),   build::grid(9, 7), build::gnp(120, 0.05, rng),
+      build::gnp(64, 0.3, rng)};
+  Graph isolated_tail = build::star(12);  // a hub, then isolated vertices
+  isolated_tail.add_vertices(30);
+  families.push_back(std::move(isolated_tail));
+  for (const Graph& g : families) {
+    const GraphCsr& csr = g.csr();
+    const Vertex n = g.num_vertices();
+    for (const std::uint32_t w_count :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 64u, 100u}) {
+      SCOPED_TRACE(testing::Message() << "n = " << n << ", W = " << w_count);
+      const Partition part = Partition::build(csr, w_count);
+      const std::vector<std::uint32_t> owner = greedy_owners(csr, w_count);
+      ASSERT_EQ(part.workers(), w_count);
+      EXPECT_EQ(part.first(0), 0u);
+      EXPECT_EQ(part.first(w_count), n);
+      std::vector<std::uint64_t> edges(w_count, 0);
+      std::uint64_t cut = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        EXPECT_EQ(part.owner(v), owner[v]) << "vertex " << v;
+        edges[owner[v]] += csr.degree(v);
+        for (const Vertex u : csr.row(v)) cut += owner[u] != owner[v];
+      }
+      for (std::uint32_t w = 0; w < w_count; ++w) {
+        const auto range = part.owned(w);
+        EXPECT_EQ(range.size(), static_cast<std::size_t>(std::count(
+                                    owner.begin(), owner.end(), w)))
+            << "worker " << w;
+        for (const Vertex v : range) EXPECT_EQ(owner[v], w) << "vertex " << v;
+        EXPECT_EQ(part.owned_directed_edges(w), edges[w]) << "worker " << w;
+      }
+      EXPECT_EQ(part.cut_directed_edges(), cut);
+    }
   }
 }
 
@@ -224,7 +269,7 @@ TEST(Shard, W1BitIdenticalToClassicOnFuzzSmokeCorpus) {
   }
 }
 
-TEST(Shard, MatrixBitIdenticalAcrossWorkersAndPolicies) {
+TEST(Shard, MatrixBitIdenticalAcrossWorkers) {
   Rng rng(17);
   Graph g = build::random_tree(96, rng);
   build::plant_subgraph(g, build::cycle(4), rng);
@@ -237,18 +282,49 @@ TEST(Shard, MatrixBitIdenticalAcrossWorkersAndPolicies) {
   const Network classic(g, cfg);
   const RunOutcome reference = classic.run(chatter(12));
   EXPECT_GT(reference.metrics.messages, 0u);
-  for (const std::uint32_t w_count : {1u, 2u, 8u}) {
-    for (const auto policy : {PartitionPolicy::Range, PartitionPolicy::Hash}) {
-      NetworkConfig shard_cfg = cfg;
-      shard_cfg.shard.workers = w_count;
-      shard_cfg.shard.policy = policy;
-      const Network net(g, shard_cfg);
-      expect_outcomes_identical(
-          reference, net.run(chatter(12)),
-          "W=" + std::to_string(w_count) + " policy " +
-              std::string(to_string(policy)));
-    }
+  for (const std::uint32_t w_count : {1u, 2u, 3u, 8u}) {
+    NetworkConfig shard_cfg = cfg;
+    shard_cfg.shard.workers = w_count;
+    const Network net(g, shard_cfg);
+    expect_outcomes_identical(reference, net.run(chatter(12)),
+                              "W=" + std::to_string(w_count));
   }
+}
+
+TEST(Shard, MoreWorkersThanNodesLeavesRangesEmpty) {
+  // W = 16 on K_12: four workers own no node, so empty ranges go through
+  // phase A (nothing to run, clear or scan), phase B (no channel to drain)
+  // and the barrier; every other worker owns one node and ships every
+  // frame it sends.
+  const Graph g = build::complete(12);
+  const Partition part = Partition::build(g.csr(), 16);
+  std::uint32_t empty = 0;
+  for (std::uint32_t w = 0; w < 16; ++w) empty += part.owned(w).empty();
+  ASSERT_EQ(empty, 4u);
+  EXPECT_EQ(part.cut_directed_edges(), g.csr().num_directed_edges());
+
+  NetworkConfig cfg;
+  cfg.bandwidth = 16;
+  cfg.max_rounds = 24;
+  cfg.seed = 13;
+  cfg.trace.enabled = true;
+  cfg.trace.per_edge = true;
+  cfg.faults.drop = 0.1;
+  cfg.faults.crashes.push_back({4, 3});
+  std::vector<Event> inline_events;
+  const RunOutcome reference =
+      Network(g, cfg).run(chatter(8), cfg.seed, record_into(inline_events));
+  ASSERT_GT(reference.metrics.messages, 0u);
+  ASSERT_FALSE(reference.faults.crashed_nodes.empty());
+  NetworkConfig shard_cfg = cfg;
+  shard_cfg.shard.workers = 16;
+  std::vector<Event> sharded_events;
+  expect_outcomes_identical(
+      reference,
+      Network(g, shard_cfg).run(chatter(8), cfg.seed,
+                                record_into(sharded_events)),
+      "W=16 on K_12");
+  EXPECT_EQ(inline_events, sharded_events);
 }
 
 TEST(Shard, AmplifiedRunsIdenticalAtEveryWorkersAndJobs) {
@@ -295,7 +371,6 @@ TEST(Shard, FaultyRunBitIdenticalIncludingReportOrder) {
   for (const std::uint32_t w_count : {2u, 8u}) {
     NetworkConfig shard_cfg = cfg;
     shard_cfg.shard.workers = w_count;
-    shard_cfg.shard.policy = PartitionPolicy::Hash;
     const Network net(g, shard_cfg);
     expect_outcomes_identical(reference, net.run(chatter(16)),
                               "faulty W=" + std::to_string(w_count));
@@ -313,7 +388,6 @@ TEST(Shard, ViolationListOrderMatchesClassic) {
   ASSERT_GE(reference.faults.violations.size(), 12u);
   NetworkConfig shard_cfg = cfg;
   shard_cfg.shard.workers = 5;
-  shard_cfg.shard.policy = PartitionPolicy::Hash;
   const Network net(g, shard_cfg);
   const RunOutcome sharded = net.run(naughty);
   ASSERT_EQ(sharded.faults.violations.size(),
@@ -430,6 +504,41 @@ TEST(Shard, ObserverSeesPayloadsBeforeCorruptionAtEveryWorkerCount) {
                             "unobserved, W = 3");
 }
 
+TEST(Shard, TraceKeepsTheLowestDeclaringNodesPhaseAtEveryWorkerCount) {
+  // Nodes disagree on the phase: in each round a shifting subset declares
+  // one of five names. The trace keeps the lowest declaring node's, at
+  // W = 1 because the first declaration wins and at W >= 2 because the
+  // barrier forwards the lowest worker's first declaration.
+  class Declarer final : public NodeProgram {
+   public:
+    void on_round(NodeApi& api) override {
+      constexpr std::string_view kNames[] = {"p0", "p1", "p2", "p3", "p4"};
+      if ((api.id() + api.round()) % 4 == 0)
+        api.phase(kNames[(api.id() + api.round()) % 5]);
+      for (std::uint32_t p = 0; p < api.degree(); ++p)
+        if (api.rng().below(3) == 0) api.send(p, stamp(api.round(), api.id()));
+      if (api.round() == 9) api.halt();
+    }
+  };
+  const auto factory = [](std::uint32_t) {
+    return std::make_unique<Declarer>();
+  };
+  Rng rng(37);
+  const Graph g = build::gnp(40, 0.15, rng);
+  NetworkConfig cfg;
+  cfg.bandwidth = 16;
+  cfg.max_rounds = 16;
+  cfg.trace.enabled = true;
+  const RunOutcome reference = Network(g, cfg).run(factory);
+  ASSERT_TRUE(reference.completed);
+  for (const std::uint32_t w_count : {2u, 3u, 8u}) {
+    NetworkConfig shard_cfg = cfg;
+    shard_cfg.shard.workers = w_count;
+    expect_outcomes_identical(reference, Network(g, shard_cfg).run(factory),
+                              "phases, W=" + std::to_string(w_count));
+  }
+}
+
 TEST(Shard, BroadcastOnlyModeMatches) {
   const Graph g = build::star(9);
   NetworkConfig cfg;
@@ -485,7 +594,6 @@ TEST(Shard, AmplifiedCheckpointsAreBitIdenticalAndResumeAcrossWorkerCounts) {
   for (const std::uint32_t w_count : {1u, 2u, 8u}) {
     NetworkConfig shard_cfg = cfg;
     shard_cfg.shard.workers = w_count;
-    shard_cfg.shard.policy = PartitionPolicy::Hash;
     const SupervisedResult slice =
         Supervisor(g, shard_cfg, sliced).run(chatter(10), kReps);
     ASSERT_TRUE(slice.paused);

@@ -272,7 +272,7 @@ TEST(AsyncCheckpoint, ResumeRejectsDamagedEventLists) {
         sender(s).pending.front().attempts = 0;
       });
       expect_rejected("'attempts'", [&](AsyncSnapshot& s) {  // past the budget
-        sender(s).pending.front().attempts = TransportConfig{}.max_retries + 2;
+        sender(s).pending.front().attempts = kMaxRetries + 2;
       });
       expect_rejected("'reorder'", [&](AsyncSnapshot& s) {
         LinkReceiver& receiver = s.nodes[busy->first].receivers[busy->second];

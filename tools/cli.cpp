@@ -65,9 +65,9 @@ commands:
          [--drop P] [--corrupt P] [--crash NODE:ROUND] [--stall-window W]
          [--checkpoint FILE] [--resume FILE]
          [--metrics-out FILE] [--metrics-period MS] [--blackbox FILE]
-         sync only:  [--jobs N] [--workers W] [--shard-policy range|hash]
-           [--shard-counters] [--supervised] [--deadline MS]
-           [--round-budget R] [--retries K] [--max-reps-per-call M]
+         sync only:  [--jobs N] [--workers W] [--shard-counters]
+           [--supervised] [--deadline MS] [--round-budget R] [--retries K]
+           [--max-reps-per-call M]
          async only: [--transport raw|reliable] [--recover]
            [--rejoin-delay T] [--max-recoveries K] [--checkpoint-at P]
       pattern: cycle L | triangle | clique S | star D
@@ -83,8 +83,8 @@ commands:
       reports engine wall time (compute vs delivery vs transport).
       sync: repetitions run through the run supervisor over --jobs N
       threads (0 = all hardware threads), each run sharded across
-      --workers W superstep threads (--shard-policy, default range;
-      --shard-counters adds the W-dependent per-worker channel counters);
+      --workers W superstep threads, each owning a contiguous vertex range
+      (--shard-counters adds the W-dependent per-worker channel counters);
       everything is bit-identical for every N and W. The supervisor flags
       add a wall-clock deadline, a per-repetition round budget, stall
       reports (--stall-window arms the watchdog), retry-with-reseed and
@@ -108,7 +108,7 @@ commands:
       bit-identical with or without them.
   sweep cycle <L> [--sizes N1,N2,...] [--reps R] [--jobs N] [--seed S]
         [--bandwidth B] [--json FILE] [--trace FILE] [--per-edge]
-        [--workers W] [--shard-policy range|hash] [--shard-counters]
+        [--workers W] [--shard-counters]
         [--metrics-out FILE] [--metrics-period MS] [--blackbox FILE]
       planted-vs-control detection sweep over host sizes (random forest
       hosts, planted C_L vs cycle-free control) on the sync engine,
@@ -216,16 +216,11 @@ std::uint32_t to_u32(const std::string& s, const char* what) {
   return static_cast<std::uint32_t>(value);
 }
 
-/// --workers / --shard-policy / --shard-counters -> ShardSpec for the
-/// synchronous engine (workers 0 and 1 both run one inline worker).
+/// --workers / --shard-counters -> ShardSpec for the synchronous engine
+/// (workers 0 and 1 both run one inline worker).
 congest::ShardSpec parse_shard(const Invocation& inv) {
   congest::ShardSpec shard;
   shard.workers = to_u32(inv.flag("workers").value_or("0"), "workers");
-  if (const auto policy = inv.flag("shard-policy")) {
-    CSD_CHECK_MSG(congest::parse_partition_policy(*policy, shard.policy),
-                  "bad --shard-policy '" << *policy << "' (range|hash)");
-    CSD_CHECK_MSG(shard.workers != 0, "--shard-policy needs --workers W");
-  }
   shard.channel_counters = inv.has_flag("shard-counters");
   CSD_CHECK_MSG(!shard.channel_counters || shard.workers != 0,
                 "--shard-counters needs --workers W");
@@ -607,8 +602,7 @@ DetectReport sync_report(congest::SupervisedResult result, unsigned jobs,
   std::ostringstream os;
   os << "sync, " << congest::resolve_jobs(jobs) << " worker thread(s)";
   if (shard.workers != 0)
-    os << ", sharded (" << shard.workers << " worker(s), "
-       << congest::to_string(shard.policy) << " partition)";
+    os << ", sharded (" << shard.workers << " worker(s), range partition)";
   r.engine = os.str();
   os.str("");
   os << "rounds:     " << metrics.rounds << '\n'
@@ -744,7 +738,7 @@ constexpr std::string_view kFaultFlags[] = {  // both engines
 constexpr std::string_view kSupervisorFlags[] = {  // sync only
     "supervised", "deadline", "round-budget", "retries", "max-reps-per-call"};
 constexpr std::string_view kShardFlags[] = {  // sync only
-    "jobs", "workers", "shard-policy", "shard-counters"};
+    "jobs", "workers", "shard-counters"};
 constexpr std::string_view kAsyncSelectingFlags[] = {  // async only
     "transport", "recover", "checkpoint-at"};
 constexpr std::string_view kRecoveryFlags[] = {  // async only
@@ -942,8 +936,8 @@ std::vector<std::uint64_t> parse_sizes(const std::string& csv) {
 int cmd_sweep(const Invocation& inv, std::ostream& out) {
   check_flags(inv, "sweep",
               {"sizes", "reps", "jobs", "seed", "bandwidth", "json", "trace",
-               "per-edge", "workers", "shard-policy", "shard-counters",
-               "metrics-out", "metrics-period", "blackbox"});
+               "per-edge", "workers", "shard-counters", "metrics-out",
+               "metrics-period", "blackbox"});
   CSD_CHECK_MSG(inv.positional.size() == 3 && inv.positional[1] == "cycle",
                 "sweep cycle L [--sizes N1,N2,...]");
   const auto len = to_u32(inv.positional[2], "L");
@@ -986,8 +980,8 @@ int cmd_sweep(const Invocation& inv, std::ostream& out) {
   out << "C_" << len << " sweep: " << reps << " repetitions per instance, "
       << congest::resolve_jobs(jobs) << " worker thread(s)";
   if (cfg.shard.workers != 0)
-    out << ", sharded engine (" << cfg.shard.workers << " worker(s), "
-        << congest::to_string(cfg.shard.policy) << " partition)";
+    out << ", sharded engine (" << cfg.shard.workers
+        << " worker(s), range partition)";
   out << '\n';
   Table table({"n", "instance", "verdict", "oracle", "executed", "skipped",
                "rounds", "max msg bits"});

@@ -3,7 +3,7 @@
 
 Usage:
     tools/shard_determinism.py --csd build/tools/csd [--workdir DIR]
-        [--workers 1,2,8] [--jobs 1,4] [--reps 32] [--telemetry]
+        [--workers 1,2,3,8] [--jobs 1,4] [--reps 32] [--telemetry]
 
 Runs every (workers, jobs) cell of the matrix on two smoke instances —
 the THM11 even-cycle detector (C_4 on a random forest) and the triangle
@@ -17,10 +17,6 @@ other cell must reproduce it bit-for-bit:
     legitimately differ across cells) and its SHA-256 must match;
   * the JSONL trace is hashed raw — no canonicalization; the trace
     determinism contract is byte-level.
-
-Both policies are exercised: range on the even-cycle instance, hash on
-the triangle instance (and vice versa on a second pass of each), so a
-policy-dependent merge bug cannot hide behind a lucky partition.
 
 The reference cell also runs with `--supervised` alone: `csd detect`
 runs every sync run through the run supervisor, so naming it changes
@@ -67,8 +63,7 @@ def raw_digest(path: Path) -> str:
 
 
 def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
-                jobs: int, policy: str, tag: str,
-                telemetry: bool = False,
+                jobs: int, tag: str, telemetry: bool = False,
                 supervised: bool = False) -> tuple[str, str]:
     """Run one matrix cell; return (json digest, trace digest)."""
     json_path = workdir / f"{tag}.json"
@@ -78,7 +73,7 @@ def detect_cell(csd: str, instance: dict, workdir: Path, workers: int,
            "--jobs", str(jobs),
            "--json", str(json_path), "--trace", str(trace_path)]
     if workers != 0:
-        cmd += ["--workers", str(workers), "--shard-policy", policy]
+        cmd += ["--workers", str(workers)]
     if supervised:
         cmd.append("--supervised")
     if telemetry:
@@ -96,7 +91,7 @@ def main() -> int:
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where instances and reports go "
                              "(default: a temp dir)")
-    parser.add_argument("--workers", default="1,2,8",
+    parser.add_argument("--workers", default="1,2,3,8",
                         help="comma list of worker counts (0 = inline "
                              "reference, always added)")
     parser.add_argument("--jobs", default="1,4",
@@ -132,11 +127,11 @@ def main() -> int:
 
     failures = 0
     for instance in instances:
-        ref = detect_cell(args.csd, instance, workdir, 0, 1, "range",
+        ref = detect_cell(args.csd, instance, workdir, 0, 1,
                           f"{instance['name']}-ref")
         print(f"{instance['name']}: reference (inline run) "
               f"json={ref[0][:12]} trace={ref[1][:12]}")
-        sup = detect_cell(args.csd, instance, workdir, 0, 1, "range",
+        sup = detect_cell(args.csd, instance, workdir, 0, 1,
                           f"{instance['name']}-ref-supervised",
                           supervised=True)
         status = "ok" if sup == ref else "MISMATCH"
@@ -147,29 +142,27 @@ def main() -> int:
                   f"    trace: {ref[1]} -> {sup[1]}", file=sys.stderr)
         for w in workers:
             for j in jobs:
-                for policy in ("range", "hash"):
-                    tag = f"{instance['name']}-w{w}-j{j}-{policy}"
-                    cell = detect_cell(args.csd, instance, workdir, w, j,
-                                       policy, tag,
-                                       telemetry=args.telemetry)
-                    ok = cell == ref
-                    status = "ok" if ok else "MISMATCH"
-                    print(f"  workers={w} jobs={j} policy={policy}: {status}")
-                    if not ok:
-                        failures += 1
-                        if cell[0] != ref[0]:
-                            print(f"    json:  {ref[0]} -> {cell[0]}",
-                                  file=sys.stderr)
-                        if cell[1] != ref[1]:
-                            print(f"    trace: {ref[1]} -> {cell[1]}",
-                                  file=sys.stderr)
+                tag = f"{instance['name']}-w{w}-j{j}"
+                cell = detect_cell(args.csd, instance, workdir, w, j, tag,
+                                   telemetry=args.telemetry)
+                ok = cell == ref
+                status = "ok" if ok else "MISMATCH"
+                print(f"  workers={w} jobs={j}: {status}")
+                if not ok:
+                    failures += 1
+                    if cell[0] != ref[0]:
+                        print(f"    json:  {ref[0]} -> {cell[0]}",
+                              file=sys.stderr)
+                    if cell[1] != ref[1]:
+                        print(f"    trace: {ref[1]} -> {cell[1]}",
+                              file=sys.stderr)
 
     if failures:
         print(f"FAIL: {failures} cell(s) diverged from the inline run — "
               f"the round kernel or the sync engine broke bit-identity",
               file=sys.stderr)
         return 1
-    cells = len(instances) * len(workers) * len(jobs) * 2
+    cells = len(instances) * len(workers) * len(jobs)
     suffix = " (telemetry attached)" if args.telemetry else ""
     print(f"OK: {cells} matrix cell(s) and the --supervised reference "
           f"bit-identical to the inline run{suffix}")
